@@ -6,7 +6,8 @@ library call (a construction, a metric evaluation, a tail table) and
 prints its certified output.  All randomness comes from --seed, so any
 invocation is reproducible byte for byte.  Library errors map onto
 exit codes: 2 for bad configuration or domain violations, 3 when a
-requested tolerance is infeasible, 4 when a certification check fails.
+requested tolerance is infeasible (a tail-index search hit its cap or a
+refinement budget ran out), 4 when a certification check fails.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, ToleranceUnreachable
+from .errors import DomainError
 from .intervals import BoundInterval, as_fraction
 from . import tailmath
 
@@ -381,14 +381,13 @@ def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
         cutoff = len(f.coeffs.coeffs) - 1
         tail = Fraction(0)
     else:
-        cutoff = 8
-        while True:
-            tail = sup * tailmath.zeta(f.gamma, cutoff + 1).hi
-            if 2 * tail < tolq:
-                break
-            cutoff += 8
-            if cutoff > 10_000:
-                raise ToleranceUnreachable(f"series tail would not fit below {tolq}")
+        cutoff = tailmath.least_index(
+            lambda K: 2 * sup * tailmath.zeta(f.gamma, K + 1).hi < tolq,
+            8,
+            f"the series tail below {tolq}",
+            step=8,
+        )
+        tail = sup * tailmath.zeta(f.gamma, cutoff + 1).hi
     partial = Fraction(0)
     power = Fraction(1)
     fact = 1

@@ -185,9 +185,7 @@ class NearbyPointReport:
         return self.rho.hi < self.delta
 
 
-def nearby_distinct_point(
-    a: CoeffSeq, delta, spec: LpSpec, max_index: int = 4096
-) -> NearbyPointReport:
+def nearby_distinct_point(a: CoeffSeq, delta, spec: LpSpec) -> NearbyPointReport:
     """A point of the embedded set within rho_p-distance delta of iota(a).
 
     Witnesses that iota(a) is not isolated: flip the coefficient at the
@@ -209,14 +207,13 @@ def nearby_distinct_point(
     if values is None or not values <= _BINARY_VALUES:
         raise DomainError("nearby_distinct_point needs {0,1} coefficients")
     factor = spec.gamma_pow_inv_p()
-    n = 1
-    while True:
-        z = tailmath.zeta(spec.gamma, n)
-        if (factor * z).hi < dq and tailmath.zeta(spec.gamma, n + 1).hi < dq:
-            break
-        n += 1
-        if n > max_index:
-            raise DomainError(f"no flip index certified below delta={dq} by {max_index}")
+    n = tailmath.least_index(
+        lambda k: (factor * tailmath.zeta(spec.gamma, k)).hi < dq
+        and tailmath.zeta(spec.gamma, k + 1).hi < dq,
+        1,
+        f"a flip index below delta={dq}",
+    )
+    z = tailmath.zeta(spec.gamma, n)
     pre, per = shape
     head = list(a.prefix(max(n + 1, len(pre))))
     head[n] = Fraction(1) - head[n]

@@ -11,11 +11,6 @@ dependence of differentiation.  Outputs are plain coefficient streams
 or small frozen records; every quantitative claim is either certified
 here directly (interval enclosures on the stored certificates) or
 re-certifiable by the verify suites from the returned structure.
-
-Index selection is uniform throughout: the smallest index whose
-certified tail bound (.hi of the enclosure) drops strictly below the
-requested tolerance.  That makes every bound sound at the cost of an
-occasional extra term.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import tailmath
 from .coeffspace import (
@@ -38,11 +33,9 @@ from .coeffspace import (
     same_stream,
     word_start_index,
 )
-from .errors import CertificationFailure, DomainError, InfeasibleTolerance
+from .errors import CertificationFailure, DomainError
 from .intervals import BoundInterval, as_fraction, power
 from .metrics import LpSpec, rho_p
-
-_MAX_TAIL_INDEX = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +92,18 @@ def coefficient_alphabet(P: Polynomial) -> Alphabet:
 # ---------------------------------------------------------------------------
 # tail-index selection
 
-def _least_tail_index(predicate: Callable[[int], bool], start: int, what: str) -> int:
-    n = start
-    while n <= _MAX_TAIL_INDEX:
-        if predicate(n):
-            return n
-        n += 1
-    raise InfeasibleTolerance(f"no index up to {_MAX_TAIL_INDEX} certifies {what}")
+def agreement_index(spec: LpSpec, diam: Fraction, gamma: Fraction, eps: Fraction) -> int:
+    """Least N with gamma^(1/p) * diam * zeta_N(gamma) certified below eps.
+
+    Streams over an alphabet of diameter diam that agree below index N
+    are then within rho_p-distance eps of each other.
+    """
+    factor = spec.gamma_pow_inv_p() * diam
+    return tailmath.least_index(
+        lambda n: (factor * tailmath.zeta(gamma, n)).hi < eps,
+        0,
+        f"gamma^(1/p)*diam*zeta(N) < {eps}",
+    )
 
 
 def _check_spec_domain(spec: LpSpec, gamma: Fraction):
@@ -136,12 +134,7 @@ def periodic_approx_in_EF(
         raise DomainError("alphabet needs at least two values")
     if not f.in_EF(F):
         raise DomainError("f is not supported on the given alphabet")
-    factor = spec.gamma_pow_inv_p() * F.diameter
-    N = _least_tail_index(
-        lambda n: (factor * tailmath.zeta(gq, n)).hi < epsq,
-        0,
-        f"gamma^(1/p)*diam*zeta(N) < {epsq}",
-    )
+    N = agreement_index(spec, F.diameter, gq, epsq)
     return EventuallyPeriodic((), f.prefix(N + 1))
 
 
@@ -178,12 +171,7 @@ def orbit_search(
         raise DomainError("target is not supported on the given alphabet")
     if len(F) == 1:
         return 0
-    factor = spec.gamma_pow_inv_p() * F.diameter
-    N = _least_tail_index(
-        lambda n: (factor * tailmath.zeta(gq, n)).hi < epsq,
-        0,
-        f"gamma^(1/p)*diam*zeta(N) < {epsq}",
-    )
+    N = agreement_index(spec, F.diameter, gq, epsq)
     word = target.prefix(N + 1)
     l = word_start_index(F, word)
     if any(g.coeff(l + i) != word[i] for i in range(N + 1)):
@@ -223,17 +211,8 @@ def transitivity_witness(
             return u_center, len(shape[1])
     if F.diameter == 0:
         raise DomainError("alphabet needs two distinct values for distinct centers")
-    factor = spec.gamma_pow_inv_p() * F.diameter
-
-    def pick(epsq: Fraction) -> int:
-        return _least_tail_index(
-            lambda n: (factor * tailmath.zeta(gq, n)).hi < epsq,
-            0,
-            f"gamma^(1/p)*diam*zeta(N) < {epsq}",
-        )
-
-    n_u = pick(eu)
-    n_v = pick(ev)
+    n_u = agreement_index(spec, F.diameter, gq, eu)
+    n_v = agreement_index(spec, F.diameter, gq, ev)
     h = EventuallyPeriodic(u_center.prefix(n_u + 1), v_center.prefix(n_v + 1))
     return h, n_u + 1
 
@@ -414,7 +393,7 @@ def periodic_point_in_cinf(P: Polynomial, gamma, spec: LpSpec, eps) -> CoeffSeq:
     if len(F) < 2:
         raise DomainError("P needs a second coefficient value; augment it first")
     budget = power(gq, -spec.inv_p) * epsq / (2 * F.diameter)
-    N = _least_tail_index(
+    N = tailmath.least_index(
         lambda n: tailmath.zeta(gq, n).hi < budget.lo,
         1,
         f"zeta(N) < gamma^(-1/p)*eps/(2*diam) = {budget.lo}",
@@ -489,7 +468,7 @@ def sensitivity_witness(
         rho0_hi = Fraction(0)
     else:
         sup = f.coeffs.sup_abs()
-        K = _least_tail_index(
+        K = tailmath.least_index(
             lambda k: (sup * tailmath.zeta(gq, k)).hi < epsq / 4,
             1,
             f"sup|a|*zeta(K) < {epsq / 4}",
@@ -502,7 +481,7 @@ def sensitivity_witness(
 
     c = max(Fraction(0), max(P.coeffs_taylor)) + big_m + betaq
     F = coefficient_alphabet(P).union((c,))
-    N_prime = _least_tail_index(
+    N_prime = tailmath.least_index(
         lambda n: tailmath.zeta(gq, n + 1).hi < epsq / (2 * F.diameter),
         1,
         f"zeta(N'+1) < {epsq / (2 * F.diameter)}",

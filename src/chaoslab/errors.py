@@ -26,8 +26,8 @@ class ToleranceUnreachable(ChaosLabError):
 
 
 class InfeasibleTolerance(ChaosLabError):
-    """No construction parameter satisfies the requested tolerance below
-    the configured search cap."""
+    """No index up to the search cap (tailmath.MAX_TAIL_INDEX) satisfies
+    the requested tolerance."""
 
 
 class CertificationFailure(ChaosLabError):

@@ -273,30 +273,7 @@ def power(base, exponent) -> BoundInterval:
     working_precision() bits; the result endpoints embed back into
     Fraction exactly, so no certification is lost.
     """
-    b = base if isinstance(base, BoundInterval) else BoundInterval.exact(base)
-    e = as_fraction(exponent)
-    if e.denominator == 1:
-        return b ** int(e)
-    if b.lo < 0:
-        raise DomainError(f"fractional power of a negative-reaching interval {b}")
-    if e < 0 and b.lo == 0:
-        raise DomainError("negative fractional power of an interval reaching zero")
-    ctx = mpmath.iv
-    old_prec = ctx.prec
-    try:
-        ctx.prec = working_precision()
-        ive = _to_iv(e, ctx)
-        # x |-> x**e is monotone on [0, inf) for either sign of e, so the
-        # hull of certified endpoint powers encloses the whole image.
-        at_lo = _from_iv(_to_iv(b.lo, ctx) ** ive)
-        at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi, ctx) ** ive)
-        out = at_lo.hull(at_hi)
-    finally:
-        ctx.prec = old_prec
-    # x**e with x >= 0 is nonnegative; clamp round-off spill below zero.
-    if out.lo < 0:
-        out = BoundInterval(Fraction(0), out.hi)
-    return out
+    return PowerFn(exponent)(base)
 
 
 def root(x, p) -> BoundInterval:
@@ -310,9 +287,9 @@ def root(x, p) -> BoundInterval:
 class PowerFn:
     """Reusable certified x**e for one fixed rational exponent.
 
-    power() pays for context setup and exponent conversion on every
-    call; quadrature loops evaluate thousands of powers with the same
-    exponent, so this caches both.  Semantics match power() exactly.
+    Quadrature loops evaluate thousands of powers with the same
+    exponent, so this caches the exponent's interval per precision;
+    power() is the one-shot form.
     """
 
     def __init__(self, exponent):
@@ -339,11 +316,14 @@ class PowerFn:
         old_prec = ctx.prec
         try:
             ive = self._exp_interval(ctx, working_precision())
+            # x |-> x**e is monotone on [0, inf) for either sign of e, so the
+            # hull of certified endpoint powers encloses the whole image.
             at_lo = _from_iv(_to_iv(b.lo, ctx) ** ive)
             at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi, ctx) ** ive)
         finally:
             ctx.prec = old_prec
         out = at_lo.hull(at_hi)
+        # x**e with x >= 0 is nonnegative; clamp round-off spill below zero.
         if out.lo < 0:
             out = BoundInterval(Fraction(0), out.hi)
         return out

@@ -142,9 +142,9 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
         pre = tuple(abs(x.coeff(i) - y.coeff(i)) for i in range(s))
         per = tuple(abs(x.coeff(s + i) - y.coeff(s + i)) for i in range(q))
         return BoundInterval.exact(_geometric_block_sum(pre, per))
-    cutoff = 4
-    while Fraction(2, 2**cutoff) >= tolq:
-        cutoff += 4
+    cutoff = tailmath.least_index(
+        lambda K: Fraction(2, 2**K) < tolq, 4, f"2^(1-K) < {tolq}", step=4
+    )
     partial = sum(
         Fraction(abs(x.coeff(i) - y.coeff(i)), 2**i) for i in range(cutoff)
     )
@@ -198,14 +198,13 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
         cutoff = zero_past
         tail = Fraction(0)
     else:
-        cutoff = 8
-        while True:
-            tail = dsup * tailmath.eta(cutoff + 2).hi
-            if 2 * tail < tolq:
-                break
-            cutoff += 8
-            if cutoff > 4_000:
-                raise ToleranceUnreachable(f"d_E tail would not fit below {tolq}")
+        cutoff = tailmath.least_index(
+            lambda K: 2 * dsup * tailmath.eta(K + 2).hi < tolq,
+            8,
+            f"the d_E tail below {tolq}",
+            step=8,
+        )
+        tail = dsup * tailmath.eta(cutoff + 2).hi
     fact = 1
     partial = Fraction(0)
     for n in range(cutoff + 1):
@@ -255,18 +254,15 @@ def weighted_product_metric(
     dsup = diff_sup_abs(x, y)
     if dsup == 0:
         return BoundInterval.exact(0)
-    cutoff = 8
-    while True:
-        tail = weights.tail_majorant(cutoff, dsup)
+
+    def fits(K: int) -> bool:
+        tail = weights.tail_majorant(K, dsup)
         if tail < 0:
             raise DomainError("tail majorant must be nonnegative")
-        if 2 * tail < tolq:
-            break
-        cutoff += 8
-        if cutoff > 4_000:
-            raise ToleranceUnreachable(
-                f"weighted tail would not fit below {tolq}"
-            )
+        return 2 * tail < tolq
+
+    cutoff = tailmath.least_index(fits, 8, f"the weighted tail below {tolq}", step=8)
+    tail = weights.tail_majorant(cutoff, dsup)
     partial = sum(
         weights.factor(i) * abs(x.coeff(i) - y.coeff(i)) / 2**i
         for i in range(cutoff)
@@ -677,14 +673,16 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     if dsup == 0:
         return BoundInterval.exact(0)
     gp = spec.gamma_pow_inv_p()
-    cutoff = 8
-    while True:
-        tail_slack = dsup * tailmath.zeta(spec.gamma, cutoff + 1).hi * gp.hi
-        if 4 * tail_slack < tolq:
-            break
-        cutoff += 8
-        if cutoff > 4_000:
-            raise ToleranceUnreachable(f"rho_p tail would not fit below {tolq}")
+
+    def slack(K: int) -> Fraction:
+        return dsup * tailmath.zeta(spec.gamma, K + 1).hi * gp.hi
+
+    # steps of 8 overshoot the least cutoff, which keeps the slack well
+    # under tol/4 and the enclosure narrower than the tolerance asks
+    cutoff = tailmath.least_index(
+        lambda K: 4 * slack(K) < tolq, 8, f"the rho_p tail below {tolq}", step=8
+    )
+    tail_slack = slack(cutoff)
     poly = _truncated_difference(f, g, cutoff)
     norm = _norm_of_poly(poly, spec, tolq / 2)
     lo = norm.lo - tail_slack
@@ -764,11 +762,11 @@ def continuity_delta_l1(gamma, eps, rel_tol=tailmath.DEFAULT_REL_TOL) -> Tuple[i
     epsq = as_fraction(eps)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    n = tailmath.compute_m_gamma(g, rel_tol)
-    while not tailmath.eta(n, rel_tol).hi < epsq:
-        n += 1
-        if n > 4_000:
-            raise ToleranceUnreachable("eta never certified below eps")
+    n = tailmath.least_index(
+        lambda n: tailmath.eta(n, rel_tol).hi < epsq,
+        tailmath.compute_m_gamma(g, rel_tol),
+        f"eta(N) < {epsq}",
+    )
     delta = tailmath.xi(g, n + 1, rel_tol).lo
     if delta <= 0:
         raise ToleranceUnreachable("xi lower bound not positive; tighten rel_tol")
@@ -787,9 +785,7 @@ def continuity_delta_dE(gamma, eps, rel_tol=tailmath.DEFAULT_REL_TOL) -> Tuple[i
     epsq = as_fraction(eps)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    n = 1
-    while not tailmath.zeta(g, n, rel_tol).hi < epsq:
-        n += 1
-        if n > 4_000:
-            raise ToleranceUnreachable("zeta never certified below eps")
+    n = tailmath.least_index(
+        lambda n: tailmath.zeta(g, n, rel_tol).hi < epsq, 1, f"zeta(N) < {epsq}"
+    )
     return n, Fraction(1, math.factorial(n + 1))

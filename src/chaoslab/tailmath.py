@@ -31,17 +31,16 @@ thresholds are always valid, if occasionally one step conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict
+from typing import Callable
 
-from .errors import DomainError, ToleranceUnreachable
+from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
 from .intervals import BoundInterval, as_fraction
 
 DEFAULT_REL_TOL = Fraction(1, 10**15)
 
-_MAX_EXTRA_TERMS = 10_000
+MAX_TAIL_INDEX = 10_000
 
 
 def _factorial(n: int) -> int:
@@ -51,6 +50,22 @@ def _factorial(n: int) -> int:
 def _ceil_strict(q: Fraction) -> int:
     """Least integer strictly greater than q."""
     return math.floor(q) + 1
+
+
+def least_index(holds: Callable[[int], bool], start: int, what: str, step: int = 1) -> int:
+    """Least n in start, start + step, ... up to MAX_TAIL_INDEX with holds(n).
+
+    Index selection is uniform throughout the library: the smallest
+    index whose certified tail bound (.hi of the enclosure) drops
+    strictly below the requested tolerance.  That makes every bound
+    sound at the cost of an occasional extra term.  Raises
+    InfeasibleTolerance, naming `what`, when no index up to the cap
+    qualifies.
+    """
+    for n in range(start, MAX_TAIL_INDEX + 1, step):
+        if holds(n):
+            return n
+    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}")
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +92,7 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
         tail_bound = term * (cutoff + 2) / (cutoff + 2 - gamma)
         if tail_bound <= rel_tol * partial:
             return BoundInterval(partial, partial + tail_bound)
-        if cutoff - k > _MAX_EXTRA_TERMS:
+        if cutoff - k > MAX_TAIL_INDEX:
             raise ToleranceUnreachable(
                 f"tail sum at gamma={gamma}, k={k} did not reach rel_tol={rel_tol}"
             )
@@ -195,15 +210,7 @@ def _separation_scan(gamma: Fraction, rel_tol: Fraction):
     # Least j >= n_gamma whose xi enclosure sits below delta; past the
     # threshold xi is exactly nonincreasing, so acceptance propagates to
     # every larger index.
-    j = max(1, n_gamma)
-    guard = 0
-    while not acceptable(j):
-        j += 1
-        guard += 1
-        if guard > _MAX_EXTRA_TERMS:
-            raise ToleranceUnreachable(
-                f"xi never certified below delta at gamma={gamma}"
-            )
+    j = least_index(acceptable, max(1, n_gamma), f"xi below delta at gamma={gamma}")
     # Indices below the threshold are not monotone, so extend downward
     # only through certified-contiguous acceptances.
     while j - 1 >= 1 and acceptable(j - 1):
@@ -228,35 +235,3 @@ def separation_lower_bound(gamma, rel_tol=DEFAULT_REL_TOL) -> Fraction:
     """The certified delta used by compute_m_gamma (exposed for audits)."""
     _, delta_lo, _ = _separation_scan(as_fraction(gamma), as_fraction(rel_tol))
     return delta_lo
-
-
-@dataclass(frozen=True)
-class TailTable:
-    """Precomputed tail enclosures for one gamma, up to index k_max."""
-
-    gamma: Fraction
-    k_max: int
-    eta: Dict[int, BoundInterval] = field(repr=False)
-    zeta: Dict[int, BoundInterval] = field(repr=False)
-    xi: Dict[int, BoundInterval] = field(repr=False)
-    alpha: Dict[int, BoundInterval] = field(repr=False)
-    n_gamma: int = 0
-    m_gamma: int = 0
-
-
-def build_tail_table(gamma, k_max: int, rel_tol=DEFAULT_REL_TOL) -> TailTable:
-    g = as_fraction(gamma)
-    k_max = int(k_max)
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
-    tol = as_fraction(rel_tol)
-    return TailTable(
-        gamma=g,
-        k_max=k_max,
-        eta={k: eta(k, tol) for k in range(1, k_max + 1)},
-        zeta={k: zeta(g, k, tol) for k in range(1, k_max + 1)},
-        xi={k: xi(g, k, tol) for k in range(1, k_max + 1)},
-        alpha={k: alpha(k, tol) for k in range(1, k_max + 1)},
-        n_gamma=compute_n_gamma(g),
-        m_gamma=compute_m_gamma(g, tol),
-    )

@@ -43,6 +43,7 @@ from .conjugacy import (
 )
 from .constructions import (
     Polynomial,
+    agreement_index,
     coefficient_alphabet,
     dense_orbit_point,
     ef_approximation,
@@ -572,11 +573,8 @@ def check_rho1_to_dE_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
         n_index, delta = continuity_delta_l1(g, eps)
-        j = 0
-        while (tailmath.zeta(g, j + 1).hi * g) >= delta / 2:
-            j += 1
-            if j > 500:
-                raise DomainError("agreement index exploded; delta too small")
+        j = tailmath.least_index(lambda k: tailmath.zeta(g, k + 1).hi * g < delta / 2,
+                                 0, f"an agreement index for delta={delta}")
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
         close = EventuallyPeriodic(base.prefix(j + 1) + tail.preamble, tail.period)
@@ -604,11 +602,8 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
         n_index, delta = continuity_delta_dE(g, eps)
-        j = 0
-        while tailmath.eta(j + 2).hi >= delta / 2:
-            j += 1
-            if j > 500:
-                raise DomainError("agreement index exploded; delta too small")
+        j = tailmath.least_index(lambda k: tailmath.eta(k + 2).hi < delta / 2,
+                                 0, f"an agreement index for delta={delta}")
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
         close = EventuallyPeriodic(base.prefix(j + 1) + tail.preamble, tail.period)
@@ -774,16 +769,6 @@ def run_conjugacy(cfg: VerifyConfig) -> List[CheckResult]:
 _PS = (Fraction(1), Fraction(2), math.inf)
 
 
-def _min_tail_index(spec: LpSpec, diam: Fraction, gamma: Fraction, eps: Fraction) -> int:
-    n = 0
-    gp = spec.gamma_pow_inv_p()
-    while not (gp * diam * tailmath.zeta(gamma, n)).hi < eps:
-        n += 1
-        if n > 10_000:
-            raise DomainError("tail index exploded")
-    return n
-
-
 def check_periodic_density(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100) -> CheckResult:
     rng = make_rng(seed)
     failures: List[dict] = []
@@ -795,7 +780,7 @@ def check_periodic_density(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100
         alphabet = random_alphabet(rng)
         f = random_stream(rng, alphabet)
         approx = periodic_approx_in_EF(f, alphabet, g, spec, eps)
-        n = _min_tail_index(spec, alphabet.diameter, g, eps)
+        n = agreement_index(spec, alphabet.diameter, g, eps)
         rho = rho_p(SeriesFn(f, g), SeriesFn(approx, g), spec, tol=eps / 16)
         ok = (approx.is_pure_periodic
               and approx.shifted(n + 1) == approx
@@ -850,7 +835,7 @@ def check_orbit_index(gammas=(Fraction(1, 2), Fraction(1)), seed: int = 0,
         b = dense_orbit_point(alphabet)
         target = random_stream(rng, alphabet)
         l = orbit_search(b, target, alphabet, g, spec, eps)
-        n = _min_tail_index(spec, alphabet.diameter, g, eps)
+        n = agreement_index(spec, alphabet.diameter, g, eps)
         prefix_ok = all(b.coeff(l + i) == target.coeff(i) for i in range(n + 1))
         rho = rho_p(SeriesFn(b.shifted(l), g), SeriesFn(target, g), spec, tol=eps / 16)
         if not (prefix_ok and rho.hi < eps):

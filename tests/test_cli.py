@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaoslab import cli
+from chaoslab import cli, tailmath
 from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport, from_json, to_json
 
 E = Fraction(
@@ -193,6 +193,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == "0,1,0,0\n"
+
+
+def test_exit_code_three_when_the_index_search_hits_the_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
+    f = _write(tmp_path, "ones.json", ONES)
+    tiny = "1/1" + "0" * 80
+    code, out, err = _run(
+        capsys, ["approx-periodic", "--gamma", "1", "--alphabet", "0,1", "--eps", tiny, f]
+    )
+    assert code == 3 and out == ""
+    assert "chaos-lab:" in err and "no index up to 40" in err
 
 
 def test_exit_code_two_on_bad_input(capsys, tmp_path):

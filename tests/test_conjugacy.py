@@ -22,7 +22,8 @@ from chaoslab.conjugacy import (
     translate,
     untranslate,
 )
-from chaoslab.errors import DomainError
+from chaoslab import tailmath
+from chaoslab.errors import DomainError, InfeasibleTolerance
 from chaoslab.metrics import LpSpec, d_E, rho_p
 
 ONES = EventuallyPeriodic((), (1,))
@@ -133,6 +134,15 @@ def test_nearby_distinct_point_respects_gamma():
     rep = nearby_distinct_point(ZEROS, Fraction(1, 50), spec)
     assert rep.passed
     assert rep.zeta_bound.hi < Fraction(1, 50)
+
+
+def test_nearby_distinct_point_past_the_cap_is_infeasible(monkeypatch):
+    # zeta_n(1) < 1e-60 needs n near 48, beyond a cap of 40
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
+    spec = LpSpec(math.inf, 1)
+    assert nearby_distinct_point(ONES, Fraction(1, 10**30), spec).passed
+    with pytest.raises(InfeasibleTolerance, match="flip index"):
+        nearby_distinct_point(ONES, Fraction(1, 10**60), spec)
 
 
 def test_d_E_shift_contraction_witness():

@@ -11,7 +11,7 @@ from chaoslab.coeffspace import (
     WordEnumeration,
     Alphabet,
 )
-from chaoslab.errors import DomainError
+from chaoslab.errors import DomainError, InfeasibleTolerance
 from chaoslab.metrics import (
     FACTORIAL_WEIGHTS,
     UNIT_WEIGHTS,
@@ -81,6 +81,14 @@ def test_d_E_reference_values():
     assert head.lo == head.hi == 1
     same = d_E(EventuallyPeriodic((2,), (0, 1)), EventuallyPeriodic((2,), (0, 1)))
     assert same.lo == same.hi == 0
+
+
+def test_d_E_cutoff_past_the_cap_is_infeasible(monkeypatch):
+    # a small cap keeps the scan short; 2*eta(K+2) < 1e-80 needs K near 60
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
+    assert d_E(ONES, ZEROS, tol=Fraction(1, 10**20)).width < Fraction(1, 10**20)
+    with pytest.raises(InfeasibleTolerance, match="d_E tail"):
+        d_E(ONES, ZEROS, tol=Fraction(1, 10**80))
 
 
 def test_diff_sup_abs():

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from chaoslab.errors import DomainError
+from chaoslab import tailmath
+from chaoslab.errors import DomainError, InfeasibleTolerance
 from chaoslab.tailmath import (
     alpha,
-    build_tail_table,
     compute_m_gamma,
     compute_n_gamma,
     eta,
@@ -163,13 +163,25 @@ def test_bad_arguments_rejected():
         xi(1, -3)
 
 
-def test_tail_table_consistency():
-    table = build_tail_table(2, 25)
-    assert table.gamma == 2
-    assert table.n_gamma == compute_n_gamma(2)
-    assert table.m_gamma == compute_m_gamma(2)
-    for k in range(1, 26):
-        assert table.eta[k].intersects(eta(k))
-        assert table.zeta[k].intersects(zeta(2, k))
-        assert table.xi[k].intersects(xi(2, k))
-        assert table.alpha[k].intersects(alpha(k))
+def test_least_index_returns_the_least_qualifying_index():
+    seen = []
+
+    def holds(n):
+        seen.append(n)
+        return n * n >= 50
+
+    assert tailmath.least_index(holds, 0, "n^2 >= 50") == 8
+    assert seen == list(range(9))
+    # start and step: only start, start + step, ... are tried
+    assert tailmath.least_index(lambda n: n * n >= 50, 3, "n^2 >= 50", step=4) == 11
+    assert tailmath.least_index(lambda n: True, 5, "anything") == 5
+
+
+def test_least_index_raises_past_the_cap(monkeypatch):
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 20)
+    assert tailmath.least_index(lambda n: n == 20, 0, "n = 20") == 20
+    assert tailmath.least_index(lambda n: n == 16, 8, "n = 16", step=8) == 16
+    with pytest.raises(InfeasibleTolerance, match="up to 20 certifies n = 21"):
+        tailmath.least_index(lambda n: n == 21, 0, "n = 21")
+    with pytest.raises(InfeasibleTolerance):
+        tailmath.least_index(lambda n: n == 12, 8, "n = 12", step=8)
