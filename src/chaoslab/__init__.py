@@ -15,6 +15,7 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
+    Polynomial,
     SeriesFn,
     WordEnumeration,
     derivative_sup_bound,
@@ -35,7 +36,6 @@ from .conjugacy import (
     untranslate,
 )
 from .constructions import (
-    Polynomial,
     bernstein_approx,
     dense_orbit_point,
     ef_approximation,

@@ -26,12 +26,12 @@ from .coeffspace import (
     Alphabet,
     CoeffSeq,
     FiniteSupport,
+    Polynomial,
     SeriesFn,
     from_json,
     to_payload,
 )
 from .constructions import (
-    Polynomial,
     dense_orbit_point,
     ef_approximation,
     filtration,
@@ -41,6 +41,7 @@ from .constructions import (
 )
 from .errors import (
     CertificationFailure,
+    ChaosLabError,
     ConfigError,
     DomainError,
     InfeasibleTolerance,
@@ -50,6 +51,9 @@ from .intervals import BoundInterval
 from .metrics import DEFAULT_TOL, LpSpec, rho_p
 
 ISOMETRY_WIDTH = Fraction(1, 10**12)
+
+EXIT_CODES = {ConfigError: 2, DomainError: 2, InfeasibleTolerance: 3,
+              ToleranceUnreachable: 3, CertificationFailure: 4}
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ChaosLabError as exc:
         print(f"chaos-lab: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"chaos-lab: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleTolerance, ToleranceUnreachable) as exc:
-        print(f"chaos-lab: {exc}", file=sys.stderr)
-        return 3
-    except CertificationFailure as exc:
-        print(f"chaos-lab: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ dependence of differentiation.  Outputs are plain coefficient streams
 or small frozen records; every quantitative claim is either certified
 here directly (interval enclosures on the stored certificates) or
 re-certifiable by the verify suites from the returned structure.
+Polynomials in and out are coeffspace.Polynomial, whose scaled-Taylor
+tuple is the coefficient stream itself.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
+    Polynomial,
     SeriesFn,
     WordEnumeration,
     as_preamble_period,
@@ -36,48 +39,6 @@ from .coeffspace import (
 from .errors import CertificationFailure, DomainError
 from .intervals import BoundInterval, as_fraction, power
 from .metrics import LpSpec, rho_p
-
-
-# ---------------------------------------------------------------------------
-# polynomials in scaled Taylor form
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """P(x) = sum_n coeffs_taylor[n] x^n / n!, finitely many terms.
-
-    Stored with trailing zeros stripped, so the last entry is nonzero
-    unless P is the zero polynomial (kept as the single entry (0,)).
-    The same tuple fed to FiniteSupport gives the member of the
-    coefficient space representing P exactly.
-    """
-
-    coeffs_taylor: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        cs = [as_fraction(c) for c in self.coeffs_taylor]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs_taylor", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs_taylor) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs_taylor == (Fraction(0),)
-
-    def __call__(self, x) -> Fraction:
-        xq = as_fraction(x)
-        acc = Fraction(0)
-        for n in reversed(range(len(self.coeffs_taylor))):
-            acc = acc * xq + self.coeffs_taylor[n] / math.factorial(n)
-        return acc
-
-    def as_series(self, gamma) -> SeriesFn:
-        return SeriesFn(FiniteSupport(self.coeffs_taylor), as_fraction(gamma))
 
 
 def coefficient_alphabet(P: Polynomial) -> Alphabet:
@@ -130,8 +91,6 @@ def periodic_approx_in_EF(
     _check_spec_domain(spec, gq)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    if len(F) < 2:
-        raise DomainError("alphabet needs at least two values")
     if not f.in_EF(F):
         raise DomainError("f is not supported on the given alphabet")
     N = agreement_index(spec, F.diameter, gq, epsq)
@@ -266,7 +225,7 @@ def bernstein_approx(
             (abs(values[k + 1] - values[k]) * degree / gq for k in range(degree)),
             default=Fraction(0),
         )
-        cand = Polynomial(_bernstein_to_taylor(values, gq))
+        cand = _bernstein_polynomial(values, gq)
         wiggle = lq + lip_p
         if wiggle == 0:
             m = 1
@@ -288,8 +247,8 @@ def bernstein_approx(
     )
 
 
-def _bernstein_to_taylor(values: Sequence[Fraction], gq: Fraction) -> Tuple[Fraction, ...]:
-    """Exact scaled-Taylor coefficients of sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma."""
+def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> Polynomial:
+    """Exact sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma, as a Polynomial."""
     n = len(values) - 1
     out = []
     for j in range(n + 1):
@@ -297,8 +256,8 @@ def _bernstein_to_taylor(values: Sequence[Fraction], gq: Fraction) -> Tuple[Frac
         for k in range(j + 1):
             term = values[k] * math.comb(n, k) * math.comb(n - k, j - k)
             acc += -term if (j - k) % 2 else term
-        out.append(acc * math.factorial(j) / gq**j)
-    return tuple(out)
+        out.append(acc / gq**j)
+    return Polynomial.from_monomial(out)
 
 
 # ---------------------------------------------------------------------------

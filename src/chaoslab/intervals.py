@@ -11,13 +11,16 @@ Fraction losslessly, so enclosures remain certified across the boundary.
 
 Directed conversion to machine floats (for JSON output and display)
 rounds the lower endpoint down and the upper endpoint up by one ulp
-unless the endpoint is exactly representable.
+unless the endpoint is exactly representable.  Past the double range
+the lower endpoint saturates to -inf or the largest double and the
+upper one to +inf or the most negative double.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -74,16 +77,20 @@ def as_fraction(value) -> Fraction:
 
 
 def _float_down(q: Fraction) -> float:
-    f = float(q)
-    if not math.isfinite(f):
-        return f
+    """Largest double <= q: beyond the double range, +max or -inf."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return sys.float_info.max if q > 0 else -math.inf
     return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
 
 
 def _float_up(q: Fraction) -> float:
-    f = float(q)
-    if not math.isfinite(f):
-        return f
+    """Least double >= q: beyond the double range, +inf or -max."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -sys.float_info.max
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 

@@ -17,10 +17,13 @@ the coefficient difference; the discarded tail is below
 sup|a_n - b_n| * zeta_{K+1}(gamma) pointwise, which inflates an L^p
 enclosure by at most gamma^(1/p) times that bound.
 
-For the truncated polynomial difference D:
+The truncated difference D is a coeffspace.Polynomial built from the
+coefficient differences a_n - b_n themselves (its derivative is their
+shift).  For it:
 
-* p = inf: branch-and-bound for sup|D| with interval Horner plus a
-  centered form on panels.  This is grid + local Lipschitz
+* p = inf: branch-and-bound for sup|D| with Polynomial.eval_interval
+  (interval Horner on the monomial coefficients, intersected with a
+  centered form) on panels.  This is grid + local Lipschitz
   certification, refined adaptively; a uniform grid with one global
   Lipschitz constant cannot reach width 1e-9 in realistic time.
 * integer p: |D|^p integrates exactly.  Even p needs no sign analysis
@@ -44,6 +47,7 @@ from . import tailmath
 from .coeffspace import (
     BINARY,
     CoeffSeq,
+    Polynomial,
     SeriesFn,
     as_preamble_period,
     same_stream,
@@ -271,98 +275,15 @@ def weighted_product_metric(
 
 
 # ---------------------------------------------------------------------------
-# polynomial scaffolding for the L^p work
+# L^p norms of the truncated difference polynomial
 
 
-class _Poly:
-    """Dense polynomial over Fraction in the monomial basis."""
-
-    __slots__ = ("coeffs", "_deriv")
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-        self._deriv = None
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def eval_interval(self, box: BoundInterval) -> BoundInterval:
-        if not self.coeffs:
-            return BoundInterval.exact(0)
-        acc = BoundInterval.exact(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * box + c
-        if box.width == 0:
-            return acc
-        # centered form: f(mid) + f'(box) * (box - mid) is usually much
-        # tighter on narrow panels; keep the intersection.
-        mid = box.mid
-        centered = BoundInterval.exact(self(mid)) + self.derivative().eval_interval_plain(
-            box
-        ) * (box - mid)
-        return acc.intersect(centered) if acc.intersects(centered) else acc
-
-    def eval_interval_plain(self, box: BoundInterval) -> BoundInterval:
-        acc = BoundInterval.exact(0)
-        for c in reversed(self.coeffs):
-            acc = acc * box + c
-        return acc
-
-    def derivative(self) -> "_Poly":
-        if self._deriv is None:
-            self._deriv = _Poly([n * c for n, c in enumerate(self.coeffs)][1:])
-        return self._deriv
-
-    def antiderivative(self) -> "_Poly":
-        return _Poly([Fraction(0)] + [c / (n + 1) for n, c in enumerate(self.coeffs)])
-
-    def __pow__(self, k: int) -> "_Poly":
-        out = _Poly([Fraction(1)])
-        base = self
-        while k:
-            if k & 1:
-                out = out._mul(base)
-            base = base._mul(base)
-            k >>= 1
-        return out
-
-    def _mul(self, other: "_Poly") -> "_Poly":
-        if self.is_zero() or other.is_zero():
-            return _Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return _Poly(out)
-
-
-def _truncated_difference(f: SeriesFn, g: SeriesFn, cutoff: int) -> _Poly:
+def _truncated_difference(f: SeriesFn, g: SeriesFn, cutoff: int) -> Polynomial:
     """D(t) = sum_{n <= cutoff} (a_n - b_n) t^n / n! in the local variable."""
-    fact = 1
-    coeffs = []
-    for n in range(cutoff + 1):
-        if n:
-            fact *= n
-        coeffs.append((f.coeffs.coeff(n) - g.coeffs.coeff(n)) / fact)
-    return _Poly(coeffs)
+    return Polynomial([f.coeffs.coeff(n) - g.coeffs.coeff(n) for n in range(cutoff + 1)])
 
 
-def _sup_abs_on(poly: _Poly, gamma: Fraction, tol: Fraction) -> BoundInterval:
+def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterval:
     """Certified enclosure of sup_{[0, gamma]} |poly|, width < tol."""
     if poly.is_zero():
         return BoundInterval.exact(0)
@@ -396,7 +317,7 @@ def _sup_abs_on(poly: _Poly, gamma: Fraction, tol: Fraction) -> BoundInterval:
 
 
 def _integral_abs_pow_int(
-    poly: _Poly, gamma: Fraction, p: int, tol: Fraction
+    poly: Polynomial, gamma: Fraction, p: int, tol: Fraction
 ) -> BoundInterval:
     """Certified enclosure of int_0^gamma |poly|^p dt for integer p >= 1."""
     if poly.is_zero():
@@ -492,7 +413,7 @@ def _fi_div(a, b) -> Tuple[float, float]:
 
 
 def _integral_abs_pow_frac(
-    poly: _Poly, gamma: Fraction, p: Fraction, tol: Fraction
+    poly: Polynomial, gamma: Fraction, p: Fraction, tol: Fraction
 ) -> BoundInterval:
     """Certified enclosure of int_0^gamma |poly|^p dt for fractional p > 1.
 
@@ -506,9 +427,14 @@ def _integral_abs_pow_frac(
     """
     if poly.is_zero():
         return BoundInterval.exact(0)
-    pcoef = [_fi(c) for c in poly.coeffs]
-    dcoef = [_fi(c) for c in poly.derivative().coeffs] or [(0.0, 0.0)]
-    ddcoef = [_fi(c) for c in poly.derivative().derivative().coeffs] or [(0.0, 0.0)]
+    pcoef, dcoef, ddcoef = (
+        [_fi(c) for c in q.monomial]
+        for q in (poly, poly.derivative(), poly.derivative().derivative())
+    )
+    if not all(math.isfinite(x) for cs in (pcoef, dcoef, ddcoef) for c in cs for x in c):
+        raise ToleranceUnreachable(
+            "fractional-power quadrature needs coefficients within the double range"
+        )
     pw = PowerFn(p)
     pp_fi = _fi(p * (p - 1))
     p_fi = _fi(p)
@@ -625,7 +551,7 @@ def _integral_abs_pow_frac(
     return BoundInterval(max(Fraction(0), Fraction(lo_sum)), Fraction(hi_sum))
 
 
-def _norm_of_poly(poly: _Poly, spec: LpSpec, tol: Fraction) -> BoundInterval:
+def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterval:
     """Certified L^p norm of a polynomial on [0, gamma]."""
     if spec.is_sup:
         return _sup_abs_on(poly, spec.gamma, tol)

@@ -13,8 +13,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, FiniteSupport, SeriesFn
-from .constructions import Polynomial
+from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, FiniteSupport, Polynomial, SeriesFn
 
 __all__ = [
     "make_rng",

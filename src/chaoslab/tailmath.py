@@ -19,13 +19,13 @@ enclosure here is a pair of rationals sandwiching the true value, and
 widening the cutoff only ever shrinks the interval.
 
 xi_k changes sign: it is negative for small k when gamma is large and
-positive from a computable threshold on.  compute_threshold_index
-(`n_gamma`) returns a certified index past which xi is positive and
-nonincreasing; compute_separation_index (`m_gamma`) returns the index
-from which an L1 distance below xi_{k+1} forces coefficient agreement
-through k.  Both follow the constructive recipes of the underlying
-inequalities and use only certified comparisons, so the returned
-thresholds are always valid, if occasionally one step conservative.
+positive from a computable threshold on.  compute_n_gamma returns a
+certified index past which xi is positive and nonincreasing;
+compute_m_gamma returns the index from which an L1 distance below
+xi_{k+1} forces coefficient agreement through k.  Both follow the
+constructive recipes of the underlying inequalities and use only
+certified comparisons, so the returned thresholds are always valid, if
+occasionally one step conservative.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def xi(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     """Certified enclosure of xi_k = gamma^k/k! - zeta_{k+1}(gamma).
 
     May well be negative: for gamma = 5 the first few indices are, and
-    the sign turnover is exactly what compute_threshold_index locates.
+    the sign turnover is exactly what compute_n_gamma locates.
     """
     g = as_fraction(gamma)
     k = int(k)
@@ -150,31 +150,19 @@ def xi_decrement(gamma, k: int) -> Fraction:
     return (g**k / _factorial(k)) * (1 - 2 * g / (k + 1))
 
 
-@lru_cache(maxsize=None)
 def _threshold_index(gamma: Fraction) -> int:
+    """max(n1 + 1, n2 + 1, n3) = max(1, floor(2g)), in closed form.
+
+    n1 + 1 = max(1, floor(g)), n1 least with n1 + 2 > g (the zeta tail
+    majorant is valid past n1).  n3 = max(0, floor(2g)), n3 least with
+    n3 > 2g - 1 (xi is nonincreasing from n3).  n2 is least with the
+    quadratic k^2 + (3 - 2g)k + (2 - 3g) positive for all k > n2 (tail
+    below head term); its larger root (2g - 3 + sqrt(4g^2 + 1))/2 lies
+    below 2g - 1, so n2 + 1 <= max(1, floor(2g)).
+    """
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    # n1: least n with n + 2 > gamma, so the geometric tail majorant for
-    # zeta_{k+1} is valid from k > n1 on.
-    n1 = max(0, _ceil_strict(gamma - 2))
-    # n2: least n such that k^2 + (3 - 2g)k + (2 - 3g) > 0 for every
-    # integer k > n, i.e. the tail majorant stays strictly below the head
-    # term.  The quadratic opens upward with vertex at (2g - 3)/2; scan
-    # right of the vertex for the first positive value.
-    def quad(k: int) -> Fraction:
-        return Fraction(k) ** 2 + (3 - 2 * gamma) * k + (2 - 3 * gamma)
-
-    k = max(0, _ceil_strict((2 * gamma - 3) / 2) )
-    while quad(k) <= 0:
-        k += 1
-    n2 = max(0, k - 1)
-    # n3: least n with n > 2*gamma - 1; from here the exact decrement
-    # (gamma^k/k!)(1 - 2 gamma/(k+1)) is nonnegative, so xi is
-    # nonincreasing.
-    n3 = max(0, _ceil_strict(2 * gamma - 1))
-    # Positivity is only proved for k strictly past n1 and n2, hence the
-    # +1 on those two.
-    return max(n1 + 1, n2 + 1, n3)
+    return max(1, math.floor(2 * gamma))
 
 
 def compute_n_gamma(gamma) -> int:

@@ -26,6 +26,7 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
+    Polynomial,
     SeriesFn,
     WordEnumeration,
     derivative_sup_bound,
@@ -42,7 +43,6 @@ from .conjugacy import (
     untranslate,
 )
 from .constructions import (
-    Polynomial,
     agreement_index,
     coefficient_alphabet,
     dense_orbit_point,

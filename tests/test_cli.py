@@ -206,6 +206,34 @@ def test_exit_code_three_when_the_index_search_hits_the_cap(capsys, tmp_path, mo
     assert "chaos-lab:" in err and "no index up to 40" in err
 
 
+def test_approx_periodic_on_a_one_value_alphabet(capsys, tmp_path):
+    f = _write(tmp_path, "ones.json", ONES)
+    code, out, err = _run(capsys, ["approx-periodic", "--gamma", "1", "--eps", "1/1000", f])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert from_json(json.dumps(payload["approximant"])) == ONES
+    assert payload["rho"] == {"lo": "0", "hi": "0"}
+
+
+def test_tails_past_the_double_range_exits_zero(capsys):
+    code, out, err = _run(capsys, ["tails", "--gamma", "1000", "--k-max", "3"])
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        _, _, _, zeta_lo, zeta_hi, xi_lo, xi_hi = row.split(",")
+        assert zeta_hi == "inf" and float(zeta_lo) == 1.7976931348623157e308
+        assert xi_lo == "-inf" and float(xi_hi) == -1.7976931348623157e308
+
+
+def test_fractional_metric_past_the_double_range_exits_three(capsys, tmp_path):
+    huge = _write(tmp_path, "huge.json", EventuallyPeriodic((), (Fraction(10**400),)))
+    zeros = _write(tmp_path, "zeros.json", ZEROS)
+    code, out, err = _run(capsys, ["metric", "--p", "3/2", "--gamma", "1", huge, zeros])
+    assert code == 3 and out == ""
+    assert "chaos-lab:" in err and "double range" in err
+
+
 def test_exit_code_two_on_bad_input(capsys, tmp_path):
     code, _, err = _run(capsys, ["tails", "--gamma", "-1"])
     assert code == 2 and "chaos-lab:" in err

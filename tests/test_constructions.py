@@ -78,8 +78,10 @@ def test_periodic_approx_fixed_points():
 
 
 def test_periodic_approx_guards():
+    # a one-value alphabet is no error: its only stream is its own approximant
+    assert periodic_approx_in_EF(ONES, Alphabet((1,)), 1, INF_1, Fraction(1, 2)) == ONES
     with pytest.raises(DomainError):
-        periodic_approx_in_EF(ONES, Alphabet((1,)), 1, INF_1, Fraction(1, 2))
+        periodic_approx_in_EF(ZEROS, Alphabet((1,)), 1, INF_1, Fraction(1, 2))
     with pytest.raises(DomainError):
         periodic_approx_in_EF(FiniteSupport((2,)), BINARY, 1, INF_1, Fraction(1, 2))
     with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,6 +123,17 @@ def test_float_export_is_outward():
         assert Fraction(iv.hi_float()) >= iv.hi
     tight = BoundInterval.exact(Fraction(1, 3))
     assert tight.lo_float() < tight.hi_float()
+
+
+def test_float_export_saturates_outward_past_the_double_range():
+    big = Fraction(10**400)
+    top = sys.float_info.max
+    assert BoundInterval(big, big + 1).lo_float() == top
+    assert BoundInterval(big, big + 1).hi_float() == math.inf
+    assert BoundInterval(-big - 1, -big).lo_float() == -math.inf
+    assert BoundInterval(-big - 1, -big).hi_float() == -top
+    wide = BoundInterval(-big, big)
+    assert (wide.lo_float(), wide.hi_float()) == (-math.inf, math.inf)
 
 
 def test_power_rational_exponent():

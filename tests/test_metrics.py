@@ -11,7 +11,7 @@ from chaoslab.coeffspace import (
     WordEnumeration,
     Alphabet,
 )
-from chaoslab.errors import DomainError, InfeasibleTolerance
+from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
 from chaoslab.metrics import (
     FACTORIAL_WEIGHTS,
     UNIT_WEIGHTS,
@@ -138,6 +138,12 @@ def test_rho_p_fractional_exponent():
     box = rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
     assert box.lo <= RHO32_EXP <= box.hi
     assert box.width <= Fraction(1, 10**6)
+
+
+def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
+    huge = series(EventuallyPeriodic((), (Fraction(10**400),)))
+    with pytest.raises(ToleranceUnreachable, match="double range"):
+        rho_p(huge, series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(10**394))
 
 
 def test_rho_p_trivial_and_domain_checks():

@@ -122,6 +122,26 @@ def test_n_gamma_values_and_guarantee():
         compute_n_gamma(0)
 
 
+def _threshold_index_by_scan(gamma: Fraction) -> int:
+    """The step-by-step construction of n_gamma, kept as an oracle."""
+    n1 = max(0, math.floor(gamma - 2) + 1)
+    k = max(0, math.floor((2 * gamma - 3) / 2) + 1)
+    while k * k + (3 - 2 * gamma) * k + (2 - 3 * gamma) <= 0:
+        k += 1
+    n2 = max(0, k - 1)
+    n3 = max(0, math.floor(2 * gamma - 1) + 1)
+    return max(n1 + 1, n2 + 1, n3)
+
+
+def test_n_gamma_closed_form_matches_the_scan():
+    grid = {Fraction(n, d) for d in (1, 2, 3, 4, 7, 10, 64) for n in range(1, 40 * d + 1)}
+    grid |= {Fraction(10**k) for k in range(4)} | {Fraction(1, 10**k) for k in range(1, 6)}
+    grid |= {k / Fraction(2) + Fraction(1, 10**9) * s for k in range(1, 30) for s in (-1, 1)}
+    for gamma in grid:
+        assert compute_n_gamma(gamma) == _threshold_index_by_scan(gamma), gamma
+    assert compute_n_gamma(10**6) == 2 * 10**6
+
+
 def test_m_gamma_dominates_n_gamma():
     for gamma in (Fraction(1, 2), Fraction(1), Fraction(2)):
         m = compute_m_gamma(gamma)
