@@ -16,6 +16,11 @@ under shifting:
   alphabet, ordered by length then lexicographically (in alphabet
   order).  Shifting is O(1) by bumping a start offset.
 
+difference(a, b) is the one place two tail layouts are aligned: when
+both tails are eventually periodic it returns a - b as one normalized
+EventuallyPeriodic, so same_stream asks whether that is the zero stream
+and the pairwise metrics read their coefficients and sup from it.
+
 All coefficient values are exact `fractions.Fraction`s.  Sequences with
 coefficients drawn from a finite alphabet F live in the closed set E_F;
 membership is decidable for all three kinds.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,7 +97,7 @@ BINARY = Alphabet((Fraction(0), Fraction(1)))
 
 
 def _as_coeff_tuple(values: Iterable) -> Tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
+    return tuple([as_fraction(v) for v in values])
 
 
 class CoeffSeq:
@@ -104,7 +110,7 @@ class CoeffSeq:
         raise NotImplementedError
 
     def prefix(self, n: int) -> Tuple[Fraction, ...]:
-        return tuple(self.coeff(i) for i in range(n))
+        return tuple([self.coeff(i) for i in range(n)])
 
     def sup_abs(self) -> Fraction:
         """Exact sup of |a_n| over all n."""
@@ -408,10 +414,6 @@ def word_start_index(alphabet: Alphabet, word: Sequence) -> int:
 # structural helpers
 
 
-def coeff(s: CoeffSeq, n: int) -> Fraction:
-    return s.coeff(n)
-
-
 def shift(s: CoeffSeq) -> CoeffSeq:
     """The left shift: drop a_0.  Under the series dictionary this is
     exactly differentiation."""
@@ -421,12 +423,13 @@ def shift(s: CoeffSeq) -> CoeffSeq:
 def as_preamble_period(s: CoeffSeq) -> Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
     """(preamble, period) of an eventually periodic stream, else None.
 
-    FiniteSupport is the period-(0) case.  A WordEnumeration over a
+    FiniteSupport is the period-(0) case (its trailing zeros are already
+    stripped, so the pair is normalized).  A WordEnumeration over a
     single symbol is the constant stream; over two or more it is never
     eventually periodic.
     """
     if isinstance(s, FiniteSupport):
-        return EventuallyPeriodic(s.coeffs, (Fraction(0),)).preamble, (Fraction(0),)
+        return s.coeffs, (Fraction(0),)
     if isinstance(s, EventuallyPeriodic):
         return s.preamble, s.period
     if isinstance(s, WordEnumeration) and len(s.alphabet) == 1:
@@ -434,27 +437,35 @@ def as_preamble_period(s: CoeffSeq) -> Optional[Tuple[Tuple[Fraction, ...], Tupl
     return None
 
 
-def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
-    """Decidable equality of the underlying coefficient streams."""
+def _unrolled(pre: Tuple[Fraction, ...], per: Tuple[Fraction, ...], n: int) -> list:
+    """The first n entries of the stream pre, per, per, ... (n >= len(pre))."""
+    reps = -(-(n - len(pre)) // len(per))
+    return (list(pre) + list(per) * reps)[:n]
+
+
+def difference(a: CoeffSeq, b: CoeffSeq) -> Optional[EventuallyPeriodic]:
+    """The stream a - b, normalized, when both tails are eventually periodic.
+
+    The two layouts are aligned once: past the longer preamble, a - b
+    repeats with the lcm of the two periods.  None when either stream is
+    a WordEnumeration over two or more symbols.
+    """
     pa, pb = as_preamble_period(a), as_preamble_period(b)
-    if pa is not None and pb is not None:
-        return EventuallyPeriodic(*pa) == EventuallyPeriodic(*pb)
-    if pa is None and pb is None:
+    if pa is None or pb is None:
+        return None
+    s = max(len(pa[0]), len(pb[0]))
+    n = s + math.lcm(len(pa[1]), len(pb[1]))
+    diffs = [x - y for x, y in zip(_unrolled(*pa, n), _unrolled(*pb, n))]
+    return EventuallyPeriodic(diffs[:s], diffs[s:])
+
+
+def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
+    """Decidable equality of the underlying coefficient streams: their
+    difference is the zero stream, or, without one, structural equality."""
+    d = difference(a, b)
+    if d is None:
         return a == b
-    return False
-
-
-def first_disagreement(a: CoeffSeq, b: CoeffSeq, upto: int) -> Optional[int]:
-    """Least index < upto where the sequences differ, or None."""
-    for i in range(upto):
-        if a.coeff(i) != b.coeff(i):
-            return i
-    return None
-
-
-def agree_through(a: CoeffSeq, b: CoeffSeq, k: int) -> bool:
-    """True iff coefficients agree at every index 0..k."""
-    return first_disagreement(a, b, k + 1) is None
+    return not d.preamble and d.period == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import DomainError
 RationalLike = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 128
+MAX_PRECISION_BITS = 65_536
 PRECISION_ENV_VAR = "CHAOS_LAB_PRECISION"
 
 
@@ -42,6 +43,8 @@ def working_precision() -> int:
     Read from the CHAOS_LAB_PRECISION environment variable on every call
     so a caller can tighten it without re-importing anything.  Values
     below 53 are clamped: there is no reason to be worse than a double.
+    Values above MAX_PRECISION_BITS are refused: every fractional power
+    would run at that many bits, so a stray extra digit stalls each call.
     """
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
@@ -50,6 +53,8 @@ def working_precision() -> int:
         bits = int(raw)
     except ValueError as exc:
         raise DomainError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if bits > MAX_PRECISION_BITS:
+        raise DomainError(f"{PRECISION_ENV_VAR} must be at most {MAX_PRECISION_BITS}, got {bits}")
     return max(53, bits)
 
 
@@ -72,7 +77,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value.numerator, value.denominator)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"not a rational literal: {value!r}") from exc
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -162,15 +170,6 @@ class BoundInterval:
     def intersects(self, other: "BoundInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
-    def sign_definite(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
     # -- arithmetic (exact) ------------------------------------------
 
     @staticmethod
@@ -257,10 +256,6 @@ class BoundInterval:
 
     def __repr__(self) -> str:
         return f"BoundInterval({self.lo_float()!r}, {self.hi_float()!r})"
-
-
-ZERO = BoundInterval.exact(0)
-ONE = BoundInterval.exact(1)
 
 
 def _to_iv(q: Fraction, ctx) -> "mpmath.ctx_iv.ivmpf":

@@ -12,8 +12,15 @@ Four distances appear throughout:
   origin + gamma], p in [1, inf].
 
 Everything returns a BoundInterval that provably contains the true
-value.  Series metrics are computed on an exact rational truncation of
-the coefficient difference; the discarded tail is below
+value.  Each distance depends on a and b only through a - b, which it
+reads from coeffspace.difference(a, b), worked out once per call: its
+coefficients, its exact sup, and its finite support (d_E) or period
+(d_lambda) for an exact sum.  Only when a tail is not eventually
+periodic (a WordEnumeration over two or more symbols) are coefficients
+subtracted index by index and the sup bounded by sup|a_n| + sup|b_n|.
+
+Series metrics are computed on an exact rational truncation of the
+coefficient difference; the discarded tail is below
 sup|a_n - b_n| * zeta_{K+1}(gamma) pointwise, which inflates an L^p
 enclosure by at most gamma^(1/p) times that bound.
 
@@ -41,16 +48,16 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import tailmath
 from .coeffspace import (
     BINARY,
     CoeffSeq,
+    EventuallyPeriodic,
     Polynomial,
     SeriesFn,
-    as_preamble_period,
-    same_stream,
+    difference,
 )
 from .errors import DomainError, ToleranceUnreachable
 from .intervals import BoundInterval, PowerFn, _float_down, _float_up, as_fraction, power
@@ -101,6 +108,22 @@ class LpSpec:
 # sequence-space metrics
 
 
+class _Diff(NamedTuple):
+    """a - b as one pairwise metric reads it, worked out once per call."""
+
+    coeff: Callable[[int], Fraction]  # n -> a_n - b_n
+    sup: Fraction  # upper bound on sup_n |a_n - b_n|, exact when stream is set
+    stream: Optional[EventuallyPeriodic]  # coeffspace.difference(a, b)
+
+
+def _diff(a: CoeffSeq, b: CoeffSeq) -> _Diff:
+    d = difference(a, b)
+    if d is not None:
+        return _Diff(d.coeff, d.sup_abs(), d)
+    sup = Fraction(0) if a == b else a.sup_abs() + b.sup_abs()
+    return _Diff(lambda n: a.coeff(n) - b.coeff(n), sup, None)
+
+
 def _require_binary(s: CoeffSeq, name: str) -> None:
     try:
         ok = s.in_EF(BINARY)
@@ -136,51 +159,23 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    px, py = as_preamble_period(x), as_preamble_period(y)
-    if px is not None and py is not None:
-        sx = len(px[0])
-        sy = len(py[0])
-        qx, qy = len(px[1]), len(py[1])
-        s = max(sx, sy)
-        q = math.lcm(qx, qy)
-        pre = tuple(abs(x.coeff(i) - y.coeff(i)) for i in range(s))
-        per = tuple(abs(x.coeff(s + i) - y.coeff(s + i)) for i in range(q))
-        return BoundInterval.exact(_geometric_block_sum(pre, per))
+    diff = _diff(x, y)
+    if diff.stream is not None:
+        pre, per = diff.stream.preamble, diff.stream.period
+        return BoundInterval.exact(
+            _geometric_block_sum([abs(c) for c in pre], [abs(c) for c in per])
+        )
     cutoff = tailmath.least_index(
         lambda K: Fraction(2, 2**K) < tolq, 4, f"2^(1-K) < {tolq}", step=4
     )
-    partial = sum(
-        Fraction(abs(x.coeff(i) - y.coeff(i)), 2**i) for i in range(cutoff)
-    )
+    partial = sum(Fraction(abs(diff.coeff(i)), 2**i) for i in range(cutoff))
     return BoundInterval(partial, partial + Fraction(2, 2**cutoff))
 
 
 def diff_sup_abs(a: CoeffSeq, b: CoeffSeq) -> Fraction:
     """Certified upper bound for sup_n |a_n - b_n|; exact when both
     sequences have eventually periodic tails."""
-    if same_stream(a, b):
-        return Fraction(0)
-    pa, pb = as_preamble_period(a), as_preamble_period(b)
-    if pa is not None and pb is not None:
-        s = max(len(pa[0]), len(pb[0]))
-        q = math.lcm(len(pa[1]), len(pb[1]))
-        return max(abs(a.coeff(i) - b.coeff(i)) for i in range(s + q))
-    return a.sup_abs() + b.sup_abs()
-
-
-def _difference_support_end(a: CoeffSeq, b: CoeffSeq) -> Optional[int]:
-    """Index past which a - b is identically zero, or None if unknown.
-
-    Both tails eventually periodic with matching values over one full
-    common period past the preambles means they match forever after."""
-    pa, pb = as_preamble_period(a), as_preamble_period(b)
-    if pa is None or pb is None:
-        return None
-    s = max(len(pa[0]), len(pb[0]))
-    q = math.lcm(len(pa[1]), len(pb[1]))
-    if all(a.coeff(i) == b.coeff(i) for i in range(s, s + q)):
-        return s
-    return None
+    return _diff(a, b).sup
 
 
 def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
@@ -193,27 +188,26 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    dsup = diff_sup_abs(a, b)
-    if dsup == 0:
+    diff = _diff(a, b)
+    if diff.sup == 0:
         return BoundInterval.exact(0)
-    zero_past = _difference_support_end(a, b)
-    if zero_past is not None:
-        # the difference vanishes past a known index: finite exact sum
-        cutoff = zero_past
+    if diff.stream is not None and diff.stream.period == (0,):
+        # the difference vanishes past its preamble: finite exact sum
+        cutoff = len(diff.stream.preamble) - 1
         tail = Fraction(0)
     else:
         cutoff = tailmath.least_index(
-            lambda K: 2 * dsup * tailmath.eta(K + 2).hi < tolq,
+            lambda K: 2 * diff.sup * tailmath.eta(K + 2).hi < tolq,
             8,
             f"the d_E tail below {tolq}",
             step=8,
         )
-        tail = dsup * tailmath.eta(cutoff + 2).hi
+        tail = diff.sup * tailmath.eta(cutoff + 2).hi
     fact = 1
     partial = Fraction(0)
     for n in range(cutoff + 1):
         fact *= n + 1
-        partial += abs(a.coeff(n) - b.coeff(n)) / fact
+        partial += abs(diff.coeff(n)) / fact
     return BoundInterval(partial, partial + tail)
 
 
@@ -255,32 +249,24 @@ def weighted_product_metric(
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    dsup = diff_sup_abs(x, y)
-    if dsup == 0:
+    diff = _diff(x, y)
+    if diff.sup == 0:
         return BoundInterval.exact(0)
 
     def fits(K: int) -> bool:
-        tail = weights.tail_majorant(K, dsup)
+        tail = weights.tail_majorant(K, diff.sup)
         if tail < 0:
             raise DomainError("tail majorant must be nonnegative")
         return 2 * tail < tolq
 
     cutoff = tailmath.least_index(fits, 8, f"the weighted tail below {tolq}", step=8)
-    tail = weights.tail_majorant(cutoff, dsup)
-    partial = sum(
-        weights.factor(i) * abs(x.coeff(i) - y.coeff(i)) / 2**i
-        for i in range(cutoff)
-    )
+    tail = weights.tail_majorant(cutoff, diff.sup)
+    partial = sum(weights.factor(i) * abs(diff.coeff(i)) / 2**i for i in range(cutoff))
     return BoundInterval(partial, partial + tail)
 
 
 # ---------------------------------------------------------------------------
 # L^p norms of the truncated difference polynomial
-
-
-def _truncated_difference(f: SeriesFn, g: SeriesFn, cutoff: int) -> Polynomial:
-    """D(t) = sum_{n <= cutoff} (a_n - b_n) t^n / n! in the local variable."""
-    return Polynomial([f.coeffs.coeff(n) - g.coeffs.coeff(n) for n in range(cutoff + 1)])
 
 
 def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterval:
@@ -593,15 +579,13 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    if same_stream(f.coeffs, g.coeffs):
-        return BoundInterval.exact(0)
-    dsup = diff_sup_abs(f.coeffs, g.coeffs)
-    if dsup == 0:
+    diff = _diff(f.coeffs, g.coeffs)
+    if diff.sup == 0:
         return BoundInterval.exact(0)
     gp = spec.gamma_pow_inv_p()
 
     def slack(K: int) -> Fraction:
-        return dsup * tailmath.zeta(spec.gamma, K + 1).hi * gp.hi
+        return diff.sup * tailmath.zeta(spec.gamma, K + 1).hi * gp.hi
 
     # steps of 8 overshoot the least cutoff, which keeps the slack well
     # under tol/4 and the enclosure narrower than the tolerance asks
@@ -609,7 +593,7 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
         lambda K: 4 * slack(K) < tolq, 8, f"the rho_p tail below {tolq}", step=8
     )
     tail_slack = slack(cutoff)
-    poly = _truncated_difference(f, g, cutoff)
+    poly = Polynomial([diff.coeff(n) for n in range(cutoff + 1)])
     norm = _norm_of_poly(poly, spec, tolq / 2)
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
@@ -626,15 +610,13 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn, pieces: int = 12) -> Fraction:
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
-    if same_stream(f.coeffs, g.coeffs):
-        return Fraction(0)
-    dsup = diff_sup_abs(f.coeffs, g.coeffs)
-    if dsup == 0:
+    diff = _diff(f.coeffs, g.coeffs)
+    if diff.sup == 0:
         return Fraction(0)
     gamma = f.gamma
     cutoff = 12
-    tail = dsup * tailmath.zeta(gamma, cutoff + 1).hi
-    anti = _truncated_difference(f, g, cutoff).antiderivative()
+    tail = diff.sup * tailmath.zeta(gamma, cutoff + 1).hi
+    anti = Polynomial([diff.coeff(n) for n in range(cutoff + 1)]).antiderivative()
     total = Fraction(0)
     prev = anti(Fraction(0))
     for i in range(1, pieces + 1):
@@ -660,14 +642,11 @@ def holder_compare(
     The first component never exceeds the second (norm comparison on a
     finite window); callers assert that at the enclosure level.
     """
-    pq = math.inf if isinstance(p, float) and math.isinf(p) else as_fraction(p)
-    qq = math.inf if isinstance(q, float) and math.isinf(q) else as_fraction(q)
-    inv_p = Fraction(0) if pq == math.inf else 1 / pq
-    inv_q = Fraction(0) if qq == math.inf else 1 / qq
-    if inv_p < inv_q:
+    spec_p, spec_q = LpSpec(p, f.gamma), LpSpec(q, f.gamma)
+    if spec_p.inv_p < spec_q.inv_p:
         raise DomainError(f"need p <= q, got p={p}, q={q}")
-    lhs = series_norm(f, LpSpec(pq, f.gamma), tol)
-    rhs = series_norm(f, LpSpec(qq, f.gamma), tol) * power(f.gamma, inv_p - inv_q)
+    lhs = series_norm(f, spec_p, tol)
+    rhs = series_norm(f, spec_q, tol) * power(f.gamma, spec_p.inv_p - spec_q.inv_p)
     return lhs, rhs
 
 

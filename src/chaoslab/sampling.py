@@ -17,13 +17,11 @@ from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, FiniteSupport, Pol
 
 __all__ = [
     "make_rng",
-    "random_fraction",
     "random_alphabet",
     "random_stream",
     "random_binary_stream",
     "random_finite_support",
     "random_polynomial",
-    "binary_family",
     "difference_streams",
     "first_nonzero_index",
 ]
@@ -46,10 +44,6 @@ VALUE_POOL: Tuple[Fraction, ...] = (
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
-
-
-def random_fraction(rng: random.Random, pool: Sequence[Fraction] = VALUE_POOL) -> Fraction:
-    return rng.choice(list(pool))
 
 
 def random_alphabet(rng: random.Random, max_size: int = 4) -> Alphabet:
@@ -112,23 +106,6 @@ def _tuples_over(values: Sequence[Fraction], length: int):
     for head in values:
         for rest in _tuples_over(values, length - 1):
             yield (head,) + rest
-
-
-def binary_family(pre_max: int = 6, per_max: int = 2) -> Tuple[EventuallyPeriodic, ...]:
-    """Every {0,1} stream with preamble <= pre_max and period <= per_max.
-
-    Normalization collapses equivalent presentations, so the result is
-    duplicate-free; order is fixed by the enumeration.
-    """
-    values = (Fraction(0), Fraction(1))
-    seen = {}
-    for per_len in range(1, per_max + 1):
-        for per in _tuples_over(values, per_len):
-            for pre_len in range(0, pre_max + 1):
-                for pre in _tuples_over(values, pre_len):
-                    s = EventuallyPeriodic(pre, per)
-                    seen.setdefault(s, None)
-    return tuple(seen)
 
 
 def first_nonzero_index(s: EventuallyPeriodic) -> Optional[int]:

@@ -10,11 +10,9 @@ from chaoslab.coeffspace import (
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
-    agree_through,
     as_preamble_period,
     derivative_sup_bound,
     evaluate,
-    first_disagreement,
     from_json,
     from_payload,
     same_stream,
@@ -123,10 +121,6 @@ def test_word_start_index_matches_stream():
 def test_stream_comparisons():
     assert same_stream(EventuallyPeriodic((), (0,)), ZEROS)
     assert not same_stream(ONES, ZEROS)
-    assert first_disagreement(FiniteSupport((1,)), FiniteSupport((1, 0, 2)), 10) == 2
-    assert first_disagreement(ONES, ONES, 50) is None
-    assert agree_through(FiniteSupport((1, 0, 3)), FiniteSupport((1, 0, 3, 5)), 2)
-    assert not agree_through(FiniteSupport((1, 0, 3)), FiniteSupport((1, 0, 3, 5)), 3)
 
 
 def test_as_preamble_period():

@@ -48,6 +48,10 @@ def test_exact_and_coercion():
         as_fraction(float("nan"))
     with pytest.raises(DomainError):
         as_fraction(float("inf"))
+    with pytest.raises(DomainError):
+        as_fraction("inf")
+    with pytest.raises(DomainError):
+        as_fraction("1/0")
 
 
 def test_scalar_ops_both_sides():
@@ -174,4 +178,7 @@ def test_working_precision_env(monkeypatch):
     assert working_precision() == 256
     monkeypatch.setenv("CHAOS_LAB_PRECISION", "junk")
     with pytest.raises(DomainError):
+        working_precision()
+    monkeypatch.setenv("CHAOS_LAB_PRECISION", "65537")
+    with pytest.raises(DomainError, match="CHAOS_LAB_PRECISION"):
         working_precision()

@@ -213,6 +213,8 @@ def test_holder_reference_triples():
     assert lhs.intersects(rhs)
     with pytest.raises(DomainError):
         holder_compare(ones, 3, 2)
+    with pytest.raises(DomainError):
+        holder_compare(ones, 0, 1)
 
 
 def test_holder_random_never_refuted():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 from chaoslab.coeffspace import Alphabet, EventuallyPeriodic
 from chaoslab.sampling import (
-    binary_family,
     difference_streams,
     first_nonzero_index,
     make_rng,
@@ -11,24 +10,6 @@ from chaoslab.sampling import (
     random_polynomial,
     random_stream,
 )
-
-
-def test_binary_family_size_and_distinctness():
-    fam = binary_family(6, 2)
-    assert len(fam) == 256
-    # preamble <= 6 and period <= 2 pin a stream down by its first 12
-    # coefficients, so this dedupe is an independent distinctness check
-    assert len({s.prefix(12) for s in fam}) == 256
-    for s in fam:
-        assert len(s.preamble) <= 6 and len(s.period) <= 2
-        assert set(s.preamble + s.period) <= {0, 1}
-
-
-def test_binary_family_contains_the_obvious_members():
-    fam = binary_family(2, 2)
-    assert EventuallyPeriodic((), (0,)) in fam
-    assert EventuallyPeriodic((), (1,)) in fam
-    assert EventuallyPeriodic((1, 1), (0, 1)) in fam
 
 
 def test_difference_family_size_and_sign_convention():
