@@ -21,6 +21,11 @@ both tails are eventually periodic it returns a - b as one normalized
 EventuallyPeriodic, so same_stream asks whether that is the zero stream
 and the pairwise metrics read their coefficients and sup from it.
 
+truncate is the one place a certified series quantity is cut: an
+eventually-zero stream keeps its support and its tail is exactly 0;
+any other keeps its first n terms, n the least searched index whose
+caller-supplied tail bound clears the caller's budget.
+
 All coefficient values are exact `fractions.Fraction`s.  Sequences with
 coefficients drawn from a finite alphabet F live in the closed set E_F;
 membership is decidable for all three kinds.
@@ -35,7 +40,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .intervals import BoundInterval, as_fraction
@@ -289,9 +294,10 @@ class Polynomial:
 
 
 def _minimal_period(block: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    # for d dividing n: block is its first d entries repeated iff shifting by d fixes it
     n = len(block)
     for d in range(1, n):
-        if n % d == 0 and block == block[:d] * (n // d):
+        if n % d == 0 and block[d:] == block[:-d]:
             return block[:d]
     return block
 
@@ -459,6 +465,24 @@ def difference(a: CoeffSeq, b: CoeffSeq) -> Optional[EventuallyPeriodic]:
     return EventuallyPeriodic(diffs[:s], diffs[s:])
 
 
+def truncate(s: CoeffSeq, tail_at: Callable[[int], Fraction], budget, what: str,
+             start: int = 1, step: int = 1) -> Tuple[Tuple[Fraction, ...], Fraction]:
+    """(kept, tail): the certified cut of s, the one truncation rule.
+
+    tail_at(n) bounds, in the caller's units, everything s contributes
+    from index n on.  An eventually-zero stream keeps its support and
+    its tail is exactly 0.  Any other stream keeps s_0 ... s_(n-1) for
+    the least n in start, start + step, ... with tail_at(n) < budget
+    (tailmath.least_index, which raises InfeasibleTolerance naming
+    `what` past its cap), and its tail is tail_at(n).
+    """
+    layout = as_preamble_period(s)
+    if layout is not None and layout[1] == (0,):
+        return layout[0], Fraction(0)
+    n = tailmath.least_index(lambda k: tail_at(k) < budget, start, what, step)
+    return s.prefix(n), tail_at(n)
+
+
 def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
     """Decidable equality of the underlying coefficient streams: their
     difference is the zero stream, or, without one, structural equality."""
@@ -497,9 +521,10 @@ class SeriesFn:
 def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
     """Certified enclosure of f(x), width at most tol.
 
-    The series is truncated at a cutoff K with sup|a_n| * zeta_{K+1}
-    below tol/2; the partial sum is an exact rational, so the enclosure
-    is the partial sum widened by the tail bound on both sides.
+    truncate cuts the series where sup|a_n| * zeta_n, which bounds every
+    term from index n on, falls below tol/2; the kept terms sum to an
+    exact rational, so the enclosure is that partial sum widened by the
+    tail bound on both sides, and exact for an eventually-zero stream.
     """
     xq = as_fraction(x)
     tolq = as_fraction(tol)
@@ -509,21 +534,9 @@ def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
     if not (lo <= xq <= hi):
         raise DomainError(f"evaluation point {xq} outside domain [{lo}, {hi}]")
     sup = f.coeffs.sup_abs()
-    if sup == 0:
-        return BoundInterval.exact(0)
-    if isinstance(f.coeffs, FiniteSupport):
-        # the tail past the support is identically zero: exact sum
-        cutoff = len(f.coeffs.coeffs) - 1
-        tail = Fraction(0)
-    else:
-        cutoff = tailmath.least_index(
-            lambda K: 2 * sup * tailmath.zeta(f.gamma, K + 1).hi < tolq,
-            8,
-            f"the series tail below {tolq}",
-            step=8,
-        )
-        tail = sup * tailmath.zeta(f.gamma, cutoff + 1).hi
-    partial = Polynomial([f.coeffs.coeff(n) for n in range(cutoff + 1)])(xq - f.origin)
+    kept, tail = truncate(f.coeffs, lambda n: sup * tailmath.zeta(f.gamma, n).hi,
+                          tolq / 2, f"the series tail below {tolq}", 9, 8)
+    partial = Polynomial(kept)(xq - f.origin)
     return BoundInterval(partial - tail, partial + tail)
 
 

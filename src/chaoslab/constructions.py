@@ -34,6 +34,7 @@ from .coeffspace import (
     as_preamble_period,
     derivative_sup_bound,
     same_stream,
+    truncate,
     word_start_index,
 )
 from .errors import CertificationFailure, DomainError
@@ -420,20 +421,11 @@ def sensitivity_witness(
     gq = f.gamma
     big_m = derivative_sup_bound(f)
 
-    # polynomial prefix of f: exact for finite support, tail-certified
-    # truncation otherwise (sup|a| * zeta(K) under eps/4)
-    if isinstance(f.coeffs, FiniteSupport):
-        prefix_coeffs = f.coeffs.coeffs if f.coeffs.coeffs else (Fraction(0),)
-        rho0_hi = Fraction(0)
-    else:
-        sup = f.coeffs.sup_abs()
-        K = tailmath.least_index(
-            lambda k: (sup * tailmath.zeta(gq, k)).hi < epsq / 4,
-            1,
-            f"sup|a|*zeta(K) < {epsq / 4}",
-        )
-        prefix_coeffs = f.coeffs.prefix(K)
-        rho0_hi = (sup * tailmath.zeta(gq, K)).hi
+    # polynomial prefix of f: its support when it has one, else cut
+    # where sup|a| * zeta(K) drops under eps/4
+    sup = f.coeffs.sup_abs()
+    prefix_coeffs, rho0_hi = truncate(f.coeffs, lambda k: (sup * tailmath.zeta(gq, k)).hi,
+                                      epsq / 4, f"sup|a|*zeta(K) < {epsq / 4}")
     P = Polynomial(prefix_coeffs)
     if P.is_zero():
         P = Polynomial((epsq / 2 - rho0_hi,))

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Union
+from typing import Union
 
 import mpmath
 
@@ -131,13 +131,6 @@ class BoundInterval:
         q = as_fraction(value)
         return cls(q, q)
 
-    @classmethod
-    def hull_of(cls, items: Iterable["BoundInterval"]) -> "BoundInterval":
-        items = list(items)
-        if not items:
-            raise DomainError("hull of an empty collection")
-        return cls(min(x.lo for x in items), max(x.hi for x in items))
-
     # -- basic queries -----------------------------------------------
 
     @property
@@ -239,13 +232,6 @@ class BoundInterval:
             raise DomainError(f"empty intersection of {self} and {other}")
         return BoundInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def widened(self, slack) -> "BoundInterval":
-        """Symmetric outward widening by a nonnegative rational."""
-        s = as_fraction(slack)
-        if s < 0:
-            raise DomainError("negative widening")
-        return BoundInterval(self.lo - s, self.hi + s)
-
     # -- export --------------------------------------------------------
 
     def lo_float(self) -> float:
@@ -276,14 +262,6 @@ def power(base, exponent) -> BoundInterval:
     Fraction exactly, so no certification is lost.
     """
     return PowerFn(exponent)(base)
-
-
-def root(x, p) -> BoundInterval:
-    """Certified p-th root (p a positive rational or integer)."""
-    q = as_fraction(p)
-    if q <= 0:
-        raise DomainError("root index must be positive")
-    return power(x, 1 / q)
 
 
 class PowerFn:

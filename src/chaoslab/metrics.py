@@ -14,15 +14,17 @@ Four distances appear throughout:
 Everything returns a BoundInterval that provably contains the true
 value.  Each distance depends on a and b only through a - b, which it
 reads from coeffspace.difference(a, b), worked out once per call: its
-coefficients, its exact sup, and its finite support (d_E) or period
-(d_lambda) for an exact sum.  Only when a tail is not eventually
-periodic (a WordEnumeration over two or more symbols) are coefficients
-subtracted index by index and the sup bounded by sup|a_n| + sup|b_n|.
+coefficients, its exact sup, and its period (d_lambda sums it in closed
+form).  Only when a tail is not eventually periodic (a WordEnumeration
+over two or more symbols) are coefficients subtracted index by index
+and the sup bounded by sup|a_n| + sup|b_n|.
 
-Series metrics are computed on an exact rational truncation of the
-coefficient difference; the discarded tail is below
-sup|a_n - b_n| * zeta_{K+1}(gamma) pointwise, which inflates an L^p
-enclosure by at most gamma^(1/p) times that bound.
+Every series cut is coeffspace.truncate: when a - b has finite support
+it keeps that support and the tail is exactly 0; otherwise it keeps the
+first n terms, n the least searched index whose tail bound clears the
+caller's budget.  The bounds on everything from index n on are
+sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
+(d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 
 The truncated difference D is a coeffspace.Polynomial built from the
 coefficient differences a_n - b_n themselves (its derivative is their
@@ -48,7 +50,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import tailmath
 from .coeffspace import (
@@ -58,6 +60,7 @@ from .coeffspace import (
     Polynomial,
     SeriesFn,
     difference,
+    truncate,
 )
 from .errors import DomainError, ToleranceUnreachable
 from .intervals import BoundInterval, PowerFn, _float_down, _float_up, as_fraction, power
@@ -108,20 +111,30 @@ class LpSpec:
 # sequence-space metrics
 
 
+@dataclass(frozen=True)
+class _Pointwise(CoeffSeq):
+    """a - b read index by index, for a pair with no eventually periodic
+    difference (a WordEnumeration over two or more symbols)."""
+
+    a: CoeffSeq
+    b: CoeffSeq
+
+    def coeff(self, n: int) -> Fraction:
+        return self.a.coeff(n) - self.b.coeff(n)
+
+
 class _Diff(NamedTuple):
     """a - b as one pairwise metric reads it, worked out once per call."""
 
-    coeff: Callable[[int], Fraction]  # n -> a_n - b_n
-    sup: Fraction  # upper bound on sup_n |a_n - b_n|, exact when stream is set
-    stream: Optional[EventuallyPeriodic]  # coeffspace.difference(a, b)
+    coeffs: CoeffSeq  # coeffspace.difference(a, b), else a _Pointwise reader
+    sup: Fraction  # upper bound on sup_n |a_n - b_n|, exact for a difference
 
 
 def _diff(a: CoeffSeq, b: CoeffSeq) -> _Diff:
     d = difference(a, b)
     if d is not None:
-        return _Diff(d.coeff, d.sup_abs(), d)
-    sup = Fraction(0) if a == b else a.sup_abs() + b.sup_abs()
-    return _Diff(lambda n: a.coeff(n) - b.coeff(n), sup, None)
+        return _Diff(d, d.sup_abs())
+    return _Diff(_Pointwise(a, b), Fraction(0) if a == b else a.sup_abs() + b.sup_abs())
 
 
 def _require_binary(s: CoeffSeq, name: str) -> None:
@@ -159,17 +172,14 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    diff = _diff(x, y)
-    if diff.stream is not None:
-        pre, per = diff.stream.preamble, diff.stream.period
+    d = _diff(x, y).coeffs
+    if isinstance(d, EventuallyPeriodic):
         return BoundInterval.exact(
-            _geometric_block_sum([abs(c) for c in pre], [abs(c) for c in per])
+            _geometric_block_sum([abs(c) for c in d.preamble], [abs(c) for c in d.period])
         )
-    cutoff = tailmath.least_index(
-        lambda K: Fraction(2, 2**K) < tolq, 4, f"2^(1-K) < {tolq}", step=4
-    )
-    partial = sum(Fraction(abs(diff.coeff(i)), 2**i) for i in range(cutoff))
-    return BoundInterval(partial, partial + Fraction(2, 2**cutoff))
+    kept, tail = truncate(d, lambda n: Fraction(2, 2**n), tolq, f"2^(1-K) < {tolq}", 4, 4)
+    partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(kept))
+    return BoundInterval(partial, partial + tail)
 
 
 def diff_sup_abs(a: CoeffSeq, b: CoeffSeq) -> Fraction:
@@ -181,33 +191,21 @@ def diff_sup_abs(a: CoeffSeq, b: CoeffSeq) -> Fraction:
 def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
     """Certified d_E(a, b) = sum |a_n - b_n| / (n+1)!.
 
-    Exact partial sum; the tail past index K is at most
-    sup|a_n - b_n| * eta_{K+2}; exact finite sum when the difference
-    has finite support.
+    Exact partial sum of the n kept terms; the rest is at most
+    sup|a_n - b_n| * eta_{n+1}, and exactly 0 when the difference has
+    finite support.
     """
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
     diff = _diff(a, b)
-    if diff.sup == 0:
-        return BoundInterval.exact(0)
-    if diff.stream is not None and diff.stream.period == (0,):
-        # the difference vanishes past its preamble: finite exact sum
-        cutoff = len(diff.stream.preamble) - 1
-        tail = Fraction(0)
-    else:
-        cutoff = tailmath.least_index(
-            lambda K: 2 * diff.sup * tailmath.eta(K + 2).hi < tolq,
-            8,
-            f"the d_E tail below {tolq}",
-            step=8,
-        )
-        tail = diff.sup * tailmath.eta(cutoff + 2).hi
+    kept, tail = truncate(diff.coeffs, lambda n: diff.sup * tailmath.eta(n + 1).hi,
+                          tolq / 2, f"the d_E tail below {tolq}", 9, 8)
     fact = 1
     partial = Fraction(0)
-    for n in range(cutoff + 1):
+    for n, c in enumerate(kept):
         fact *= n + 1
-        partial += abs(diff.coeff(n)) / fact
+        partial += abs(c) / fact
     return BoundInterval(partial, partial + tail)
 
 
@@ -250,18 +248,16 @@ def weighted_product_metric(
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
     diff = _diff(x, y)
-    if diff.sup == 0:
-        return BoundInterval.exact(0)
 
-    def fits(K: int) -> bool:
-        tail = weights.tail_majorant(K, diff.sup)
+    def tail_at(n: int) -> Fraction:
+        tail = weights.tail_majorant(n, diff.sup)
         if tail < 0:
             raise DomainError("tail majorant must be nonnegative")
-        return 2 * tail < tolq
+        return tail
 
-    cutoff = tailmath.least_index(fits, 8, f"the weighted tail below {tolq}", step=8)
-    tail = weights.tail_majorant(cutoff, diff.sup)
-    partial = sum(weights.factor(i) * abs(diff.coeff(i)) / 2**i for i in range(cutoff))
+    kept, tail = truncate(diff.coeffs, tail_at, tolq / 2,
+                          f"the weighted tail below {tolq}", 8, 8)
+    partial = sum(weights.factor(i) * abs(c) / 2**i for i, c in enumerate(kept))
     return BoundInterval(partial, partial + tail)
 
 
@@ -542,8 +538,6 @@ def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterva
     if spec.is_sup:
         return _sup_abs_on(poly, spec.gamma, tol)
     p = spec.p
-    if p == 1:
-        return _integral_abs_pow_int(poly, spec.gamma, 1, tol)
     # the root step can widen the integral enclosure (badly so when the
     # integral sits near zero), so refine until the rooted width fits
     int_tol = tol
@@ -566,11 +560,11 @@ def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterva
 def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:
     """Certified L^p distance of two series functions on a shared window.
 
-    The coefficient difference is truncated where the pointwise tail
-    sup|a_n - b_n| * zeta_{K+1} stops mattering at the requested
-    tolerance; the polynomial part is handled exactly or by certified
-    quadrature, and the tail inflates the enclosure by at most
-    gamma^(1/p) times the pointwise bound.
+    truncate cuts the coefficient difference where the tail's L^p
+    share, gamma^(1/p) * sup|a_n - b_n| * zeta_n, falls below tol/4
+    (exactly 0 when the difference has finite support); the polynomial
+    part is handled exactly or by certified quadrature, and the tail
+    widens the enclosure by that share on both sides.
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_p needs a shared domain (gamma and origin)")
@@ -580,47 +574,43 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
     diff = _diff(f.coeffs, g.coeffs)
-    if diff.sup == 0:
-        return BoundInterval.exact(0)
     gp = spec.gamma_pow_inv_p()
-
-    def slack(K: int) -> Fraction:
-        return diff.sup * tailmath.zeta(spec.gamma, K + 1).hi * gp.hi
-
     # steps of 8 overshoot the least cutoff, which keeps the slack well
     # under tol/4 and the enclosure narrower than the tolerance asks
-    cutoff = tailmath.least_index(
-        lambda K: 4 * slack(K) < tolq, 8, f"the rho_p tail below {tolq}", step=8
-    )
-    tail_slack = slack(cutoff)
-    poly = Polynomial([diff.coeff(n) for n in range(cutoff + 1)])
-    norm = _norm_of_poly(poly, spec, tolq / 2)
+    kept, tail_slack = truncate(
+        diff.coeffs, lambda n: diff.sup * tailmath.zeta(spec.gamma, n).hi * gp.hi,
+        tolq / 4, f"the rho_p tail below {tolq}", 9, 8)
+    norm = _norm_of_poly(Polynomial(kept), spec, tolq / 2)
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
 
 
-def rho_1_lower_bound(f: SeriesFn, g: SeriesFn, pieces: int = 12) -> Fraction:
+_RHO1_TERMS = 13
+_RHO1_PIECES = 12
+
+
+def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     """Cheap certified lower bound on rho_1(f, g), exact arithmetic only.
 
     Summing |integral over a piece| of the truncated difference across
-    a partition of [0, gamma] bounds the L^1 norm from below; the
-    discarded coefficient tail can shift the integral by at most gamma
-    times its pointwise sup.  Lets separation checks skip the full
-    quadrature when the bound already clears their threshold.
+    _RHO1_PIECES equal pieces of [0, gamma] bounds the L^1 norm from
+    below; the coefficient tail past the first _RHO1_TERMS (none when
+    the difference has finite support) can shift the integral by at
+    most gamma times its pointwise sup.  Lets separation checks skip
+    the full quadrature when the bound already clears their threshold.
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
     diff = _diff(f.coeffs, g.coeffs)
-    if diff.sup == 0:
-        return Fraction(0)
     gamma = f.gamma
-    cutoff = 12
-    tail = diff.sup * tailmath.zeta(gamma, cutoff + 1).hi
-    anti = Polynomial([diff.coeff(n) for n in range(cutoff + 1)]).antiderivative()
+    # an infinite budget makes the cut the first index searched
+    kept, tail = truncate(diff.coeffs, lambda n: diff.sup * tailmath.zeta(gamma, n).hi,
+                          math.inf, "the rho_1 lower-bound tail", _RHO1_TERMS)
+    anti = Polynomial(kept).antiderivative()
     total = Fraction(0)
     prev = anti(Fraction(0))
-    for i in range(1, pieces + 1):
-        cur = anti(gamma * Fraction(i, pieces))
+    for i in range(1, _RHO1_PIECES + 1):
+        cur = anti(gamma * Fraction(i, _RHO1_PIECES))
         total += abs(cur - prev)
         prev = cur
     return max(Fraction(0), total - gamma * tail)
@@ -654,7 +644,7 @@ def holder_compare(
 # continuity recipes (metric-to-metric moduli)
 
 
-def continuity_delta_l1(gamma, eps, rel_tol=tailmath.DEFAULT_REL_TOL) -> Tuple[int, Fraction]:
+def continuity_delta_l1(gamma, eps) -> Tuple[int, Fraction]:
     """Constructive delta for: rho_1 below delta forces d_E below eps.
 
     Valid for sequences whose coefficient disagreements have magnitude
@@ -668,17 +658,17 @@ def continuity_delta_l1(gamma, eps, rel_tol=tailmath.DEFAULT_REL_TOL) -> Tuple[i
     if epsq <= 0:
         raise DomainError("eps must be positive")
     n = tailmath.least_index(
-        lambda n: tailmath.eta(n, rel_tol).hi < epsq,
-        tailmath.compute_m_gamma(g, rel_tol),
+        lambda n: tailmath.eta(n).hi < epsq,
+        tailmath.compute_m_gamma(g),
         f"eta(N) < {epsq}",
     )
-    delta = tailmath.xi(g, n + 1, rel_tol).lo
+    delta = tailmath.xi(g, n + 1).lo
     if delta <= 0:
-        raise ToleranceUnreachable("xi lower bound not positive; tighten rel_tol")
+        raise ToleranceUnreachable("xi lower bound not positive at the default rel_tol")
     return n, delta
 
 
-def continuity_delta_dE(gamma, eps, rel_tol=tailmath.DEFAULT_REL_TOL) -> Tuple[int, Fraction]:
+def continuity_delta_dE(gamma, eps) -> Tuple[int, Fraction]:
     """Constructive delta for: d_E below delta forces rho_inf below eps.
 
     Valid for binary sequences (unit coefficient range): find N with
@@ -691,6 +681,6 @@ def continuity_delta_dE(gamma, eps, rel_tol=tailmath.DEFAULT_REL_TOL) -> Tuple[i
     if epsq <= 0:
         raise DomainError("eps must be positive")
     n = tailmath.least_index(
-        lambda n: tailmath.zeta(g, n, rel_tol).hi < epsq, 1, f"zeta(N) < {epsq}"
+        lambda n: tailmath.zeta(g, n).hi < epsq, 1, f"zeta(N) < {epsq}"
     )
     return n, Fraction(1, math.factorial(n + 1))

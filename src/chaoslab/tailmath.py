@@ -6,7 +6,7 @@ gamma**i / i! terms on a window [0, gamma]:
     eta_k          = sum_{i >= k} 1/i!
     zeta_k(gamma)  = sum_{i >= k} gamma^i/i!
     xi_k(gamma)    = gamma^k/k! - zeta_{k+1}(gamma)
-    alpha_k        = 1/k! - eta_{k+1}
+    alpha_k        = 1/k! - eta_{k+1}  (xi_k at gamma = 1)
 
 Partial sums are exact rationals.  The discarded tail of zeta is bounded
 by the geometric majorant
@@ -68,7 +68,7 @@ def least_index(holds: Callable[[int], bool], start: int, what: str, step: int =
     raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     """Enclosure of sum_{i >= k} gamma^i / i! for gamma > 0, k >= 0."""
     if gamma <= 0:
@@ -130,13 +130,8 @@ def xi(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
 
 
 def alpha(k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
-    """Certified enclosure of alpha_k = 1/k! - eta_{k+1}."""
-    k = int(k)
-    if k < 0:
-        raise DomainError("alpha index must be nonnegative")
-    head = Fraction(1, _factorial(k))
-    tail = _tail_sum(Fraction(1), k + 1, as_fraction(rel_tol))
-    return BoundInterval(head - tail.hi, head - tail.lo)
+    """Certified enclosure of alpha_k = 1/k! - eta_{k+1}, which is xi_k(1)."""
+    return xi(1, k, rel_tol)
 
 
 def xi_decrement(gamma, k: int) -> Fraction:
@@ -170,7 +165,7 @@ def compute_n_gamma(gamma) -> int:
     return _threshold_index(as_fraction(gamma))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _separation_scan(gamma: Fraction, rel_tol: Fraction):
     n_gamma = _threshold_index(gamma)
     # Certified lower bound for the minimal separation delta: for each

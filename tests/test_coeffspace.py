@@ -154,6 +154,9 @@ def test_evaluate_reference_values():
     assert one.lo == one.hi == 1
     cosh = evaluate(SeriesFn(EventuallyPeriodic((), (1, 0)), 1), 1)
     assert cosh.lo <= COSH_1 <= cosh.hi
+    # 1 + 2x with a zero period sums exactly, like its FiniteSupport twin
+    line = evaluate(SeriesFn(EventuallyPeriodic((1, 2), (0,)), 1), 1)
+    assert line.lo == line.hi == 3
 
 
 def test_evaluate_domain_checks():

@@ -12,12 +12,14 @@ from chaoslab.coeffspace import (
     Alphabet,
     EventuallyPeriodic,
     FiniteSupport,
+    SeriesFn,
     WordEnumeration,
     as_preamble_period,
     difference,
+    evaluate,
     same_stream,
 )
-from chaoslab.metrics import d_E, d_lambda, diff_sup_abs
+from chaoslab.metrics import FACTORIAL_WEIGHTS, d_E, d_lambda, diff_sup_abs, weighted_product_metric
 
 TOL = Fraction(1, 10**6)
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -85,6 +87,19 @@ def test_d_lambda_contains_the_brute_force_sum(pair):
     got = d_lambda(a, b, TOL)
     assert got.width == 0
     assert partial <= got.hi <= partial + tail
+
+
+@PROPERTY
+@given(pairs)
+def test_finite_support_difference_sums_exactly(pair):
+    a, b = pair
+    d = difference(a, b)
+    if d.period != (0,):
+        return
+    weighted = weighted_product_metric(a, b, FACTORIAL_WEIGHTS)
+    assert weighted.width == 0
+    assert weighted == d_E(a, b)
+    assert evaluate(SeriesFn(d, 1), Fraction(1, 2)).width == 0
 
 
 @PROPERTY

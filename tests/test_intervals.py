@@ -11,7 +11,6 @@ from chaoslab.intervals import (
     PowerFn,
     as_fraction,
     power,
-    root,
     working_precision,
 )
 
@@ -110,13 +109,6 @@ def test_hull_intersect_widen():
     assert not a.intersects(BoundInterval(3, 4))
     with pytest.raises(DomainError):
         a.intersect(BoundInterval(3, 4))
-    w = a.widened(Fraction(1, 8))
-    assert w.lo == Fraction(-1, 8) and w.hi == Fraction(9, 8)
-    with pytest.raises(DomainError):
-        a.widened(-1)
-    assert BoundInterval.hull_of([a, b]).encloses(a)
-    with pytest.raises(DomainError):
-        BoundInterval.hull_of([])
 
 
 def test_float_export_is_outward():
@@ -150,12 +142,6 @@ def test_power_rational_exponent():
     assert power(5, 0).contains(1)
     with pytest.raises(DomainError):
         power(-2, Fraction(1, 2))
-
-
-def test_root_matches_power():
-    assert root(BoundInterval.exact(9), 2).contains(3)
-    got = root(BoundInterval(4, 9), 2)
-    assert got.contains(2) and got.contains(3)
 
 
 def test_power_fn_monotone_on_nonnegative():

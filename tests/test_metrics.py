@@ -184,6 +184,16 @@ def test_rho_1_lower_bound_is_a_lower_bound():
     assert rho_1_lower_bound(series(ONES), series(ONES)) == 0
 
 
+def test_finite_support_difference_has_no_tail_slack():
+    # a - b = (0, -7): |f - g| = 7x on [0, 1], so rho_1 = 7/2, rho_inf = 7
+    f, g = series(FiniteSupport((1, -5))), series(FiniteSupport((1, 2)))
+    rho_1 = rho_p(f, g, LpSpec(1, 1))
+    assert rho_1.lo == rho_1.hi == Fraction(7, 2)
+    rho_inf = rho_p(f, g, LpSpec(math.inf, 1))
+    assert rho_inf.lo == rho_inf.hi == 7
+    assert rho_1_lower_bound(f, g) == Fraction(7, 2)
+
+
 def test_series_norm_is_distance_to_zero():
     f = series(FiniteSupport((0, 1)), 2)
     spec = LpSpec(1, 2)
