@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import tailmath
 from .coeffspace import (
@@ -234,7 +234,7 @@ def bernstein_approx(
             m = max(1, math.ceil(2 * wiggle * gq / epsq))
         slack = wiggle * gq / (2 * m)
         worst = Fraction(0)
-        for i in range(m + 1):
+        for i in _coarse_to_fine(m):
             x = gq * i / m
             diff = sampled(x) - BoundInterval.exact(cand(x))
             worst = max(worst, abs(diff).hi)
@@ -246,6 +246,21 @@ def bernstein_approx(
     raise CertificationFailure(
         f"no Bernstein candidate up to degree {max_degree} certifies below {epsq}"
     )
+
+
+def _coarse_to_fine(m: int) -> Iterator[int]:
+    """Indices 0..m, each once: both ends, then the points each halving of the stride adds.
+
+    A failing candidate is then refuted after a few points spread over
+    the whole interval, not only once a left-to-right walk reaches the
+    region where it misses.
+    """
+    yield 0
+    yield m
+    half = 1 << (m.bit_length() - 1)
+    while half:
+        yield from range(half, m, 2 * half)
+        half //= 2
 
 
 def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> Polynomial:

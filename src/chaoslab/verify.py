@@ -5,7 +5,9 @@ of the package leans on: certified tail inequalities, brute-forced
 coefficient-family bounds, the shift/derivative commuting square,
 isometries, and the certificates coming out of the construction
 procedures.  Every check returns a plain record; the CLI renders the
-records as JSON lines.
+records as JSON lines.  The prefix implications (agreement through k
+bounds d_E and rho_inf; a small d_E forces agreement) are checked by
+one sweep, `prefix_implications`, which the metric-suite lines read.
 
 All randomness flows through one seeded generator per property, so a
 fixed seed reproduces runs byte for byte; exhaustive families come
@@ -438,42 +440,85 @@ def check_lp_norm_comparison(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 2
                    exponents=[str(p) for p in exponents], gammas=_gs(gammas))
 
 
-def check_de_prefix_upper(pre_max: int = 4, per_max: int = 3, k_max: int = 8) -> CheckResult:
-    family = difference_streams((-1, 0, 1), pre_max, per_max)
-    failures: List[dict] = []
-    trials = 0
+@dataclass
+class Implication:
+    """Trials, premise hits (de-lower only) and failures of one prefix implication."""
+
+    trials: int = 0
+    hits: int = 0
+    failures: List[dict] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class PrefixSweep:
+    family_size: int
+    de_upper: Implication
+    de_lower: Implication
+    sup_upper: Implication
+
+
+def prefix_implications(values: Sequence[Fraction], pre_max: int, per_max: int,
+                        de_upper_ks: Sequence[int] = (), de_lower_ks: Sequence[int] = (),
+                        rho_ks: Sequence[int] = (), gammas=_CORE_GAMMAS,
+                        tol=Fraction(1, 10**6)) -> PrefixSweep:
+    """The prefix implications over `difference_streams(values, pre_max, per_max)`.
+
+    With D = max|v| and j0 the first nonzero index of a difference d:
+    de-upper, k in de_upper_ks below j0: d_E(d, 0) <= D eta_{k+2};
+    de-lower, k in de_lower_ks: d_E(d, 0) < 1/(k+1)! implies j0 > k (needs nonzero |v| >= 1);
+    sup-upper, k in rho_ks below j0: rho_inf(d, 0) <= D zeta_{k+1}(gamma) at `tol`, with
+    gamma cycling over the streams that have such a k.  A stream's d_E and rho_inf are
+    computed once, and only when one of its implications has a trial.
+    """
+    family = difference_streams(values, pre_max, per_max)
+    diam = max(abs(as_fraction(v)) for v in values)
+    upper, lower, sup = Implication(), Implication(), Implication()
+    inv_fact = {k: Fraction(1, math.factorial(k + 1)) for k in de_lower_ks}
+    idx = 0
     for d in family:
         j0 = first_nonzero_index(d)
-        if j0 == 0:
+        upper_ks = [k for k in de_upper_ks if k < j0]
+        if upper_ks or inv_fact:
+            de = d_E(d, _ZERO)
+        for k in upper_ks:
+            e = tailmath.eta(k + 2)
+            upper.trials += 1
+            if not de.hi <= diam * e.hi + de.width + diam * e.width:
+                upper.failures.append({"difference": to_payload(d), "k": k, "d_E": _ivp(de),
+                                       "eta": _ivp(e), "diam": str(diam)})
+        for k, threshold in inv_fact.items():
+            lower.trials += 1
+            if de.hi < threshold:
+                lower.hits += 1
+                if j0 <= k:
+                    lower.failures.append({"difference": to_payload(d), "k": k,
+                                           "d_E": _ivp(de), "first_nonzero": j0})
+        sup_ks = [k for k in rho_ks if k < j0]
+        if not sup_ks:
             continue
-        de = d_E(d, _ZERO)
-        for k in range(0, min(j0, k_max + 1)):
-            bound = tailmath.eta(k + 2)
-            trials += 1
-            if not de.hi <= bound.hi + de.width + bound.width:
-                failures.append({"difference": to_payload(d), "k": k,
-                                 "d_E": _ivp(de), "bound": _ivp(bound)})
-    return _result("metrics", "dE-prefix-upper", trials, failures,
-                   family_size=len(family), pre_max=pre_max, per_max=per_max, k_max=k_max)
+        g = as_fraction(gammas[idx % len(gammas)])
+        idx += 1
+        rho = rho_p(SeriesFn(d, g), SeriesFn(_ZERO, g), LpSpec(math.inf, g), tol=tol)
+        for k in sup_ks:
+            z = tailmath.zeta(g, k + 1)
+            sup.trials += 1
+            if not rho.hi <= diam * z.hi + rho.width + diam * z.width:
+                sup.failures.append({"difference": to_payload(d), "k": k, "gamma": _fr(g),
+                                     "rho_inf": _ivp(rho), "zeta": _ivp(z), "diam": str(diam)})
+    return PrefixSweep(len(family), upper, lower, sup)
+
+
+def check_de_prefix_upper(pre_max: int = 4, per_max: int = 3, k_max: int = 8) -> CheckResult:
+    sweep = prefix_implications((-1, 0, 1), pre_max, per_max, de_upper_ks=range(k_max + 1))
+    return _result("metrics", "dE-prefix-upper", sweep.de_upper.trials, sweep.de_upper.failures,
+                   family_size=sweep.family_size, pre_max=pre_max, per_max=per_max, k_max=k_max)
 
 
 def check_de_prefix_lower(pre_max: int = 4, per_max: int = 3, k_max: int = 8) -> CheckResult:
-    family = difference_streams((-1, 0, 1), pre_max, per_max)
-    failures: List[dict] = []
-    trials = 0
-    triggers = 0
-    for d in family:
-        j0 = first_nonzero_index(d)
-        de = d_E(d, _ZERO)
-        for k in range(0, k_max + 1):
-            trials += 1
-            if de.hi < Fraction(1, math.factorial(k + 1)):
-                triggers += 1
-                if j0 <= k:
-                    failures.append({"difference": to_payload(d), "k": k,
-                                     "d_E": _ivp(de), "first_nonzero": j0})
-    return _result("metrics", "dE-prefix-lower", trials, failures,
-                   family_size=len(family), hypothesis_hits=triggers, k_max=k_max)
+    sweep = prefix_implications((-1, 0, 1), pre_max, per_max, de_lower_ks=range(k_max + 1))
+    return _result("metrics", "dE-prefix-lower", sweep.de_lower.trials, sweep.de_lower.failures,
+                   family_size=sweep.family_size, hypothesis_hits=sweep.de_lower.hits,
+                   k_max=k_max)
 
 
 def _alphabet_differences(values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -481,46 +526,32 @@ def _alphabet_differences(values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(sorted({a - b for a in vals for b in vals}))
 
 
-def check_sup_prefix_upper(
-    alphabet_values: Sequence[Fraction],
-    gammas=_CORE_GAMMAS,
-    pre_max: int = 4,
-    per_max: int = 2,
-    k_max: int = 8,
-    suite_name: str = "sup-prefix-upper",
+def check_sup_prefix_upper(alphabet_values: Sequence[Fraction], gammas=_CORE_GAMMAS,
+                           pre_max: int = 4, per_max: int = 2, k_max: int = 8) -> CheckResult:
+    sweep = prefix_implications(_alphabet_differences(alphabet_values), pre_max, per_max,
+                                rho_ks=range(k_max + 1), gammas=gammas)
+    return _result("metrics", "sup-prefix-upper", sweep.sup_upper.trials,
+                   sweep.sup_upper.failures, alphabet=_gs(alphabet_values),
+                   family_size=sweep.family_size, gammas=_gs(gammas), k_max=k_max)
+
+
+def check_sup_prefix_upper_general(
+    alphabets=((0, 1, 2), (-1, 0, 1)), gammas=_CORE_GAMMAS,
+    pre_max: int = 3, per_max: int = 2, k_max: int = 4,
 ) -> CheckResult:
-    values = [as_fraction(v) for v in alphabet_values]
-    diam = max(values) - min(values)
-    family = difference_streams(_alphabet_differences(values), pre_max, per_max)
-    failures: List[dict] = []
-    trials = 0
-    idx = 0
-    for d in family:
-        j0 = first_nonzero_index(d)
-        if j0 == 0:
-            continue
-        g = as_fraction(gammas[idx % len(gammas)])
-        idx += 1
-        spec = LpSpec(math.inf, g)
-        rho = rho_p(SeriesFn(d, g), SeriesFn(_ZERO, g), spec, tol=Fraction(1, 10**6))
-        for k in range(0, min(j0, k_max + 1)):
-            z = tailmath.zeta(g, k + 1)
-            trials += 1
-            if not rho.hi <= diam * z.hi + rho.width + diam * z.width:
-                failures.append({
-                    "difference": to_payload(d), "k": k, "gamma": _fr(g),
-                    "rho_inf": _ivp(rho), "zeta": _ivp(z), "diam": str(diam),
-                })
-    return _result("metrics", suite_name, trials, failures,
-                   alphabet=_gs(values), family_size=len(family),
-                   gammas=_gs(gammas), k_max=k_max)
-
-
-_APPLE_GAMMAS = (Fraction(1, 2), Fraction(1), Fraction(2))
+    """sup-prefix-upper per alphabet; alphabets sharing a difference set share one sweep."""
+    diffs = [_alphabet_differences(values) for values in alphabets]
+    sweeps = {d: prefix_implications(d, pre_max, per_max, rho_ks=range(k_max + 1), gammas=gammas)
+              for d in set(diffs)}
+    runs = [sweeps[d] for d in diffs]
+    return _result("metrics", "sup-prefix-upper-general", sum(r.sup_upper.trials for r in runs),
+                   [f for r in runs for f in r.sup_upper.failures],
+                   alphabets=[_gs(values) for values in alphabets],
+                   family_sizes=[r.family_size for r in runs])
 
 
 def check_l1_prefix_separation(
-    gammas=_APPLE_GAMMAS,
+    gammas=_CORE_GAMMAS,
     pre_max: int = 4,
     per_max: int = 2,
     k_span: int = 4,
@@ -624,29 +655,14 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
 
 def run_metrics(cfg: VerifyConfig) -> List[CheckResult]:
     gammas = cfg.gamma_list(_CORE_GAMMAS)
-    general = check_sup_prefix_upper(
-        (Fraction(0), Fraction(1), Fraction(2)), gammas,
-        pre_max=3, per_max=2, k_max=4, suite_name="sup-prefix-upper-general",
-    )
-    mirror = check_sup_prefix_upper(
-        (Fraction(-1), Fraction(0), Fraction(1)), gammas,
-        pre_max=3, per_max=2, k_max=4, suite_name="sup-prefix-upper-general",
-    )
-    merged = _result(
-        "metrics", "sup-prefix-upper-general",
-        general.trials + mirror.trials,
-        list(general.failures) + list(mirror.failures),
-        alphabets=[general.detail["alphabet"], mirror.detail["alphabet"]],
-        family_sizes=[general.detail["family_size"], mirror.detail["family_size"]],
-    )
     return [
         check_metric_axioms(gammas, cfg.seed, cfg.trial_count(60)),
         check_lp_norm_comparison(gammas, cfg.seed, cfg.trial_count(200)),
         check_de_prefix_upper(),
         check_de_prefix_lower(),
         check_sup_prefix_upper((Fraction(0), Fraction(1)), gammas),
-        merged,
-        check_l1_prefix_separation(cfg.gamma_list(_APPLE_GAMMAS)),
+        check_sup_prefix_upper_general(gammas=gammas),
+        check_l1_prefix_separation(gammas),
         check_rho1_to_dE_continuity(gammas, cfg.seed, cfg.trial_count(100)),
         check_dE_to_sup_continuity(gammas, cfg.seed, cfg.trial_count(100)),
     ]

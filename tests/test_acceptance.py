@@ -13,8 +13,7 @@ from fractions import Fraction
 from chaoslab import tailmath
 from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport, SeriesFn
 from chaoslab.constructions import sensitivity_witness
-from chaoslab.metrics import LpSpec, d_E, rho_p
-from chaoslab.sampling import difference_streams, first_nonzero_index
+from chaoslab.metrics import LpSpec, rho_p
 from chaoslab.verify import (
     check_alpha_positivity,
     check_commuting_squares,
@@ -29,6 +28,7 @@ from chaoslab.verify import (
     check_transitivity,
     check_translation_isometry_suite,
     check_xi_positivity,
+    prefix_implications,
 )
 
 # mpmath oracle values, 80 decimal digits
@@ -111,48 +111,19 @@ def test_criterion_04_prefix_agreement_implications():
     # difference set {-2..2} and the same diameter 2, so one sweep of
     # that family covers both.  In every alphabet here distinct values
     # differ by at least 1, which is what the small-d_E direction needs.
-    etas = [tailmath.eta(k + 2) for k in range(9)]
-    inv_fact = [Fraction(1, math.factorial(k + 1)) for k in range(9)]
-    zetas = {g: [tailmath.zeta(g, k + 1) for k in range(9)] for g in CORE_GAMMAS}
-    violations = []
-    counts = {"de-upper": 0, "de-lower": 0, "sup-upper": 0}
-
-    def sweep(family, diam, rho_ks, min_j0_for_rho, tol):
-        idx = 0
-        for d in family:
-            j0 = first_nonzero_index(d)
-            de = d_E(d, ZERO)
-            for k in range(9):
-                if de.hi < inv_fact[k]:
-                    counts["de-lower"] += 1
-                    if j0 <= k:
-                        violations.append(("small-dE-but-early-disagreement", d, k))
-            if j0 is None or j0 < 1:
-                continue
-            for k in range(min(j0, 9)):
-                e = etas[k]
-                counts["de-upper"] += 1
-                if not de.hi <= diam * e.hi + de.width + diam * e.width:
-                    violations.append(("agreement-dE-bound", d, k))
-            if j0 < min_j0_for_rho:
-                continue
-            g = CORE_GAMMAS[idx % 3]
-            idx += 1
-            rho = rho_p(SeriesFn(d, g), SeriesFn(ZERO, g), LpSpec(math.inf, g), tol)
-            for k in rho_ks:
-                if k < j0:
-                    z = zetas[g][k]
-                    counts["sup-upper"] += 1
-                    if not rho.hi <= diam * z.hi + rho.width + diam * z.width:
-                        violations.append(("agreement-sup-bound", d, str(g), k))
-
-    sweep(difference_streams((-1, 0, 1), 6, 2), Fraction(1),
-          rho_ks=range(9), min_j0_for_rho=1, tol=Fraction(1, 10**5))
+    ks = range(9)
+    small = prefix_implications((-1, 0, 1), 6, 2, de_upper_ks=ks, de_lower_ks=ks,
+                                rho_ks=ks, gammas=CORE_GAMMAS, tol=Fraction(1, 10**5))
     # the sup direction is the expensive one; on the 25x larger family
     # it is spot-checked at k in {1,4,8} instead of every k <= 8
-    sweep(difference_streams((-2, -1, 0, 1, 2), 6, 2), Fraction(2),
-          rho_ks=(1, 4, 8), min_j0_for_rho=2, tol=Fraction(1, 10**4))
-
+    large = prefix_implications((-2, -1, 0, 1, 2), 6, 2, de_upper_ks=ks, de_lower_ks=ks,
+                                rho_ks=(1, 4, 8), gammas=CORE_GAMMAS, tol=Fraction(1, 10**4))
+    sweeps = (small, large)
+    violations = [f for s in sweeps for imp in (s.de_upper, s.de_lower, s.sup_upper)
+                  for f in imp.failures]
+    counts = {"de-upper": sum(s.de_upper.trials for s in sweeps),
+              "de-lower": sum(s.de_lower.hits for s in sweeps),
+              "sup-upper": sum(s.sup_upper.trials for s in sweeps)}
     ok = not violations and all(c > 0 for c in counts.values())
     _line(4, "prefix/metric implication chains, three alphabets, zero violations", ok)
     assert ok, {"violations": violations[:5], "counts": counts}
