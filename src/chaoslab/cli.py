@@ -417,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="domain length(s), comma-separated or repeated",
     )
-    p_verify.add_argument("--k-max", type=int, default=60, dest="k_max")
+    p_verify.add_argument("--k-max", type=int, default=60, dest="k_max", help=(
+        "largest tail index of the tailmath suite only; the metric prefix lines "
+        "keep their own k <= 8 (k <= 4 for sup-prefix-upper-general)"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=None)
     _add_out(p_verify)
@@ -425,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tails = sub.add_parser("tails", help="CSV table of tail enclosures")
     p_tails.add_argument("--gamma", required=True)
-    p_tails.add_argument("--k-max", type=int, default=60, dest="k_max")
+    p_tails.add_argument("--k-max", type=int, default=60, dest="k_max",
+                         help="largest tail index of the table (rows k = 1..k-max)")
     _add_out(p_tails)
     p_tails.set_defaults(func=_cmd_tails)
 

@@ -8,7 +8,7 @@ library.  Three tail disciplines are representable, and each is closed
 under shifting:
 
 * FiniteSupport: finitely many nonzero coefficients (polynomials; the
-  Polynomial class adds evaluation, interval enclosures and products).
+  Polynomial class adds evaluation and products).
 * EventuallyPeriodic: a finite preamble followed by a repeating block.
   Construction normalizes to the minimal period and minimal preamble,
   so structural equality decides mathematical equality within the kind.
@@ -187,14 +187,6 @@ def _factorial_scaled(coeffs: Sequence[Fraction], op) -> Tuple[Fraction, ...]:
     return tuple([op(c, f) for c, f in zip(coeffs, facts)])
 
 
-def _horner(coeffs: Sequence[Fraction], box: BoundInterval) -> BoundInterval:
-    """Interval Horner scheme for sum_n coeffs[n] t^n over box."""
-    acc = BoundInterval.exact(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * box + c
-    return acc
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """P(x) = sum_n coeffs_taylor[n] x^n / n!, trailing zeros stripped.
@@ -241,23 +233,9 @@ class Polynomial:
             acc = acc * xq + c
         return acc
 
-    def eval_interval(self, box: BoundInterval) -> BoundInterval:
-        """Interval Horner over box, intersected with the (on narrow boxes
-        much tighter) centered form P(mid) + P'(box) (box - mid)."""
-        acc = _horner(self.monomial, box)
-        if box.width == 0:
-            return acc
-        mid = box.mid
-        slope = _horner(self.derivative().monomial, box)
-        centered = BoundInterval.exact(self(mid)) + slope * (box - mid)
-        return acc.intersect(centered) if acc.intersects(centered) else acc
-
     def derivative(self) -> "Polynomial":
         """P', whose Taylor coefficients are P's shifted left by one."""
-        got = self.__dict__.get("_derivative")
-        if got is None:
-            got = self.__dict__["_derivative"] = Polynomial(self.coeffs_taylor[1:])
-        return got
+        return Polynomial(self.coeffs_taylor[1:])
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative vanishing at 0: a zero prepended."""

@@ -30,14 +30,14 @@ The truncated difference D is a coeffspace.Polynomial built from the
 coefficient differences a_n - b_n themselves (its derivative is their
 shift).  For it:
 
-* p = inf: branch-and-bound for sup|D| with Polynomial.eval_interval
-  (interval Horner on the monomial coefficients, intersected with a
-  centered form) on panels.  This is grid + local Lipschitz
-  certification, refined adaptively; a uniform grid with one global
-  Lipschitz constant cannot reach width 1e-9 in realistic time.
+* p = inf: branch-and-bound for sup|D| on panels of an exact integer
+  Bernstein kernel: a panel's largest |coefficient| bounds |D| there,
+  its end coefficients are exact values of D, and halving it is integer
+  de Casteljau (Garloff 1986; Rouillier & Zimmermann 2004).
 * integer p: |D|^p integrates exactly.  Even p needs no sign analysis
-  at all; odd p gets a certified sign partition, and panels still
-  straddling a root contribute [|int D^p|, h * sup|D|^p].
+  at all.  For odd p, panels whose Bernstein coefficients share a sign
+  integrate exactly; the others, which hold the roots, contribute
+  [|int D^p|, h * max|b_j|^p].
 * other p: adaptive panels with certified endpoint trapezoid and a
   second-derivative correction where D is sign-definite, crude
   range-times-width bounds across roots.  Pointwise powers go through
@@ -263,84 +263,102 @@ def weighted_product_metric(
 
 # ---------------------------------------------------------------------------
 # L^p norms of the truncated difference polynomial
+#
+# The exact integer Bernstein kernel.  With t = gamma * u, a panel of
+# [0, 1] at depth k holds integers B whose B_j / (L * 2^(k n)) are P's
+# Bernstein coefficients there: they enclose P on the panel (the convex
+# hull property), and the end ones are P's values at the panel's ends.
+
+
+def _bernstein(poly: Polynomial, gamma: Fraction) -> Tuple[List[int], int]:
+    """(B, L) for poly on [0, gamma]: n! b_j = sum_i C(j, i) (n - i)! a_i gamma^i."""
+    n = poly.degree
+    m = math.lcm(*[c.denominator for c in poly.coeffs_taylor])
+    g, h = gamma.numerator, gamma.denominator
+    B = [c.numerator * (m // c.denominator) * math.factorial(n - i) * g**i * h ** (n - i)
+         for i, c in enumerate(poly.coeffs_taylor)]
+    for r in range(1, n + 1):  # the binomial transform, by Pascal's rule
+        for j in range(n, r - 1, -1):
+            B[j] += B[j - 1]
+    return B, m * math.factorial(n) * h**n
+
+
+def _split(B: List[int]) -> Tuple[List[int], List[int]]:
+    """Halve a panel by de Casteljau at 1/2: sums only, both halves times 2^n."""
+    n = len(B) - 1
+    left, right, row = [], [], B
+    for k in range(n + 1):  # row[i] is 2^k times the de Casteljau point (k, i)
+        left.append(row[0] << (n - k))
+        right.append(row[-1] << (n - k))
+        row = [x + y for x, y in zip(row, row[1:])]
+    return left, right[::-1]
 
 
 def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterval:
-    """Certified enclosure of sup_{[0, gamma]} |poly|, width < tol."""
-    if poly.is_zero():
-        return BoundInterval.exact(0)
-    lower = max(abs(poly(Fraction(0))), abs(poly(gamma)), abs(poly(gamma / 2)))
-    first = abs(poly.eval_interval(BoundInterval(Fraction(0), gamma)))
-    heap: List[Tuple[Fraction, Fraction, int, BoundInterval, BoundInterval]] = []
-    counter = 0
-    heapq.heappush(heap, (-first.hi, Fraction(0), counter, BoundInterval(Fraction(0), gamma), first))
+    """Certified enclosure of sup_{[0, gamma]} |poly|, width < tol, by
+    branch-and-bound on Bernstein panels with exact bounds in units of 1/L."""
+    B, L = _bernstein(poly, gamma)
+    n = len(B) - 1
+    lower = Fraction(max(abs(B[0]), abs(B[n])))
+    heap = [(-Fraction(max(map(abs, B))), 0, 0, B)]
     panels = 1
-    while heap:
-        neg_hi, _, _, box, bound = heapq.heappop(heap)
-        panel_hi = -neg_hi
-        if panel_hi <= lower:
-            # nothing remaining can beat the achieved lower bound
-            return BoundInterval(lower, max(lower, panel_hi))
-        if panel_hi - lower < tol:
-            return BoundInterval(lower, panel_hi)
-        mid = box.mid
-        lower = max(lower, abs(poly(mid)))
-        for child in (BoundInterval(box.lo, mid), BoundInterval(mid, box.hi)):
-            b = abs(poly.eval_interval(child))
-            if b.hi > lower:
-                counter += 1
-                heapq.heappush(heap, (-b.hi, child.lo, counter, child, b))
-        panels += 2
+    while True:
+        neg_hi, _, e, coeffs = heapq.heappop(heap)
+        if -neg_hi - lower < tol * L:
+            # nothing remaining can beat the lower bound by tol
+            return BoundInterval(lower / L, max(lower, -neg_hi) / L)
+        e += n
+        left, right = _split(coeffs)
+        lower = max(lower, Fraction(abs(left[n]), 1 << e))  # the midpoint value
+        for child in (left, right):
+            panels += 1
+            heapq.heappush(heap, (-Fraction(max(map(abs, child)), 1 << e), panels, e, child))
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(
                 f"sup refinement exceeded {_MAX_PANELS} panels at tol={tol}"
             )
-    return BoundInterval(lower, lower)
 
 
 def _integral_abs_pow_int(
     poly: Polynomial, gamma: Fraction, p: int, tol: Fraction
 ) -> BoundInterval:
     """Certified enclosure of int_0^gamma |poly|^p dt for integer p >= 1."""
-    if poly.is_zero():
-        return BoundInterval.exact(0)
-    ppoly = poly**p
-    anti = ppoly.antiderivative()
+    anti = (poly**p).antiderivative()
     if p % 2 == 0:
         return BoundInterval.exact(anti(gamma) - anti(Fraction(0)))
-    # odd p: |poly|^p = sign(poly) * poly^p, so sign-definite panels
-    # integrate exactly and only root-straddling panels carry width
-    settled = Fraction(0)
-    pending = Fraction(0)
-    heap: List[Tuple[Fraction, Fraction, int, BoundInterval, Fraction]] = []
-    counter = 0
+    # odd p: |poly|^p = sign(poly) * poly^p, so panels whose Bernstein
+    # coefficients share a sign integrate exactly and only the others,
+    # which hold the roots, carry width
+    B, L = _bernstein(poly, gamma)
+    n = len(B) - 1
+    settled = pending = Fraction(0)
+    heap: List[tuple] = []
+    panels = 0
 
-    def classify(box: BoundInterval):
-        nonlocal settled, pending, counter
-        s = poly.eval_interval(box)
-        lower = abs(anti(box.hi) - anti(box.lo))
-        if s.lo >= 0 or s.hi <= 0:
+    def classify(coeffs: List[int], e: int, lo: Fraction, hi: Fraction):
+        nonlocal settled, pending, panels
+        panels += 1
+        lower = abs(anti(hi) - anti(lo))
+        if min(coeffs) >= 0 or max(coeffs) <= 0:
             settled += lower
             return
-        slack = box.width * s.mag**p - lower
-        counter += 1
+        slack = (hi - lo) * Fraction(max(map(abs, coeffs)), L << e) ** p - lower
         pending += slack
-        heapq.heappush(heap, (-slack, box.lo, counter, box, lower))
+        heapq.heappush(heap, (-slack, panels, coeffs, e, lo, hi, lower))
 
-    classify(BoundInterval(Fraction(0), gamma))
-    panels = 1
+    classify(B, 0, Fraction(0), gamma)
     while heap and pending >= tol:
-        neg_slack, _, _, box, _ = heapq.heappop(heap)
+        neg_slack, _, coeffs, e, lo, hi, _ = heapq.heappop(heap)
         pending += neg_slack
-        mid = box.mid
-        classify(BoundInterval(box.lo, mid))
-        classify(BoundInterval(mid, box.hi))
-        panels += 2
+        mid = (lo + hi) / 2
+        left, right = _split(coeffs)
+        classify(left, e + n, lo, mid)
+        classify(right, e + n, mid, hi)
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(
                 f"sign partition exceeded {_MAX_PANELS} panels at tol={tol}"
             )
-    lo = settled + sum(item[4] for item in heap)
+    lo = settled + sum(item[6] for item in heap)
     return BoundInterval(lo, lo + pending)
 
 

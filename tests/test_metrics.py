@@ -27,7 +27,7 @@ from chaoslab.metrics import (
     series_norm,
     weighted_product_metric,
 )
-from chaoslab import tailmath
+from chaoslab import sampling, tailmath
 
 # mpmath oracle values, 80 decimal digits
 E = Fraction("2.7182818284590452353602874713526624977572470936999595749669676")
@@ -168,6 +168,41 @@ def test_rho_p_sign_change_integrand():
     assert box.contains(Fraction(1, 4))
     sup = rho_p(f, g, LpSpec(math.inf, 1), Fraction(1, 10**12))
     assert sup.contains(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "coeffs, p, power_of_norm",
+    [
+        # t - 1/3, a simple root
+        ((Fraction(-1, 3), 1), 1, Fraction(5, 18)),
+        ((Fraction(-1, 3), 1), 3, (Fraction(1, 3) ** 4 + Fraction(2, 3) ** 4) / 4),
+        # (t - 1/3)^2: the double root is never a split point, so every
+        # panel around it keeps a sign change in its Bernstein coefficients
+        ((Fraction(1, 9), Fraction(-2, 3), 2), 1, Fraction(1, 9)),
+        ((Fraction(1, 9), Fraction(-2, 3), 2), 3, (Fraction(1, 3) ** 7 + Fraction(2, 3) ** 7) / 7),
+    ],
+)
+def test_odd_p_norm_across_roots(coeffs, p, power_of_norm):
+    box = series_norm(series(FiniteSupport(coeffs)), LpSpec(p, 1), Fraction(1, 10**8))
+    assert box.lo**p <= power_of_norm <= box.hi**p
+
+
+def test_rho_inf_scales_exactly():
+    # the sup kernel is exact, so scaling a, b and tol by 2^k scales the
+    # enclosure by 2^k, far past both ends of the double range
+    rng = sampling.make_rng(7)
+    for i in range(10):
+        alphabet = sampling.random_alphabet(rng)
+        a, b = sampling.random_stream(rng, alphabet), sampling.random_stream(rng, alphabet)
+        gamma = (Fraction(1, 2), Fraction(1), Fraction(2))[i % 3]
+        spec, tol = LpSpec(math.inf, gamma), Fraction(1, 10**6)
+        base = rho_p(series(a, gamma), series(b, gamma), spec, tol)
+        for k in (1100, -1100):
+            c = Fraction(2) ** k
+            a_c, b_c = (EventuallyPeriodic([x * c for x in s.preamble], [x * c for x in s.period])
+                        for s in (a, b))
+            got = rho_p(series(a_c, gamma), series(b_c, gamma), spec, tol * c)
+            assert (got.lo, got.hi) == (base.lo * c, base.hi * c)
 
 
 def test_rho_1_lower_bound_is_a_lower_bound():

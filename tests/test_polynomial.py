@@ -1,14 +1,15 @@
-"""Property tests for coeffspace.Polynomial: its derivative is the shift
-of the coefficient stream, and evaluation, interval enclosures and
-products agree with exact arithmetic."""
+"""Property tests for coeffspace.Polynomial (its derivative is the shift
+of the coefficient stream; evaluation and products agree with exact
+arithmetic) and for the integer Bernstein kernel that metrics runs on it."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.coeffspace import FiniteSupport, Polynomial, evaluate
-from chaoslab.intervals import BoundInterval
+from chaoslab.metrics import _bernstein, _split, _sup_abs_on
 
 small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 polys = st.lists(small, min_size=0, max_size=7).map(lambda cs: Polynomial(tuple(cs)))
@@ -42,12 +43,30 @@ def test_call_matches_series_evaluation(P, gamma, s):
 
 
 @PROPERTY
-@given(polys, gammas, unit, unit, st.lists(unit, min_size=1, max_size=5))
-def test_eval_interval_contains_every_point_value(P, gamma, u, v, ss):
-    lo, hi = sorted((gamma * u, gamma * v))
-    box = P.eval_interval(BoundInterval(lo, hi))
-    for s in ss:
-        assert box.contains(P(lo + (hi - lo) * s))
+@given(polys, gammas, st.lists(st.booleans(), max_size=6), st.lists(unit, min_size=1, max_size=5))
+def test_bernstein_panel_reproduces_and_encloses_the_polynomial(P, gamma, path, ss):
+    # follow a path of de Casteljau halvings; the panel is [lo, hi] in u = t/gamma
+    B, L = _bernstein(P, gamma)
+    n = len(B) - 1
+    lo, hi, e = Fraction(0), Fraction(1), 0
+    for go_right in path:
+        left, right = _split(B)
+        mid = (lo + hi) / 2
+        B, lo, hi = (right, mid, hi) if go_right else (left, lo, mid)
+        e += n
+    b = [Fraction(x, L << e) for x in B]
+    for s in ss + [Fraction(0), Fraction(1)]:
+        value = P(gamma * (lo + (hi - lo) * s))
+        assert sum(c * math.comb(n, j) * s**j * (1 - s) ** (n - j) for j, c in enumerate(b)) == value
+        assert min(b) <= value <= max(b)
+
+
+@PROPERTY
+@given(polys, gammas, st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9))))
+def test_sup_abs_on_is_narrow_and_bounds_a_grid(P, gamma, tol):
+    sup = _sup_abs_on(P, gamma, tol)
+    assert sup.width < tol
+    assert all(abs(P(gamma * Fraction(k, 32))) <= sup.hi for k in range(33))
 
 
 @PROPERTY
