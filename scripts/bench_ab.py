@@ -1,0 +1,117 @@
+"""A/B benchmark writer: the parent and the change, run in alternation.
+
+    python3 scripts/bench_ab.py --parent DIR --change DIR --pairs 5 --seed 2 \
+        --out BENCH_8.json --note "what the change does"
+
+DIR is a fresh copy of each side's committed tree (for instance
+`git archive <commit> | tar -x -C DIR`).  For every workload in the
+change's BENCHMARK.json, pair i runs `perfbench/run.py --trace 0` once per
+side, the parent first on even i and the change first on odd i, each in
+its own tree with BENCHMARK.json's run_seconds.  Then one `--trace 1` run
+per side records the per-layer rho_p numbers.
+
+The JSON written holds, per workload and end-to-end metric, each side's
+runs with their median and inclusive quartiles, how many pairs the change
+won in the metric's better direction, and the change/parent median ratio;
+the attempted and failed item counts; the correctness gates; and the
+traced rho_p branch metrics (calls, self_s, share) with trace.wall_s and
+trace.overhead_ratio.  Nothing here is a gate: it only records numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+TRACED = ("trace.wall_s", "trace.overhead_ratio")
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--note", default="", help="what the change does")
+    return ap.parse_args(argv)
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One fresh perfbench process in tree; its last stdout line, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"bench_ab: {' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(runs: list) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+    return {"q1": q1, "median": median, "q3": q3, "runs": runs}
+
+
+def workload_entry(results: dict, traced: dict, declared: list) -> dict:
+    end_to_end = {}
+    for metric in declared:
+        name = metric["name"]
+        runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        sign = 1 if metric["better"] == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
+        parent_median = statistics.median(runs["parent"])
+        end_to_end[name] = {
+            "unit": metric["unit"],
+            **{side: summary(runs[side]) for side in SIDES},
+            "pairs_won_by_change": won,
+            "median_ratio": statistics.median(runs["change"]) / parent_median if parent_median else None,
+        }
+    end_to_end["attempted_failed"] = {
+        side: [[r["attempted"], r["failed"]] for r in results[side]] for side in SIDES}
+    end_to_end["correct"] = {side: all(r["correct"] for r in results[side]) for side in SIDES}
+    return {"end_to_end": end_to_end, "traced": {
+        side: {name: m["value"] for name, m in traced[side]["metrics"].items()
+               if name.startswith("metrics.rho_p.") or name in TRACED}
+        for side in SIDES}}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    out = {
+        "change": args.note,
+        "host": f"{os.cpu_count()}-core {platform.machine()} host, "
+                f"{platform.python_implementation()} {platform.python_version()}",
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {seconds} --trace 0|1",
+        "method": f"parent and change each run from a fresh copy of its committed tree; "
+                  f"{args.pairs} pairs per workload, alternating which side runs first "
+                  f"(even pairs parent first); medians and inclusive quartiles over the "
+                  f"{args.pairs} runs of each side; traced values from one --trace 1 run "
+                  f"per side",
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in bench["workloads"]):
+        results = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                results[side].append(run(trees[side], workload, args.seed, seconds, 0))
+                print(f"{workload} pair {i} {side}: items_per_s "
+                      f"{results[side][-1]['metrics']['items_per_s']['value']:.4g}", flush=True)
+        traced = {side: run(trees[side], workload, args.seed, seconds, 1) for side in SIDES}
+        out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"])
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,9 +5,10 @@ absolute value, hulls) is computed exactly: endpoints are
 `fractions.Fraction` objects and no rounding happens at all, so an
 interval of width zero really is a point.  The few irrational operations
 the library needs (rational powers such as gamma**(1/p)) are delegated
-to mpmath's interval context at a configurable binary precision; mpmath
-endpoints are binary floats of arbitrary exponent and convert back to
-Fraction losslessly, so enclosures remain certified across the boundary.
+to a private mpmath interval context (the shared mpmath.iv is never
+touched) at a configurable binary precision; mpmath endpoints are binary
+floats of arbitrary exponent and convert back to Fraction losslessly, so
+enclosures remain certified across the boundary.
 
 Directed conversion to machine floats (for JSON output and display)
 rounds the lower endpoint down and the upper endpoint up by one ulp
@@ -244,8 +245,13 @@ class BoundInterval:
         return f"BoundInterval({self.lo_float()!r}, {self.hi_float()!r})"
 
 
-def _to_iv(q: Fraction, ctx) -> "mpmath.ctx_iv.ivmpf":
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+# PowerFn sets the precision of this private context only, never that of
+# the shared mpmath.iv other code may be using
+_IV = mpmath.ctx_iv.MPIntervalContext()
+
+
+def _to_iv(q: Fraction) -> "mpmath.ctx_iv.ivmpf":
+    return _IV.mpf(q.numerator) / _IV.mpf(q.denominator)
 
 
 def _from_iv(x) -> BoundInterval:
@@ -276,11 +282,11 @@ class PowerFn:
         self.exponent = as_fraction(exponent)
         self._ive_by_prec: dict = {}
 
-    def _exp_interval(self, ctx, prec: int):
-        ctx.prec = prec
+    def _exp_interval(self, prec: int):
+        _IV.prec = prec
         ive = self._ive_by_prec.get(prec)
         if ive is None:
-            ive = self._ive_by_prec[prec] = _to_iv(self.exponent, ctx)
+            ive = self._ive_by_prec[prec] = _to_iv(self.exponent)
         return ive
 
     def __call__(self, base) -> BoundInterval:
@@ -292,16 +298,11 @@ class PowerFn:
             raise DomainError(f"fractional power of a negative-reaching interval {b}")
         if e < 0 and b.lo == 0:
             raise DomainError("negative fractional power of an interval reaching zero")
-        ctx = mpmath.iv
-        old_prec = ctx.prec
-        try:
-            ive = self._exp_interval(ctx, working_precision())
-            # x |-> x**e is monotone on [0, inf) for either sign of e, so the
-            # hull of certified endpoint powers encloses the whole image.
-            at_lo = _from_iv(_to_iv(b.lo, ctx) ** ive)
-            at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi, ctx) ** ive)
-        finally:
-            ctx.prec = old_prec
+        ive = self._exp_interval(working_precision())
+        # x |-> x**e is monotone on [0, inf) for either sign of e, so the
+        # hull of certified endpoint powers encloses the whole image.
+        at_lo = _from_iv(_to_iv(b.lo) ** ive)
+        at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi) ** ive)
         out = at_lo.hull(at_hi)
         # x**e with x >= 0 is nonnegative; clamp round-off spill below zero.
         if out.lo < 0:
@@ -320,16 +321,8 @@ class PowerFn:
             raise DomainError("fractional power of a negative-reaching interval")
         if e < 0 and lo == 0:
             raise DomainError("negative fractional power of an interval reaching zero")
-        ctx = mpmath.iv
-        old_prec = ctx.prec
-        try:
-            ive = self._exp_interval(ctx, 53)
-            r_lo = ctx.mpf(lo) ** ive
-            r_hi = r_lo if hi == lo else ctx.mpf(hi) ** ive
-            a_lo, a_hi = r_lo._mpi_
-            b_lo, b_hi = r_hi._mpi_
-            out_lo = min(_mpf_to_fraction(a_lo), _mpf_to_fraction(b_lo))
-            out_hi = max(_mpf_to_fraction(a_hi), _mpf_to_fraction(b_hi))
-        finally:
-            ctx.prec = old_prec
-        return (max(0.0, _float_down(out_lo)), _float_up(out_hi))
+        ive = self._exp_interval(53)
+        # x |-> x**e is monotone, so one interval power encloses the image
+        out_lo, out_hi = (_IV.mpf([lo, hi]) ** ive)._mpi_
+        hi_up = math.inf if out_hi == mpmath.libmp.finf else _float_up(_mpf_to_fraction(out_hi))
+        return (max(0.0, _float_down(_mpf_to_fraction(out_lo))), hi_up)

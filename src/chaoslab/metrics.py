@@ -38,10 +38,13 @@ shift).  For it:
   at all.  For odd p, panels whose Bernstein coefficients share a sign
   integrate exactly; the others, which hold the roots, contribute
   [|int D^p|, h * max|b_j|^p].
-* other p: adaptive panels with certified endpoint trapezoid and a
-  second-derivative correction where D is sign-definite, crude
-  range-times-width bounds across roots.  Pointwise powers go through
-  the interval power helper, so no uncertified rounding enters.
+* other p: the same Bernstein panels, refined depth first, with a
+  certified endpoint trapezoid and a second-derivative correction where
+  D is sign-definite and crude range-times-width bounds across roots.
+  The bounds on D, D' and D'' are read off a panel's coefficients and
+  their differences in outward-rounded doubles, and pointwise powers
+  go through the interval power helper, so no uncertified rounding
+  enters.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .coeffspace import (
     truncate,
 )
 from .errors import DomainError, ToleranceUnreachable
-from .intervals import BoundInterval, PowerFn, _float_down, _float_up, as_fraction, power
+from .intervals import BoundInterval, PowerFn, as_fraction, power
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
@@ -328,71 +331,67 @@ def _integral_abs_pow_int(
         return BoundInterval.exact(anti(gamma) - anti(Fraction(0)))
     # odd p: |poly|^p = sign(poly) * poly^p, so panels whose Bernstein
     # coefficients share a sign integrate exactly and only the others,
-    # which hold the roots, carry width
+    # which hold the roots, carry width.  Each panel carries anti at its
+    # ends, so a split evaluates anti once, at the midpoint.
     B, L = _bernstein(poly, gamma)
     n = len(B) - 1
     settled = pending = Fraction(0)
     heap: List[tuple] = []
     panels = 0
 
-    def classify(coeffs: List[int], e: int, lo: Fraction, hi: Fraction):
+    def classify(coeffs: List[int], e: int, lo: Fraction, hi: Fraction,
+                 a_lo: Fraction, a_hi: Fraction):
         nonlocal settled, pending, panels
         panels += 1
-        lower = abs(anti(hi) - anti(lo))
+        lower = abs(a_hi - a_lo)
         if min(coeffs) >= 0 or max(coeffs) <= 0:
             settled += lower
             return
         slack = (hi - lo) * Fraction(max(map(abs, coeffs)), L << e) ** p - lower
         pending += slack
-        heapq.heappush(heap, (-slack, panels, coeffs, e, lo, hi, lower))
+        heapq.heappush(heap, (-slack, panels, coeffs, e, lo, hi, a_lo, a_hi, lower))
 
-    classify(B, 0, Fraction(0), gamma)
+    classify(B, 0, Fraction(0), gamma, anti(Fraction(0)), anti(gamma))
     while heap and pending >= tol:
-        neg_slack, _, coeffs, e, lo, hi, _ = heapq.heappop(heap)
+        neg_slack, _, coeffs, e, lo, hi, a_lo, a_hi, _ = heapq.heappop(heap)
         pending += neg_slack
         mid = (lo + hi) / 2
+        a_mid = anti(mid)
         left, right = _split(coeffs)
-        classify(left, e + n, lo, mid)
-        classify(right, e + n, mid, hi)
+        classify(left, e + n, lo, mid, a_lo, a_mid)
+        classify(right, e + n, mid, hi, a_mid, a_hi)
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(
                 f"sign partition exceeded {_MAX_PANELS} panels at tol={tol}"
             )
-    lo = settled + sum(item[6] for item in heap)
+    lo = settled + sum(item[-1] for item in heap)
     return BoundInterval(lo, lo + pending)
 
 
-# --- outward-rounded double intervals, used only by the fractional-p
-# quadrature below.  IEEE +-*/ are exactly rounded, so nudging each
-# computed endpoint one ulp outward with nextafter keeps the enclosure
-# rigorous while running ~50x faster than Fraction arithmetic (whose
-# gcd calls dominate the profile at realistic panel counts).
-
-_INF = math.inf
+# --- outward-rounded doubles, used only by the fractional-p quadrature
+# below.  Every double it starts from is one integer quotient num / den,
+# which Python rounds correctly, nudged one ulp outward; IEEE +-*/ are
+# exactly rounded too, so nudging each computed endpoint keeps the
+# enclosure rigorous while the panel arithmetic stays far cheaper than
+# Fraction arithmetic (whose gcd calls would dominate the profile).
 
 
 def _fdn(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return math.nextafter(x, -math.inf)
 
 
 def _fup(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return math.nextafter(x, math.inf)
 
 
-def _fi(q: Fraction) -> Tuple[float, float]:
-    return (_float_down(q), _float_up(q))
-
-
-def _fi_horner(coeffs, xlo: float, xhi: float) -> Tuple[float, float]:
-    lo, hi = coeffs[-1]
-    for clo, chi in coeffs[-2::-1]:
-        p0 = lo * xlo
-        p1 = lo * xhi
-        p2 = hi * xlo
-        p3 = hi * xhi
-        lo = _fdn(_fdn(min(p0, p1, p2, p3)) + clo)
-        hi = _fup(_fup(max(p0, p1, p2, p3)) + chi)
-    return (lo, hi)
+def _fi(lo: int, hi: int, den: int) -> Tuple[float, float]:
+    """Outward double enclosure of [lo / den, hi / den], den > 0."""
+    try:
+        return (_fdn(lo / den), _fup(hi / den))
+    except OverflowError:
+        raise ToleranceUnreachable(
+            "fractional-power quadrature needs values within the double range"
+        ) from None
 
 
 def _fi_mul(a, b) -> Tuple[float, float]:
@@ -417,71 +416,56 @@ def _integral_abs_pow_frac(
 ) -> BoundInterval:
     """Certified enclosure of int_0^gamma |poly|^p dt for fractional p > 1.
 
-    Panels where poly is sign-definite use the endpoint trapezoid with a
-    certified second-derivative correction for g = |poly|^p; panels
-    straddling a root fall back to width * range bounds (they shrink
-    superlinearly, since |poly|^p is tiny near its roots).  All panel
-    bookkeeping runs in outward-rounded doubles; only the powers touch
-    mpmath.  The double bookkeeping floors the reachable tolerance near
-    1e-14 * integral, far below anything the callers request.
+    Runs on the Bernstein panels.  On a panel of width h at depth k the
+    integers b over L * 2^(kn) bound P, n * (first differences) / h bound
+    P' and n(n-1) * (second differences) / h^2 bound P''; b_0 and b_n are
+    P's exact values at the ends, so each end value of g = |P|^p is
+    computed once and handed to both children.  Panels where P is
+    sign-definite use the endpoint trapezoid with a certified
+    second-derivative correction for g; panels that straddle a root fall
+    back to width * range bounds (they shrink superlinearly, since
+    |P|^p is tiny near its roots).  Refinement is depth first: a panel
+    is kept once its width is at most its share tol * h / gamma, so only
+    the current path holds coefficient lists.  The double bookkeeping
+    floors the reachable tolerance near 1e-14 * integral, far below
+    anything the callers request.
     """
     if poly.is_zero():
         return BoundInterval.exact(0)
-    pcoef, dcoef, ddcoef = (
-        [_fi(c) for c in q.monomial]
-        for q in (poly, poly.derivative(), poly.derivative().derivative())
-    )
-    if not all(math.isfinite(x) for cs in (pcoef, dcoef, ddcoef) for c in cs for x in c):
-        raise ToleranceUnreachable(
-            "fractional-power quadrature needs coefficients within the double range"
-        )
+    B, L = _bernstein(poly, gamma)
+    n = len(B) - 1
+    gn, gd = gamma.numerator, gamma.denominator
     pw = PowerFn(p)
-    pp_fi = _fi(p * (p - 1))
-    p_fi = _fi(p)
-    twelfth = _fi(Fraction(1, 12))
-    g_cache: dict = {}
-    t_cache: dict = {}
+    pp = p.numerator * (p.numerator - p.denominator)
+    pp_fi = _fi(pp, pp, p.denominator**2)
+    p_fi = _fi(p.numerator, p.numerator, p.denominator)
+    twelfth = _fi(1, 1, 12)
 
-    def t_floats(t: Fraction) -> Tuple[float, float]:
-        got = t_cache.get(t)
-        if got is None:
-            got = t_cache[t] = _fi(t)
-        return got
+    def g_at(b: int, den: int) -> Tuple[float, float]:
+        """g where P is exactly b / den."""
+        s = _fi(abs(b), abs(b), den)
+        return pw.bounds_floats(max(0.0, s[0]), s[1])
 
-    def g_point(t: Fraction, tf) -> Tuple[float, float]:
-        got = g_cache.get(t)
-        if got is None:
-            slo, shi = _fi_horner(pcoef, tf[0], tf[1])
-            alo = max(0.0, slo, -shi)
-            ahi = max(-slo, shi)
-            got = g_cache[t] = pw.bounds_floats(alo, ahi)
-        return got
-
-    def panel_enclosure(u: Fraction, v: Fraction) -> Tuple[float, float]:
-        uf = t_floats(u)
-        vf = t_floats(v)
-        xlo, xhi = uf[0], vf[1]
-        s = _fi_horner(pcoef, xlo, xhi)
-        d1 = _fi_horner(dcoef, xlo, xhi)
-        # centered form f(m) + f'(X)(X - m) is much tighter on narrow
-        # panels; intersecting two valid enclosures is still valid
-        m = min(max(0.5 * (xlo + xhi), xlo), xhi)
-        fm = _fi_horner(pcoef, m, m)
-        dev = (_fdn(xlo - m), _fup(xhi - m))
-        cf_t = _fi_mul(d1, dev)
-        s = (max(s[0], _fdn(fm[0] + cf_t[0])), min(s[1], _fup(fm[1] + cf_t[1])))
-        hq = v - u
-        h = _fi(hq)
-        sa = (max(0.0, s[0], -s[1]), max(-s[0], s[1]))
-        if sa[1] <= 0.0:
-            return (0.0, 0.0)
-        if not (s[0] > 0.0 or s[1] < 0.0):
-            # straddles a root: width * range of |s|^p
-            return _fi_mul(pw.bounds_floats(sa[0], sa[1]), h)
-        gu = g_point(u, uf)
-        gv = g_point(v, vf)
-        if d1[0] > 0.0 or d1[1] < 0.0:
-            # monotone panel: the range of |s|^p is the endpoint hull
+    def panel_enclosure(coeffs: List[int], k: int, gu, gv) -> Tuple[float, float]:
+        den = L << (k * n)
+        h = _fi(gn, gn, gd << k)
+        bmin, bmax = min(coeffs), max(coeffs)
+        mig = min(abs(bmin), abs(bmax)) if bmin > 0 or bmax < 0 else 0
+        sa = _fi(mig, max(-bmin, bmax), den)
+        sa = (max(0.0, sa[0]), sa[1])
+        if sa[0] <= 0.0:
+            # straddles a root: width * range of |P|^p
+            return _fi_mul(pw.bounds_floats(0.0, sa[1]), h)
+        d1 = [y - x for x, y in zip(coeffs, coeffs[1:])]
+        d2 = [y - x for x, y in zip(d1, d1[1:])]
+        # P' = (n / h) * d1 / den and P'' = (n(n-1) / h^2) * d2 / den; a
+        # constant has no differences, a line no second ones
+        d1min, d1max = min(d1, default=0), max(d1, default=0)
+        s1, s2 = n * gd << k, n * (n - 1) * gd**2 << 2 * k
+        dp = _fi(d1min * s1, d1max * s1, gn * den)
+        ddp = _fi(min(d2, default=0) * s2, max(d2, default=0) * s2, gn**2 * den)
+        if d1min >= 0 or d1max <= 0:
+            # monotone panel: the range of |P|^p is the endpoint hull
             sap = (min(gu[0], gv[0]), max(gu[1], gv[1]))
         else:
             sap = pw.bounds_floats(sa[0], sa[1])
@@ -489,15 +473,13 @@ def _integral_abs_pow_frac(
         # trapezoid: int = h/2 (g(u) + g(v)) - h^3/12 g''(theta)
         gsum = (_fdn(gu[0] + gv[0]), _fup(gu[1] + gv[1]))
         trap = _fi_mul(gsum, (0.5 * h[0], 0.5 * h[1]))
-        d2 = _fi_horner(ddcoef, xlo, xhi)
-        # g'' = p(p-1)|s|^(p-2) s'^2 + p |s|^(p-1) s'' * sign(s); lower
-        # powers of |s| come from sap by division (sa > 0 here)
+        # g'' = p(p-1)|P|^(p-2) P'^2 + p |P|^(p-1) P'' * sign(P); lower
+        # powers of |P| come from sap by division (sa > 0 here)
         q1 = _fi_div(sap, sa)
         q2 = _fi_div(q1, sa)
-        d1sq = _fi_mul(d1, d1)
-        t1 = _fi_mul(_fi_mul(q2, d1sq), pp_fi)
-        t2 = _fi_mul(_fi_mul(q1, d2), p_fi)
-        if s[0] > 0.0:
+        t1 = _fi_mul(_fi_mul(q2, _fi_mul(dp, dp)), pp_fi)
+        t2 = _fi_mul(_fi_mul(q1, ddp), p_fi)
+        if bmin > 0:
             gpp = (_fdn(t1[0] + t2[0]), _fup(t1[1] + t2[1]))
         else:
             gpp = (_fdn(t1[0] - t2[1]), _fup(t1[1] - t2[0]))
@@ -509,45 +491,29 @@ def _integral_abs_pow_frac(
             return (max(0.0, crude[0]), crude[1])
         return (lo, hi)
 
-    heap: List[tuple] = []
-    counter = 0
-    pending = 0.0
-    tol_dn = _float_down(tol)
-
-    def push(u: Fraction, v: Fraction):
-        nonlocal counter, pending
-        lo, hi = panel_enclosure(u, v)
-        counter += 1
-        w = _fup(hi - lo)
-        pending = _fup(pending + w)
-        heapq.heappush(heap, (-w, counter, u, v, lo, hi))
-
-    push(Fraction(0), gamma)
+    stack = [(B, 0, g_at(B[0], L), g_at(B[n], L))]
+    # a tolerance past the double range asks for nothing a double can miss
+    num, den = min(tol, Fraction(2**1000)).as_integer_ratio()
+    tol_dn = _fi(num, num, den)[0]
+    lo_sum = hi_sum = 0.0
     panels = 1
-    splits = 0
-    while pending >= tol_dn:
-        neg_w, _, u, v, _, _ = heapq.heappop(heap)
-        pending = _fup(pending + neg_w)
-        mid = (u + v) / 2
-        push(u, mid)
-        push(mid, v)
+    while stack:
+        coeffs, k, gu, gv = stack.pop()
+        lo, hi = panel_enclosure(coeffs, k, gu, gv)
+        share = math.ldexp(tol_dn, -k)
+        if hi - lo <= share:
+            lo_sum = _fdn(lo_sum + lo)
+            hi_sum = _fup(hi_sum + hi)
+            continue
         panels += 2
-        if panels > _MAX_PANELS:
+        if panels > _MAX_PANELS or share == 0.0:
             raise ToleranceUnreachable(
-                f"fractional-power quadrature exceeded {_MAX_PANELS} panels at tol={tol}"
+                f"fractional-power quadrature cannot reach tol={tol} in {_MAX_PANELS} panels"
             )
-        splits += 1
-        if splits % 2048 == 0:
-            # the running total accrues one ulp of drift per update;
-            # re-sum so the drift cannot stall the stopping test
-            pending = 0.0
-            for item in heap:
-                pending = _fup(pending + _fup(item[5] - item[4]))
-    lo_sum = 0.0
-    hi_sum = 0.0
-    for item in heap:
-        lo_sum = _fdn(lo_sum + item[4])
-        hi_sum = _fup(hi_sum + item[5])
+        left, right = _split(coeffs)
+        gm = g_at(left[n], L << ((k + 1) * n))
+        stack.append((right, k + 1, gm, gv))
+        stack.append((left, k + 1, gu, gm))
     return BoundInterval(max(Fraction(0), Fraction(lo_sum)), Fraction(hi_sum))
 
 

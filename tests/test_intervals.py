@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from chaoslab.errors import DomainError
@@ -155,6 +156,17 @@ def test_power_fn_monotone_on_nonnegative():
         box = f(BoundInterval(lo, hi))
         inner = f(BoundInterval(lo + (hi - lo) / 3, hi - (hi - lo) / 3))
         assert box.encloses(inner)
+
+
+def test_power_leaves_the_shared_mpmath_context_alone(monkeypatch):
+    monkeypatch.setattr(mpmath, "iv", None)
+    root2 = power(2, Fraction(1, 2))
+    assert root2.lo**2 <= 2 <= root2.hi**2
+    assert root2.width < Fraction(1, 10**30)
+
+
+def test_power_floats_keep_an_infinite_upper_end():
+    assert PowerFn(Fraction(3, 2)).bounds_floats(1.0, math.inf) == (1.0, math.inf)
 
 
 def test_working_precision_env(monkeypatch):

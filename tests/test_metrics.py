@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoslab.coeffspace import (
     EventuallyPeriodic,
@@ -144,6 +147,52 @@ def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
     huge = series(EventuallyPeriodic((), (Fraction(10**400),)))
     with pytest.raises(ToleranceUnreachable, match="double range"):
         rho_p(huge, series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(10**394))
+
+
+def _lp_norm_oracle(coeffs, gamma, p):
+    """mpmath 40-digit ||sum_n a_n t^n / n!||_p on [0, gamma], integrated
+    piecewise between the real roots inside the window."""
+    with mpmath.workdps(40):
+        mono = [mpmath.mpf(c.numerator) / c.denominator / mpmath.factorial(n)
+                for n, c in enumerate(coeffs)]
+        while len(mono) > 1 and mono[-1] == 0:
+            mono.pop()
+        g = mpmath.mpf(gamma.numerator) / gamma.denominator
+        pm = mpmath.mpf(p.numerator) / p.denominator
+        cuts = [mpmath.mpf(0), g]
+        if len(mono) > 1:
+            roots = mpmath.polyroots(mono[::-1], maxsteps=200, extraprec=200)
+            cuts += [mpmath.re(r) for r in roots
+                     if abs(mpmath.im(r)) < 1e-10 and 0 < mpmath.re(r) < g]
+        value = mpmath.quad(lambda t: abs(mpmath.polyval(mono[::-1], t)) ** pm, sorted(cuts))
+        return value ** (1 / pm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=7),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+    st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(5, 2)]),
+)
+@example([Fraction(3)], Fraction(1), Fraction(3, 2))  # a constant: no differences
+@example([Fraction(-1), Fraction(2)], Fraction(2), Fraction(4, 3))  # a line through 1/2
+def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
+    tol = Fraction(1, 10**6)
+    box = series_norm(series(FiniteSupport(tuple(coeffs)), gamma), LpSpec(p, gamma), tol)
+    assert box.width < tol
+    value = _lp_norm_oracle(coeffs, gamma, p)
+    margin = mpmath.mpf(10) ** -25
+    with mpmath.workdps(40):
+        lo = mpmath.mpf(box.lo.numerator) / box.lo.denominator
+        hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
+        assert lo - margin <= value <= hi + margin
+
+
+def test_rho_p_fractional_exponent_with_a_tolerance_past_the_double_range():
+    # ||1 + 2t||_{3/2} on [0, 1] = ((3^(5/2) - 1) / 5)^(2/3) = 2.04175...
+    box = rho_p(series(FiniteSupport((1, 2))), series(ZEROS), LpSpec(Fraction(3, 2), 1),
+                Fraction(10**400))
+    assert box.lo < Fraction(2041, 1000) and Fraction(2042, 1000) < box.hi
 
 
 def test_rho_p_trivial_and_domain_checks():
