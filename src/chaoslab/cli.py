@@ -21,13 +21,13 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from . import conjugacy, sampling, tailmath, verify
+from . import tailmath, verify
 from .coeffspace import (
     Alphabet,
     CoeffSeq,
-    FiniteSupport,
     Polynomial,
     SeriesFn,
+    as_preamble_period,
     from_json,
     to_payload,
 )
@@ -49,8 +49,6 @@ from .errors import (
 )
 from .intervals import BoundInterval
 from .metrics import DEFAULT_TOL, LpSpec, rho_p
-
-ISOMETRY_WIDTH = Fraction(1, 10**12)
 
 EXIT_CODES = {ConfigError: 2, DomainError: 2, InfeasibleTolerance: 3,
               ToleranceUnreachable: 3, CertificationFailure: 4}
@@ -118,22 +116,15 @@ def _bare_seq(obj: Union[CoeffSeq, SeriesFn]) -> CoeffSeq:
 
 
 def _infer_alphabet(streams: Sequence[CoeffSeq]) -> Alphabet:
-    values = set()
-    for s in streams:
-        vs = s.value_set()
-        if vs is None:
-            raise ConfigError(
-                "cannot infer a finite alphabet from the inputs; pass --alphabet"
-            )
-        values |= vs
+    values = frozenset().union(*(s.value_set() for s in streams))
     return Alphabet(tuple(sorted(values)))
 
 
 def _polynomial(obj: Union[CoeffSeq, SeriesFn], path: str) -> Polynomial:
-    seq = _bare_seq(obj)
-    if not isinstance(seq, FiniteSupport):
-        raise ConfigError(f'{path} must be a "finite" kind sequence')
-    return Polynomial(seq.coeffs)
+    layout = as_preamble_period(_bare_seq(obj))
+    if layout is None or layout[1] != (0,):
+        raise ConfigError(f'{path} must have finite support ("finite", or period ["0"])')
+    return Polynomial(layout[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +231,9 @@ def _cmd_conjugacy_check(args) -> int:
     gamma = _parse_positive(args.gamma, "--gamma")
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    rng = sampling.make_rng(args.seed)
-    failures = []
-    for trial in range(args.trials):
-        stream = sampling.random_binary_stream(rng)
-        partner = sampling.random_binary_stream(rng)
-        report = conjugacy.check_commuting_square(
-            stream, gamma, window=args.window, partner=partner
-        )
-        widths_ok = (
-            report.isometry_d_E.width < ISOMETRY_WIDTH
-            and report.isometry_weighted.width < ISOMETRY_WIDTH
-        )
-        if not (report.passed and widths_ok):
-            failures.append(
-                {
-                    "trial": trial,
-                    "stream": to_payload(stream),
-                    "partner": to_payload(partner),
-                    "mismatches": list(report.mismatches),
-                    "isometry_d_E": _iv(report.isometry_d_E),
-                    "isometry_weighted": _iv(report.isometry_weighted),
-                }
-            )
-    _emit(_dumps({"trials": args.trials, "failures": failures}), args.out)
-    return 0 if not failures else 1
+    res = verify.check_commuting_squares((gamma,), args.seed, args.trials, args.window)
+    _emit(_dumps({"trials": res.trials, "failures": list(res.failures)}), args.out)
+    return 0 if res.passed else 1
 
 
 def _cmd_approx_periodic(args) -> int:
@@ -335,12 +304,7 @@ def _cmd_ef_approx(args) -> int:
     spec = LpSpec(_parse_p(args.p), gamma)
     poly = _polynomial(_load_seq(args.f), args.f)
     alphabet, member = ef_approximation(poly, gamma, spec, eps)
-    rho = rho_p(
-        SeriesFn(member, gamma),
-        SeriesFn(FiniteSupport(poly.coeffs_taylor), gamma),
-        spec,
-        eps / 16,
-    )
+    rho = rho_p(SeriesFn(member, gamma), poly.as_series(gamma), spec, eps / 16)
     payload = {
         "alphabet": [str(v) for v in alphabet.values],
         "member": to_payload(member),

@@ -4,22 +4,25 @@ A function on [origin, origin + gamma] is stored through its scaled
 Taylor coefficients: f(x) = sum_n a_n (x - origin)^n / n!.  In this
 normalization differentiation is literally the left shift
 (a_0, a_1, ...) -> (a_1, a_2, ...), which is the whole point of the
-library.  Three tail disciplines are representable, and each is closed
-under shifting:
+library.  Two stream kinds are representable, and each is closed under
+shifting:
 
-* FiniteSupport: finitely many nonzero coefficients (polynomials; the
-  Polynomial class adds evaluation and products).
 * EventuallyPeriodic: a finite preamble followed by a repeating block.
   Construction normalizes to the minimal period and minimal preamble,
   so structural equality decides mathematical equality within the kind.
+  Finite support is the period (0): FiniteSupport(coeffs) builds that
+  stream (a polynomial; the Polynomial class adds evaluation and
+  products).
 * WordEnumeration: the concatenation of every finite word over a finite
   alphabet, ordered by length then lexicographically (in alphabet
   order).  Shifting is O(1) by bumping a start offset.
 
-difference(a, b) is the one place two tail layouts are aligned: when
-both tails are eventually periodic it returns a - b as one normalized
-EventuallyPeriodic, so same_stream asks whether that is the zero stream
-and the pairwise metrics read their coefficients and sup from it.
+difference(a, b) is the one place two tail layouts are aligned and
+always returns the stream a - b: when both tails are eventually
+periodic, one normalized EventuallyPeriodic; otherwise a reader that
+subtracts index by index, whose sup_abs() bounds sup|a_n| + sup|b_n|.
+same_stream asks whether its sup is 0, and the pairwise metrics read
+their coefficients and sup from it.
 
 truncate is the one place a certified series quantity is cut: an
 eventually-zero stream keeps its support and its tail is exactly 0;
@@ -28,7 +31,7 @@ caller-supplied tail bound clears the caller's budget.
 
 All coefficient values are exact `fractions.Fraction`s.  Sequences with
 coefficients drawn from a finite alphabet F live in the closed set E_F;
-membership is decidable for all three kinds.
+membership is decidable for both kinds.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class Alphabet:
     def index(self, value) -> int:
         return self.values.index(as_fraction(value))
 
-    def is_subset_of(self, other: "Alphabet") -> bool:
-        return set(self.values) <= set(other.values)
-
     def union(self, extra: Iterable) -> "Alphabet":
         """Alphabet extended by new values, original order first."""
         vals = list(self.values)
@@ -106,7 +106,7 @@ def _as_coeff_tuple(values: Iterable) -> Tuple[Fraction, ...]:
 
 
 class CoeffSeq:
-    """Common interface of the three sequence kinds (do not instantiate)."""
+    """Common interface of the sequence kinds (do not instantiate)."""
 
     def coeff(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -121,55 +121,18 @@ class CoeffSeq:
         """Exact sup of |a_n| over all n."""
         raise NotImplementedError
 
-    def value_set(self) -> Optional[frozenset]:
-        """The set of values the sequence takes, when finite and known."""
+    def value_set(self) -> frozenset:
+        """The set of values the sequence takes."""
         raise NotImplementedError
 
     def in_EF(self, alphabet: Alphabet) -> bool:
-        vals = self.value_set()
-        if vals is None:
-            raise DomainError("cannot decide membership for this sequence")
-        allowed = set(alphabet.values)
-        return vals <= allowed
+        return self.value_set() <= set(alphabet.values)
 
     def shifted(self, times: int) -> "CoeffSeq":
         s = self
         for _ in range(times):
             s = s.shift()
         return s
-
-
-@dataclass(frozen=True)
-class FiniteSupport(CoeffSeq):
-    """Sequence with finitely many nonzero entries; trailing zeros stripped."""
-
-    coeffs: Tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        vals = _as_coeff_tuple(self.coeffs)
-        while vals and vals[-1] == 0:
-            vals = vals[:-1]
-        object.__setattr__(self, "coeffs", vals)
-
-    def coeff(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError("negative index")
-        return self.coeffs[n] if n < len(self.coeffs) else Fraction(0)
-
-    def shift(self) -> "FiniteSupport":
-        return FiniteSupport(self.coeffs[1:])
-
-    def sup_abs(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
-
-    def value_set(self) -> frozenset:
-        # every finite-support sequence takes the value 0 infinitely often
-        return frozenset(self.coeffs) | {Fraction(0)}
-
-    @property
-    def degree(self) -> int:
-        """Largest index with a nonzero coefficient; -1 for the zero sequence."""
-        return len(self.coeffs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +292,11 @@ class EventuallyPeriodic(CoeffSeq):
         return not self.preamble
 
 
+def FiniteSupport(coeffs: Iterable = ()) -> EventuallyPeriodic:
+    """The finitely supported stream coeffs, 0, 0, ...: period (0)."""
+    return EventuallyPeriodic(tuple(coeffs), (Fraction(0),))
+
+
 @dataclass(frozen=True)
 class WordEnumeration(CoeffSeq):
     """Concatenation of all words over an alphabet, length-then-lex order.
@@ -407,13 +375,9 @@ def shift(s: CoeffSeq) -> CoeffSeq:
 def as_preamble_period(s: CoeffSeq) -> Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
     """(preamble, period) of an eventually periodic stream, else None.
 
-    FiniteSupport is the period-(0) case (its trailing zeros are already
-    stripped, so the pair is normalized).  A WordEnumeration over a
-    single symbol is the constant stream; over two or more it is never
-    eventually periodic.
+    A WordEnumeration over a single symbol is the constant stream; over
+    two or more it is never eventually periodic.
     """
-    if isinstance(s, FiniteSupport):
-        return s.coeffs, (Fraction(0),)
     if isinstance(s, EventuallyPeriodic):
         return s.preamble, s.period
     if isinstance(s, WordEnumeration) and len(s.alphabet) == 1:
@@ -427,16 +391,37 @@ def _unrolled(pre: Tuple[Fraction, ...], per: Tuple[Fraction, ...], n: int) -> l
     return (list(pre) + list(per) * reps)[:n]
 
 
-def difference(a: CoeffSeq, b: CoeffSeq) -> Optional[EventuallyPeriodic]:
-    """The stream a - b, normalized, when both tails are eventually periodic.
+@dataclass(frozen=True)
+class _Pointwise(CoeffSeq):
+    """a - b read index by index, for a pair with no eventually periodic
+    difference (a WordEnumeration over two or more symbols)."""
 
-    The two layouts are aligned once: past the longer preamble, a - b
-    repeats with the lcm of the two periods.  None when either stream is
-    a WordEnumeration over two or more symbols.
+    a: CoeffSeq
+    b: CoeffSeq
+
+    def coeff(self, n: int) -> Fraction:
+        return self.a.coeff(n) - self.b.coeff(n)
+
+    def sup_abs(self) -> Fraction:
+        """An upper bound, exact only when a == b."""
+        if self.a == self.b:
+            return Fraction(0)
+        return self.a.sup_abs() + self.b.sup_abs()
+
+
+def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
+    """The stream a - b.
+
+    When both tails are eventually periodic the two layouts are aligned
+    once: past the longer preamble, a - b repeats with the lcm of the two
+    periods, and the result is one normalized EventuallyPeriodic.  When
+    either stream is a WordEnumeration over two or more symbols, a - b is
+    read index by index and its sup_abs() is sup|a_n| + sup|b_n| (0 when
+    a == b).
     """
     pa, pb = as_preamble_period(a), as_preamble_period(b)
     if pa is None or pb is None:
-        return None
+        return _Pointwise(a, b)
     s = max(len(pa[0]), len(pb[0]))
     n = s + math.lcm(len(pa[1]), len(pb[1]))
     diffs = [x - y for x, y in zip(_unrolled(*pa, n), _unrolled(*pb, n))]
@@ -463,11 +448,8 @@ def truncate(s: CoeffSeq, tail_at: Callable[[int], Fraction], budget, what: str,
 
 def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
     """Decidable equality of the underlying coefficient streams: their
-    difference is the zero stream, or, without one, structural equality."""
-    d = difference(a, b)
-    if d is None:
-        return a == b
-    return not d.preamble and d.period == (0,)
+    difference has sup 0."""
+    return difference(a, b).sup_abs() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +531,9 @@ def _parse_frac(text) -> Fraction:
 
 
 def seq_to_payload(s: CoeffSeq) -> dict:
-    if isinstance(s, FiniteSupport):
-        return {"kind": "finite", "preamble": _frac_list(s.coeffs)}
     if isinstance(s, EventuallyPeriodic):
+        if s.period == (0,):
+            return {"kind": "finite", "preamble": _frac_list(s.preamble)}
         return {
             "kind": "periodic",
             "preamble": _frac_list(s.preamble),

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 from . import tailmath
 from .coeffspace import (
+    BINARY,
     CoeffSeq,
     EventuallyPeriodic,
     SeriesFn,
@@ -37,8 +38,6 @@ from .metrics import (
     weighted_product_metric,
 )
 
-_BINARY_VALUES = frozenset({Fraction(0), Fraction(1)})
-
 
 def iota(a: CoeffSeq, gamma) -> SeriesFn:
     """Embed a {0,1} coefficient stream as a series function on [0, gamma].
@@ -46,9 +45,8 @@ def iota(a: CoeffSeq, gamma) -> SeriesFn:
     The inverse direction is trivial (read .coeffs back off), which is
     what makes the embedding a bijection onto its image.
     """
-    values = a.value_set()
-    if values is None or not values <= _BINARY_VALUES:
-        raise DomainError(f"iota needs {{0,1}} coefficients, got values {values}")
+    if not a.in_EF(BINARY):
+        raise DomainError(f"iota needs {{0,1}} coefficients, got values {a.value_set()}")
     return SeriesFn(a, as_fraction(gamma))
 
 
@@ -106,7 +104,7 @@ def check_commuting_square(
     tail_matches = same_stream(via_shift.coeffs, via_deriv.coeffs)
     if partner is None:
         return CommutingSquareReport(gq, window, mismatches, tail_matches)
-    if partner.value_set() is None or not partner.value_set() <= _BINARY_VALUES:
+    if not partner.in_EF(BINARY):
         raise DomainError("isometry partner must have {0,1} coefficients")
     de = d_E(a, partner, tol=tol)
     wm = weighted_product_metric(a, partner, FACTORIAL_WEIGHTS, tol=tol)
@@ -203,8 +201,7 @@ def nearby_distinct_point(a: CoeffSeq, delta, spec: LpSpec) -> NearbyPointReport
     shape = as_preamble_period(a)
     if shape is None:
         raise DomainError("can only flip an eventually periodic stream")
-    values = a.value_set()
-    if values is None or not values <= _BINARY_VALUES:
+    if not a.in_EF(BINARY):
         raise DomainError("nearby_distinct_point needs {0,1} coefficients")
     factor = spec.gamma_pow_inv_p()
     n = tailmath.least_index(

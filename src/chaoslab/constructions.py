@@ -298,7 +298,7 @@ def ensure_two_coeff_values(P: Polynomial, eps) -> Polynomial:
 
 def ef_approximation(
     f_poly: Polynomial, gamma, spec: LpSpec, eps
-) -> Tuple[Alphabet, FiniteSupport]:
+) -> Tuple[Alphabet, EventuallyPeriodic]:
     """A finite alphabet F and a member of its family representing f_poly.
 
     The member's coefficient stream is f_poly's own Taylor tuple (after
@@ -324,7 +324,7 @@ def ef_approximation(
 class FiltrationStep:
     index: int
     alphabet: Alphabet
-    member: FiniteSupport
+    member: EventuallyPeriodic  # finite support: period (0)
 
 
 def filtration(f_polys: Sequence[Polynomial]) -> Tuple[FiltrationStep, ...]:

@@ -12,12 +12,13 @@ Four distances appear throughout:
   origin + gamma], p in [1, inf].
 
 Everything returns a BoundInterval that provably contains the true
-value.  Each distance depends on a and b only through a - b, which it
-reads from coeffspace.difference(a, b), worked out once per call: its
-coefficients, its exact sup, and its period (d_lambda sums it in closed
-form).  Only when a tail is not eventually periodic (a WordEnumeration
-over two or more symbols) are coefficients subtracted index by index
-and the sup bounded by sup|a_n| + sup|b_n|.
+value.  Each distance depends on a and b only through the stream
+d = coeffspace.difference(a, b), worked out once per call: its
+coefficients, d.sup_abs() and, when d is eventually periodic, its
+period (d_lambda sums it in closed form).  When a tail is not
+eventually periodic (a WordEnumeration over two or more symbols), d
+subtracts coefficients index by index and d.sup_abs() is the bound
+sup|a_n| + sup|b_n|; otherwise d.sup_abs() is exact.
 
 Every series cut is coeffspace.truncate: when a - b has finite support
 it keeps that support and the tail is exactly 0; otherwise it keeps the
@@ -53,13 +54,14 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 from . import tailmath
 from .coeffspace import (
     BINARY,
     CoeffSeq,
     EventuallyPeriodic,
+    FiniteSupport,
     Polynomial,
     SeriesFn,
     difference,
@@ -114,38 +116,8 @@ class LpSpec:
 # sequence-space metrics
 
 
-@dataclass(frozen=True)
-class _Pointwise(CoeffSeq):
-    """a - b read index by index, for a pair with no eventually periodic
-    difference (a WordEnumeration over two or more symbols)."""
-
-    a: CoeffSeq
-    b: CoeffSeq
-
-    def coeff(self, n: int) -> Fraction:
-        return self.a.coeff(n) - self.b.coeff(n)
-
-
-class _Diff(NamedTuple):
-    """a - b as one pairwise metric reads it, worked out once per call."""
-
-    coeffs: CoeffSeq  # coeffspace.difference(a, b), else a _Pointwise reader
-    sup: Fraction  # upper bound on sup_n |a_n - b_n|, exact for a difference
-
-
-def _diff(a: CoeffSeq, b: CoeffSeq) -> _Diff:
-    d = difference(a, b)
-    if d is not None:
-        return _Diff(d, d.sup_abs())
-    return _Diff(_Pointwise(a, b), Fraction(0) if a == b else a.sup_abs() + b.sup_abs())
-
-
 def _require_binary(s: CoeffSeq, name: str) -> None:
-    try:
-        ok = s.in_EF(BINARY)
-    except DomainError:
-        ok = False
-    if not ok:
+    if not s.in_EF(BINARY):
         raise DomainError(f"{name} must have coefficients in {{0, 1}}")
 
 
@@ -175,7 +147,7 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    d = _diff(x, y).coeffs
+    d = difference(x, y)
     if isinstance(d, EventuallyPeriodic):
         return BoundInterval.exact(
             _geometric_block_sum([abs(c) for c in d.preamble], [abs(c) for c in d.period])
@@ -183,12 +155,6 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
     kept, tail = truncate(d, lambda n: Fraction(2, 2**n), tolq, f"2^(1-K) < {tolq}", 4, 4)
     partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(kept))
     return BoundInterval(partial, partial + tail)
-
-
-def diff_sup_abs(a: CoeffSeq, b: CoeffSeq) -> Fraction:
-    """Certified upper bound for sup_n |a_n - b_n|; exact when both
-    sequences have eventually periodic tails."""
-    return _diff(a, b).sup
 
 
 def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
@@ -201,8 +167,9 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    diff = _diff(a, b)
-    kept, tail = truncate(diff.coeffs, lambda n: diff.sup * tailmath.eta(n + 1).hi,
+    d = difference(a, b)
+    sup = d.sup_abs()
+    kept, tail = truncate(d, lambda n: sup * tailmath.eta(n + 1).hi,
                           tolq / 2, f"the d_E tail below {tolq}", 9, 8)
     fact = 1
     partial = Fraction(0)
@@ -250,15 +217,16 @@ def weighted_product_metric(
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    diff = _diff(x, y)
+    d = difference(x, y)
+    sup = d.sup_abs()
 
     def tail_at(n: int) -> Fraction:
-        tail = weights.tail_majorant(n, diff.sup)
+        tail = weights.tail_majorant(n, sup)
         if tail < 0:
             raise DomainError("tail majorant must be nonnegative")
         return tail
 
-    kept, tail = truncate(diff.coeffs, tail_at, tolq / 2,
+    kept, tail = truncate(d, tail_at, tolq / 2,
                           f"the weighted tail below {tolq}", 8, 8)
     partial = sum(weights.factor(i) * abs(c) / 2**i for i, c in enumerate(kept))
     return BoundInterval(partial, partial + tail)
@@ -427,8 +395,12 @@ def _integral_abs_pow_frac(
     |P|^p is tiny near its roots).  Refinement is depth first: a panel
     is kept once its width is at most its share tol * h / gamma, so only
     the current path holds coefficient lists.  The double bookkeeping
-    floors the reachable tolerance near 1e-14 * integral, far below
-    anything the callers request.
+    floors the reachable tolerance near 1e-12 * integral (ones against
+    zero at p = 3/2, gamma 1: rho_p reaches tol 1e-11, not 1e-12), far
+    below anything the callers request.  A panel that must split while
+    its width is within 2^-42 of its value raises ToleranceUnreachable
+    at once: a panel's own rounding leaves a width near 2^-47 of its
+    value, and that width halves with h just as the share does.
     """
     if poly.is_zero():
         return BoundInterval.exact(0)
@@ -506,6 +478,13 @@ def _integral_abs_pow_frac(
             hi_sum = _fup(hi_sum + hi)
             continue
         panels += 2
+        if hi - lo <= math.ldexp(hi, -42):
+            # rounding is all that is left, and it halves with h just as
+            # the share does, so no refinement meets the share
+            raise ToleranceUnreachable(
+                f"fractional-power quadrature cannot reach tol={tol}: "
+                "a panel is down to its double rounding floor"
+            )
         if panels > _MAX_PANELS or share == 0.0:
             raise ToleranceUnreachable(
                 f"fractional-power quadrature cannot reach tol={tol} in {_MAX_PANELS} panels"
@@ -557,12 +536,13 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    diff = _diff(f.coeffs, g.coeffs)
+    d = difference(f.coeffs, g.coeffs)
+    sup = d.sup_abs()
     gp = spec.gamma_pow_inv_p()
     # steps of 8 overshoot the least cutoff, which keeps the slack well
     # under tol/4 and the enclosure narrower than the tolerance asks
     kept, tail_slack = truncate(
-        diff.coeffs, lambda n: diff.sup * tailmath.zeta(spec.gamma, n).hi * gp.hi,
+        d, lambda n: sup * tailmath.zeta(spec.gamma, n).hi * gp.hi,
         tolq / 4, f"the rho_p tail below {tolq}", 9, 8)
     norm = _norm_of_poly(Polynomial(kept), spec, tolq / 2)
     lo = norm.lo - tail_slack
@@ -585,10 +565,11 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
-    diff = _diff(f.coeffs, g.coeffs)
+    d = difference(f.coeffs, g.coeffs)
+    sup = d.sup_abs()
     gamma = f.gamma
     # an infinite budget makes the cut the first index searched
-    kept, tail = truncate(diff.coeffs, lambda n: diff.sup * tailmath.zeta(gamma, n).hi,
+    kept, tail = truncate(d, lambda n: sup * tailmath.zeta(gamma, n).hi,
                           math.inf, "the rho_1 lower-bound tail", _RHO1_TERMS)
     anti = Polynomial(kept).antiderivative()
     total = Fraction(0)
@@ -602,8 +583,6 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
 
 def series_norm(f: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:
     """Certified ||f||_p, i.e. rho_p against the zero function."""
-    from .coeffspace import FiniteSupport
-
     zero = SeriesFn(FiniteSupport(()), f.gamma, f.origin)
     return rho_p(f, zero, spec, tol)
 

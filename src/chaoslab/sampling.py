@@ -13,14 +13,13 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, FiniteSupport, Polynomial, SeriesFn
+from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, Polynomial
 
 __all__ = [
     "make_rng",
     "random_alphabet",
     "random_stream",
     "random_binary_stream",
-    "random_finite_support",
     "random_polynomial",
     "difference_streams",
     "first_nonzero_index",
@@ -72,24 +71,12 @@ def random_binary_stream(
     return random_stream(rng, BINARY, pre_max, per_max)
 
 
-def random_finite_support(
-    rng: random.Random,
-    degree_max: int = 8,
-    pool: Sequence[Fraction] = VALUE_POOL,
-) -> FiniteSupport:
-    n = rng.randint(0, degree_max)
-    return FiniteSupport(tuple(rng.choice(list(pool)) for _ in range(n + 1)))
-
-
 def random_polynomial(
-    rng: random.Random,
-    degree_max: int = 6,
-    pool: Sequence[Fraction] = VALUE_POOL,
-    nonzero: bool = False,
+    rng: random.Random, degree_max: int = 6, nonzero: bool = False
 ) -> Polynomial:
     while True:
         n = rng.randint(0, degree_max)
-        coeffs = tuple(rng.choice(list(pool)) for _ in range(n + 1))
+        coeffs = tuple(rng.choice(VALUE_POOL) for _ in range(n + 1))
         poly = Polynomial(coeffs)
         if not (nonzero and poly.is_zero()):
             return poly
@@ -126,7 +113,6 @@ def difference_streams(
     values: Sequence[Fraction],
     pre_max: int,
     per_max: int,
-    drop_zero: bool = True,
 ) -> Tuple[EventuallyPeriodic, ...]:
     """Streams over a difference-value set, up to sign and normalization.
 
@@ -144,9 +130,8 @@ def difference_streams(
                     s = EventuallyPeriodic(pre, per)
                     j = first_nonzero_index(s)
                     if j is None:
-                        if drop_zero:
-                            continue
-                    elif s.coeff(j) < 0:
+                        continue
+                    if s.coeff(j) < 0:
                         s = _negate(s)
                     seen.setdefault(s, None)
     return tuple(seen)

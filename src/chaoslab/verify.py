@@ -77,7 +77,6 @@ from .sampling import (
     make_rng,
     random_alphabet,
     random_binary_stream,
-    random_finite_support,
     random_polynomial,
     random_stream,
 )
@@ -426,7 +425,7 @@ def check_lp_norm_comparison(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 2
 
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        f = SeriesFn(random_finite_support(rng, 6), g)
+        f = random_polynomial(rng, 6).as_series(g)
         p, q = rng.sample(exponents, 2)
         if inv(p) < inv(q):
             p, q = q, p
@@ -897,7 +896,7 @@ def check_polynomial_membership(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
             done += 1
             alphabet, member = ef_approximation(poly, g, spec, eps)
             in_family = member.in_EF(alphabet)
-            if tuple(member.coeffs) == poly.coeffs_taylor:
+            if member.preamble == poly.coeffs_taylor:
                 close = True
                 rho = None
             else:
@@ -929,7 +928,7 @@ def check_filtration_nesting(gammas=_CORE_GAMMAS, seed: int = 0, steps: int = 10
         nested = previous is None or set(previous.values) <= set(step.alphabet.values)
         previous = step.alphabet
         member_fn = SeriesFn(step.member, g)
-        if tuple(step.member.coeffs) == poly.coeffs_taylor:
+        if step.member.preamble == poly.coeffs_taylor:
             close = True
         else:
             rho = rho_p(poly.as_series(g), member_fn, spec,
@@ -980,8 +979,9 @@ def check_sensitivity(gammas=_SENS_GAMMAS, seed: int = 0, random_targets: int = 
     rng = make_rng(seed)
     failures: List[dict] = []
     trials = 0
-    targets: List[FiniteSupport] = [FiniteSupport(())]
-    targets += [random_finite_support(rng, 5) for _ in range(random_targets)]
+    targets = [FiniteSupport(())]
+    targets += [FiniteSupport(random_polynomial(rng, 5).coeffs_taylor)
+                for _ in range(random_targets)]
     for g in gammas:
         g = as_fraction(g)
         for target in targets:

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,32 @@ def test_ef_approx_augments_zero_polynomial(capsys, tmp_path):
     assert Fraction(payload["rho"]["hi"]) < Fraction(1, 2)
 
 
+def test_ef_approx_accepts_a_zero_period(capsys, tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"kind": "periodic", "preamble": ["0", "1"], "period": ["0"]}),
+                    encoding="utf-8")
+    code, out, _ = _run(capsys, ["ef-approx", "--gamma", "1", "--eps", "1/2", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["alphabet"] == ["0", "1"]
+    assert from_json(json.dumps(payload["member"])) == FiniteSupport((0, 1))
+    assert payload["member"]["kind"] == "finite"
+
+    ones = _write(tmp_path, "ones.json", ONES)
+    code, _, err = _run(capsys, ["ef-approx", "--gamma", "1", "--eps", "1/2", ones])
+    assert code == 2 and "finite support" in err
+
+
+def test_conjugacy_check_runs_the_verify_squares(capsys):
+    code, out, _ = _run(capsys, ["conjugacy-check", "--gamma", "1", "--trials", "6",
+                                 "--window", "16"])
+    assert code == 0
+    assert out == '{"failures": [],"trials": 6}\n'
+
+    code, out, err = _run(capsys, ["conjugacy-check", "--gamma", "1", "--trials", "0"])
+    assert code == 2 and out == "" and "--trials" in err
+
+
 def test_filtration_steps_nest(capsys, tmp_path):
     f0 = _write(tmp_path, "zero.json", ZEROS)
     f1 = _write(tmp_path, "x.json", FiniteSupport((0, 1)))
@@ -232,6 +259,16 @@ def test_fractional_metric_past_the_double_range_exits_three(capsys, tmp_path):
     code, out, err = _run(capsys, ["metric", "--p", "3/2", "--gamma", "1", huge, zeros])
     assert code == 3 and out == ""
     assert "chaos-lab:" in err and "double range" in err
+
+
+def test_fractional_metric_below_the_rounding_floor_exits_three_at_once(capsys, tmp_path):
+    ones = _write(tmp_path, "ones.json", ONES)
+    zeros = _write(tmp_path, "zeros.json", ZEROS)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["metric", "--p", "3/2", "--gamma", "1", "--tol", "1e-14",
+                                   ones, zeros])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == "" and "rounding floor" in err
 
 
 def test_exit_code_two_on_bad_input(capsys, tmp_path):

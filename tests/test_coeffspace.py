@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -37,7 +38,6 @@ def test_alphabet_basics():
     assert F.diameter == Fraction(5, 2)
     assert Fraction(1) in F and Fraction(1, 3) not in F
     assert F.index(Fraction(5, 2)) == 2
-    assert Alphabet((0, 1)).is_subset_of(F)
     with pytest.raises(DomainError):
         Alphabet(())
     with pytest.raises(DomainError):
@@ -52,9 +52,17 @@ def test_coeff_indexing():
 
 
 def test_finite_support_normalization():
-    assert FiniteSupport((1, 0, 3, 0, 0)).coeffs == (1, 0, 3)
-    assert FiniteSupport((0, 0)).coeffs == ()
+    assert FiniteSupport((1, 0, 3, 0, 0)) == EventuallyPeriodic((1, 0, 3), (0,))
+    assert FiniteSupport((0, 0)).preamble == ()
     assert ZEROS.sup_abs() == 0
+
+
+def test_finite_support_is_the_zero_period():
+    # one stream kind: equality and hashing agree with same_stream
+    a, b = FiniteSupport((1, 2)), EventuallyPeriodic((1, 2), (0,))
+    assert a == b and hash(a) == hash(b)
+    assert same_stream(a, b)
+    assert isinstance(FiniteSupport(()), EventuallyPeriodic)
 
 
 def test_periodic_normalization_minimal():
@@ -208,6 +216,15 @@ def test_json_wire_format_strings():
     f = SeriesFn(FiniteSupport((1,)), 2)
     payload = to_payload(f)
     assert payload["gamma"] == "2" and payload["origin"] == "0"
+
+
+def test_json_zero_period_is_finite():
+    s = EventuallyPeriodic((1,), (0,))
+    text = to_json(s)
+    assert json.loads(text) == {"kind": "finite", "preamble": ["1"]}
+    assert from_json(text) == s
+    periodic = {"kind": "periodic", "preamble": ["1"], "period": ["0"]}
+    assert from_payload(periodic) == s
 
 
 def test_json_malformed_rejected():

@@ -19,7 +19,7 @@ from chaoslab.coeffspace import (
     evaluate,
     same_stream,
 )
-from chaoslab.metrics import FACTORIAL_WEIGHTS, d_E, d_lambda, diff_sup_abs, weighted_product_metric
+from chaoslab.metrics import FACTORIAL_WEIGHTS, d_E, d_lambda, weighted_product_metric
 
 TOL = Fraction(1, 10**6)
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -59,7 +59,7 @@ def test_difference_reads_a_minus_b(pair):
     entries = brute_force(a, b)
     assert [d.coeff(i) for i in range(len(entries))] == entries
     assert same_stream(a, b) == (not any(entries))
-    assert diff_sup_abs(a, b) == max(abs(c) for c in entries)
+    assert d.sup_abs() == max(abs(c) for c in entries)
 
 
 @PROPERTY
@@ -106,5 +106,9 @@ def test_finite_support_difference_sums_exactly(pair):
 @given(small)
 def test_two_letter_enumeration_has_no_difference(s):
     word = WordEnumeration(Alphabet((0, 1)))
-    assert difference(word, s) is None
-    assert difference(s, word) is None
+    # no eventually periodic difference: read index by index, sup bounded
+    for d, sign in ((difference(word, s), 1), (difference(s, word), -1)):
+        assert not isinstance(d, EventuallyPeriodic)
+        assert [d.coeff(i) for i in range(12)] == [
+            sign * (word.coeff(i) - s.coeff(i)) for i in range(12)]
+        assert d.sup_abs() == 1 + s.sup_abs()

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from chaoslab.coeffspace import (
     EventuallyPeriodic,
+    difference,
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
@@ -23,7 +25,6 @@ from chaoslab.metrics import (
     continuity_delta_l1,
     d_E,
     d_lambda,
-    diff_sup_abs,
     holder_compare,
     rho_1_lower_bound,
     rho_p,
@@ -95,9 +96,13 @@ def test_d_E_cutoff_past_the_cap_is_infeasible(monkeypatch):
 
 
 def test_diff_sup_abs():
-    assert diff_sup_abs(ONES, ZEROS) == 1
-    assert diff_sup_abs(FiniteSupport((1, -5)), FiniteSupport((1, 2))) == 7
-    assert diff_sup_abs(ONES, ONES) == 0
+    assert difference(ONES, ZEROS).sup_abs() == 1
+    assert difference(FiniteSupport((1, -5)), FiniteSupport((1, 2))).sup_abs() == 7
+    assert difference(ONES, ONES).sup_abs() == 0
+    # no eventually periodic difference: sup|a_n| + sup|b_n|, or 0 for a == b
+    word = WordEnumeration(Alphabet((-1, 2)))
+    assert difference(word, ONES).sup_abs() == 3
+    assert difference(word, word).sup_abs() == 0
 
 
 def test_weighted_metric_recovers_both_metrics():
@@ -147,6 +152,16 @@ def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
     huge = series(EventuallyPeriodic((), (Fraction(10**400),)))
     with pytest.raises(ToleranceUnreachable, match="double range"):
         rho_p(huge, series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(10**394))
+
+
+def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
+    # ones against zero at p = 3/2: rho_p reaches tol 1e-11; below its
+    # rounding floor no refinement meets a panel's share
+    for tol in (Fraction(1, 10**13), Fraction(1, 10**14), Fraction(1, 10**30)):
+        start = time.perf_counter()
+        with pytest.raises(ToleranceUnreachable, match="rounding floor"):
+            rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), tol)
+        assert time.perf_counter() - start < 2
 
 
 def _lp_norm_oracle(coeffs, gamma, p):

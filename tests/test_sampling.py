@@ -23,12 +23,6 @@ def test_difference_family_size_and_sign_convention():
         assert s.coeff(j) > 0
 
 
-def test_difference_family_keeps_zero_when_asked():
-    fam = difference_streams((-1, 0, 1), 1, 1, drop_zero=False)
-    zeros = [s for s in fam if first_nonzero_index(s) is None]
-    assert len(zeros) == 1
-
-
 def test_first_nonzero_index():
     assert first_nonzero_index(EventuallyPeriodic((0, 0, 5), (0,))) == 2
     assert first_nonzero_index(EventuallyPeriodic((), (0, 1))) == 1
