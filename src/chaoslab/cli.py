@@ -231,6 +231,8 @@ def _cmd_conjugacy_check(args) -> int:
     gamma = _parse_positive(args.gamma, "--gamma")
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
+    if args.window < 0:
+        raise ConfigError("--window must be at least 0")
     res = verify.check_commuting_squares((gamma,), args.seed, args.trials, args.window)
     _emit(_dumps({"trials": res.trials, "failures": list(res.failures)}), args.out)
     return 0 if res.passed else 1

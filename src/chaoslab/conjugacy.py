@@ -93,6 +93,8 @@ def check_commuting_square(
     factorial-weighted product metric between the raw streams produce
     intersecting enclosures (they measure the same quantity).
     """
+    if window < 0:
+        raise DomainError(f"window must be at least 0, got {window}")
     gq = as_fraction(gamma)
     via_shift = iota(a.shift(), gq)
     via_deriv = iota(a, gq).derivative()

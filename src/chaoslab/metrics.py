@@ -39,13 +39,13 @@ shift).  For it:
   at all.  For odd p, panels whose Bernstein coefficients share a sign
   integrate exactly; the others, which hold the roots, contribute
   [|int D^p|, h * max|b_j|^p].
-* other p: the same Bernstein panels, refined depth first, with a
-  certified endpoint trapezoid and a second-derivative correction where
-  D is sign-definite and crude range-times-width bounds across roots.
-  The bounds on D, D' and D'' are read off a panel's coefficients and
-  their differences in outward-rounded doubles, and pointwise powers
-  go through the interval power helper, so no uncertified rounding
-  enters.
+* other p: the same Bernstein panels, refined depth first, with the
+  corrected trapezoid rule (Euler-Maclaurin: end values, end slopes and
+  a certified h^5 remainder) where D is sign-definite and crude
+  range-times-width bounds across roots.  The bounds on D through its
+  fourth derivative are read off a panel's coefficients and their
+  differences in outward-rounded doubles, and pointwise powers go
+  through the interval power helper, so no uncertified rounding enters.
 """
 
 from __future__ import annotations
@@ -352,14 +352,25 @@ def _fup(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _fi(lo: int, hi: int, den: int) -> Tuple[float, float]:
-    """Outward double enclosure of [lo / den, hi / den], den > 0."""
+def _fi(lo: int, hi: int, den: int, den_hi: int = 0) -> Tuple[float, float]:
+    """Outward double enclosure of [lo, hi] / [den, den_hi], 0 < den <= den_hi
+    (den_hi defaults to den)."""
+    den_hi = den_hi or den
     try:
-        return (_fdn(lo / den), _fup(hi / den))
+        return (_fdn(lo / (den_hi if lo >= 0 else den)), _fup(hi / (den if hi >= 0 else den_hi)))
     except OverflowError:
         raise ToleranceUnreachable(
             "fractional-power quadrature needs values within the double range"
         ) from None
+
+
+def _fc(x: Fraction) -> Tuple[float, float]:
+    """Outward double enclosure of the rational x."""
+    return _fi(x.numerator, x.numerator, x.denominator)
+
+
+def _fi_add(a, b) -> Tuple[float, float]:
+    return (_fdn(a[0] + b[0]), _fup(a[1] + b[1]))
 
 
 def _fi_mul(a, b) -> Tuple[float, float]:
@@ -367,16 +378,22 @@ def _fi_mul(a, b) -> Tuple[float, float]:
     p1 = a[0] * b[1]
     p2 = a[1] * b[0]
     p3 = a[1] * b[1]
+    s = p0 + p1 + p2 + p3
+    if s != s:
+        # an overflow met 0 or an opposite overflow (0 * inf, inf - inf):
+        # min/max would skip the nan, so claim nothing
+        return (-math.inf, math.inf)
     return (_fdn(min(p0, p1, p2, p3)), _fup(max(p0, p1, p2, p3)))
 
 
-def _fi_div(a, b) -> Tuple[float, float]:
-    # caller guarantees 0 is outside b
-    p0 = a[0] / b[0]
-    p1 = a[0] / b[1]
-    p2 = a[1] / b[0]
-    p3 = a[1] / b[1]
-    return (_fdn(min(p0, p1, p2, p3)), _fup(max(p0, p1, p2, p3)))
+def _fi_sq(a) -> Tuple[float, float]:
+    """Outward enclosure of {x^2 : x in a}, never below zero."""
+    lo, hi = a[0] * a[0], a[1] * a[1]
+    if a[0] >= 0.0:
+        return (max(0.0, _fdn(lo)), _fup(hi))
+    if a[1] <= 0.0:
+        return (max(0.0, _fdn(hi)), _fup(lo))
+    return (0.0, _fup(max(lo, hi)))
 
 
 def _integral_abs_pow_frac(
@@ -384,23 +401,39 @@ def _integral_abs_pow_frac(
 ) -> BoundInterval:
     """Certified enclosure of int_0^gamma |poly|^p dt for fractional p > 1.
 
-    Runs on the Bernstein panels.  On a panel of width h at depth k the
-    integers b over L * 2^(kn) bound P, n * (first differences) / h bound
-    P' and n(n-1) * (second differences) / h^2 bound P''; b_0 and b_n are
-    P's exact values at the ends, so each end value of g = |P|^p is
-    computed once and handed to both children.  Panels where P is
-    sign-definite use the endpoint trapezoid with a certified
-    second-derivative correction for g; panels that straddle a root fall
-    back to width * range bounds (they shrink superlinearly, since
-    |P|^p is tiny near its roots).  Refinement is depth first: a panel
-    is kept once its width is at most its share tol * h / gamma, so only
-    the current path holds coefficient lists.  The double bookkeeping
-    floors the reachable tolerance near 1e-12 * integral (ones against
-    zero at p = 3/2, gamma 1: rho_p reaches tol 1e-11, not 1e-12), far
-    below anything the callers request.  A panel that must split while
-    its width is within 2^-42 of its value raises ToleranceUnreachable
-    at once: a panel's own rounding leaves a width near 2^-47 of its
-    value, and that width halves with h just as the share does.
+    Runs on the Bernstein panels.  On a panel [u, v] of width h at depth
+    k the integers b over L * 2^(kn) bound P, and n!/(n-j)! times their
+    j-th differences bound h^j P^(j), j = 1..4; b_0 and b_n are P's
+    exact values at the ends, so each end value of g = |P|^p is computed
+    once and handed to both children.  Where P is sign-definite, with
+    Q = |P| (the b negated when P < 0), the panel takes the corrected
+    trapezoid rule (Euler-Maclaurin; Davis & Rabinowitz 1984)
+
+        int g = h/2 (g(u) + g(v)) - h^2/12 (g'(v) - g'(u)) + h^5/720 g''''(theta).
+
+    The end slopes need no further power: h g'(u) = p g(u) h Q'(u) / Q(u)
+    and h Q'(u) / Q(u) = n (b_1 - b_0) / b_0 is an exact integer ratio,
+    likewise at v with b_n - b_(n-1) and b_n.  The remainder encloses
+
+        g'''' = p(p-1)(p-2)(p-3) Q^(p-4) Q'^4 + 6p(p-1)(p-2) Q^(p-3) Q'^2 Q''
+                + p(p-1) Q^(p-2) (3 Q''^2 + 4 Q' Q''') + p Q^(p-1) Q''''
+
+    as Q^p times the same sum in the ratios h^j Q^(j) / Q, each enclosed
+    by integer quotients of the j-th differences by the coefficients, so
+    no power of a tiny or huge Q leaves the double range.  Panels that
+    straddle a root fall back
+    to width * range bounds (they shrink superlinearly, since |P|^p is
+    tiny near its roots), and every panel keeps the better of the two.
+    Refinement is depth first: a panel is kept once its width is at most
+    its share tol * h / gamma, so only the current path holds coefficient
+    lists.  The double bookkeeping floors the reachable tolerance near
+    1e-13 * integral (ones against zero at p = 3/2, gamma 1: rho_p
+    reaches tol 1e-12, not 1e-13), far below anything the callers
+    request.  A panel that must split while its width is within 2^-42 of
+    its value, and not mostly the h^5 remainder, raises
+    ToleranceUnreachable at once: a panel's own rounding leaves a width
+    near 2^-47 of its value, and that width halves with h just as the
+    share does.
     """
     if poly.is_zero():
         return BoundInterval.exact(0)
@@ -408,17 +441,22 @@ def _integral_abs_pow_frac(
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
     pw = PowerFn(p)
-    pp = p.numerator * (p.numerator - p.denominator)
-    pp_fi = _fi(pp, pp, p.denominator**2)
-    p_fi = _fi(p.numerator, p.numerator, p.denominator)
-    twelfth = _fi(1, 1, 12)
+    slope = _fc(p / 12)
+    # the g'''' coefficients over 720, so that h^5/720 g'''' is h |P|^p
+    # times their sum against the h^j Q^(j) / Q bounds
+    c4, c3, c2a, c2b, c1 = (_fc(c / 720) for c in (
+        p * (p - 1) * (p - 2) * (p - 3), 6 * p * (p - 1) * (p - 2),
+        3 * p * (p - 1), 4 * p * (p - 1), p))
+    falling = [math.perm(n, j) for j in range(5)]
 
     def g_at(b: int, den: int) -> Tuple[float, float]:
         """g where P is exactly b / den."""
         s = _fi(abs(b), abs(b), den)
         return pw.bounds_floats(max(0.0, s[0]), s[1])
 
-    def panel_enclosure(coeffs: List[int], k: int, gu, gv) -> Tuple[float, float]:
+    def panel_enclosure(coeffs: List[int], k: int, gu, gv) -> Tuple[float, float, float]:
+        """(lo, hi, r): r is the part of hi - lo that shrinks faster than h
+        (the h^5 remainder; all of it where the crude bound binds)."""
         den = L << (k * n)
         h = _fi(gn, gn, gd << k)
         bmin, bmax = min(coeffs), max(coeffs)
@@ -427,41 +465,47 @@ def _integral_abs_pow_frac(
         sa = (max(0.0, sa[0]), sa[1])
         if sa[0] <= 0.0:
             # straddles a root: width * range of |P|^p
-            return _fi_mul(pw.bounds_floats(0.0, sa[1]), h)
-        d1 = [y - x for x, y in zip(coeffs, coeffs[1:])]
-        d2 = [y - x for x, y in zip(d1, d1[1:])]
-        # P' = (n / h) * d1 / den and P'' = (n(n-1) / h^2) * d2 / den; a
-        # constant has no differences, a line no second ones
-        d1min, d1max = min(d1, default=0), max(d1, default=0)
-        s1, s2 = n * gd << k, n * (n - 1) * gd**2 << 2 * k
-        dp = _fi(d1min * s1, d1max * s1, gn * den)
-        ddp = _fi(min(d2, default=0) * s2, max(d2, default=0) * s2, gn**2 * den)
-        if d1min >= 0 or d1max <= 0:
+            return _fi_mul(pw.bounds_floats(0.0, sa[1]), h) + (math.inf,)
+        if bmax < 0:  # Q's coefficients
+            coeffs = [-b for b in coeffs]
+            bmin, bmax = -bmax, -bmin
+        spans, row = [], coeffs
+        for _ in range(4):
+            row = [y - x for x, y in zip(row, row[1:])]
+            spans.append((min(row, default=0), max(row, default=0)))
+        if spans[0][0] >= 0 or spans[0][1] <= 0:
             # monotone panel: the range of |P|^p is the endpoint hull
             sap = (min(gu[0], gv[0]), max(gu[1], gv[1]))
         else:
             sap = pw.bounds_floats(sa[0], sa[1])
         crude = _fi_mul(sap, h)
-        # trapezoid: int = h/2 (g(u) + g(v)) - h^3/12 g''(theta)
-        gsum = (_fdn(gu[0] + gv[0]), _fup(gu[1] + gv[1]))
-        trap = _fi_mul(gsum, (0.5 * h[0], 0.5 * h[1]))
-        # g'' = p(p-1)|P|^(p-2) P'^2 + p |P|^(p-1) P'' * sign(P); lower
-        # powers of |P| come from sap by division (sa > 0 here)
-        q1 = _fi_div(sap, sa)
-        q2 = _fi_div(q1, sa)
-        t1 = _fi_mul(_fi_mul(q2, _fi_mul(dp, dp)), pp_fi)
-        t2 = _fi_mul(_fi_mul(q1, ddp), p_fi)
-        if bmin > 0:
-            gpp = (_fdn(t1[0] + t2[0]), _fup(t1[1] + t2[1]))
-        else:
-            gpp = (_fdn(t1[0] - t2[1]), _fup(t1[1] - t2[0]))
-        h3 = _fi_mul(_fi_mul(h, h), h)
-        delta = _fi_mul(_fi_mul(h3, gpp), twelfth)
-        lo = max(_fdn(trap[0] - delta[1]), crude[0], 0.0)
-        hi = min(_fup(trap[1] - delta[0]), crude[1])
-        if hi < lo:
-            return (max(0.0, crude[0]), crude[1])
-        return (lo, hi)
+        body = _fi_mul(_fi_add(gu, gv), (0.5, 0.5))
+        rem = (0.0, 0.0)
+        if n:
+            # h g'(u) - h g'(v), over p
+            ru = n * (coeffs[1] - coeffs[0])
+            rv = n * (coeffs[n - 1] - coeffs[n])
+            ends = _fi_add(_fi_mul(gu, _fi(ru, ru, coeffs[0])), _fi_mul(gv, _fi(rv, rv, coeffs[n])))
+            body = _fi_add(body, _fi_mul(ends, slope))
+            # R_j encloses h^j Q^(j) / Q: n!/(n-j)! times the j-th
+            # differences over the coefficients themselves, free of scale;
+            # past the degree it is 0
+            r1, r2, r3, r4 = (_fi(f * lo, f * hi, bmin, bmax)
+                              for f, (lo, hi) in zip(falling[1:], spans))
+            r1sq = _fi_sq(r1)
+            for t in (_fi_mul(_fi_sq(r1sq), c4), _fi_mul(_fi_mul(r1sq, r2), c3),
+                      _fi_mul(_fi_sq(r2), c2a), _fi_mul(_fi_mul(r1, r3), c2b), _fi_mul(r4, c1)):
+                rem = _fi_add(rem, t)
+            rem = _fi_mul(rem, sap)
+            body = _fi_add(body, rem)
+        body = _fi_mul(body, h)
+        lo = max(body[0], crude[0], 0.0)
+        hi = min(body[1], crude[1])
+        if hi < lo or not (math.isfinite(body[0]) and math.isfinite(body[1])):
+            return (max(0.0, crude[0]), crude[1], math.inf)
+        if (lo, hi) != body:  # the crude bound binds
+            return (lo, hi, math.inf)
+        return (lo, hi, (rem[1] - rem[0]) * h[1])
 
     stack = [(B, 0, g_at(B[0], L), g_at(B[n], L))]
     # a tolerance past the double range asks for nothing a double can miss
@@ -471,16 +515,16 @@ def _integral_abs_pow_frac(
     panels = 1
     while stack:
         coeffs, k, gu, gv = stack.pop()
-        lo, hi = panel_enclosure(coeffs, k, gu, gv)
+        lo, hi, shrinking = panel_enclosure(coeffs, k, gu, gv)
         share = math.ldexp(tol_dn, -k)
         if hi - lo <= share:
             lo_sum = _fdn(lo_sum + lo)
             hi_sum = _fup(hi_sum + hi)
             continue
         panels += 2
-        if hi - lo <= math.ldexp(hi, -42):
-            # rounding is all that is left, and it halves with h just as
-            # the share does, so no refinement meets the share
+        if hi - lo <= math.ldexp(hi, -42) and 2 * shrinking <= hi - lo:
+            # rounding is nearly all that is left, and it halves with h
+            # just as the share does, so no refinement meets the share
             raise ToleranceUnreachable(
                 f"fractional-power quadrature cannot reach tol={tol}: "
                 "a panel is down to its double rounding floor"

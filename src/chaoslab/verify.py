@@ -30,7 +30,6 @@ from .coeffspace import (
     FiniteSupport,
     Polynomial,
     SeriesFn,
-    WordEnumeration,
     derivative_sup_bound,
     evaluate,
     same_stream,

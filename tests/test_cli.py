@@ -160,6 +160,16 @@ def test_conjugacy_check_runs_the_verify_squares(capsys):
     assert code == 2 and out == "" and "--trials" in err
 
 
+def test_conjugacy_check_rejects_a_negative_window(capsys):
+    # a negative window compares no coefficient, so it must not pass
+    code, out, err = _run(capsys, ["conjugacy-check", "--window", "-4", "--gamma", "1",
+                                   "--trials", "3"])
+    assert code == 2 and out == "" and "--window" in err
+    code, out, _ = _run(capsys, ["conjugacy-check", "--window", "0", "--gamma", "1",
+                                 "--trials", "3"])
+    assert code == 0 and out == '{"failures": [],"trials": 3}\n'
+
+
 def test_filtration_steps_nest(capsys, tmp_path):
     f0 = _write(tmp_path, "zero.json", ZEROS)
     f1 = _write(tmp_path, "x.json", FiniteSupport((0, 1)))

@@ -79,6 +79,12 @@ def test_commuting_square_isometry_partner():
         check_commuting_square(ONES, 1, partner=FiniteSupport((3,)))
 
 
+def test_commuting_square_rejects_a_negative_window():
+    with pytest.raises(DomainError, match="window"):
+        check_commuting_square(ONES, 1, window=-1)
+    assert check_commuting_square(ONES, 1, window=0).mismatches == ()
+
+
 def test_commuting_square_word_enumeration():
     rep = check_commuting_square(WordEnumeration(Alphabet((0, 1))), 2, window=64)
     assert rep.passed

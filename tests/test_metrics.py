@@ -31,7 +31,7 @@ from chaoslab.metrics import (
     series_norm,
     weighted_product_metric,
 )
-from chaoslab import sampling, tailmath
+from chaoslab import metrics, sampling, tailmath
 
 # mpmath oracle values, 80 decimal digits
 E = Fraction("2.7182818284590452353602874713526624977572470936999595749669676")
@@ -155,7 +155,7 @@ def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
 
 
 def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
-    # ones against zero at p = 3/2: rho_p reaches tol 1e-11; below its
+    # ones against zero at p = 3/2: rho_p reaches tol 1e-12; below its
     # rounding floor no refinement meets a panel's share
     for tol in (Fraction(1, 10**13), Fraction(1, 10**14), Fraction(1, 10**30)):
         start = time.perf_counter()
@@ -185,12 +185,16 @@ def _lp_norm_oracle(coeffs, gamma, p):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=7),
+    st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=9),
     st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
-    st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(5, 2)]),
+    # both signs of p - 2 and of p - 3, which sign the remainder's terms
+    st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(9, 4), Fraction(5, 2),
+                     Fraction(7, 2), Fraction(11, 10)]),
 )
 @example([Fraction(3)], Fraction(1), Fraction(3, 2))  # a constant: no differences
 @example([Fraction(-1), Fraction(2)], Fraction(2), Fraction(4, 3))  # a line through 1/2
+# -3 - t + t^2/4 < 0 on [0, 1]: every panel is negative
+@example([Fraction(-3), Fraction(-1), Fraction(1, 2)], Fraction(1), Fraction(9, 4))
 def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
     tol = Fraction(1, 10**6)
     box = series_norm(series(FiniteSupport(tuple(coeffs)), gamma), LpSpec(p, gamma), tol)
@@ -201,6 +205,49 @@ def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
         lo = mpmath.mpf(box.lo.numerator) / box.lo.denominator
         hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
         assert lo - margin <= value <= hi + margin
+
+
+@pytest.mark.parametrize(
+    "coeffs, parent_splits, most",
+    [
+        # ones against zero: e^t; the endpoint trapezoid split 230 panels
+        (None, 230, 76),
+        # 1 - 2t, a root at 1/2; the endpoint trapezoid split 437 panels
+        ((1, -2), 437, 145),
+    ],
+)
+def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, parent_splits, most):
+    # the corrected trapezoid's h^5 remainder needs at least 3x fewer
+    # splits than the endpoint trapezoid's h^3 one did at tol 1e-6
+    assert 3 * most < parent_splits
+    splits = []
+    split = metrics._split
+    monkeypatch.setattr(metrics, "_split", lambda B: splits.append(1) or split(B))
+    f = ONES if coeffs is None else FiniteSupport(coeffs)
+    box = rho_p(series(f), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
+    assert box.width <= Fraction(1, 10**6)
+    assert len(splits) <= most
+
+
+def test_fractional_rho_p_at_tiny_coefficient_scales():
+    # ||1 - 2t||_{3/2} on [0, 1] is (2/5)^(2/3); at 2^-280 and below, a
+    # fourth power of |P| or of a derivative bound underflows the doubles,
+    # so the remainder must be built from scale-free ratios
+    for e in (-280, -600):
+        c = Fraction(2) ** e
+        tol = c / 10**6
+        box = series_norm(series(FiniteSupport((c, -2 * c))), LpSpec(Fraction(3, 2), 1), tol)
+        assert box.width <= tol
+        assert box.lo**3 <= Fraction(4, 25) * c**3 <= box.hi**3
+
+
+def test_float_interval_product_claims_nothing_from_a_nan():
+    # 0 * inf and inf - inf give nan, which min/max would silently skip
+    assert metrics._fi_mul((5.0, math.nan), (1.0, 2.0)) == (-math.inf, math.inf)
+    assert metrics._fi_mul((0.0, 1.0), (-math.inf, math.inf)) == (-math.inf, math.inf)
+    lo, hi = metrics._fi_mul((1.0, 2.0), (3.0, 4.0))
+    assert lo < 3.0 < 8.0 < hi
+    assert metrics._fi_sq((-3.0, 2.0)) == (0.0, math.nextafter(9.0, math.inf))
 
 
 def test_rho_p_fractional_exponent_with_a_tolerance_past_the_double_range():
