@@ -11,8 +11,7 @@ shifting:
   Construction normalizes to the minimal period and minimal preamble,
   so structural equality decides mathematical equality within the kind.
   Finite support is the period (0): FiniteSupport(coeffs) builds that
-  stream (a polynomial; the Polynomial class adds evaluation and
-  products).
+  stream (a polynomial; the Polynomial class adds evaluation).
 * WordEnumeration: the concatenation of every finite word over a finite
   alphabet, ordered by length then lexicographically (in alphabet
   order).  Shifting is O(1) by bumping a start offset.
@@ -144,19 +143,13 @@ class CoeffSeq:
 # `verify --suite all`).
 
 
-def _factorial_scaled(coeffs: Sequence[Fraction], op) -> Tuple[Fraction, ...]:
-    """(op(c_n, n!))_n: truediv takes scaled-Taylor to monomial, mul back."""
-    facts = itertools.accumulate(range(1, len(coeffs)), operator.mul, initial=1)
-    return tuple([op(c, f) for c, f in zip(coeffs, facts)])
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """P(x) = sum_n coeffs_taylor[n] x^n / n!, trailing zeros stripped.
 
     The zero polynomial is (0,).  The tuple is P's member of the
-    coefficient space, so derivative() is its shift.  Evaluation and
-    products run on the monomial coefficients a_n / n!, computed once.
+    coefficient space, so derivative() is its shift.  Evaluation runs on
+    the monomial coefficients a_n / n!, computed once.
     """
 
     coeffs_taylor: Tuple[Fraction, ...]
@@ -169,18 +162,12 @@ class Polynomial:
             cs = [Fraction(0)]
         object.__setattr__(self, "coeffs_taylor", tuple(cs))
 
-    @classmethod
-    def from_monomial(cls, coeffs: Sequence[Fraction]) -> "Polynomial":
-        """The polynomial sum_n coeffs[n] x^n."""
-        cs = tuple([as_fraction(c) for c in coeffs]) or (Fraction(0),)
-        poly = cls(_factorial_scaled(cs, operator.mul))
-        poly.__dict__["monomial"] = cs[: len(poly.coeffs_taylor)]
-        return poly
-
     @cached_property
     def monomial(self) -> Tuple[Fraction, ...]:
         """Coefficients in the monomial basis: P(x) = sum_n monomial[n] x^n."""
-        return _factorial_scaled(self.coeffs_taylor, operator.truediv)
+        cs = self.coeffs_taylor
+        facts = itertools.accumulate(range(1, len(cs)), operator.mul, initial=1)
+        return tuple([c / f for c, f in zip(cs, facts)])
 
     @property
     def degree(self) -> int:
@@ -202,33 +189,7 @@ class Polynomial:
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative vanishing at 0: a zero prepended."""
-        anti = Polynomial((Fraction(0),) + self.coeffs_taylor)
-        if not self.is_zero():
-            anti.__dict__["monomial"] = tuple(
-                [Fraction(0)] + [c / (n + 1) for n, c in enumerate(self.monomial)]
-            )
-        return anti
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.monomial, other.monomial
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return Polynomial.from_monomial(out)
-
-    def __pow__(self, k: int) -> "Polynomial":
-        out = Polynomial((Fraction(1),))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return Polynomial((Fraction(0),) + self.coeffs_taylor)
 
     def as_series(self, gamma) -> SeriesFn:
         return SeriesFn(FiniteSupport(self.coeffs_taylor), as_fraction(gamma))
@@ -548,20 +509,27 @@ def seq_to_payload(s: CoeffSeq) -> dict:
     raise DomainError(f"not a serializable sequence: {s!r}")
 
 
+def _frac_array(payload: dict, key: str, default=None) -> Tuple[Fraction, ...]:
+    """payload[key], or default when absent: a JSON array of rationals."""
+    values = payload.get(key, default)
+    if not isinstance(values, list):
+        raise DomainError(f"{key!r} must be a JSON array, got {values!r}")
+    return tuple(_parse_frac(v) for v in values)
+
+
 def seq_from_payload(payload: dict) -> CoeffSeq:
     kind = payload.get("kind")
     if kind == "finite":
-        return FiniteSupport(tuple(_parse_frac(v) for v in payload.get("preamble", [])))
+        return FiniteSupport(_frac_array(payload, "preamble", []))
     if kind == "periodic":
         return EventuallyPeriodic(
-            tuple(_parse_frac(v) for v in payload.get("preamble", [])),
-            tuple(_parse_frac(v) for v in payload["period"]),
+            _frac_array(payload, "preamble", []), _frac_array(payload, "period")
         )
     if kind == "enum":
-        return WordEnumeration(
-            Alphabet(tuple(_parse_frac(v) for v in payload["alphabet"])),
-            int(payload.get("offset", 0)),
-        )
+        offset = payload.get("offset", 0)
+        if type(offset) is not int:  # bool and float are not offsets
+            raise DomainError(f"'offset' must be a JSON integer, got {offset!r}")
+        return WordEnumeration(Alphabet(_frac_array(payload, "alphabet")), offset)
     raise DomainError(f"unknown sequence kind {kind!r}")
 
 

@@ -272,8 +272,8 @@ def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> Polynomia
         for k in range(j + 1):
             term = values[k] * math.comb(n, k) * math.comb(n - k, j - k)
             acc += -term if (j - k) % 2 else term
-        out.append(acc / gq**j)
-    return Polynomial.from_monomial(out)
+        out.append(acc * math.factorial(j) / gq**j)
+    return Polynomial(out)
 
 
 # ---------------------------------------------------------------------------

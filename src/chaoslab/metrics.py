@@ -35,10 +35,12 @@ shift).  For it:
   Bernstein kernel: a panel's largest |coefficient| bounds |D| there,
   its end coefficients are exact values of D, and halving it is integer
   de Casteljau (Garloff 1986; Rouillier & Zimmermann 2004).
-* integer p: |D|^p integrates exactly.  Even p needs no sign analysis
-  at all.  For odd p, panels whose Bernstein coefficients share a sign
-  integrate exactly; the others, which hold the roots, contribute
-  [|int D^p|, h * max|b_j|^p].
+* integer p: the same panels integrate D^p exactly, from the integer
+  convolution power of their coefficients (the Bernstein-form product;
+  Farouki & Rajan 1988).  Even p takes the whole window as one panel,
+  with no sign analysis at all.  For odd p, panels whose Bernstein
+  coefficients share a sign integrate exactly; the others, which hold
+  the roots, contribute [|int D^p|, h * max|b_j|^p].
 * other p: the same Bernstein panels, refined depth first, with the
   corrected trapezoid rule (Euler-Maclaurin: end values, end slopes and
   a certified h^5 remainder) where D is sign-definite and crude
@@ -293,41 +295,67 @@ def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterv
 def _integral_abs_pow_int(
     poly: Polynomial, gamma: Fraction, p: int, tol: Fraction
 ) -> BoundInterval:
-    """Certified enclosure of int_0^gamma |poly|^p dt for integer p >= 1."""
-    anti = (poly**p).antiderivative()
-    if p % 2 == 0:
-        return BoundInterval.exact(anti(gamma) - anti(Fraction(0)))
-    # odd p: |poly|^p = sign(poly) * poly^p, so panels whose Bernstein
-    # coefficients share a sign integrate exactly and only the others,
-    # which hold the roots, carry width.  Each panel carries anti at its
-    # ends, so a split evaluates anti once, at the midpoint.
+    """Certified enclosure of int_0^gamma |poly|^p dt for integer p >= 1.
+
+    A panel at depth k holds b_0..b_n over D = L * 2^(kn) and has width
+    h = gamma / 2^k.  With beta_j = C(n, j) b_j and N = p n, P^p is
+    D^-p sum_i c_i u^i (1 - u)^(N - i), c the p-th convolution power of
+    beta (the Bernstein-form product; Farouki & Rajan 1988), and each
+    basis term integrates to i! (N - i)! / (N + 1)!.  So the panel's
+    integral is h * S / ((N + 1)! D^p) with S = sum_i c_i i! (N - i)!,
+    one exact rational built from the panel's own integers; a split
+    computes S for the left half only, since the halves sum to the panel.
+    """
     B, L = _bernstein(poly, gamma)
     n = len(B) - 1
+    N = n * p
+    binom = [math.comb(n, j) for j in range(n + 1)]
+    weight = [math.factorial(i) * math.factorial(N - i) for i in range(N + 1)]
+    full = math.factorial(N + 1)
+    # a panel's integral is gn * S / (den << k (N + 1))
+    gn = gamma.numerator
+    den = gamma.denominator * full * L**p
+
+    def moment(coeffs: List[int]) -> int:
+        """S, from the convolution power c of beta."""
+        beta = [b * c for b, c in zip(coeffs, binom)]
+        c = beta
+        for _ in range(p - 1):
+            c, prev = [0] * (len(c) + n), c
+            for i, x in enumerate(prev):
+                for j, y in enumerate(beta):
+                    c[i + j] += x * y
+        return sum(x * w for x, w in zip(c, weight))
+
+    if p % 2 == 0:
+        return BoundInterval.exact(Fraction(gn * moment(B), den))
+    # odd p: |poly|^p = sign(poly) * poly^p, so panels whose Bernstein
+    # coefficients share a sign integrate exactly and only the others,
+    # which hold the roots, carry width: up to h * max|b_j|^p / D^p.
     settled = pending = Fraction(0)
     heap: List[tuple] = []
     panels = 0
 
-    def classify(coeffs: List[int], e: int, lo: Fraction, hi: Fraction,
-                 a_lo: Fraction, a_hi: Fraction):
+    def classify(coeffs: List[int], k: int, S: int):
         nonlocal settled, pending, panels
         panels += 1
-        lower = abs(a_hi - a_lo)
+        unit = den << (k * (N + 1))
+        lower = Fraction(abs(S) * gn, unit)
         if min(coeffs) >= 0 or max(coeffs) <= 0:
             settled += lower
             return
-        slack = (hi - lo) * Fraction(max(map(abs, coeffs)), L << e) ** p - lower
+        slack = Fraction((max(map(abs, coeffs)) ** p * full - abs(S)) * gn, unit)
         pending += slack
-        heapq.heappush(heap, (-slack, panels, coeffs, e, lo, hi, a_lo, a_hi, lower))
+        heapq.heappush(heap, (-slack, panels, coeffs, k, S, lower))
 
-    classify(B, 0, Fraction(0), gamma, anti(Fraction(0)), anti(gamma))
+    classify(B, 0, moment(B))
     while heap and pending >= tol:
-        neg_slack, _, coeffs, e, lo, hi, a_lo, a_hi, _ = heapq.heappop(heap)
+        neg_slack, _, coeffs, k, S, _ = heapq.heappop(heap)
         pending += neg_slack
-        mid = (lo + hi) / 2
-        a_mid = anti(mid)
         left, right = _split(coeffs)
-        classify(left, e + n, lo, mid, a_lo, a_mid)
-        classify(right, e + n, mid, hi, a_mid, a_hi)
+        S_left = moment(left)
+        classify(left, k + 1, S_left)
+        classify(right, k + 1, (S << (N + 1)) - S_left)
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(
                 f"sign partition exceeded {_MAX_PANELS} panels at tol={tol}"

@@ -43,10 +43,6 @@ DEFAULT_REL_TOL = Fraction(1, 10**15)
 MAX_TAIL_INDEX = 10_000
 
 
-def _factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def _ceil_strict(q: Fraction) -> int:
     """Least integer strictly greater than q."""
     return math.floor(q) + 1
@@ -80,7 +76,7 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     # Cutoff floor: at least ten extra terms, and far enough out that the
     # geometric majorant's ratio gamma/(K+2) is below 1/2.
     cutoff = max(k + 10, _ceil_strict(2 * gamma))
-    term = gamma**k / _factorial(k)
+    term = gamma**k / math.factorial(k)
     partial = Fraction(0)
     i = k
     while True:
@@ -124,7 +120,7 @@ def xi(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     k = int(k)
     if k < 0:
         raise DomainError("xi index must be nonnegative")
-    head = g**k / _factorial(k)
+    head = g**k / math.factorial(k)
     tail = _tail_sum(g, k + 1, as_fraction(rel_tol))
     return BoundInterval(head - tail.hi, head - tail.lo)
 
@@ -142,7 +138,7 @@ def xi_decrement(gamma, k: int) -> Fraction:
     """
     g = as_fraction(gamma)
     k = int(k)
-    return (g**k / _factorial(k)) * (1 - 2 * g / (k + 1))
+    return (g**k / math.factorial(k)) * (1 - 2 * g / (k + 1))
 
 
 def _threshold_index(gamma: Fraction) -> int:
@@ -171,16 +167,9 @@ def _separation_scan(gamma: Fraction, rel_tol: Fraction):
     # Certified lower bound for the minimal separation delta: for each
     # prefix length m below the threshold, a disagreement at index m
     # forces an L1 distance of at least alpha_{m+1} (gamma > 1) or
-    # gamma^(m+1) * alpha_{m+1} (gamma <= 1).
-    delta_lo = None
-    for m in range(n_gamma):
-        a = alpha(m + 1, rel_tol)
-        bound_lo = a.lo if gamma > 1 else gamma ** (m + 1) * a.lo
-        if delta_lo is None or bound_lo < delta_lo:
-            delta_lo = bound_lo
-    if delta_lo is None:
-        # n_gamma = 0 cannot happen (threshold is at least 1), but guard.
-        delta_lo = Fraction(1)
+    # gamma^(m+1) * alpha_{m+1} (gamma <= 1).  n_gamma is at least 1.
+    delta_lo = min((1 if gamma > 1 else gamma ** (m + 1)) * alpha(m + 1, rel_tol).lo
+                   for m in range(n_gamma))
     if delta_lo <= 0:
         raise ToleranceUnreachable(
             f"certified separation bound at gamma={gamma} is not positive; "

@@ -506,17 +506,20 @@ def prefix_implications(values: Sequence[Fraction], pre_max: int, per_max: int,
     return PrefixSweep(len(family), upper, lower, sup)
 
 
-def check_de_prefix_upper(pre_max: int = 4, per_max: int = 3, k_max: int = 8) -> CheckResult:
-    sweep = prefix_implications((-1, 0, 1), pre_max, per_max, de_upper_ks=range(k_max + 1))
+# both d_E prefix lines read one sweep over the {-1, 0, 1} differences
+_DE_PRE_MAX, _DE_PER_MAX, _DE_K_MAX = 4, 3, 8
+
+
+def check_de_prefix_upper(sweep: PrefixSweep) -> CheckResult:
     return _result("metrics", "dE-prefix-upper", sweep.de_upper.trials, sweep.de_upper.failures,
-                   family_size=sweep.family_size, pre_max=pre_max, per_max=per_max, k_max=k_max)
+                   family_size=sweep.family_size, pre_max=_DE_PRE_MAX, per_max=_DE_PER_MAX,
+                   k_max=_DE_K_MAX)
 
 
-def check_de_prefix_lower(pre_max: int = 4, per_max: int = 3, k_max: int = 8) -> CheckResult:
-    sweep = prefix_implications((-1, 0, 1), pre_max, per_max, de_lower_ks=range(k_max + 1))
+def check_de_prefix_lower(sweep: PrefixSweep) -> CheckResult:
     return _result("metrics", "dE-prefix-lower", sweep.de_lower.trials, sweep.de_lower.failures,
                    family_size=sweep.family_size, hypothesis_hits=sweep.de_lower.hits,
-                   k_max=k_max)
+                   k_max=_DE_K_MAX)
 
 
 def _alphabet_differences(values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -653,11 +656,13 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
 
 def run_metrics(cfg: VerifyConfig) -> List[CheckResult]:
     gammas = cfg.gamma_list(_CORE_GAMMAS)
+    ks = range(_DE_K_MAX + 1)
+    de = prefix_implications((-1, 0, 1), _DE_PRE_MAX, _DE_PER_MAX, de_upper_ks=ks, de_lower_ks=ks)
     return [
         check_metric_axioms(gammas, cfg.seed, cfg.trial_count(60)),
         check_lp_norm_comparison(gammas, cfg.seed, cfg.trial_count(200)),
-        check_de_prefix_upper(),
-        check_de_prefix_lower(),
+        check_de_prefix_upper(de),
+        check_de_prefix_lower(de),
         check_sup_prefix_upper((Fraction(0), Fraction(1)), gammas),
         check_sup_prefix_upper_general(gammas=gammas),
         check_l1_prefix_separation(gammas),

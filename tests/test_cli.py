@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -302,6 +303,23 @@ def test_exit_code_two_on_bad_input(capsys, tmp_path):
 
     code, _, err = _run(capsys, ["metric", "--p", "1/2", "--gamma", "1", zeros, zeros])
     assert code == 2
+
+
+def test_malformed_stream_file_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "finite", "preamble": "12"}', encoding="utf-8")
+    zeros = _write(tmp_path, "zeros.json", ZEROS)
+    code, out, err = _run(capsys, ["metric", "--gamma", "1", str(bad), zeros])
+    assert code == 2 and out == "" and "JSON array" in err
+
+
+def test_verify_all_output_is_pinned(capsys, monkeypatch):
+    # refactors must leave this output byte for byte as it is
+    monkeypatch.delenv("CHAOS_LAB_PRECISION", raising=False)
+    code, out, _ = _run(capsys, ["verify", "--suite", "all", "--seed", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
 
 
 def test_unknown_suite_is_config_error(capsys):

@@ -189,7 +189,9 @@ def _lp_norm_oracle(coeffs, gamma, p):
     st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
     # both signs of p - 2 and of p - 3, which sign the remainder's terms
     st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(9, 4), Fraction(5, 2),
-                     Fraction(7, 2), Fraction(11, 10)]),
+                     Fraction(7, 2), Fraction(11, 10)]
+                    # integer p, on the panels' exact integrals
+                    + [Fraction(k) for k in range(1, 6)]),
 )
 @example([Fraction(3)], Fraction(1), Fraction(3, 2))  # a constant: no differences
 @example([Fraction(-1), Fraction(2)], Fraction(2), Fraction(4, 3))  # a line through 1/2
@@ -291,9 +293,12 @@ def test_rho_p_sign_change_integrand():
         # panel around it keeps a sign change in its Bernstein coefficients
         ((Fraction(1, 9), Fraction(-2, 3), 2), 1, Fraction(1, 9)),
         ((Fraction(1, 9), Fraction(-2, 3), 2), 3, (Fraction(1, 3) ** 7 + Fraction(2, 3) ** 7) / 7),
+        # t - 1/3 at even p: the root panel's exact integral, no sign analysis
+        ((Fraction(-1, 3), 1), 2, Fraction(1, 9)),
+        ((Fraction(-1, 3), 1), 4, Fraction(11, 405)),
     ],
 )
-def test_odd_p_norm_across_roots(coeffs, p, power_of_norm):
+def test_integer_p_norm_across_roots(coeffs, p, power_of_norm):
     box = series_norm(series(FiniteSupport(coeffs)), LpSpec(p, 1), Fraction(1, 10**8))
     assert box.lo**p <= power_of_norm <= box.hi**p
 
