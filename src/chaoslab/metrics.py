@@ -318,7 +318,7 @@ def _integral_abs_pow_int(
 
     def moment(coeffs: List[int]) -> int:
         """S, from the convolution power c of beta."""
-        beta = [b * c for b, c in zip(coeffs, binom)]
+        beta = [b * m for b, m in zip(coeffs, binom)]
         c = beta
         for _ in range(p - 1):
             c, prev = [0] * (len(c) + n), c
