@@ -8,14 +8,16 @@ DIR is a fresh copy of each side's committed tree (for instance
 change's BENCHMARK.json, pair i runs `perfbench/run.py --trace 0` once per
 side, the parent first on even i and the change first on odd i, each in
 its own tree with BENCHMARK.json's run_seconds.  Then one `--trace 1` run
-per side records the per-layer rho_p numbers.
+per side records the per-layer metrics numbers.
 
 The JSON written holds, per workload and end-to-end metric, each side's
 runs with their median and inclusive quartiles, how many pairs the change
 won in the metric's better direction, and the change/parent median ratio;
-the attempted and failed item counts; the correctness gates; and the
-traced rho_p branch metrics (calls, self_s, share) with trace.wall_s and
-trace.overhead_ratio.  Nothing here is a gate: it only records numbers.
+the attempted and failed item counts; the correctness gates; on
+verify-all, each side's output digests and whether they match the seed-0
+baseline; and every traced metrics.* layer (calls, self_s, share; rho_p
+per branch) with trace.wall_s and trace.overhead_ratio.  Nothing here is
+a gate: it only records numbers.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ def parse_args(argv):
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One fresh perfbench process in tree; its last stdout line, parsed."""
+    """One fresh perfbench process in tree: its last stdout line, parsed,
+    with the details line before it under "details"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"bench_ab: {' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    *_, details, result = done.stdout.strip().splitlines()
+    return {**json.loads(result), "details": json.loads(details)}
 
 
 def summary(runs: list) -> dict:
@@ -76,9 +80,13 @@ def workload_entry(results: dict, traced: dict, declared: list) -> dict:
     end_to_end["attempted_failed"] = {
         side: [[r["attempted"], r["failed"]] for r in results[side]] for side in SIDES}
     end_to_end["correct"] = {side: all(r["correct"] for r in results[side]) for side in SIDES}
+    if "digest" in results["parent"][0]["details"]:
+        for key in ("digest", "digest_matches_seed0"):
+            end_to_end[key] = {side: sorted({r["details"][key] for r in results[side]})
+                               for side in SIDES}
     return {"end_to_end": end_to_end, "traced": {
         side: {name: m["value"] for name, m in traced[side]["metrics"].items()
-               if name.startswith("metrics.rho_p.") or name in TRACED}
+               if name.startswith("metrics.") or name in TRACED}
         for side in SIDES}}
 
 

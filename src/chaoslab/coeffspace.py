@@ -149,7 +149,9 @@ class Polynomial:
 
     The zero polynomial is (0,).  The tuple is P's member of the
     coefficient space, so derivative() is its shift.  Evaluation runs on
-    the monomial coefficients a_n / n!, computed once.
+    the monomial coefficients a_n / n!, computed once.  There is no
+    product or antiderivative: metrics integrates on integer Bernstein
+    coefficients instead.
     """
 
     coeffs_taylor: Tuple[Fraction, ...]
@@ -186,10 +188,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         """P', whose Taylor coefficients are P's shifted left by one."""
         return Polynomial(self.coeffs_taylor[1:])
-
-    def antiderivative(self) -> "Polynomial":
-        """The antiderivative vanishing at 0: a zero prepended."""
-        return Polynomial((Fraction(0),) + self.coeffs_taylor)
 
     def as_series(self, gamma) -> SeriesFn:
         return SeriesFn(FiniteSupport(self.coeffs_taylor), as_fraction(gamma))

@@ -622,35 +622,29 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
 
 
 _RHO1_TERMS = 13
-_RHO1_PIECES = 12
 
 
 def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     """Cheap certified lower bound on rho_1(f, g), exact arithmetic only.
 
-    Summing |integral over a piece| of the truncated difference across
-    _RHO1_PIECES equal pieces of [0, gamma] bounds the L^1 norm from
-    below; the coefficient tail past the first _RHO1_TERMS (none when
-    the difference has finite support) can shift the integral by at
-    most gamma times its pointwise sup.  Lets separation checks skip
-    the full quadrature when the bound already clears their threshold.
+    The lower end of int |P|, P the first _RHO1_TERMS coefficients of
+    the difference (its support, when finite), from the p = 1 sign
+    partition refined to slack = gamma * sup|a_n - b_n| * zeta_13(gamma),
+    the most the tail can move the integral (positive for any nonzero
+    difference); minus that tail where there is one.  Lets separation
+    checks skip the full quadrature when the bound clears their threshold.
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
     d = difference(f.coeffs, g.coeffs)
     sup = d.sup_abs()
     gamma = f.gamma
+    slack = gamma * sup * tailmath.zeta(gamma, _RHO1_TERMS).hi
     # an infinite budget makes the cut the first index searched
     kept, tail = truncate(d, lambda n: sup * tailmath.zeta(gamma, n).hi,
                           math.inf, "the rho_1 lower-bound tail", _RHO1_TERMS)
-    anti = Polynomial(kept).antiderivative()
-    total = Fraction(0)
-    prev = anti(Fraction(0))
-    for i in range(1, _RHO1_PIECES + 1):
-        cur = anti(gamma * Fraction(i, _RHO1_PIECES))
-        total += abs(cur - prev)
-        prev = cur
-    return max(Fraction(0), total - gamma * tail)
+    l1 = _integral_abs_pow_int(Polynomial(kept), gamma, 1, slack)
+    return max(Fraction(0), l1.lo - gamma * tail)
 
 
 def series_norm(f: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:

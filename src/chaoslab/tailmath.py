@@ -76,18 +76,24 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     # Cutoff floor: at least ten extra terms, and far enough out that the
     # geometric majorant's ratio gamma/(K+2) is below 1/2.
     cutoff = max(k + 10, _ceil_strict(2 * gamma))
-    term = gamma**k / math.factorial(k)
-    partial = Fraction(0)
+    # with gamma = g/h, the partial sum through index i is num / (h^i i!)
+    g, h = gamma.numerator, gamma.denominator
+    r, s = rel_tol.numerator, rel_tol.denominator
+    gi = num = g**k
     i = k
     while True:
-        while i <= cutoff:
-            partial += term
+        while i < cutoff:
             i += 1
-            term = term * gamma / i
-        # `term` is now gamma^(K+1)/(K+1)! with K = cutoff
-        tail_bound = term * (cutoff + 2) / (cutoff + 2 - gamma)
-        if tail_bound <= rel_tol * partial:
-            return BoundInterval(partial, partial + tail_bound)
+            gi *= g
+            num = num * h * i + gi
+        # the majorant gamma^(K+1)/(K+1)! * (K+2)/(K+2-gamma), K = cutoff,
+        # is top / (h^K (K+1)! gap)
+        top = gi * g * (i + 2)
+        gap = (i + 2) * h - g
+        if s * top <= r * num * (i + 1) * gap:  # majorant <= rel_tol * partial
+            den = h**i * math.factorial(i)
+            return BoundInterval(Fraction(num, den),
+                                 Fraction(num * (i + 1) * gap + top, den * (i + 1) * gap))
         if cutoff - k > MAX_TAIL_INDEX:
             raise ToleranceUnreachable(
                 f"tail sum at gamma={gamma}, k={k} did not reach rel_tol={rel_tol}"

@@ -98,10 +98,13 @@ def test_criterion_03_l1_prefix_separation_family():
     )
     elapsed = time.perf_counter() - t0
     hits = res.detail["hypothesis_hits"]
-    ok = res.passed and hits > 0 and elapsed < 60.0
+    skips = res.detail["quick_skips"]
+    # a looser rho_1 lower bound skips fewer streams; more hits or trials
+    # would mean the family or the thresholds moved
+    ok = res.passed and (res.trials, hits, skips) == (9840, 722, 9352) and elapsed < 60.0
     _line(3, "rho_1 below xi(k+1) forces prefix agreement, 3280 streams, <60s", ok)
-    assert ok, {"passed": res.passed, "hits": hits, "seconds": elapsed,
-                "failures": res.failures[:3]}
+    assert ok, {"passed": res.passed, "trials": res.trials, "hits": hits, "skips": skips,
+                "seconds": elapsed, "failures": res.failures[:3]}
 
 
 def test_criterion_04_prefix_agreement_implications():

@@ -1,12 +1,16 @@
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaoslab.errors import DomainError
+from chaoslab import metrics
+from chaoslab.errors import DomainError, ToleranceUnreachable
 from chaoslab.intervals import (
     BoundInterval,
     PowerFn,
@@ -20,13 +24,6 @@ def rand_interval(rng, span=10):
     a = Fraction(rng.randint(-span, span), rng.randint(1, 7))
     b = Fraction(rng.randint(-span, span), rng.randint(1, 7))
     return BoundInterval(min(a, b), max(a, b))
-
-
-def rand_point(rng, iv):
-    if iv.width == 0:
-        return iv.lo
-    t = Fraction(rng.randint(0, 1000), 1000)
-    return iv.lo + t * iv.width
 
 
 def test_construction_and_order():
@@ -80,24 +77,75 @@ def test_abs_and_pow_edge_cases():
         straddle ** Fraction(1, 2)
 
 
-def test_arithmetic_is_an_enclosure():
+rationals = st.fractions(min_value=-10, max_value=10, max_denominator=7)
+unit = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+@st.composite
+def member_points(draw):
+    """(X, x): an exact interval and a point sampled inside it."""
+    a, b = draw(rationals), draw(rationals)
+    X = BoundInterval(min(a, b), max(a, b))
+    return X, X.lo + draw(unit) * X.width
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_points(), member_points(), st.integers(-4, 6))
+def test_arithmetic_is_an_enclosure(Xx, Yy, n):
     # fundamental containment property: op(x, y) lands inside op(X, Y)
-    rng = random.Random(20240811)
-    ops = [
-        (lambda a, b: a + b, lambda x, y: x + y),
-        (lambda a, b: a - b, lambda x, y: x - y),
-        (lambda a, b: a * b, lambda x, y: x * y),
-    ]
-    for _ in range(300):
-        X, Y = rand_interval(rng), rand_interval(rng)
-        x, y = rand_point(rng, X), rand_point(rng, Y)
-        for op_iv, op_pt in ops:
-            assert op_iv(X, Y).contains(op_pt(x, y))
-        if Y.mig > 0:
-            assert (X / Y).contains(x / y)
-        assert abs(X).contains(abs(x))
-        for n in (2, 3, 5):
-            assert (X**n).contains(x**n)
+    (X, x), (Y, y) = Xx, Yy
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(X, Y).contains(op(x, y))
+    if Y.mig > 0:
+        assert (X / Y).contains(x / y)
+    assert abs(X).contains(abs(x))
+    if n >= 0 or X.mig > 0:
+        assert (X**n).contains(x**n)
+
+
+# the outward-rounded double helpers of metrics' fractional-p quadrature,
+# against exact rationals
+
+big_ints = st.integers(-(10**30), 10**30)
+doubles = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@st.composite
+def double_intervals(draw):
+    a, b = draw(doubles), draw(doubles)
+    return min(a, b), max(a, b)
+
+
+def _encloses(box, values) -> bool:
+    return Fraction(box[0]) <= min(values) and max(values) <= Fraction(box[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_ints, big_ints, st.integers(1, 10**30), st.integers(0, 10**30))
+def test_fi_encloses_the_quotient_range(a, b, den, extra):
+    lo, hi = min(a, b), max(a, b)
+    box = metrics._fi(lo, hi, den, den + extra)
+    assert _encloses(box, [Fraction(x, y) for x in (lo, hi) for y in (den, den + extra)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2**64), st.integers(1100, 4000), st.integers(1, 2**40), st.booleans())
+def test_fi_past_the_double_range_is_unreachable(m, e, den, negative):
+    x = -(m << e) if negative else m << e
+    with pytest.raises(ToleranceUnreachable, match="double range"):
+        metrics._fi(x, x, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(double_intervals(), double_intervals(), unit, unit)
+def test_float_interval_helpers_enclose_the_exact_results(a, b, s, t):
+    A, B = [Fraction(v) for v in a], [Fraction(v) for v in b]
+    x, y = A[0] + s * (A[1] - A[0]), B[0] + t * (B[1] - B[0])
+    assert _encloses(metrics._fi_add(a, b), [A[0] + B[0], A[1] + B[1], x + y])
+    assert _encloses(metrics._fi_mul(a, b), [u * v for u in A for v in B] + [x * y])
+    squares = [u * u for u in A] + [x * x] + ([0] if a[0] <= 0 <= a[1] else [])
+    sq = metrics._fi_sq(a)
+    assert sq[0] >= 0 and _encloses(sq, squares)
 
 
 def test_hull_intersect_widen():

@@ -321,18 +321,44 @@ def test_rho_inf_scales_exactly():
             assert (got.lo, got.hi) == (base.lo * c, base.hi * c)
 
 
-def test_rho_1_lower_bound_is_a_lower_bound():
-    rng = random.Random(77)
-    spec = LpSpec(1, 1)
-    for _ in range(30):
-        a = FiniteSupport(tuple(rng.randint(-2, 2) for _ in range(5)))
-        b = FiniteSupport(tuple(rng.randint(-2, 2) for _ in range(5)))
-        f, g = series(a), series(b)
-        lower = rho_1_lower_bound(f, g)
-        assert lower >= 0
-        true_box = rho_p(f, g, spec, Fraction(1, 10**9))
-        assert lower <= true_box.hi
-    assert rho_1_lower_bound(series(ONES), series(ONES)) == 0
+small_ints = st.integers(-3, 3)
+periodic_streams = st.builds(EventuallyPeriodic, st.lists(small_ints, max_size=5),
+                             st.lists(small_ints, min_size=1, max_size=3))
+word_streams = st.builds(WordEnumeration,
+                         st.lists(small_ints, min_size=2, max_size=2, unique=True).map(
+                             lambda letters: Alphabet(tuple(letters))),
+                         st.integers(0, 30))
+
+
+@st.composite
+def rooted_pairs(draw, gamma):
+    """Finite-support (a, b) with a - b = (x - r) Q(x), r inside (0, gamma):
+    the tail is exactly 0, yet the sign partition has a root to chase."""
+    r = gamma * draw(st.fractions(0, 1, max_denominator=9).filter(lambda t: 0 < t < 1))
+    q = draw(st.lists(small_ints, min_size=1, max_size=4).filter(any))
+    mono = [x - r * c for x, c in zip([0] + q, q + [0])]  # x Q(x) - r Q(x)
+    b = draw(st.lists(small_ints, max_size=6))
+    n = max(len(mono), len(b))
+    mono += [0] * (n - len(mono))
+    b += [0] * (n - len(b))
+    a = [x + c * math.factorial(i) for i, (x, c) in enumerate(zip(b, mono))]
+    return FiniteSupport(tuple(a)), FiniteSupport(tuple(b))
+
+
+@st.composite
+def rho_1_cases(draw):
+    gamma = draw(st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))))
+    a, b = draw(st.one_of(st.tuples(periodic_streams, periodic_streams), rooted_pairs(gamma),
+                          st.tuples(word_streams, st.one_of(periodic_streams, word_streams))))
+    return series(a, gamma), series(b, gamma)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rho_1_cases())
+def test_rho_1_lower_bound_is_a_lower_bound(pair):
+    f, g = pair
+    lower = rho_1_lower_bound(f, g)
+    assert 0 <= lower <= rho_p(f, g, LpSpec(1, f.gamma), Fraction(1, 10**6)).hi
 
 
 def test_finite_support_difference_has_no_tail_slack():
@@ -343,6 +369,7 @@ def test_finite_support_difference_has_no_tail_slack():
     rho_inf = rho_p(f, g, LpSpec(math.inf, 1))
     assert rho_inf.lo == rho_inf.hi == 7
     assert rho_1_lower_bound(f, g) == Fraction(7, 2)
+    assert rho_1_lower_bound(series(ONES), series(ONES)) == 0
 
 
 def test_series_norm_is_distance_to_zero():

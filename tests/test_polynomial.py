@@ -26,14 +26,6 @@ def test_derivative_is_the_shift(P):
 
 
 @PROPERTY
-@given(polys)
-def test_antiderivative_then_derivative_round_trips(P):
-    anti = P.antiderivative()
-    assert anti(0) == 0
-    assert anti.derivative() == P
-
-
-@PROPERTY
 @given(polys, gammas, unit)
 def test_call_matches_series_evaluation(P, gamma, s):
     x = gamma * s
