@@ -8,16 +8,19 @@ DIR is a fresh copy of each side's committed tree (for instance
 change's BENCHMARK.json, pair i runs `perfbench/run.py --trace 0` once per
 side, the parent first on even i and the change first on odd i, each in
 its own tree with BENCHMARK.json's run_seconds.  Then one `--trace 1` run
-per side records the per-layer metrics numbers.
+per side records the per-layer metrics numbers.  Last, this directory's
+`enclosure_digest.py` runs once against each tree.
 
 The JSON written holds, per workload and end-to-end metric, each side's
 runs with their median and inclusive quartiles, how many pairs the change
 won in the metric's better direction, and the change/parent median ratio;
 the attempted and failed item counts; the correctness gates; on
 verify-all, each side's output digests and whether they match the seed-0
-baseline; and every traced metrics.* layer (calls, self_s, share; rho_p
-per branch) with trace.wall_s and trace.overhead_ratio.  Nothing here is
-a gate: it only records numbers.
+baseline; every traced metrics.* layer (calls, self_s, share; rho_p
+per branch) with trace.wall_s and trace.overhead_ratio; and, under
+"enclosures", each side's digests of its lp-grid enclosures and verify
+stdout and whether the two sides match.  Nothing here is a gate: it only
+records numbers.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ def main(argv=None) -> int:
         traced = {side: run(trees[side], workload, args.seed, seconds, 1) for side in SIDES}
         out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"])
         args.out.write_text(json.dumps(out, indent=1) + "\n")
+    digests = {side: json.loads(subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("enclosure_digest.py")), str(trees[side])],
+        capture_output=True, text=True, check=True).stdout) for side in SIDES}
+    out["enclosures"] = {**digests, "match": digests["parent"] == digests["change"]}
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
 

@@ -1,0 +1,79 @@
+"""Digests of a tree's certified output: every rho_p enclosure of one
+lp-grid pass, and the stdout of `chaos-lab verify --suite all --seed 0`.
+
+    python3 scripts/enclosure_digest.py TREE
+
+TREE is a checkout, for instance a fresh `git archive <commit>` copy.  The
+package is imported from TREE/src and the lp-grid workload from
+TREE/perfbench.  One pass of that workload at seed 2 runs with every
+`metrics.rho_p` call recorded in order: an enclosure as its exact
+endpoints, a raise as its exception class.  Prints one JSON line:
+
+    {"lp_grid": {"enclosures": N, "failed": M, "sha256": "..."},
+     "verify_sha256": "..."}
+
+Two trees whose lines are equal computed the same rationals, and printed
+the same verify report, bit for bit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+LP_GRID_SEED = 2
+
+
+def lp_grid_digest(metrics, workloads) -> dict:
+    lines = []
+    rho_p = metrics.rho_p
+
+    def recorded(*args, **kwargs):
+        try:
+            rho = rho_p(*args, **kwargs)
+        except Exception as exc:
+            lines.append(f"raise {type(exc).__name__}")
+            raise
+        # hex: no int-to-str digit limit, and the endpoints stay exact
+        lines.append(f"{rho.lo.numerator:x}/{rho.lo.denominator:x} "
+                     f"{rho.hi.numerator:x}/{rho.hi.denominator:x}")
+        return rho
+
+    metrics.rho_p = recorded
+    try:
+        workloads.LpGrid(LP_GRID_SEED, 1).run_pass(0, workloads.Tally())
+    finally:
+        metrics.rho_p = rho_p
+    failed = sum(line.startswith("raise ") for line in lines)
+    return {"enclosures": len(lines) - failed, "failed": failed,
+            "sha256": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()}
+
+
+def verify_digest(cli) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--suite", "all", "--seed", "0"])
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__.split("\n\n")[1])
+    tree = Path(argv[0]).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from chaoslab import cli, metrics
+    import workloads
+
+    if not Path(metrics.__file__).resolve().is_relative_to(tree):
+        sys.exit(f"enclosure_digest: chaoslab was imported from {metrics.__file__}, not {tree}")
+    print(json.dumps({"lp_grid": lp_grid_digest(metrics, workloads),
+                      "verify_sha256": verify_digest(cli)}, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

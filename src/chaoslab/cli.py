@@ -485,11 +485,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact bounds can run past the int-to-str digit limit of Python 3.11+
+    # (3.10 has none): lift it for this command only
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        saved = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except ChaosLabError as exc:
         print(f"chaos-lab: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
+    finally:
+        if set_digits:
+            set_digits(saved)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ absolute value, hulls) is computed exactly: endpoints are
 interval of width zero really is a point.  The few irrational operations
 the library needs (rational powers such as gamma**(1/p)) are delegated
 to a private mpmath interval context (the shared mpmath.iv is never
-touched) at a configurable binary precision; mpmath endpoints are binary
-floats of arbitrary exponent and convert back to Fraction losslessly, so
-enclosures remain certified across the boundary.
+touched) at the binary precision the caller asks for (128 bits unless
+it needs more); mpmath endpoints are binary floats of arbitrary exponent
+and convert back to Fraction losslessly, so enclosures remain certified
+across the boundary.
 
 Directed conversion to machine floats (for JSON output and display)
 rounds the lower endpoint down and the upper endpoint up by one ulp
@@ -20,7 +21,6 @@ upper one to +inf or the most negative double.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,29 +34,6 @@ from .errors import DomainError
 RationalLike = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 128
-MAX_PRECISION_BITS = 65_536
-PRECISION_ENV_VAR = "CHAOS_LAB_PRECISION"
-
-
-def working_precision() -> int:
-    """Binary precision used for the mpmath-backed operations.
-
-    Read from the CHAOS_LAB_PRECISION environment variable on every call
-    so a caller can tighten it without re-importing anything.  Values
-    below 53 are clamped: there is no reason to be worse than a double.
-    Values above MAX_PRECISION_BITS are refused: every fractional power
-    would run at that many bits, so a stray extra digit stalls each call.
-    """
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if bits > MAX_PRECISION_BITS:
-        raise DomainError(f"{PRECISION_ENV_VAR} must be at most {MAX_PRECISION_BITS}, got {bits}")
-    return max(53, bits)
 
 
 def as_fraction(value) -> Fraction:
@@ -245,8 +222,8 @@ class BoundInterval:
         return f"BoundInterval({self.lo_float()!r}, {self.hi_float()!r})"
 
 
-# PowerFn sets the precision of this private context only, never that of
-# the shared mpmath.iv other code may be using
+# power() and PowerFn set the precision of this private context only,
+# never that of the shared mpmath.iv other code may be using
 _IV = mpmath.ctx_iv.MPIntervalContext()
 
 
@@ -259,55 +236,50 @@ def _from_iv(x) -> BoundInterval:
     return BoundInterval(_mpf_to_fraction(lo_raw), _mpf_to_fraction(hi_raw))
 
 
-def power(base, exponent) -> BoundInterval:
+def _check_base(lo, e: Fraction) -> None:
+    if lo < 0:
+        raise DomainError(f"fractional power of a negative-reaching interval (lower end {lo})")
+    if e < 0 and lo == 0:
+        raise DomainError("negative fractional power of an interval reaching zero")
+
+
+def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
     """Certified enclosure of base**exponent for rational exponents.
 
     Integer exponents stay exact.  Non-integer exponents require a
-    nonnegative base and go through mpmath's interval context at
-    working_precision() bits; the result endpoints embed back into
-    Fraction exactly, so no certification is lost.
+    nonnegative base and go through mpmath's interval context at prec
+    bits; the result endpoints embed back into Fraction exactly, so no
+    certification is lost.
     """
-    return PowerFn(exponent)(base)
+    e = as_fraction(exponent)
+    b = base if isinstance(base, BoundInterval) else BoundInterval.exact(base)
+    if e.denominator == 1:
+        return b ** int(e)
+    _check_base(b.lo, e)
+    _IV.prec = prec
+    ive = _to_iv(e)
+    # x |-> x**e is monotone on [0, inf) for either sign of e, so the
+    # hull of certified endpoint powers encloses the whole image.
+    at_lo = _from_iv(_to_iv(b.lo) ** ive)
+    at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi) ** ive)
+    out = at_lo.hull(at_hi)
+    # x**e with x >= 0 is nonnegative; clamp round-off spill below zero.
+    if out.lo < 0:
+        out = BoundInterval(Fraction(0), out.hi)
+    return out
 
 
 class PowerFn:
-    """Reusable certified x**e for one fixed rational exponent.
+    """Certified x**e in doubles for one fixed rational exponent.
 
-    Quadrature loops evaluate thousands of powers with the same
-    exponent, so this caches the exponent's interval per precision;
-    power() is the one-shot form.
+    Quadrature loops evaluate thousands of powers with the same exponent,
+    so bounds_floats reuses one 53-bit interval of it, built here.
     """
 
     def __init__(self, exponent):
         self.exponent = as_fraction(exponent)
-        self._ive_by_prec: dict = {}
-
-    def _exp_interval(self, prec: int):
-        _IV.prec = prec
-        ive = self._ive_by_prec.get(prec)
-        if ive is None:
-            ive = self._ive_by_prec[prec] = _to_iv(self.exponent)
-        return ive
-
-    def __call__(self, base) -> BoundInterval:
-        e = self.exponent
-        b = base if isinstance(base, BoundInterval) else BoundInterval.exact(base)
-        if e.denominator == 1:
-            return b ** int(e)
-        if b.lo < 0:
-            raise DomainError(f"fractional power of a negative-reaching interval {b}")
-        if e < 0 and b.lo == 0:
-            raise DomainError("negative fractional power of an interval reaching zero")
-        ive = self._exp_interval(working_precision())
-        # x |-> x**e is monotone on [0, inf) for either sign of e, so the
-        # hull of certified endpoint powers encloses the whole image.
-        at_lo = _from_iv(_to_iv(b.lo) ** ive)
-        at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi) ** ive)
-        out = at_lo.hull(at_hi)
-        # x**e with x >= 0 is nonnegative; clamp round-off spill below zero.
-        if out.lo < 0:
-            out = BoundInterval(Fraction(0), out.hi)
-        return out
+        _IV.prec = 53
+        self._ive = _to_iv(self.exponent)
 
     def bounds_floats(self, lo: float, hi: float) -> tuple:
         """Directed float bounds on {x**e : lo <= x <= hi} for floats lo, hi.
@@ -316,13 +288,9 @@ class PowerFn:
         the converted endpoints outward, so the returned pair is a
         certified enclosure despite living in machine floats.
         """
-        e = self.exponent
-        if lo < 0:
-            raise DomainError("fractional power of a negative-reaching interval")
-        if e < 0 and lo == 0:
-            raise DomainError("negative fractional power of an interval reaching zero")
-        ive = self._exp_interval(53)
+        _check_base(lo, self.exponent)
+        _IV.prec = 53
         # x |-> x**e is monotone, so one interval power encloses the image
-        out_lo, out_hi = (_IV.mpf([lo, hi]) ** ive)._mpi_
+        out_lo, out_hi = (_IV.mpf([lo, hi]) ** self._ive)._mpi_
         hi_up = math.inf if out_hi == mpmath.libmp.finf else _float_up(_mpf_to_fraction(out_hi))
         return (max(0.0, _float_down(_mpf_to_fraction(out_lo))), hi_up)

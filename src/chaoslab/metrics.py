@@ -70,11 +70,13 @@ from .coeffspace import (
     truncate,
 )
 from .errors import DomainError, ToleranceUnreachable
-from .intervals import BoundInterval, PowerFn, as_fraction, power
+from .intervals import DEFAULT_PRECISION_BITS, BoundInterval, PowerFn, as_fraction, power
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
 _MAX_PANELS = 200_000
+_MAX_ROOT_BITS = 65_536
+_MAX_POWER_DEGREE = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +307,17 @@ def _integral_abs_pow_int(
     integral is h * S / ((N + 1)! D^p) with S = sum_i c_i i! (N - i)!,
     one exact rational built from the panel's own integers; a split
     computes S for the left half only, since the halves sum to the panel.
+
+    The work grows as N^2 times the integers' size, which grows with p,
+    so N (p for a constant) past _MAX_POWER_DEGREE raises at once: for
+    ones against zero at the default tol, p > 128 at gamma 1 (n = 16;
+    p = 101 takes 1.4 s, 151 4.5 s) and p > 85 at gamma 2 (n = 24).
     """
     B, L = _bernstein(poly, gamma)
     n = len(B) - 1
     N = n * p
+    if max(N, p) > _MAX_POWER_DEGREE:
+        raise ToleranceUnreachable(f"|P|^{p} has degree {N}, past the budget {_MAX_POWER_DEGREE}")
     binom = [math.comb(n, j) for j in range(n + 1)]
     weight = [math.factorial(i) * math.factorial(N - i) for i in range(N + 1)]
     full = math.factorial(N + 1)
@@ -568,28 +577,43 @@ def _integral_abs_pow_frac(
     return BoundInterval(max(Fraction(0), Fraction(lo_sum)), Fraction(hi_sum))
 
 
+def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
+    """Bits at which I^(1/p), I <= hi, rounds within about tol/4: the
+    root's ceil(log2(hi) / p) above tol's, and a guard for the error of
+    mpmath's exp(log(I) / p), which grows by about one bit per bit in the
+    size of log2 I (measured over I in 2^-70000..2^70000).  At least the
+    128 bits of every other power; past _MAX_ROOT_BITS a root takes
+    seconds, so the tolerance is unreachable.
+    """
+    if p == 1 or hi == 0:  # an exact root
+        return DEFAULT_PRECISION_BITS
+    # log2 of a positive rational lies within 1 of these integers
+    e = hi.numerator.bit_length() - hi.denominator.bit_length()
+    t = tol.numerator.bit_length() - tol.denominator.bit_length()
+    bits = math.ceil((e + 1) / p) + 1 - t + abs(e).bit_length() + 8
+    if bits > _MAX_ROOT_BITS:
+        raise ToleranceUnreachable(f"the L^{p} root needs {bits} bits, past {_MAX_ROOT_BITS}")
+    return max(DEFAULT_PRECISION_BITS, bits)
+
+
 def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterval:
-    """Certified L^p norm of a polynomial on [0, gamma]."""
+    """Certified L^p norm of a polynomial on [0, gamma], width < tol."""
     if spec.is_sup:
         return _sup_abs_on(poly, spec.gamma, tol)
     p = spec.p
     # the root step can widen the integral enclosure (badly so when the
     # integral sits near zero), so refine until the rooted width fits
     int_tol = tol
-    guard = 0
-    while True:
+    for _ in range(61):
         if p.denominator == 1:
             integral = _integral_abs_pow_int(poly, spec.gamma, int(p), int_tol)
         else:
             integral = _integral_abs_pow_frac(poly, spec.gamma, p, int_tol)
-        out = power(integral, 1 / p)
-        if out.width < tol or integral.width == 0:
+        out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
+        if out.width < tol:
             return out
-        shrink = min(Fraction(1, 4), tol / out.width / 2)
-        int_tol = int_tol * shrink
-        guard += 1
-        if guard > 60:
-            raise ToleranceUnreachable(f"norm width stuck above {tol}")
+        int_tol *= min(Fraction(1, 4), tol / out.width / 2)
+    raise ToleranceUnreachable(f"norm width stuck above {tol}")
 
 
 def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, Polynomial
@@ -86,27 +87,12 @@ def random_polynomial(
 # exhaustive families
 
 
-def _tuples_over(values: Sequence[Fraction], length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in values:
-        for rest in _tuples_over(values, length - 1):
-            yield (head,) + rest
-
-
 def first_nonzero_index(s: EventuallyPeriodic) -> Optional[int]:
     """Index of the first nonzero coefficient, None for the zero stream."""
     for i, v in enumerate(s.preamble + s.period):
         if v != 0:
             return i
     return None
-
-
-def _negate(s: EventuallyPeriodic) -> EventuallyPeriodic:
-    return EventuallyPeriodic(
-        tuple(-v for v in s.preamble), tuple(-v for v in s.period)
-    )
 
 
 def difference_streams(
@@ -124,14 +110,15 @@ def difference_streams(
     vals = tuple(Fraction(v) for v in values)
     seen = {}
     for per_len in range(1, per_max + 1):
-        for per in _tuples_over(vals, per_len):
+        for per in product(vals, repeat=per_len):
             for pre_len in range(0, pre_max + 1):
-                for pre in _tuples_over(vals, pre_len):
-                    s = EventuallyPeriodic(pre, per)
-                    j = first_nonzero_index(s)
-                    if j is None:
+                for pre in product(vals, repeat=pre_len):
+                    lead = next((v for v in pre + per if v != 0), 0)
+                    if lead > 0:
+                        s = EventuallyPeriodic(pre, per)
+                    elif lead < 0:
+                        s = EventuallyPeriodic(tuple([-v for v in pre]), tuple([-v for v in per]))
+                    else:
                         continue
-                    if s.coeff(j) < 0:
-                        s = _negate(s)
                     seen.setdefault(s, None)
     return tuple(seen)

@@ -74,7 +74,10 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     if rel_tol <= 0:
         raise DomainError("relative tolerance must be positive")
     # Cutoff floor: at least ten extra terms, and far enough out that the
-    # geometric majorant's ratio gamma/(K+2) is below 1/2.
+    # geometric majorant's ratio gamma/(K+2) is below 1/2; one past the
+    # term cap is refused before anything is summed.
+    if math.ceil(2 * gamma) - k > MAX_TAIL_INDEX:
+        raise ToleranceUnreachable(f"tail sum at gamma={gamma} needs over {MAX_TAIL_INDEX} terms")
     cutoff = max(k + 10, _ceil_strict(2 * gamma))
     # with gamma = g/h, the partial sum through index i is num / (h^i i!)
     g, h = gamma.numerator, gamma.denominator

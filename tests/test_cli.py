@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -282,6 +284,57 @@ def test_fractional_metric_below_the_rounding_floor_exits_three_at_once(capsys, 
     assert code == 3 and out == "" and "rounding floor" in err
 
 
+def test_tails_past_the_term_cap_exits_three_at_once(capsys):
+    # the cutoff floor 2 gamma is past MAX_TAIL_INDEX, so nothing is summed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["tails", "--gamma", "1e400"])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and err.startswith("chaos-lab:")
+
+
+@pytest.mark.parametrize("p", ["1e400", "100000"])
+def test_huge_integer_p_exits_three_at_once(capsys, tmp_path, p):
+    ones = _write(tmp_path, "ones.json", ONES)
+    zeros = _write(tmp_path, "zeros.json", ZEROS)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["metric", "--p", p, "--gamma", "1", ones, zeros])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == "" and "budget" in err
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(saved)
+
+
+def test_metric_prints_bounds_of_any_length(capsys, tmp_path):
+    # at gamma 1e-400 the exact bounds run past 4,300 digits, Python's
+    # default int-to-str limit
+    ones = _write(tmp_path, "ones.json", ONES)
+    zeros = _write(tmp_path, "zeros.json", ZEROS)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = _run(capsys, ["metric", "--p", "inf", "--gamma", "1e-400", ones, zeros])
+    assert code == 0 and err == ""
+    assert limit() == before  # restored after the command
+    payload = json.loads(out)
+    assert len(payload["hi"]) > 4300
+    with _any_int_length():
+        lo, hi = Fraction(payload["lo"]), Fraction(payload["hi"])
+    # sup of e^t on [0, 1e-400] is e^(1e-400), just above 1
+    assert 1 < lo <= hi < 1 + Fraction(2, 10**400)
+    assert hi - lo < Fraction(1, 10**9)
+
+
 def test_exit_code_two_on_bad_input(capsys, tmp_path):
     code, _, err = _run(capsys, ["tails", "--gamma", "-1"])
     assert code == 2 and "chaos-lab:" in err
@@ -313,9 +366,8 @@ def test_malformed_stream_file_exits_two(capsys, tmp_path):
     assert code == 2 and out == "" and "JSON array" in err
 
 
-def test_verify_all_output_is_pinned(capsys, monkeypatch):
+def test_verify_all_output_is_pinned(capsys):
     # refactors must leave this output byte for byte as it is
-    monkeypatch.delenv("CHAOS_LAB_PRECISION", raising=False)
     code, out, _ = _run(capsys, ["verify", "--suite", "all", "--seed", "0"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (

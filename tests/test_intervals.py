@@ -16,7 +16,6 @@ from chaoslab.intervals import (
     PowerFn,
     as_fraction,
     power,
-    working_precision,
 )
 
 
@@ -194,7 +193,9 @@ def test_power_rational_exponent():
 
 
 def test_power_fn_monotone_on_nonnegative():
-    f = PowerFn(Fraction(3, 2))
+    def f(b):
+        return power(b, Fraction(3, 2))
+
     a = f(BoundInterval(1, 4))
     assert a.contains(1) and a.contains(8)
     rng = random.Random(3)
@@ -215,16 +216,3 @@ def test_power_leaves_the_shared_mpmath_context_alone(monkeypatch):
 
 def test_power_floats_keep_an_infinite_upper_end():
     assert PowerFn(Fraction(3, 2)).bounds_floats(1.0, math.inf) == (1.0, math.inf)
-
-
-def test_working_precision_env(monkeypatch):
-    monkeypatch.delenv("CHAOS_LAB_PRECISION", raising=False)
-    assert working_precision() == 128
-    monkeypatch.setenv("CHAOS_LAB_PRECISION", "256")
-    assert working_precision() == 256
-    monkeypatch.setenv("CHAOS_LAB_PRECISION", "junk")
-    with pytest.raises(DomainError):
-        working_precision()
-    monkeypatch.setenv("CHAOS_LAB_PRECISION", "65537")
-    with pytest.raises(DomainError, match="CHAOS_LAB_PRECISION"):
-        working_precision()

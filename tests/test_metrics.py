@@ -164,6 +164,42 @@ def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
         assert time.perf_counter() - start < 2
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+       st.integers(30, 150))
+@example(2, Fraction(1), 60)
+def test_integer_rho_p_meets_tolerances_past_128_bits(p, gamma, k):
+    # ||e^t||_p on [0, gamma] is ((e^(p gamma) - 1) / p)^(1/p); a root
+    # taken at a fixed 128 bits is wider than 1e-38 of it
+    tol = Fraction(1, 10**k)
+    box = rho_p(series(ONES, gamma), series(ZEROS, gamma), LpSpec(p, gamma), tol)
+    assert box.width < tol
+    with mpmath.workdps(2 * k):
+        g = mpmath.mpf(gamma.numerator) / gamma.denominator
+        value = ((mpmath.exp(p * g) - 1) / p) ** (mpmath.mpf(1) / p)
+        margin = mpmath.mpf(10) ** (5 - 2 * k)
+        lo = mpmath.mpf(box.lo.numerator) / box.lo.denominator
+        hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
+        assert lo - margin <= value <= hi + margin
+
+
+def test_odd_rho_p_across_a_root_meets_a_tolerance_past_128_bits():
+    # ||1 - 3t||_3 on [0, 1] is (17/12)^(1/3); at a fixed 128-bit root the
+    # sign partition was re-run 60 times and gave up
+    tol = Fraction(1, 10**42)
+    box = series_norm(series(FiniteSupport((1, -3))), LpSpec(3, 1), tol)
+    assert box.width < tol
+    assert box.lo**3 <= Fraction(17, 12) <= box.hi**3
+
+
+def test_root_precision_follows_the_tolerance_up_to_its_budget():
+    assert metrics._root_bits(Fraction(17, 12), Fraction(3), Fraction(1, 10**9)) == 128
+    assert metrics._root_bits(Fraction(17, 12), Fraction(3), Fraction(1, 10**100)) > 332
+    assert metrics._root_bits(Fraction(0), Fraction(3), Fraction(1, 2**70000)) == 128
+    with pytest.raises(ToleranceUnreachable, match="bits"):
+        metrics._root_bits(Fraction(17, 12), Fraction(3), Fraction(1, 2**70000))
+
+
 def _lp_norm_oracle(coeffs, gamma, p):
     """mpmath 40-digit ||sum_n a_n t^n / n!||_p on [0, gamma], integrated
     piecewise between the real roots inside the window."""
