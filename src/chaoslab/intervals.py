@@ -238,7 +238,7 @@ def _from_iv(x) -> BoundInterval:
 
 def _check_base(lo, e: Fraction) -> None:
     if lo < 0:
-        raise DomainError(f"fractional power of a negative-reaching interval (lower end {lo})")
+        raise DomainError("fractional power of a negative-reaching interval")
     if e < 0 and lo == 0:
         raise DomainError("negative fractional power of an interval reaching zero")
 
