@@ -18,8 +18,9 @@ the attempted and failed item counts; the correctness gates; on
 verify-all, each side's output digests and whether they match the seed-0
 baseline; every traced metrics.* layer (calls, self_s, share; rho_p
 per branch) with trace.wall_s and trace.overhead_ratio; and, under
-"enclosures", each side's digests of its lp-grid enclosures and verify
-stdout and whether the two sides match.  Nothing here is a gate: it only
+"enclosures", each side's digests of its lp-grid enclosures, of the
+prefix-sweep family and its d_E enclosures, and of its verify stdout, and
+whether the two sides match.  Nothing here is a gate: it only
 records numbers.
 """
 

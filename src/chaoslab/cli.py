@@ -196,10 +196,12 @@ def _cmd_tails(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["k", "eta_lo", "eta_hi", "zeta_lo", "zeta_hi", "xi_lo", "xi_hi"])
+    zetas = tailmath.zeta_table(gamma, args.k_max + 1)
     for k in range(1, args.k_max + 1):
         eta_k = tailmath.eta(k)
-        zeta_k = tailmath.zeta(gamma, k)
-        xi_k = tailmath.xi(gamma, k)
+        zeta_k, zeta_next = zetas[k], zetas[k + 1]
+        term = gamma**k / math.factorial(k)  # xi_k = gamma^k/k! - zeta_(k+1)
+        xi_k = BoundInterval(term - zeta_next.hi, term - zeta_next.lo)
         writer.writerow(
             [
                 k,

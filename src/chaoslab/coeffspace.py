@@ -23,10 +23,11 @@ subtracts index by index, whose sup_abs() bounds sup|a_n| + sup|b_n|.
 same_stream asks whether its sup is 0, and the pairwise metrics read
 their coefficients and sup from it.
 
-truncate is the one place a certified series quantity is cut: an
-eventually-zero stream keeps its support and its tail is exactly 0;
-any other keeps its first n terms, n the least searched index whose
-caller-supplied tail bound clears the caller's budget.
+truncate is the rule for every certified series cut: an eventually-zero
+stream keeps its finite_support and its tail is exactly 0; any other
+keeps its first n terms, n the least searched index whose
+caller-supplied tail bound clears the caller's budget.  metrics.d_E
+applies the same rule with its cut index cached per (sup, tol).
 
 All coefficient values are exact `fractions.Fraction`s.  Sequences with
 coefficients drawn from a finite alphabet F live in the closed set E_F;
@@ -193,7 +194,7 @@ class Polynomial:
         return SeriesFn(FiniteSupport(self.coeffs_taylor), as_fraction(gamma))
 
 
-def _minimal_period(block: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+def _minimal_period(block: tuple) -> tuple:
     # for d dividing n: block is its first d entries repeated iff shifting by d fixes it
     n = len(block)
     for d in range(1, n):
@@ -202,13 +203,29 @@ def _minimal_period(block: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     return block
 
 
+def normal_form(pre: tuple, per: tuple) -> Tuple[tuple, tuple]:
+    """The normalized (preamble, period) of pre, per, per, ...
+
+    First the block becomes its minimal period, then any preamble suffix
+    that merely repeats the block's last symbol is absorbed by rotating
+    the block (a rotation of a minimal period is minimal).  It compares
+    entries with == only, so it works on any symbols, for instance
+    integer codes of the values.
+    """
+    per = _minimal_period(per)
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1:] + per[:-1]
+    return pre, per
+
+
 @dataclass(frozen=True)
 class EventuallyPeriodic(CoeffSeq):
     """Finite preamble followed by a repeating block, normalized on build.
 
-    Normalization first reduces the block to its minimal period, then
-    absorbs any preamble suffix that merely repeats the block's last
-    symbol by rotating the block.  Two constructions describe the same
+    Construction normalizes through normal_form: the minimal period,
+    then the preamble suffix that merely repeats the block's last symbol
+    absorbed by rotating the block.  Two constructions describe the same
     sequence iff the normalized fields are equal.
     """
 
@@ -220,11 +237,7 @@ class EventuallyPeriodic(CoeffSeq):
         per = _as_coeff_tuple(self.period)
         if not per:
             raise DomainError("period block must be nonempty")
-        per = _minimal_period(per)
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1:] + per[:-1]
-        per = _minimal_period(per)
+        pre, per = normal_form(pre, per)
         object.__setattr__(self, "preamble", pre)
         object.__setattr__(self, "period", per)
 
@@ -235,13 +248,21 @@ class EventuallyPeriodic(CoeffSeq):
             return self.preamble[n]
         return self.period[(n - len(self.preamble)) % len(self.period)]
 
+    def prefix(self, n: int) -> Tuple[Fraction, ...]:
+        pre = self.preamble
+        if n <= len(pre):
+            return pre[:max(n, 0)]
+        return tuple(_unrolled(pre, self.period, n))
+
     def shift(self) -> "EventuallyPeriodic":
         if self.preamble:
             return EventuallyPeriodic(self.preamble[1:], self.period)
         return EventuallyPeriodic((), self.period[1:] + self.period[:1])
 
     def sup_abs(self) -> Fraction:
-        return max(abs(c) for c in self.preamble + self.period)
+        # max |c| is max(max c, -min c): comparisons only, no new Fractions
+        values = self.preamble + self.period
+        return max(max(values), -min(values))
 
     def value_set(self) -> frozenset:
         return frozenset(self.preamble + self.period)
@@ -376,15 +397,25 @@ def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     periods, and the result is one normalized EventuallyPeriodic.  When
     either stream is a WordEnumeration over two or more symbols, a - b is
     read index by index and its sup_abs() is sup|a_n| + sup|b_n| (0 when
-    a == b).
+    a == b).  An EventuallyPeriodic minus the zero stream is itself.
     """
     pa, pb = as_preamble_period(a), as_preamble_period(b)
     if pa is None or pb is None:
         return _Pointwise(a, b)
+    if pb == ((), (0,)) and isinstance(a, EventuallyPeriodic):
+        return a
     s = max(len(pa[0]), len(pb[0]))
     n = s + math.lcm(len(pa[1]), len(pb[1]))
     diffs = [x - y for x, y in zip(_unrolled(*pa, n), _unrolled(*pb, n))]
     return EventuallyPeriodic(diffs[:s], diffs[s:])
+
+
+def finite_support(s: CoeffSeq) -> Optional[Tuple[Fraction, ...]]:
+    """s_0 ... s_(n-1) when s is 0 from index n on (its support), else None."""
+    layout = as_preamble_period(s)
+    if layout is not None and layout[1] == (0,):
+        return layout[0]
+    return None
 
 
 def truncate(s: CoeffSeq, tail_at: Callable[[int], Fraction], budget, what: str,
@@ -392,16 +423,16 @@ def truncate(s: CoeffSeq, tail_at: Callable[[int], Fraction], budget, what: str,
     """(kept, tail): the certified cut of s, the one truncation rule.
 
     tail_at(n) bounds, in the caller's units, everything s contributes
-    from index n on.  An eventually-zero stream keeps its support and
-    its tail is exactly 0.  Any other stream keeps s_0 ... s_(n-1) for
-    the least n in start, start + step, ... with tail_at(n) < budget
+    from index n on.  An eventually-zero stream keeps its finite_support
+    and its tail is exactly 0.  Any other stream keeps s_0 ... s_(n-1)
+    for the least n in start, start + step, ... with tail_at(n) < budget
     (tailmath.least_index, which raises InfeasibleTolerance naming
-    `what` past its cap), and its tail is tail_at(n).
+    `what` and the budget past its cap), and its tail is tail_at(n).
     """
-    layout = as_preamble_period(s)
-    if layout is not None and layout[1] == (0,):
-        return layout[0], Fraction(0)
-    n = tailmath.least_index(lambda k: tail_at(k) < budget, start, what, step)
+    support = finite_support(s)
+    if support is not None:
+        return support, Fraction(0)
+    n = tailmath.least_index(lambda k: tail_at(k) < budget, start, what, step, below=budget)
     return s.prefix(n), tail_at(n)
 
 
@@ -454,7 +485,7 @@ def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
         raise DomainError(f"evaluation point {xq} outside domain [{lo}, {hi}]")
     sup = f.coeffs.sup_abs()
     kept, tail = truncate(f.coeffs, lambda n: sup * tailmath.zeta(f.gamma, n).hi,
-                          tolq / 2, f"the series tail below {tolq}", 9, 8)
+                          tolq / 2, "the series tail", 9, 8)
     partial = Polynomial(kept)(xq - f.origin)
     return BoundInterval(partial - tail, partial + tail)
 

@@ -210,7 +210,8 @@ def nearby_distinct_point(a: CoeffSeq, delta, spec: LpSpec) -> NearbyPointReport
         lambda k: (factor * tailmath.zeta(spec.gamma, k)).hi < dq
         and tailmath.zeta(spec.gamma, k + 1).hi < dq,
         1,
-        f"a flip index below delta={dq}",
+        "a flip index",
+        below=dq,
     )
     z = tailmath.zeta(spec.gamma, n)
     pre, per = shape

@@ -64,7 +64,8 @@ def agreement_index(spec: LpSpec, diam: Fraction, gamma: Fraction, eps: Fraction
     return tailmath.least_index(
         lambda n: (factor * tailmath.zeta(gamma, n)).hi < eps,
         0,
-        f"gamma^(1/p)*diam*zeta(N) < {eps}",
+        "gamma^(1/p)*diam*zeta(N)",
+        below=eps,
     )
 
 
@@ -371,7 +372,8 @@ def periodic_point_in_cinf(P: Polynomial, gamma, spec: LpSpec, eps) -> CoeffSeq:
     N = tailmath.least_index(
         lambda n: tailmath.zeta(gq, n).hi < budget.lo,
         1,
-        f"zeta(N) < gamma^(-1/p)*eps/(2*diam) = {budget.lo}",
+        "zeta(N)",
+        below=budget.lo,
     )
     span = max(P.degree, N)
     period = P.coeffs_taylor + (Fraction(0),) * (span - P.degree)
@@ -440,7 +442,7 @@ def sensitivity_witness(
     # where sup|a| * zeta(K) drops under eps/4
     sup = f.coeffs.sup_abs()
     prefix_coeffs, rho0_hi = truncate(f.coeffs, lambda k: (sup * tailmath.zeta(gq, k)).hi,
-                                      epsq / 4, f"sup|a|*zeta(K) < {epsq / 4}")
+                                      epsq / 4, "sup|a|*zeta(K)")
     P = Polynomial(prefix_coeffs)
     if P.is_zero():
         P = Polynomial((epsq / 2 - rho0_hi,))
@@ -450,7 +452,8 @@ def sensitivity_witness(
     N_prime = tailmath.least_index(
         lambda n: tailmath.zeta(gq, n + 1).hi < epsq / (2 * F.diameter),
         1,
-        f"zeta(N'+1) < {epsq / (2 * F.diameter)}",
+        "zeta(N'+1)",
+        below=epsq / (2 * F.diameter),
     )
     span = max(P.degree, N_prime)
     head = P.coeffs_taylor + (Fraction(0),) * (span - P.degree)

@@ -5,6 +5,9 @@ routines raise the most specific class that applies instead of bare
 ValueError wherever a caller could reasonably branch on the failure.
 """
 
+import math
+from fractions import Fraction
+
 
 class ChaosLabError(Exception):
     """Base class for all library-specific failures."""
@@ -41,3 +44,18 @@ class CertificationFailure(ChaosLabError):
 
 class ConfigError(ChaosLabError):
     """Malformed user-facing configuration (CLI flags, JSON payloads)."""
+
+
+def brief(q) -> str:
+    """A rational for an error message: exact when short, else about four
+    significant digits.  str() of an integer past 4,300 digits raises
+    ValueError, so a message never prints a caller's rational with it."""
+    q = Fraction(q)
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) <= 256:
+        return str(q)
+    e = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+    k = math.floor(e)
+    m = round(10 ** (e - k), 3)
+    if m >= 10:
+        m, k = m / 10, k + 1
+    return f"~{'-' if q < 0 else ''}{m:.3f}e{k}"

@@ -20,10 +20,10 @@ eventually periodic (a WordEnumeration over two or more symbols), d
 subtracts coefficients index by index and d.sup_abs() is the bound
 sup|a_n| + sup|b_n|; otherwise d.sup_abs() is exact.
 
-Every series cut is coeffspace.truncate: when a - b has finite support
-it keeps that support and the tail is exactly 0; otherwise it keeps the
-first n terms, n the least searched index whose tail bound clears the
-caller's budget.  The bounds on everything from index n on are
+Every series cut follows coeffspace.truncate: when a - b has finite
+support it keeps that support and the tail is exactly 0; otherwise it
+keeps the first n terms, n the least searched index whose tail bound
+clears the caller's budget (d_E caches that index per (sup, tol)).  The bounds on everything from index n on are
 sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
 (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 
@@ -56,6 +56,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple, Union
 
 from . import tailmath
@@ -67,9 +68,10 @@ from .coeffspace import (
     Polynomial,
     SeriesFn,
     difference,
+    finite_support,
     truncate,
 )
-from .errors import DomainError, ToleranceUnreachable
+from .errors import DomainError, ToleranceUnreachable, brief
 from .intervals import DEFAULT_PRECISION_BITS, BoundInterval, PowerFn, as_fraction, power
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -156,30 +158,49 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
         return BoundInterval.exact(
             _geometric_block_sum([abs(c) for c in d.preamble], [abs(c) for c in d.period])
         )
-    kept, tail = truncate(d, lambda n: Fraction(2, 2**n), tolq, f"2^(1-K) < {tolq}", 4, 4)
+    kept, tail = truncate(d, lambda n: Fraction(2, 2**n), tolq, "the d_lambda tail", 4, 4)
     partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(kept))
     return BoundInterval(partial, partial + tail)
+
+
+@lru_cache(maxsize=1024)
+def _d_E_cut(sup: Fraction, tol: Fraction) -> Tuple[int, Fraction]:
+    """(n, tail): d_E's cut of a difference with sup|a_n - b_n| = sup that
+    is not eventually zero.  n is the least of 9, 17, ... with
+    sup * eta_(n+1) below tol/2, and tail is that bound."""
+    def tail_at(n: int) -> Fraction:
+        return sup * tailmath.eta(n + 1).hi
+
+    budget = tol / 2
+    n = tailmath.least_index(lambda k: tail_at(k) < budget, 9, "the d_E tail", 8, below=budget)
+    return n, tail_at(n)
 
 
 def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
     """Certified d_E(a, b) = sum |a_n - b_n| / (n+1)!.
 
-    Exact partial sum of the n kept terms; the rest is at most
-    sup|a_n - b_n| * eta_{n+1}, and exactly 0 when the difference has
-    finite support.
+    Keeps the difference's finite support, with a tail of exactly 0, or
+    else its first n terms, n the cut _d_E_cut works out once per
+    (sup, tol), with a tail of at most sup|a_n - b_n| * eta_{n+1}.  The
+    N kept terms sum exactly as one integer numerator over m * N!, m the
+    lcm of their denominators, so a call builds one Fraction, not one
+    per term.
     """
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
     d = difference(a, b)
-    sup = d.sup_abs()
-    kept, tail = truncate(d, lambda n: sup * tailmath.eta(n + 1).hi,
-                          tolq / 2, f"the d_E tail below {tolq}", 9, 8)
-    fact = 1
-    partial = Fraction(0)
-    for n, c in enumerate(kept):
-        fact *= n + 1
-        partial += abs(c) / fact
+    kept, tail = finite_support(d), 0
+    if kept is None:
+        n, tail = _d_E_cut(d.sup_abs(), tolq)
+        kept = d.prefix(n)
+    ratios = [c.as_integer_ratio() for c in kept]
+    m = math.lcm(*[q for _, q in ratios])
+    # Horner: after n terms, num = m * n! * sum_{i < n} |c_i| / (i + 1)!
+    num = 0
+    for n, (p, q) in enumerate(ratios, 1):
+        num = num * n + abs(p) * (m // q)
+    partial = Fraction(num, m * math.factorial(len(kept)))
     return BoundInterval(partial, partial + tail)
 
 
@@ -231,7 +252,7 @@ def weighted_product_metric(
         return tail
 
     kept, tail = truncate(d, tail_at, tolq / 2,
-                          f"the weighted tail below {tolq}", 8, 8)
+                          "the weighted tail", 8, 8)
     partial = sum(weights.factor(i) * abs(c) / 2**i for i, c in enumerate(kept))
     return BoundInterval(partial, partial + tail)
 
@@ -290,7 +311,7 @@ def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterv
             heapq.heappush(heap, (-Fraction(max(map(abs, child)), 1 << e), panels, e, child))
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(
-                f"sup refinement exceeded {_MAX_PANELS} panels at tol={tol}"
+                f"sup refinement exceeded {_MAX_PANELS} panels at tol={brief(tol)}"
             )
 
 
@@ -367,7 +388,7 @@ def _integral_abs_pow_int(
         classify(right, k + 1, (S << (N + 1)) - S_left)
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(
-                f"sign partition exceeded {_MAX_PANELS} panels at tol={tol}"
+                f"sign partition exceeded {_MAX_PANELS} panels at tol={brief(tol)}"
             )
     lo = settled + sum(item[-1] for item in heap)
     return BoundInterval(lo, lo + pending)
@@ -563,12 +584,12 @@ def _integral_abs_pow_frac(
             # rounding is nearly all that is left, and it halves with h
             # just as the share does, so no refinement meets the share
             raise ToleranceUnreachable(
-                f"fractional-power quadrature cannot reach tol={tol}: "
+                f"fractional-power quadrature cannot reach tol={brief(tol)}: "
                 "a panel is down to its double rounding floor"
             )
         if panels > _MAX_PANELS or share == 0.0:
             raise ToleranceUnreachable(
-                f"fractional-power quadrature cannot reach tol={tol} in {_MAX_PANELS} panels"
+                f"fractional-power quadrature cannot reach tol={brief(tol)} in {_MAX_PANELS} panels"
             )
         left, right = _split(coeffs)
         gm = g_at(left[n], L << ((k + 1) * n))
@@ -613,7 +634,7 @@ def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterva
         if out.width < tol:
             return out
         int_tol *= min(Fraction(1, 4), tol / out.width / 2)
-    raise ToleranceUnreachable(f"norm width stuck above {tol}")
+    raise ToleranceUnreachable(f"norm width stuck above {brief(tol)}")
 
 
 def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:
@@ -639,7 +660,7 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     # under tol/4 and the enclosure narrower than the tolerance asks
     kept, tail_slack = truncate(
         d, lambda n: sup * tailmath.zeta(spec.gamma, n).hi * gp.hi,
-        tolq / 4, f"the rho_p tail below {tolq}", 9, 8)
+        tolq / 4, "the rho_p tail", 9, 8)
     norm = _norm_of_poly(Polynomial(kept), spec, tolq / 2)
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
@@ -711,10 +732,7 @@ def continuity_delta_l1(gamma, eps) -> Tuple[int, Fraction]:
     if epsq <= 0:
         raise DomainError("eps must be positive")
     n = tailmath.least_index(
-        lambda n: tailmath.eta(n).hi < epsq,
-        tailmath.compute_m_gamma(g),
-        f"eta(N) < {epsq}",
-    )
+        lambda n: tailmath.eta(n).hi < epsq, tailmath.compute_m_gamma(g), "eta(N)", below=epsq)
     delta = tailmath.xi(g, n + 1).lo
     if delta <= 0:
         raise ToleranceUnreachable("xi lower bound not positive at the default rel_tol")
@@ -733,7 +751,5 @@ def continuity_delta_dE(gamma, eps) -> Tuple[int, Fraction]:
     epsq = as_fraction(eps)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    n = tailmath.least_index(
-        lambda n: tailmath.zeta(g, n).hi < epsq, 1, f"zeta(N) < {epsq}"
-    )
+    n = tailmath.least_index(lambda n: tailmath.zeta(g, n).hi < epsq, 1, "zeta(N)", below=epsq)
     return n, Fraction(1, math.factorial(n + 1))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, Polynomial
+from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, Polynomial, normal_form
 
 __all__ = [
     "make_rng",
@@ -106,19 +106,35 @@ def difference_streams(
     coefficient differences, and the quantities involved are invariant
     under negating all of them, so streams whose first nonzero entry is
     negative are folded onto their mirror images.
+
+    The candidates are every period of length 1..per_max, each with every
+    preamble of length 0..pre_max.  Each is folded, put in normal_form and
+    deduplicated as a tuple of integer codes of the values, so only int
+    compares run per candidate; one stream is built per distinct tuple,
+    in the order of its first candidate.
     """
-    vals = tuple(Fraction(v) for v in values)
+    # codes index `symbols`: the distinct values, then the negations missing from them
+    symbols = list(dict.fromkeys(Fraction(v) for v in values))
+    symbols += [-v for v in symbols if -v not in symbols]
+    code = {v: i for i, v in enumerate(symbols)}
+    neg = [code[-v] for v in symbols]
+    sign = [(v > 0) - (v < 0) for v in symbols]
+    codes = [code[Fraction(v)] for v in values]
+
+    def signed(block):
+        """(block, the sign of its first nonzero entry or 0, its mirror image)"""
+        return block, next((sign[c] for c in block if sign[c]), 0), tuple([neg[c] for c in block])
+
+    pres = [signed(pre) for pre_len in range(0, pre_max + 1)
+            for pre in product(codes, repeat=pre_len)]
     seen = {}
     for per_len in range(1, per_max + 1):
-        for per in product(vals, repeat=per_len):
-            for pre_len in range(0, pre_max + 1):
-                for pre in product(vals, repeat=pre_len):
-                    lead = next((v for v in pre + per if v != 0), 0)
-                    if lead > 0:
-                        s = EventuallyPeriodic(pre, per)
-                    elif lead < 0:
-                        s = EventuallyPeriodic(tuple([-v for v in pre]), tuple([-v for v in per]))
-                    else:
-                        continue
-                    seen.setdefault(s, None)
-    return tuple(seen)
+        for per, per_lead, per_mirror in map(signed, product(codes, repeat=per_len)):
+            for pre, lead, mirror in pres:
+                lead = lead or per_lead
+                if lead > 0:
+                    seen.setdefault(normal_form(pre, per), None)
+                elif lead < 0:
+                    seen.setdefault(normal_form(mirror, per_mirror), None)
+    return tuple([EventuallyPeriodic(tuple([symbols[c] for c in pre]),
+                                     tuple([symbols[c] for c in per])) for pre, per in seen])

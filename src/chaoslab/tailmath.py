@@ -33,9 +33,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, List
 
-from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
+from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from .intervals import BoundInterval, as_fraction
 
 DEFAULT_REL_TOL = Fraction(1, 10**15)
@@ -48,27 +48,30 @@ def _ceil_strict(q: Fraction) -> int:
     return math.floor(q) + 1
 
 
-def least_index(holds: Callable[[int], bool], start: int, what: str, step: int = 1) -> int:
+def least_index(holds: Callable[[int], bool], start: int, what: str, step: int = 1,
+                below=None) -> int:
     """Least n in start, start + step, ... up to MAX_TAIL_INDEX with holds(n).
 
     Index selection is uniform throughout the library: the smallest
     index whose certified tail bound (.hi of the enclosure) drops
     strictly below the requested tolerance.  That makes every bound
     sound at the cost of an occasional extra term.  Raises
-    InfeasibleTolerance, naming `what`, when no index up to the cap
-    qualifies.
+    InfeasibleTolerance, naming `what` and, when given, the rational
+    `below` it had to clear, when no index up to the cap qualifies; the
+    message is built only then.
     """
     for n in range(start, MAX_TAIL_INDEX + 1, step):
         if holds(n):
             return n
-    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}")
+    bound = "" if below is None else f" below {brief(below)}"
+    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}")
 
 
 @lru_cache(maxsize=4096)
 def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     """Enclosure of sum_{i >= k} gamma^i / i! for gamma > 0, k >= 0."""
     if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+        raise DomainError(f"gamma must be positive, got {brief(gamma)}")
     if k < 0:
         raise DomainError(f"tail index must be nonnegative, got {k}")
     if rel_tol <= 0:
@@ -77,7 +80,8 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     # geometric majorant's ratio gamma/(K+2) is below 1/2; one past the
     # term cap is refused before anything is summed.
     if math.ceil(2 * gamma) - k > MAX_TAIL_INDEX:
-        raise ToleranceUnreachable(f"tail sum at gamma={gamma} needs over {MAX_TAIL_INDEX} terms")
+        raise ToleranceUnreachable(
+            f"tail sum at gamma={brief(gamma)} needs over {MAX_TAIL_INDEX} terms")
     cutoff = max(k + 10, _ceil_strict(2 * gamma))
     # with gamma = g/h, the partial sum through index i is num / (h^i i!)
     g, h = gamma.numerator, gamma.denominator
@@ -99,7 +103,7 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
                                  Fraction(num * (i + 1) * gap + top, den * (i + 1) * gap))
         if cutoff - k > MAX_TAIL_INDEX:
             raise ToleranceUnreachable(
-                f"tail sum at gamma={gamma}, k={k} did not reach rel_tol={rel_tol}"
+                f"tail sum at gamma={brief(gamma)}, k={k} did not reach rel_tol={brief(rel_tol)}"
             )
         cutoff += 8
 
@@ -112,6 +116,21 @@ def eta(k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
 def zeta(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     """Certified enclosure of zeta_k(gamma) = sum_{i >= k} gamma^i/i!."""
     return _tail_sum(as_fraction(gamma), int(k), as_fraction(rel_tol))
+
+
+def zeta_table(gamma, k_last: int, rel_tol=DEFAULT_REL_TOL) -> List[BoundInterval]:
+    """Certified enclosures of zeta_0(gamma), ..., zeta_(k_last)(gamma).
+
+    One tail sum encloses zeta_(k_last); each row below it adds the exact
+    term, zeta_k = gamma^k/k! + zeta_(k+1), so every row keeps that one
+    enclosure's absolute width, at most rel_tol of every row.
+    """
+    g = as_fraction(gamma)
+    rows = [_tail_sum(g, int(k_last), as_fraction(rel_tol))]
+    for k in range(int(k_last) - 1, -1, -1):
+        term = g**k / math.factorial(k)
+        rows.append(BoundInterval(term + rows[-1].lo, term + rows[-1].hi))
+    return rows[::-1]
 
 
 def exp_enclosure(gamma, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:

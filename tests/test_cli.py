@@ -266,6 +266,13 @@ def test_tails_past_the_double_range_exits_zero(capsys):
         assert xi_lo == "-inf" and float(xi_hi) == -1.7976931348623157e308
 
 
+def test_tails_at_gamma_5000_runs_one_tail_sum(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["tails", "--gamma", "5000", "--k-max", "60"])
+    assert time.perf_counter() - start < 3
+    assert code == 0 and err == "" and len(out.splitlines()) == 61
+
+
 def test_fractional_metric_past_the_double_range_exits_three(capsys, tmp_path):
     huge = _write(tmp_path, "huge.json", EventuallyPeriodic((), (Fraction(10**400),)))
     zeros = _write(tmp_path, "zeros.json", ZEROS)

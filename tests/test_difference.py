@@ -14,12 +14,16 @@ from chaoslab.coeffspace import (
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
+    _Pointwise,
     as_preamble_period,
     difference,
     evaluate,
     same_stream,
+    truncate,
 )
+from chaoslab.intervals import BoundInterval
 from chaoslab.metrics import FACTORIAL_WEIGHTS, d_E, d_lambda, weighted_product_metric
+from chaoslab.sampling import VALUE_POOL
 
 TOL = Fraction(1, 10**6)
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -112,3 +116,60 @@ def test_two_letter_enumeration_has_no_difference(s):
         assert [d.coeff(i) for i in range(12)] == [
             sign * (word.coeff(i) - s.coeff(i)) for i in range(12)]
         assert d.sup_abs() == 1 + s.sup_abs()
+
+
+def reference_difference(a, b):
+    """difference as first written: every pair of eventually periodic
+    layouts is unrolled and a new stream is built, a - 0 included."""
+    pa, pb = as_preamble_period(a), as_preamble_period(b)
+    if pa is None or pb is None:
+        return _Pointwise(a, b)
+    s = max(len(pa[0]), len(pb[0]))
+    n = s + math.lcm(len(pa[1]), len(pb[1]))
+    diffs = [a.coeff(i) - b.coeff(i) for i in range(n)]
+    return EventuallyPeriodic(diffs[:s], diffs[s:])
+
+
+def reference_d_E(a, b, tol):
+    """d_E as first written: the cut searched on every call, then one
+    Fraction added per kept term."""
+    d = reference_difference(a, b)
+    sup = d.sup_abs()
+    kept, tail = truncate(d, lambda n: sup * tailmath.eta(n + 1).hi, tol / 2, "the d_E tail", 9, 8)
+    fact = 1
+    partial = Fraction(0)
+    for n, c in enumerate(kept):
+        fact *= n + 1
+        partial += abs(c) / fact
+    return BoundInterval(partial, partial + tail)
+
+
+pool = st.sampled_from(VALUE_POOL)
+pool_words = st.lists(pool, max_size=6)
+pool_streams = st.one_of(
+    st.builds(lambda pre, per: EventuallyPeriodic(tuple(pre), tuple(per)),
+              pool_words, st.lists(pool, min_size=1, max_size=4)),
+    pool_words.map(lambda cs: FiniteSupport(tuple(cs))),
+)
+enumerations = st.builds(
+    lambda values, offset: WordEnumeration(Alphabet(tuple(values)), offset),
+    st.lists(pool, min_size=2, max_size=4, unique=True), st.integers(0, 40))
+tols = st.builds(lambda m, k: Fraction(m, 10**k), st.integers(1, 9), st.integers(3, 40))
+
+
+@PROPERTY
+@given(st.one_of(st.tuples(pool_streams, pool_streams), st.tuples(enumerations, enumerations),
+                 st.tuples(pool_streams, enumerations)), tols)
+def test_d_E_is_the_reference_sum(pair, tol):
+    a, b = pair
+    assert d_E(a, b, tol) == reference_d_E(a, b, tol)
+    assert d_E(a, FiniteSupport(()), tol) == reference_d_E(a, FiniteSupport(()), tol)
+
+
+@PROPERTY
+@given(st.one_of(pool_streams, enumerations, pool.map(lambda v: WordEnumeration(Alphabet((v,))))))
+def test_difference_from_zero_is_the_reference(a):
+    zero = FiniteSupport(())
+    assert difference(a, zero) == reference_difference(a, zero)
+    if isinstance(a, EventuallyPeriodic):
+        assert difference(a, zero) is a

@@ -17,6 +17,7 @@ from chaoslab.coeffspace import (
     Alphabet,
 )
 from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
+from chaoslab.intervals import BoundInterval
 from chaoslab.metrics import (
     FACTORIAL_WEIGHTS,
     UNIT_WEIGHTS,
@@ -406,6 +407,15 @@ def test_finite_support_difference_has_no_tail_slack():
     assert rho_inf.lo == rho_inf.hi == 7
     assert rho_1_lower_bound(f, g) == Fraction(7, 2)
     assert rho_1_lower_bound(series(ONES), series(ONES)) == 0
+
+
+def test_tolerances_past_the_int_to_str_limit_reach_their_results():
+    # 2^-20000 has 6,021 digits; str() of it raises ValueError past 4,300
+    tol = Fraction(1, 2**20000)
+    zero = FiniteSupport(())
+    assert d_E(FiniteSupport((1, 2)), zero, tol) == BoundInterval.exact(2)
+    with pytest.raises(ToleranceUnreachable, match="tol=~"):
+        rho_p(series(FiniteSupport((1, 2))), series(zero), LpSpec(Fraction(3, 2), 1), tol)
 
 
 def test_series_norm_is_distance_to_zero():

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from chaoslab.coeffspace import Alphabet, EventuallyPeriodic
 from chaoslab.sampling import (
@@ -21,6 +24,38 @@ def test_difference_family_size_and_sign_convention():
         j = first_nonzero_index(s)
         assert j is not None
         assert s.coeff(j) > 0
+
+
+def reference_difference_streams(values, pre_max, per_max):
+    """difference_streams as first written: one stream built per
+    candidate, the sign folded on values, deduplicated by stream."""
+    vals = tuple(Fraction(v) for v in values)
+    seen = {}
+    for per_len in range(1, per_max + 1):
+        for per in product(vals, repeat=per_len):
+            for pre_len in range(0, pre_max + 1):
+                for pre in product(vals, repeat=pre_len):
+                    lead = next((v for v in pre + per if v != 0), 0)
+                    if lead > 0:
+                        s = EventuallyPeriodic(pre, per)
+                    elif lead < 0:
+                        s = EventuallyPeriodic(tuple([-v for v in pre]), tuple([-v for v in per]))
+                    else:
+                        continue
+                    seen.setdefault(s, None)
+    return tuple(seen)
+
+
+@pytest.mark.parametrize("values, pre_max, per_max", [
+    ((-1, 0, 1), 4, 3),
+    ((-2, -1, 0, 1, 2), 3, 2),
+    ((0, 1, 2), 4, 3),  # not closed under negation
+    ((1, 2), 4, 3),  # no zero
+    ((Fraction(-1, 2), 0, Fraction(1, 2), Fraction(3, 2)), 3, 3),
+])
+def test_difference_family_is_the_reference_in_order(values, pre_max, per_max):
+    fam = difference_streams(values, pre_max, per_max)
+    assert list(fam) == list(reference_difference_streams(values, pre_max, per_max))
 
 
 def test_first_nonzero_index():

@@ -15,6 +15,7 @@ from chaoslab.tailmath import (
     xi,
     xi_decrement,
     zeta,
+    zeta_table,
 )
 
 # reference values computed with mpmath at 80 decimal digits
@@ -205,3 +206,16 @@ def test_least_index_raises_past_the_cap(monkeypatch):
         tailmath.least_index(lambda n: n == 21, 0, "n = 21")
     with pytest.raises(InfeasibleTolerance):
         tailmath.least_index(lambda n: n == 12, 8, "n = 12", step=8)
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1, 3), 1, 2, Fraction(7, 2), 50])
+def test_zeta_table_rows_are_tight_certified_tails(gamma):
+    rows = zeta_table(gamma, 40)
+    assert len(rows) == 41
+    for k, row in enumerate(rows):
+        z = zeta(gamma, k)
+        # both enclose zeta_k; the row is no wider than rel_tol of itself
+        assert row.lo <= z.hi and z.lo <= row.hi
+        assert row.width <= tailmath.DEFAULT_REL_TOL * row.lo
+        if k < 40:
+            assert row.lo - rows[k + 1].lo == Fraction(gamma) ** k / math.factorial(k)
