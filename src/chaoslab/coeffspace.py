@@ -260,9 +260,13 @@ class EventuallyPeriodic(CoeffSeq):
         return EventuallyPeriodic((), self.period[1:] + self.period[:1])
 
     def sup_abs(self) -> Fraction:
-        # max |c| is max(max c, -min c): comparisons only, no new Fractions
-        values = self.preamble + self.period
-        return max(max(values), -min(values))
+        # |p|/q against the best so far by cross-multiplying: int work only
+        best, best_q = 0, 1
+        for c in self.preamble + self.period:
+            p, q = c.as_integer_ratio()
+            if abs(p) * best_q > best * q:
+                best, best_q = abs(p), q
+        return Fraction(best, best_q)
 
     def value_set(self) -> frozenset:
         return frozenset(self.preamble + self.period)

@@ -471,22 +471,25 @@ def prefix_implications(values: Sequence[Fraction], pre_max: int, per_max: int,
     family = difference_streams(values, pre_max, per_max)
     diam = max(abs(as_fraction(v)) for v in values)
     upper, lower, sup = Implication(), Implication(), Implication()
-    inv_fact = {k: Fraction(1, math.factorial(k + 1)) for k in de_lower_ks}
+    # per k, worked out once: eta_{k+2} with D eta.hi + D width(eta), and (k+1)!
+    etas = {k: tailmath.eta(k + 2) for k in de_upper_ks}
+    bounds = {k: diam * e.hi + diam * e.width for k, e in etas.items()}
+    facts = {k: math.factorial(k + 1) for k in de_lower_ks}
     idx = 0
     for d in family:
         j0 = first_nonzero_index(d)
         upper_ks = [k for k in de_upper_ks if k < j0]
-        if upper_ks or inv_fact:
+        if upper_ks or facts:
             de = d_E(d, _ZERO)
+            num, den = de.hi.numerator, de.hi.denominator
         for k in upper_ks:
-            e = tailmath.eta(k + 2)
             upper.trials += 1
-            if not de.hi <= diam * e.hi + de.width + diam * e.width:
+            if not de.hi <= bounds[k] + de.width:
                 upper.failures.append({"difference": to_payload(d), "k": k, "d_E": _ivp(de),
-                                       "eta": _ivp(e), "diam": str(diam)})
-        for k, threshold in inv_fact.items():
+                                       "eta": _ivp(etas[k]), "diam": str(diam)})
+        for k, fact in facts.items():
             lower.trials += 1
-            if de.hi < threshold:
+            if num * fact < den:  # d_E.hi < 1/(k+1)!
                 lower.hits += 1
                 if j0 <= k:
                     lower.failures.append({"difference": to_payload(d), "k": k,
