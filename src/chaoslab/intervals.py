@@ -11,6 +11,12 @@ it needs more); mpmath endpoints are binary floats of arbitrary exponent
 and convert back to Fraction losslessly, so enclosures remain certified
 across the boundary.
 
+PowerFn serves the fractional-p quadrature, which needs x**(m/q) in
+doubles thousands of times per call.  For small m and q it needs no
+mpmath: it takes a double guess and certifies each end by an exact
+integer compare of y**q against x**m, returning the tightest directed
+doubles.  Other exponents go through the same mpmath context at 53 bits.
+
 Directed conversion to machine floats (for JSON output and display)
 rounds the lower endpoint down and the upper endpoint up by one ulp
 unless the endpoint is exactly representable.  Past the double range
@@ -21,6 +27,7 @@ upper one to +inf or the most negative double.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,10 +90,10 @@ def _float_up(q: Fraction) -> float:
 def _mpf_to_fraction(raw) -> Fraction:
     """Exact value of an mpmath mpf given its raw (sign, man, exp, bc) tuple."""
     sign, man, exp, _ = raw
-    man = int(man)
+    man, exp = int(man), int(exp)
     if sign:
         man = -man
-    return Fraction(man) * Fraction(2) ** int(exp)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 @dataclass(frozen=True)
@@ -269,28 +276,121 @@ def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
     return out
 
 
-class PowerFn:
-    """Certified x**e in doubles for one fixed rational exponent.
+# PowerFn's checked path works on the bit patterns of nonnegative doubles,
+# which order them as integers do: +0.0 is 0 and +inf is _INF_BITS.
+_MAX_CHECKED_TERM = 64
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+_INF_BITS = 0x7FF0000000000000
+_FRACTION_BITS = (1 << 52) - 1
 
-    Quadrature loops evaluate thousands of powers with the same exponent,
-    so bounds_floats reuses one 53-bit interval of it, built here.
+
+def _bits(y: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(y))[0]
+
+
+def _double(i: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(i))[0]
+
+
+def _mantissa_exponent(i: int) -> tuple:
+    """(c, t) with c * 2**t the finite nonnegative double of bit pattern i."""
+    field = i >> 52
+    if field == 0:  # zero or subnormal
+        return i, -1074
+    return (i & _FRACTION_BITS) | (1 << 52), field - 1075
+
+
+class PowerFn:
+    """Certified x**e in doubles for one fixed rational exponent e = m/q.
+
+    Quadrature loops evaluate thousands of powers with the same exponent.
+    When 0 < m <= _MAX_CHECKED_TERM and q <= _MAX_CHECKED_TERM,
+    bounds_floats needs no mpmath: it takes each end from a double guess
+    and certifies it by exact integer compares ("verify, then trust";
+    Rump, Acta Numerica 2010).  With x = a 2^s and y = c 2^t, a and c
+    integers below 2^53, y <= x**e exactly when c^q 2^(tq) <= a^m 2^(sm),
+    so each compare shifts integers of about 53 max(m, q) bits.  Any
+    other exponent takes one 53-bit mpmath interval power, whose
+    exponent interval is built here.
     """
 
     def __init__(self, exponent):
         self.exponent = as_fraction(exponent)
-        _IV.prec = 53
-        self._ive = _to_iv(self.exponent)
+        m, q = self.exponent.numerator, self.exponent.denominator
+        self._checked = 0 < m <= _MAX_CHECKED_TERM and q <= _MAX_CHECKED_TERM
+        if self._checked:
+            self._m, self._q, self._e = m, q, m / q
+            self._two_roots = [2.0 ** (r / q) for r in range(q)]
+        else:
+            _IV.prec = 53
+            self._ive = _to_iv(self.exponent)
 
     def bounds_floats(self, lo: float, hi: float) -> tuple:
         """Directed float bounds on {x**e : lo <= x <= hi} for floats lo, hi.
 
-        Runs at 53 bits (double exports cannot resolve more) and rounds
-        the converted endpoints outward, so the returned pair is a
-        certified enclosure despite living in machine floats.
+        x |-> x**e is monotone, so the image is bounded by the largest
+        double at most lo**e and the least double at least hi**e (+inf
+        past the double range).  Those are exact on the checked path;
+        the mpmath fallback runs at 53 bits (double exports cannot
+        resolve more) and rounds its endpoints outward, so it may be an
+        ulp wider but is just as certified.
         """
         _check_base(lo, self.exponent)
+        if self._checked:
+            return (_double(self._least_above(lo, True) - 1), _double(self._least_above(hi, False)))
         _IV.prec = 53
-        # x |-> x**e is monotone, so one interval power encloses the image
         out_lo, out_hi = (_IV.mpf([lo, hi]) ** self._ive)._mpi_
         hi_up = math.inf if out_hi == mpmath.libmp.finf else _float_up(_mpf_to_fraction(out_hi))
         return (max(0.0, _float_down(_mpf_to_fraction(out_lo))), hi_up)
+
+    def _least_above(self, x: float, strict: bool) -> int:
+        """Bit pattern of the least nonnegative double y with y**q > x**m
+        (strict) or y**q >= x**m, +inf when no finite double qualifies.
+
+        Starts from the double x**e taken as f**e * 2**(r/q) * 2**k, with
+        x = f 2^j (0.5 <= f < 1) and jm = kq + r, which is within a few
+        ulps at every magnitude; gallops outward from it until the exact
+        compare brackets the answer, then bisects.
+        """
+        if x == math.inf:
+            return _INF_BITS
+        m, q = self._m, self._q
+        a, s = _mantissa_exponent(_bits(abs(x)))  # abs: -0.0 is 0.0
+        am, sm = a**m, s * m
+
+        def above(i: int) -> bool:
+            if i >= _INF_BITS:
+                return True
+            c, t = _mantissa_exponent(i)
+            lhs, rhs, shift = c**q, am, t * q - sm
+            if shift >= 0:
+                lhs <<= shift
+            else:
+                rhs <<= -shift
+            return lhs > rhs if strict else lhs >= rhs
+
+        f, j = math.frexp(x)
+        k, r = divmod(j * m, q)
+        try:
+            guess = math.ldexp(f**self._e * self._two_roots[r], k)
+        except OverflowError:
+            guess = sys.float_info.max
+        # bracket the answer: above(hi) and not above(lo), where the bit
+        # pattern -1 stands below 0.0 (y**q >= x**m fails there unless x is 0)
+        step, g = 1, _bits(guess)
+        if above(g):
+            lo, hi = g - 1, g
+            while lo >= 0 and above(lo):
+                lo, hi, step = max(lo - step, -1), lo, 2 * step
+        else:
+            lo, hi = g, g + 1
+            while not above(hi):
+                lo, hi, step = hi, min(hi + step, _INF_BITS), 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi

@@ -46,8 +46,10 @@ shift).  For it:
   a certified h^5 remainder) where D is sign-definite and crude
   range-times-width bounds across roots.  The bounds on D through its
   fourth derivative are read off a panel's coefficients and their
-  differences in outward-rounded doubles, and pointwise powers go
-  through the interval power helper, so no uncertified rounding enters.
+  differences in outward-rounded doubles, and pointwise powers come from
+  intervals.PowerFn as the tightest doubles certified by integer compares
+  (mpmath only for exponents past its small-term limit), so no
+  uncertified rounding enters.
 """
 
 from __future__ import annotations
@@ -115,7 +117,14 @@ class LpSpec:
 
     def gamma_pow_inv_p(self) -> BoundInterval:
         """Certified gamma**(1/p); exact when 1/p is an integer."""
-        return power(self.gamma, self.inv_p)
+        return _gamma_pow(self.gamma, self.inv_p)
+
+
+@lru_cache(maxsize=256)
+def _gamma_pow(gamma: Fraction, inv_p: Fraction) -> BoundInterval:
+    """power(gamma, inv_p), once per pair: callers build a new LpSpec per
+    call, and BoundInterval is immutable, so the cached value is shared."""
+    return power(gamma, inv_p)
 
 
 # ---------------------------------------------------------------------------

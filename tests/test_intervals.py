@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import metrics
@@ -216,3 +216,82 @@ def test_power_leaves_the_shared_mpmath_context_alone(monkeypatch):
 
 def test_power_floats_keep_an_infinite_upper_end():
     assert PowerFn(Fraction(3, 2)).bounds_floats(1.0, math.inf) == (1.0, math.inf)
+
+
+# PowerFn.bounds_floats against exact rationals and against the 53-bit
+# mpmath interval power it replaced for small exponent terms
+
+TOP = sys.float_info.max
+CHECKED_EXPONENTS = [Fraction(3, 2), Fraction(4, 3), Fraction(5, 2), Fraction(9, 4),
+                     Fraction(7, 2), Fraction(11, 10)]
+FALLBACK_EXPONENT = Fraction(65, 64)  # m = 65 is past the integer check
+_REF_IV = mpmath.ctx_iv.MPIntervalContext()
+
+
+def _ref_fraction(raw) -> Fraction:
+    sign, man, exp, _ = raw
+    man = -int(man) if sign else int(man)
+    return Fraction(man) * Fraction(2) ** int(exp)
+
+
+def _ref_down(q: Fraction) -> float:
+    try:
+        f = float(q)
+    except OverflowError:
+        return TOP
+    return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
+
+
+def _ref_up(q: Fraction) -> float:
+    try:
+        f = float(q)
+    except OverflowError:
+        return math.inf
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def mpmath_bounds_floats(e: Fraction, lo: float, hi: float) -> tuple:
+    """The mpmath route bounds_floats took for every exponent: one 53-bit
+    interval power, its endpoints rounded outward to doubles."""
+    _REF_IV.prec = 53
+    ive = _REF_IV.mpf(e.numerator) / _REF_IV.mpf(e.denominator)
+    out_lo, out_hi = (_REF_IV.mpf([lo, hi]) ** ive)._mpi_
+    hi_up = math.inf if out_hi == mpmath.libmp.finf else _ref_up(_ref_fraction(out_hi))
+    return (max(0.0, _ref_down(_ref_fraction(out_lo))), hi_up)
+
+
+finite_nonnegative = st.floats(min_value=0.0, max_value=TOP)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CHECKED_EXPONENTS + [FALLBACK_EXPONENT]), finite_nonnegative,
+       st.one_of(finite_nonnegative, st.just(math.inf)))
+@example(Fraction(3, 2), 0.0, 0.0)
+@example(Fraction(4, 3), 5e-324, TOP)
+@example(Fraction(11, 10), TOP, math.inf)
+@example(FALLBACK_EXPONENT, 5e-324, 2.0**-1000)
+def test_power_floats_are_certified_tightest_and_never_wider(e, a, b):
+    lo, hi = min(a, b), max(a, b)
+    got = PowerFn(e).bounds_floats(lo, hi)
+    m, q = e.numerator, e.denominator
+
+    def at_most(y: float, x: float) -> bool:  # y <= x**e, exactly
+        return Fraction(y) ** q <= Fraction(x) ** m
+
+    def at_least(y: float, x: float) -> bool:  # y >= x**e, exactly
+        return Fraction(y) ** q >= Fraction(x) ** m
+
+    assert at_most(got[0], lo)
+    assert got[1] == math.inf or at_least(got[1], hi)
+    ref = mpmath_bounds_floats(e, lo, hi)
+    assert ref[0] <= got[0] and got[1] <= ref[1]
+    if e == FALLBACK_EXPONENT:
+        assert got == ref
+        return
+    # tightest: the next double inward fails the check
+    above_lo = math.nextafter(got[0], math.inf)
+    assert above_lo == math.inf or not at_most(above_lo, lo)
+    if got[1] == math.inf:
+        assert hi == math.inf or not at_least(TOP, hi)
+    else:
+        assert got[1] == 0.0 or not at_least(math.nextafter(got[1], -math.inf), hi)

@@ -17,7 +17,7 @@ from chaoslab.coeffspace import (
     Alphabet,
 )
 from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
-from chaoslab.intervals import BoundInterval
+from chaoslab.intervals import BoundInterval, PowerFn, power
 from chaoslab.metrics import (
     FACTORIAL_WEIGHTS,
     UNIT_WEIGHTS,
@@ -32,7 +32,7 @@ from chaoslab.metrics import (
     series_norm,
     weighted_product_metric,
 )
-from chaoslab import metrics, sampling, tailmath
+from chaoslab import intervals, metrics, sampling, tailmath
 
 # mpmath oracle values, 80 decimal digits
 E = Fraction("2.7182818284590452353602874713526624977572470936999595749669676")
@@ -131,6 +131,20 @@ def test_lp_spec_validation():
         LpSpec(2, 0)
 
 
+def test_gamma_pow_inv_p_is_cached_and_bounded():
+    cache = metrics._gamma_pow
+    assert cache.cache_info().maxsize is not None
+    for gamma in (Fraction(1, 2), Fraction(3), Fraction(22, 7)):
+        for p in (Fraction(3, 2), Fraction(4, 3), Fraction(2), Fraction(5, 2)):
+            got = LpSpec(p, gamma).gamma_pow_inv_p()
+            assert got == power(gamma, 1 / p)
+            hits = cache.cache_info().hits
+            assert LpSpec(p, gamma).gamma_pow_inv_p() is got
+            assert cache.cache_info().hits == hits + 1
+        assert LpSpec(1, gamma).gamma_pow_inv_p() == BoundInterval.exact(gamma)
+        assert LpSpec(math.inf, gamma).gamma_pow_inv_p() == BoundInterval.exact(1)
+
+
 def test_rho_p_exp_reference_values():
     f = series(ONES)
     g = series(ZEROS)
@@ -147,6 +161,34 @@ def test_rho_p_fractional_exponent():
     box = rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
     assert box.lo <= RHO32_EXP <= box.hi
     assert box.width <= Fraction(1, 10**6)
+
+
+def test_fractional_quadrature_takes_no_mpmath_power(monkeypatch):
+    # count the mpmath interval powers made inside PowerFn.bounds_floats
+    ivmpf = type(intervals._IV.mpf(1))
+    real_pow, real_bounds = ivmpf.__pow__, PowerFn.bounds_floats
+    inside, calls = [False], []
+
+    def counted_pow(x, y):
+        if inside[0]:
+            calls.append(y)
+        return real_pow(x, y)
+
+    def flagged(fn, lo, hi):
+        inside[0] = True
+        try:
+            return real_bounds(fn, lo, hi)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ivmpf, "__pow__", counted_pow)
+    monkeypatch.setattr(PowerFn, "bounds_floats", flagged)
+    box = rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
+    assert box.lo <= RHO32_EXP <= box.hi
+    assert calls == []
+    # an exponent past the integer check is seen to take the mpmath route
+    PowerFn(Fraction(65, 64)).bounds_floats(1.0, 2.0)
+    assert len(calls) == 1
 
 
 def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
