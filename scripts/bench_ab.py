@@ -19,9 +19,9 @@ verify-all, each side's output digests and whether they match the seed-0
 baseline; every traced metrics.* layer (calls, self_s, share; rho_p
 per branch) with trace.wall_s and trace.overhead_ratio; and, under
 "enclosures", each side's digests of its lp-grid enclosures, of the
-prefix-sweep family and its d_E enclosures, and of its verify stdout, and
-whether the two sides match.  Nothing here is a gate: it only
-records numbers.
+prefix-sweep family and its d_E enclosures, and of its verify stdout and
+verify rho_p enclosures, and whether the two sides match.  Nothing here
+is a gate: it only records numbers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Digests of a tree's certified output: every rho_p enclosure of one
 lp-grid pass, the prefix-sweep family with its d_E enclosures, and the
-stdout of `chaos-lab verify --suite all --seed 0`.
+stdout and the rho_p enclosures of `chaos-lab verify --suite all --seed 0`.
 
     python3 scripts/enclosure_digest.py TREE
 
@@ -10,12 +10,15 @@ TREE/perfbench.  One pass of that workload at seed 2 runs with every
 `metrics.rho_p` call recorded in order: an enclosure as its exact
 endpoints, a raise as its exception class.  The prefix digests hash
 `sampling.difference_streams((-2, ..., 2), 5, 2)`, the prefix-sweep
-family, stream by stream in order, and `metrics.d_E(d, 0)` of each.
-Every rational is written as hex numerator/denominator.  Prints one
-JSON line:
+family, stream by stream in order, and `metrics.d_E(d, 0)` of each.  The
+verify run records every rho_p enclosure its suites make, in order, as
+the verify-all workload observes them; its stdout rounds them, so two
+trees can print the same report from different enclosures.  Every
+rational is written as hex numerator/denominator.  Prints one JSON line:
 
     {"lp_grid": {"enclosures": N, "failed": M, "sha256": "..."},
      "prefix": {"streams": S, "family_sha256": "...", "d_E_sha256": "..."},
+     "verify_rho_p": {"enclosures": V, "sha256": "..."},
      "verify_sha256": "..."}
 
 Two trees whose lines are equal computed the same rationals, and printed
@@ -79,11 +82,21 @@ def prefix_digest(coeffspace, metrics, sampling) -> dict:
             "d_E_sha256": _sha256(enclosures)}
 
 
-def verify_digest(cli) -> str:
+def verify_digests(cli, metrics, tracing) -> tuple:
+    lines = []
+    rho_p = metrics.rho_p
+
+    def recorded(*args, **kwargs):
+        rho = rho_p(*args, **kwargs)
+        lines.append(f"{_hex(rho.lo)} {_hex(rho.hi)}")
+        return rho
+
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with tracing.Patches() as patches, contextlib.redirect_stdout(out):
+        patches.replace_everywhere(rho_p, recorded)
         cli.main(["verify", "--suite", "all", "--seed", "0"])
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return ({"enclosures": len(lines), "sha256": _sha256(lines)},
+            hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
 
 
 def main(argv) -> int:
@@ -92,13 +105,16 @@ def main(argv) -> int:
     tree = Path(argv[0]).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from chaoslab import cli, coeffspace, metrics, sampling
+    import tracing
     import workloads
 
     if not Path(metrics.__file__).resolve().is_relative_to(tree):
         sys.exit(f"enclosure_digest: chaoslab was imported from {metrics.__file__}, not {tree}")
+    verify_rho_p, verify_sha256 = verify_digests(cli, metrics, tracing)
     print(json.dumps({"lp_grid": lp_grid_digest(metrics, workloads),
                       "prefix": prefix_digest(coeffspace, metrics, sampling),
-                      "verify_sha256": verify_digest(cli)}, sort_keys=True))
+                      "verify_rho_p": verify_rho_p,
+                      "verify_sha256": verify_sha256}, sort_keys=True))
     return 0
 
 

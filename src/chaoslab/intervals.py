@@ -276,9 +276,13 @@ def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
     return out
 
 
+# A cost limit, not a certification one: the integer compare is exact for
+# every m/q, but its integers grow as 53 max(m, q) bits and a non-dyadic
+# m/q makes the double guess less accurate.  For x from 1e-8 to 1e8 the
+# integer path beat the mpmath one at 32/31 and was level at 48/47.
+_MAX_CHECKED_TERM = 32
 # PowerFn's checked path works on the bit patterns of nonnegative doubles,
 # which order them as integers do: +0.0 is 0 and +inf is _INF_BITS.
-_MAX_CHECKED_TERM = 64
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
 _INF_BITS = 0x7FF0000000000000
@@ -321,7 +325,6 @@ class PowerFn:
         self._checked = 0 < m <= _MAX_CHECKED_TERM and q <= _MAX_CHECKED_TERM
         if self._checked:
             self._m, self._q, self._e = m, q, m / q
-            self._two_roots = [2.0 ** (r / q) for r in range(q)]
         else:
             _IV.prec = 53
             self._ive = _to_iv(self.exponent)
@@ -348,10 +351,9 @@ class PowerFn:
         """Bit pattern of the least nonnegative double y with y**q > x**m
         (strict) or y**q >= x**m, +inf when no finite double qualifies.
 
-        Starts from the double x**e taken as f**e * 2**(r/q) * 2**k, with
-        x = f 2^j (0.5 <= f < 1) and jm = kq + r, which is within a few
-        ulps at every magnitude; gallops outward from it until the exact
-        compare brackets the answer, then bisects.
+        Starts from the double x ** (m/q) and gallops outward from it
+        until the exact compare brackets the answer, then bisects, so a
+        guess k ulps off costs about 2 log2(k) compares.
         """
         if x == math.inf:
             return _INF_BITS
@@ -370,10 +372,8 @@ class PowerFn:
                 rhs <<= -shift
             return lhs > rhs if strict else lhs >= rhs
 
-        f, j = math.frexp(x)
-        k, r = divmod(j * m, q)
         try:
-            guess = math.ldexp(f**self._e * self._two_roots[r], k)
+            guess = x**self._e
         except OverflowError:
             guess = sys.float_info.max
         # bracket the answer: above(hi) and not above(lo), where the bit
