@@ -16,8 +16,10 @@ runs with their median and inclusive quartiles, how many pairs the change
 won in the metric's better direction, and the change/parent median ratio;
 the attempted and failed item counts; the correctness gates; on
 verify-all, each side's output digests and whether they match the seed-0
-baseline; every traced metrics.* layer (calls, self_s, share; rho_p
-per branch) with trace.wall_s and trace.overhead_ratio; and, under
+baseline; every per-layer metric that BENCHMARK.json's per_layer names
+and the traced run reports (the metrics.*, sampling.*, tailmath.*,
+intervals.* and coeffspace.* layers, verify's per-module wall times and
+the trace.* figures); and, under
 "enclosures", each side's digests of its lp-grid enclosures, of the
 prefix-sweep family and its d_E enclosures, and of its verify stdout and
 verify rho_p enclosures, and whether the two sides match.  Nothing here
@@ -36,7 +38,6 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED = ("trace.wall_s", "trace.overhead_ratio")
 
 
 def parse_args(argv):
@@ -67,7 +68,7 @@ def summary(runs: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "runs": runs}
 
 
-def workload_entry(results: dict, traced: dict, declared: list) -> dict:
+def workload_entry(results: dict, traced: dict, declared: list, per_layer: set) -> dict:
     end_to_end = {}
     for metric in declared:
         name = metric["name"]
@@ -90,7 +91,7 @@ def workload_entry(results: dict, traced: dict, declared: list) -> dict:
                                for side in SIDES}
     return {"end_to_end": end_to_end, "traced": {
         side: {name: m["value"] for name, m in traced[side]["metrics"].items()
-               if name.startswith("metrics.") or name in TRACED}
+               if name in per_layer}
         for side in SIDES}}
 
 
@@ -120,7 +121,8 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} {side}: items_per_s "
                       f"{results[side][-1]['metrics']['items_per_s']['value']:.4g}", flush=True)
         traced = {side: run(trees[side], workload, args.seed, seconds, 1) for side in SIDES}
-        out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"])
+        out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"],
+                                                    {m["name"] for m in bench["per_layer"]})
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     digests = {side: json.loads(subprocess.run(
         [sys.executable, str(Path(__file__).with_name("enclosure_digest.py")), str(trees[side])],

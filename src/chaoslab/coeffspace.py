@@ -102,6 +102,9 @@ BINARY = Alphabet((Fraction(0), Fraction(1)))
 
 
 def _as_coeff_tuple(values: Iterable) -> Tuple[Fraction, ...]:
+    # a tuple of Fractions is already what as_fraction would make of it
+    if type(values) is tuple and all([isinstance(v, Fraction) for v in values]):
+        return values
     return tuple([as_fraction(v) for v in values])
 
 

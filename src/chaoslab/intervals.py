@@ -104,10 +104,16 @@ class BoundInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise DomainError(f"inverted interval [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction):
+            lo = as_fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if not isinstance(hi, Fraction):
+            hi = as_fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        # lo <= hi as one integer cross-multiplication (denominators are positive)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise DomainError(f"inverted interval [{lo}, {hi}]")
 
     # -- constructors ------------------------------------------------
 

@@ -70,7 +70,6 @@ from .coeffspace import (
     Polynomial,
     SeriesFn,
     difference,
-    finite_support,
     truncate,
 )
 from .errors import DomainError, ToleranceUnreachable, brief
@@ -173,16 +172,29 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
 
 
 @lru_cache(maxsize=1024)
-def _d_E_cut(sup: Fraction, tol: Fraction) -> Tuple[int, Fraction]:
-    """(n, tail): d_E's cut of a difference with sup|a_n - b_n| = sup that
-    is not eventually zero.  n is the least of 9, 17, ... with
-    sup * eta_(n+1) below tol/2, and tail is that bound."""
+def _d_E_cut(sup_num: int, sup_den: int, tol_num: int, tol_den: int) -> Tuple[int, int, int]:
+    """(n, tail numerator, tail denominator): d_E's cut of a difference
+    with sup|a_n - b_n| = sup_num/sup_den that is not eventually zero, at
+    tol = tol_num/tol_den.  n is the least of 9, 17, ... with
+    sup * eta_(n+1) below tol/2, and the tail is that bound.  Keyed by
+    integers, which hash far faster than Fractions."""
+    sup = Fraction(sup_num, sup_den)
+
     def tail_at(n: int) -> Fraction:
         return sup * tailmath.eta(n + 1).hi
 
-    budget = tol / 2
+    budget = Fraction(tol_num, 2 * tol_den)
     n = tailmath.least_index(lambda k: tail_at(k) < budget, 9, "the d_E tail", 8, below=budget)
-    return n, tail_at(n)
+    tail = tail_at(n)
+    return n, tail.numerator, tail.denominator
+
+
+def _abs_numerators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """([|v| * m for v in values], m): |values| as integer numerators over
+    m, the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    m = math.lcm(*[q for _, q in ratios])
+    return [abs(p) * (m // q) for p, q in ratios], m
 
 
 def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
@@ -190,27 +202,39 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
 
     Keeps the difference's finite support, with a tail of exactly 0, or
     else its first n terms, n the cut _d_E_cut works out once per
-    (sup, tol), with a tail of at most sup|a_n - b_n| * eta_{n+1}.  The
-    N kept terms sum exactly as one integer numerator over m * N!, m the
-    lcm of their denominators, so a call builds one Fraction, not one
-    per term.
+    (sup, tol), with a tail of at most sup|a_n - b_n| * eta_{n+1}.  An
+    eventually periodic difference is read once, as integer numerators
+    of its preamble and period over one lcm m: their largest is m times
+    the sup, and the kept terms are them unrolled.  The N kept terms sum
+    by Horner as one integer numerator over m * N!, and the tail joins
+    it as one more integer fraction, so a call builds two Fractions.
     """
     tolq = as_fraction(tol)
-    if tolq <= 0:
+    if tolq.numerator <= 0:
         raise DomainError("tolerance must be positive")
     d = difference(a, b)
-    kept, tail = finite_support(d), 0
-    if kept is None:
-        n, tail = _d_E_cut(d.sup_abs(), tolq)
-        kept = d.prefix(n)
-    ratios = [c.as_integer_ratio() for c in kept]
-    m = math.lcm(*[q for _, q in ratios])
-    # Horner: after n terms, num = m * n! * sum_{i < n} |c_i| / (i + 1)!
+    tail_num, tail_den = 0, 1
+    if isinstance(d, EventuallyPeriodic):
+        nums, m = _abs_numerators(d.preamble + d.period)
+        pre, per = nums[:len(d.preamble)], nums[len(d.preamble):]
+        if per == [0]:  # eventually zero: keep the support (coeffspace.truncate's rule)
+            terms = pre
+        else:
+            n, tail_num, tail_den = _d_E_cut(max(nums), m, tolq.numerator, tolq.denominator)
+            terms = (pre + per * -(-(n - len(pre)) // len(per)))[:n]
+    else:
+        n, tail_num, tail_den = _d_E_cut(*d.sup_abs().as_integer_ratio(),
+                                         tolq.numerator, tolq.denominator)
+        terms, m = _abs_numerators(d.prefix(n))
+    # Horner: after k terms, num = m * k! * sum_{i < k} |c_i| / (i + 1)!
     num = 0
-    for n, (p, q) in enumerate(ratios, 1):
-        num = num * n + abs(p) * (m // q)
-    partial = Fraction(num, m * math.factorial(len(kept)))
-    return BoundInterval(partial, partial + tail)
+    for k, c in enumerate(terms, 1):
+        num = num * k + c
+    den = m * math.factorial(len(terms))
+    lo = Fraction(num, den)
+    if not tail_num:
+        return BoundInterval(lo, lo)
+    return BoundInterval(lo, Fraction(num * tail_den + tail_num * den, den * tail_den))
 
 
 @dataclass(frozen=True)

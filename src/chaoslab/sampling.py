@@ -90,7 +90,7 @@ def random_polynomial(
 def first_nonzero_index(s: EventuallyPeriodic) -> Optional[int]:
     """Index of the first nonzero coefficient, None for the zero stream."""
     for i, v in enumerate(s.preamble + s.period):
-        if v != 0:
+        if v.numerator:
             return i
     return None
 
