@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab.coeffspace import (
     Alphabet,
@@ -76,6 +78,36 @@ def test_periodic_normalization_minimal():
     with pytest.raises(DomainError):
         EventuallyPeriodic((), ())
 
+
+
+def _spelled(value: Fraction, as_int: bool):
+    """value as a constructor argument other than a Fraction: an int when
+    it is whole and as_int, else its string."""
+    return value.numerator if as_int and value.denominator == 1 else str(value)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_fractions, max_size=4), st.lists(small_fractions, min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(0, 5), st.data())
+def test_fraction_tuples_are_normalized_like_any_input(pre, per, reps, j, data):
+    # an un-normalized layout of pre, per, per, ...: j more entries unrolled
+    # into the preamble, the block rotated by j and repeated reps times
+    j %= len(per)
+    raw_pre = tuple(pre + per[:j])
+    raw_per = tuple((per[j:] + per[:j]) * reps)
+    fast = EventuallyPeriodic(raw_pre, raw_per)
+    flags = data.draw(st.lists(st.booleans(), min_size=len(raw_pre) + len(raw_per),
+                               max_size=len(raw_pre) + len(raw_per)))
+    spelled = [_spelled(v, f) for v, f in zip(raw_pre + raw_per, flags)]
+    slow = EventuallyPeriodic(spelled[:len(raw_pre)], spelled[len(raw_pre):])
+    assert fast.preamble == slow.preamble and fast.period == slow.period
+    assert hash(fast) == hash(slow) and fast == slow
+    assert fast == EventuallyPeriodic(tuple(pre), tuple(per))
+    assert all(type(v) is Fraction for v in fast.preamble + fast.period)
+    assert len(fast.period) <= len(per)
 
 def test_shift_examples():
     assert shift(FiniteSupport((1, 0, 3))) == FiniteSupport((0, 3))

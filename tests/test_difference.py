@@ -4,7 +4,7 @@ pairwise metrics that read it agree with index-by-index brute force."""
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import tailmath
@@ -18,6 +18,7 @@ from chaoslab.coeffspace import (
     as_preamble_period,
     difference,
     evaluate,
+    finite_support,
     same_stream,
     truncate,
 )
@@ -173,3 +174,56 @@ def test_difference_from_zero_is_the_reference(a):
     assert difference(a, zero) == reference_difference(a, zero)
     if isinstance(a, EventuallyPeriodic):
         assert difference(a, zero) is a
+
+
+signed_twelfths = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
+twelfth_words = st.lists(signed_twelfths, max_size=6)
+twelfth_blocks = st.lists(signed_twelfths, min_size=1, max_size=4)
+twelfth_streams = st.builds(lambda pre, per: EventuallyPeriodic(tuple(pre), tuple(per)),
+                            twelfth_words, twelfth_blocks)
+# pairs whose difference is eventually zero: equal tails behind equally long preambles
+same_tail_pairs = st.builds(
+    lambda pre, other, per: (EventuallyPeriodic(tuple(pre), tuple(per)),
+                             EventuallyPeriodic(tuple(other[:len(pre)] + pre[len(other):]), tuple(per))),
+    twelfth_words, twelfth_words, twelfth_blocks)
+
+
+def oracle_d_E(a, b, tol):
+    """(lo, hi) of d_E from the definition, term by term in Fractions.
+
+    lo is sum_{i < n} |a_i - b_i| / (i + 1)! and hi is lo + sup * eta_(n+1).hi,
+    n the least of 9, 17, ... whose tail is below tol/2, and sup the exact
+    sup|a_i - b_i| of two eventually periodic layouts or else the bound
+    sup|a_i| + sup|b_i|.  An eventually zero difference sums all of it."""
+    layouts = as_preamble_period(a), as_preamble_period(b)
+    if None in layouts:
+        sup = a.sup_abs() + b.sup_abs()
+    else:
+        (pa, qa), (pb, qb) = layouts
+        s = max(len(pa), len(pb))
+        entries = [a.coeff(i) - b.coeff(i) for i in range(s + math.lcm(len(qa), len(qb)))]
+        sup = max(abs(c) for c in entries)
+        if not any(entries[s:]):
+            whole = sum((abs(c) / math.factorial(i + 1) for i, c in enumerate(entries[:s])), Fraction(0))
+            return whole, whole
+    n = 9
+    while not sup * tailmath.eta(n + 1).hi < tol / 2:
+        n += 8
+    lo = sum((abs(a.coeff(i) - b.coeff(i)) / math.factorial(i + 1) for i in range(n)), Fraction(0))
+    return lo, lo + sup * tailmath.eta(n + 1).hi
+
+
+@PROPERTY
+@given(st.one_of(st.tuples(twelfth_streams, twelfth_streams), same_tail_pairs),
+       st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**12))))
+@example((WordEnumeration(Alphabet((0, 1))), WordEnumeration(Alphabet((Fraction(-1, 2), 2, 3)), 7)),
+         Fraction(1, 10**12))
+@example((EventuallyPeriodic((1, -2), (3,)), EventuallyPeriodic((5, 7), (3,))), Fraction(1, 10**3))
+def test_d_E_is_the_definition_term_by_term(pair, tol):
+    a, b = pair
+    lo, hi = oracle_d_E(a, b, tol)
+    got = d_E(a, b, tol)
+    assert (got.lo, got.hi) == (lo, hi)
+    assert type(got.lo) is Fraction and type(got.hi) is Fraction
+    if finite_support(difference(a, b)) is not None:
+        assert got.width == 0

@@ -35,6 +35,28 @@ def test_construction_and_order():
         BoundInterval(Fraction(2), Fraction(1))
 
 
+
+huge = st.integers(-10**1000, 10**1000)
+rationals = st.one_of(st.fractions(max_denominator=10**6),
+                      st.builds(Fraction, huge, st.integers(1, 10**1000)))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+endpoints = st.one_of(rationals, huge, st.integers(-10, 10), finite_floats,
+                      rationals.map(str), finite_floats.map(repr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoints, endpoints, st.booleans())
+def test_order_check_is_exact_on_any_endpoints(lo, hi, equal):
+    if equal:
+        hi = lo
+    if Fraction(lo) > Fraction(hi):
+        with pytest.raises(DomainError):
+            BoundInterval(lo, hi)
+        return
+    iv = BoundInterval(lo, hi)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert (iv.lo, iv.hi) == (Fraction(lo), Fraction(hi))
+
 def test_exact_and_coercion():
     iv = BoundInterval.exact("3/7")
     assert iv.lo == iv.hi == Fraction(3, 7)
