@@ -111,7 +111,8 @@ def difference_streams(
     preamble of length 0..pre_max.  Each is folded, put in normal_form and
     deduplicated as a tuple of integer codes of the values, so only int
     compares run per candidate; one stream is built per distinct tuple,
-    in the order of its first candidate.
+    in the order of its first candidate, from one shared tuple of values
+    per distinct code block.
     """
     # codes index `symbols`: the distinct values, then the negations missing from them
     symbols = list(dict.fromkeys(Fraction(v) for v in values))
@@ -136,5 +137,11 @@ def difference_streams(
                     seen.setdefault(normal_form(pre, per), None)
                 elif lead < 0:
                     seen.setdefault(normal_form(mirror, per_mirror), None)
-    return tuple([EventuallyPeriodic(tuple([symbols[c] for c in pre]),
-                                     tuple([symbols[c] for c in per])) for pre, per in seen])
+    blocks = {}  # code block -> its values, one tuple shared by every stream that uses it
+
+    def values_of(block):
+        if block not in blocks:
+            blocks[block] = tuple([symbols[c] for c in block])
+        return blocks[block]
+
+    return tuple([EventuallyPeriodic(values_of(pre), values_of(per)) for pre, per in seen])

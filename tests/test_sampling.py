@@ -20,6 +20,10 @@ def test_difference_family_size_and_sign_convention():
     # 3^8 raw streams, minus the zero stream, folded by global sign
     assert len(fam) == 3280
     assert len({s.prefix(12) for s in fam}) == 3280
+    # one tuple of values per distinct block, shared by the streams that use it
+    for field in ("preamble", "period"):
+        blocks = [getattr(s, field) for s in fam]
+        assert len({id(b) for b in blocks}) == len(set(blocks))
     for s in fam:
         j = first_nonzero_index(s)
         assert j is not None
