@@ -383,7 +383,6 @@ def test_verify_all_output_is_pinned(capsys):
         "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
 
 
-
 def test_prefix_digests_are_pinned():
     # the prefix-sweep family and its d_E enclosures, rational for rational
     spec = importlib.util.spec_from_file_location(
@@ -396,6 +395,7 @@ def test_prefix_digests_are_pinned():
         "family_sha256": "8f3d45f1e015c6b6c10e90c2047482dc4293968f36a5b26826360e4d97102cc4",
         "d_E_sha256": "46dbdf3482281947b9ea8c9027ed531be4e007a592f273d1cc19d54b2576f961",
     }
+
 
 def test_unknown_suite_is_config_error(capsys):
     code, _, err = _run(capsys, ["verify", "--suite", "nope"])

@@ -79,7 +79,6 @@ def test_periodic_normalization_minimal():
         EventuallyPeriodic((), ())
 
 
-
 def _spelled(value: Fraction, as_int: bool):
     """value as a constructor argument other than a Fraction: an int when
     it is whole and as_int, else its string."""
@@ -108,6 +107,7 @@ def test_fraction_tuples_are_normalized_like_any_input(pre, per, reps, j, data):
     assert fast == EventuallyPeriodic(tuple(pre), tuple(per))
     assert all(type(v) is Fraction for v in fast.preamble + fast.period)
     assert len(fast.period) <= len(per)
+
 
 def test_shift_examples():
     assert shift(FiniteSupport((1, 0, 3))) == FiniteSupport((0, 3))

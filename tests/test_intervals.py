@@ -35,7 +35,6 @@ def test_construction_and_order():
         BoundInterval(Fraction(2), Fraction(1))
 
 
-
 huge = st.integers(-10**1000, 10**1000)
 rationals = st.one_of(st.fractions(max_denominator=10**6),
                       st.builds(Fraction, huge, st.integers(1, 10**1000)))
@@ -56,6 +55,7 @@ def test_order_check_is_exact_on_any_endpoints(lo, hi, equal):
     iv = BoundInterval(lo, hi)
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
     assert (iv.lo, iv.hi) == (Fraction(lo), Fraction(hi))
+
 
 def test_exact_and_coercion():
     iv = BoundInterval.exact("3/7")
