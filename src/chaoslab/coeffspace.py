@@ -372,8 +372,8 @@ def as_preamble_period(s: CoeffSeq) -> Optional[Tuple[Tuple[Fraction, ...], Tupl
     return None
 
 
-def _unrolled(pre: Tuple[Fraction, ...], per: Tuple[Fraction, ...], n: int) -> list:
-    """The first n entries of the stream pre, per, per, ... (n >= len(pre))."""
+def _unrolled(pre: Sequence, per: Sequence, n: int) -> list:
+    """The first n entries of the stream pre, per, per, ..."""
     reps = -(-(n - len(pre)) // len(per))
     return (list(pre) + list(per) * reps)[:n]
 

@@ -69,6 +69,7 @@ from .coeffspace import (
     FiniteSupport,
     Polynomial,
     SeriesFn,
+    _unrolled,
     difference,
     truncate,
 )
@@ -221,7 +222,7 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
             terms = pre
         else:
             n, tail_num, tail_den = _d_E_cut(max(nums), m, tolq.numerator, tolq.denominator)
-            terms = (pre + per * -(-(n - len(pre)) // len(per)))[:n]
+            terms = _unrolled(pre, per, n)
     else:
         n, tail_num, tail_den = _d_E_cut(*d.sup_abs().as_integer_ratio(),
                                          tolq.numerator, tolq.denominator)
@@ -231,10 +232,7 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
     for k, c in enumerate(terms, 1):
         num = num * k + c
     den = m * math.factorial(len(terms))
-    lo = Fraction(num, den)
-    if not tail_num:
-        return BoundInterval(lo, lo)
-    return BoundInterval(lo, Fraction(num * tail_den + tail_num * den, den * tail_den))
+    return BoundInterval(Fraction(num, den), Fraction(num * tail_den + tail_num * den, den * tail_den))
 
 
 @dataclass(frozen=True)
