@@ -23,15 +23,35 @@ rational is written as hex numerator/denominator.  Prints one JSON line:
 
 Two trees whose lines are equal computed the same rationals, and printed
 the same verify report, bit for bit.
+
+    python3 scripts/enclosure_digest.py TREE --against PARENT_TREE
+
+also records PARENT_TREE's enclosures (in a second process, run with
+`--records`, which prints them as JSON) and adds to the line, for each of
+the lp_grid, prefix d_E and verify_rho_p sections, how many calls both
+trees made, how many raised on either side, how many enclosures moved, and
+of those how many are narrower, wider, inside the parent's, or disjoint
+from it:
+
+    "against": {"lp_grid": {"calls": [P, C], "moved": M, "narrower": ..,
+                            "wider": .., "inside": .., "disjoint": ..,
+                            "raise_changed": R}, ...}
+
+Calls are compared in order; when the two trees made different numbers
+of calls, the shorter run's calls are compared with the first ones of
+the longer.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 LP_GRID_SEED = 2
@@ -47,7 +67,12 @@ def _sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def lp_grid_digest(metrics, workloads) -> dict:
+def _summary(lines) -> dict:
+    failed = sum(line.startswith("raise ") for line in lines)
+    return {"enclosures": len(lines) - failed, "failed": failed, "sha256": _sha256(lines)}
+
+
+def lp_grid_records(metrics, workloads) -> list:
     lines = []
     rho_p = metrics.rho_p
 
@@ -65,11 +90,11 @@ def lp_grid_digest(metrics, workloads) -> dict:
         workloads.LpGrid(LP_GRID_SEED, 1).run_pass(0, workloads.Tally())
     finally:
         metrics.rho_p = rho_p
-    failed = sum(line.startswith("raise ") for line in lines)
-    return {"enclosures": len(lines) - failed, "failed": failed, "sha256": _sha256(lines)}
+    return lines
 
 
-def prefix_digest(coeffspace, metrics, sampling) -> dict:
+def prefix_records(coeffspace, metrics, sampling) -> tuple:
+    """(streams, d_E enclosures) of the prefix-sweep family, as lines."""
     family = sampling.difference_streams(*PREFIX_FAMILY)
     zero = coeffspace.FiniteSupport(())
     streams = [" ".join(map(_hex, d.preamble)) + " | " + " ".join(map(_hex, d.period))
@@ -78,11 +103,17 @@ def prefix_digest(coeffspace, metrics, sampling) -> dict:
     for d in family:
         de = metrics.d_E(d, zero)
         enclosures.append(f"{_hex(de.lo)} {_hex(de.hi)}")
-    return {"streams": len(family), "family_sha256": _sha256(streams),
+    return streams, enclosures
+
+
+def prefix_digest(coeffspace, metrics, sampling) -> dict:
+    streams, enclosures = prefix_records(coeffspace, metrics, sampling)
+    return {"streams": len(streams), "family_sha256": _sha256(streams),
             "d_E_sha256": _sha256(enclosures)}
 
 
-def verify_digests(cli, metrics, tracing) -> tuple:
+def verify_records(cli, metrics, tracing) -> tuple:
+    """(rho_p enclosures as lines, stdout) of the verify run."""
     lines = []
     rho_p = metrics.rho_p
 
@@ -95,14 +126,11 @@ def verify_digests(cli, metrics, tracing) -> tuple:
     with tracing.Patches() as patches, contextlib.redirect_stdout(out):
         patches.replace_everywhere(rho_p, recorded)
         cli.main(["verify", "--suite", "all", "--seed", "0"])
-    return ({"enclosures": len(lines), "sha256": _sha256(lines)},
-            hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+    return lines, out.getvalue()
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        sys.exit(__doc__.split("\n\n")[1])
-    tree = Path(argv[0]).resolve()
+def records(tree: Path) -> dict:
+    """Every section's lines for the tree, imported from it."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from chaoslab import cli, coeffspace, metrics, sampling
     import tracing
@@ -110,11 +138,66 @@ def main(argv) -> int:
 
     if not Path(metrics.__file__).resolve().is_relative_to(tree):
         sys.exit(f"enclosure_digest: chaoslab was imported from {metrics.__file__}, not {tree}")
-    verify_rho_p, verify_sha256 = verify_digests(cli, metrics, tracing)
-    print(json.dumps({"lp_grid": lp_grid_digest(metrics, workloads),
-                      "prefix": prefix_digest(coeffspace, metrics, sampling),
-                      "verify_rho_p": verify_rho_p,
-                      "verify_sha256": verify_sha256}, sort_keys=True))
+    verify_rho_p, stdout = verify_records(cli, metrics, tracing)
+    streams, d_E = prefix_records(coeffspace, metrics, sampling)
+    return {"lp_grid": lp_grid_records(metrics, workloads), "prefix_streams": streams,
+            "prefix": d_E, "verify_rho_p": verify_rho_p, "verify_stdout": stdout}
+
+
+def digests(rec: dict) -> dict:
+    return {"lp_grid": _summary(rec["lp_grid"]),
+            "prefix": {"streams": len(rec["prefix_streams"]),
+                       "family_sha256": _sha256(rec["prefix_streams"]),
+                       "d_E_sha256": _sha256(rec["prefix"])},
+            "verify_rho_p": {"enclosures": len(rec["verify_rho_p"]),
+                             "sha256": _sha256(rec["verify_rho_p"])},
+            "verify_sha256": hashlib.sha256(rec["verify_stdout"].encode("utf-8")).hexdigest()}
+
+
+def _enclosure(line: str):
+    if line.startswith("raise "):
+        return None
+    return tuple(Fraction(int(n, 16), int(d, 16))
+                 for n, d in (end.split("/") for end in line.split()))
+
+
+def compare(parent: list, change: list) -> dict:
+    """How the change's enclosures moved against the parent's, call by call."""
+    out = {"calls": [len(parent), len(change)], "moved": 0, "narrower": 0, "wider": 0,
+           "inside": 0, "disjoint": 0, "raise_changed": 0}
+    for old, new in zip(parent, change):
+        if old == new:
+            continue
+        a, b = _enclosure(old), _enclosure(new)
+        if a is None or b is None:
+            out["raise_changed"] += 1
+            continue
+        out["moved"] += 1
+        out["narrower"] += b[1] - b[0] < a[1] - a[0]
+        out["wider"] += b[1] - b[0] > a[1] - a[0]
+        out["inside"] += a[0] <= b[0] and b[1] <= a[1]
+        out["disjoint"] += b[1] < a[0] or a[1] < b[0]
+    return out
+
+
+def main(argv) -> int:
+    ap = argparse.ArgumentParser(usage=__doc__.split("\n\n")[1].strip())
+    ap.add_argument("tree", type=Path)
+    ap.add_argument("--against", type=Path, help="a parent tree to compare enclosures with")
+    ap.add_argument("--records", action="store_true", help="print every record as JSON")
+    args = ap.parse_args(argv)
+    rec = records(args.tree.resolve())
+    if args.records:
+        print(json.dumps(rec))
+        return 0
+    line = digests(rec)
+    if args.against is not None:
+        done = subprocess.run([sys.executable, __file__, str(args.against.resolve()), "--records"],
+                              capture_output=True, text=True, check=True)
+        parent = json.loads(done.stdout)
+        line["against"] = {section: compare(parent[section], rec[section])
+                           for section in ("lp_grid", "prefix", "verify_rho_p")}
+    print(json.dumps(line, sort_keys=True))
     return 0
 
 

@@ -23,7 +23,7 @@ sup|a_n| + sup|b_n|; otherwise d.sup_abs() is exact.
 Every series cut follows coeffspace.truncate: when a - b has finite
 support it keeps that support and the tail is exactly 0; otherwise it
 keeps the first n terms, n the least searched index whose tail bound
-clears the caller's budget (d_E caches that index per (sup, tol)).  The bounds on everything from index n on are
+clears the caller's budget (d_E and rho_p cache that index per sup, tol and, for rho_p, gamma and p).  The bounds on everything from index n on are
 sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
 (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 
@@ -41,15 +41,18 @@ shift).  For it:
   with no sign analysis at all.  For odd p, panels whose Bernstein
   coefficients share a sign integrate exactly; the others, which hold
   the roots, contribute [|int D^p|, h * max|b_j|^p].
-* other p: the same Bernstein panels, refined depth first, with the
-  corrected trapezoid rule (Euler-Maclaurin: end values, end slopes and
-  a certified h^5 remainder) where D is sign-definite and crude
-  range-times-width bounds across roots.  The bounds on D through its
-  fourth derivative are read off a panel's coefficients and their
-  differences in outward-rounded doubles, and pointwise powers come from
-  intervals.PowerFn as the tightest doubles certified by integer compares
-  (mpmath only for exponents past its small-term limit), so no
-  uncertified rounding enters.
+* other p: the same Bernstein panels, refined depth first, with
+  Euler-Maclaurin carried to its sixth-order term where D is
+  sign-definite: end values, exact first- and third-derivative end
+  corrections and a certified h^7 remainder of 1/30240 times the sixth
+  derivative, all from one chain-rule recursion for the derivatives of
+  |D|^p (_chain_rule); crude range-times-width bounds across roots.  The
+  bounds on D through its sixth derivative are read off a panel's
+  coefficients and their differences in outward-rounded doubles, and
+  pointwise powers come from intervals.PowerFn as the tightest doubles
+  certified by integer compares (mpmath only for exponents past its
+  small-term limit), so no uncertified rounding enters.  The double
+  bookkeeping floors the reachable tolerance near 1e-14 of the integral.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import tailmath
 from .coeffspace import (
@@ -71,6 +74,7 @@ from .coeffspace import (
     SeriesFn,
     _unrolled,
     difference,
+    finite_support,
     truncate,
 )
 from .errors import DomainError, ToleranceUnreachable, brief
@@ -311,13 +315,27 @@ def _bernstein(poly: Polynomial, gamma: Fraction) -> Tuple[List[int], int]:
 
 
 def _split(B: List[int]) -> Tuple[List[int], List[int]]:
-    """Halve a panel by de Casteljau at 1/2: sums only, both halves times 2^n."""
+    """Halve a panel by de Casteljau at 1/2: sums only, both halves times 2^n.
+
+    The n + 1 integers, each raised by off = max|b_j| so none is negative,
+    sit in slots of s bits of one int X, low index first.  A row of sums is
+    then X += X >> s: after k rows slot i holds 2^k (off + the de Casteljau
+    point (k, i)) for i <= n - k, below 2^(s - 1), and each half takes one
+    end slot of each row.
+    """
     n = len(B) - 1
-    left, right, row = [], [], B
-    for k in range(n + 1):  # row[i] is 2^k times the de Casteljau point (k, i)
-        left.append(row[0] << (n - k))
-        right.append(row[-1] << (n - k))
-        row = [x + y for x, y in zip(row, row[1:])]
+    off = max(max(B), -min(B))
+    s = off.bit_length() + n + 2
+    X = 0
+    for b in reversed(B):
+        X = (X << s) + b + off
+    mask = (1 << s) - 1
+    top = off << n
+    left, right = [], []
+    for k in range(n + 1):
+        left.append(((X & mask) << (n - k)) - top)
+        right.append((((X >> (s * (n - k))) & mask) << (n - k)) - top)
+        X += X >> s
     return left, right[::-1]
 
 
@@ -433,12 +451,17 @@ def _integral_abs_pow_int(
 # Fraction arithmetic (whose gcd calls would dominate the profile).
 
 
+_nextafter = math.nextafter
+_NEG_INF, _POS_INF = -math.inf, math.inf
+_MIN_NORMAL = 2.0**-1022
+
+
 def _fdn(x: float) -> float:
-    return math.nextafter(x, -math.inf)
+    return _nextafter(x, _NEG_INF)
 
 
 def _fup(x: float) -> float:
-    return math.nextafter(x, math.inf)
+    return _nextafter(x, _POS_INF)
 
 
 def _fi(lo: int, hi: int, den: int, den_hi: int = 0) -> Tuple[float, float]:
@@ -458,31 +481,86 @@ def _fc(x: Fraction) -> Tuple[float, float]:
     return _fi(x.numerator, x.numerator, x.denominator)
 
 
+# The helpers below run tens of times per panel, so they nudge with
+# _nextafter directly rather than through _fdn and _fup.
+
+
 def _fi_add(a, b) -> Tuple[float, float]:
-    return (_fdn(a[0] + b[0]), _fup(a[1] + b[1]))
+    return (_nextafter(a[0] + b[0], _NEG_INF), _nextafter(a[1] + b[1], _POS_INF))
 
 
 def _fi_mul(a, b) -> Tuple[float, float]:
-    p0 = a[0] * b[0]
-    p1 = a[0] * b[1]
-    p2 = a[1] * b[0]
-    p3 = a[1] * b[1]
+    a0, a1 = a
+    b0, b1 = b
+    p0 = a0 * b0
+    p1 = a0 * b1
+    p2 = a1 * b0
+    p3 = a1 * b1
     s = p0 + p1 + p2 + p3
     if s != s:
         # an overflow met 0 or an opposite overflow (0 * inf, inf - inf):
         # min/max would skip the nan, so claim nothing
         return (-math.inf, math.inf)
-    return (_fdn(min(p0, p1, p2, p3)), _fup(max(p0, p1, p2, p3)))
+    return (_nextafter(min(p0, p1, p2, p3), _NEG_INF), _nextafter(max(p0, p1, p2, p3), _POS_INF))
 
 
 def _fi_sq(a) -> Tuple[float, float]:
     """Outward enclosure of {x^2 : x in a}, never below zero."""
-    lo, hi = a[0] * a[0], a[1] * a[1]
-    if a[0] >= 0.0:
-        return (max(0.0, _fdn(lo)), _fup(hi))
-    if a[1] <= 0.0:
-        return (max(0.0, _fdn(hi)), _fup(lo))
-    return (0.0, _fup(max(lo, hi)))
+    a0, a1 = a
+    lo, hi = a0 * a0, a1 * a1
+    if a0 >= 0.0:
+        return (max(0.0, _nextafter(lo, _NEG_INF)), _nextafter(hi, _POS_INF))
+    if a1 <= 0.0:
+        return (max(0.0, _nextafter(hi, _NEG_INF)), _nextafter(lo, _POS_INF))
+    return (0.0, _nextafter(max(lo, hi), _POS_INF))
+
+
+def _fi_scaled(a, e: int) -> Tuple[float, float]:
+    """Outward enclosure of a * 2^e: exact unless an end falls below the
+    normal range, where ldexp may round."""
+    lo, hi = math.ldexp(a[0], e), math.ldexp(a[1], e)
+    if -_MIN_NORMAL < lo < _MIN_NORMAL or -_MIN_NORMAL < hi < _MIN_NORMAL:
+        return (_fdn(lo), _fup(hi))
+    return (lo, hi)
+
+
+# The sixth-order rule's derivatives.  Where Q > 0 on a panel of width h,
+# with R_j = h^j Q^(j) / Q, h^k (Q^p)^(k) = Q^p F_k(R_1, ..., R_k), and
+# since h R_j' = R_(j+1) - R_1 R_j,
+#
+#     F_0 = 1,  F_(k+1) = p R_1 F_k + sum_j dF_k/dR_j (R_(j+1) - R_1 R_j).
+#
+# F_k is a sum of monomials of weight k, one per partition of k; these
+# are F_6's, as exponents of R_1 ... R_6.
+_F6_MONOMIALS = (
+    (6, 0, 0, 0, 0, 0), (4, 1, 0, 0, 0, 0), (3, 0, 1, 0, 0, 0), (2, 2, 0, 0, 0, 0),
+    (2, 0, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0), (0, 3, 0, 0, 0, 0),
+    (0, 1, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+)
+
+
+@lru_cache(maxsize=64)
+def _chain_rule(p: Fraction) -> Tuple[Dict[Tuple[int, ...], Fraction], ...]:
+    """(F_0, ..., F_6) for the exponent p, each {exponents of R_1..R_k:
+    coefficient}, built on first use."""
+    F = [{(): Fraction(1)}]
+    for k in range(6):
+        nxt: Dict[Tuple[int, ...], Fraction] = {}
+        for e, c in F[-1].items():
+            e = e + (0,)
+            # p R_1 F - R_1 sum_j R_j dF/dR_j takes a monomial of degree m
+            # to (p - m) R_1 times it
+            up = (e[0] + 1,) + e[1:]
+            nxt[up] = nxt.get(up, 0) + (p - sum(e)) * c
+            for j in range(k):  # R_(j+2) dF/dR_(j+1)
+                if e[j]:
+                    moved = list(e)
+                    moved[j] -= 1
+                    moved[j + 1] += 1
+                    moved = tuple(moved)
+                    nxt[moved] = nxt.get(moved, 0) + e[j] * c
+        F.append({e: c for e, c in nxt.items() if c})
+    return tuple(F)
 
 
 def _integral_abs_pow_frac(
@@ -492,34 +570,34 @@ def _integral_abs_pow_frac(
 
     Runs on the Bernstein panels.  On a panel [u, v] of width h at depth
     k the integers b over L * 2^(kn) bound P, and n!/(n-j)! times their
-    j-th differences bound h^j P^(j), j = 1..4; b_0 and b_n are P's
-    exact values at the ends, so each end value of g = |P|^p is computed
-    once and handed to both children.  Where P is sign-definite, with
-    Q = |P| (the b negated when P < 0), the panel takes the corrected
-    trapezoid rule (Euler-Maclaurin; Davis & Rabinowitz 1984)
+    j-th differences bound h^j P^(j), j = 1..6; b_0 and b_n are P's
+    exact values at the ends.  Where P is sign-definite, with Q = |P| (the
+    b negated when P < 0) and g = Q^p, the panel takes Euler-Maclaurin
+    (Davis & Rabinowitz 1984) carried to its sixth-order remainder
 
-        int g = h/2 (g(u) + g(v)) - h^2/12 (g'(v) - g'(u)) + h^5/720 g''''(theta).
+        int g = h [(g_u + g_v)/2 - (G1_v - G1_u)/12 + (G3_v - G3_u)/720
+                   - G6(theta)/30240],   G_j = h^j g^(j).
 
-    The end slopes need no further power: h g'(u) = p g(u) h Q'(u) / Q(u)
-    and h Q'(u) / Q(u) = n (b_1 - b_0) / b_0 is an exact integer ratio,
-    likewise at v with b_n - b_(n-1) and b_n.  The remainder encloses
+    _chain_rule gives G_j = g F_j(R_1, ..., R_j) with R_j = h^j Q^(j) / Q.
+    At an end R_j is n!/(n-j)! times the j-th difference of the nearest
+    coefficients over the end one, so G1/g and G3/g are one integer
+    quotient each.  They are worked out once per split point, with the
+    point's g, and handed to both children; a panel d levels deeper than
+    the point scales them by 2^-d and 2^-3d, exactly.  The remainder is
+    the range of g on the panel times F_6 over the R_j enclosures, the
+    j-th differences over the coefficients themselves, so it is free of
+    scale and no power of a tiny or huge Q leaves the double range.
+    Panels that straddle a root fall back to width * range bounds (they
+    shrink superlinearly, since |P|^p is tiny near its roots), and every
+    panel keeps the better of the two.
 
-        g'''' = p(p-1)(p-2)(p-3) Q^(p-4) Q'^4 + 6p(p-1)(p-2) Q^(p-3) Q'^2 Q''
-                + p(p-1) Q^(p-2) (3 Q''^2 + 4 Q' Q''') + p Q^(p-1) Q''''
-
-    as Q^p times the same sum in the ratios h^j Q^(j) / Q, each enclosed
-    by integer quotients of the j-th differences by the coefficients, so
-    no power of a tiny or huge Q leaves the double range.  Panels that
-    straddle a root fall back
-    to width * range bounds (they shrink superlinearly, since |P|^p is
-    tiny near its roots), and every panel keeps the better of the two.
     Refinement is depth first: a panel is kept once its width is at most
     its share tol * h / gamma, so only the current path holds coefficient
     lists.  The double bookkeeping floors the reachable tolerance near
-    1e-13 * integral (ones against zero at p = 3/2, gamma 1: rho_p
-    reaches tol 1e-12, not 1e-13), far below anything the callers
+    1e-14 * integral (ones against zero at p = 3/2, gamma 1: rho_p
+    reaches tol 1e-13, not 1e-14), far below anything the callers
     request.  A panel that must split while its width is within 2^-42 of
-    its value, and not mostly the h^5 remainder, raises
+    its value, and not mostly the h^7 remainder, raises
     ToleranceUnreachable at once: a panel's own rounding leaves a width
     near 2^-47 of its value, and that width halves with h just as the
     share does.
@@ -530,22 +608,54 @@ def _integral_abs_pow_frac(
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
     pw = PowerFn(p)
-    slope = _fc(p / 12)
-    # the g'''' coefficients over 720, so that h^5/720 g'''' is h |P|^p
-    # times their sum against the h^j Q^(j) / Q bounds
-    c4, c3, c2a, c2b, c1 = (_fc(c / 720) for c in (
-        p * (p - 1) * (p - 2) * (p - 3), 6 * p * (p - 1) * (p - 2),
-        3 * p * (p - 1), 4 * p * (p - 1), p))
-    falling = [math.perm(n, j) for j in range(5)]
+    F = _chain_rule(p)
+    # G1/g and G3/g at an end as integer quotients: p = a/c, and c^3 F_3
+    # in the monomials R_1^3, R_1 R_2, R_3 has integer coefficients
+    a, c = p.numerator, p.denominator
+    k3 = [(F[3].get(e, 0) * c**3).numerator for e in ((3, 0, 0), (1, 1, 0), (0, 0, 1))]
+    # -F_6/30240, so that the remainder is h g times their sum against the
+    # R_j bounds
+    f6 = [_fc(-F[6].get(e, 0) / 30240) for e in _F6_MONOMIALS]
+    falling = [math.perm(n, j) for j in range(7)]
 
     def g_at(b: int, den: int) -> Tuple[float, float]:
         """g where P is exactly b / den."""
         s = _fi(abs(b), abs(b), den)
         return pw.bounds_floats(max(0.0, s[0]), s[1])
 
-    def panel_enclosure(coeffs: List[int], k: int, gu, gv) -> Tuple[float, float, float]:
+    def point(b: int, near: List[int], sign: int, den: int, k: int) -> tuple:
+        """(g, G1/12g, G3/720g, k) at a panel end where P is exactly b / den,
+        for panels at depth k.  near holds the (up to) three coefficients
+        next to b, going into the panel, which lies to the right of the
+        point for sign 1 and to its left for sign -1."""
+        c1, c2, c3 = (near + [0, 0, 0])[:3]
+        if b < 0:
+            sign = -sign
+        q1 = falling[1] * (c1 - b)
+        q2 = falling[2] * (c2 - 2 * c1 + b)
+        q3 = falling[3] * (c3 - 3 * c2 + 3 * c1 - b)
+        s1 = sign * a * q1
+        s3 = sign * (k3[0] * q1**3 + (k3[1] * q1 * q2 + k3[2] * q3 * b) * b)
+        b = abs(b)
+        try:
+            e1 = _fi(s1, s1, 12 * c * b)
+            e3 = _fi(s3, s3, 720 * c**3 * b**3)
+        except (ToleranceUnreachable, ZeroDivisionError):
+            # past the double range (or a root): no end term, so a panel
+            # that needs this one takes its crude bound
+            e1 = e3 = (-math.inf, math.inf)
+        return g_at(b, den), e1, e3, k
+
+    def end_term(pt: tuple, k: int) -> Tuple[float, float]:
+        """G1/12g - G3/720g at the point pt, for a panel at depth k."""
+        _, e1, e3, kp = pt
+        if kp != k:
+            e1, e3 = _fi_scaled(e1, kp - k), _fi_scaled(e3, 3 * (kp - k))
+        return (_fdn(e1[0] - e3[1]), _fup(e1[1] - e3[0]))
+
+    def panel_enclosure(coeffs: List[int], k: int, U: tuple, V: tuple) -> Tuple[float, float, float]:
         """(lo, hi, r): r is the part of hi - lo that shrinks faster than h
-        (the h^5 remainder; all of it where the crude bound binds)."""
+        (the h^7 remainder; all of it where the crude bound binds)."""
         den = L << (k * n)
         h = _fi(gn, gn, gd << k)
         bmin, bmax = min(coeffs), max(coeffs)
@@ -558,8 +668,9 @@ def _integral_abs_pow_frac(
         if bmax < 0:  # Q's coefficients
             coeffs = [-b for b in coeffs]
             bmin, bmax = -bmax, -bmin
+        gu, gv = U[0], V[0]
         spans, row = [], coeffs
-        for _ in range(4):
+        for _ in range(6):
             row = [y - x for x, y in zip(row, row[1:])]
             spans.append((min(row, default=0), max(row, default=0)))
         if spans[0][0] >= 0 or spans[0][1] <= 0:
@@ -571,20 +682,24 @@ def _integral_abs_pow_frac(
         body = _fi_mul(_fi_add(gu, gv), (0.5, 0.5))
         rem = (0.0, 0.0)
         if n:
-            # h g'(u) - h g'(v), over p
-            ru = n * (coeffs[1] - coeffs[0])
-            rv = n * (coeffs[n - 1] - coeffs[n])
-            ends = _fi_add(_fi_mul(gu, _fi(ru, ru, coeffs[0])), _fi_mul(gv, _fi(rv, rv, coeffs[n])))
-            body = _fi_add(body, _fi_mul(ends, slope))
+            ev = end_term(V, k)
+            ends = _fi_add(_fi_mul(gu, end_term(U, k)), _fi_mul(gv, (-ev[1], -ev[0])))
+            body = _fi_add(body, ends)
             # R_j encloses h^j Q^(j) / Q: n!/(n-j)! times the j-th
             # differences over the coefficients themselves, free of scale;
             # past the degree it is 0
-            r1, r2, r3, r4 = (_fi(f * lo, f * hi, bmin, bmax)
-                              for f, (lo, hi) in zip(falling[1:], spans))
-            r1sq = _fi_sq(r1)
-            for t in (_fi_mul(_fi_sq(r1sq), c4), _fi_mul(_fi_mul(r1sq, r2), c3),
-                      _fi_mul(_fi_sq(r2), c2a), _fi_mul(_fi_mul(r1, r3), c2b), _fi_mul(r4, c1)):
-                rem = _fi_add(rem, t)
+            r1, r2, r3, r4, r5, r6 = (_fi(f * lo, f * hi, bmin, bmax)
+                                      for f, (lo, hi) in zip(falling[1:], spans))
+            # F_6 (times -1/30240) by Horner in R_1, in _F6_MONOMIALS' order
+            ca, cb, cc, cd, ce, cf, cg, ch, ci, cj, ck = f6
+            r2sq = _fi_sq(r2)
+            acc = _fi_add(_fi_mul(_fi_sq(r1), ca), _fi_mul(r2, cb))
+            acc = _fi_add(_fi_mul(acc, r1), _fi_mul(r3, cc))
+            acc = _fi_add(_fi_mul(acc, r1), _fi_add(_fi_mul(r2sq, cd), _fi_mul(r4, ce)))
+            acc = _fi_add(_fi_mul(acc, r1), _fi_add(_fi_mul(_fi_mul(r2, r3), cf), _fi_mul(r5, cg)))
+            rem = _fi_add(_fi_add(_fi_mul(acc, r1), _fi_mul(_fi_mul(r2sq, r2), ch)),
+                          _fi_add(_fi_add(_fi_mul(_fi_mul(r2, r4), ci), _fi_mul(_fi_sq(r3), cj)),
+                                  _fi_mul(r6, ck)))
             rem = _fi_mul(rem, sap)
             body = _fi_add(body, rem)
         body = _fi_mul(body, h)
@@ -596,15 +711,15 @@ def _integral_abs_pow_frac(
             return (lo, hi, math.inf)
         return (lo, hi, (rem[1] - rem[0]) * h[1])
 
-    stack = [(B, 0, g_at(B[0], L), g_at(B[n], L))]
+    stack = [(B, 0, point(B[0], B[1:4], 1, L, 0), point(B[n], B[::-1][1:4], -1, L, 0))]
     # a tolerance past the double range asks for nothing a double can miss
     num, den = min(tol, Fraction(2**1000)).as_integer_ratio()
     tol_dn = _fi(num, num, den)[0]
     lo_sum = hi_sum = 0.0
     panels = 1
     while stack:
-        coeffs, k, gu, gv = stack.pop()
-        lo, hi, shrinking = panel_enclosure(coeffs, k, gu, gv)
+        coeffs, k, U, V = stack.pop()
+        lo, hi, shrinking = panel_enclosure(coeffs, k, U, V)
         share = math.ldexp(tol_dn, -k)
         if hi - lo <= share:
             lo_sum = _fdn(lo_sum + lo)
@@ -623,9 +738,9 @@ def _integral_abs_pow_frac(
                 f"fractional-power quadrature cannot reach tol={brief(tol)} in {_MAX_PANELS} panels"
             )
         left, right = _split(coeffs)
-        gm = g_at(left[n], L << ((k + 1) * n))
-        stack.append((right, k + 1, gm, gv))
-        stack.append((left, k + 1, gu, gm))
+        M = point(right[0], right[1:4], 1, L << ((k + 1) * n), k + 1)
+        stack.append((right, k + 1, M, V))
+        stack.append((left, k + 1, U, M))
     return BoundInterval(max(Fraction(0), Fraction(lo_sum)), Fraction(hi_sum))
 
 
@@ -668,6 +783,27 @@ def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterva
     raise ToleranceUnreachable(f"norm width stuck above {brief(tol)}")
 
 
+@lru_cache(maxsize=1024)
+def _rho_p_cut(sup_num: int, sup_den: int, gamma_num: int, gamma_den: int,
+               inv_p_num: int, inv_p_den: int, tol_num: int, tol_den: int) -> Tuple[int, Fraction]:
+    """(n, tail): rho_p's cut of a difference with sup|a_n - b_n| =
+    sup_num/sup_den that is not eventually zero, on a window gamma, at
+    1/p and tol, each given as its numerator and denominator.  n is the
+    least of 9, 17, ... whose tail share gamma^(1/p) * sup * zeta_n(gamma)
+    is below tol/4, and the tail is that share.  Steps of 8 overshoot the
+    least cutoff, which keeps the slack well under tol/4 and the
+    enclosure narrower than the tolerance asks."""
+    gamma = Fraction(gamma_num, gamma_den)
+    scale = Fraction(sup_num, sup_den) * _gamma_pow(gamma, Fraction(inv_p_num, inv_p_den)).hi
+
+    def tail_at(n: int) -> Fraction:
+        return scale * tailmath.zeta(gamma, n).hi
+
+    budget = Fraction(tol_num, 4 * tol_den)
+    n = tailmath.least_index(lambda k: tail_at(k) < budget, 9, "the rho_p tail", 8, below=budget)
+    return n, tail_at(n)
+
+
 def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:
     """Certified L^p distance of two series functions on a shared window.
 
@@ -685,13 +821,11 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
     d = difference(f.coeffs, g.coeffs)
-    sup = d.sup_abs()
-    gp = spec.gamma_pow_inv_p()
-    # steps of 8 overshoot the least cutoff, which keeps the slack well
-    # under tol/4 and the enclosure narrower than the tolerance asks
-    kept, tail_slack = truncate(
-        d, lambda n: sup * tailmath.zeta(spec.gamma, n).hi * gp.hi,
-        tolq / 4, "the rho_p tail", 9, 8)
+    kept, tail_slack = finite_support(d), Fraction(0)
+    if kept is None:  # coeffspace.truncate's rule, its cut cached
+        n, tail_slack = _rho_p_cut(*d.sup_abs().as_integer_ratio(), *spec.gamma.as_integer_ratio(),
+                                   *spec.inv_p.as_integer_ratio(), *tolq.as_integer_ratio())
+        kept = d.prefix(n)
     norm = _norm_of_poly(Polynomial(kept), spec, tolq / 2)
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)

@@ -198,12 +198,15 @@ def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
 
 
 def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
-    # ones against zero at p = 3/2: rho_p reaches tol 1e-12; below its
+    # ones against zero at p = 3/2: rho_p reaches tol 1e-13; below its
     # rounding floor no refinement meets a panel's share
-    for tol in (Fraction(1, 10**13), Fraction(1, 10**14), Fraction(1, 10**30)):
+    spec = LpSpec(Fraction(3, 2), 1)
+    box = rho_p(series(ONES), series(ZEROS), spec, Fraction(1, 10**13))
+    assert box.lo <= RHO32_EXP <= box.hi and box.width <= Fraction(1, 10**13)
+    for tol in (Fraction(1, 10**14), Fraction(1, 10**15), Fraction(1, 10**30)):
         start = time.perf_counter()
         with pytest.raises(ToleranceUnreachable, match="rounding floor"):
-            rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), tol)
+            rho_p(series(ONES), series(ZEROS), spec, tol)
         assert time.perf_counter() - start < 2
 
 
@@ -266,9 +269,10 @@ def _lp_norm_oracle(coeffs, gamma, p):
 @given(
     st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=9),
     st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
-    # both signs of p - 2 and of p - 3, which sign the remainder's terms
+    # both signs of p - 2, ..., p - 5, which sign the remainder's leading
+    # terms (the R_1^6 coefficient is p (p - 1) ... (p - 5))
     st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(9, 4), Fraction(5, 2),
-                     Fraction(7, 2), Fraction(11, 10)]
+                     Fraction(7, 2), Fraction(11, 10), Fraction(9, 2), Fraction(11, 2)]
                     # integer p, on the panels' exact integrals
                     + [Fraction(k) for k in range(1, 6)]),
 )
@@ -289,18 +293,18 @@ def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
 
 
 @pytest.mark.parametrize(
-    "coeffs, parent_splits, most",
+    "coeffs, fourth_order_splits, most",
     [
-        # ones against zero: e^t; the endpoint trapezoid split 230 panels
-        (None, 230, 76),
-        # 1 - 2t, a root at 1/2; the endpoint trapezoid split 437 panels
-        ((1, -2), 437, 145),
+        # ones against zero: e^t; the corrected trapezoid split 15 panels
+        (None, 15, 7),
+        # 1 - 2t, a root at 1/2; the corrected trapezoid split 63 panels
+        ((1, -2), 63, 45),
     ],
 )
-def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, parent_splits, most):
-    # the corrected trapezoid's h^5 remainder needs at least 3x fewer
-    # splits than the endpoint trapezoid's h^3 one did at tol 1e-6
-    assert 3 * most < parent_splits
+def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, fourth_order_splits, most):
+    # the sixth-order rule's h^7 remainder needs fewer splits than the
+    # corrected trapezoid's h^5 one did at tol 1e-6
+    assert most < fourth_order_splits
     splits = []
     split = metrics._split
     monkeypatch.setattr(metrics, "_split", lambda B: splits.append(1) or split(B))
@@ -308,6 +312,49 @@ def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, parent_splits, m
     box = rho_p(series(f), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
     assert box.width <= Fraction(1, 10**6)
     assert len(splits) <= most
+
+
+def test_chain_rule_gives_the_derivatives_of_a_power():
+    p = Fraction(3, 2)
+    F = metrics._chain_rule(p)
+    assert F[0] == {(): 1}
+    assert F[1] == {(1,): p}
+    assert F[3] == {(3, 0, 0): p * (p - 1) * (p - 2), (1, 1, 0): 3 * p * (p - 1), (0, 0, 1): p}
+    # the corrected trapezoid's hand-written fourth-derivative coefficients
+    assert F[4] == {(4, 0, 0, 0): p * (p - 1) * (p - 2) * (p - 3),
+                    (2, 1, 0, 0): 6 * p * (p - 1) * (p - 2),
+                    (0, 2, 0, 0): 3 * p * (p - 1), (1, 0, 1, 0): 4 * p * (p - 1),
+                    (0, 0, 0, 1): p}
+    # one monomial per partition of 6, in the order the panels evaluate
+    assert len(F[6]) == 11 and set(F[6]) == set(metrics._F6_MONOMIALS)
+    assert F[6][(6, 0, 0, 0, 0, 0)] == Fraction(315, 64)
+    assert metrics._chain_rule(p) is F  # cached per p
+
+
+def _power_derivative_ratio(taylor, p, k):
+    """(Q^p)^(k) / Q^p at a point where Q has the Taylor coefficients
+    taylor, from the binomial series of (1 + u)^p, u = Q / Q(0) - 1."""
+    u = [Fraction(0)] + [a / taylor[0] for a in taylor[1:k + 1]]
+    u += [Fraction(0)] * (k + 1 - len(u))
+    total, term, binom = [Fraction(1)] + [Fraction(0)] * k, [Fraction(1)] + [Fraction(0)] * k, Fraction(1)
+    for i in range(1, k + 1):
+        term = [sum(term[j] * u[m - j] for j in range(m + 1)) for m in range(k + 1)]
+        binom = binom * (p - i + 1) / i
+        total = [t + binom * x for t, x in zip(total, term)]
+    return math.factorial(k) * total[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Fraction(3, 2), Fraction(4, 3), Fraction(11, 2), Fraction(101, 100)]),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(lambda c: c[0] != 0),
+       st.integers(0, 6))
+def test_chain_rule_matches_the_binomial_series(p, taylor, k):
+    # with h = 1, R_j = j! a_j / a_0 for Q's Taylor coefficients a_j
+    R = [math.factorial(j) * Fraction(a, taylor[0]) for j, a in enumerate(taylor)][1:]
+    R += [Fraction(0)] * (6 - len(R))
+    value = sum(c * math.prod(r**e for r, e in zip(R, exps))
+                for exps, c in metrics._chain_rule(p)[k].items())
+    assert value == _power_derivative_ratio([Fraction(a) for a in taylor], p, k)
 
 
 def test_fractional_rho_p_at_tiny_coefficient_scales():

@@ -52,6 +52,25 @@ def test_bernstein_panel_reproduces_and_encloses_the_polynomial(P, gamma, path, 
         assert min(b) <= value <= max(b)
 
 
+def _split_row_by_row(B):
+    """The reference halving: de Casteljau at 1/2 one row of sums at a time."""
+    n = len(B) - 1
+    left, right, row = [], [], B
+    for k in range(n + 1):  # row[i] is 2^k times the de Casteljau point (k, i)
+        left.append(row[0] << (n - k))
+        right.append(row[-1] << (n - k))
+        row = [x + y for x, y in zip(row, row[1:])]
+    return left, right[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.lists(
+    st.integers(-(1 << 300), 1 << 300) | st.integers(-4, 4), min_size=n + 1, max_size=n + 1)))
+def test_packed_split_is_the_row_by_row_halving(B):
+    assert _split(B) == _split_row_by_row(B)
+    assert _split([0] * len(B)) == _split_row_by_row([0] * len(B))
+
+
 @PROPERTY
 @given(polys, gammas, st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9))))
 def test_sup_abs_on_is_narrow_and_bounds_a_grid(P, gamma, tol):
