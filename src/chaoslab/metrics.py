@@ -23,7 +23,8 @@ sup|a_n| + sup|b_n|; otherwise d.sup_abs() is exact.
 Every series cut follows coeffspace.truncate: when a - b has finite
 support it keeps that support and the tail is exactly 0; otherwise it
 keeps the first n terms, n the least searched index whose tail bound
-clears the caller's budget (d_E and rho_p cache that index per sup, tol and, for rho_p, gamma and p).  The bounds on everything from index n on are
+clears the caller's budget (d_E caches that index per (sup, tol), rho_p
+per (sup, gamma, p, tol)).  The bounds on everything from index n on are
 sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
 (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 

@@ -15,6 +15,7 @@ from chaoslab.coeffspace import (
     SeriesFn,
     WordEnumeration,
     Alphabet,
+    truncate,
 )
 from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
 from chaoslab.intervals import BoundInterval, PowerFn, power
@@ -143,6 +144,27 @@ def test_gamma_pow_inv_p_is_cached_and_bounded():
             assert cache.cache_info().hits == hits + 1
         assert LpSpec(1, gamma).gamma_pow_inv_p() == BoundInterval.exact(gamma)
         assert LpSpec(math.inf, gamma).gamma_pow_inv_p() == BoundInterval.exact(1)
+
+
+def test_rho_p_cut_is_the_truncate_cut_and_cached():
+    # the integer-keyed cache returns coeffspace.truncate's cut, rational
+    # for rational, and a second call with equal rationals hits it
+    cache = metrics._rho_p_cut
+    assert cache.cache_info().maxsize is not None
+    d = difference(EventuallyPeriodic((Fraction(3, 2),), (1, Fraction(-2, 3))), ZEROS)
+    for gamma in (Fraction(1, 2), Fraction(2)):
+        for p in (Fraction(3, 2), Fraction(2), math.inf):
+            for tol in (Fraction(1, 10**4), Fraction(1, 10**9)):
+                spec = LpSpec(p, gamma)
+                gp = spec.gamma_pow_inv_p()
+                kept, tail = truncate(d, lambda n: d.sup_abs() * tailmath.zeta(gamma, n).hi * gp.hi,
+                                      tol / 4, "the rho_p tail", 9, 8)
+                key = (*d.sup_abs().as_integer_ratio(), *gamma.as_integer_ratio(),
+                       *spec.inv_p.as_integer_ratio(), *tol.as_integer_ratio())
+                assert cache(*key) == (len(kept), tail)
+                hits = cache.cache_info().hits
+                rho_p(SeriesFn(d, gamma), SeriesFn(ZEROS, gamma), spec, tol)
+                assert cache.cache_info().hits == hits + 1
 
 
 def test_rho_p_exp_reference_values():
