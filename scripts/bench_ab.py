@@ -9,7 +9,7 @@ change's BENCHMARK.json, pair i runs `perfbench/run.py --trace 0` once per
 side, the parent first on even i and the change first on odd i, each in
 its own tree with BENCHMARK.json's run_seconds.  Then one `--trace 1` run
 per side records the per-layer metrics numbers.  Last, this directory's
-`enclosure_digest.py` runs once against each tree.
+`enclosure_digest.py` runs once, on the change against the parent.
 
 The JSON written holds, per workload and end-to-end metric, each side's
 runs with their median and inclusive quartiles, how many pairs the change
@@ -22,8 +22,11 @@ intervals.* and coeffspace.* layers, verify's per-module wall times and
 the trace.* figures); and, under
 "enclosures", each side's digests of its lp-grid enclosures, of the
 prefix-sweep family and its d_E enclosures, and of its verify stdout and
-verify rho_p enclosures, and whether the two sides match.  Nothing here
-is a gate: it only records numbers.
+verify rho_p enclosures, whether the two sides match, and under
+"against" how many of the change's enclosures moved from the parent's in
+each section, and of those how many are narrower, wider, inside the
+parent's or disjoint from it.  Nothing here is a gate: it only records
+numbers.
 """
 
 from __future__ import annotations
@@ -124,10 +127,14 @@ def main(argv=None) -> int:
         out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"],
                                                     {m["name"] for m in bench["per_layer"]})
         args.out.write_text(json.dumps(out, indent=1) + "\n")
-    digests = {side: json.loads(subprocess.run(
-        [sys.executable, str(Path(__file__).with_name("enclosure_digest.py")), str(trees[side])],
-        capture_output=True, text=True, check=True).stdout) for side in SIDES}
-    out["enclosures"] = {**digests, "match": digests["parent"] == digests["change"]}
+    change = json.loads(subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("enclosure_digest.py")), str(trees["change"]),
+         "--against", str(trees["parent"])],
+        capture_output=True, text=True, check=True).stdout)
+    against = change.pop("against")
+    parent = against.pop("parent")
+    out["enclosures"] = {"parent": parent, "change": change, "match": parent == change,
+                         "against": against}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

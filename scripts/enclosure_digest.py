@@ -27,13 +27,14 @@ the same verify report, bit for bit.
     python3 scripts/enclosure_digest.py TREE --against PARENT_TREE
 
 also records PARENT_TREE's enclosures (in a second process, run with
-`--records`, which prints them as JSON) and adds to the line, for each of
-the lp_grid, prefix d_E and verify_rho_p sections, how many calls both
-trees made, how many raised on either side, how many enclosures moved, and
-of those how many are narrower, wider, inside the parent's, or disjoint
-from it:
+`--records`, which prints them as JSON) and adds to the line PARENT_TREE's
+digests and, for each of the lp_grid, prefix d_E and verify_rho_p
+sections, how many calls both trees made, how many raised on either side,
+how many enclosures moved, and of those how many are narrower, wider,
+inside the parent's, or disjoint from it:
 
-    "against": {"lp_grid": {"calls": [P, C], "moved": M, "narrower": ..,
+    "against": {"parent": {"lp_grid": .., "prefix": .., ...},
+                "lp_grid": {"calls": [P, C], "moved": M, "narrower": ..,
                             "wider": .., "inside": .., "disjoint": ..,
                             "raise_changed": R}, ...}
 
@@ -113,7 +114,7 @@ def prefix_digest(coeffspace, metrics, sampling) -> dict:
 
 
 def verify_records(cli, metrics, tracing) -> tuple:
-    """(rho_p enclosures as lines, stdout) of the verify run."""
+    """(rho_p enclosures as lines, stdout, exit code) of the verify run."""
     lines = []
     rho_p = metrics.rho_p
 
@@ -125,8 +126,8 @@ def verify_records(cli, metrics, tracing) -> tuple:
     out = io.StringIO()
     with tracing.Patches() as patches, contextlib.redirect_stdout(out):
         patches.replace_everywhere(rho_p, recorded)
-        cli.main(["verify", "--suite", "all", "--seed", "0"])
-    return lines, out.getvalue()
+        code = cli.main(["verify", "--suite", "all", "--seed", "0"])
+    return lines, out.getvalue(), code
 
 
 def records(tree: Path) -> dict:
@@ -138,7 +139,7 @@ def records(tree: Path) -> dict:
 
     if not Path(metrics.__file__).resolve().is_relative_to(tree):
         sys.exit(f"enclosure_digest: chaoslab was imported from {metrics.__file__}, not {tree}")
-    verify_rho_p, stdout = verify_records(cli, metrics, tracing)
+    verify_rho_p, stdout, _ = verify_records(cli, metrics, tracing)
     streams, d_E = prefix_records(coeffspace, metrics, sampling)
     return {"lp_grid": lp_grid_records(metrics, workloads), "prefix_streams": streams,
             "prefix": d_E, "verify_rho_p": verify_rho_p, "verify_stdout": stdout}
@@ -195,8 +196,9 @@ def main(argv) -> int:
         done = subprocess.run([sys.executable, __file__, str(args.against.resolve()), "--records"],
                               capture_output=True, text=True, check=True)
         parent = json.loads(done.stdout)
-        line["against"] = {section: compare(parent[section], rec[section])
-                           for section in ("lp_grid", "prefix", "verify_rho_p")}
+        line["against"] = {"parent": digests(parent),
+                           **{section: compare(parent[section], rec[section])
+                              for section in ("lp_grid", "prefix", "verify_rho_p")}}
     print(json.dumps(line, sort_keys=True))
     return 0
 

@@ -15,7 +15,6 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
-    Polynomial,
     SeriesFn,
     WordEnumeration,
     derivative_sup_bound,
@@ -95,7 +94,6 @@ __all__ = [
     "FiniteSupport",
     "InfeasibleTolerance",
     "LpSpec",
-    "Polynomial",
     "SeriesFn",
     "ToleranceUnreachable",
     "UNIT_WEIGHTS",

@@ -25,9 +25,8 @@ from . import tailmath, verify
 from .coeffspace import (
     Alphabet,
     CoeffSeq,
-    Polynomial,
     SeriesFn,
-    as_preamble_period,
+    finite_support,
     from_json,
     to_payload,
 )
@@ -120,11 +119,11 @@ def _infer_alphabet(streams: Sequence[CoeffSeq]) -> Alphabet:
     return Alphabet(tuple(sorted(values)))
 
 
-def _polynomial(obj: Union[CoeffSeq, SeriesFn], path: str) -> Polynomial:
-    layout = as_preamble_period(_bare_seq(obj))
-    if layout is None or layout[1] != (0,):
+def _polynomial(obj: Union[CoeffSeq, SeriesFn], path: str) -> CoeffSeq:
+    seq = _bare_seq(obj)
+    if finite_support(seq) is None:
         raise ConfigError(f'{path} must have finite support ("finite", or period ["0"])')
-    return Polynomial(layout[0])
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def _cmd_ef_approx(args) -> int:
     spec = LpSpec(_parse_p(args.p), gamma)
     poly = _polynomial(_load_seq(args.f), args.f)
     alphabet, member = ef_approximation(poly, gamma, spec, eps)
-    rho = rho_p(SeriesFn(member, gamma), poly.as_series(gamma), spec, eps / 16)
+    rho = rho_p(SeriesFn(member, gamma), SeriesFn(poly, gamma), spec, eps / 16)
     payload = {
         "alphabet": [str(v) for v in alphabet.values],
         "member": to_payload(member),

@@ -11,7 +11,9 @@ shifting:
   Construction normalizes to the minimal period and minimal preamble,
   so structural equality decides mathematical equality within the kind.
   Finite support is the period (0): FiniteSupport(coeffs) builds that
-  stream (a polynomial; the Polynomial class adds evaluation).
+  stream, and it is the one polynomial type.  Its preamble, which
+  normalization strips of trailing zeros (the zero polynomial's is ()),
+  holds the kept coefficients, and its shift is the derivative.
 * WordEnumeration: the concatenation of every finite word over a finite
   alphabet, ordered by length then lexicographically (in alphabet
   order).  Shifting is O(1) by bumping a start offset.
@@ -36,13 +38,10 @@ membership is decidable for both kinds.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
@@ -99,6 +98,11 @@ BINARY = Alphabet((Fraction(0), Fraction(1)))
 
 # ---------------------------------------------------------------------------
 # coefficient sequences
+#
+# Coefficient tuples are built from lists, not generators: CPython sizes a
+# generator-built tuple for 10 items and shrinks it, so freeing it fills
+# the tuple free list of another size (about 1 MB of peak RSS in
+# `verify --suite all`).
 
 
 def _as_coeff_tuple(values: Iterable) -> Tuple[Fraction, ...]:
@@ -136,65 +140,6 @@ class CoeffSeq:
         for _ in range(times):
             s = s.shift()
         return s
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-#
-# Coefficient tuples are built from lists, not generators: CPython sizes a
-# generator-built tuple for 10 items and shrinks it, so freeing it fills
-# the tuple free list of another size (about 1 MB of peak RSS in
-# `verify --suite all`).
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """P(x) = sum_n coeffs_taylor[n] x^n / n!, trailing zeros stripped.
-
-    The zero polynomial is (0,).  The tuple is P's member of the
-    coefficient space, so derivative() is its shift.  Evaluation runs on
-    the monomial coefficients a_n / n!, computed once.  There is no
-    product or antiderivative: metrics integrates on integer Bernstein
-    coefficients instead.
-    """
-
-    coeffs_taylor: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        cs = [as_fraction(c) for c in self.coeffs_taylor]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs_taylor", tuple(cs))
-
-    @cached_property
-    def monomial(self) -> Tuple[Fraction, ...]:
-        """Coefficients in the monomial basis: P(x) = sum_n monomial[n] x^n."""
-        cs = self.coeffs_taylor
-        facts = itertools.accumulate(range(1, len(cs)), operator.mul, initial=1)
-        return tuple([c / f for c, f in zip(cs, facts)])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs_taylor) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs_taylor == (Fraction(0),)
-
-    def __call__(self, x) -> Fraction:
-        xq = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.monomial):
-            acc = acc * xq + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        """P', whose Taylor coefficients are P's shifted left by one."""
-        return Polynomial(self.coeffs_taylor[1:])
-
-    def as_series(self, gamma) -> SeriesFn:
-        return SeriesFn(FiniteSupport(self.coeffs_taylor), as_fraction(gamma))
 
 
 def _minimal_period(block: tuple) -> tuple:
@@ -493,7 +438,10 @@ def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
     sup = f.coeffs.sup_abs()
     kept, tail = truncate(f.coeffs, lambda n: sup * tailmath.zeta(f.gamma, n).hi,
                           tolq / 2, "the series tail", 9, 8)
-    partial = Polynomial(kept)(xq - f.origin)
+    t = xq - f.origin
+    partial = Fraction(0)
+    for n in range(len(kept) - 1, -1, -1):  # Horner on a_n t^n / n!
+        partial = kept[n] + partial * t / (n + 1)
     return BoundInterval(partial - tail, partial + tail)
 
 

@@ -11,8 +11,10 @@ dependence of differentiation.  Outputs are plain coefficient streams
 or small frozen records; every quantitative claim is either certified
 here directly (interval enclosures on the stored certificates) or
 re-certifiable by the verify suites from the returned structure.
-Polynomials in and out are coeffspace.Polynomial, whose scaled-Taylor
-tuple is the coefficient stream itself.
+A polynomial, in and out, is its coefficient stream: one with finite
+support (coeffspace.FiniteSupport).  Every construction that takes one
+reads its kept coefficients through coeffspace.finite_support and raises
+DomainError on a stream without finite support.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
-    Polynomial,
     SeriesFn,
     WordEnumeration,
     as_preamble_period,
     derivative_sup_bound,
+    evaluate,
+    finite_support,
     same_stream,
     truncate,
     word_start_index,
@@ -42,10 +45,18 @@ from .intervals import BoundInterval, as_fraction, power
 from .metrics import LpSpec, rho_p
 
 
-def coefficient_alphabet(P: Polynomial) -> Alphabet:
+def _kept(P: CoeffSeq) -> Tuple[Fraction, ...]:
+    """The coefficients of the polynomial P up to its degree."""
+    kept = finite_support(P)
+    if kept is None:
+        raise DomainError("a polynomial is a stream with finite support")
+    return kept
+
+
+def coefficient_alphabet(P: CoeffSeq) -> Alphabet:
     """The value set {0} union {coefficients of P}, zero listed first."""
     vals: List[Fraction] = [Fraction(0)]
-    for c in P.coeffs_taylor:
+    for c in _kept(P):
         if c not in vals:
             vals.append(c)
     return Alphabet(tuple(vals))
@@ -190,8 +201,8 @@ def _sample_box(value) -> BoundInterval:
 
 def bernstein_approx(
     sample, lipschitz, gamma, eps, max_degree: int = 1024
-) -> Polynomial:
-    """Polynomial within sup-distance eps of `sample` on [0, gamma].
+) -> EventuallyPeriodic:
+    """A polynomial within sup-distance eps of `sample` on [0, gamma].
 
     `sample` maps a Fraction in [0, gamma] to a value or BoundInterval;
     `lipschitz` bounds its variation.  Uses Bernstein averages of the
@@ -237,7 +248,7 @@ def bernstein_approx(
         worst = Fraction(0)
         for i in _coarse_to_fine(m):
             x = gq * i / m
-            diff = sampled(x) - BoundInterval.exact(cand(x))
+            diff = sampled(x) - evaluate(SeriesFn(cand, gq), x)
             worst = max(worst, abs(diff).hi)
             if worst + slack >= epsq:
                 break
@@ -264,8 +275,8 @@ def _coarse_to_fine(m: int) -> Iterator[int]:
         half //= 2
 
 
-def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> Polynomial:
-    """Exact sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma, as a Polynomial."""
+def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> EventuallyPeriodic:
+    """Exact sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma, as its stream."""
     n = len(values) - 1
     out = []
     for j in range(n + 1):
@@ -274,14 +285,14 @@ def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> Polynomia
             term = values[k] * math.comb(n, k) * math.comb(n - k, j - k)
             acc += -term if (j - k) % 2 else term
         out.append(acc * math.factorial(j) / gq**j)
-    return Polynomial(out)
+    return FiniteSupport(out)
 
 
 # ---------------------------------------------------------------------------
 # finite-alphabet approximation and filtration
 
 
-def ensure_two_coeff_values(P: Polynomial, eps) -> Polynomial:
+def ensure_two_coeff_values(P: CoeffSeq, eps) -> CoeffSeq:
     """P itself, or P plus a small constant when its value set is bare.
 
     The alphabet of a polynomial always contains 0; only the zero
@@ -294,19 +305,19 @@ def ensure_two_coeff_values(P: Polynomial, eps) -> Polynomial:
         raise DomainError("eps must be positive")
     if len(coefficient_alphabet(P)) >= 2:
         return P
-    return Polynomial((epsq / 4,))
+    return FiniteSupport((epsq / 4,))
 
 
 def ef_approximation(
-    f_poly: Polynomial, gamma, spec: LpSpec, eps
+    f_poly: CoeffSeq, gamma, spec: LpSpec, eps
 ) -> Tuple[Alphabet, EventuallyPeriodic]:
     """A finite alphabet F and a member of its family representing f_poly.
 
-    The member's coefficient stream is f_poly's own Taylor tuple (after
-    the two-value augmentation when f_poly is zero), so its rho_p
-    distance from f_poly is zero, or at most eps/2 in the augmented
-    case.  Callers with a non-polynomial target run bernstein_approx
-    first and split their budget.
+    The member is f_poly's own coefficient stream (after the two-value
+    augmentation when f_poly is zero), so its rho_p distance from
+    f_poly is zero, or at most eps/2 in the augmented case.  Callers
+    with a non-polynomial target run bernstein_approx first and split
+    their budget.
     """
     gq = as_fraction(gamma)
     _check_spec_domain(spec, gq)
@@ -318,7 +329,7 @@ def ef_approximation(
     if scale > 1:
         budget = budget / scale
     fixed = ensure_two_coeff_values(f_poly, budget)
-    return coefficient_alphabet(fixed), FiniteSupport(fixed.coeffs_taylor)
+    return coefficient_alphabet(fixed), fixed
 
 
 @dataclass(frozen=True)
@@ -328,7 +339,7 @@ class FiltrationStep:
     member: EventuallyPeriodic  # finite support: period (0)
 
 
-def filtration(f_polys: Sequence[Polynomial]) -> Tuple[FiltrationStep, ...]:
+def filtration(f_polys: Sequence[CoeffSeq]) -> Tuple[FiltrationStep, ...]:
     """Nested alphabets from a sequence of sharpening approximants.
 
     f_polys[k-1] is expected to sit within 1/k of the common target
@@ -343,7 +354,7 @@ def filtration(f_polys: Sequence[Polynomial]) -> Tuple[FiltrationStep, ...]:
         fixed = ensure_two_coeff_values(poly, Fraction(1, k))
         fresh = coefficient_alphabet(fixed)
         current = fresh if current is None else current.union(fresh.values)
-        steps.append(FiltrationStep(k, current, FiniteSupport(fixed.coeffs_taylor)))
+        steps.append(FiltrationStep(k, current, fixed))
     return tuple(steps)
 
 
@@ -351,7 +362,7 @@ def filtration(f_polys: Sequence[Polynomial]) -> Tuple[FiltrationStep, ...]:
 # periodic smooth functions near a polynomial
 
 
-def periodic_point_in_cinf(P: Polynomial, gamma, spec: LpSpec, eps) -> CoeffSeq:
+def periodic_point_in_cinf(P: CoeffSeq, gamma, spec: LpSpec, eps) -> CoeffSeq:
     """Periodic stream within rho_p-distance eps/2 of the polynomial P.
 
     Repeats (p_0, ..., p_n, 0, ..., 0) with enough padding zeros: the
@@ -375,8 +386,8 @@ def periodic_point_in_cinf(P: Polynomial, gamma, spec: LpSpec, eps) -> CoeffSeq:
         "zeta(N)",
         below=budget.lo,
     )
-    span = max(P.degree, N)
-    period = P.coeffs_taylor + (Fraction(0),) * (span - P.degree)
+    kept = _kept(P)
+    period = kept + (Fraction(0),) * (max(len(kept), N + 1) - len(kept))
     return EventuallyPeriodic((), period)
 
 
@@ -443,11 +454,11 @@ def sensitivity_witness(
     sup = f.coeffs.sup_abs()
     prefix_coeffs, rho0_hi = truncate(f.coeffs, lambda k: (sup * tailmath.zeta(gq, k)).hi,
                                       epsq / 4, "sup|a|*zeta(K)")
-    P = Polynomial(prefix_coeffs)
-    if P.is_zero():
-        P = Polynomial((epsq / 2 - rho0_hi,))
+    P = FiniteSupport(prefix_coeffs)
+    if not P.preamble:
+        P = FiniteSupport((epsq / 2 - rho0_hi,))
 
-    c = max(Fraction(0), max(P.coeffs_taylor)) + big_m + betaq
+    c = max(Fraction(0), *P.preamble) + big_m + betaq
     F = coefficient_alphabet(P).union((c,))
     N_prime = tailmath.least_index(
         lambda n: tailmath.zeta(gq, n + 1).hi < epsq / (2 * F.diameter),
@@ -455,9 +466,8 @@ def sensitivity_witness(
         "zeta(N'+1)",
         below=epsq / (2 * F.diameter),
     )
-    span = max(P.degree, N_prime)
-    head = P.coeffs_taylor + (Fraction(0),) * (span - P.degree)
-    n = span + 1
+    n = max(len(P.preamble), N_prime + 1)
+    head = P.preamble + (Fraction(0),) * (n - len(P.preamble))
     g_coeffs = EventuallyPeriodic(head, (c,))
     g = SeriesFn(g_coeffs, gq, f.origin)
 

@@ -28,9 +28,9 @@ per (sup, gamma, p, tol)).  The bounds on everything from index n on are
 sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
 (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 
-The truncated difference D is a coeffspace.Polynomial built from the
-coefficient differences a_n - b_n themselves (its derivative is their
-shift).  For it:
+The truncated difference D is the polynomial whose scaled Taylor
+coefficients are the kept differences a_n - b_n, passed as that tuple
+(its derivative is their shift).  For it:
 
 * p = inf: branch-and-bound for sup|D| on panels of an exact integer
   Bernstein kernel: a panel's largest |coefficient| bounds |D| there,
@@ -71,7 +71,6 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
-    Polynomial,
     SeriesFn,
     _unrolled,
     difference,
@@ -296,19 +295,26 @@ def weighted_product_metric(
 # ---------------------------------------------------------------------------
 # L^p norms of the truncated difference polynomial
 #
+# Each takes kept, the scaled Taylor coefficients of the polynomial P (a
+# kept tuple may end in zeros; () is the zero polynomial).
+#
 # The exact integer Bernstein kernel.  With t = gamma * u, a panel of
 # [0, 1] at depth k holds integers B whose B_j / (L * 2^(k n)) are P's
 # Bernstein coefficients there: they enclose P on the panel (the convex
 # hull property), and the end ones are P's values at the panel's ends.
 
 
-def _bernstein(poly: Polynomial, gamma: Fraction) -> Tuple[List[int], int]:
-    """(B, L) for poly on [0, gamma]: n! b_j = sum_i C(j, i) (n - i)! a_i gamma^i."""
-    n = poly.degree
-    m = math.lcm(*[c.denominator for c in poly.coeffs_taylor])
+def _bernstein(kept: Tuple[Fraction, ...], gamma: Fraction) -> Tuple[List[int], int]:
+    """(B, L) for P on [0, gamma]: n! b_j = sum_i C(j, i) (n - i)! a_i gamma^i,
+    n the degree of P (0 for zero), so trailing zeros of kept are dropped."""
+    n = max(len(kept) - 1, 0)
+    while n and kept[n] == 0:
+        n -= 1
+    cs = kept[:n + 1] or (Fraction(0),)
+    m = math.lcm(*[c.denominator for c in cs])
     g, h = gamma.numerator, gamma.denominator
     B = [c.numerator * (m // c.denominator) * math.factorial(n - i) * g**i * h ** (n - i)
-         for i, c in enumerate(poly.coeffs_taylor)]
+         for i, c in enumerate(cs)]
     for r in range(1, n + 1):  # the binomial transform, by Pascal's rule
         for j in range(n, r - 1, -1):
             B[j] += B[j - 1]
@@ -340,10 +346,10 @@ def _split(B: List[int]) -> Tuple[List[int], List[int]]:
     return left, right[::-1]
 
 
-def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterval:
-    """Certified enclosure of sup_{[0, gamma]} |poly|, width < tol, by
+def _sup_abs_on(kept: Tuple[Fraction, ...], gamma: Fraction, tol: Fraction) -> BoundInterval:
+    """Certified enclosure of sup_{[0, gamma]} |P|, width < tol, by
     branch-and-bound on Bernstein panels with exact bounds in units of 1/L."""
-    B, L = _bernstein(poly, gamma)
+    B, L = _bernstein(kept, gamma)
     n = len(B) - 1
     lower = Fraction(max(abs(B[0]), abs(B[n])))
     heap = [(-Fraction(max(map(abs, B))), 0, 0, B)]
@@ -366,9 +372,9 @@ def _sup_abs_on(poly: Polynomial, gamma: Fraction, tol: Fraction) -> BoundInterv
 
 
 def _integral_abs_pow_int(
-    poly: Polynomial, gamma: Fraction, p: int, tol: Fraction
+    kept: Tuple[Fraction, ...], gamma: Fraction, p: int, tol: Fraction
 ) -> BoundInterval:
-    """Certified enclosure of int_0^gamma |poly|^p dt for integer p >= 1.
+    """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1.
 
     A panel at depth k holds b_0..b_n over D = L * 2^(kn) and has width
     h = gamma / 2^k.  With beta_j = C(n, j) b_j and N = p n, P^p is
@@ -384,7 +390,7 @@ def _integral_abs_pow_int(
     ones against zero at the default tol, p > 128 at gamma 1 (n = 16;
     p = 101 takes 1.4 s, 151 4.5 s) and p > 85 at gamma 2 (n = 24).
     """
-    B, L = _bernstein(poly, gamma)
+    B, L = _bernstein(kept, gamma)
     n = len(B) - 1
     N = n * p
     if max(N, p) > _MAX_POWER_DEGREE:
@@ -409,7 +415,7 @@ def _integral_abs_pow_int(
 
     if p % 2 == 0:
         return BoundInterval.exact(Fraction(gn * moment(B), den))
-    # odd p: |poly|^p = sign(poly) * poly^p, so panels whose Bernstein
+    # odd p: |P|^p = sign(P) * P^p, so panels whose Bernstein
     # coefficients share a sign integrate exactly and only the others,
     # which hold the roots, carry width: up to h * max|b_j|^p / D^p.
     settled = pending = Fraction(0)
@@ -565,9 +571,9 @@ def _chain_rule(p: Fraction) -> Tuple[Dict[Tuple[int, ...], Fraction], ...]:
 
 
 def _integral_abs_pow_frac(
-    poly: Polynomial, gamma: Fraction, p: Fraction, tol: Fraction
+    kept: Tuple[Fraction, ...], gamma: Fraction, p: Fraction, tol: Fraction
 ) -> BoundInterval:
-    """Certified enclosure of int_0^gamma |poly|^p dt for fractional p > 1.
+    """Certified enclosure of int_0^gamma |P|^p dt for fractional p > 1.
 
     Runs on the Bernstein panels.  On a panel [u, v] of width h at depth
     k the integers b over L * 2^(kn) bound P, and n!/(n-j)! times their
@@ -603,9 +609,9 @@ def _integral_abs_pow_frac(
     near 2^-47 of its value, and that width halves with h just as the
     share does.
     """
-    if poly.is_zero():
+    if not any(kept):
         return BoundInterval.exact(0)
-    B, L = _bernstein(poly, gamma)
+    B, L = _bernstein(kept, gamma)
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
     pw = PowerFn(p)
@@ -764,19 +770,19 @@ def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
     return max(DEFAULT_PRECISION_BITS, bits)
 
 
-def _norm_of_poly(poly: Polynomial, spec: LpSpec, tol: Fraction) -> BoundInterval:
-    """Certified L^p norm of a polynomial on [0, gamma], width < tol."""
+def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> BoundInterval:
+    """Certified L^p norm of P on [0, gamma], width < tol."""
     if spec.is_sup:
-        return _sup_abs_on(poly, spec.gamma, tol)
+        return _sup_abs_on(kept, spec.gamma, tol)
     p = spec.p
     # the root step can widen the integral enclosure (badly so when the
     # integral sits near zero), so refine until the rooted width fits
     int_tol = tol
     for _ in range(61):
         if p.denominator == 1:
-            integral = _integral_abs_pow_int(poly, spec.gamma, int(p), int_tol)
+            integral = _integral_abs_pow_int(kept, spec.gamma, int(p), int_tol)
         else:
-            integral = _integral_abs_pow_frac(poly, spec.gamma, p, int_tol)
+            integral = _integral_abs_pow_frac(kept, spec.gamma, p, int_tol)
         out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
         if out.width < tol:
             return out
@@ -827,7 +833,7 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
         n, tail_slack = _rho_p_cut(*d.sup_abs().as_integer_ratio(), *spec.gamma.as_integer_ratio(),
                                    *spec.inv_p.as_integer_ratio(), *tolq.as_integer_ratio())
         kept = d.prefix(n)
-    norm = _norm_of_poly(Polynomial(kept), spec, tolq / 2)
+    norm = _norm_of_poly(kept, spec, tolq / 2)
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
 
@@ -854,7 +860,7 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     # an infinite budget makes the cut the first index searched
     kept, tail = truncate(d, lambda n: sup * tailmath.zeta(gamma, n).hi,
                           math.inf, "the rho_1 lower-bound tail", _RHO1_TERMS)
-    l1 = _integral_abs_pow_int(Polynomial(kept), gamma, 1, slack)
+    l1 = _integral_abs_pow_int(kept, gamma, 1, slack)
     return max(Fraction(0), l1.lo - gamma * tail)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, Polynomial, normal_form
+from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, FiniteSupport, normal_form
 
 __all__ = [
     "make_rng",
@@ -74,12 +74,11 @@ def random_binary_stream(
 
 def random_polynomial(
     rng: random.Random, degree_max: int = 6, nonzero: bool = False
-) -> Polynomial:
+) -> EventuallyPeriodic:
     while True:
         n = rng.randint(0, degree_max)
-        coeffs = tuple(rng.choice(VALUE_POOL) for _ in range(n + 1))
-        poly = Polynomial(coeffs)
-        if not (nonzero and poly.is_zero()):
+        poly = FiniteSupport([rng.choice(VALUE_POOL) for _ in range(n + 1)])
+        if poly.preamble or not nonzero:
             return poly
 
 

@@ -28,7 +28,6 @@ from .coeffspace import (
     CoeffSeq,
     EventuallyPeriodic,
     FiniteSupport,
-    Polynomial,
     SeriesFn,
     derivative_sup_bound,
     evaluate,
@@ -424,7 +423,7 @@ def check_lp_norm_comparison(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 2
 
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        f = random_polynomial(rng, 6).as_series(g)
+        f = SeriesFn(random_polynomial(rng, 6), g)
         p, q = rng.sample(exponents, 2)
         if inv(p) < inv(q):
             p, q = q, p
@@ -876,17 +875,17 @@ def check_two_value_augment(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 10
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
-        poly = Polynomial((Fraction(0),)) if t % 10 == 0 else random_polynomial(rng, 5)
+        poly = FiniteSupport(()) if t % 10 == 0 else random_polynomial(rng, 5)
         fixed = ensure_two_coeff_values(poly, eps)
         if fixed is poly or fixed == poly:
             dist_ok = True
         else:
             spec = LpSpec(math.inf, g)
-            rho = rho_p(poly.as_series(g), fixed.as_series(g), spec, tol=eps / 16)
+            rho = rho_p(SeriesFn(poly, g), SeriesFn(fixed, g), spec, tol=eps / 16)
             dist_ok = rho.hi < eps
         if not (len(coefficient_alphabet(fixed)) >= 2 and dist_ok):
-            failures.append({"poly": _gs(poly.coeffs_taylor), "eps": str(eps),
-                             "fixed": _gs(fixed.coeffs_taylor)})
+            failures.append({"poly": _gs(poly.preamble), "eps": str(eps),
+                             "fixed": _gs(fixed.preamble)})
     return _result("constructions", "two-value-augment", trials, failures)
 
 
@@ -898,20 +897,20 @@ def check_polynomial_membership(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
         spec = LpSpec(_PS[t % 3], g)
-        poly = Polynomial((Fraction(0),)) if t % 10 == 0 else random_polynomial(rng, 6)
+        poly = FiniteSupport(()) if t % 10 == 0 else random_polynomial(rng, 6)
         for eps in epss:
             done += 1
             alphabet, member = ef_approximation(poly, g, spec, eps)
             in_family = member.in_EF(alphabet)
-            if member.preamble == poly.coeffs_taylor:
+            if member == poly:
                 close = True
                 rho = None
             else:
-                rho = rho_p(poly.as_series(g), SeriesFn(member, g), spec, tol=eps / 16)
+                rho = rho_p(SeriesFn(poly, g), SeriesFn(member, g), spec, tol=eps / 16)
                 close = rho.hi < eps
             if not (in_family and close and len(alphabet) >= 2):
                 failures.append({
-                    "poly": _gs(poly.coeffs_taylor), "gamma": _fr(g),
+                    "poly": _gs(poly.preamble), "gamma": _fr(g),
                     "p": str(spec.p), "eps": str(eps),
                     "alphabet": _gs(alphabet.values),
                     "rho": None if rho is None else _ivp(rho),
@@ -927,7 +926,7 @@ def check_filtration_nesting(gammas=_CORE_GAMMAS, seed: int = 0, steps: int = 10
     g = as_fraction(gammas[0])
     spec = LpSpec(math.inf, g)
     polys = [random_polynomial(rng, 4) for _ in range(steps)]
-    polys[0] = Polynomial((Fraction(0),))  # force at least one augmentation
+    polys[0] = FiniteSupport(())  # force at least one augmentation
     chain = filtration(polys)
     previous = None
     for step, poly in zip(chain, polys):
@@ -935,17 +934,17 @@ def check_filtration_nesting(gammas=_CORE_GAMMAS, seed: int = 0, steps: int = 10
         nested = previous is None or set(previous.values) <= set(step.alphabet.values)
         previous = step.alphabet
         member_fn = SeriesFn(step.member, g)
-        if step.member.preamble == poly.coeffs_taylor:
+        if step.member == poly:
             close = True
         else:
-            rho = rho_p(poly.as_series(g), member_fn, spec,
+            rho = rho_p(SeriesFn(poly, g), member_fn, spec,
                         tol=Fraction(1, 16 * step.index))
             close = rho.hi < Fraction(1, step.index)
         in_family = step.member.in_EF(step.alphabet)
         if not (nested and close and in_family and len(step.alphabet) >= 2):
             failures.append({
                 "step": step.index, "alphabet": _gs(step.alphabet.values),
-                "poly": _gs(poly.coeffs_taylor),
+                "poly": _gs(poly.preamble),
             })
     return _result("constructions", "filtration-nesting", trials, failures,
                    steps=steps, gamma=_fr(g))
@@ -963,13 +962,13 @@ def check_periodic_point_smooth(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
         for eps in epss:
             done += 1
             point = periodic_point_in_cinf(poly, g, spec, eps)
-            rho = rho_p(poly.as_series(g), SeriesFn(point, g), spec, tol=eps / 32)
+            rho = rho_p(SeriesFn(poly, g), SeriesFn(point, g), spec, tol=eps / 32)
             ok = (point.is_pure_periodic
                   and point.shifted(len(point.period)) == point
                   and rho.hi < eps / 2)
             if not ok:
                 failures.append({
-                    "poly": _gs(poly.coeffs_taylor), "gamma": _fr(g),
+                    "poly": _gs(poly.preamble), "gamma": _fr(g),
                     "p": str(spec.p), "eps": str(eps),
                     "point": to_payload(point), "rho": _ivp(rho),
                 })
@@ -987,8 +986,7 @@ def check_sensitivity(gammas=_SENS_GAMMAS, seed: int = 0, random_targets: int = 
     failures: List[dict] = []
     trials = 0
     targets = [FiniteSupport(())]
-    targets += [FiniteSupport(random_polynomial(rng, 5).coeffs_taylor)
-                for _ in range(random_targets)]
+    targets += [random_polynomial(rng, 5) for _ in range(random_targets)]
     for g in gammas:
         g = as_fraction(g)
         for target in targets:

@@ -375,20 +375,31 @@ def test_malformed_stream_file_exits_two(capsys, tmp_path):
     assert code == 2 and out == "" and "JSON array" in err
 
 
-def test_verify_all_output_is_pinned(capsys):
-    # refactors must leave this output byte for byte as it is
-    code, out, _ = _run(capsys, ["verify", "--suite", "all", "--seed", "0"])
+def _module(relpath: str):
+    """A module loaded from its file in this checkout."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_output_is_pinned():
+    # refactors must leave this output byte for byte as it is, and every
+    # rho_p enclosure the suites make rational for rational
+    digest = _module("scripts/enclosure_digest.py")
+    enclosures, out, code = digest.verify_records(cli, metrics, _module("perfbench/tracing.py"))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
+    assert len(enclosures) == 2397
+    assert digest._sha256(enclosures) == (
+        "60e3f4d4b05350eadd7435258221c97115bda074c3905566e2f977bc997cb804")
 
 
 def test_prefix_digests_are_pinned():
     # the prefix-sweep family and its d_E enclosures, rational for rational
-    spec = importlib.util.spec_from_file_location(
-        "enclosure_digest", Path(__file__).resolve().parents[1] / "scripts" / "enclosure_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _module("scripts/enclosure_digest.py")
     got = digest.prefix_digest(coeffspace, metrics, sampling)
     assert got == {
         "streams": 39062,

@@ -10,10 +10,10 @@ from chaoslab.coeffspace import (
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
+    evaluate,
     same_stream,
 )
 from chaoslab.constructions import (
-    Polynomial,
     bernstein_approx,
     coefficient_alphabet,
     dense_orbit_point,
@@ -45,20 +45,30 @@ INF_1 = LpSpec(math.inf, 1)
 
 
 def test_polynomial_normalization_and_eval():
-    P = Polynomial((1, 0, 3, 0, 0))
-    assert P.coeffs_taylor == (1, 0, 3)
-    assert P.degree == 2
-    assert P(2) == 1 + 3 * Fraction(4, 2)
-    assert Polynomial((0, 0)).is_zero()
-    assert not P.is_zero()
-    f = P.as_series(2)
+    P = FiniteSupport((1, 0, 3, 0, 0))
+    assert P.preamble == (1, 0, 3)
+    assert len(P.preamble) - 1 == 2
+    assert evaluate(SeriesFn(P, 2), 2) == BoundInterval.exact(1 + 3 * Fraction(4, 2))
+    assert FiniteSupport((0, 0)).preamble == ()
+    assert P.preamble
+    f = SeriesFn(P, 2)
     assert f.gamma == 2 and f.coeffs == FiniteSupport((1, 0, 3))
 
 
 def test_coefficient_alphabet_zero_first():
-    assert coefficient_alphabet(Polynomial((2, 3, 2))).values == (0, 2, 3)
-    assert coefficient_alphabet(Polynomial((0, 1))).values == (0, 1)
-    assert coefficient_alphabet(Polynomial((0,))).values == (0,)
+    assert coefficient_alphabet(FiniteSupport((2, 3, 2))).values == (0, 2, 3)
+    assert coefficient_alphabet(FiniteSupport((0, 1))).values == (0, 1)
+    assert coefficient_alphabet(FiniteSupport((0,))).values == (0,)
+
+
+@pytest.mark.parametrize("stream", [ONES, WordEnumeration(BINARY)], ids=["ones", "enum"])
+def test_constructions_refuse_a_stream_without_finite_support(stream):
+    with pytest.raises(DomainError):
+        coefficient_alphabet(stream)
+    with pytest.raises(DomainError):
+        ef_approximation(stream, 1, INF_1, 1)
+    with pytest.raises(DomainError):
+        periodic_point_in_cinf(stream, 1, LpSpec(1, 1), Fraction(1, 5))
 
 
 def test_periodic_approx_worked_example():
@@ -146,15 +156,13 @@ def test_transitivity_same_center():
 
 def test_bernstein_exact_on_linear():
     P = bernstein_approx(lambda x: x, lipschitz=1, gamma=1, eps=Fraction(1, 1000))
-    assert P.coeffs_taylor == (0, 1)
+    assert P.preamble == (0, 1)
     const = bernstein_approx(lambda x: Fraction(1), lipschitz=0, gamma=1, eps=Fraction(1, 10))
-    assert const.coeffs_taylor == (1,)
+    assert const.preamble == (1,)
 
 
 def test_bernstein_certifies_exp_samples():
     # sample backed by certified boxes; modest budget
-    from chaoslab.coeffspace import evaluate
-
     target = SeriesFn(ONES, 1)
     P = bernstein_approx(
         lambda x: evaluate(target, x, tol=Fraction(1, 10**9)),
@@ -162,7 +170,7 @@ def test_bernstein_certifies_exp_samples():
         gamma=1,
         eps=Fraction(1, 10),
     )
-    f = P.as_series(1)
+    f = SeriesFn(P, 1)
     got = rho_p(f, target, INF_1, Fraction(1, 100))
     assert got.hi < Fraction(1, 10)
 
@@ -179,37 +187,37 @@ def test_bernstein_budget_exhaustion():
 
 
 def test_ensure_two_coeff_values():
-    assert ensure_two_coeff_values(Polynomial((0,)), 1).coeffs_taylor == (Fraction(1, 4),)
-    P = Polynomial((0, 1))
+    assert ensure_two_coeff_values(FiniteSupport((0,)), 1).preamble == (Fraction(1, 4),)
+    P = FiniteSupport((0, 1))
     assert ensure_two_coeff_values(P, 1) is P
-    five = Polynomial((5,))
+    five = FiniteSupport((5,))
     assert ensure_two_coeff_values(five, 1) is five
 
 
 def test_ef_approximation_examples():
-    F, member = ef_approximation(Polynomial((0, 1)), 1, INF_1, 1)
+    F, member = ef_approximation(FiniteSupport((0, 1)), 1, INF_1, 1)
     assert F.values == (0, 1)
     assert member == FiniteSupport((0, 1))
 
-    F, member = ef_approximation(Polynomial((0,)), 1, INF_1, 1)
+    F, member = ef_approximation(FiniteSupport((0,)), 1, INF_1, 1)
     assert F.values == (0, Fraction(1, 4))
     assert member == FiniteSupport((Fraction(1, 4),))
 
-    F, member = ef_approximation(Polynomial((2, 3, 2)), 1, INF_1, Fraction(1, 2))
+    F, member = ef_approximation(FiniteSupport((2, 3, 2)), 1, INF_1, Fraction(1, 2))
     assert F.values == (0, 2, 3)
     assert member == FiniteSupport((2, 3, 2))
 
 
 def test_ef_approximation_scales_budget_for_big_gamma():
     spec = LpSpec(1, 5)
-    F, member = ef_approximation(Polynomial((0,)), 5, spec, 1)
+    F, member = ef_approximation(FiniteSupport((0,)), 5, spec, 1)
     rho = rho_p(SeriesFn(member, 5), SeriesFn(ZEROS, 5), spec, Fraction(1, 100))
     assert rho.hi < 1
     assert len(F) == 2
 
 
 def test_filtration_nesting_and_budgets():
-    targets = [Polynomial((0,)), Polynomial((0, 1)), Polynomial((0,))]
+    targets = [FiniteSupport((0,)), FiniteSupport((0, 1)), FiniteSupport((0,))]
     steps = filtration(targets)
     assert [s.index for s in steps] == [1, 2, 3]
     for a, b in zip(steps, steps[1:]):
@@ -221,7 +229,7 @@ def test_filtration_nesting_and_budgets():
         assert step.member.in_EF(step.alphabet)
         got = rho_p(
             SeriesFn(step.member, 1),
-            SeriesFn(FiniteSupport(target.coeffs_taylor), 1),
+            SeriesFn(target, 1),
             INF_1,
             Fraction(1, 16 * step.index),
         )
@@ -229,7 +237,7 @@ def test_filtration_nesting_and_budgets():
 
 
 def test_periodic_point_worked_example():
-    g = periodic_point_in_cinf(Polynomial((0, 1)), 1, LpSpec(1, 1), Fraction(1, 5))
+    g = periodic_point_in_cinf(FiniteSupport((0, 1)), 1, LpSpec(1, 1), Fraction(1, 5))
     assert g == EventuallyPeriodic((), (0, 1, 0, 0, 0))
     assert g.shifted(5) == g
     rho = rho_p(SeriesFn(g, 1), SeriesFn(FiniteSupport((0, 1)), 1), LpSpec(1, 1), Fraction(1, 200))
@@ -238,7 +246,7 @@ def test_periodic_point_worked_example():
 
 def test_periodic_point_rejects_singleton_alphabet():
     with pytest.raises(DomainError):
-        periodic_point_in_cinf(Polynomial((0,)), 1, LpSpec(1, 1), Fraction(1, 5))
+        periodic_point_in_cinf(FiniteSupport((0,)), 1, LpSpec(1, 1), Fraction(1, 5))
 
 
 def test_sensitivity_worked_chain():

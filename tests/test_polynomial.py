@@ -1,6 +1,7 @@
-"""Property tests for coeffspace.Polynomial (its derivative is the shift
-of the coefficient stream; evaluation agrees with exact arithmetic) and
-for the integer Bernstein kernel that metrics runs on it."""
+"""Property tests for polynomials as finitely supported coefficient
+streams (the derivative is the shift; evaluation is the exact term sum)
+and for the integer Bernstein kernel that metrics runs on their kept
+coefficients."""
 
 import math
 from fractions import Fraction
@@ -8,36 +9,52 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.coeffspace import FiniteSupport, Polynomial, evaluate
+from chaoslab.coeffspace import FiniteSupport, SeriesFn, evaluate
 from chaoslab.metrics import _bernstein, _integral_abs_pow_int, _split, _sup_abs_on
 
 small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
-polys = st.lists(small, min_size=0, max_size=7).map(lambda cs: Polynomial(tuple(cs)))
+polys = st.lists(small, min_size=0, max_size=7).map(FiniteSupport)
 gammas = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 3)))
 unit = st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
+def value_at(P, x):
+    """P(x) = sum_n a_n x^n / n!, term by term in exact arithmetic."""
+    return sum((c * Fraction(x) ** n / math.factorial(n) for n, c in enumerate(P.preamble)),
+               Fraction(0))
+
+
 @PROPERTY
 @given(polys)
 def test_derivative_is_the_shift(P):
-    assert FiniteSupport(P.derivative().coeffs_taylor) == FiniteSupport(P.coeffs_taylor).shift()
+    # the derivative of sum a_n x^n / n! is sum a_(n+1) x^n / n!
+    assert FiniteSupport(P.preamble[1:]) == P.shift()
 
 
 @PROPERTY
 @given(polys, gammas, unit)
-def test_call_matches_series_evaluation(P, gamma, s):
+def test_evaluate_is_the_exact_term_sum(P, gamma, s):
     x = gamma * s
-    value = evaluate(P.as_series(gamma), x)
-    assert value.lo == value.hi == P(x)
+    value = evaluate(SeriesFn(P, gamma), x)
+    assert value.width == 0
+    assert value.lo == value_at(P, x)
+
+
+def test_bernstein_drops_trailing_zeros_and_reads_the_empty_tuple_as_zero():
+    # a kept prefix can end in zeros; the degree, and so B, must not see them
+    assert _bernstein((1, 2, 0, 0), Fraction(1, 2)) == _bernstein((1, 2), Fraction(1, 2))
+    assert _bernstein((), Fraction(3)) == _bernstein((0,), Fraction(3)) == ([0], 1)
+    assert _sup_abs_on((), Fraction(1), Fraction(1, 10**6)).hi == 0
+    assert _integral_abs_pow_int((), Fraction(2), 3, Fraction(1, 10**6)).hi == 0
 
 
 @PROPERTY
 @given(polys, gammas, st.lists(st.booleans(), max_size=6), st.lists(unit, min_size=1, max_size=5))
 def test_bernstein_panel_reproduces_and_encloses_the_polynomial(P, gamma, path, ss):
     # follow a path of de Casteljau halvings; the panel is [lo, hi] in u = t/gamma
-    B, L = _bernstein(P, gamma)
+    B, L = _bernstein(P.preamble, gamma)
     n = len(B) - 1
     lo, hi, e = Fraction(0), Fraction(1), 0
     for go_right in path:
@@ -47,7 +64,7 @@ def test_bernstein_panel_reproduces_and_encloses_the_polynomial(P, gamma, path, 
         e += n
     b = [Fraction(x, L << e) for x in B]
     for s in ss + [Fraction(0), Fraction(1)]:
-        value = P(gamma * (lo + (hi - lo) * s))
+        value = value_at(P, gamma * (lo + (hi - lo) * s))
         assert sum(c * math.comb(n, j) * s**j * (1 - s) ** (n - j) for j, c in enumerate(b)) == value
         assert min(b) <= value <= max(b)
 
@@ -74,16 +91,17 @@ def test_packed_split_is_the_row_by_row_halving(B):
 @PROPERTY
 @given(polys, gammas, st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9))))
 def test_sup_abs_on_is_narrow_and_bounds_a_grid(P, gamma, tol):
-    sup = _sup_abs_on(P, gamma, tol)
+    sup = _sup_abs_on(P.preamble, gamma, tol)
     assert sup.width < tol
-    assert all(abs(P(gamma * Fraction(k, 32))) <= sup.hi for k in range(33))
+    assert all(abs(value_at(P, gamma * Fraction(k, 32))) <= sup.hi for k in range(33))
 
 
 @PROPERTY
 @given(polys, gammas, st.sampled_from((2, 4)))
 def test_even_power_integral_is_exact(P, gamma, p):
     # the reference multiplies monomial coefficients; the kernel never does
-    mono, power = P.monomial, [Fraction(1)]
+    mono = [c / math.factorial(n) for n, c in enumerate(P.preamble)]
+    power = [Fraction(1)]
     for _ in range(p):
         out = [Fraction(0)] * (len(power) + len(mono) - 1)
         for i, x in enumerate(power):
@@ -91,5 +109,5 @@ def test_even_power_integral_is_exact(P, gamma, p):
                 out[i + j] += x * y
         power = out
     exact = sum(c * gamma ** (k + 1) / (k + 1) for k, c in enumerate(power))
-    box = _integral_abs_pow_int(P, gamma, p, Fraction(1))
+    box = _integral_abs_pow_int(P.preamble, gamma, p, Fraction(1))
     assert box.lo == box.hi == exact
