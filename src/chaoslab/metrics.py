@@ -54,6 +54,11 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   certified by integer compares (mpmath only for exponents past its
   small-term limit), so no uncertified rounding enters.  The double
   bookkeeping floors the reachable tolerance near 1e-14 of the integral.
+
+Both integrals run on D / 2^e, e = floor(log2 of D's largest Bernstein
+coefficient), so their doubles never leave the range at any scale of the
+coefficients, and the root's tolerance is met in at most two passes
+(_norm_of_poly).
 """
 
 from __future__ import annotations
@@ -295,8 +300,9 @@ def weighted_product_metric(
 # ---------------------------------------------------------------------------
 # L^p norms of the truncated difference polynomial
 #
-# Each takes kept, the scaled Taylor coefficients of the polynomial P (a
-# kept tuple may end in zeros; () is the zero polynomial).
+# _bernstein takes kept, the scaled Taylor coefficients of the polynomial
+# P (a kept tuple may end in zeros; () is the zero polynomial), and the
+# kernels take the (B, L) it returns.
 #
 # The exact integer Bernstein kernel.  With t = gamma * u, a panel of
 # [0, 1] at depth k holds integers B whose B_j / (L * 2^(k n)) are P's
@@ -346,10 +352,10 @@ def _split(B: List[int]) -> Tuple[List[int], List[int]]:
     return left, right[::-1]
 
 
-def _sup_abs_on(kept: Tuple[Fraction, ...], gamma: Fraction, tol: Fraction) -> BoundInterval:
+def _sup_abs_on(B: List[int], L: int, tol: Fraction) -> BoundInterval:
     """Certified enclosure of sup_{[0, gamma]} |P|, width < tol, by
-    branch-and-bound on Bernstein panels with exact bounds in units of 1/L."""
-    B, L = _bernstein(kept, gamma)
+    branch-and-bound on the Bernstein panels of (B, L) = _bernstein(kept,
+    gamma), with exact bounds in units of 1/L."""
     n = len(B) - 1
     lower = Fraction(max(abs(B[0]), abs(B[n])))
     heap = [(-Fraction(max(map(abs, B))), 0, 0, B)]
@@ -366,15 +372,12 @@ def _sup_abs_on(kept: Tuple[Fraction, ...], gamma: Fraction, tol: Fraction) -> B
             panels += 1
             heapq.heappush(heap, (-Fraction(max(map(abs, child)), 1 << e), panels, e, child))
         if panels > _MAX_PANELS:
-            raise ToleranceUnreachable(
-                f"sup refinement exceeded {_MAX_PANELS} panels at tol={brief(tol)}"
-            )
+            raise ToleranceUnreachable(f"sup refinement exceeded {_MAX_PANELS} panels")
 
 
-def _integral_abs_pow_int(
-    kept: Tuple[Fraction, ...], gamma: Fraction, p: int, tol: Fraction
-) -> BoundInterval:
-    """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1.
+def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fraction) -> BoundInterval:
+    """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
+    < tol, on the Bernstein panels of (B, L) = _bernstein(kept, gamma).
 
     A panel at depth k holds b_0..b_n over D = L * 2^(kn) and has width
     h = gamma / 2^k.  With beta_j = C(n, j) b_j and N = p n, P^p is
@@ -390,7 +393,6 @@ def _integral_abs_pow_int(
     ones against zero at the default tol, p > 128 at gamma 1 (n = 16;
     p = 101 takes 1.4 s, 151 4.5 s) and p > 85 at gamma 2 (n = 24).
     """
-    B, L = _bernstein(kept, gamma)
     n = len(B) - 1
     N = n * p
     if max(N, p) > _MAX_POWER_DEGREE:
@@ -443,9 +445,7 @@ def _integral_abs_pow_int(
         classify(left, k + 1, S_left)
         classify(right, k + 1, (S << (N + 1)) - S_left)
         if panels > _MAX_PANELS:
-            raise ToleranceUnreachable(
-                f"sign partition exceeded {_MAX_PANELS} panels at tol={brief(tol)}"
-            )
+            raise ToleranceUnreachable(f"sign partition exceeded {_MAX_PANELS} panels")
     lo = settled + sum(item[-1] for item in heap)
     return BoundInterval(lo, lo + pending)
 
@@ -570,17 +570,17 @@ def _chain_rule(p: Fraction) -> Tuple[Dict[Tuple[int, ...], Fraction], ...]:
     return tuple(F)
 
 
-def _integral_abs_pow_frac(
-    kept: Tuple[Fraction, ...], gamma: Fraction, p: Fraction, tol: Fraction
-) -> BoundInterval:
-    """Certified enclosure of int_0^gamma |P|^p dt for fractional p > 1.
+def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
+                           tol: Fraction) -> BoundInterval:
+    """Certified enclosure of int_0^gamma |P|^p dt for fractional p > 1 on
+    the Bernstein panels of (B, L) = _bernstein(kept, gamma), B not all 0.
 
-    Runs on the Bernstein panels.  On a panel [u, v] of width h at depth
-    k the integers b over L * 2^(kn) bound P, and n!/(n-j)! times their
-    j-th differences bound h^j P^(j), j = 1..6; b_0 and b_n are P's
-    exact values at the ends.  Where P is sign-definite, with Q = |P| (the
-    b negated when P < 0) and g = Q^p, the panel takes Euler-Maclaurin
-    (Davis & Rabinowitz 1984) carried to its sixth-order remainder
+    On a panel [u, v] of width h at depth k the integers b over L * 2^(kn)
+    bound P, and n!/(n-j)! times their j-th differences bound h^j P^(j),
+    j = 1..6; b_0 and b_n are P's exact values at the ends.  Where P is
+    sign-definite, with Q = |P| (the b negated when P < 0) and g = Q^p,
+    the panel takes Euler-Maclaurin (Davis & Rabinowitz 1984) carried to
+    its sixth-order remainder
 
         int g = h [(g_u + g_v)/2 - (G1_v - G1_u)/12 + (G3_v - G3_u)/720
                    - G6(theta)/30240],   G_j = h^j g^(j).
@@ -593,25 +593,27 @@ def _integral_abs_pow_frac(
     the point scales them by 2^-d and 2^-3d, exactly.  The remainder is
     the range of g on the panel times F_6 over the R_j enclosures, the
     j-th differences over the coefficients themselves, so it is free of
-    scale and no power of a tiny or huge Q leaves the double range.
-    Panels that straddle a root fall back to width * range bounds (they
-    shrink superlinearly, since |P|^p is tiny near its roots), and every
-    panel keeps the better of the two.
+    scale.  Panels that straddle a root fall back to width * range bounds
+    (they shrink superlinearly, since |P|^p is tiny near its roots), and
+    every panel keeps the better of the two.
+
+    _norm_of_poly runs this at unit scale, max|B| / L in [1, 2), so the
+    values of P and g are doubles near 1 at any scale of the caller's
+    coefficients, and a tolerance below the double range is one the
+    rounding cannot meet.
 
     Refinement is depth first: a panel is kept once its width is at most
     its share tol * h / gamma, so only the current path holds coefficient
-    lists.  The double bookkeeping floors the reachable tolerance near
-    1e-14 * integral (ones against zero at p = 3/2, gamma 1: rho_p
-    reaches tol 1e-13, not 1e-14), far below anything the callers
-    request.  A panel that must split while its width is within 2^-42 of
-    its value, and not mostly the h^7 remainder, raises
-    ToleranceUnreachable at once: a panel's own rounding leaves a width
-    near 2^-47 of its value, and that width halves with h just as the
-    share does.
+    lists, and the width is tol plus the outward rounding of the sums.
+    The double bookkeeping floors the reachable tolerance near 1e-14 *
+    integral (ones against zero at p = 3/2, gamma 1: rho_p reaches tol
+    1e-13, not 1e-14), far below anything the callers request.  A panel
+    that must split while its width is within 2^-42 of its value, and not
+    mostly the h^7 remainder, raises ToleranceUnreachable at once: a
+    panel's own rounding leaves a width near 2^-47 of its value, and that
+    width halves with h just as the share does.  So does a share that
+    rounds to 0.0.
     """
-    if not any(kept):
-        return BoundInterval.exact(0)
-    B, L = _bernstein(kept, gamma)
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
     pw = PowerFn(p)
@@ -719,9 +721,9 @@ def _integral_abs_pow_frac(
         return (lo, hi, (rem[1] - rem[0]) * h[1])
 
     stack = [(B, 0, point(B[0], B[1:4], 1, L, 0), point(B[n], B[::-1][1:4], -1, L, 0))]
-    # a tolerance past the double range asks for nothing a double can miss
-    num, den = min(tol, Fraction(2**1000)).as_integer_ratio()
-    tol_dn = _fi(num, num, den)[0]
+    # a tolerance past the double range asks for nothing a double can miss;
+    # one below it rounds to 0.0
+    tol_dn = max(0.0, _fc(min(tol, Fraction(2**1000)))[0])
     lo_sum = hi_sum = 0.0
     panels = 1
     while stack:
@@ -733,17 +735,13 @@ def _integral_abs_pow_frac(
             hi_sum = _fup(hi_sum + hi)
             continue
         panels += 2
-        if hi - lo <= math.ldexp(hi, -42) and 2 * shrinking <= hi - lo:
-            # rounding is nearly all that is left, and it halves with h
-            # just as the share does, so no refinement meets the share
-            raise ToleranceUnreachable(
-                f"fractional-power quadrature cannot reach tol={brief(tol)}: "
-                "a panel is down to its double rounding floor"
-            )
-        if panels > _MAX_PANELS or share == 0.0:
-            raise ToleranceUnreachable(
-                f"fractional-power quadrature cannot reach tol={brief(tol)} in {_MAX_PANELS} panels"
-            )
+        if share == 0.0 or (hi - lo <= math.ldexp(hi, -42) and 2 * shrinking <= hi - lo):
+            # the share is below every double, or rounding is nearly all
+            # that is left and it halves with h just as the share does: no
+            # refinement meets the share
+            raise ToleranceUnreachable("fractional-power quadrature is down to its double rounding floor")
+        if panels > _MAX_PANELS:
+            raise ToleranceUnreachable(f"fractional-power quadrature exceeded {_MAX_PANELS} panels")
         left, right = _split(coeffs)
         M = point(right[0], right[1:4], 1, L << ((k + 1) * n), k + 1)
         stack.append((right, k + 1, M, V))
@@ -771,23 +769,63 @@ def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
 
 
 def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> BoundInterval:
-    """Certified L^p norm of P on [0, gamma], width < tol."""
+    """Certified L^p norm of P on [0, gamma], width < tol.
+
+    The sup kernel is exact and free of scale, so it takes P's (B, L) as
+    they are.  The integral of |P|^p runs at unit scale: with e =
+    floor(log2(max|B| / L)), exact from the bit lengths and one integer
+    compare, the kernel integrates |P / 2^e|^p (L or B shifted, no
+    Fraction divided) for the norm of P / 2^e at tol / 2^e, and the
+    enclosure is scaled back by 2^e.  2^k P then feeds the kernels the
+    same rationals as P, so its enclosure is 2^k times P's, bit for bit.
+
+    The norm is the root I^(1/p) of an integral enclosure I.  The first
+    pass integrates to tol.  When its root out is not narrower than tol,
+    a second pass integrates to
+
+        max(p I.lo t / out.hi, min(t^floor(p), t^ceil(p))),   t = tol / 2,
+
+    and the root of its intersection with I is at most t wide, plus the
+    root's own rounding at each end (_root_bits):
+
+    * the root's slope on [I.lo, inf) is at most I.lo^(1/p - 1) / p, and
+      I.lo^(1 - 1/p) >= I.lo / out.hi, since out.hi >= I.lo^(1/p);
+    * by concavity hi^(1/p) - lo^(1/p) <= (hi - lo)^(1/p), and
+      min(t^floor(p), t^ceil(p)) <= t^p, which covers I.lo = 0.
+    """
+    B, L = _bernstein(kept, spec.gamma)
     if spec.is_sup:
-        return _sup_abs_on(kept, spec.gamma, tol)
+        return _sup_abs_on(B, L, tol)
+    top = max(map(abs, B))
+    if not top:
+        return BoundInterval.exact(0)
+    e = top.bit_length() - L.bit_length()  # log2(top / L) lies in (e - 1, e + 1)
+    if top << max(0, -e) < L << max(0, e):
+        e -= 1
+    if e > 0:
+        L <<= e
+    elif e < 0:
+        B = [b << -e for b in B]
+    scale = Fraction(2) ** e
+    if e:  # scaling by 1 would still cost microseconds of Fraction arithmetic
+        tol = tol / scale
     p = spec.p
-    # the root step can widen the integral enclosure (badly so when the
-    # integral sits near zero), so refine until the rooted width fits
-    int_tol = tol
-    for _ in range(61):
+
+    def integral_to(int_tol: Fraction) -> BoundInterval:
         if p.denominator == 1:
-            integral = _integral_abs_pow_int(kept, spec.gamma, int(p), int_tol)
-        else:
-            integral = _integral_abs_pow_frac(kept, spec.gamma, p, int_tol)
+            return _integral_abs_pow_int(B, L, spec.gamma, int(p), int_tol)
+        return _integral_abs_pow_frac(B, L, spec.gamma, p, int_tol)
+
+    integral = integral_to(tol)
+    out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
+    if out.width >= tol:
+        t = tol / 2
+        integral = integral.intersect(integral_to(
+            max(p * integral.lo * t / out.hi, min(t ** math.floor(p), t ** math.ceil(p)))))
         out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
-        if out.width < tol:
-            return out
-        int_tol *= min(Fraction(1, 4), tol / out.width / 2)
-    raise ToleranceUnreachable(f"norm width stuck above {brief(tol)}")
+        if out.width >= tol:
+            raise ToleranceUnreachable(f"the L^{p} root stays wider than its tolerance")
+    return BoundInterval(out.lo * scale, out.hi * scale) if e else out
 
 
 @lru_cache(maxsize=1024)
@@ -817,8 +855,11 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     truncate cuts the coefficient difference where the tail's L^p
     share, gamma^(1/p) * sup|a_n - b_n| * zeta_n, falls below tol/4
     (exactly 0 when the difference has finite support); the polynomial
-    part is handled exactly or by certified quadrature, and the tail
-    widens the enclosure by that share on both sides.
+    part's norm comes from _norm_of_poly at tol/2, exact or by certified
+    quadrature at unit scale in at most two passes, and the tail widens
+    the enclosure by that share on both sides.  The cut and the kernels
+    see the same rationals for 2^k (f - g) at 2^k tol as for f - g at tol,
+    so that call's enclosure is exactly 2^k times this one's, for every p.
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_p needs a shared domain (gamma and origin)")
@@ -833,7 +874,11 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
         n, tail_slack = _rho_p_cut(*d.sup_abs().as_integer_ratio(), *spec.gamma.as_integer_ratio(),
                                    *spec.inv_p.as_integer_ratio(), *tolq.as_integer_ratio())
         kept = d.prefix(n)
-    norm = _norm_of_poly(kept, spec, tolq / 2)
+    try:
+        norm = _norm_of_poly(kept, spec, tolq / 2)
+    except ToleranceUnreachable as exc:
+        # the kernels see a tolerance scaled with P; name the caller's
+        raise ToleranceUnreachable(f"rho_p cannot reach tol={brief(tolq)}: {exc}") from exc
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
 
@@ -860,7 +905,7 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     # an infinite budget makes the cut the first index searched
     kept, tail = truncate(d, lambda n: sup * tailmath.zeta(gamma, n).hi,
                           math.inf, "the rho_1 lower-bound tail", _RHO1_TERMS)
-    l1 = _integral_abs_pow_int(kept, gamma, 1, slack)
+    l1 = _integral_abs_pow_int(*_bernstein(kept, gamma), gamma, 1, slack)
     return max(Fraction(0), l1.lo - gamma * tail)
 
 

@@ -213,10 +213,40 @@ def test_fractional_quadrature_takes_no_mpmath_power(monkeypatch):
     assert len(calls) == 1
 
 
-def test_rho_p_fractional_exponent_past_the_double_range_is_unreachable():
-    huge = series(EventuallyPeriodic((), (Fraction(10**400),)))
-    with pytest.raises(ToleranceUnreachable, match="double range"):
-        rho_p(huge, series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(10**394))
+def test_rho_p_fractional_exponent_past_the_double_range_is_enclosed():
+    # the quadrature runs at unit scale, so 1e400 e^t is no harder than e^t
+    c = Fraction(10**400)
+    box = rho_p(series(EventuallyPeriodic((), (c,))), series(ZEROS), LpSpec(Fraction(3, 2), 1), c / 10**6)
+    assert box.lo <= c * RHO32_EXP <= box.hi
+    assert box.width <= c / 10**6
+
+
+PAIR0 = (EventuallyPeriodic((0, 0, 0, 0), (-3, Fraction(1, 2))),
+         EventuallyPeriodic((Fraction(1, 2),), (-3, 0)))
+
+
+@pytest.mark.parametrize(
+    "a, b, p, gamma, tol, passes",
+    # lp-grid's first pair: the first pass at p = 3 is integrated to tol,
+    # and its root is too wide
+    [(*PAIR0, Fraction(3), Fraction(1, 2), Fraction(1, 10**6), 2)]
+    # 1 - 2000t on [0, 1/1000]: the first pass's integral reaches down to
+    # 0, so the second pass's tolerance comes from the concavity bound
+    + [(FiniteSupport((1, -2000)), ZEROS, p, Fraction(1, 1000), Fraction(1, 50), 2)
+       for p in (Fraction(3), Fraction(3, 2))]
+    # ones against zero, 1e-400 to 1e400 times
+    + [(EventuallyPeriodic((), (c,)), ZEROS, p, Fraction(1), c / 10**6, 1)
+       for c in (Fraction(1, 10**400), Fraction(1, 10**8), Fraction(1), Fraction(10**8), Fraction(10**400))
+       for p in (Fraction(3, 2), Fraction(3))],
+)
+def test_no_norm_integrates_more_than_twice(monkeypatch, a, b, p, gamma, tol, passes):
+    calls = []
+    for name in ("_integral_abs_pow_int", "_integral_abs_pow_frac"):
+        kernel = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    box = rho_p(series(a, gamma), series(b, gamma), LpSpec(p, gamma), tol)
+    assert box.width < tol
+    assert len(calls) == passes
 
 
 def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
@@ -280,7 +310,10 @@ def _lp_norm_oracle(coeffs, gamma, p):
         pm = mpmath.mpf(p.numerator) / p.denominator
         cuts = [mpmath.mpf(0), g]
         if len(mono) > 1:
-            roots = mpmath.polyroots(mono[::-1], maxsteps=200, extraprec=200)
+            # a multiple root at 0, the window's end, stalls Durand-Kerner;
+            # divide out the power of t
+            low = next(i for i, c in enumerate(mono) if c)
+            roots = mpmath.polyroots(mono[low:][::-1], maxsteps=200, extraprec=200)
             cuts += [mpmath.re(r) for r in roots
                      if abs(mpmath.im(r)) < 1e-10 and 0 < mpmath.re(r) < g]
         value = mpmath.quad(lambda t: abs(mpmath.polyval(mono[::-1], t)) ** pm, sorted(cuts))
@@ -302,6 +335,7 @@ def _lp_norm_oracle(coeffs, gamma, p):
 @example([Fraction(-1), Fraction(2)], Fraction(2), Fraction(4, 3))  # a line through 1/2
 # -3 - t + t^2/4 < 0 on [0, 1]: every panel is negative
 @example([Fraction(-3), Fraction(-1), Fraction(1, 2)], Fraction(1), Fraction(9, 4))
+@example([Fraction(0)] * 4 + [Fraction(1)], Fraction(1, 2), Fraction(4, 3))  # t^4/24: a root of order 4 at 0
 def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
     tol = Fraction(1, 10**6)
     box = series_norm(series(FiniteSupport(tuple(coeffs)), gamma), LpSpec(p, gamma), tol)
@@ -451,24 +485,6 @@ def test_integer_p_norm_across_roots(coeffs, p, power_of_norm):
     assert box.lo**p <= power_of_norm <= box.hi**p
 
 
-def test_rho_inf_scales_exactly():
-    # the sup kernel is exact, so scaling a, b and tol by 2^k scales the
-    # enclosure by 2^k, far past both ends of the double range
-    rng = sampling.make_rng(7)
-    for i in range(10):
-        alphabet = sampling.random_alphabet(rng)
-        a, b = sampling.random_stream(rng, alphabet), sampling.random_stream(rng, alphabet)
-        gamma = (Fraction(1, 2), Fraction(1), Fraction(2))[i % 3]
-        spec, tol = LpSpec(math.inf, gamma), Fraction(1, 10**6)
-        base = rho_p(series(a, gamma), series(b, gamma), spec, tol)
-        for k in (1100, -1100):
-            c = Fraction(2) ** k
-            a_c, b_c = (EventuallyPeriodic([x * c for x in s.preamble], [x * c for x in s.period])
-                        for s in (a, b))
-            got = rho_p(series(a_c, gamma), series(b_c, gamma), spec, tol * c)
-            assert (got.lo, got.hi) == (base.lo * c, base.hi * c)
-
-
 small_ints = st.integers(-3, 3)
 periodic_streams = st.builds(EventuallyPeriodic, st.lists(small_ints, max_size=5),
                              st.lists(small_ints, min_size=1, max_size=3))
@@ -476,6 +492,25 @@ word_streams = st.builds(WordEnumeration,
                          st.lists(small_ints, min_size=2, max_size=2, unique=True).map(
                              lambda letters: Alphabet(tuple(letters))),
                          st.integers(0, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2), math.inf]),
+       st.integers(-1100, 1100), st.tuples(periodic_streams, periodic_streams),
+       st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+@example(Fraction(3, 2), 1100, (ONES, EventuallyPeriodic((), (0,))), Fraction(1))
+@example(Fraction(3), -1100, PAIR0, Fraction(1, 2))
+def test_rho_p_scales_exactly(p, k, pair, gamma):
+    # the kernels see the same rationals for 2^k (a - b) at 2^k tol, so the
+    # enclosure scales by 2^k bit for bit, far past both ends of the double
+    # range
+    a, b = pair
+    spec, tol = LpSpec(p, gamma), Fraction(1, 10**6)
+    base = rho_p(series(a, gamma), series(b, gamma), spec, tol)
+    c = Fraction(2) ** k
+    a_c, b_c = (EventuallyPeriodic([x * c for x in s.preamble], [x * c for x in s.period]) for s in pair)
+    got = rho_p(series(a_c, gamma), series(b_c, gamma), spec, tol * c)
+    assert (got.lo, got.hi) == (base.lo * c, base.hi * c)
 
 
 @st.composite

@@ -46,8 +46,8 @@ def test_bernstein_drops_trailing_zeros_and_reads_the_empty_tuple_as_zero():
     # a kept prefix can end in zeros; the degree, and so B, must not see them
     assert _bernstein((1, 2, 0, 0), Fraction(1, 2)) == _bernstein((1, 2), Fraction(1, 2))
     assert _bernstein((), Fraction(3)) == _bernstein((0,), Fraction(3)) == ([0], 1)
-    assert _sup_abs_on((), Fraction(1), Fraction(1, 10**6)).hi == 0
-    assert _integral_abs_pow_int((), Fraction(2), 3, Fraction(1, 10**6)).hi == 0
+    assert _sup_abs_on(*_bernstein((), Fraction(1)), Fraction(1, 10**6)).hi == 0
+    assert _integral_abs_pow_int(*_bernstein((), Fraction(2)), Fraction(2), 3, Fraction(1, 10**6)).hi == 0
 
 
 @PROPERTY
@@ -91,7 +91,7 @@ def test_packed_split_is_the_row_by_row_halving(B):
 @PROPERTY
 @given(polys, gammas, st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9))))
 def test_sup_abs_on_is_narrow_and_bounds_a_grid(P, gamma, tol):
-    sup = _sup_abs_on(P.preamble, gamma, tol)
+    sup = _sup_abs_on(*_bernstein(P.preamble, gamma), tol)
     assert sup.width < tol
     assert all(abs(value_at(P, gamma * Fraction(k, 32))) <= sup.hi for k in range(33))
 
@@ -109,5 +109,5 @@ def test_even_power_integral_is_exact(P, gamma, p):
                 out[i + j] += x * y
         power = out
     exact = sum(c * gamma ** (k + 1) / (k + 1) for k, c in enumerate(power))
-    box = _integral_abs_pow_int(P.preamble, gamma, p, Fraction(1))
+    box = _integral_abs_pow_int(*_bernstein(P.preamble, gamma), gamma, p, Fraction(1))
     assert box.lo == box.hi == exact
