@@ -33,7 +33,7 @@ from chaoslab.metrics import (
     series_norm,
     weighted_product_metric,
 )
-from chaoslab import intervals, metrics, sampling, tailmath
+from chaoslab import intervals, metrics, tailmath
 
 # mpmath oracle values, 80 decimal digits
 E = Fraction("2.7182818284590452353602874713526624977572470936999595749669676")
