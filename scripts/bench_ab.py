@@ -7,9 +7,12 @@ DIR is a fresh copy of each side's committed tree (for instance
 `git archive <commit> | tar -x -C DIR`).  For every workload in the
 change's BENCHMARK.json, pair i runs `perfbench/run.py --trace 0` once per
 side, the parent first on even i and the change first on odd i, each in
-its own tree with BENCHMARK.json's run_seconds.  Then one `--trace 1` run
-per side records the per-layer metrics numbers.  Last, this directory's
-`enclosure_digest.py` runs once, on the change against the parent.
+its own tree with BENCHMARK.json's run_seconds.  Then TRACED_RUNS
+`--trace 1` runs per side, alternating in the same way, record the
+per-layer metrics numbers, each the median of its side's runs: on a
+2-core host one traced run per side swings by 20% or more, too much to
+attribute a layer change.  Last, this directory's `enclosure_digest.py`
+runs once, on the change against the parent.
 
 The JSON written holds, per workload and end-to-end metric, each side's
 runs with their median and inclusive quartiles, how many pairs the change
@@ -17,7 +20,7 @@ won in the metric's better direction, and the change/parent median ratio;
 the attempted and failed item counts; the correctness gates; on
 verify-all, each side's output digests and whether they match the seed-0
 baseline; every per-layer metric that BENCHMARK.json's per_layer names
-and the traced run reports (the metrics.*, sampling.*, tailmath.*,
+and the traced runs report (the metrics.*, sampling.*, tailmath.*,
 intervals.* and coeffspace.* layers, verify's per-module wall times and
 the trace.* figures); and, under
 "enclosures", each side's digests of its lp-grid enclosures, of the
@@ -41,6 +44,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED_RUNS = 3
 
 
 def parse_args(argv):
@@ -93,8 +97,8 @@ def workload_entry(results: dict, traced: dict, declared: list, per_layer: set) 
             end_to_end[key] = {side: sorted({r["details"][key] for r in results[side]})
                                for side in SIDES}
     return {"end_to_end": end_to_end, "traced": {
-        side: {name: m["value"] for name, m in traced[side]["metrics"].items()
-               if name in per_layer}
+        side: {name: statistics.median(r["metrics"][name]["value"] for r in traced[side])
+               for name in traced[side][0]["metrics"] if name in per_layer}
         for side in SIDES}}
 
 
@@ -112,8 +116,8 @@ def main(argv=None) -> int:
         "method": f"parent and change each run from a fresh copy of its committed tree; "
                   f"{args.pairs} pairs per workload, alternating which side runs first "
                   f"(even pairs parent first); medians and inclusive quartiles over the "
-                  f"{args.pairs} runs of each side; traced values from one --trace 1 run "
-                  f"per side",
+                  f"{args.pairs} runs of each side; traced values are the medians of "
+                  f"{TRACED_RUNS} --trace 1 runs per side, alternating in the same way",
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
@@ -123,7 +127,10 @@ def main(argv=None) -> int:
                 results[side].append(run(trees[side], workload, args.seed, seconds, 0))
                 print(f"{workload} pair {i} {side}: items_per_s "
                       f"{results[side][-1]['metrics']['items_per_s']['value']:.4g}", flush=True)
-        traced = {side: run(trees[side], workload, args.seed, seconds, 1) for side in SIDES}
+        traced = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                traced[side].append(run(trees[side], workload, args.seed, seconds, 1))
         out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"],
                                                     {m["name"] for m in bench["per_layer"]})
         args.out.write_text(json.dumps(out, indent=1) + "\n")

@@ -3,13 +3,16 @@
 Everything closed under rational arithmetic (+, -, *, /, integer powers,
 absolute value, hulls) is computed exactly: endpoints are
 `fractions.Fraction` objects and no rounding happens at all, so an
-interval of width zero really is a point.  The few irrational operations
-the library needs (rational powers such as gamma**(1/p)) are delegated
-to a private mpmath interval context (the shared mpmath.iv is never
-touched) at the binary precision the caller asks for (128 bits unless
-it needs more); mpmath endpoints are binary floats of arbitrary exponent
-and convert back to Fraction losslessly, so enclosures remain certified
-across the boundary.
+interval of width zero really is a point.  The one irrational operation
+the library needs is a rational power x**(a/b), such as gamma**(1/p) or
+the root of an L^p integral, at the binary precision the caller asks for
+(128 bits unless it needs more).  power() takes it on integers when
+|a| and b are at most _MAX_CHECKED_TERM: a floor of an integer b-th root,
+one unit above it, and a point when the root is exact.  Larger terms are
+delegated to a private mpmath interval context (the shared mpmath.iv is
+never touched); mpmath endpoints are binary floats of arbitrary exponent
+and convert back to Fraction losslessly.  Either way enclosures remain
+certified.
 
 PowerFn serves the fractional-p quadrature, which needs x**(m/q) in
 doubles thousands of times per call.  For small m and q it needs no
@@ -256,12 +259,65 @@ def _check_base(lo, e: Fraction) -> None:
         raise DomainError("negative fractional power of an interval reaching zero")
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for integers x >= 0, k >= 2: math.isqrt for k = 2,
+    else integer Newton from above.  Its first step lands at or above the
+    root from any positive guess (AM-GM), and every later one falls
+    strictly until the root is reached; the guess is a double root of x's
+    leading bits, so few steps remain."""
+    if k == 2:
+        return math.isqrt(x)
+    if x < 2:
+        return x
+    m = max(0, x.bit_length() - 960) // k  # x >> (k m) fits a double
+    r = (int(float(x >> (k * m)) ** (1.0 / k)) + 1) << m
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
+    while True:
+        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+
+
+def _checked_power(x: Fraction, a: int, b: int, prec: int) -> tuple:
+    """(lo, hi) rationals enclosing x ** (a/b) for x >= 0 (x > 0 when
+    a < 0), on integers.
+
+    With x = n/d (n and d swapped for a < 0, a made positive), lo is
+    r / 2^B, r = floor((n^a 2^(bB) / d^a)^(1/b)), and hi is (r + 1) / 2^B
+    unless r^b d^a = n^a 2^(bB), where the root is exact and hi = lo.
+    B = prec - floor(a (bitlen n - bitlen d) / b) puts r near 2^prec, so
+    prec keeps the relative meaning it has for mpmath.
+    """
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return x, x
+    if a < 0:
+        n, d, a = d, n, -a
+    B = prec - a * (n.bit_length() - d.bit_length()) // b
+    num, den = n**a, d**a
+    if B >= 0:
+        num <<= b * B
+    else:
+        den <<= -b * B
+    r = _iroot(num // den, b)
+    exact = r**b * den == num
+    if B >= 0:
+        lo = Fraction(r, 1 << B)
+        return lo, lo if exact else Fraction(r + 1, 1 << B)
+    lo = Fraction(r << -B)
+    return lo, lo if exact else Fraction((r + 1) << -B)
+
+
 def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
     """Certified enclosure of base**exponent for rational exponents.
 
-    Integer exponents stay exact.  Non-integer exponents require a
-    nonnegative base and go through mpmath's interval context at prec
-    bits; the result endpoints embed back into Fraction exactly, so no
+    Integer exponents stay exact.  Non-integer exponents a/b require a
+    nonnegative base.  When max(|a|, b) <= _MAX_CHECKED_TERM each end of
+    the base takes an integer b-th root at about prec bits
+    (_checked_power): a floor, one unit above it, and a point where the
+    root is exact.  Larger terms go through mpmath's interval context at
+    prec bits.  Either way the endpoints are exact rationals, so no
     certification is lost.
     """
     e = as_fraction(exponent)
@@ -269,10 +325,17 @@ def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
     if e.denominator == 1:
         return b ** int(e)
     _check_base(b.lo, e)
-    _IV.prec = prec
-    ive = _to_iv(e)
     # x |-> x**e is monotone on [0, inf) for either sign of e, so the
     # hull of certified endpoint powers encloses the whole image.
+    a, q = e.numerator, e.denominator
+    if max(abs(a), q) <= _MAX_CHECKED_TERM:
+        at_lo = _checked_power(b.lo, a, q, prec)
+        at_hi = at_lo if b.lo == b.hi else _checked_power(b.hi, a, q, prec)
+        if a < 0:
+            at_lo, at_hi = at_hi, at_lo
+        return BoundInterval(at_lo[0], at_hi[1])
+    _IV.prec = prec
+    ive = _to_iv(e)
     at_lo = _from_iv(_to_iv(b.lo) ** ive)
     at_hi = at_lo if b.width == 0 else _from_iv(_to_iv(b.hi) ** ive)
     out = at_lo.hull(at_hi)
@@ -286,6 +349,8 @@ def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
 # every m/q, but its integers grow as 53 max(m, q) bits and a non-dyadic
 # m/q makes the double guess less accurate.  For x from 1e-8 to 1e8 the
 # integer path beat the mpmath one at 32/31 and was level at 48/47.
+# power() keeps the same limit: its root works on integers of about
+# b * prec bits, and a root of degree 10^400 cannot be taken at all.
 _MAX_CHECKED_TERM = 32
 # PowerFn's checked path works on the bit patterns of nonnegative doubles,
 # which order them as integers do: +0.0 is 0 and +inf is _INF_BITS.

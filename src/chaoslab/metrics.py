@@ -47,7 +47,10 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   sign-definite: end values, exact first- and third-derivative end
   corrections and a certified h^7 remainder of 1/30240 times the sixth
   derivative, all from one chain-rule recursion for the derivatives of
-  |D|^p (_chain_rule); crude range-times-width bounds across roots.  The
+  |D|^p (_chain_rule).  Across a root, a panel where D is monotone takes
+  product integration, |D(t)| = |D'(xi)| |t - r| (Davis & Rabinowitz
+  1984), whose width shrinks as h^(p+2); any other root panel takes the
+  crude range-times-width bound.  The
   bounds on D through its sixth derivative are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
   pointwise powers come from intervals.PowerFn as the tightest doubles
@@ -375,6 +378,27 @@ def _sup_abs_on(B: List[int], L: int, tol: Fraction) -> BoundInterval:
             raise ToleranceUnreachable(f"sup refinement exceeded {_MAX_PANELS} panels")
 
 
+def _convolution_power(beta: List[int], p: int) -> List[int]:
+    """The p-th convolution power c of the integers beta (p >= 1), by
+    Kronecker substitution: beta sits in slots of s bits of one int X, low
+    index first, and c in those of X^p.  With n = len(beta) - 1 each c_i
+    sums at most (n + 1)^(p-1) products of p entries, so |c_i| is below
+    2^(s - 2) for s = p bitlen(max|beta|) + (p - 1) bitlen(n) + 2.  Adding
+    2^(s-1) to every slot makes them all nonnegative, and the bytes of the
+    sum read them off in one pass (s rounded up to whole bytes)."""
+    n = len(beta) - 1
+    size = (p * max(map(abs, beta)).bit_length() + (p - 1) * n.bit_length() + 9) // 8
+    s = 8 * size
+    X = 0
+    for b in reversed(beta):
+        X = (X << s) + b
+    slots = p * n + 1
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    raw = (X**p + offset).to_bytes(slots * size, "little")
+    half = 1 << (s - 1)
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, slots * size, size)]
+
+
 def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
     < tol, on the Bernstein panels of (B, L) = _bernstein(kept, gamma).
@@ -406,13 +430,7 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
 
     def moment(coeffs: List[int]) -> int:
         """S, from the convolution power c of beta."""
-        beta = [b * m for b, m in zip(coeffs, binom)]
-        c = beta
-        for _ in range(p - 1):
-            c, prev = [0] * (len(c) + n), c
-            for i, x in enumerate(prev):
-                for j, y in enumerate(beta):
-                    c[i + j] += x * y
+        c = _convolution_power([b * m for b, m in zip(coeffs, binom)], p)
         return sum(x * w for x, w in zip(c, weight))
 
     if p % 2 == 0:
@@ -593,9 +611,20 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     the point scales them by 2^-d and 2^-3d, exactly.  The remainder is
     the range of g on the panel times F_6 over the R_j enclosures, the
     j-th differences over the coefficients themselves, so it is free of
-    scale.  Panels that straddle a root fall back to width * range bounds
-    (they shrink superlinearly, since |P|^p is tiny near its roots), and
-    every panel keeps the better of the two.
+    scale.  Panels that straddle a root take width * range bounds (they
+    shrink superlinearly, since |P|^p is tiny near its roots), and every
+    panel keeps the better of the two.
+
+    A root panel whose first differences share one strict sign holds P
+    monotone, so exactly one root r, and takes product integration
+    across it as well (root_panel): |P(t)| = |P'(xi)| |t - r|, h|P'| lies
+    between n times the least and the largest |b_(j+1) - b_j| over the
+    panel's denominator, and s = (r - u) / h is bracketed by |b_0| and
+    |b_n| over that range, so the integral lies in h/(p+1) times the
+    range to the p times the range of s^(p+1) + (1 - s)^(p+1).
+    Its width shrinks as h^(p+2) against h^(p+1) for the crude bound,
+    and on a line it is exact up to rounding.  It is intersected with
+    the crude bound and, like it, counts as all remainder.
 
     _norm_of_poly runs this at unit scale, max|B| / L in [1, 2), so the
     values of P and g are doubles near 1 at any scale of the caller's
@@ -616,7 +645,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
-    pw = PowerFn(p)
+    pw, pw1, inv_p1 = PowerFn(p), PowerFn(p + 1), _fc(1 / (p + 1))
     F = _chain_rule(p)
     # G1/g and G3/g at an end as integer quotients: p = a/c, and c^3 F_3
     # in the monomials R_1^3, R_1 R_2, R_3 has integer coefficients
@@ -662,6 +691,28 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             e1, e3 = _fi_scaled(e1, kp - k), _fi_scaled(e3, 3 * (kp - k))
         return (_fdn(e1[0] - e3[1]), _fup(e1[1] - e3[0]))
 
+    def root_panel(b0: int, bn: int, d_lo: int, d_hi: int, den: int, h: tuple) -> Tuple[float, float]:
+        """Product integration across the one root r of a monotone panel
+        with end values b0 / den and bn / den of opposite signs (or 0),
+        where h|P'| lies in [d_lo, d_hi] / den, d_lo > 0.
+
+        |P(t)| = |P'(xi)| |t - r|, so the integral lies in
+        h / (p + 1) (h|P'| range)^p (s^(p+1) + (1 - s)^(p+1)), s = (r - u)/h,
+        and |b0| = s h|P'(xi0)| den, |bn| = (1 - s) h|P'(xi1)| den bound s
+        to [a, A] from both ends.
+        """
+        q0, q1 = abs(b0), abs(bn)
+        # s from the left end and 1 - s from the right one, each at most 1;
+        # q0, q1 <= d_hi, since the differences sum to bn - b0
+        s_lo, s_hi = _fdn(q0 / d_hi), (_fup(q0 / d_lo) if q0 < d_lo else 1.0)
+        t_lo, t_hi = _fdn(q1 / d_hi), (_fup(q1 / d_lo) if q1 < d_lo else 1.0)
+        a = max(s_lo, _fdn(1.0 - t_hi), 0.0)
+        A = min(s_hi, _fup(1.0 - t_lo), 1.0)
+        ends = _fi_add(pw1.bounds_floats(a, A),
+                       pw1.bounds_floats(max(0.0, _fdn(1.0 - A)), min(1.0, _fup(1.0 - a))))
+        slope = pw.bounds_floats(*_fi(d_lo, d_hi, den))
+        return _fi_mul(_fi_mul(slope, ends), _fi_mul(h, inv_p1))
+
     def panel_enclosure(coeffs: List[int], k: int, U: tuple, V: tuple) -> Tuple[float, float, float]:
         """(lo, hi, r): r is the part of hi - lo that shrinks faster than h
         (the h^7 remainder; all of it where the crude bound binds)."""
@@ -672,8 +723,17 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         sa = _fi(mig, max(-bmin, bmax), den)
         sa = (max(0.0, sa[0]), sa[1])
         if sa[0] <= 0.0:
-            # straddles a root: width * range of |P|^p
-            return _fi_mul(pw.bounds_floats(0.0, sa[1]), h) + (math.inf,)
+            # straddles a root: width * range of |P|^p, and where P is
+            # monotone the product bound
+            crude = _fi_mul(pw.bounds_floats(0.0, sa[1]), h)
+            if mig == 0 and n:
+                row = [y - x for x, y in zip(coeffs, coeffs[1:])]
+                dmin, dmax = min(row), max(row)
+                if dmin > 0 or dmax < 0:
+                    d_lo, d_hi = (dmin, dmax) if dmin > 0 else (-dmax, -dmin)
+                    prod = root_panel(coeffs[0], coeffs[n], n * d_lo, n * d_hi, den, h)
+                    crude = (max(crude[0], prod[0]), min(crude[1], prod[1]))
+            return crude + (math.inf,)
         if bmax < 0:  # Q's coefficients
             coeffs = [-b for b in coeffs]
             bmin, bmax = -bmax, -bmin
@@ -751,11 +811,13 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
 
 def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
     """Bits at which I^(1/p), I <= hi, rounds within about tol/4: the
-    root's ceil(log2(hi) / p) above tol's, and a guard for the error of
-    mpmath's exp(log(I) / p), which grows by about one bit per bit in the
-    size of log2 I (measured over I in 2^-70000..2^70000).  At least the
-    128 bits of every other power; past _MAX_ROOT_BITS a root takes
-    seconds, so the tolerance is unreachable.
+    root's ceil(log2(hi) / p) above tol's, and a guard sized for the error
+    of mpmath's exp(log(I) / p), which grows by about one bit per bit in
+    the size of log2 I (measured over I in 2^-70000..2^70000).  The
+    integer root that intervals.power takes when 1/p has terms up to
+    _MAX_CHECKED_TERM needs no guard; mpmath still roots the others.  At
+    least the 128 bits of every other power; past _MAX_ROOT_BITS a root
+    takes seconds, so the tolerance is unreachable.
     """
     if p == 1 or hi == 0:  # an exact root
         return DEFAULT_PRECISION_BITS

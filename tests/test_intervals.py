@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaoslab import metrics
+from chaoslab import intervals, metrics
 from chaoslab.errors import DomainError, ToleranceUnreachable
 from chaoslab.intervals import (
+    _MAX_CHECKED_TERM,
     BoundInterval,
     PowerFn,
     as_fraction,
@@ -212,6 +213,61 @@ def test_power_rational_exponent():
     assert power(5, 0).contains(1)
     with pytest.raises(DomainError):
         power(-2, Fraction(1, 2))
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**64), st.integers(1, 2**64), st.integers(-200, 200),
+       st.integers(-_MAX_CHECKED_TERM, _MAX_CHECKED_TERM).filter(bool),
+       st.integers(2, _MAX_CHECKED_TERM), st.integers(0, 2**40))
+@example(1, 1, 0, 1, 2, 0)
+@example(2**64, 1, 200, -_MAX_CHECKED_TERM, 31, 2**40)
+@example(1, 2**64, -200, _MAX_CHECKED_TERM, 31, 1)
+def test_power_matches_mpmath_at_60_digits(num, den, k, a, b, stretch):
+    # bases in 2^-264 .. 2^264, exponents of both signs with terms up to
+    # the integer check's limit, on points and on intervals
+    e = Fraction(a, b)
+    x = Fraction(num, den) * Fraction(2) ** k
+    box = BoundInterval(x, x * (1 + Fraction(stretch, 2**50)))
+    got = power(box, e)
+    with mpmath.workdps(60):
+        me = _mp(e)
+        ends = sorted(_mp(end) ** me for end in (box.lo, box.hi))
+        margin = ends[1] * mpmath.mpf(10) ** -55
+        assert _mp(got.lo) <= ends[0] + margin and ends[1] - margin <= _mp(got.hi)
+        # 128 bits relative to the root, less the few that x's size in
+        # bit lengths leaves unknown
+        slack = 2 + abs(e)
+        assert _mp(got.lo) >= ends[0] * (1 - mpmath.mpf(2) ** (slack - 128)) - margin
+        assert _mp(got.hi) <= ends[1] * (1 + mpmath.mpf(2) ** (slack - 128)) + margin
+
+
+def test_power_exact_roots_are_points():
+    assert power(8, Fraction(2, 3)) == BoundInterval(4, 4)
+    assert power(Fraction(1, 4), Fraction(-1, 2)) == BoundInterval(2, 2)
+    assert power(BoundInterval(4, 9), Fraction(3, 2)) == BoundInterval(8, 27)
+    assert power(BoundInterval(Fraction(1, 9), 4), Fraction(-1, 2)) == BoundInterval(Fraction(1, 2), 3)
+    assert power(0, Fraction(5, 7)) == BoundInterval(0, 0)
+    assert power(2**300, Fraction(1, 3), 10) == BoundInterval(2**100, 2**100)
+    assert power(Fraction(1, 2**300), Fraction(-2, 3), 10) == BoundInterval(2**200, 2**200)
+    # an inexact root is never a point
+    assert power(2, Fraction(1, 2)).width > 0
+
+
+def test_power_takes_mpmath_only_past_the_checked_terms(monkeypatch):
+    ivmpf = type(intervals._IV.mpf(1))
+    real_pow = ivmpf.__pow__
+    calls = []
+    monkeypatch.setattr(ivmpf, "__pow__", lambda x, y: calls.append(y) or real_pow(x, y))
+    for a, b in ((1, 2), (-1, 2), (2, 3), (5, 12), (_MAX_CHECKED_TERM, 31), (-1, _MAX_CHECKED_TERM)):
+        power(BoundInterval(Fraction(1, 3), 7), Fraction(a, b))
+    assert calls == []
+    root = power(2, Fraction(1, _MAX_CHECKED_TERM + 1))
+    assert len(calls) == 1
+    assert root.lo ** (_MAX_CHECKED_TERM + 1) <= 2 <= root.hi ** (_MAX_CHECKED_TERM + 1)
 
 
 def test_power_fn_monotone_on_nonnegative():

@@ -186,31 +186,22 @@ def test_rho_p_fractional_exponent():
 
 
 def test_fractional_quadrature_takes_no_mpmath_power(monkeypatch):
-    # count the mpmath interval powers made inside PowerFn.bounds_floats
+    # count every mpmath interval power of a whole p = 3/2 rho_p call: the
+    # quadrature's pointwise powers, gamma^(1/p) and the L^p root
     ivmpf = type(intervals._IV.mpf(1))
-    real_pow, real_bounds = ivmpf.__pow__, PowerFn.bounds_floats
-    inside, calls = [False], []
-
-    def counted_pow(x, y):
-        if inside[0]:
-            calls.append(y)
-        return real_pow(x, y)
-
-    def flagged(fn, lo, hi):
-        inside[0] = True
-        try:
-            return real_bounds(fn, lo, hi)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(ivmpf, "__pow__", counted_pow)
-    monkeypatch.setattr(PowerFn, "bounds_floats", flagged)
+    real_pow = ivmpf.__pow__
+    calls = []
+    monkeypatch.setattr(ivmpf, "__pow__", lambda x, y: calls.append(y) or real_pow(x, y))
+    metrics._gamma_pow.cache_clear()
+    metrics._rho_p_cut.cache_clear()
     box = rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
     assert box.lo <= RHO32_EXP <= box.hi
     assert calls == []
-    # an exponent past the integer check is seen to take the mpmath route
+    # exponents past the integer check are seen to take the mpmath route
     PowerFn(Fraction(65, 64)).bounds_floats(1.0, 2.0)
     assert len(calls) == 1
+    power(2, Fraction(1, 33))
+    assert len(calls) == 2
 
 
 def test_rho_p_fractional_exponent_past_the_double_range_is_enclosed():
@@ -230,14 +221,20 @@ PAIR0 = (EventuallyPeriodic((0, 0, 0, 0), (-3, Fraction(1, 2))),
     # lp-grid's first pair: the first pass at p = 3 is integrated to tol,
     # and its root is too wide
     [(*PAIR0, Fraction(3), Fraction(1, 2), Fraction(1, 10**6), 2)]
-    # 1 - 2000t on [0, 1/1000]: the first pass's integral reaches down to
-    # 0, so the second pass's tolerance comes from the concavity bound
-    + [(FiniteSupport((1, -2000)), ZEROS, p, Fraction(1, 1000), Fraction(1, 50), 2)
-       for p in (Fraction(3), Fraction(3, 2))]
+    # the first pass's integral reaches down to 0, so the second pass's
+    # tolerance comes from the concavity bound: 1 - 2000t on [0, 1/1000]
+    # at p = 3, and at p = 3/2 (1 - 2000t)(1 - 4000t), whose two roots
+    # keep the first panel off the product bound
+    + [(FiniteSupport((1, -2000)), ZEROS, Fraction(3), Fraction(1, 1000), Fraction(1, 50), 2),
+       (FiniteSupport((1, -6000, 16_000_000)), ZEROS, Fraction(3, 2), Fraction(1, 1000),
+        Fraction(1, 50), 2)]
     # ones against zero, 1e-400 to 1e400 times
     + [(EventuallyPeriodic((), (c,)), ZEROS, p, Fraction(1), c / 10**6, 1)
        for c in (Fraction(1, 10**400), Fraction(1, 10**8), Fraction(1), Fraction(10**8), Fraction(10**400))
-       for p in (Fraction(3, 2), Fraction(3))],
+       for p in (Fraction(3, 2), Fraction(3))]
+    # the line at p = 3/2: the product bound is exact on a line, so its
+    # first pass is never down to 0
+    + [(FiniteSupport((1, -2000)), ZEROS, Fraction(3, 2), Fraction(1, 1000), Fraction(1, 50), 1)],
 )
 def test_no_norm_integrates_more_than_twice(monkeypatch, a, b, p, gamma, tol, passes):
     calls = []
@@ -336,6 +333,10 @@ def _lp_norm_oracle(coeffs, gamma, p):
 # -3 - t + t^2/4 < 0 on [0, 1]: every panel is negative
 @example([Fraction(-3), Fraction(-1), Fraction(1, 2)], Fraction(1), Fraction(9, 4))
 @example([Fraction(0)] * 4 + [Fraction(1)], Fraction(1, 2), Fraction(4, 3))  # t^4/24: a root of order 4 at 0
+# simple roots, on the product bound: 2 - 3t + t^3/6 near 0.69, and
+# 1 - 3t + t^2/4 near 0.34
+@example([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)], Fraction(2), Fraction(4, 3))
+@example([Fraction(1), Fraction(-3), Fraction(1, 2)], Fraction(1), Fraction(5, 2))
 def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
     tol = Fraction(1, 10**6)
     box = series_norm(series(FiniteSupport(tuple(coeffs)), gamma), LpSpec(p, gamma), tol)
@@ -349,25 +350,53 @@ def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
 
 
 @pytest.mark.parametrize(
-    "coeffs, fourth_order_splits, most",
+    "coeffs, gamma, before, most",
     [
         # ones against zero: e^t; the corrected trapezoid split 15 panels
-        (None, 15, 7),
-        # 1 - 2t, a root at 1/2; the corrected trapezoid split 63 panels
-        ((1, -2), 63, 45),
+        (None, 1, 15, 7),
+        # 1 - 2t, a root at 1/2: the corrected trapezoid split 63 panels
+        # and the sixth-order rule 45, with the crude bound on the root
+        # panels; the product bound is exact on a line
+        ((1, -2), 1, 45, 0),
+        # 2 - 3t + t^3/6 on [0, 2], a root near 0.69: 57 splits with the
+        # crude bound on the root panels
+        ((2, -3, 0, 1), 2, 57, 45),
     ],
 )
-def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, fourth_order_splits, most):
-    # the sixth-order rule's h^7 remainder needs fewer splits than the
-    # corrected trapezoid's h^5 one did at tol 1e-6
-    assert most < fourth_order_splits
+def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, gamma, before, most):
+    # the sixth-order rule's h^7 remainder, and the product bound across
+    # a simple root, need fewer splits than the rules before them at tol
+    # 1e-6
+    assert most < before
     splits = []
     split = metrics._split
     monkeypatch.setattr(metrics, "_split", lambda B: splits.append(1) or split(B))
     f = ONES if coeffs is None else FiniteSupport(coeffs)
-    box = rho_p(series(f), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
+    box = rho_p(series(f, gamma), series(ZEROS, gamma), LpSpec(Fraction(3, 2), gamma), Fraction(1, 10**6))
     assert box.width <= Fraction(1, 10**6)
     assert len(splits) <= most
+
+
+def _schoolbook_power(beta, p):
+    """The p-th convolution power of beta, one product at a time."""
+    c = list(beta)
+    for _ in range(p - 1):
+        c, prev = [0] * (len(c) + len(beta) - 1), c
+        for i, x in enumerate(prev):
+            for j, y in enumerate(beta):
+                c[i + j] += x * y
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300).flatmap(
+           lambda bits: st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=25)),
+       st.integers(1, 7))
+@example([-(1 << 64)] * 17, 7)  # every slot at its bound, negative
+@example([1 << 64, -(1 << 64)] * 8, 6)
+@example([0, 0, 0], 3)
+def test_convolution_power_matches_the_schoolbook_product(beta, p):
+    assert metrics._convolution_power(beta, p) == _schoolbook_power(beta, p)
 
 
 def test_chain_rule_gives_the_derivatives_of_a_power():
