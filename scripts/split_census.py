@@ -1,0 +1,44 @@
+"""Fractional-p splits of one benchmark pass, by panel kind.
+
+    python3 scripts/split_census.py --workload lp-grid --seed 2
+
+Imports the package from this checkout's src/ and the workload from its
+perfbench/, runs pass 0 of the workload once under
+`chaoslab.metrics.count_splits()`, and prints one JSON line: the splits
+of every kind (em, crude, root-taylor, root-crude, nonmonotone) and their
+total.  Nothing is timed, and perfbench is only imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KINDS = ("em", "crude", "root-taylor", "root-crude", "nonmonotone")
+
+
+def census(workload: str, seed: int) -> dict:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from chaoslab import metrics
+    import workloads
+
+    with metrics.count_splits() as splits:
+        workloads.WORKLOADS[workload](seed, 1).run_pass(0, workloads.Tally())
+    return {"workload": workload, "seed": seed, **{k: splits[k] for k in KINDS},
+            "total": splits.total()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=("lp-grid", "prefix-sweep", "verify-all"))
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    print(json.dumps(census(args.workload, args.seed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,21 @@ class DomainError(ChaosLabError):
 
 class ToleranceUnreachable(ChaosLabError):
     """A certified enclosure cannot be tightened to the requested width
-    within the configured refinement budget."""
+    within the configured refinement budget.
+
+    kind names the limit met, so a caller can branch on it without
+    reading the message; the L^p kernels set one of
+    "rounding-floor" (the double bookkeeping cannot resolve the share),
+    "panel-cap" (the refinement ran out of panels),
+    "degree-cap" (an integer power past its degree budget),
+    "root-bits" (the L^p root needs more bits than its budget),
+    "root-width" (the root stays wider than its tolerance) and
+    "double-range" (a value past the doubles).  Other raises leave None.
+    """
+
+    def __init__(self, message: str = "", kind=None):
+        super().__init__(message)
+        self.kind = kind
 
 
 class InfeasibleTolerance(ChaosLabError):

@@ -47,11 +47,13 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   sign-definite: end values, exact first- and third-derivative end
   corrections and a certified h^7 remainder of 1/30240 times the sixth
   derivative, all from one chain-rule recursion for the derivatives of
-  |D|^p (_chain_rule).  Across a root, a panel where D is monotone takes
-  product integration, |D(t)| = |D'(xi)| |t - r| (Davis & Rabinowitz
-  1984), whose width shrinks as h^(p+2); any other root panel takes the
-  crude range-times-width bound.  The
-  bounds on D through its sixth derivative are read off a panel's
+  |D|^p (_chain_rule).  Across a root, a panel where D is monotone
+  writes D = a_0 + (t - t~) Q about a point t~ near the root and
+  integrates |t - t~|^p against the degree-5 Taylor polynomial of |Q|^p
+  in closed-form moments (product integration, Davis & Rabinowitz 1984,
+  carried to order 6), whose remainder shrinks as h^(p+7); any other
+  root panel takes the crude range-times-width bound.  The
+  bounds on D through its seventh derivative are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
   pointwise powers come from intervals.PowerFn as the tightest doubles
   certified by integer compares (mpmath only for exponents past its
@@ -66,12 +68,14 @@ coefficients, and the root's tolerance is met in at most two passes
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import tailmath
 from .coeffspace import (
@@ -375,7 +379,7 @@ def _sup_abs_on(B: List[int], L: int, tol: Fraction) -> BoundInterval:
             panels += 1
             heapq.heappush(heap, (-Fraction(max(map(abs, child)), 1 << e), panels, e, child))
         if panels > _MAX_PANELS:
-            raise ToleranceUnreachable(f"sup refinement exceeded {_MAX_PANELS} panels")
+            raise ToleranceUnreachable(f"sup refinement exceeded {_MAX_PANELS} panels", kind="panel-cap")
 
 
 def _convolution_power(beta: List[int], p: int) -> List[int]:
@@ -420,7 +424,8 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
     n = len(B) - 1
     N = n * p
     if max(N, p) > _MAX_POWER_DEGREE:
-        raise ToleranceUnreachable(f"|P|^{p} has degree {N}, past the budget {_MAX_POWER_DEGREE}")
+        raise ToleranceUnreachable(f"|P|^{p} has degree {N}, past the budget {_MAX_POWER_DEGREE}",
+                                   kind="degree-cap")
     binom = [math.comb(n, j) for j in range(n + 1)]
     weight = [math.factorial(i) * math.factorial(N - i) for i in range(N + 1)]
     full = math.factorial(N + 1)
@@ -463,7 +468,7 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
         classify(left, k + 1, S_left)
         classify(right, k + 1, (S << (N + 1)) - S_left)
         if panels > _MAX_PANELS:
-            raise ToleranceUnreachable(f"sign partition exceeded {_MAX_PANELS} panels")
+            raise ToleranceUnreachable(f"sign partition exceeded {_MAX_PANELS} panels", kind="panel-cap")
     lo = settled + sum(item[-1] for item in heap)
     return BoundInterval(lo, lo + pending)
 
@@ -497,7 +502,7 @@ def _fi(lo: int, hi: int, den: int, den_hi: int = 0) -> Tuple[float, float]:
         return (_fdn(lo / (den_hi if lo >= 0 else den)), _fup(hi / (den if hi >= 0 else den_hi)))
     except OverflowError:
         raise ToleranceUnreachable(
-            "fractional-power quadrature needs values within the double range"
+            "fractional-power quadrature needs values within the double range", kind="double-range"
         ) from None
 
 
@@ -588,6 +593,107 @@ def _chain_rule(p: Fraction) -> Tuple[Dict[Tuple[int, ...], Fraction], ...]:
     return tuple(F)
 
 
+def _f6_at(k: Sequence[tuple], r1, r2, r3, r4, r5, r6) -> Tuple[float, float]:
+    """Outward enclosure of the sum of k_i times the i-th monomial of
+    _F6_MONOMIALS over the R_j enclosures r1..r6, by Horner in R_1: F_6
+    times a constant when k holds F_6's coefficients times it."""
+    ca, cb, cc, cd, ce, cf, cg, ch, ci, cj, ck = k
+    r2sq = _fi_sq(r2)
+    acc = _fi_add(_fi_mul(_fi_sq(r1), ca), _fi_mul(r2, cb))
+    acc = _fi_add(_fi_mul(acc, r1), _fi_mul(r3, cc))
+    acc = _fi_add(_fi_mul(acc, r1), _fi_add(_fi_mul(r2sq, cd), _fi_mul(r4, ce)))
+    acc = _fi_add(_fi_mul(acc, r1), _fi_add(_fi_mul(_fi_mul(r2, r3), cf), _fi_mul(r5, cg)))
+    return _fi_add(_fi_add(_fi_mul(acc, r1), _fi_mul(_fi_mul(r2sq, r2), ch)),
+                   _fi_add(_fi_add(_fi_mul(_fi_mul(r2, r4), ci), _fi_mul(_fi_sq(r3), cj)),
+                           _fi_mul(r6, ck)))
+
+
+# A root panel's Taylor point is x~ = m / 2^_GUESS_BITS: it and 1 - x~ are
+# doubles, exactly.
+_GUESS_BITS = 53
+
+
+def _root_guess(coeffs: List[int]) -> int:
+    """m such that m / 2^_GUESS_BITS in [0, 1] is near the root of the
+    polynomial with Bernstein coefficients coeffs on [0, 1], which is
+    monotone with one root there: Newton's method in doubles, from the
+    chord's root, on the power basis about the panel end nearer to it.
+    No result rests on its accuracy, only the width of the root panel's
+    enclosure (through a_0)."""
+    n = len(coeffs) - 1
+    flip = 2 * abs(coeffs[0]) > abs(coeffs[n] - coeffs[0])  # nearer the right end
+    b = coeffs[::-1] if flip else coeffs
+    c, row = [], b
+    for j in range(n + 1):  # the power basis: C(n, j) times the j-th difference
+        c.append(math.comb(n, j) * row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    top = max(map(abs, c))
+    c = [a / top for a in reversed(c)]
+    x = b[0] / (b[0] - b[n])
+    for _ in range(12):
+        v = d = 0.0
+        for a in c:
+            d = d * x + v
+            v = v * x + a
+        if not d:
+            break
+        nxt = min(1.0, max(0.0, x - v / d))
+        if nxt == x:
+            break
+        x = nxt
+    m = round(math.ldexp(x, _GUESS_BITS))
+    return (1 << _GUESS_BITS) - m if flip else m
+
+
+def _taylor_at(B: List[int], m: int, s: int) -> List[int]:
+    """A_0..A_J, J = min(n, 6): the polynomial with Bernstein coefficients
+    B / den on [0, 1] has Taylor coefficients A_j / (den 2^(s n)) about
+    x~ = m / 2^s, from one integer de Casteljau split at x~: row r of the
+    split, scaled by 2^(s r), holds n - r + 1 points, and C(n, j) times
+    the j-th difference of row n - j is the j-th coefficient."""
+    n = len(B) - 1
+    w = (1 << s) - m
+    A = [0] * (min(n, 6) + 1)
+    row = B
+    for r in range(n + 1):
+        if r:
+            row = [w * x + m * y for x, y in zip(row, row[1:])]
+        j = n - r
+        if j <= 6:
+            d = row
+            for _ in range(j):
+                d = [y - x for x, y in zip(d, d[1:])]
+            A[j] = math.comb(n, j) * d[0] << (s * j)
+    return A
+
+
+# The split census: None, or the Counter that count_splits yields.
+_census: Optional[Counter] = None
+
+
+@contextlib.contextmanager
+def count_splits() -> Iterator[Counter]:
+    """Count the fractional-p quadrature's splits inside the block, by the
+    bound that left the split panel too wide: "em" (Euler-Maclaurin on a
+    sign-definite panel), "crude" (a sign-definite panel on the crude
+    bound), "root-taylor" (a monotone root panel after its Taylor model),
+    "root-crude" (a monotone root panel whose model's remainder alone was
+    too wide) and "nonmonotone" (any other root panel).
+
+        with metrics.count_splits() as splits:
+            rho_p(f, g, LpSpec(Fraction(3, 2), 1))
+        splits.total()
+
+    Off, it costs one `is None` test per split.  Blocks nest: an inner one
+    counts its own splits only."""
+    global _census
+    outer, _census = _census, Counter()
+    try:
+        yield _census
+    finally:
+        _census = outer
+
+
 def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
                            tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for fractional p > 1 on
@@ -616,15 +722,26 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     panel keeps the better of the two.
 
     A root panel whose first differences share one strict sign holds P
-    monotone, so exactly one root r, and takes product integration
-    across it as well (root_panel): |P(t)| = |P'(xi)| |t - r|, h|P'| lies
-    between n times the least and the largest |b_(j+1) - b_j| over the
-    panel's denominator, and s = (r - u) / h is bracketed by |b_0| and
-    |b_n| over that range, so the integral lies in h/(p+1) times the
-    range to the p times the range of s^(p+1) + (1 - s)^(p+1).
-    Its width shrinks as h^(p+2) against h^(p+1) for the crude bound,
-    and on a line it is exact up to rounding.  It is intersected with
-    the crude bound and, like it, counts as all remainder.
+    monotone, so exactly one simple root, and takes a Taylor model across
+    it as well (root_taylor).  In the panel's variable x in [0, 1], about
+    a dyadic x~ near the root (_root_guess, Newton in doubles, needing no
+    certificate), P(x) = a_0 + (x - x~) Q(x), with a_0..a_6 read exactly
+    off one integer de Casteljau split at x~ (_taylor_at).  Q = P[x~, x]
+    has no root on the panel, and g = |Q|^p has the Taylor coefficients
+    g(x~) F_k(R) / k! there, R_j = j! a_(j+1) / a_1.  So
+    int |P - a_0|^p = int |x - x~|^p g takes the degree-5 Taylor
+    polynomial of g against the closed-form moments
+    M_k = int |x - x~|^p (x - x~)^k = ((1 - x~)^(p+k+1) + (-1)^k x~^(p+k+1)) / (p+k+1)
+    plus the remainder range(g) F_6(R) / 6! M_6, where R_j = Q^(j) / Q lies
+    in the range of P^(j+1) / (j + 1) over that of P', both from the
+    panel's difference rows 1-7; and |P|^p - |P - a_0|^p is within
+    p (sup|P| + |a_0|)^(p-1) |a_0|.  The remainder shrinks as h^(p+7),
+    against h^(p+1) for the crude bound; its order-0 case is product
+    integration, |P| = |P'(xi)| |x - r|.  The remainder, which needs no
+    root, is worked out first, and a panel whose remainder alone cannot
+    meet its share keeps the crude bound without the root search.  The
+    model is intersected with the crude bound and, like it, counts as
+    all remainder.
 
     _norm_of_poly runs this at unit scale, max|B| / L in [1, 2), so the
     values of P and g are doubles near 1 at any scale of the caller's
@@ -645,7 +762,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
-    pw, pw1, inv_p1 = PowerFn(p), PowerFn(p + 1), _fc(1 / (p + 1))
+    pw, pw1 = PowerFn(p), PowerFn(p + 1)
     F = _chain_rule(p)
     # G1/g and G3/g at an end as integer quotients: p = a/c, and c^3 F_3
     # in the monomials R_1^3, R_1 R_2, R_3 has integer coefficients
@@ -654,7 +771,15 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     # -F_6/30240, so that the remainder is h g times their sum against the
     # R_j bounds
     f6 = [_fc(-F[6].get(e, 0) / 30240) for e in _F6_MONOMIALS]
-    falling = [math.perm(n, j) for j in range(7)]
+    falling = [math.perm(n, j) for j in range(8)]
+    # the root panels' Taylor model: F_1..F_5 / k! and F_6 / 6!, the
+    # moments' 1 / (p + k + 1), p, and the least M_6 (at x~ = 1/2) times
+    # 1 - 2^-20, a margin for the rounding of the test that uses it
+    taylor = [[(e, _fc(q / math.factorial(k))) for e, q in F[k].items()] for k in range(1, 6)]
+    f6_root = [_fc(F[6].get(e, 0) / 720) for e in _F6_MONOMIALS]
+    inv_moment = [_fc(1 / (p + k + 1)) for k in range(7)]
+    p_hi = _fc(p)[1]
+    m6_least = math.ldexp(pw1.bounds_floats(0.5, 0.5)[0], -5) * inv_moment[6][0] * (1 - 2**-20)
 
     def g_at(b: int, den: int) -> Tuple[float, float]:
         """g where P is exactly b / den."""
@@ -691,31 +816,70 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             e1, e3 = _fi_scaled(e1, kp - k), _fi_scaled(e3, 3 * (kp - k))
         return (_fdn(e1[0] - e3[1]), _fup(e1[1] - e3[0]))
 
-    def root_panel(b0: int, bn: int, d_lo: int, d_hi: int, den: int, h: tuple) -> Tuple[float, float]:
-        """Product integration across the one root r of a monotone panel
-        with end values b0 / den and bn / den of opposite signs (or 0),
-        where h|P'| lies in [d_lo, d_hi] / den, d_lo > 0.
+    def root_taylor(coeffs: List[int], den: int, h: tuple, share: float,
+                   crude: tuple) -> Tuple[tuple, str]:
+        """(enclosure, kind) on a panel whose first differences share one
+        strict sign, by the Taylor model across its one root, intersected
+        with the crude bound; kind "root-crude" when the model's remainder
+        alone is wider than share, and the crude bound stands."""
+        if coeffs[n] < coeffs[0]:  # |P|^p = |-P|^p: take P increasing
+            coeffs = [-b for b in coeffs]
+        spans, row = [], coeffs
+        for _ in range(7):
+            row = [y - x for x, y in zip(row, row[1:])]
+            spans.append((min(row, default=0), max(row, default=0)))
+        d_lo, d_hi = n * spans[0][0], n * spans[0][1]  # h P' over den
+        try:
+            # R_j: the range of P^(j+1) / (j + 1) over that of P'
+            r = [_fi(f * lo, f * hi, j * d_lo, j * d_hi)
+                 for j, f, (lo, hi) in zip(range(2, 8), falling[2:], spans[1:])]
+        except ToleranceUnreachable:
+            return crude, "root-crude"
+        slope = _fi(d_lo, d_hi, den)
+        rem = _fi_mul(pw.bounds_floats(max(0.0, slope[0]), slope[1]), _f6_at(f6_root, *r))
+        if (rem[1] - rem[0]) * m6_least * h[0] > share:
+            return crude, "root-crude"
+        m = _root_guess(coeffs)
+        A = _taylor_at(coeffs, m, _GUESS_BITS) + [0] * 6
+        D = den << (_GUESS_BITS * n)
+        # R_j at x~ (A_1 > 0, as P' > 0), and the moments M_0..M_6
+        rx = [_fi(math.factorial(j) * A[j + 1], math.factorial(j) * A[j + 1], A[1]) for j in range(1, 6)]
+        xr = math.ldexp(m, -_GUESS_BITS)
+        xl = math.ldexp((1 << _GUESS_BITS) - m, -_GUESS_BITS)
+        ml, mr = pw1.bounds_floats(xl, xl), pw1.bounds_floats(xr, xr)
+        moments = []
+        for k in range(7):
+            side = mr if k % 2 == 0 else (-mr[1], -mr[0])
+            moments.append(_fi_mul(_fi_add(ml, side), inv_moment[k]))
+            ml, mr = _fi_mul(ml, (xl, xl)), _fi_mul(mr, (xr, xr))
+        total = moments[0]
+        for k, monomials in enumerate(taylor, 1):
+            fk = (0.0, 0.0)
+            for e, q in monomials:
+                for rj, ej in zip(rx, e):
+                    for _ in range(ej):
+                        q = _fi_mul(q, rj)
+                fk = _fi_add(fk, q)
+            total = _fi_add(total, _fi_mul(fk, moments[k]))
+        body = _fi_add(_fi_mul(g_at(A[1], D), total), _fi_mul(rem, moments[6]))
+        if A[0]:
+            # |P|^p - |P - a_0|^p is within p (sup|P| + |a_0|)^(p-1) |a_0|
+            a0 = _fi(abs(A[0]), abs(A[0]), D)[1]
+            top = max(-min(coeffs), max(coeffs))
+            top = _fup(_fi(top, top, den)[1] + a0)
+            pert = _fup(_fup(_fup(pw.bounds_floats(top, top)[1] / top) * p_hi) * a0)
+            body = (_fdn(body[0] - pert), _fup(body[1] + pert))
+        body = _fi_mul(body, h)
+        lo, hi = max(body[0], crude[0], 0.0), min(body[1], crude[1])
+        if hi < lo or not (math.isfinite(body[0]) and math.isfinite(body[1])):
+            return crude, "root-taylor"
+        return (lo, hi), "root-taylor"
 
-        |P(t)| = |P'(xi)| |t - r|, so the integral lies in
-        h / (p + 1) (h|P'| range)^p (s^(p+1) + (1 - s)^(p+1)), s = (r - u)/h,
-        and |b0| = s h|P'(xi0)| den, |bn| = (1 - s) h|P'(xi1)| den bound s
-        to [a, A] from both ends.
-        """
-        q0, q1 = abs(b0), abs(bn)
-        # s from the left end and 1 - s from the right one, each at most 1;
-        # q0, q1 <= d_hi, since the differences sum to bn - b0
-        s_lo, s_hi = _fdn(q0 / d_hi), (_fup(q0 / d_lo) if q0 < d_lo else 1.0)
-        t_lo, t_hi = _fdn(q1 / d_hi), (_fup(q1 / d_lo) if q1 < d_lo else 1.0)
-        a = max(s_lo, _fdn(1.0 - t_hi), 0.0)
-        A = min(s_hi, _fup(1.0 - t_lo), 1.0)
-        ends = _fi_add(pw1.bounds_floats(a, A),
-                       pw1.bounds_floats(max(0.0, _fdn(1.0 - A)), min(1.0, _fup(1.0 - a))))
-        slope = pw.bounds_floats(*_fi(d_lo, d_hi, den))
-        return _fi_mul(_fi_mul(slope, ends), _fi_mul(h, inv_p1))
-
-    def panel_enclosure(coeffs: List[int], k: int, U: tuple, V: tuple) -> Tuple[float, float, float]:
-        """(lo, hi, r): r is the part of hi - lo that shrinks faster than h
-        (the h^7 remainder; all of it where the crude bound binds)."""
+    def panel_enclosure(coeffs: List[int], k: int, U: tuple, V: tuple,
+                        share: float) -> Tuple[float, float, float, str]:
+        """(lo, hi, r, kind): r is the part of hi - lo that shrinks faster
+        than h (the h^7 remainder; all of it where the crude bound binds),
+        and kind names the bound that made the enclosure, for count_splits."""
         den = L << (k * n)
         h = _fi(gn, gn, gd << k)
         bmin, bmax = min(coeffs), max(coeffs)
@@ -724,16 +888,16 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         sa = (max(0.0, sa[0]), sa[1])
         if sa[0] <= 0.0:
             # straddles a root: width * range of |P|^p, and where P is
-            # monotone the product bound
+            # monotone the Taylor model across the root
             crude = _fi_mul(pw.bounds_floats(0.0, sa[1]), h)
-            if mig == 0 and n:
-                row = [y - x for x, y in zip(coeffs, coeffs[1:])]
-                dmin, dmax = min(row), max(row)
-                if dmin > 0 or dmax < 0:
-                    d_lo, d_hi = (dmin, dmax) if dmin > 0 else (-dmax, -dmin)
-                    prod = root_panel(coeffs[0], coeffs[n], n * d_lo, n * d_hi, den, h)
-                    crude = (max(crude[0], prod[0]), min(crude[1], prod[1]))
-            return crude + (math.inf,)
+            if mig:  # a sign-definite panel whose least value underflows
+                return crude + (math.inf, "crude")
+            row = [y - x for x, y in zip(coeffs, coeffs[1:])]
+            dmin, dmax = min(row), max(row)
+            if not (dmin > 0 or dmax < 0):
+                return crude + (math.inf, "nonmonotone")
+            crude, kind = root_taylor(coeffs, den, h, share, crude)
+            return crude + (math.inf, kind)
         if bmax < 0:  # Q's coefficients
             coeffs = [-b for b in coeffs]
             bmin, bmax = -bmax, -bmin
@@ -757,28 +921,17 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             # R_j encloses h^j Q^(j) / Q: n!/(n-j)! times the j-th
             # differences over the coefficients themselves, free of scale;
             # past the degree it is 0
-            r1, r2, r3, r4, r5, r6 = (_fi(f * lo, f * hi, bmin, bmax)
-                                      for f, (lo, hi) in zip(falling[1:], spans))
-            # F_6 (times -1/30240) by Horner in R_1, in _F6_MONOMIALS' order
-            ca, cb, cc, cd, ce, cf, cg, ch, ci, cj, ck = f6
-            r2sq = _fi_sq(r2)
-            acc = _fi_add(_fi_mul(_fi_sq(r1), ca), _fi_mul(r2, cb))
-            acc = _fi_add(_fi_mul(acc, r1), _fi_mul(r3, cc))
-            acc = _fi_add(_fi_mul(acc, r1), _fi_add(_fi_mul(r2sq, cd), _fi_mul(r4, ce)))
-            acc = _fi_add(_fi_mul(acc, r1), _fi_add(_fi_mul(_fi_mul(r2, r3), cf), _fi_mul(r5, cg)))
-            rem = _fi_add(_fi_add(_fi_mul(acc, r1), _fi_mul(_fi_mul(r2sq, r2), ch)),
-                          _fi_add(_fi_add(_fi_mul(_fi_mul(r2, r4), ci), _fi_mul(_fi_sq(r3), cj)),
-                                  _fi_mul(r6, ck)))
-            rem = _fi_mul(rem, sap)
+            rem = _fi_mul(_f6_at(f6, *(_fi(f * lo, f * hi, bmin, bmax)
+                                       for f, (lo, hi) in zip(falling[1:], spans))), sap)
             body = _fi_add(body, rem)
         body = _fi_mul(body, h)
         lo = max(body[0], crude[0], 0.0)
         hi = min(body[1], crude[1])
         if hi < lo or not (math.isfinite(body[0]) and math.isfinite(body[1])):
-            return (max(0.0, crude[0]), crude[1], math.inf)
+            return (max(0.0, crude[0]), crude[1], math.inf, "crude")
         if (lo, hi) != body:  # the crude bound binds
-            return (lo, hi, math.inf)
-        return (lo, hi, (rem[1] - rem[0]) * h[1])
+            return (lo, hi, math.inf, "crude")
+        return (lo, hi, (rem[1] - rem[0]) * h[1], "em")
 
     stack = [(B, 0, point(B[0], B[1:4], 1, L, 0), point(B[n], B[::-1][1:4], -1, L, 0))]
     # a tolerance past the double range asks for nothing a double can miss;
@@ -786,22 +939,27 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     tol_dn = max(0.0, _fc(min(tol, Fraction(2**1000)))[0])
     lo_sum = hi_sum = 0.0
     panels = 1
+    census = _census
     while stack:
         coeffs, k, U, V = stack.pop()
-        lo, hi, shrinking = panel_enclosure(coeffs, k, U, V)
         share = math.ldexp(tol_dn, -k)
+        lo, hi, shrinking, kind = panel_enclosure(coeffs, k, U, V, share)
         if hi - lo <= share:
             lo_sum = _fdn(lo_sum + lo)
             hi_sum = _fup(hi_sum + hi)
             continue
         panels += 2
+        if census is not None:
+            census[kind] += 1
         if share == 0.0 or (hi - lo <= math.ldexp(hi, -42) and 2 * shrinking <= hi - lo):
             # the share is below every double, or rounding is nearly all
             # that is left and it halves with h just as the share does: no
             # refinement meets the share
-            raise ToleranceUnreachable("fractional-power quadrature is down to its double rounding floor")
+            raise ToleranceUnreachable("fractional-power quadrature is down to its double rounding floor",
+                                      kind="rounding-floor")
         if panels > _MAX_PANELS:
-            raise ToleranceUnreachable(f"fractional-power quadrature exceeded {_MAX_PANELS} panels")
+            raise ToleranceUnreachable(f"fractional-power quadrature exceeded {_MAX_PANELS} panels",
+                                      kind="panel-cap")
         left, right = _split(coeffs)
         M = point(right[0], right[1:4], 1, L << ((k + 1) * n), k + 1)
         stack.append((right, k + 1, M, V))
@@ -826,7 +984,7 @@ def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
     t = tol.numerator.bit_length() - tol.denominator.bit_length()
     bits = math.ceil((e + 1) / p) + 1 - t + abs(e).bit_length() + 8
     if bits > _MAX_ROOT_BITS:
-        raise ToleranceUnreachable(f"the L^{p} root needs {bits} bits, past {_MAX_ROOT_BITS}")
+        raise ToleranceUnreachable(f"the L^{p} root needs {bits} bits, past {_MAX_ROOT_BITS}", kind="root-bits")
     return max(DEFAULT_PRECISION_BITS, bits)
 
 
@@ -886,7 +1044,7 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
             max(p * integral.lo * t / out.hi, min(t ** math.floor(p), t ** math.ceil(p)))))
         out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
         if out.width >= tol:
-            raise ToleranceUnreachable(f"the L^{p} root stays wider than its tolerance")
+            raise ToleranceUnreachable(f"the L^{p} root stays wider than its tolerance", kind="root-width")
     return BoundInterval(out.lo * scale, out.hi * scale) if e else out
 
 
@@ -940,7 +1098,7 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
         norm = _norm_of_poly(kept, spec, tolq / 2)
     except ToleranceUnreachable as exc:
         # the kernels see a tolerance scaled with P; name the caller's
-        raise ToleranceUnreachable(f"rho_p cannot reach tol={brief(tolq)}: {exc}") from exc
+        raise ToleranceUnreachable(f"rho_p cannot reach tol={brief(tolq)}: {exc}", kind=exc.kind) from exc
     lo = norm.lo - tail_slack
     return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
 

@@ -787,16 +787,19 @@ def run_conjugacy(cfg: VerifyConfig) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 # constructions suite
 
+# the exponents the construction checks cycle through, trial by trial;
+# each check takes others as ps (the paper's results hold for 1 <= p <= inf)
 _PS = (Fraction(1), Fraction(2), math.inf)
 
 
-def check_periodic_density(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100) -> CheckResult:
+def check_periodic_density(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100,
+                           ps=_PS) -> CheckResult:
     rng = make_rng(seed)
     failures: List[dict] = []
     epss = (Fraction(3, 10), Fraction(1, 20))
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        spec = LpSpec(_PS[t % 3], g)
+        spec = LpSpec(ps[t % len(ps)], g)
         eps = epss[t % 2]
         alphabet = random_alphabet(rng)
         f = random_stream(rng, alphabet)
@@ -816,13 +819,14 @@ def check_periodic_density(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100
                    gammas=_gs(gammas))
 
 
-def check_transitivity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100) -> CheckResult:
+def check_transitivity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100,
+                       ps=_PS) -> CheckResult:
     rng = make_rng(seed)
     failures: List[dict] = []
     epss = (Fraction(1, 2), Fraction(1, 5))
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        spec = LpSpec(_PS[t % 3], g)
+        spec = LpSpec(ps[t % len(ps)], g)
         eps_u = epss[t % 2]
         eps_v = epss[(t + 1) % 2]
         alphabet = random_alphabet(rng)
@@ -844,13 +848,13 @@ def check_transitivity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100) ->
 
 
 def check_orbit_index(gammas=(Fraction(1, 2), Fraction(1)), seed: int = 0,
-                      trials: int = 100) -> CheckResult:
+                      trials: int = 100, ps=_PS) -> CheckResult:
     rng = make_rng(seed)
     failures: List[dict] = []
     epss = (Fraction(2), Fraction(1, 2))
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        spec = LpSpec(_PS[t % 3], g)
+        spec = LpSpec(ps[t % len(ps)], g)
         eps = epss[t % 2]
         alphabet = random_alphabet(rng, max_size=3)
         b = dense_orbit_point(alphabet)
@@ -889,14 +893,15 @@ def check_two_value_augment(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 10
     return _result("constructions", "two-value-augment", trials, failures)
 
 
-def check_polynomial_membership(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 50) -> CheckResult:
+def check_polynomial_membership(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 50,
+                                ps=_PS) -> CheckResult:
     rng = make_rng(seed)
     failures: List[dict] = []
     epss = (Fraction(1, 10), Fraction(1, 100))
     done = 0
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        spec = LpSpec(_PS[t % 3], g)
+        spec = LpSpec(ps[t % len(ps)], g)
         poly = FiniteSupport(()) if t % 10 == 0 else random_polynomial(rng, 6)
         for eps in epss:
             done += 1
@@ -950,14 +955,15 @@ def check_filtration_nesting(gammas=_CORE_GAMMAS, seed: int = 0, steps: int = 10
                    steps=steps, gamma=_fr(g))
 
 
-def check_periodic_point_smooth(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 50) -> CheckResult:
+def check_periodic_point_smooth(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 50,
+                                ps=_PS) -> CheckResult:
     rng = make_rng(seed)
     failures: List[dict] = []
     epss = (Fraction(1, 10), Fraction(1, 100))
     done = 0
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
-        spec = LpSpec(_PS[t % 3], g)
+        spec = LpSpec(ps[t % len(ps)], g)
         poly = random_polynomial(rng, 5, nonzero=True)
         for eps in epss:
             done += 1

@@ -224,7 +224,7 @@ PAIR0 = (EventuallyPeriodic((0, 0, 0, 0), (-3, Fraction(1, 2))),
     # the first pass's integral reaches down to 0, so the second pass's
     # tolerance comes from the concavity bound: 1 - 2000t on [0, 1/1000]
     # at p = 3, and at p = 3/2 (1 - 2000t)(1 - 4000t), whose two roots
-    # keep the first panel off the product bound
+    # keep the first panel off the root panels' Taylor model
     + [(FiniteSupport((1, -2000)), ZEROS, Fraction(3), Fraction(1, 1000), Fraction(1, 50), 2),
        (FiniteSupport((1, -6000, 16_000_000)), ZEROS, Fraction(3, 2), Fraction(1, 1000),
         Fraction(1, 50), 2)]
@@ -232,7 +232,7 @@ PAIR0 = (EventuallyPeriodic((0, 0, 0, 0), (-3, Fraction(1, 2))),
     + [(EventuallyPeriodic((), (c,)), ZEROS, p, Fraction(1), c / 10**6, 1)
        for c in (Fraction(1, 10**400), Fraction(1, 10**8), Fraction(1), Fraction(10**8), Fraction(10**400))
        for p in (Fraction(3, 2), Fraction(3))]
-    # the line at p = 3/2: the product bound is exact on a line, so its
+    # the line at p = 3/2: the Taylor model is exact on a line, so its
     # first pass is never down to 0
     + [(FiniteSupport((1, -2000)), ZEROS, Fraction(3, 2), Fraction(1, 1000), Fraction(1, 50), 1)],
 )
@@ -257,6 +257,29 @@ def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
         with pytest.raises(ToleranceUnreachable, match="rounding floor"):
             rho_p(series(ONES), series(ZEROS), spec, tol)
         assert time.perf_counter() - start < 2
+
+
+def test_tolerance_unreachable_names_the_limit_it_met(monkeypatch):
+    # rho_p re-raises a kernel's failure with the kernel's kind
+    with pytest.raises(ToleranceUnreachable, match="rounding floor") as floor:
+        rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**14))
+    assert floor.value.kind == "rounding-floor"
+    with pytest.raises(ToleranceUnreachable, match="past the budget") as degree:
+        rho_p(series(ONES), series(ZEROS), LpSpec(129, 1))
+    assert degree.value.kind == "degree-cap"
+    with pytest.raises(ToleranceUnreachable) as bits:
+        metrics._root_bits(Fraction(17, 12), Fraction(3), Fraction(1, 2**70000))
+    assert bits.value.kind == "root-bits"
+    with pytest.raises(ToleranceUnreachable) as double:
+        metrics._fi(1 << 2000, 1 << 2000, 1)
+    assert double.value.kind == "double-range"
+    assert ToleranceUnreachable("a message").kind is None
+    monkeypatch.setattr(metrics, "_MAX_PANELS", 2)
+    # a root for the quadratures, an interior maximum for the sup
+    for coeffs, p in (((1, -5, 3), Fraction(3, 2)), ((1, -5, 3), 3), ((0, 1, -2), math.inf)):
+        with pytest.raises(ToleranceUnreachable, match="panels") as cap:
+            rho_p(series(FiniteSupport(coeffs)), series(ZEROS), LpSpec(p, 1), Fraction(1, 10**9))
+        assert cap.value.kind == "panel-cap"
 
 
 @settings(max_examples=30, deadline=None)
@@ -333,7 +356,7 @@ def _lp_norm_oracle(coeffs, gamma, p):
 # -3 - t + t^2/4 < 0 on [0, 1]: every panel is negative
 @example([Fraction(-3), Fraction(-1), Fraction(1, 2)], Fraction(1), Fraction(9, 4))
 @example([Fraction(0)] * 4 + [Fraction(1)], Fraction(1, 2), Fraction(4, 3))  # t^4/24: a root of order 4 at 0
-# simple roots, on the product bound: 2 - 3t + t^3/6 near 0.69, and
+# simple roots, on the Taylor model: 2 - 3t + t^3/6 near 0.69, and
 # 1 - 3t + t^2/4 near 0.34
 @example([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)], Fraction(2), Fraction(4, 3))
 @example([Fraction(1), Fraction(-3), Fraction(1, 2)], Fraction(1), Fraction(5, 2))
@@ -356,25 +379,116 @@ def test_fractional_rho_p_contains_the_quad_oracle(coeffs, gamma, p):
         (None, 1, 15, 7),
         # 1 - 2t, a root at 1/2: the corrected trapezoid split 63 panels
         # and the sixth-order rule 45, with the crude bound on the root
-        # panels; the product bound is exact on a line
+        # panels; product integration, and the Taylor model across the
+        # root after it, are exact on a line
         ((1, -2), 1, 45, 0),
         # 2 - 3t + t^3/6 on [0, 2], a root near 0.69: 57 splits with the
-        # crude bound on the root panels
-        ((2, -3, 0, 1), 2, 57, 45),
+        # crude bound on the root panels, 45 with product integration
+        ((2, -3, 0, 1), 2, 45, 20),
+        # 1 - 5t + 3t^2/2, a root near 0.21: 35 with product integration
+        ((1, -5, 3), 1, 35, 8),
+        # 1 - 4t + t^2 - t^3 + t^4/3 + t^5/40 on [0, 2], a root near 0.26:
+        # 46 with product integration (and 27 with a degree-4 model and its
+        # fifth-order remainder)
+        ((1, -4, 2, -6, 8, 3), 2, 46, 16),
     ],
 )
-def test_fractional_rule_splits_few_panels(monkeypatch, coeffs, gamma, before, most):
-    # the sixth-order rule's h^7 remainder, and the product bound across
-    # a simple root, need fewer splits than the rules before them at tol
+def test_fractional_rule_splits_few_panels(coeffs, gamma, before, most):
+    # the sixth-order rule's h^7 remainder, and the Taylor model across a
+    # simple root, need fewer splits than the rules before them at tol
     # 1e-6
     assert most < before
-    splits = []
-    split = metrics._split
-    monkeypatch.setattr(metrics, "_split", lambda B: splits.append(1) or split(B))
     f = ONES if coeffs is None else FiniteSupport(coeffs)
-    box = rho_p(series(f, gamma), series(ZEROS, gamma), LpSpec(Fraction(3, 2), gamma), Fraction(1, 10**6))
+    with metrics.count_splits() as splits:
+        box = rho_p(series(f, gamma), series(ZEROS, gamma), LpSpec(Fraction(3, 2), gamma), Fraction(1, 10**6))
     assert box.width <= Fraction(1, 10**6)
-    assert len(splits) <= most
+    assert splits.total() <= most
+
+
+def test_split_census_counts_by_kind_and_only_inside_its_block():
+    assert metrics._census is None
+    spec = LpSpec(Fraction(3, 2), 2)
+    f, g = series(FiniteSupport((2, -3, 0, 1)), 2), series(ZEROS, 2)
+    with metrics.count_splits() as outer:
+        rho_p(f, g, spec, Fraction(1, 10**6))
+        with metrics.count_splits() as inner:
+            rho_p(f, g, spec, Fraction(1, 10**7))
+        assert metrics._census is outer
+    assert metrics._census is None
+    assert outer.total() > 0 and inner.total() > outer.total()
+    assert set(outer) | set(inner) <= {"em", "crude", "root-taylor", "root-crude", "nonmonotone"}
+    # a root panel splits on its Taylor model or before it, on the remainder
+    assert outer["root-taylor"] + outer["root-crude"] > 0
+    counts = (dict(outer), dict(inner))
+    rho_p(f, g, spec, Fraction(1, 10**8))  # outside every block: nothing counted
+    assert (dict(outer), dict(inner)) == counts
+
+
+def _split_norm_oracle(mono, r, gamma, p):
+    """mpmath 50-digit ||P||_p on [0, gamma], P with monomial coefficients
+    mono and its one root in the window at the rational r, integrated
+    piecewise on each side of r."""
+    with mpmath.workdps(50):
+        q = [mpmath.mpf(c.numerator) / c.denominator for c in mono]
+        pm = mpmath.mpf(p.numerator) / p.denominator
+        cuts = sorted({Fraction(0), r, gamma})
+        pts = [mpmath.mpf(c.numerator) / c.denominator for c in cuts]
+        value = mpmath.quad(lambda t: abs(mpmath.polyval(q[::-1], t)) ** pm, pts)
+        return value ** (1 / pm)
+
+
+def _root_times_definite(s, r):
+    """Scaled Taylor coefficients of (t - r) S(t), S with monomial
+    coefficients s, and the product's monomial coefficients."""
+    mono = [-r * s[0]] + [s[k - 1] - r * (s[k] if k < len(s) else 0) for k in range(1, len(s) + 1)]
+    return tuple(c * math.factorial(k) for k, c in enumerate(mono)), mono
+
+
+def _assert_contains(box, value):
+    with mpmath.workdps(50):
+        margin = mpmath.mpf(10) ** -40
+        lo = mpmath.mpf(box.lo.numerator) / box.lo.denominator
+        hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
+        assert lo - margin <= value <= hi + margin
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.fractions(min_value=0, max_value=1, max_denominator=200),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+    st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(5, 2)]),
+    st.sampled_from([1, -1]),
+)
+@example([], Fraction(1, 3), Fraction(1), Fraction(3, 2), 1)  # a line
+@example([1], Fraction(0), Fraction(1), Fraction(4, 3), -1)  # a root at t = 0: a_0 = 0
+# a root within 2^-40 of the panel end at 1/2
+@example([0, -1], Fraction(1, 2) + Fraction(1, 2**41), Fraction(1), Fraction(5, 2), 1)
+def test_root_panels_contain_the_split_quad_oracle(s, u, gamma, p, sign):
+    # P = (t - r) S(t), S one-signed on [0, gamma]: S's constant term
+    # outweighs the rest there
+    r = u * gamma
+    s0 = 1 + math.ceil(sum(abs(c) * gamma ** (k + 1) for k, c in enumerate(s)))
+    coeffs, mono = _root_times_definite([sign * s0] + [sign * c for c in s], r)
+    tol = Fraction(1, 10**6)
+    box = rho_p(series(FiniteSupport(coeffs), gamma), series(ZEROS, gamma), LpSpec(p, gamma), tol)
+    assert box.width < tol
+    _assert_contains(box, _split_norm_oracle(mono, r, gamma, p))
+
+
+@pytest.mark.parametrize("offset", [1 << 41, -(1 << 41)])
+@pytest.mark.parametrize("s, r", [([1], Fraction(1, 3)), ([2, 1, -1], Fraction(3, 7))])
+def test_root_panels_hold_at_any_taylor_point(monkeypatch, offset, s, r):
+    # the Taylor point needs no certificate: 2^-12 off the root on every
+    # panel, a_0 is far from 0 and the enclosure still holds
+    guess = metrics._root_guess
+    top = 1 << metrics._GUESS_BITS
+    monkeypatch.setattr(metrics, "_root_guess", lambda coeffs: min(max(guess(coeffs) + offset, 0), top))
+    coeffs, mono = _root_times_definite(s, r)
+    p, tol = Fraction(3, 2), Fraction(1, 10**6)
+    box = rho_p(series(FiniteSupport(coeffs)), series(ZEROS), LpSpec(p, 1), tol)
+    assert box.width < tol
+    _assert_contains(box, _split_norm_oracle(mono, r, Fraction(1), p))
 
 
 def _schoolbook_power(beta, p):
@@ -452,6 +566,19 @@ def test_fractional_rho_p_at_tiny_coefficient_scales():
         box = series_norm(series(FiniteSupport((c, -2 * c))), LpSpec(Fraction(3, 2), 1), tol)
         assert box.width <= tol
         assert box.lo**3 <= Fraction(4, 25) * c**3 <= box.hi**3
+
+
+def test_fractional_rho_p_across_a_nearly_flat_simple_root():
+    # (t - 1/2)^3 + 2^-1100 (t - 1/2): monotone with one simple root where
+    # P' is 2^-1100, below every double; the product bound raised
+    # DomainError on its slope's power
+    eps = Fraction(1, 2**1100)
+    mono = [-Fraction(1, 8) - eps / 2, Fraction(3, 4) + eps, Fraction(-3, 2), Fraction(1)]
+    coeffs = tuple(c * math.factorial(k) for k, c in enumerate(mono))
+    p, tol = Fraction(3, 2), Fraction(1, 10**6)
+    box = series_norm(series(FiniteSupport(coeffs)), LpSpec(p, 1), tol)
+    assert box.width < tol
+    _assert_contains(box, _split_norm_oracle(mono, Fraction(1, 2), Fraction(1), p))
 
 
 def test_float_interval_product_claims_nothing_from_a_nan():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chaoslab import verify
 from chaoslab.errors import ConfigError
 from chaoslab.verify import SUITES, CheckResult, VerifyConfig, prefix_implications, run_suites
 
@@ -107,3 +108,14 @@ def test_config_defaults_pass_through():
     assert cfg.trial_count(17) == 17
     assert FAST.gamma_list((Fraction(2),)) == (Fraction(1),)
     assert FAST.trial_count(100) == 5
+
+
+def test_construction_checks_pass_at_fractional_p():
+    # the paper's results hold for every 1 <= p <= inf; verify's default
+    # exponents are 1, 2 and inf
+    ps = (Fraction(4, 3), Fraction(3, 2), Fraction(5, 2))
+    for check in (verify.check_periodic_density, verify.check_transitivity, verify.check_orbit_index,
+                  verify.check_polynomial_membership, verify.check_periodic_point_smooth):
+        result = check(trials=30, ps=ps)
+        assert result.passed, (result.name, result.failures[:2])
+        assert result.trials >= 30
