@@ -28,13 +28,18 @@ class ToleranceUnreachable(ChaosLabError):
     within the configured refinement budget.
 
     kind names the limit met, so a caller can branch on it without
-    reading the message; the L^p kernels set one of
+    reading the message.  The L^p kernels set one of
     "rounding-floor" (the double bookkeeping cannot resolve the share),
     "panel-cap" (the refinement ran out of panels),
     "degree-cap" (an integer power past its degree budget),
     "root-bits" (the L^p root needs more bits than its budget),
     "root-width" (the root stays wider than its tolerance) and
-    "double-range" (a value past the doubles).  Other raises leave None.
+    "double-range" (a value past the doubles); the factorial tails set
+    "term-cap" (gamma needs more terms than tailmath.MAX_TAIL_INDEX),
+    "rel-tol" (the cap is met before the relative tolerance) and
+    "sign-unresolved" (a bound that must be positive is not certified
+    positive at the tolerance used).  Every raise in the library names
+    one; None is left only to callers who construct the error.
     """
 
     def __init__(self, message: str = "", kind=None):

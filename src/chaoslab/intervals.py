@@ -4,21 +4,19 @@ Everything closed under rational arithmetic (+, -, *, /, integer powers,
 absolute value, hulls) is computed exactly: endpoints are
 `fractions.Fraction` objects and no rounding happens at all, so an
 interval of width zero really is a point.  The one irrational operation
-the library needs is a rational power x**(a/b), such as gamma**(1/p) or
-the root of an L^p integral, at the binary precision the caller asks for
-(128 bits unless it needs more).  power() takes it on integers when
-|a| and b are at most _MAX_CHECKED_TERM: a floor of an integer b-th root,
-one unit above it, and a point when the root is exact.  Larger terms are
-delegated to a private mpmath interval context (the shared mpmath.iv is
-never touched); mpmath endpoints are binary floats of arbitrary exponent
-and convert back to Fraction losslessly.  Either way enclosures remain
-certified.
-
-PowerFn serves the fractional-p quadrature, which needs x**(m/q) in
-doubles thousands of times per call.  For small m and q it needs no
-mpmath: it takes a double guess and certifies each end by an exact
-integer compare of y**q against x**m, returning the tightest directed
-doubles.  Other exponents go through the same mpmath context at 53 bits.
+the library needs is a rational power x**(a/b), such as gamma**(1/p),
+the root of an L^p integral or a pointwise |P|**p, and it has one
+integer root, _root: r = floor(x**(a/b) * 2^B) with r near 2^prec, and
+whether r / 2^B is the root itself.  power() takes it at the binary
+precision the caller asks for (128 bits unless it needs more) and
+returns [r / 2^B, (r + 1) / 2^B], a point when the root is exact.
+PowerFn, which serves the fractional-p quadrature with thousands of
+powers in doubles per call, takes it at 52 bits and rounds the two ends
+outward to the tightest doubles.  Only exponents with a term
+|a| or b past _MAX_CHECKED_TERM (32) reach mpmath, through power(): a
+private interval context (the shared mpmath.iv is never touched) whose
+endpoints are binary floats of arbitrary exponent and convert back to
+Fraction losslessly.  Either way enclosures remain certified.
 
 Directed conversion to machine floats (for JSON output and display)
 rounds the lower endpoint down and the upper endpoint up by one ulp
@@ -30,7 +28,6 @@ upper one to +inf or the most negative double.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,8 +235,8 @@ class BoundInterval:
         return f"BoundInterval({self.lo_float()!r}, {self.hi_float()!r})"
 
 
-# power() and PowerFn set the precision of this private context only,
-# never that of the shared mpmath.iv other code may be using
+# power() sets the precision of this private context only, never that
+# of the shared mpmath.iv other code may be using
 _IV = mpmath.ctx_iv.MPIntervalContext()
 
 
@@ -259,39 +256,41 @@ def _check_base(lo, e: Fraction) -> None:
         raise DomainError("negative fractional power of an interval reaching zero")
 
 
-def _iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for integers x >= 0, k >= 2: math.isqrt for k = 2,
-    else integer Newton from above.  Its first step lands at or above the
-    root from any positive guess (AM-GM), and every later one falls
-    strictly until the root is reached; the guess is a double root of x's
-    leading bits, so few steps remain."""
+def _iroot(x: int, k: int) -> tuple:
+    """(floor(x ** (1/k)), whether that is the root itself) for integers
+    x >= 0, k >= 1: math.isqrt for k = 2, else integer Newton from above.
+    Its first step lands at or above the root from any positive guess
+    (AM-GM), and every later one falls strictly until r^k <= x; the guess
+    is a double root of x's leading bits, so the first step usually
+    lands on the floor."""
     if k == 2:
-        return math.isqrt(x)
+        r = math.isqrt(x)
+        return r, r * r == x
     if x < 2:
-        return x
+        return x, True
     m = max(0, x.bit_length() - 960) // k  # x >> (k m) fits a double
     r = (int(float(x >> (k * m)) ** (1.0 / k)) + 1) << m
     r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
-        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nxt >= r:
-            return r
-        r = nxt
+        p = r ** (k - 1)
+        rk = p * r
+        if rk <= x:
+            return r, rk == x
+        r = ((k - 1) * r + x // p) // k
 
 
-def _checked_power(x: Fraction, a: int, b: int, prec: int) -> tuple:
-    """(lo, hi) rationals enclosing x ** (a/b) for x >= 0 (x > 0 when
-    a < 0), on integers.
+def _root(n: int, d: int, a: int, b: int, prec: int) -> tuple:
+    """(r, B, exact) with r = floor((n/d) ** (a/b) * 2^B) for integers
+    n >= 0, d > 0 (n > 0 when a < 0) and b >= 1, on integers.
 
-    With x = n/d (n and d swapped for a < 0, a made positive), lo is
-    r / 2^B, r = floor((n^a 2^(bB) / d^a)^(1/b)), and hi is (r + 1) / 2^B
-    unless r^b d^a = n^a 2^(bB), where the root is exact and hi = lo.
-    B = prec - floor(a (bitlen n - bitlen d) / b) puts r near 2^prec, so
-    prec keeps the relative meaning it has for mpmath.
+    exact says r / 2^B is the root itself.  With n and d swapped for
+    a < 0 (a made positive), r = floor((n^a 2^(bB) / d^a)^(1/b)) and the
+    root is exact when r^b d^a = n^a 2^(bB).  B = prec - floor(a (bitlen
+    n - bitlen d) / b) puts r above 2^(prec - a/b), so prec keeps the
+    relative meaning it has for mpmath.
     """
-    n, d = x.numerator, x.denominator
     if n == 0:
-        return x, x
+        return 0, 0, True
     if a < 0:
         n, d, a = d, n, -a
     B = prec - a * (n.bit_length() - d.bit_length()) // b
@@ -300,13 +299,43 @@ def _checked_power(x: Fraction, a: int, b: int, prec: int) -> tuple:
         num <<= b * B
     else:
         den <<= -b * B
-    r = _iroot(num // den, b)
-    exact = r**b * den == num
-    if B >= 0:
-        lo = Fraction(r, 1 << B)
-        return lo, lo if exact else Fraction(r + 1, 1 << B)
-    lo = Fraction(r << -B)
-    return lo, lo if exact else Fraction((r + 1) << -B)
+    whole, rest = divmod(num, den)
+    r, exact = _iroot(whole, b)
+    return r, B, exact and rest == 0
+
+
+def _dyadic(r: int, B: int) -> Fraction:
+    """r / 2^B as a Fraction."""
+    return Fraction(r, 1 << B) if B >= 0 else Fraction(r << -B)
+
+
+def _checked_power(x: Fraction, a: int, b: int, prec: int) -> tuple:
+    """(lo, hi) rationals enclosing x ** (a/b) for x >= 0 (x > 0 when
+    a < 0): r / 2^B from _root at prec bits, and (r + 1) / 2^B unless the
+    root is exact, where hi = lo."""
+    r, B, exact = _root(x.numerator, x.denominator, a, b, prec)
+    lo = _dyadic(r, B)
+    return lo, lo if exact else _dyadic(r + 1, B)
+
+
+def _dyadic_float(r: int, B: int, up: bool) -> float:
+    """The largest double <= r / 2^B for an integer r >= 0, or the least
+    double >= it when up.
+
+    In the normal range r is cut to its leading 53 bits, rounded in the
+    asked direction, and scaled by an exact ldexp; near or past the ends
+    of the double range _float_down or _float_up rounds the exact value.
+    """
+    top = r.bit_length() - B  # r / 2^B lies in [2^(top - 1), 2^top)
+    if not -1021 <= top <= 1023:
+        return (_float_up if up else _float_down)(_dyadic(r, B))
+    s = r.bit_length() - 53
+    if s > 0:
+        t = r >> s
+        if up and t << s != r:
+            t += 1
+        r, B = t, B - s
+    return math.ldexp(r, -B)
 
 
 def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
@@ -314,11 +343,11 @@ def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
 
     Integer exponents stay exact.  Non-integer exponents a/b require a
     nonnegative base.  When max(|a|, b) <= _MAX_CHECKED_TERM each end of
-    the base takes an integer b-th root at about prec bits
-    (_checked_power): a floor, one unit above it, and a point where the
-    root is exact.  Larger terms go through mpmath's interval context at
-    prec bits.  Either way the endpoints are exact rationals, so no
-    certification is lost.
+    the base takes the integer b-th root _root at about prec bits: a
+    floor, one unit above it, and a point where the root is exact.
+    Larger terms go through mpmath's interval context at prec bits.
+    Either way the endpoints are exact rationals, so no certification
+    is lost.
     """
     e = as_fraction(exponent)
     b = base if isinstance(base, BoundInterval) else BoundInterval.exact(base)
@@ -345,123 +374,53 @@ def power(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> BoundInterval:
     return out
 
 
-# A cost limit, not a certification one: the integer compare is exact for
-# every m/q, but its integers grow as 53 max(m, q) bits and a non-dyadic
-# m/q makes the double guess less accurate.  For x from 1e-8 to 1e8 the
-# integer path beat the mpmath one at 32/31 and was level at 48/47.
-# power() keeps the same limit: its root works on integers of about
-# b * prec bits, and a root of degree 10^400 cannot be taken at all.
+# A cost limit, not a certification one: the integer root is exact for
+# every a/b, but it works on integers of about b * prec bits, and a root
+# of degree 10^400 cannot be taken at all.  Exponents with a term past it
+# go to mpmath.
 _MAX_CHECKED_TERM = 32
-# PowerFn's checked path works on the bit patterns of nonnegative doubles,
-# which order them as integers do: +0.0 is 0 and +inf is _INF_BITS.
-_DOUBLE = struct.Struct("<d")
-_INT64 = struct.Struct("<q")
-_INF_BITS = 0x7FF0000000000000
-_FRACTION_BITS = (1 << 52) - 1
-
-
-def _bits(y: float) -> int:
-    return _INT64.unpack(_DOUBLE.pack(y))[0]
-
-
-def _double(i: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(i))[0]
-
-
-def _mantissa_exponent(i: int) -> tuple:
-    """(c, t) with c * 2**t the finite nonnegative double of bit pattern i."""
-    field = i >> 52
-    if field == 0:  # zero or subnormal
-        return i, -1074
-    return (i & _FRACTION_BITS) | (1 << 52), field - 1075
 
 
 class PowerFn:
-    """Certified x**e in doubles for one fixed rational exponent e = m/q.
+    """Certified x**e in doubles for one fixed rational exponent e = m/q >= 0.
 
     Quadrature loops evaluate thousands of powers with the same exponent.
     When 0 < m <= _MAX_CHECKED_TERM and q <= _MAX_CHECKED_TERM,
-    bounds_floats needs no mpmath: it takes each end from a double guess
-    and certifies it by exact integer compares ("verify, then trust";
-    Rump, Acta Numerica 2010).  With x = a 2^s and y = c 2^t, a and c
-    integers below 2^53, y <= x**e exactly when c^q 2^(tq) <= a^m 2^(sm),
-    so each compare shifts integers of about 53 max(m, q) bits.  Any
-    other exponent takes one 53-bit mpmath interval power, whose
-    exponent interval is built here.
+    bounds_floats roots each end with _root at 52 bits.  A double x is
+    n / 2^j, so it lies in [2^L, 2^(L+1)) for L = bitlen n - bitlen 2^j,
+    and r is at least 2^52.  Then every double near the root is a
+    multiple of 2^-B, so rounding r / 2^B down and (r + 1) / 2^B up gives
+    the tightest doubles.  Any other exponent takes power() at 53 bits,
+    rounded outward.
     """
 
     def __init__(self, exponent):
         self.exponent = as_fraction(exponent)
-        m, q = self.exponent.numerator, self.exponent.denominator
-        self._checked = 0 < m <= _MAX_CHECKED_TERM and q <= _MAX_CHECKED_TERM
-        if self._checked:
-            self._m, self._q, self._e = m, q, m / q
-        else:
-            _IV.prec = 53
-            self._ive = _to_iv(self.exponent)
+        if self.exponent < 0:
+            raise DomainError("PowerFn takes a nonnegative exponent")
+        self._m, self._q = self.exponent.numerator, self.exponent.denominator
+        self._checked = 0 < self._m <= _MAX_CHECKED_TERM and self._q <= _MAX_CHECKED_TERM
 
     def bounds_floats(self, lo: float, hi: float) -> tuple:
         """Directed float bounds on {x**e : lo <= x <= hi} for floats lo, hi.
 
         x |-> x**e is monotone, so the image is bounded by the largest
-        double at most lo**e and the least double at least hi**e (+inf
-        past the double range).  Those are exact on the checked path;
-        the mpmath fallback runs at 53 bits (double exports cannot
-        resolve more) and rounds its endpoints outward, so it may be an
-        ulp wider but is just as certified.
+        double at most lo**e and the least double at least hi**e (the
+        largest double and +inf past the double range).  Those are exact
+        on the checked path; the fallback runs at 53 bits (double exports
+        cannot resolve more) and rounds its endpoints outward, so it may
+        be an ulp wider but is just as certified.
         """
         _check_base(lo, self.exponent)
+        if lo == math.inf:
+            return sys.float_info.max, math.inf
         if self._checked:
-            return (_double(self._least_above(lo, True) - 1), _double(self._least_above(hi, False)))
-        _IV.prec = 53
-        out_lo, out_hi = (_IV.mpf([lo, hi]) ** self._ive)._mpi_
-        hi_up = math.inf if out_hi == mpmath.libmp.finf else _float_up(_mpf_to_fraction(out_hi))
-        return (max(0.0, _float_down(_mpf_to_fraction(out_lo))), hi_up)
+            return self._end(lo, False), self._end(hi, True)
+        out = power(BoundInterval(lo, lo if hi == math.inf else hi), self.exponent, 53)
+        return _float_down(out.lo), math.inf if hi == math.inf else _float_up(out.hi)
 
-    def _least_above(self, x: float, strict: bool) -> int:
-        """Bit pattern of the least nonnegative double y with y**q > x**m
-        (strict) or y**q >= x**m, +inf when no finite double qualifies.
-
-        Starts from the double x ** (m/q) and gallops outward from it
-        until the exact compare brackets the answer, then bisects, so a
-        guess k ulps off costs about 2 log2(k) compares.
-        """
+    def _end(self, x: float, up: bool) -> float:
         if x == math.inf:
-            return _INF_BITS
-        m, q = self._m, self._q
-        a, s = _mantissa_exponent(_bits(abs(x)))  # abs: -0.0 is 0.0
-        am, sm = a**m, s * m
-
-        def above(i: int) -> bool:
-            if i >= _INF_BITS:
-                return True
-            c, t = _mantissa_exponent(i)
-            lhs, rhs, shift = c**q, am, t * q - sm
-            if shift >= 0:
-                lhs <<= shift
-            else:
-                rhs <<= -shift
-            return lhs > rhs if strict else lhs >= rhs
-
-        try:
-            guess = x**self._e
-        except OverflowError:
-            guess = sys.float_info.max
-        # bracket the answer: above(hi) and not above(lo), where the bit
-        # pattern -1 stands below 0.0 (y**q >= x**m fails there unless x is 0)
-        step, g = 1, _bits(guess)
-        if above(g):
-            lo, hi = g - 1, g
-            while lo >= 0 and above(lo):
-                lo, hi, step = max(lo - step, -1), lo, 2 * step
-        else:
-            lo, hi = g, g + 1
-            while not above(hi):
-                lo, hi, step = hi, min(hi + step, _INF_BITS), 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if above(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+            return math.inf
+        r, B, exact = _root(*x.as_integer_ratio(), self._m, self._q, 52)
+        return _dyadic_float(r if exact or not up else r + 1, B, up)

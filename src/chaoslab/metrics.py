@@ -56,9 +56,9 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   bounds on D through its seventh derivative are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
   pointwise powers come from intervals.PowerFn as the tightest doubles
-  certified by integer compares (mpmath only for exponents past its
-  small-term limit), so no uncertified rounding enters.  The double
-  bookkeeping floors the reachable tolerance near 1e-14 of the integral.
+  around an integer root (mpmath only for exponent terms past 32), so
+  no uncertified rounding enters.  The double bookkeeping floors the
+  reachable tolerance near 1e-14 of the integral.
 
 Both integrals run on D / 2^e, e = floor(log2 of D's largest Bernstein
 coefficient), so their doubles never leave the range at any scale of the
@@ -1172,7 +1172,8 @@ def continuity_delta_l1(gamma, eps) -> Tuple[int, Fraction]:
         lambda n: tailmath.eta(n).hi < epsq, tailmath.compute_m_gamma(g), "eta(N)", below=epsq)
     delta = tailmath.xi(g, n + 1).lo
     if delta <= 0:
-        raise ToleranceUnreachable("xi lower bound not positive at the default rel_tol")
+        raise ToleranceUnreachable("xi lower bound not positive at the default rel_tol",
+                                   kind="sign-unresolved")
     return n, delta
 
 

@@ -81,7 +81,7 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
     # term cap is refused before anything is summed.
     if math.ceil(2 * gamma) - k > MAX_TAIL_INDEX:
         raise ToleranceUnreachable(
-            f"tail sum at gamma={brief(gamma)} needs over {MAX_TAIL_INDEX} terms")
+            f"tail sum at gamma={brief(gamma)} needs over {MAX_TAIL_INDEX} terms", kind="term-cap")
     cutoff = max(k + 10, _ceil_strict(2 * gamma))
     # with gamma = g/h, the partial sum through index i is num / (h^i i!)
     g, h = gamma.numerator, gamma.denominator
@@ -103,8 +103,8 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
                                  Fraction(num * (i + 1) * gap + top, den * (i + 1) * gap))
         if cutoff - k > MAX_TAIL_INDEX:
             raise ToleranceUnreachable(
-                f"tail sum at gamma={brief(gamma)}, k={k} did not reach rel_tol={brief(rel_tol)}"
-            )
+                f"tail sum at gamma={brief(gamma)}, k={k} did not reach rel_tol={brief(rel_tol)}",
+                kind="rel-tol")
         cutoff += 8
 
 
@@ -201,8 +201,7 @@ def _separation_scan(gamma: Fraction, rel_tol: Fraction):
     if delta_lo <= 0:
         raise ToleranceUnreachable(
             f"certified separation bound at gamma={gamma} is not positive; "
-            "tighten rel_tol"
-        )
+            "tighten rel_tol", kind="sign-unresolved")
 
     def acceptable(j: int) -> bool:
         return xi(gamma, j, rel_tol).hi <= delta_lo

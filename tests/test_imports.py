@@ -23,6 +23,18 @@ def _unused_imports(path: Path):
     return sorted(imported - used)
 
 
+def _imported_modules(path: Path):
+    """Top-level packages a module imports, by import or from-import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_scan_sees_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n")
@@ -34,3 +46,16 @@ def test_no_unused_imports_in_the_package():
     assert modules
     unused = {path.name: names for path in modules if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def test_import_scan_sees_mpmath(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\nfrom mpmath.libmp import finf\nfrom . import errors\n")
+    assert _imported_modules(module) == {"os", "mpmath"}
+
+
+def test_only_intervals_imports_mpmath():
+    # the rational power's large-term branch is the one mpmath use left
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "mpmath" in _imported_modules(path)]
+    assert importers == ["intervals.py"]

@@ -373,3 +373,60 @@ def test_power_floats_are_certified_tightest_and_never_wider(e, a, b):
         assert hi == math.inf or not at_least(TOP, hi)
     else:
         assert got[1] == 0.0 or not at_least(math.nextafter(got[1], -math.inf), hi)
+
+
+def _assert_tightest(e: Fraction, lo: float, hi: float, got: tuple) -> None:
+    """got is the largest double at most lo**e and the least double at
+    least hi**e (max double and +inf past the range), checked on exact
+    rationals."""
+    m, q = e.numerator, e.denominator
+    below = got[0] == TOP or Fraction(got[0]) ** q <= Fraction(lo) ** m
+    above = got[1] == math.inf or Fraction(got[1]) ** q >= Fraction(hi) ** m
+    assert below and above
+    up = math.nextafter(got[0], math.inf)
+    assert up == math.inf or Fraction(up) ** q > Fraction(lo) ** m
+    if got[1] == math.inf:
+        assert hi == math.inf or Fraction(TOP) ** q < Fraction(hi) ** m
+    else:
+        down = math.nextafter(got[1], -math.inf)
+        assert got[1] == 0.0 or Fraction(down) ** q < Fraction(hi) ** m
+
+
+TINY = 2.0**-1022  # least normal double
+
+
+@pytest.mark.parametrize("e, x, want", [
+    # (2^-292)^(7/2) is 2^-1022 exactly; one ulp below, the root is subnormal
+    (Fraction(7, 2), 2.0**-292, (TINY, TINY)),
+    (Fraction(7, 2), math.nextafter(2.0**-292, 0), None),
+    (Fraction(4, 3), math.nextafter(2.0**-766, math.inf), None),
+    # (2^-716)^(3/2) is 5e-324, the least subnormal; below it the root is 0
+    (Fraction(3, 2), 2.0**-716, (5e-324, 5e-324)),
+    (Fraction(3, 2), 2.0**-720, (0.0, 5e-324)),
+    (Fraction(3, 2), math.nextafter(2.0**-716, 0), (0.0, 5e-324)),
+    # past the largest double, once between it and 2^1024
+    (Fraction(3, 2), TOP, (TOP, math.inf)),
+    (Fraction(3, 2), float.fromhex("0x1.965fea53d6e3cp+682"), (TOP, math.inf)),
+    (Fraction(4, 3), TOP, (TOP, math.inf)),
+    (Fraction(3, 2), 2.0**683, (TOP, math.inf)),
+    (Fraction(3, 2), 2.0**682, (2.0**1023, 2.0**1023)),
+    (Fraction(3, 2), math.nextafter(2.0**682, 0), None),
+    # exact roots are one double
+    (Fraction(3, 2), 4.0, (8.0, 8.0)),
+    (Fraction(4, 3), 2.0**-750, (2.0**-1000, 2.0**-1000)),
+    (Fraction(5, 2), 0.25, (2.0**-5, 2.0**-5)),
+    (Fraction(31, 2), 4.0, (2.0**31, 2.0**31)),
+])
+def test_power_floats_switch_range_at_the_double_ends(e, x, want):
+    got = PowerFn(e).bounds_floats(x, x)
+    _assert_tightest(e, x, x, got)
+    if want is not None:
+        assert got == want
+
+
+def test_power_floats_of_infinite_ends():
+    for e in (Fraction(3, 2), FALLBACK_EXPONENT):
+        assert PowerFn(e).bounds_floats(math.inf, math.inf) == (TOP, math.inf)
+        assert PowerFn(e).bounds_floats(4.0, math.inf)[1] == math.inf
+    with pytest.raises(DomainError):
+        PowerFn(Fraction(-3, 2))

@@ -197,11 +197,12 @@ def test_fractional_quadrature_takes_no_mpmath_power(monkeypatch):
     box = rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
     assert box.lo <= RHO32_EXP <= box.hi
     assert calls == []
-    # exponents past the integer check are seen to take the mpmath route
+    # exponents past the integer check are seen to take the mpmath route,
+    # PowerFn through power(), one mpmath power per end
     PowerFn(Fraction(65, 64)).bounds_floats(1.0, 2.0)
-    assert len(calls) == 1
-    power(2, Fraction(1, 33))
     assert len(calls) == 2
+    power(2, Fraction(1, 33))
+    assert len(calls) == 3
 
 
 def test_rho_p_fractional_exponent_past_the_double_range_is_enclosed():
@@ -790,3 +791,14 @@ def test_continuity_deltas_trigger():
     if de.hi < delta2:
         sup = rho_p(series(base), series(far), LpSpec(math.inf, 1), eps / 8)
         assert sup.hi < eps
+
+
+def test_continuity_delta_names_an_unresolved_sign(monkeypatch):
+    # no known input leaves xi's lower bound nonpositive, so stand one in
+    # once compute_m_gamma's scan is cached
+    gamma, eps = Fraction(5, 3), Fraction(1, 10)
+    continuity_delta_l1(gamma, eps)
+    monkeypatch.setattr(tailmath, "xi", lambda g, k: BoundInterval(-1, 1))
+    with pytest.raises(ToleranceUnreachable, match="not positive") as sign:
+        continuity_delta_l1(gamma, eps)
+    assert sign.value.kind == "sign-unresolved"

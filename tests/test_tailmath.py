@@ -1,10 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import tailmath
-from chaoslab.errors import DomainError, InfeasibleTolerance
+from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
+from chaoslab.intervals import BoundInterval
 from chaoslab.tailmath import (
     alpha,
     compute_m_gamma,
@@ -219,3 +223,53 @@ def test_zeta_table_rows_are_tight_certified_tails(gamma):
         assert row.width <= tailmath.DEFAULT_REL_TOL * row.lo
         if k < 40:
             assert row.lo - rows[k + 1].lo == Fraction(gamma) ** k / math.factorial(k)
+
+
+def test_tolerance_unreachable_names_the_limit_it_met(monkeypatch):
+    with pytest.raises(ToleranceUnreachable, match="needs over") as cap:
+        zeta(Fraction(10**400), 0)
+    assert cap.value.kind == "term-cap"
+    with pytest.raises(ToleranceUnreachable, match="did not reach") as tol:
+        zeta(1, 0, rel_tol=Fraction(1, 10**40000))
+    assert tol.value.kind == "rel-tol"
+    # no known input leaves alpha's lower bound nonpositive, so stand one in
+    monkeypatch.setattr(tailmath, "alpha", lambda k, rel_tol: BoundInterval(-1, 1))
+    with pytest.raises(ToleranceUnreachable, match="not positive") as sign:
+        compute_m_gamma(Fraction(97, 13))
+    assert sign.value.kind == "sign-unresolved"
+
+
+def _tail_oracle(gamma: Fraction, k: int):
+    """sum_{i >= k} gamma^i / i! summed directly at 60 digits, and the
+    head term gamma^k / k!."""
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma.numerator) / gamma.denominator
+        head = term = g**k / mpmath.factorial(k)
+        total, i = term, k
+        while i < 2 * g or term > total * mpmath.mpf(10) ** -58:
+            i += 1
+            term = term * g / i
+            total += term
+        return total, head
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.integers(1, 8 * d).map(lambda n: Fraction(n, d))),
+       st.integers(0, 60), st.integers(3, 40))
+def test_tails_enclose_a_direct_sum_at_60_digits(gamma, k, digits):
+    # zeta_k and xi_k = gamma^k/k! - zeta_(k+1) contain the oracle, and
+    # each is no wider than rel_tol times the tail it rests on
+    rel_tol = Fraction(1, 10**digits)
+    z, x = zeta(gamma, k, rel_tol), xi(gamma, k, rel_tol)
+    with mpmath.workdps(60):
+        z_ref, head = _tail_oracle(gamma, k)
+        x_ref = 2 * head - z_ref
+        margin = z_ref * mpmath.mpf(10) ** -55
+        assert _mp(z.lo) - margin <= z_ref <= _mp(z.hi) + margin
+        assert _mp(x.lo) - margin <= x_ref <= _mp(x.hi) + margin
+    assert z.width <= rel_tol * z.lo
+    assert x.width <= rel_tol * (Fraction(gamma) ** k / math.factorial(k) - x.lo)
