@@ -5,7 +5,7 @@
 Imports the package from this checkout's src/ and the workload from its
 perfbench/, runs pass 0 of the workload once under
 `chaoslab.metrics.count_splits()`, and prints one JSON line: the splits
-of every kind (em, crude, root-taylor, root-crude, nonmonotone) and their
+of every kind (taylor, crude, root-taylor, root-crude, nonmonotone) and their
 total.  Nothing is timed, and perfbench is only imported.
 """
 
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KINDS = ("em", "crude", "root-taylor", "root-crude", "nonmonotone")
+KINDS = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
 
 
 def census(workload: str, seed: int) -> dict:

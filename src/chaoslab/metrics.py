@@ -42,22 +42,23 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   with no sign analysis at all.  For odd p, panels whose Bernstein
   coefficients share a sign integrate exactly; the others, which hold
   the roots, contribute [|int D^p|, h * max|b_j|^p].
-* other p: the same Bernstein panels, refined depth first, with
-  Euler-Maclaurin carried to its sixth-order term where D is
-  sign-definite: end values, exact first- and third-derivative end
-  corrections and a certified h^7 remainder of 1/30240 times the sixth
-  derivative, all from one chain-rule recursion for the derivatives of
-  |D|^p (_chain_rule).  Across a root, a panel where D is monotone
-  writes D = a_0 + (t - t~) Q about a point t~ near the root and
-  integrates |t - t~|^p against the degree-5 Taylor polynomial of |Q|^p
-  in closed-form moments (product integration, Davis & Rabinowitz 1984,
-  carried to order 6), whose remainder shrinks as h^(p+7); any other
-  root panel takes the crude range-times-width bound.  The
-  bounds on D through its seventh derivative are read off a panel's
+* other p: the same Bernstein panels, refined depth first, each with one
+  sixth-order Taylor model of |D|^p (Davis & Rabinowitz 1984).  Where D
+  is sign-definite it is expanded about the panel's midpoint, where the
+  odd moments vanish; where D is monotone across a root it writes D =
+  a_0 + (t - t~) Q about a point t~ near the root, and |t - t~|^p is
+  integrated against the degree-5 Taylor polynomial of |Q|^p in
+  closed-form moments (product integration carried to order 6).  One
+  chain-rule recursion (_chain_rule) turns the exact integer Taylor
+  coefficients of D into those of the power, one integer quotient each,
+  and bounds its sixth derivative on the panel for a remainder that
+  shrinks as h^7 (h^(p+7) across a root).  Every model is intersected
+  with the crude range-times-width bound, which is all any other root
+  panel takes.  The derivative bounds are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
   pointwise powers come from intervals.PowerFn as the tightest doubles
-  around an integer root (mpmath only for exponent terms past 32), so
-  no uncertified rounding enters.  The double bookkeeping floors the
+  around an integer root (mpmath only for exponent terms past 32), so no
+  uncertified rounding enters.  The double bookkeeping floors the
   reachable tolerance near 1e-14 of the integral.
 
 Both integrals run on D / 2^e, e = floor(log2 of D's largest Bernstein
@@ -71,6 +72,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -483,7 +485,6 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
 
 _nextafter = math.nextafter
 _NEG_INF, _POS_INF = -math.inf, math.inf
-_MIN_NORMAL = 2.0**-1022
 
 
 def _fdn(x: float) -> float:
@@ -543,15 +544,6 @@ def _fi_sq(a) -> Tuple[float, float]:
     if a1 <= 0.0:
         return (max(0.0, _nextafter(hi, _NEG_INF)), _nextafter(lo, _POS_INF))
     return (0.0, _nextafter(max(lo, hi), _POS_INF))
-
-
-def _fi_scaled(a, e: int) -> Tuple[float, float]:
-    """Outward enclosure of a * 2^e: exact unless an end falls below the
-    normal range, where ldexp may round."""
-    lo, hi = math.ldexp(a[0], e), math.ldexp(a[1], e)
-    if -_MIN_NORMAL < lo < _MIN_NORMAL or -_MIN_NORMAL < hi < _MIN_NORMAL:
-        return (_fdn(lo), _fup(hi))
-    return (lo, hi)
 
 
 # The sixth-order rule's derivatives.  Where Q > 0 on a panel of width h,
@@ -674,8 +666,8 @@ _census: Optional[Counter] = None
 @contextlib.contextmanager
 def count_splits() -> Iterator[Counter]:
     """Count the fractional-p quadrature's splits inside the block, by the
-    bound that left the split panel too wide: "em" (Euler-Maclaurin on a
-    sign-definite panel), "crude" (a sign-definite panel on the crude
+    bound that left the split panel too wide: "taylor" (the Taylor model
+    on a sign-definite panel), "crude" (a sign-definite panel on the crude
     bound), "root-taylor" (a monotone root panel after its Taylor model),
     "root-crude" (a monotone root panel whose model's remainder alone was
     too wide) and "nonmonotone" (any other root panel).
@@ -699,49 +691,51 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """Certified enclosure of int_0^gamma |P|^p dt for fractional p > 1 on
     the Bernstein panels of (B, L) = _bernstein(kept, gamma), B not all 0.
 
-    On a panel [u, v] of width h at depth k the integers b over L * 2^(kn)
-    bound P, and n!/(n-j)! times their j-th differences bound h^j P^(j),
-    j = 1..6; b_0 and b_n are P's exact values at the ends.  Where P is
-    sign-definite, with Q = |P| (the b negated when P < 0) and g = Q^p,
-    the panel takes Euler-Maclaurin (Davis & Rabinowitz 1984) carried to
-    its sixth-order remainder
+    A panel of width h at depth k, in its variable x in [0, 1], holds
+    integers b over den = L * 2^(kn): they bound P, n!/(n-j)! times their
+    j-th differences bound the j-th derivative in x (h^j P^(j)), and b_0
+    and b_n are P's exact values at the ends.  Every panel where P is
+    sign-definite, or monotone across one simple root, takes one
+    sixth-order Taylor model (Davis & Rabinowitz 1984).  About a point x~,
+    with a weight w >= 0 and g = |Q|^p for a Q without a root on the
+    panel, int_0^1 w g dx lies in
 
-        int g = h [(g_u + g_v)/2 - (G1_v - G1_u)/12 + (G3_v - G3_u)/720
-                   - G6(theta)/30240],   G_j = h^j g^(j).
+        g(x~) sum_(k < 6) F_k(R) / k! M_k + range(g) F_6(R') / 6! M_6,
 
-    _chain_rule gives G_j = g F_j(R_1, ..., R_j) with R_j = h^j Q^(j) / Q.
-    At an end R_j is n!/(n-j)! times the j-th difference of the nearest
-    coefficients over the end one, so G1/g and G3/g are one integer
-    quotient each.  They are worked out once per split point, with the
-    point's g, and handed to both children; a panel d levels deeper than
-    the point scales them by 2^-d and 2^-3d, exactly.  The remainder is
-    the range of g on the panel times F_6 over the R_j enclosures, the
-    j-th differences over the coefficients themselves, so it is free of
-    scale.  Panels that straddle a root take width * range bounds (they
-    shrink superlinearly, since |P|^p is tiny near its roots), and every
-    panel keeps the better of the two.
+    M_k = int_0^1 w(x) (x - x~)^k dx.  _chain_rule gives g^(k) = g F_k(R_1,
+    ..., R_k) with R_j = Q^(j) / Q.  At x~, R_j = j! T_j / T_0 for Q's
+    Taylor coefficients T_j there, integers over one denominator, and c^k
+    F_k has integer coefficients for p = a/c, so each F_k(R) / k! is one
+    integer quotient, rounded once.  In the remainder R' holds enclosures
+    of the R_j over the panel, and g^(6) / 6! times (x - x~)^6 >= 0
+    integrates to within range(g) F_6(R') / 6! M_6.  The two kinds of panel
+    differ only in Q, x~, w and R':
 
-    A root panel whose first differences share one strict sign holds P
-    monotone, so exactly one simple root, and takes a Taylor model across
-    it as well (root_taylor).  In the panel's variable x in [0, 1], about
-    a dyadic x~ near the root (_root_guess, Newton in doubles, needing no
-    certificate), P(x) = a_0 + (x - x~) Q(x), with a_0..a_6 read exactly
-    off one integer de Casteljau split at x~ (_taylor_at).  Q = P[x~, x]
-    has no root on the panel, and g = |Q|^p has the Taylor coefficients
-    g(x~) F_k(R) / k! there, R_j = j! a_(j+1) / a_1.  So
-    int |P - a_0|^p = int |x - x~|^p g takes the degree-5 Taylor
-    polynomial of g against the closed-form moments
-    M_k = int |x - x~|^p (x - x~)^k = ((1 - x~)^(p+k+1) + (-1)^k x~^(p+k+1)) / (p+k+1)
-    plus the remainder range(g) F_6(R) / 6! M_6, where R_j = Q^(j) / Q lies
-    in the range of P^(j+1) / (j + 1) over that of P', both from the
-    panel's difference rows 1-7; and |P|^p - |P - a_0|^p is within
-    p (sup|P| + |a_0|)^(p-1) |a_0|.  The remainder shrinks as h^(p+7),
-    against h^(p+1) for the crude bound; its order-0 case is product
-    integration, |P| = |P'(xi)| |x - r|.  The remainder, which needs no
-    root, is worked out first, and a panel whose remainder alone cannot
-    meet its share keeps the crude bound without the root search.  The
-    model is intersected with the crude bound and, like it, counts as
-    all remainder.
+    * sign-definite: Q = |P| (the b negated when P < 0), x~ = 1/2 and
+      w = 1, so the odd moments vanish and M_0, M_2, M_4, M_6 are 1, 1/12,
+      1/80 and 1/448.  T_j = C(n, j) 2^j sum_i C(n - j, i) Delta^j b_i over
+      den 2^n, from the difference rows; R'_j is n!/(n-j)! times the j-th
+      differences over the b themselves, free of scale; and range(g) comes
+      from the end values where P is monotone, else from the b.
+    * a root panel whose first differences share one strict sign, so that
+      P is monotone with exactly one simple root: about a dyadic x~ near
+      the root (_root_guess, Newton in doubles, needing no certificate),
+      P(x) = a_0 + (x - x~) Q(x), with a_0..a_6 read exactly off one
+      integer de Casteljau split at x~ (_taylor_at), so Q = P[x~, x] has
+      T_j = a_(j+1) and no root on the panel.  w = |x - x~|^p, whose
+      moments are ((1 - x~)^(p+k+1) + (-1)^k x~^(p+k+1)) / (p+k+1); R'_j
+      lies in the range of P^(j+1) / (j + 1) over that of P', and range(g)
+      is that of |P'|^p, all from the difference rows 1-7; and |P|^p -
+      |P - a_0|^p is within p (sup|P| + |a_0|)^(p-1) |a_0|.  The
+      remainder shrinks as h^(p+7); its order-0 case is product
+      integration, |P| = |P'(xi)| |x - r|.  It needs no root, so it is
+      worked out first, and a panel whose remainder alone cannot meet its
+      share keeps the crude bound without the root search.
+
+    Every panel also has the crude bound h * range(|P|^p), which shrinks
+    superlinearly at a root since |P|^p is tiny there; it is all that any
+    other root panel takes, and a model is intersected with it.  A root
+    panel's model counts as all remainder, like the crude bound.
 
     _norm_of_poly runs this at unit scale, max|B| / L in [1, 2), so the
     values of P and g are doubles near 1 at any scale of the caller's
@@ -764,64 +758,75 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     gn, gd = gamma.numerator, gamma.denominator
     pw, pw1 = PowerFn(p), PowerFn(p + 1)
     F = _chain_rule(p)
-    # G1/g and G3/g at an end as integer quotients: p = a/c, and c^3 F_3
-    # in the monomials R_1^3, R_1 R_2, R_3 has integer coefficients
-    a, c = p.numerator, p.denominator
-    k3 = [(F[3].get(e, 0) * c**3).numerator for e in ((3, 0, 0), (1, 1, 0), (0, 0, 1))]
-    # -F_6/30240, so that the remainder is h g times their sum against the
-    # R_j bounds
-    f6 = [_fc(-F[6].get(e, 0) / 30240) for e in _F6_MONOMIALS]
+    c = p.denominator
     falling = [math.perm(n, j) for j in range(8)]
-    # the root panels' Taylor model: F_1..F_5 / k! and F_6 / 6!, the
-    # moments' 1 / (p + k + 1), p, and the least M_6 (at x~ = 1/2) times
-    # 1 - 2^-20, a margin for the rounding of the test that uses it
-    taylor = [[(e, _fc(q / math.factorial(k))) for e, q in F[k].items()] for k in range(1, 6)]
-    f6_root = [_fc(F[6].get(e, 0) / 720) for e in _F6_MONOMIALS]
+    # F_0..F_5 as (c^k times the coefficient, the j of each factor j! T_j,
+    # the power of T_0 that brings the monomial to degree k), and c^k k!
+    terms = [[((q * c**k).numerator, [j for j, ej in enumerate(e, 1) for _ in range(ej)], k - sum(e))
+              for e, q in F[k].items()] for k in range(6)]
+    factorials = [math.factorial(k) for k in range(6)]
+    kden = [c**k * f for k, f in enumerate(factorials)]
+    f6 = [_fc(F[6].get(e, 0) / 720) for e in _F6_MONOMIALS]
+    # the sign-definite panels' moments about 1/2, and the weights of Q's
+    # Taylor coefficients there: C(n, j) 2^j C(n - j, i)
+    half_moments = [(1.0, 1.0), None, _fc(Fraction(1, 12)), None, _fc(Fraction(1, 80)), None,
+                    _fc(Fraction(1, 448))]
+    mid = [[math.comb(n, j) * math.comb(n - j, i) << j for i in range(n - j + 1)]
+           for j in range(min(n, 4) + 1)]
+    # the root panels' 1 / (p + k + 1), p, and their least M_6 (at x~ =
+    # 1/2) times 1 - 2^-20, a margin for the rounding of the test that
+    # uses it
     inv_moment = [_fc(1 / (p + k + 1)) for k in range(7)]
     p_hi = _fc(p)[1]
     m6_least = math.ldexp(pw1.bounds_floats(0.5, 0.5)[0], -5) * inv_moment[6][0] * (1 - 2**-20)
 
-    def g_at(b: int, den: int) -> Tuple[float, float]:
-        """g where P is exactly b / den."""
-        s = _fi(abs(b), abs(b), den)
-        return pw.bounds_floats(max(0.0, s[0]), s[1])
+    def remainder(g_range: tuple, r: List[tuple]) -> Tuple[float, float]:
+        """range(g) F_6(R') / 6!, R'_j in r[j - 1]."""
+        return _fi_mul(g_range, _f6_at(f6, *r))
 
-    def point(b: int, near: List[int], sign: int, den: int, k: int) -> tuple:
-        """(g, G1/12g, G3/720g, k) at a panel end where P is exactly b / den,
-        for panels at depth k.  near holds the (up to) three coefficients
-        next to b, going into the panel, which lies to the right of the
-        point for sign 1 and to its left for sign -1."""
-        c1, c2, c3 = (near + [0, 0, 0])[:3]
-        if b < 0:
-            sign = -sign
-        q1 = falling[1] * (c1 - b)
-        q2 = falling[2] * (c2 - 2 * c1 + b)
-        q3 = falling[3] * (c3 - 3 * c2 + 3 * c1 - b)
-        s1 = sign * a * q1
-        s3 = sign * (k3[0] * q1**3 + (k3[1] * q1 * q2 + k3[2] * q3 * b) * b)
-        b = abs(b)
-        try:
-            e1 = _fi(s1, s1, 12 * c * b)
-            e3 = _fi(s3, s3, 720 * c**3 * b**3)
-        except (ToleranceUnreachable, ZeroDivisionError):
-            # past the double range (or a root): no end term, so a panel
-            # that needs this one takes its crude bound
-            e1 = e3 = (-math.inf, math.inf)
-        return g_at(b, den), e1, e3, k
+    def model(T: List[int], den: int, moments: List[Optional[tuple]], rem: tuple) -> Tuple[float, float]:
+        """g(x~) sum_k F_k(R) / k! M_k + rem M_6, over the k < 6 whose M_k
+        in moments is not None, for Q's Taylor coefficients T / den
+        about x~, T_0 > 0."""
+        S = [f * t for f, t in zip(factorials, T)] + [0] * (6 - len(T))
+        t0 = [1]
+        for _ in range(5):
+            t0.append(t0[-1] * T[0])
+        total = moments[0]
+        for k in range(1, 6):
+            if moments[k] is None:
+                continue
+            num = 0
+            for q, js, d in terms[k]:
+                x = q * t0[d]
+                for j in js:
+                    x *= S[j]
+                num += x
+            try:
+                fk = _fi(num, num, kden[k] * t0[k])
+            except ToleranceUnreachable:  # past the double range
+                return (-math.inf, math.inf)
+            total = _fi_add(total, _fi_mul(fk, moments[k]))
+        q0 = _fi(T[0], T[0], den)
+        g0 = pw.bounds_floats(max(0.0, q0[0]), q0[1])
+        return _fi_add(_fi_mul(g0, total), _fi_mul(rem, moments[6]))
 
-    def end_term(pt: tuple, k: int) -> Tuple[float, float]:
-        """G1/12g - G3/720g at the point pt, for a panel at depth k."""
-        _, e1, e3, kp = pt
-        if kp != k:
-            e1, e3 = _fi_scaled(e1, kp - k), _fi_scaled(e3, 3 * (kp - k))
-        return (_fdn(e1[0] - e3[1]), _fup(e1[1] - e3[0]))
+    def clip(body: tuple, h: tuple, crude: tuple) -> Tuple[float, float, bool]:
+        """(lo, hi, model): h * body intersected with the crude bound, and
+        whether it is h * body itself; the crude bound alone when h * body
+        is not finite or misses it."""
+        body = _fi_mul(body, h)
+        lo, hi = max(body[0], crude[0], 0.0), min(body[1], crude[1])
+        if hi < lo or not (math.isfinite(body[0]) and math.isfinite(body[1])):
+            return max(0.0, crude[0]), crude[1], False
+        return lo, hi, (lo, hi) == body
 
     def root_taylor(coeffs: List[int], den: int, h: tuple, share: float,
-                   crude: tuple) -> Tuple[tuple, str]:
+                    crude: tuple) -> Tuple[tuple, str]:
         """(enclosure, kind) on a panel whose first differences share one
-        strict sign, by the Taylor model across its one root, intersected
-        with the crude bound; kind "root-crude" when the model's remainder
-        alone is wider than share, and the crude bound stands."""
+        strict sign, by the Taylor model across its one root; kind
+        "root-crude" when the model's remainder alone is wider than share,
+        and the crude bound stands."""
         if coeffs[n] < coeffs[0]:  # |P|^p = |-P|^p: take P increasing
             coeffs = [-b for b in coeffs]
         spans, row = [], coeffs
@@ -830,20 +835,19 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             spans.append((min(row, default=0), max(row, default=0)))
         d_lo, d_hi = n * spans[0][0], n * spans[0][1]  # h P' over den
         try:
-            # R_j: the range of P^(j+1) / (j + 1) over that of P'
+            # R'_j: the range of P^(j+1) / (j + 1) over that of P'
             r = [_fi(f * lo, f * hi, j * d_lo, j * d_hi)
                  for j, f, (lo, hi) in zip(range(2, 8), falling[2:], spans[1:])]
         except ToleranceUnreachable:
             return crude, "root-crude"
         slope = _fi(d_lo, d_hi, den)
-        rem = _fi_mul(pw.bounds_floats(max(0.0, slope[0]), slope[1]), _f6_at(f6_root, *r))
+        rem = remainder(pw.bounds_floats(max(0.0, slope[0]), slope[1]), r)
         if (rem[1] - rem[0]) * m6_least * h[0] > share:
             return crude, "root-crude"
         m = _root_guess(coeffs)
-        A = _taylor_at(coeffs, m, _GUESS_BITS) + [0] * 6
+        A = _taylor_at(coeffs, m, _GUESS_BITS)
         D = den << (_GUESS_BITS * n)
-        # R_j at x~ (A_1 > 0, as P' > 0), and the moments M_0..M_6
-        rx = [_fi(math.factorial(j) * A[j + 1], math.factorial(j) * A[j + 1], A[1]) for j in range(1, 6)]
+        # the moments M_0..M_6 about x~
         xr = math.ldexp(m, -_GUESS_BITS)
         xl = math.ldexp((1 << _GUESS_BITS) - m, -_GUESS_BITS)
         ml, mr = pw1.bounds_floats(xl, xl), pw1.bounds_floats(xr, xr)
@@ -852,16 +856,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             side = mr if k % 2 == 0 else (-mr[1], -mr[0])
             moments.append(_fi_mul(_fi_add(ml, side), inv_moment[k]))
             ml, mr = _fi_mul(ml, (xl, xl)), _fi_mul(mr, (xr, xr))
-        total = moments[0]
-        for k, monomials in enumerate(taylor, 1):
-            fk = (0.0, 0.0)
-            for e, q in monomials:
-                for rj, ej in zip(rx, e):
-                    for _ in range(ej):
-                        q = _fi_mul(q, rj)
-                fk = _fi_add(fk, q)
-            total = _fi_add(total, _fi_mul(fk, moments[k]))
-        body = _fi_add(_fi_mul(g_at(A[1], D), total), _fi_mul(rem, moments[6]))
+        body = model(A[1:], D, moments, rem)
         if A[0]:
             # |P|^p - |P - a_0|^p is within p (sup|P| + |a_0|)^(p-1) |a_0|
             a0 = _fi(abs(A[0]), abs(A[0]), D)[1]
@@ -869,14 +864,9 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             top = _fup(_fi(top, top, den)[1] + a0)
             pert = _fup(_fup(_fup(pw.bounds_floats(top, top)[1] / top) * p_hi) * a0)
             body = (_fdn(body[0] - pert), _fup(body[1] + pert))
-        body = _fi_mul(body, h)
-        lo, hi = max(body[0], crude[0], 0.0), min(body[1], crude[1])
-        if hi < lo or not (math.isfinite(body[0]) and math.isfinite(body[1])):
-            return crude, "root-taylor"
-        return (lo, hi), "root-taylor"
+        return clip(body, h, crude)[:2], "root-taylor"
 
-    def panel_enclosure(coeffs: List[int], k: int, U: tuple, V: tuple,
-                        share: float) -> Tuple[float, float, float, str]:
+    def panel_enclosure(coeffs: List[int], k: int, share: float) -> Tuple[float, float, float, str]:
         """(lo, hi, r, kind): r is the part of hi - lo that shrinks faster
         than h (the h^7 remainder; all of it where the crude bound binds),
         and kind names the bound that made the enclosure, for count_splits."""
@@ -885,7 +875,6 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         bmin, bmax = min(coeffs), max(coeffs)
         mig = min(abs(bmin), abs(bmax)) if bmin > 0 or bmax < 0 else 0
         sa = _fi(mig, max(-bmin, bmax), den)
-        sa = (max(0.0, sa[0]), sa[1])
         if sa[0] <= 0.0:
             # straddles a root: width * range of |P|^p, and where P is
             # monotone the Taylor model across the root
@@ -901,39 +890,24 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         if bmax < 0:  # Q's coefficients
             coeffs = [-b for b in coeffs]
             bmin, bmax = -bmax, -bmin
-        gu, gv = U[0], V[0]
-        spans, row = [], coeffs
+        rows = [coeffs]
         for _ in range(6):
-            row = [y - x for x, y in zip(row, row[1:])]
-            spans.append((min(row, default=0), max(row, default=0)))
+            rows.append([y - x for x, y in zip(rows[-1], rows[-1][1:])])
+        spans = [(min(row, default=0), max(row, default=0)) for row in rows[1:]]
         if spans[0][0] >= 0 or spans[0][1] <= 0:
-            # monotone panel: the range of |P|^p is the endpoint hull
-            sap = (min(gu[0], gv[0]), max(gu[1], gv[1]))
-        else:
-            sap = pw.bounds_floats(sa[0], sa[1])
-        crude = _fi_mul(sap, h)
-        body = _fi_mul(_fi_add(gu, gv), (0.5, 0.5))
-        rem = (0.0, 0.0)
-        if n:
-            ev = end_term(V, k)
-            ends = _fi_add(_fi_mul(gu, end_term(U, k)), _fi_mul(gv, (-ev[1], -ev[0])))
-            body = _fi_add(body, ends)
-            # R_j encloses h^j Q^(j) / Q: n!/(n-j)! times the j-th
-            # differences over the coefficients themselves, free of scale;
-            # past the degree it is 0
-            rem = _fi_mul(_f6_at(f6, *(_fi(f * lo, f * hi, bmin, bmax)
-                                       for f, (lo, hi) in zip(falling[1:], spans))), sap)
-            body = _fi_add(body, rem)
-        body = _fi_mul(body, h)
-        lo = max(body[0], crude[0], 0.0)
-        hi = min(body[1], crude[1])
-        if hi < lo or not (math.isfinite(body[0]) and math.isfinite(body[1])):
-            return (max(0.0, crude[0]), crude[1], math.inf, "crude")
-        if (lo, hi) != body:  # the crude bound binds
+            # monotone panel: the range of |P| is the endpoint hull
+            sa = _fi(min(coeffs[0], coeffs[n]), max(coeffs[0], coeffs[n]), den)
+        sap = pw.bounds_floats(sa[0], sa[1])
+        # R'_j: n!/(n-j)! times the j-th differences over the coefficients
+        # themselves, free of scale; past the degree it is 0
+        rem = remainder(sap, [_fi(f * lo, f * hi, bmin, bmax) for f, (lo, hi) in zip(falling[1:], spans)])
+        T = [sum(map(operator.mul, ws, row)) for ws, row in zip(mid, rows)]
+        lo, hi, modelled = clip(model(T, den << n, half_moments, rem), h, _fi_mul(sap, h))
+        if not modelled:  # the crude bound binds
             return (lo, hi, math.inf, "crude")
-        return (lo, hi, (rem[1] - rem[0]) * h[1], "em")
+        return (lo, hi, (rem[1] - rem[0]) * half_moments[6][1] * h[1], "taylor")
 
-    stack = [(B, 0, point(B[0], B[1:4], 1, L, 0), point(B[n], B[::-1][1:4], -1, L, 0))]
+    stack = [(B, 0)]
     # a tolerance past the double range asks for nothing a double can miss;
     # one below it rounds to 0.0
     tol_dn = max(0.0, _fc(min(tol, Fraction(2**1000)))[0])
@@ -941,9 +915,9 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     panels = 1
     census = _census
     while stack:
-        coeffs, k, U, V = stack.pop()
+        coeffs, k = stack.pop()
         share = math.ldexp(tol_dn, -k)
-        lo, hi, shrinking, kind = panel_enclosure(coeffs, k, U, V, share)
+        lo, hi, shrinking, kind = panel_enclosure(coeffs, k, share)
         if hi - lo <= share:
             lo_sum = _fdn(lo_sum + lo)
             hi_sum = _fup(hi_sum + hi)
@@ -961,9 +935,8 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             raise ToleranceUnreachable(f"fractional-power quadrature exceeded {_MAX_PANELS} panels",
                                       kind="panel-cap")
         left, right = _split(coeffs)
-        M = point(right[0], right[1:4], 1, L << ((k + 1) * n), k + 1)
-        stack.append((right, k + 1, M, V))
-        stack.append((left, k + 1, U, M))
+        stack.append((right, k + 1))
+        stack.append((left, k + 1))
     return BoundInterval(max(Fraction(0), Fraction(lo_sum)), Fraction(hi_sum))
 
 

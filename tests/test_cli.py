@@ -396,7 +396,7 @@ def test_verify_all_output_is_pinned():
         "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
     assert len(enclosures) == 2397
     assert digest._sha256(enclosures) == (
-        "2eaa00796468aec01f7ed7870380602fbe6f50e2c113de8e14215909230b5546")
+        "ce794cbebe5dca5b4759b272dc6ae969b2554d18e08a39745a97fb6abd42f291")
 
 
 def test_prefix_digests_are_pinned():

@@ -23,6 +23,34 @@ def _unused_imports(path: Path):
     return sorted(imported - used)
 
 
+def _unread_private_names(paths):
+    """module:name for each module-level private name (_x, not __x) that
+    the modules in paths define and none of them reads: as a loaded name,
+    an attribute or a from-import."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = []
+    for path, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        unread += [f"{path.stem}:{name}" for name in sorted(defined - read)
+                   if name.startswith("_") and not name.startswith("__")]
+    return unread
+
+
 def _imported_modules(path: Path):
     """Top-level packages a module imports, by import or from-import."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -46,6 +74,19 @@ def test_no_unused_imports_in_the_package():
     assert modules
     unused = {path.name: names for path in modules if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def test_scan_sees_an_unread_private_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("_KEPT, _LOST = 1, 2\n__version__ = '0'\n_cache: dict = {}\n"
+                      "def _helper():\n    return _KEPT\n"
+                      "class _Box:\n    pass\n"
+                      "def public():\n    return _Box, m._cache\n")
+    assert _unread_private_names([module]) == ["m:_LOST", "m:_helper"]
+
+
+def test_every_private_name_in_the_package_is_read():
+    assert _unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
 
 
 def test_import_scan_sees_mpmath(tmp_path):

@@ -417,7 +417,7 @@ def test_split_census_counts_by_kind_and_only_inside_its_block():
         assert metrics._census is outer
     assert metrics._census is None
     assert outer.total() > 0 and inner.total() > outer.total()
-    assert set(outer) | set(inner) <= {"em", "crude", "root-taylor", "root-crude", "nonmonotone"}
+    assert set(outer) | set(inner) <= {"taylor", "crude", "root-taylor", "root-crude", "nonmonotone"}
     # a root panel splits on its Taylor model or before it, on the remainder
     assert outer["root-taylor"] + outer["root-crude"] > 0
     counts = (dict(outer), dict(inner))
@@ -490,6 +490,72 @@ def test_root_panels_hold_at_any_taylor_point(monkeypatch, offset, s, r):
     box = rho_p(series(FiniteSupport(coeffs)), series(ZEROS), LpSpec(p, 1), tol)
     assert box.width < tol
     _assert_contains(box, _split_norm_oracle(mono, r, Fraction(1), p))
+
+
+def _unit_kernel(mono, gamma):
+    """(B, L, s): the kernels' integers for P / s on [0, gamma], P with
+    monomial coefficients mono and s the power of 2 that puts max|B| / L
+    in [1, 2), the scale _norm_of_poly integrates at."""
+    B, L = metrics._bernstein(tuple(c * math.factorial(k) for k, c in enumerate(mono)), gamma)
+    top, s = Fraction(max(map(abs, B)), L), Fraction(1)
+    while top >= 2 * s:
+        s *= 2
+    while top < s:
+        s /= 2
+    return [b * s.denominator for b in B], L * s.numerator, s
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), max_size=8),
+    st.integers(0, 9),
+    st.booleans(),
+    st.fractions(min_value=0, max_value=1, max_denominator=100),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+    st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)]),
+    st.sampled_from([1, -1]),
+)
+@example([], 0, False, Fraction(0), Fraction(1), Fraction(3, 2), 1)  # a constant
+@example([], 0, True, Fraction(1, 3), Fraction(1), Fraction(3, 2), 1)  # a line across a root
+# 10 + t on [0, 1/2]: F_6 is the one monomial p (p - 1) ... (p - 5) R_1^6
+# and R_1 is nearly constant, so the remainder's enclosure is within a
+# factor 2 of its value
+@example([1], 9, False, Fraction(0), Fraction(1, 2), Fraction(4, 3), 1)
+def test_one_panel_model_contains_the_quad_oracle(c, lift, root, u, gamma, p, sign):
+    # at a tolerance past the double range no panel splits: the kernel
+    # returns the whole window's Taylor model, intersected with the crude
+    # bound.  c holds scaled Taylor coefficients c_1, c_2, ... of P, or
+    # with a root of P' (c_8 dropped), after a constant term s0 that is
+    # lift more than the least integer above the rest's sup on [0, gamma].
+    # With a root, P(r) = 0 at r = u gamma, so P's Bernstein differences
+    # share a sign and the root panel takes the model across the root.
+    c = c[:7] if root else c
+    tail = [Fraction(x, math.factorial(k)) for k, x in enumerate(c, 1)]
+    s0 = 1 + lift + math.floor(sum(abs(x) * gamma**k for k, x in enumerate(tail, 1)))
+    if root:
+        r = u * gamma
+        slope = [Fraction(s0)] + tail
+        mono = [-sum(d * r ** (k + 1) / (k + 1) for k, d in enumerate(slope))]
+        mono += [d / (k + 1) for k, d in enumerate(slope)]
+        cuts = [Fraction(0), r, gamma]
+    else:
+        mono = [Fraction(s0)] + tail
+        cuts = [Fraction(0), gamma]
+    mono = [sign * m for m in mono]
+    B, L, s = _unit_kernel(mono, gamma)
+    with metrics.count_splits() as splits:
+        box = metrics._integral_abs_pow_frac(B, L, gamma, p, Fraction(10**400))
+    assert splits.total() == 0
+    with mpmath.workdps(40):
+        q = [mpmath.mpf(m.numerator) / m.denominator for m in mono]
+        pm = mpmath.mpf(p.numerator) / p.denominator
+        pts = [mpmath.mpf(x.numerator) / x.denominator for x in sorted(set(cuts))]
+        value = mpmath.quad(lambda t: abs(mpmath.polyval(q[::-1], t)) ** pm, pts)
+        value /= (mpmath.mpf(s.numerator) / s.denominator) ** pm
+        lo = mpmath.mpf(box.lo.numerator) / box.lo.denominator
+        hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
+        margin = mpmath.mpf(10) ** -30
+        assert lo - margin <= value <= hi + margin
 
 
 def _schoolbook_power(beta, p):
@@ -592,10 +658,12 @@ def test_float_interval_product_claims_nothing_from_a_nan():
 
 
 def test_rho_p_fractional_exponent_with_a_tolerance_past_the_double_range():
-    # ||1 + 2t||_{3/2} on [0, 1] = ((3^(5/2) - 1) / 5)^(2/3) = 2.04175...
+    # ||1 + 2t||_{3/2} on [0, 1] = ((3^(5/2) - 1) / 5)^(2/3) = 2.0418613...
     box = rho_p(series(FiniteSupport((1, 2))), series(ZEROS), LpSpec(Fraction(3, 2), 1),
                 Fraction(10**400))
-    assert box.lo < Fraction(2041, 1000) and Fraction(2042, 1000) < box.hi
+    with mpmath.workdps(40):
+        value = ((mpmath.mpf(3) ** (mpmath.mpf(5) / 2) - 1) / 5) ** (mpmath.mpf(2) / 3)
+    _assert_contains(box, value)
 
 
 def test_rho_p_trivial_and_domain_checks():
