@@ -1,12 +1,14 @@
-"""Fractional-p splits of one benchmark pass, by panel kind.
+"""Fractional-p splits and integer roots of one benchmark pass.
 
     python3 scripts/split_census.py --workload lp-grid --seed 2
 
 Imports the package from this checkout's src/ and the workload from its
 perfbench/, runs pass 0 of the workload once under
 `chaoslab.metrics.count_splits()`, and prints one JSON line: the splits
-of every kind (taylor, crude, root-taylor, root-crude, nonmonotone) and their
-total.  Nothing is timed, and perfbench is only imported.
+of every kind (taylor, crude, root-taylor, root-crude, nonmonotone), their
+total, and `roots`, the `intervals._root` calls the pass made.  Those are
+counted by wrapping the module attribute, which `power()` and `PowerFn`
+look up at call time.  Nothing is timed, and perfbench is only imported.
 """
 
 from __future__ import annotations
@@ -22,13 +24,23 @@ KINDS = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
 
 def census(workload: str, seed: int) -> dict:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from chaoslab import metrics
+    from chaoslab import intervals, metrics
     import workloads
 
-    with metrics.count_splits() as splits:
-        workloads.WORKLOADS[workload](seed, 1).run_pass(0, workloads.Tally())
+    root, roots = intervals._root, []
+
+    def counted(*args):
+        roots.append(None)
+        return root(*args)
+
+    intervals._root = counted
+    try:
+        with metrics.count_splits() as splits:
+            workloads.WORKLOADS[workload](seed, 1).run_pass(0, workloads.Tally())
+    finally:
+        intervals._root = root
     return {"workload": workload, "seed": seed, **{k: splits[k] for k in KINDS},
-            "total": splits.total()}
+            "total": splits.total(), "roots": len(roots)}
 
 
 def main(argv=None) -> int:

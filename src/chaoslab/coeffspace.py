@@ -22,8 +22,7 @@ difference(a, b) is the one place two tail layouts are aligned and
 always returns the stream a - b: when both tails are eventually
 periodic, one normalized EventuallyPeriodic; otherwise a reader that
 subtracts index by index, whose sup_abs() bounds sup|a_n| + sup|b_n|.
-same_stream asks whether its sup is 0, and the pairwise metrics read
-their coefficients and sup from it.
+The pairwise metrics read it; same_stream compares normal forms.
 
 truncate is the rule for every certified series cut: an eventually-zero
 stream keeps its finite_support and its tail is exactly 0; any other
@@ -389,9 +388,11 @@ def truncate(s: CoeffSeq, tail_at: Callable[[int], Fraction], budget, what: str,
 
 
 def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
-    """Decidable equality of the underlying coefficient streams: their
-    difference has sup 0."""
-    return difference(a, b).sup_abs() == 0
+    """Decidable equality of the underlying coefficient streams: equal
+    normal forms, or for a WordEnumeration over two or more symbols
+    (never eventually periodic) equal objects."""
+    pa, pb = as_preamble_period(a), as_preamble_period(b)
+    return pa == pb if pa is not None and pb is not None else a == b
 
 
 # ---------------------------------------------------------------------------

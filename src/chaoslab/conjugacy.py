@@ -98,11 +98,8 @@ def check_commuting_square(
     gq = as_fraction(gamma)
     via_shift = iota(a.shift(), gq)
     via_deriv = iota(a, gq).derivative()
-    mismatches = tuple(
-        n
-        for n in range(window + 1)
-        if via_shift.coeffs.coeff(n) != via_deriv.coeffs.coeff(n)
-    )
+    lhs, rhs = via_shift.coeffs.prefix(window + 1), via_deriv.coeffs.prefix(window + 1)
+    mismatches = () if lhs == rhs else tuple(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
     tail_matches = same_stream(via_shift.coeffs, via_deriv.coeffs)
     if partner is None:
         return CommutingSquareReport(gq, window, mismatches, tail_matches)

@@ -38,7 +38,8 @@ class ToleranceUnreachable(ChaosLabError):
     "term-cap" (gamma needs more terms than tailmath.MAX_TAIL_INDEX),
     "rel-tol" (the cap is met before the relative tolerance) and
     "sign-unresolved" (a bound that must be positive is not certified
-    positive at the tolerance used).  Every raise in the library names
+    positive at the tolerance used); tailmath.least_index sets
+    "index-cap" (InfeasibleTolerance).  Every raise in the library names
     one; None is left only to callers who construct the error.
     """
 
@@ -47,9 +48,9 @@ class ToleranceUnreachable(ChaosLabError):
         self.kind = kind
 
 
-class InfeasibleTolerance(ChaosLabError):
+class InfeasibleTolerance(ToleranceUnreachable):
     """No index up to the search cap (tailmath.MAX_TAIL_INDEX) satisfies
-    the requested tolerance."""
+    the requested tolerance: kind "index-cap"."""
 
 
 class CertificationFailure(ChaosLabError):

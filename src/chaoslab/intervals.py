@@ -11,8 +11,9 @@ whether r / 2^B is the root itself.  power() takes it at the binary
 precision the caller asks for (128 bits unless it needs more) and
 returns [r / 2^B, (r + 1) / 2^B], a point when the root is exact.
 PowerFn, which serves the fractional-p quadrature with thousands of
-powers in doubles per call, takes it at 52 bits and rounds the two ends
-outward to the tightest doubles.  Only exponents with a term
+powers in doubles per call, takes one root of the exact rational n / d
+it is given, at 52 + ceil(m/q) bits for the exponent m/q, and rounds it
+to the tightest doubles on either side.  Only exponents with a term
 |a| or b past _MAX_CHECKED_TERM (32) reach mpmath, through power(): a
 private interval context (the shared mpmath.iv is never touched) whose
 endpoints are binary floats of arbitrary exponent and convert back to
@@ -384,14 +385,14 @@ _MAX_CHECKED_TERM = 32
 class PowerFn:
     """Certified x**e in doubles for one fixed rational exponent e = m/q >= 0.
 
-    Quadrature loops evaluate thousands of powers with the same exponent.
-    When 0 < m <= _MAX_CHECKED_TERM and q <= _MAX_CHECKED_TERM,
-    bounds_floats roots each end with _root at 52 bits.  A double x is
-    n / 2^j, so it lies in [2^L, 2^(L+1)) for L = bitlen n - bitlen 2^j,
-    and r is at least 2^52.  Then every double near the root is a
-    multiple of 2^-B, so rounding r / 2^B down and (r + 1) / 2^B up gives
-    the tightest doubles.  Any other exponent takes power() at 53 bits,
-    rounded outward.
+    Quadrature loops evaluate thousands of powers with the same exponent,
+    each of an exact rational x = n / d.  When 0 < m <= _MAX_CHECKED_TERM
+    and q <= _MAX_CHECKED_TERM, of_ratio takes one _root at 52 + ceil(m/q)
+    bits.  x lies in [2^(L-1), 2^(L+1)) for L = bitlen n - bitlen d, so r
+    is at least 2^52.  Then every double near the root is a multiple of
+    2^-B, so rounding r / 2^B down and (r + 1) / 2^B up gives the tightest
+    doubles.  Any other exponent takes power() at 53 bits, rounded
+    outward.
     """
 
     def __init__(self, exponent):
@@ -400,27 +401,21 @@ class PowerFn:
             raise DomainError("PowerFn takes a nonnegative exponent")
         self._m, self._q = self.exponent.numerator, self.exponent.denominator
         self._checked = 0 < self._m <= _MAX_CHECKED_TERM and self._q <= _MAX_CHECKED_TERM
+        self._bits = 52 - (-self._m // self._q)
 
-    def bounds_floats(self, lo: float, hi: float) -> tuple:
-        """Directed float bounds on {x**e : lo <= x <= hi} for floats lo, hi.
+    def of_ratio(self, n: int, d: int) -> tuple:
+        """(the largest double <= (n/d)**e, the least double >= it) for
+        integers n >= 0 and d > 0; past the double range the largest
+        double and +inf.
 
-        x |-> x**e is monotone, so the image is bounded by the largest
-        double at most lo**e and the least double at least hi**e (the
-        largest double and +inf past the double range).  Those are exact
-        on the checked path; the fallback runs at 53 bits (double exports
-        cannot resolve more) and rounds its endpoints outward, so it may
-        be an ulp wider but is just as certified.
+        Both are exact on the checked path; the fallback runs at 53 bits
+        (double exports cannot resolve more) and rounds its endpoints
+        outward, so it may be an ulp wider but is just as certified.
         """
-        _check_base(lo, self.exponent)
-        if lo == math.inf:
-            return sys.float_info.max, math.inf
+        if n < 0 or d <= 0:
+            raise DomainError("PowerFn takes a ratio n / d with n >= 0 and d > 0")
         if self._checked:
-            return self._end(lo, False), self._end(hi, True)
-        out = power(BoundInterval(lo, lo if hi == math.inf else hi), self.exponent, 53)
-        return _float_down(out.lo), math.inf if hi == math.inf else _float_up(out.hi)
-
-    def _end(self, x: float, up: bool) -> float:
-        if x == math.inf:
-            return math.inf
-        r, B, exact = _root(*x.as_integer_ratio(), self._m, self._q, 52)
-        return _dyadic_float(r if exact or not up else r + 1, B, up)
+            r, B, exact = _root(n, d, self._m, self._q, self._bits)
+            return _dyadic_float(r, B, False), _dyadic_float(r if exact else r + 1, B, True)
+        out = power(Fraction(n, d), self.exponent, 53)
+        return _float_down(out.lo), _float_up(out.hi)

@@ -56,8 +56,9 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   with the crude range-times-width bound, which is all any other root
   panel takes.  The derivative bounds are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
-  pointwise powers come from intervals.PowerFn as the tightest doubles
-  around an integer root (mpmath only for exponent terms past 32), so no
+  each pointwise power comes from intervals.PowerFn as the tightest
+  doubles around one integer root of the exact ratio of integers it
+  stands for (mpmath only for exponent terms past 32), so no
   uncertified rounding enters.  The double bookkeeping floors the
   reachable tolerance near 1e-14 of the integral.
 
@@ -716,7 +717,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
       1/80 and 1/448.  T_j = C(n, j) 2^j sum_i C(n - j, i) Delta^j b_i over
       den 2^n, from the difference rows; R'_j is n!/(n-j)! times the j-th
       differences over the b themselves, free of scale; and range(g) comes
-      from the end values where P is monotone, else from the b.
+      from the least and largest b.
     * a root panel whose first differences share one strict sign, so that
       P is monotone with exactly one simple root: about a dyadic x~ near
       the root (_root_guess, Newton in doubles, needing no certificate),
@@ -735,7 +736,13 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     Every panel also has the crude bound h * range(|P|^p), which shrinks
     superlinearly at a root since |P|^p is tiny there; it is all that any
     other root panel takes, and a model is intersected with it.  A root
-    panel's model counts as all remainder, like the crude bound.
+    panel's model counts as all remainder, like the crude bound.  A panel
+    holds a root unless its b share one strict sign, an integer test.
+
+    Every power is of an exact ratio of integers, rooted once by PowerFn
+    into the tightest doubles: T_0 / den for g(x~), the least and largest
+    b over den for range(g), m / 2^53 and 1 - m / 2^53 for the moments, and
+    (max|b| 2^(53n) + |A_0|) / (den 2^(53n)) for the perturbation.
 
     _norm_of_poly runs this at unit scale, max|B| / L in [1, 2), so the
     values of P and g are doubles near 1 at any scale of the caller's
@@ -756,7 +763,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
-    pw, pw1 = PowerFn(p), PowerFn(p + 1)
+    pw, pw1, pw_less = PowerFn(p), PowerFn(p + 1), PowerFn(p - 1)
     F = _chain_rule(p)
     c = p.denominator
     falling = [math.perm(n, j) for j in range(8)]
@@ -778,7 +785,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     # uses it
     inv_moment = [_fc(1 / (p + k + 1)) for k in range(7)]
     p_hi = _fc(p)[1]
-    m6_least = math.ldexp(pw1.bounds_floats(0.5, 0.5)[0], -5) * inv_moment[6][0] * (1 - 2**-20)
+    m6_least = math.ldexp(pw1.of_ratio(1, 2)[0], -5) * inv_moment[6][0] * (1 - 2**-20)
 
     def remainder(g_range: tuple, r: List[tuple]) -> Tuple[float, float]:
         """range(g) F_6(R') / 6!, R'_j in r[j - 1]."""
@@ -807,9 +814,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             except ToleranceUnreachable:  # past the double range
                 return (-math.inf, math.inf)
             total = _fi_add(total, _fi_mul(fk, moments[k]))
-        q0 = _fi(T[0], T[0], den)
-        g0 = pw.bounds_floats(max(0.0, q0[0]), q0[1])
-        return _fi_add(_fi_mul(g0, total), _fi_mul(rem, moments[6]))
+        return _fi_add(_fi_mul(pw.of_ratio(T[0], den), total), _fi_mul(rem, moments[6]))
 
     def clip(body: tuple, h: tuple, crude: tuple) -> Tuple[float, float, bool]:
         """(lo, hi, model): h * body intersected with the crude bound, and
@@ -840,17 +845,16 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
                  for j, f, (lo, hi) in zip(range(2, 8), falling[2:], spans[1:])]
         except ToleranceUnreachable:
             return crude, "root-crude"
-        slope = _fi(d_lo, d_hi, den)
-        rem = remainder(pw.bounds_floats(max(0.0, slope[0]), slope[1]), r)
+        rem = remainder((pw.of_ratio(d_lo, den)[0], pw.of_ratio(d_hi, den)[1]), r)
         if (rem[1] - rem[0]) * m6_least * h[0] > share:
             return crude, "root-crude"
         m = _root_guess(coeffs)
         A = _taylor_at(coeffs, m, _GUESS_BITS)
         D = den << (_GUESS_BITS * n)
         # the moments M_0..M_6 about x~
-        xr = math.ldexp(m, -_GUESS_BITS)
-        xl = math.ldexp((1 << _GUESS_BITS) - m, -_GUESS_BITS)
-        ml, mr = pw1.bounds_floats(xl, xl), pw1.bounds_floats(xr, xr)
+        one = 1 << _GUESS_BITS
+        xr, xl = math.ldexp(m, -_GUESS_BITS), math.ldexp(one - m, -_GUESS_BITS)
+        ml, mr = pw1.of_ratio(one - m, one), pw1.of_ratio(m, one)
         moments = []
         for k in range(7):
             side = mr if k % 2 == 0 else (-mr[1], -mr[0])
@@ -860,9 +864,8 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         if A[0]:
             # |P|^p - |P - a_0|^p is within p (sup|P| + |a_0|)^(p-1) |a_0|
             a0 = _fi(abs(A[0]), abs(A[0]), D)[1]
-            top = max(-min(coeffs), max(coeffs))
-            top = _fup(_fi(top, top, den)[1] + a0)
-            pert = _fup(_fup(_fup(pw.bounds_floats(top, top)[1] / top) * p_hi) * a0)
+            top = max(-min(coeffs), max(coeffs)) << (_GUESS_BITS * n)
+            pert = _fup(_fup(pw_less.of_ratio(top + abs(A[0]), D)[1] * p_hi) * a0)
             body = (_fdn(body[0] - pert), _fup(body[1] + pert))
         return clip(body, h, crude)[:2], "root-taylor"
 
@@ -873,14 +876,10 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         den = L << (k * n)
         h = _fi(gn, gn, gd << k)
         bmin, bmax = min(coeffs), max(coeffs)
-        mig = min(abs(bmin), abs(bmax)) if bmin > 0 or bmax < 0 else 0
-        sa = _fi(mig, max(-bmin, bmax), den)
-        if sa[0] <= 0.0:
+        if bmin <= 0 <= bmax:
             # straddles a root: width * range of |P|^p, and where P is
             # monotone the Taylor model across the root
-            crude = _fi_mul(pw.bounds_floats(0.0, sa[1]), h)
-            if mig:  # a sign-definite panel whose least value underflows
-                return crude + (math.inf, "crude")
+            crude = _fi_mul((0.0, pw.of_ratio(max(-bmin, bmax), den)[1]), h)
             row = [y - x for x, y in zip(coeffs, coeffs[1:])]
             dmin, dmax = min(row), max(row)
             if not (dmin > 0 or dmax < 0):
@@ -894,10 +893,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         for _ in range(6):
             rows.append([y - x for x, y in zip(rows[-1], rows[-1][1:])])
         spans = [(min(row, default=0), max(row, default=0)) for row in rows[1:]]
-        if spans[0][0] >= 0 or spans[0][1] <= 0:
-            # monotone panel: the range of |P| is the endpoint hull
-            sa = _fi(min(coeffs[0], coeffs[n]), max(coeffs[0], coeffs[n]), den)
-        sap = pw.bounds_floats(sa[0], sa[1])
+        sap = (pw.of_ratio(bmin, den)[0], pw.of_ratio(bmax, den)[1])
         # R'_j: n!/(n-j)! times the j-th differences over the coefficients
         # themselves, free of scale; past the degree it is 0
         rem = remainder(sap, [_fi(f * lo, f * hi, bmin, bmax) for f, (lo, hi) in zip(falling[1:], spans)])

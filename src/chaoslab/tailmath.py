@@ -64,7 +64,7 @@ def least_index(holds: Callable[[int], bool], start: int, what: str, step: int =
         if holds(n):
             return n
     bound = "" if below is None else f" below {brief(below)}"
-    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}")
+    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}", kind="index-cap")
 
 
 @lru_cache(maxsize=4096)

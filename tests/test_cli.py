@@ -396,7 +396,7 @@ def test_verify_all_output_is_pinned():
         "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
     assert len(enclosures) == 2397
     assert digest._sha256(enclosures) == (
-        "ce794cbebe5dca5b4759b272dc6ae969b2554d18e08a39745a97fb6abd42f291")
+        "942ffe56048c31e1468b3974e81da16a77734d0a094aae02fcca65ece644c49a")
 
 
 def test_prefix_digests_are_pinned():

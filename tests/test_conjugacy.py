@@ -54,6 +54,23 @@ def test_commuting_square_specific_streams():
         assert rep.isometry_d_E is None
 
 
+def test_commuting_square_lists_the_mismatched_indices(monkeypatch):
+    # a derivative that changes entries 3 and 5 of the window, and the
+    # tail, is caught at those indices
+    real = SeriesFn.derivative
+
+    def broken(f):
+        d = real(f)
+        pre = list(d.coeffs.prefix(7))
+        pre[3], pre[5] = pre[3] + 1, pre[5] - 2
+        return SeriesFn(EventuallyPeriodic(tuple(pre), (Fraction(7),)), d.gamma, d.origin)
+
+    monkeypatch.setattr(SeriesFn, "derivative", broken)
+    rep = check_commuting_square(ONES, 1, window=10)
+    assert rep.mismatches == (3, 5, 7, 8, 9, 10)
+    assert not rep.tail_matches and not rep.passed
+
+
 def test_commuting_square_checks_the_actual_derivative():
     # the embedded derivative must agree with a difference quotient
     a = EventuallyPeriodic((0, 1, 1), (0, 1))

@@ -67,6 +67,30 @@ def test_difference_reads_a_minus_b(pair):
     assert d.sup_abs() == max(abs(c) for c in entries)
 
 
+symbols = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2)))
+enumerations = st.builds(lambda vs, k: WordEnumeration(Alphabet(tuple(vs)), k),
+                         st.lists(symbols, min_size=1, max_size=3, unique=True), st.integers(0, 3))
+mixed = st.one_of(streams(symbols), enumerations)
+
+
+def rebuilt(s):
+    """The stream s from a separate construction: an eventually periodic
+    one with its period spelled out once more in the preamble."""
+    if isinstance(s, WordEnumeration):
+        return WordEnumeration(Alphabet(s.alphabet.values), s.offset)
+    return EventuallyPeriodic(s.preamble + s.period, s.period + s.period)
+
+
+@PROPERTY
+@given(st.one_of(pairs, st.tuples(mixed, mixed), mixed.map(lambda s: (s, rebuilt(s)))))
+@example((WordEnumeration(Alphabet((1,))), EventuallyPeriodic((1, 1), (1,))))
+@example((WordEnumeration(Alphabet((0, 1)), 2), WordEnumeration(Alphabet((0, 1)), 2)))
+@example((WordEnumeration(Alphabet((0, 1)), 2), WordEnumeration(Alphabet((0, 1)), 3)))
+def test_same_stream_agrees_with_the_sup_of_the_difference(pair):
+    a, b = pair
+    assert same_stream(a, b) == (difference(a, b).sup_abs() == 0)
+
+
 @PROPERTY
 @given(pairs)
 def test_d_E_contains_the_brute_force_sum(pair):

@@ -292,16 +292,10 @@ def test_power_leaves_the_shared_mpmath_context_alone(monkeypatch):
     assert root2.width < Fraction(1, 10**30)
 
 
-def test_power_floats_keep_an_infinite_upper_end():
-    assert PowerFn(Fraction(3, 2)).bounds_floats(1.0, math.inf) == (1.0, math.inf)
-
-
-# PowerFn.bounds_floats against exact rationals and against the 53-bit
-# mpmath interval power it replaced for small exponent terms
+# PowerFn.of_ratio against exact rationals and against the 53-bit mpmath
+# interval power it replaced for small exponent terms
 
 TOP = sys.float_info.max
-CHECKED_EXPONENTS = [Fraction(3, 2), Fraction(4, 3), Fraction(5, 2), Fraction(9, 4),
-                     Fraction(7, 2), Fraction(11, 10)]
 FALLBACK_EXPONENT = Fraction(65, 64)  # m = 65 is past the integer check
 _REF_IV = mpmath.ctx_iv.MPIntervalContext()
 
@@ -328,68 +322,69 @@ def _ref_up(q: Fraction) -> float:
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
-def mpmath_bounds_floats(e: Fraction, lo: float, hi: float) -> tuple:
-    """The mpmath route bounds_floats took for every exponent: one 53-bit
-    interval power, its endpoints rounded outward to doubles."""
+def mpmath_of_ratio(e: Fraction, n: int, d: int) -> tuple:
+    """The mpmath route PowerFn took for every exponent: one 53-bit
+    interval power of n / d, its endpoints rounded outward to doubles."""
     _REF_IV.prec = 53
     ive = _REF_IV.mpf(e.numerator) / _REF_IV.mpf(e.denominator)
-    out_lo, out_hi = (_REF_IV.mpf([lo, hi]) ** ive)._mpi_
+    out_lo, out_hi = ((_REF_IV.mpf(n) / _REF_IV.mpf(d)) ** ive)._mpi_
     hi_up = math.inf if out_hi == mpmath.libmp.finf else _ref_up(_ref_fraction(out_hi))
     return (max(0.0, _ref_down(_ref_fraction(out_lo))), hi_up)
 
 
-finite_nonnegative = st.floats(min_value=0.0, max_value=TOP)
+def _assert_encloses(e: Fraction, x: Fraction, got: tuple) -> None:
+    """got[0] <= x**e <= got[1], checked on exact rationals."""
+    m, q = e.numerator, e.denominator
+    assert Fraction(got[0]) ** q <= x**m
+    assert got[1] == math.inf or Fraction(got[1]) ** q >= x**m
+
+
+def _assert_tightest(e: Fraction, x: Fraction, got: tuple) -> None:
+    """got is the largest double at most x**e and the least double at
+    least x**e (the largest double and +inf past the range), checked on
+    exact rationals."""
+    _assert_encloses(e, x, got)
+    m, q = e.numerator, e.denominator
+    up = math.nextafter(got[0], math.inf)
+    assert up == math.inf or Fraction(up) ** q > x**m
+    if got[1] == math.inf:
+        assert Fraction(TOP) ** q < x**m
+    else:
+        down = math.nextafter(got[1], -math.inf)
+        assert got[1] == 0.0 or Fraction(down) ** q < x**m
+
+
+checked_exponents = st.builds(Fraction, st.integers(1, _MAX_CHECKED_TERM), st.integers(1, _MAX_CHECKED_TERM))
+ratios = st.one_of(
+    st.floats(min_value=0.0, max_value=TOP).map(float.as_integer_ratio),
+    st.tuples(st.integers(0, 2**200), st.integers(1, 2**200)),
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(CHECKED_EXPONENTS + [FALLBACK_EXPONENT]), finite_nonnegative,
-       st.one_of(finite_nonnegative, st.just(math.inf)))
-@example(Fraction(3, 2), 0.0, 0.0)
-@example(Fraction(4, 3), 5e-324, TOP)
-@example(Fraction(11, 10), TOP, math.inf)
-@example(FALLBACK_EXPONENT, 5e-324, 2.0**-1000)
-def test_power_floats_are_certified_tightest_and_never_wider(e, a, b):
-    lo, hi = min(a, b), max(a, b)
-    got = PowerFn(e).bounds_floats(lo, hi)
-    m, q = e.numerator, e.denominator
-
-    def at_most(y: float, x: float) -> bool:  # y <= x**e, exactly
-        return Fraction(y) ** q <= Fraction(x) ** m
-
-    def at_least(y: float, x: float) -> bool:  # y >= x**e, exactly
-        return Fraction(y) ** q >= Fraction(x) ** m
-
-    assert at_most(got[0], lo)
-    assert got[1] == math.inf or at_least(got[1], hi)
-    ref = mpmath_bounds_floats(e, lo, hi)
-    assert ref[0] <= got[0] and got[1] <= ref[1]
-    if e == FALLBACK_EXPONENT:
-        assert got == ref
+@given(st.one_of(checked_exponents, st.just(FALLBACK_EXPONENT)), ratios)
+@example(Fraction(3, 2), (0, 1))
+@example(Fraction(4, 3), (1, 2**1074))
+@example(Fraction(11, 10), TOP.as_integer_ratio())
+@example(Fraction(3, 2), (10**400, 3))
+@example(Fraction(3, 2), (1, 10**400))
+@example(Fraction(31, 16), (2**200, 3))
+@example(Fraction(32, 31), (1, 2**200 - 1))
+@example(FALLBACK_EXPONENT, (1, 2**1000))
+def test_power_floats_are_certified_tightest_and_never_wider(e, ratio):
+    # every exponent with terms up to the integer check's limit, on
+    # doubles and on ratios of integers up to 2^200: the tightest doubles,
+    # so never wider than the mpmath route
+    n, d = ratio
+    got = PowerFn(e).of_ratio(n, d)
+    if e != FALLBACK_EXPONENT:
+        _assert_tightest(e, Fraction(n, d), got)
         return
-    # tightest: the next double inward fails the check
-    above_lo = math.nextafter(got[0], math.inf)
-    assert above_lo == math.inf or not at_most(above_lo, lo)
-    if got[1] == math.inf:
-        assert hi == math.inf or not at_least(TOP, hi)
-    else:
-        assert got[1] == 0.0 or not at_least(math.nextafter(got[1], -math.inf), hi)
-
-
-def _assert_tightest(e: Fraction, lo: float, hi: float, got: tuple) -> None:
-    """got is the largest double at most lo**e and the least double at
-    least hi**e (max double and +inf past the range), checked on exact
-    rationals."""
-    m, q = e.numerator, e.denominator
-    below = got[0] == TOP or Fraction(got[0]) ** q <= Fraction(lo) ** m
-    above = got[1] == math.inf or Fraction(got[1]) ** q >= Fraction(hi) ** m
-    assert below and above
-    up = math.nextafter(got[0], math.inf)
-    assert up == math.inf or Fraction(up) ** q > Fraction(lo) ** m
-    if got[1] == math.inf:
-        assert hi == math.inf or Fraction(TOP) ** q < Fraction(hi) ** m
-    else:
-        down = math.nextafter(got[1], -math.inf)
-        assert got[1] == 0.0 or Fraction(down) ** q < Fraction(hi) ** m
+    # the fallback is certified, and on a double (where mpmath's 53-bit
+    # conversion of n / d is exact) it is the mpmath route itself
+    _assert_encloses(e, Fraction(n, d), got)
+    if d & (d - 1) == 0 and n < 2**53:
+        assert got == mpmath_of_ratio(e, n, d)
 
 
 TINY = 2.0**-1022  # least normal double
@@ -418,15 +413,35 @@ TINY = 2.0**-1022  # least normal double
     (Fraction(31, 2), 4.0, (2.0**31, 2.0**31)),
 ])
 def test_power_floats_switch_range_at_the_double_ends(e, x, want):
-    got = PowerFn(e).bounds_floats(x, x)
-    _assert_tightest(e, x, x, got)
+    got = PowerFn(e).of_ratio(*x.as_integer_ratio())
+    _assert_tightest(e, Fraction(x), got)
     if want is not None:
         assert got == want
 
 
-def test_power_floats_of_infinite_ends():
-    for e in (Fraction(3, 2), FALLBACK_EXPONENT):
-        assert PowerFn(e).bounds_floats(math.inf, math.inf) == (TOP, math.inf)
-        assert PowerFn(e).bounds_floats(4.0, math.inf)[1] == math.inf
+@pytest.mark.parametrize("e, n, d, want", [
+    # exact roots of ratios that are not doubles
+    (Fraction(3, 2), 9, 4, (3.375, 3.375)),
+    (Fraction(1, 2), 1, 9, None),
+    (Fraction(4, 3), 8, 27, None),
+    (Fraction(2, 3), 27 * 10**300, 8 * 10**300, (2.25, 2.25)),
+    # past either end of the double range
+    (Fraction(3, 2), 10**400, 3, (TOP, math.inf)),
+    (Fraction(3, 2), 1, 10**400, (0.0, 5e-324)),
+    (Fraction(5, 2), 0, 7, (0.0, 0.0)),
+], ids=["9/4", "1/9", "8/27", "unreduced-27/8", "huge", "tiny", "zero"])
+def test_power_of_ratio_is_tightest_at_ratios_that_are_not_doubles(e, n, d, want):
+    got = PowerFn(e).of_ratio(n, d)
+    _assert_tightest(e, Fraction(n, d), got)
+    if want is not None:
+        assert got == want
+
+
+def test_power_of_ratio_refuses_negative_ratios_and_exponents():
+    for n, d in ((-1, 2), (1, 0), (1, -2)):
+        with pytest.raises(DomainError):
+            PowerFn(Fraction(3, 2)).of_ratio(n, d)
+        with pytest.raises(DomainError):
+            PowerFn(FALLBACK_EXPONENT).of_ratio(n, d)
     with pytest.raises(DomainError):
         PowerFn(Fraction(-3, 2))

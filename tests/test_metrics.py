@@ -198,11 +198,11 @@ def test_fractional_quadrature_takes_no_mpmath_power(monkeypatch):
     assert box.lo <= RHO32_EXP <= box.hi
     assert calls == []
     # exponents past the integer check are seen to take the mpmath route,
-    # PowerFn through power(), one mpmath power per end
-    PowerFn(Fraction(65, 64)).bounds_floats(1.0, 2.0)
-    assert len(calls) == 2
+    # PowerFn through power(), one mpmath power per ratio
+    PowerFn(Fraction(65, 64)).of_ratio(3, 2)
+    assert len(calls) == 1
     power(2, Fraction(1, 33))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_rho_p_fractional_exponent_past_the_double_range_is_enclosed():

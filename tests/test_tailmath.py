@@ -206,8 +206,10 @@ def test_least_index_raises_past_the_cap(monkeypatch):
     monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 20)
     assert tailmath.least_index(lambda n: n == 20, 0, "n = 20") == 20
     assert tailmath.least_index(lambda n: n == 16, 8, "n = 16", step=8) == 16
-    with pytest.raises(InfeasibleTolerance, match="up to 20 certifies n = 21"):
+    with pytest.raises(InfeasibleTolerance, match="up to 20 certifies n = 21") as info:
         tailmath.least_index(lambda n: n == 21, 0, "n = 21")
+    # a ToleranceUnreachable that names its limit
+    assert isinstance(info.value, ToleranceUnreachable) and info.value.kind == "index-cap"
     with pytest.raises(InfeasibleTolerance):
         tailmath.least_index(lambda n: n == 12, 8, "n = 12", step=8)
 
