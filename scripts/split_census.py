@@ -1,12 +1,14 @@
-"""Fractional-p splits and integer roots of one benchmark pass.
+"""L^p kernel splits and integer roots of one benchmark pass.
 
     python3 scripts/split_census.py --workload lp-grid --seed 2
 
 Imports the package from this checkout's src/ and the workload from its
 perfbench/, runs pass 0 of the workload once under
-`chaoslab.metrics.count_splits()`, and prints one JSON line: the splits
-of every kind (taylor, crude, root-taylor, root-crude, nonmonotone), their
-total, and `roots`, the `intervals._root` calls the pass made.  Those are
+`chaoslab.metrics.count_splits()`, and prints one JSON line: the
+fractional-p splits of every kind (taylor, crude, root-taylor, root-crude,
+nonmonotone) and their total; the odd-p sign partition's halved root
+panels (int-split) and bracketed ones (int-bracket); and `roots`, the
+`intervals._root` calls the pass made.  Those are
 counted by wrapping the module attribute, which `power()` and `PowerFn`
 look up at call time.  Nothing is timed, and perfbench is only imported.
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
+INT_KINDS = ("int-split", "int-bracket")
 
 
 def census(workload: str, seed: int) -> dict:
@@ -40,7 +43,8 @@ def census(workload: str, seed: int) -> dict:
     finally:
         intervals._root = root
     return {"workload": workload, "seed": seed, **{k: splits[k] for k in KINDS},
-            "total": splits.total(), "roots": len(roots)}
+            "total": sum(splits[k] for k in KINDS), **{k: splits[k] for k in INT_KINDS},
+            "roots": len(roots)}
 
 
 def main(argv=None) -> int:

@@ -41,9 +41,17 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   Farouki & Rajan 1988).  Even p takes the whole window as one panel,
   with no sign analysis at all.  For odd p, panels whose Bernstein
   coefficients share a sign integrate exactly; the others, which hold
-  the roots, contribute [|int D^p|, h * max|b_j|^p].
-* other p: the same Bernstein panels, refined depth first, each with one
-  sixth-order Taylor model of |D|^p (Davis & Rabinowitz 1984).  Where D
+  the roots, contribute [|int D^p|, h * max|b_j|^p] until refined.  A
+  root panel whose coefficients change sign once holds one simple root
+  (Descartes' rule of signs in Bernstein form), which exact integer signs
+  of D bracket between dyadics: D^p integrates exactly on both sides,
+  from one antiderivative of D^p over the whole window, and only the
+  bracket, about 2^-44 of the panel, keeps width.  Other root panels
+  are halved.
+* other p: the same Bernstein panels, refined depth first under one
+  budget (a kept panel passes the share it did not use on to the next),
+  each with one sixth-order Taylor model of |D|^p (Davis & Rabinowitz
+  1984).  Where D
   is sign-definite it is expanded about the panel's midpoint, where the
   odd moments vanish; where D is monotone across a root it writes D =
   a_0 + (t - t~) Q about a point t~ near the root, and |t - t~|^p is
@@ -406,6 +414,142 @@ def _convolution_power(beta: List[int], p: int) -> List[int]:
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, slots * size, size)]
 
 
+def _power_basis(b: List[int]) -> List[int]:
+    """c with sum_j c_j u^j = sum_j b_j C(n, j) u^j (1 - u)^(n - j): C(n, j)
+    times the j-th difference of b at 0."""
+    n = len(b) - 1
+    c, row = [], b
+    for j in range(n + 1):
+        c.append(math.comb(n, j) * row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return c
+
+
+# A fractional root panel's Taylor point, and the ends of an odd-p
+# bracket, lie at m / 2^_GUESS_BITS in the panel: for the Taylor point x~,
+# x~ and 1 - x~ are doubles, exactly.
+_GUESS_BITS = 53
+
+
+def _root_guess(coeffs: List[int]) -> int:
+    """m such that m / 2^_GUESS_BITS in [0, 1] is near the root of the
+    polynomial with Bernstein coefficients coeffs on [0, 1], which has one
+    simple root there (it is monotone, or its nonzero coefficients change
+    sign once): Newton's method in doubles, from the chord's root (the
+    middle when both end values are 0), on the power basis about the
+    panel end nearer to it, clamped to [0, 1].  No result rests on its
+    accuracy: it sets the width of a fractional root panel's enclosure
+    (through a_0), and where an odd-p bracket starts its search."""
+    n = len(coeffs) - 1
+    flip = 2 * abs(coeffs[0]) > abs(coeffs[n] - coeffs[0])  # nearer the right end
+    b = coeffs[::-1] if flip else coeffs
+    c = _power_basis(b)
+    top = max(map(abs, c))
+    c = [a / top for a in reversed(c)]
+    x = b[0] / (b[0] - b[n]) if b[0] != b[n] else 0.5
+    for _ in range(12):
+        v = d = 0.0
+        for a in c:
+            d = d * x + v
+            v = v * x + a
+        if not d:
+            break
+        nxt = min(1.0, max(0.0, x - v / d))
+        if nxt == x:
+            break
+        x = nxt
+    m = round(math.ldexp(x, _GUESS_BITS))
+    return (1 << _GUESS_BITS) - m if flip else m
+
+
+def _horner(a: List[int], M: int, T: int) -> int:
+    """2^(T d) times the polynomial sum_i a_i u^i of degree d = len(a) - 1
+    at u = M / 2^T, an exact integer."""
+    v = 0
+    for i, c in enumerate(reversed(a)):
+        v = v * M + (c << (T * i))
+    return v
+
+
+def _sign_changes(coeffs: List[int]) -> int:
+    """How often the nonzero integers of coeffs change sign, in order."""
+    changes, last = 0, 0
+    for b in coeffs:
+        if b:
+            if last and (b > 0) != (last > 0):
+                changes += 1
+            last = b
+    return changes
+
+
+def _root_polynomials(B: List[int], p: int, full: int) -> Tuple[List[int], List[int]]:
+    """(a, e): P = sum_i a_i u^i / L for u in [0, 1], the power basis of
+    (B, L), and (N + 1)! int_0^u P^p = sum_i e_i u^(i+1) / L^p, from the
+    convolution power of a, with full = (N + 1)!."""
+    a = _power_basis(B)
+    return a, [c * (full // (i + 1)) for i, c in enumerate(_convolution_power(a, p))]
+
+
+# The bracket's widths, in units of 2^-_GUESS_BITS of a panel: the second
+# is tried where the first misses the root
+_BRACKET_STEPS = (1 << 9, 1 << 33)
+
+
+def _bracket_root(roots: Tuple[List[int], List[int]], coeffs: List[int], k: int, j: int, S: int,
+                  N: int) -> Optional[Tuple[int, int]]:
+    """(E, w) for panel j at depth k of [0, 1], with Bernstein coefficients
+    coeffs whose nonzero entries change sign once, so one simple root r
+    lies inside, and moment S; None when no bracket is found.
+
+    Positions x in the panel are integers over 2^_GUESS_BITS.  P(x) has
+    the sign of the first nonzero coefficient for x < r and the other one
+    for x > r, so one exact integer sign of P (_horner on roots' a) puts x
+    on its side of r, or at r when it is 0.  From _root_guess's point x~,
+    which is only a start, x~ and then x~ +- each of _BRACKET_STEPS toward
+    r narrow [x_lo, x_hi] = [0, 1] around r until its width w = x_hi -
+    x_lo is at most the step.  Then E over 2^((_GUESS_BITS + k)(N + 1))
+    is (N + 1)! L^p (|int P^p du| over the panel's parts left of x_lo and
+    right of x_hi), u the window's variable, from roots' e at the points
+    u = (j + x) / 2^k; the panel's ends differ by S shifted, so its right
+    end needs no evaluation."""
+    a, e = roots
+    one = 1 << _GUESS_BITS
+    T = _GUESS_BITS + k
+    base = j << _GUESS_BITS
+    first = next(b for b in coeffs if b) > 0
+    lo, hi = 0, one
+
+    def probe(x: int):
+        nonlocal lo, hi
+        if lo < x < hi:
+            v = _horner(a, base + x, T)
+            if not v:
+                lo = hi = x
+            elif (v > 0) == first:
+                lo = x
+            else:
+                hi = x
+
+    m = _root_guess(coeffs)
+    probe(m)
+    for step in _BRACKET_STEPS:
+        probe(m + step if lo >= m else m - step)
+        if hi - lo <= step:
+            break
+    else:
+        return None
+
+    def antiderivative(x: int) -> int:
+        M = base + x
+        return M * _horner(e, M, T)
+
+    start = antiderivative(0)
+    at_lo = antiderivative(lo)
+    at_hi = at_lo if hi == lo else antiderivative(hi)
+    end = start + (S << (_GUESS_BITS * (N + 1)))
+    return abs(at_lo - start) + abs(end - at_hi), hi - lo
+
+
 def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
     < tol, on the Bernstein panels of (B, L) = _bernstein(kept, gamma).
@@ -418,6 +562,21 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
     integral is h * S / ((N + 1)! D^p) with S = sum_i c_i i! (N - i)!,
     one exact rational built from the panel's own integers; a split
     computes S for the left half only, since the halves sum to the panel.
+
+    Even p takes the whole window as one panel.  For odd p, |P|^p =
+    sign(P) P^p: a panel whose b share a sign integrates exactly, and a
+    root panel contributes [|int P^p|, h * max|b_j|^p / D^p], the panel
+    with the most slack going first until the slacks sum below tol.  A
+    popped root panel whose nonzero b change sign once holds exactly one
+    root, a simple one (Descartes' rule of signs in Bernstein form;
+    Rouillier & Zimmermann 2004).  It is bracketed between dyadics x_lo
+    <= x_hi near _root_guess's point, certified by exact integer signs of
+    P, and takes [E, E + h (x_hi - x_lo) max|b_j|^p / D^p], E the sum of
+    |int P^p dt| over the panel's parts before x_lo and after x_hi, each
+    read off one antiderivative of the power-basis convolution power of P
+    on the whole window (_bracket_root).  A root hit exactly gives x_lo = x_hi
+    and no slack.  Any other popped root panel, and one popped again
+    after its bracket, is halved.
 
     The work grows as N^2 times the integers' size, which grows with p,
     so N (p for a constant) past _MAX_POWER_DEGREE raises at once: for
@@ -443,14 +602,13 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
 
     if p % 2 == 0:
         return BoundInterval.exact(Fraction(gn * moment(B), den))
-    # odd p: |P|^p = sign(P) * P^p, so panels whose Bernstein
-    # coefficients share a sign integrate exactly and only the others,
-    # which hold the roots, carry width: up to h * max|b_j|^p / D^p.
     settled = pending = Fraction(0)
     heap: List[tuple] = []
     panels = 0
+    census = _census
+    roots = None  # _bracket_root's polynomials, built on the first bracket
 
-    def classify(coeffs: List[int], k: int, S: int):
+    def classify(coeffs: List[int], k: int, j: int, S: int):
         nonlocal settled, pending, panels
         panels += 1
         unit = den << (k * (N + 1))
@@ -460,19 +618,39 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
             return
         slack = Fraction((max(map(abs, coeffs)) ** p * full - abs(S)) * gn, unit)
         pending += slack
-        heapq.heappush(heap, (-slack, panels, coeffs, k, S, lower))
+        heapq.heappush(heap, (-slack, panels, coeffs, k, j, S, lower, False))
 
-    classify(B, 0, moment(B))
+    classify(B, 0, 0, moment(B))
     while heap and pending >= tol:
-        neg_slack, _, coeffs, k, S, _ = heapq.heappop(heap)
+        neg_slack, key, coeffs, k, j, S, _, bracketed = heapq.heappop(heap)
         pending += neg_slack
+        if not bracketed and _sign_changes(coeffs) == 1:
+            if roots is None:
+                roots = _root_polynomials(B, p, full)
+            got = _bracket_root(roots, coeffs, k, j, S, N)
+            if got is not None:
+                exact, width = got
+                if census is not None:
+                    census["int-bracket"] += 1
+                lower = Fraction(exact * gn, den << ((_GUESS_BITS + k) * (N + 1)))
+                if not width:
+                    settled += lower
+                    continue
+                # h (x_hi - x_lo) max|b_j|^p / D^p, x_hi - x_lo = width / 2^_GUESS_BITS
+                slack = Fraction(width * max(map(abs, coeffs)) ** p * full * gn,
+                                 den << (_GUESS_BITS + k * (N + 1)))
+                pending += slack
+                heapq.heappush(heap, (-slack, key, coeffs, k, j, S, lower, True))
+                continue
+        if census is not None:
+            census["int-split"] += 1
         left, right = _split(coeffs)
         S_left = moment(left)
-        classify(left, k + 1, S_left)
-        classify(right, k + 1, (S << (N + 1)) - S_left)
+        classify(left, k + 1, 2 * j, S_left)
+        classify(right, k + 1, 2 * j + 1, (S << (N + 1)) - S_left)
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(f"sign partition exceeded {_MAX_PANELS} panels", kind="panel-cap")
-    lo = settled + sum(item[-1] for item in heap)
+    lo = settled + sum(item[6] for item in heap)
     return BoundInterval(lo, lo + pending)
 
 
@@ -601,43 +779,6 @@ def _f6_at(k: Sequence[tuple], r1, r2, r3, r4, r5, r6) -> Tuple[float, float]:
                            _fi_mul(r6, ck)))
 
 
-# A root panel's Taylor point is x~ = m / 2^_GUESS_BITS: it and 1 - x~ are
-# doubles, exactly.
-_GUESS_BITS = 53
-
-
-def _root_guess(coeffs: List[int]) -> int:
-    """m such that m / 2^_GUESS_BITS in [0, 1] is near the root of the
-    polynomial with Bernstein coefficients coeffs on [0, 1], which is
-    monotone with one root there: Newton's method in doubles, from the
-    chord's root, on the power basis about the panel end nearer to it.
-    No result rests on its accuracy, only the width of the root panel's
-    enclosure (through a_0)."""
-    n = len(coeffs) - 1
-    flip = 2 * abs(coeffs[0]) > abs(coeffs[n] - coeffs[0])  # nearer the right end
-    b = coeffs[::-1] if flip else coeffs
-    c, row = [], b
-    for j in range(n + 1):  # the power basis: C(n, j) times the j-th difference
-        c.append(math.comb(n, j) * row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
-    top = max(map(abs, c))
-    c = [a / top for a in reversed(c)]
-    x = b[0] / (b[0] - b[n])
-    for _ in range(12):
-        v = d = 0.0
-        for a in c:
-            d = d * x + v
-            v = v * x + a
-        if not d:
-            break
-        nxt = min(1.0, max(0.0, x - v / d))
-        if nxt == x:
-            break
-        x = nxt
-    m = round(math.ldexp(x, _GUESS_BITS))
-    return (1 << _GUESS_BITS) - m if flip else m
-
-
 def _taylor_at(B: List[int], m: int, s: int) -> List[int]:
     """A_0..A_J, J = min(n, 6): the polynomial with Bernstein coefficients
     B / den on [0, 1] has Taylor coefficients A_j / (den 2^(s n)) about
@@ -666,12 +807,14 @@ _census: Optional[Counter] = None
 
 @contextlib.contextmanager
 def count_splits() -> Iterator[Counter]:
-    """Count the fractional-p quadrature's splits inside the block, by the
-    bound that left the split panel too wide: "taylor" (the Taylor model
-    on a sign-definite panel), "crude" (a sign-definite panel on the crude
-    bound), "root-taylor" (a monotone root panel after its Taylor model),
-    "root-crude" (a monotone root panel whose model's remainder alone was
-    too wide) and "nonmonotone" (any other root panel).
+    """Count the L^p kernels' work inside the block, by kind.  The
+    fractional-p quadrature's splits go by the bound that left the split
+    panel too wide: "taylor" (the Taylor model on a sign-definite panel),
+    "crude" (a sign-definite panel on the crude bound), "root-taylor" (a
+    monotone root panel after its Taylor model), "root-crude" (a monotone
+    root panel whose model's remainder alone was too wide) and
+    "nonmonotone" (any other root panel).  The odd-p sign partition counts "int-split" for a halved root panel
+    and "int-bracket" for one settled around its bracketed root.
 
         with metrics.count_splits() as splits:
             rho_p(f, g, LpSpec(Fraction(3, 2), 1))
@@ -731,7 +874,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
       remainder shrinks as h^(p+7); its order-0 case is product
       integration, |P| = |P'(xi)| |x - r|.  It needs no root, so it is
       worked out first, and a panel whose remainder alone cannot meet its
-      share keeps the crude bound without the root search.
+      budget keeps the crude bound without the root search.
 
     Every panel also has the crude bound h * range(|P|^p), which shrinks
     superlinearly at a root since |P|^p is tiny there; it is all that any
@@ -750,8 +893,11 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     rounding cannot meet.
 
     Refinement is depth first: a panel is kept once its width is at most
-    its share tol * h / gamma, so only the current path holds coefficient
-    lists, and the width is tol plus the outward rounding of the sums.
+    its budget, its share tol * h / gamma plus the carry, what the panels
+    kept before it left of theirs (rounded down).  So one budget is spent
+    across the window, as in globally adaptive quadrature (Piessens et al.
+    1983), only the current path holds coefficient lists, and the width
+    is tol plus the outward rounding of the sums.
     The double bookkeeping floors the reachable tolerance near 1e-14 *
     integral (ones against zero at p = 3/2, gamma 1: rho_p reaches tol
     1e-13, not 1e-14), far below anything the callers request.  A panel
@@ -826,12 +972,12 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             return max(0.0, crude[0]), crude[1], False
         return lo, hi, (lo, hi) == body
 
-    def root_taylor(coeffs: List[int], den: int, h: tuple, share: float,
+    def root_taylor(coeffs: List[int], den: int, h: tuple, budget: float,
                     crude: tuple) -> Tuple[tuple, str]:
         """(enclosure, kind) on a panel whose first differences share one
         strict sign, by the Taylor model across its one root; kind
-        "root-crude" when the model's remainder alone is wider than share,
-        and the crude bound stands."""
+        "root-crude" when the model's remainder alone is wider than the
+        panel's budget, and the crude bound stands."""
         if coeffs[n] < coeffs[0]:  # |P|^p = |-P|^p: take P increasing
             coeffs = [-b for b in coeffs]
         spans, row = [], coeffs
@@ -846,7 +992,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         except ToleranceUnreachable:
             return crude, "root-crude"
         rem = remainder((pw.of_ratio(d_lo, den)[0], pw.of_ratio(d_hi, den)[1]), r)
-        if (rem[1] - rem[0]) * m6_least * h[0] > share:
+        if (rem[1] - rem[0]) * m6_least * h[0] > budget:
             return crude, "root-crude"
         m = _root_guess(coeffs)
         A = _taylor_at(coeffs, m, _GUESS_BITS)
@@ -869,7 +1015,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             body = (_fdn(body[0] - pert), _fup(body[1] + pert))
         return clip(body, h, crude)[:2], "root-taylor"
 
-    def panel_enclosure(coeffs: List[int], k: int, share: float) -> Tuple[float, float, float, str]:
+    def panel_enclosure(coeffs: List[int], k: int, budget: float) -> Tuple[float, float, float, str]:
         """(lo, hi, r, kind): r is the part of hi - lo that shrinks faster
         than h (the h^7 remainder; all of it where the crude bound binds),
         and kind names the bound that made the enclosure, for count_splits."""
@@ -884,7 +1030,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             dmin, dmax = min(row), max(row)
             if not (dmin > 0 or dmax < 0):
                 return crude + (math.inf, "nonmonotone")
-            crude, kind = root_taylor(coeffs, den, h, share, crude)
+            crude, kind = root_taylor(coeffs, den, h, budget, crude)
             return crude + (math.inf, kind)
         if bmax < 0:  # Q's coefficients
             coeffs = [-b for b in coeffs]
@@ -908,15 +1054,18 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     # one below it rounds to 0.0
     tol_dn = max(0.0, _fc(min(tol, Fraction(2**1000)))[0])
     lo_sum = hi_sum = 0.0
+    carry = 0.0  # the share that accepted panels left unused
     panels = 1
     census = _census
     while stack:
         coeffs, k = stack.pop()
         share = math.ldexp(tol_dn, -k)
-        lo, hi, shrinking, kind = panel_enclosure(coeffs, k, share)
-        if hi - lo <= share:
+        budget = _fdn(share + carry) if carry else share
+        lo, hi, shrinking, kind = panel_enclosure(coeffs, k, budget)
+        if hi - lo <= budget:
             lo_sum = _fdn(lo_sum + lo)
             hi_sum = _fup(hi_sum + hi)
+            carry = max(0.0, _fdn(budget - (hi - lo)))
             continue
         panels += 2
         if census is not None:
@@ -1082,7 +1231,9 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     the difference (its support, when finite), from the p = 1 sign
     partition refined to slack = gamma * sup|a_n - b_n| * zeta_13(gamma),
     the most the tail can move the integral (positive for any nonzero
-    difference); minus that tail where there is one.  Lets separation
+    difference), where a root panel with one sign change settles in its
+    bracket, exact but for about 2^-44 of the panel; minus that tail
+    where there is one.  Lets separation
     checks skip the full quadrature when the bound clears their threshold.
     """
     if f.gamma != g.gamma or f.origin != g.origin:

@@ -396,7 +396,7 @@ def test_verify_all_output_is_pinned():
         "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
     assert len(enclosures) == 2397
     assert digest._sha256(enclosures) == (
-        "942ffe56048c31e1468b3974e81da16a77734d0a094aae02fcca65ece644c49a")
+        "427e29d9f6f5ffad684084f774b50099f51c6b755e33cd4dd5169a18612ab244")
 
 
 def test_prefix_digests_are_pinned():

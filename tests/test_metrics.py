@@ -219,13 +219,15 @@ PAIR0 = (EventuallyPeriodic((0, 0, 0, 0), (-3, Fraction(1, 2))),
 
 @pytest.mark.parametrize(
     "a, b, p, gamma, tol, passes",
-    # lp-grid's first pair: the first pass at p = 3 is integrated to tol,
-    # and its root is too wide
-    [(*PAIR0, Fraction(3), Fraction(1, 2), Fraction(1, 10**6), 2)]
+    # lp-grid's first pair at p = 3: its one root panel settles in a
+    # bracket whose slack is far below tol, so the first pass's root is
+    # narrow enough (halving the panel to tol left it too wide)
+    [(*PAIR0, Fraction(3), Fraction(1, 2), Fraction(1, 10**6), 1)]
     # the first pass's integral reaches down to 0, so the second pass's
     # tolerance comes from the concavity bound: 1 - 2000t on [0, 1/1000]
-    # at p = 3, and at p = 3/2 (1 - 2000t)(1 - 4000t), whose two roots
-    # keep the first panel off the root panels' Taylor model
+    # at p = 3, whose first panel's slack is already below tol, and at
+    # p = 3/2 (1 - 2000t)(1 - 4000t), whose two roots keep the first panel
+    # off the root panels' Taylor model
     + [(FiniteSupport((1, -2000)), ZEROS, Fraction(3), Fraction(1, 1000), Fraction(1, 50), 2),
        (FiniteSupport((1, -6000, 16_000_000)), ZEROS, Fraction(3, 2), Fraction(1, 1000),
         Fraction(1, 50), 2)]
@@ -276,8 +278,10 @@ def test_tolerance_unreachable_names_the_limit_it_met(monkeypatch):
     assert double.value.kind == "double-range"
     assert ToleranceUnreachable("a message").kind is None
     monkeypatch.setattr(metrics, "_MAX_PANELS", 2)
-    # a root for the quadratures, an interior maximum for the sup
-    for coeffs, p in (((1, -5, 3), Fraction(3, 2)), ((1, -5, 3), 3), ((0, 1, -2), math.inf)):
+    # a root for the fractional quadrature, two in one panel for odd p (one
+    # settles in a bracket: 1 - 5t + 3t^2/2 at p = 3 needs no split), an
+    # interior maximum for the sup
+    for coeffs, p in (((1, -5, 3), Fraction(3, 2)), ((2, -11, 24), 3), ((0, 1, -2), math.inf)):
         with pytest.raises(ToleranceUnreachable, match="panels") as cap:
             rho_p(series(FiniteSupport(coeffs)), series(ZEROS), LpSpec(p, 1), Fraction(1, 10**9))
         assert cap.value.kind == "panel-cap"
@@ -423,6 +427,16 @@ def test_split_census_counts_by_kind_and_only_inside_its_block():
     counts = (dict(outer), dict(inner))
     rho_p(f, g, spec, Fraction(1, 10**8))  # outside every block: nothing counted
     assert (dict(outer), dict(inner)) == counts
+    # the odd-p sign partition counts its own kinds: 1 - 5t + 3t^2/2 at
+    # p = 3 settles its one root panel in a bracket; 1 - 11t/2 + 12t^2 has
+    # two roots in the window, so that panel is halved and each half
+    # bracketed; even p takes the window whole
+    with metrics.count_splits() as odd:
+        for coeffs, p in (((1, -5, 3), 3), ((2, -11, 24), 3), ((2, -11, 24), 2)):
+            rho_p(series(FiniteSupport(coeffs)), series(ZEROS), LpSpec(p, 1), Fraction(1, 10**9))
+            if coeffs == (1, -5, 3):
+                assert dict(odd) == {"int-bracket": 1}
+    assert dict(odd) == {"int-bracket": 3, "int-split": 1}
 
 
 def _split_norm_oracle(mono, r, gamma, p):
@@ -556,6 +570,122 @@ def test_one_panel_model_contains_the_quad_oracle(c, lift, root, u, gamma, p, si
         hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
         margin = mpmath.mpf(10) ** -30
         assert lo - margin <= value <= hi + margin
+
+
+@pytest.mark.parametrize("p", [1, 3, 5])
+@pytest.mark.parametrize("a, b", [(1, -2), (3, -8), (-5, 8)])
+def test_odd_power_across_a_dyadic_root_is_exact(a, b, p):
+    # the line a + bt on [0, 1] has its root at the dyadic -a/b, where the
+    # bracket's guess lands exactly: both sides integrate exactly, with no
+    # slack, to (|a|^(p+1) + |a + b|^(p+1)) / (|b| (p + 1))
+    exact = Fraction(abs(a) ** (p + 1) + abs(a + b) ** (p + 1), abs(b) * (p + 1))
+    with metrics.count_splits() as splits:
+        box = metrics._integral_abs_pow_int(*metrics._bernstein((Fraction(a), Fraction(b)), Fraction(1)),
+                                            Fraction(1), p, Fraction(1, 10**30))
+    assert box.lo == box.hi == exact
+    assert dict(splits) == {"int-bracket": 1}
+
+
+@pytest.mark.parametrize("end", ["left", "right"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_odd_power_holds_when_the_guess_is_a_panel_end(monkeypatch, end, p):
+    # _root_guess needs no certificate: pinned to a panel end, the bracket
+    # widens toward the root, and past its widest step the panel is halved
+    top = 1 << metrics._GUESS_BITS
+    monkeypatch.setattr(metrics, "_root_guess", lambda coeffs: 0 if end == "left" else top)
+    mono = [Fraction(1), Fraction(-5), Fraction(3, 2)]  # a root near 0.213
+    tol = Fraction(1, 10**12)
+    with metrics.count_splits() as splits:
+        box = metrics._integral_abs_pow_int(*metrics._bernstein((1, -5, 3), Fraction(1)), Fraction(1), p, tol)
+    assert box.width < tol
+    assert splits["int-split"] > 0
+    _assert_contains(box, _odd_power_oracle(mono, Fraction(1), p))
+
+
+def _odd_power_oracle(mono, gamma, p):
+    """mpmath 50-digit int_0^gamma |P|^p for odd p, P with monomial
+    coefficients mono: P^p's exact antiderivative at the real roots from
+    mpmath.polyroots in the window, each piece signed by P at its middle."""
+    power = [Fraction(1)]
+    for _ in range(p):
+        power = [sum(power[i] * mono[k - i] for i in range(len(power)) if 0 <= k - i < len(mono))
+                 for k in range(len(power) + len(mono) - 1)]
+    anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(power)]
+    g = gamma
+    with mpmath.workdps(50):
+        cuts = [mpmath.mpf(0), mpmath.mpf(g.numerator) / g.denominator]
+        q = list(mono)
+        while len(q) > 1 and q[-1] == 0:
+            q.pop()
+        low = next((i for i, c in enumerate(q) if c), len(q))
+        if len(q) - low > 1:
+            # a multiple root at 0 stalls Durand-Kerner; divide out the power of t
+            roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator for c in q[low:][::-1]],
+                                     maxsteps=500, extraprec=400)
+            cuts += [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-30 and 0 < mpmath.re(r) < cuts[1]]
+        cuts.sort()
+    # the pieces cancel in P^p's large coefficients, so sum them well past 50 digits
+    with mpmath.workdps(400):
+        def at(coeffs, t):
+            return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in coeffs[::-1]], t)
+        value = mpmath.mpf(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            value += mpmath.sign(at(mono, (lo + hi) / 2)) * (at(anti, hi) - at(anti, lo))
+        return +value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=9),
+    st.one_of(st.none(), st.integers(0, 2**29 - 1)),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+    st.sampled_from([1, 3, 5]),
+)
+@example([1], 0, Fraction(1), 3)  # roots at 0 and 2^-30
+@example([3, -1], 2**28, Fraction(2), 5)  # roots at 1/4 and 1/4 + 2^-30, and at 3
+@example([-2, 0, 1], None, Fraction(2), 1)  # a root at sqrt(2)
+@example([0, 0, 0, 1], None, Fraction(1), 3)  # t^3: a triple root at 0
+def test_odd_power_integral_contains_the_piecewise_oracle(c, pair, gamma, p):
+    # P = sum c_k t^k, times (2^30 t - pair)(2^30 t - pair - 1), whose
+    # roots 2^-30 apart lie in [0, 1/2], when pair is drawn; degree <= 8
+    mono = [Fraction(x) for x in c]
+    if pair is not None:
+        mono = mono[:7]
+        for r in (pair, pair + 1):  # times 2^30 t - r
+            mono = [(2**30 * mono[k - 1] if k else 0) - (r * mono[k] if k < len(mono) else 0)
+                    for k in range(len(mono) + 1)]
+    kept = tuple(x * math.factorial(k) for k, x in enumerate(mono))
+    B, L = metrics._bernstein(kept, gamma)
+    scale = gamma * Fraction(max(map(abs, B)), L) ** p
+    tol = scale / 10**12 if scale else Fraction(1)
+    box = metrics._integral_abs_pow_int(B, L, gamma, p, tol)
+    assert box.width < tol
+    value = _odd_power_oracle(mono, gamma, p)
+    with mpmath.workdps(50):
+        margin = (mpmath.mpf(scale.numerator) / scale.denominator) * mpmath.mpf(10) ** -40
+        lo = mpmath.mpf(box.lo.numerator) / box.lo.denominator
+        hi = mpmath.mpf(box.hi.numerator) / box.hi.denominator
+        assert lo - margin <= value <= hi + margin
+
+
+@pytest.mark.parametrize("p", [Fraction(4, 3), Fraction(3, 2)])
+def test_fractional_panels_pass_unused_share_on_and_stay_within_tol(p):
+    # 2 - 3t + t^3/6 on [0, 2], a root near 0.69, at tol 1e-10: tens of
+    # panels, each kept within its share plus what the panels before it
+    # left unused, and the whole enclosure still within tol of its width
+    # and around a 40-digit mpmath.quad value
+    gamma, tol = Fraction(2), Fraction(1, 10**10)
+    B, L, s = _unit_kernel([Fraction(2), Fraction(-3), Fraction(0), Fraction(1, 6)], gamma)
+    with metrics.count_splits() as splits:
+        box = metrics._integral_abs_pow_frac(B, L, gamma, p, tol)
+    assert splits.total() >= 10
+    assert box.width <= tol
+    with mpmath.workdps(40):
+        value = (_lp_norm_oracle([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)], gamma, p)
+                 / (mpmath.mpf(s.numerator) / s.denominator)) ** (mpmath.mpf(p.numerator) / p.denominator)
+        margin = mpmath.mpf(10) ** -30
+        assert mpmath.mpf(box.lo.numerator) / box.lo.denominator - margin <= value
+        assert value <= mpmath.mpf(box.hi.numerator) / box.hi.denominator + margin
 
 
 def _schoolbook_power(beta, p):
