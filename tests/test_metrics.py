@@ -606,14 +606,9 @@ def _odd_power_oracle(mono, gamma, p):
     """mpmath 50-digit int_0^gamma |P|^p for odd p, P with monomial
     coefficients mono: P^p's exact antiderivative at the real roots from
     mpmath.polyroots in the window, each piece signed by P at its middle."""
-    power = [Fraction(1)]
-    for _ in range(p):
-        power = [sum(power[i] * mono[k - i] for i in range(len(power)) if 0 <= k - i < len(mono))
-                 for k in range(len(power) + len(mono) - 1)]
-    anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(power)]
-    g = gamma
+    anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(_schoolbook_power(mono, p))]
     with mpmath.workdps(50):
-        cuts = [mpmath.mpf(0), mpmath.mpf(g.numerator) / g.denominator]
+        cuts = [mpmath.mpf(0), mpmath.mpf(gamma.numerator) / gamma.denominator]
         q = list(mono)
         while len(q) > 1 and q[-1] == 0:
             q.pop()
@@ -672,8 +667,8 @@ def test_odd_power_integral_contains_the_piecewise_oracle(c, pair, gamma, p):
 def test_fractional_panels_pass_unused_share_on_and_stay_within_tol(p):
     # 2 - 3t + t^3/6 on [0, 2], a root near 0.69, at tol 1e-10: tens of
     # panels, each kept within its share plus what the panels before it
-    # left unused, and the whole enclosure still within tol of its width
-    # and around a 40-digit mpmath.quad value
+    # left unused; the whole enclosure is no wider than tol and holds a
+    # 40-digit mpmath.quad value
     gamma, tol = Fraction(2), Fraction(1, 10**10)
     B, L, s = _unit_kernel([Fraction(2), Fraction(-3), Fraction(0), Fraction(1, 6)], gamma)
     with metrics.count_splits() as splits:
