@@ -24,8 +24,9 @@ and the traced runs report (the metrics.*, sampling.*, tailmath.*,
 intervals.* and coeffspace.* layers, verify's per-module wall times and
 the trace.* figures); and, under
 "enclosures", each side's digests of its lp-grid enclosures, of the
-prefix-sweep family and its d_E enclosures, and of its verify stdout and
-verify rho_p enclosures, whether the two sides match, and under
+prefix-sweep family and its d_E enclosures, and of its verify stdout,
+verify rho_p enclosures and rho_1_lower_bound values, whether the two
+sides match, and under
 "against" how many of the change's enclosures moved from the parent's in
 each section, and of those how many are narrower, wider, inside the
 parent's or disjoint from it.  Nothing here is a gate: it only records

@@ -1,6 +1,7 @@
 """Digests of a tree's certified output: every rho_p enclosure of one
 lp-grid pass, the prefix-sweep family with its d_E enclosures, and the
-stdout and the rho_p enclosures of `chaos-lab verify --suite all --seed 0`.
+stdout, the rho_p enclosures and the rho_1_lower_bound values of
+`chaos-lab verify --suite all --seed 0`.
 
     python3 scripts/enclosure_digest.py TREE
 
@@ -11,14 +12,16 @@ TREE/perfbench.  One pass of that workload at seed 2 runs with every
 endpoints, a raise as its exception class.  The prefix digests hash
 `sampling.difference_streams((-2, ..., 2), 5, 2)`, the prefix-sweep
 family, stream by stream in order, and `metrics.d_E(d, 0)` of each.  The
-verify run records every rho_p enclosure its suites make, in order, as
-the verify-all workload observes them; its stdout rounds them, so two
-trees can print the same report from different enclosures.  Every
+verify run records every rho_p enclosure and every rho_1_lower_bound
+value its suites make, in order, as the verify-all workload observes
+them (a value v as the point enclosure "v v"); its stdout rounds them,
+so two trees can print the same report from different enclosures.  Every
 rational is written as hex numerator/denominator.  Prints one JSON line:
 
     {"lp_grid": {"enclosures": N, "failed": M, "sha256": "..."},
      "prefix": {"streams": S, "family_sha256": "...", "d_E_sha256": "..."},
      "verify_rho_p": {"enclosures": V, "sha256": "..."},
+     "verify_rho_1_lower": {"enclosures": W, "sha256": "..."},
      "verify_sha256": "..."}
 
 Two trees whose lines are equal computed the same rationals, and printed
@@ -28,8 +31,8 @@ the same verify report, bit for bit.
 
 also records PARENT_TREE's enclosures (in a second process, run with
 `--records`, which prints them as JSON) and adds to the line PARENT_TREE's
-digests and, for each of the lp_grid, prefix d_E and verify_rho_p
-sections, how many calls both trees made, how many raised on either side,
+digests and, for each of the lp_grid, prefix d_E, verify_rho_p and
+verify_rho_1_lower sections, how many calls both trees made, how many raised on either side,
 how many enclosures moved, and of those how many are narrower, wider,
 inside the parent's, or disjoint from it:
 
@@ -114,20 +117,27 @@ def prefix_digest(coeffspace, metrics, sampling) -> dict:
 
 
 def verify_records(cli, metrics, tracing) -> tuple:
-    """(rho_p enclosures as lines, stdout, exit code) of the verify run."""
-    lines = []
-    rho_p = metrics.rho_p
+    """(rho_p enclosures as lines, rho_1_lower_bound values as point
+    lines, stdout, exit code) of the verify run."""
+    lines, lower = [], []
+    rho_p, rho_1_lower_bound = metrics.rho_p, metrics.rho_1_lower_bound
 
     def recorded(*args, **kwargs):
         rho = rho_p(*args, **kwargs)
         lines.append(f"{_hex(rho.lo)} {_hex(rho.hi)}")
         return rho
 
+    def recorded_lower(*args, **kwargs):
+        v = rho_1_lower_bound(*args, **kwargs)
+        lower.append(f"{_hex(v)} {_hex(v)}")
+        return v
+
     out = io.StringIO()
     with tracing.Patches() as patches, contextlib.redirect_stdout(out):
         patches.replace_everywhere(rho_p, recorded)
+        patches.replace_everywhere(rho_1_lower_bound, recorded_lower)
         code = cli.main(["verify", "--suite", "all", "--seed", "0"])
-    return lines, out.getvalue(), code
+    return lines, lower, out.getvalue(), code
 
 
 def records(tree: Path) -> dict:
@@ -139,10 +149,11 @@ def records(tree: Path) -> dict:
 
     if not Path(metrics.__file__).resolve().is_relative_to(tree):
         sys.exit(f"enclosure_digest: chaoslab was imported from {metrics.__file__}, not {tree}")
-    verify_rho_p, stdout, _ = verify_records(cli, metrics, tracing)
+    verify_rho_p, verify_rho_1_lower, stdout, _ = verify_records(cli, metrics, tracing)
     streams, d_E = prefix_records(coeffspace, metrics, sampling)
     return {"lp_grid": lp_grid_records(metrics, workloads), "prefix_streams": streams,
-            "prefix": d_E, "verify_rho_p": verify_rho_p, "verify_stdout": stdout}
+            "prefix": d_E, "verify_rho_p": verify_rho_p, "verify_rho_1_lower": verify_rho_1_lower,
+            "verify_stdout": stdout}
 
 
 def digests(rec: dict) -> dict:
@@ -150,8 +161,8 @@ def digests(rec: dict) -> dict:
             "prefix": {"streams": len(rec["prefix_streams"]),
                        "family_sha256": _sha256(rec["prefix_streams"]),
                        "d_E_sha256": _sha256(rec["prefix"])},
-            "verify_rho_p": {"enclosures": len(rec["verify_rho_p"]),
-                             "sha256": _sha256(rec["verify_rho_p"])},
+            **{section: {"enclosures": len(rec[section]), "sha256": _sha256(rec[section])}
+               for section in ("verify_rho_p", "verify_rho_1_lower")},
             "verify_sha256": hashlib.sha256(rec["verify_stdout"].encode("utf-8")).hexdigest()}
 
 
@@ -198,7 +209,8 @@ def main(argv) -> int:
         parent = json.loads(done.stdout)
         line["against"] = {"parent": digests(parent),
                            **{section: compare(parent[section], rec[section])
-                              for section in ("lp_grid", "prefix", "verify_rho_p")}}
+                              for section in ("lp_grid", "prefix", "verify_rho_p",
+                                              "verify_rho_1_lower")}}
     print(json.dumps(line, sort_keys=True))
     return 0
 

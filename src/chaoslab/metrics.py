@@ -36,33 +36,32 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   Bernstein kernel: a panel's largest |coefficient| bounds |D| there,
   its end coefficients are exact values of D, and halving it is integer
   de Casteljau (Garloff 1986; Rouillier & Zimmermann 2004).
-* integer p: the same panels integrate D^p exactly, from the integer
-  convolution power of their coefficients (the Bernstein-form product;
-  Farouki & Rajan 1988).  Even p takes the whole window as one panel,
-  with no sign analysis at all.  For odd p, panels whose Bernstein
-  coefficients share a sign integrate exactly; the others, which hold
-  the roots, contribute [|int D^p|, h * max|b_j|^p] until refined.  A
-  root panel whose coefficients change sign once holds one simple root
-  (Descartes' rule of signs in Bernstein form), which exact integer signs
-  of D bracket between dyadics: D^p integrates exactly on both sides,
-  from one antiderivative of D^p over the whole window, and only the
-  bracket, about 2^-44 of the panel, keeps width.  Other root panels
-  are halved.
+* integer p: every integral of D^p is read off one exact integer
+  antiderivative of D^p over the whole window, built once per call from
+  the convolution power of D's power-basis coefficients.  Even p takes
+  its value at the window's end, with no sign analysis at all.  For odd
+  p, the same panels carry the antiderivative's exact values at their
+  ends: panels whose Bernstein coefficients share a sign integrate
+  exactly; the others, which hold the roots, contribute [|int D^p|, h *
+  max|b_j|^p] until refined.  A root panel whose coefficients change
+  sign once holds one simple root (Descartes' rule of signs in
+  Bernstein form), which exact integer signs of D bracket between
+  dyadics: D^p integrates exactly on both sides, and only the bracket,
+  about 2^-44 of the panel, keeps width.  Other root panels are halved.
 * other p: the same Bernstein panels, refined depth first under one
   budget (a kept panel passes the share it did not use on to the next),
   each with one sixth-order Taylor model of |D|^p (Davis & Rabinowitz
-  1984).  Where D
-  is sign-definite it is expanded about the panel's midpoint, where the
-  odd moments vanish; where D is monotone across a root it writes D =
-  a_0 + (t - t~) Q about a point t~ near the root, and |t - t~|^p is
-  integrated against the degree-5 Taylor polynomial of |Q|^p in
-  closed-form moments (product integration carried to order 6).  One
-  chain-rule recursion (_chain_rule) turns the exact integer Taylor
-  coefficients of D into those of the power, one integer quotient each,
-  and bounds its sixth derivative on the panel for a remainder that
-  shrinks as h^7 (h^(p+7) across a root).  Every model is intersected
-  with the crude range-times-width bound, which is all any other root
-  panel takes.  The derivative bounds are read off a panel's
+  1984).  Where D is sign-definite it is expanded about the panel's
+  midpoint, where the odd moments vanish; where D is monotone across a
+  root it writes D = a_0 + (t - t~) Q about a point t~ near the root,
+  and |t - t~|^p is integrated against the degree-5 Taylor polynomial of
+  |Q|^p in closed-form moments (product integration carried to order
+  6).  One chain-rule recursion (_chain_rule) turns the exact integer
+  Taylor coefficients of D into those of the power, one integer quotient
+  each, and bounds its sixth derivative on the panel for a remainder
+  that shrinks as h^7 (h^(p+7) across a root).  Every model is
+  intersected with the crude range-times-width bound, which is all any
+  other root panel takes.  The derivative bounds are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
   each pointwise power comes from intervals.PowerFn as the tightest
   doubles around one integer root of the exact ratio of integers it
@@ -393,19 +392,20 @@ def _sup_abs_on(B: List[int], L: int, tol: Fraction) -> BoundInterval:
             raise ToleranceUnreachable(f"sup refinement exceeded {_MAX_PANELS} panels", kind="panel-cap")
 
 
-def _convolution_power(beta: List[int], p: int) -> List[int]:
-    """The p-th convolution power c of the integers beta (p >= 1), by
-    Kronecker substitution: beta sits in slots of s bits of one int X, low
-    index first, and c in those of X^p.  With n = len(beta) - 1 each c_i
-    sums at most (n + 1)^(p-1) products of p entries, so |c_i| is below
-    2^(s - 2) for s = p bitlen(max|beta|) + (p - 1) bitlen(n) + 2.  Adding
-    2^(s-1) to every slot makes them all nonnegative, and the bytes of the
-    sum read them off in one pass (s rounded up to whole bytes)."""
-    n = len(beta) - 1
-    size = (p * max(map(abs, beta)).bit_length() + (p - 1) * n.bit_length() + 9) // 8
+def _convolution_power(a: List[int], p: int) -> List[int]:
+    """The p-th convolution power c of the integers a (p >= 1): the
+    coefficients of (sum_i a_i u^i)^p.  By Kronecker substitution: a sits
+    in slots of s bits of one int X, low index first, and c in those of
+    X^p.  With n = len(a) - 1 each c_i sums at most (n + 1)^(p-1) products
+    of p entries, so |c_i| is below 2^(s - 2) for s = p bitlen(max|a|) +
+    (p - 1) bitlen(n) + 2.  Adding 2^(s-1) to every slot makes them all
+    nonnegative, and the bytes of the sum read them off in one pass (s
+    rounded up to whole bytes)."""
+    n = len(a) - 1
+    size = (p * max(map(abs, a)).bit_length() + (p - 1) * n.bit_length() + 9) // 8
     s = 8 * size
     X = 0
-    for b in reversed(beta):
+    for b in reversed(a):
         X = (X << s) + b
     slots = p * n + 1
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
@@ -482,152 +482,124 @@ def _sign_changes(coeffs: List[int]) -> int:
     return changes
 
 
-def _root_polynomials(B: List[int], p: int, full: int) -> Tuple[List[int], List[int]]:
-    """(a, e): P = sum_i a_i u^i / L for u in [0, 1], the power basis of
-    (B, L), and (N + 1)! int_0^u P^p = sum_i e_i u^(i+1) / L^p, from the
-    convolution power of a, with full = (N + 1)!."""
-    a = _power_basis(B)
-    return a, [c * (full // (i + 1)) for i, c in enumerate(_convolution_power(a, p))]
-
-
 # The bracket's widths, in units of 2^-_GUESS_BITS of a panel: the second
 # is tried where the first misses the root
 _BRACKET_STEPS = (1 << 9, 1 << 33)
-
-
-def _bracket_root(roots: Tuple[List[int], List[int]], coeffs: List[int], k: int, j: int, S: int,
-                  N: int) -> Optional[Tuple[int, int]]:
-    """(E, w) for panel j at depth k of [0, 1], with Bernstein coefficients
-    coeffs whose nonzero entries change sign once, so one simple root r
-    lies inside, and moment S; None when no bracket is found.
-
-    Positions x in the panel are integers over 2^_GUESS_BITS.  P(x) has
-    the sign of the first nonzero coefficient for x < r and the other one
-    for x > r, so one exact integer sign of P (_horner on roots' a) puts x
-    on its side of r, or at r when it is 0.  From _root_guess's point x~,
-    which is only a start, x~ and then x~ +- each of _BRACKET_STEPS toward
-    r narrow [x_lo, x_hi] = [0, 1] around r until its width w = x_hi -
-    x_lo is at most the step.  Then E over 2^((_GUESS_BITS + k)(N + 1))
-    is (N + 1)! L^p (|int P^p du| over the panel's parts left of x_lo and
-    right of x_hi), u the window's variable, from roots' e at the points
-    u = (j + x) / 2^k; the panel's ends differ by S shifted, so its right
-    end needs no evaluation."""
-    a, e = roots
-    one = 1 << _GUESS_BITS
-    T = _GUESS_BITS + k
-    base = j << _GUESS_BITS
-    first = next(b for b in coeffs if b) > 0
-    lo, hi = 0, one
-
-    def probe(x: int):
-        nonlocal lo, hi
-        if lo < x < hi:
-            v = _horner(a, base + x, T)
-            if not v:
-                lo = hi = x
-            elif (v > 0) == first:
-                lo = x
-            else:
-                hi = x
-
-    m = _root_guess(coeffs)
-    probe(m)
-    for step in _BRACKET_STEPS:
-        probe(m + step if lo >= m else m - step)
-        if hi - lo <= step:
-            break
-    else:
-        return None
-
-    def antiderivative(x: int) -> int:
-        M = base + x
-        return M * _horner(e, M, T)
-
-    start = antiderivative(0)
-    at_lo = antiderivative(lo)
-    at_hi = at_lo if hi == lo else antiderivative(hi)
-    end = start + (S << (_GUESS_BITS * (N + 1)))
-    return abs(at_lo - start) + abs(end - at_hi), hi - lo
 
 
 def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
     < tol, on the Bernstein panels of (B, L) = _bernstein(kept, gamma).
 
-    A panel at depth k holds b_0..b_n over D = L * 2^(kn) and has width
-    h = gamma / 2^k.  With beta_j = C(n, j) b_j and N = p n, P^p is
-    D^-p sum_i c_i u^i (1 - u)^(N - i), c the p-th convolution power of
-    beta (the Bernstein-form product; Farouki & Rajan 1988), and each
-    basis term integrates to i! (N - i)! / (N + 1)!.  So the panel's
-    integral is h * S / ((N + 1)! D^p) with S = sum_i c_i i! (N - i)!,
-    one exact rational built from the panel's own integers; a split
-    computes S for the left half only, since the halves sum to the panel.
+    In the window's variable u = t / gamma, P = sum_i a_i u^i / L with a =
+    _power_basis(B), and with N = p n, (N + 1)! L^p int_0^u P^p =
+    sum_i e_i u^(i+1), e_i = (N + 1)! / (i + 1) times the i-th entry of
+    the p-th convolution power of a.  Every integral is read off this one
+    exact antiderivative, built once per call: at u = M / 2^T it is A(M,
+    T) / 2^(T (N + 1)) with the integer A(M, T) = M _horner(e, M, T).
+    Even p takes the whole window, A(1, 0) = sum(e), with no sign
+    analysis at all.
 
-    Even p takes the whole window as one panel.  For odd p, |P|^p =
-    sign(P) P^p: a panel whose b share a sign integrates exactly, and a
-    root panel contributes [|int P^p|, h * max|b_j|^p / D^p], the panel
-    with the most slack going first until the slacks sum below tol.  A
-    popped root panel whose nonzero b change sign once holds exactly one
-    root, a simple one (Descartes' rule of signs in Bernstein form;
-    Rouillier & Zimmermann 2004).  It is bracketed between dyadics x_lo
-    <= x_hi near _root_guess's point, certified by exact integer signs of
-    P, and takes [E, E + h (x_hi - x_lo) max|b_j|^p / D^p], E the sum of
-    |int P^p dt| over the panel's parts before x_lo and after x_hi, each
-    read off one antiderivative of the power-basis convolution power of P
-    on the whole window (_bracket_root).  A root hit exactly gives x_lo = x_hi
-    and no slack.  Any other popped root panel, and one popped again
-    after its bracket, is halved.
+    For odd p, |P|^p = sign(P) P^p.  A panel at depth k, u in [j, j + 1] /
+    2^k of width h = gamma / 2^k, holds b_0..b_n over D = L * 2^(kn) and
+    its exact ends A(j, k) and A(j + 1, k); halving it evaluates A once,
+    at the midpoint, since A(2j, k + 1) = 2^(N + 1) A(j, k).  A panel whose
+    b share a sign integrates exactly, and a root panel contributes
+    [|int P^p|, h * max|b_j|^p / D^p], the panel with the most slack going
+    first until the slacks sum below tol.  A popped root panel whose
+    nonzero b change sign once holds exactly one root, a simple one
+    (Descartes' rule of signs in Bernstein form; Rouillier & Zimmermann
+    2004).  bracket() brackets it between dyadics x_lo <= x_hi, integers
+    over 2^_GUESS_BITS in the panel: P(x) has the sign of the first
+    nonzero b for x < r and the other one for x > r, so one exact integer
+    sign of P (_horner on a) puts x on its side of r, or at r when it is
+    0.  From _root_guess's point x~, which is only a start, x~ and then x~
+    +- each of _BRACKET_STEPS toward r narrow [0, 1] around r until its
+    width is at most the step.  The panel then takes [E, E + h (x_hi -
+    x_lo) max|b_j|^p / D^p], E the sum of |int P^p dt| over its parts
+    before x_lo and after x_hi, from A at x_lo, x_hi and the stored ends.
+    A root hit exactly gives x_lo = x_hi and no slack.  Any other popped
+    root panel, and one popped again after its bracket, is halved.
 
     The work grows as N^2 times the integers' size, which grows with p,
     so N (p for a constant) past _MAX_POWER_DEGREE raises at once: for
     ones against zero at the default tol, p > 128 at gamma 1 (n = 16;
-    p = 101 takes 1.4 s, 151 4.5 s) and p > 85 at gamma 2 (n = 24).
+    p = 101 takes 1.0-1.5 s, 127 2.2-3.3 s, on a 2-core Xeon) and p > 85
+    at gamma 2 (n = 24).
     """
     n = len(B) - 1
     N = n * p
     if max(N, p) > _MAX_POWER_DEGREE:
         raise ToleranceUnreachable(f"|P|^{p} has degree {N}, past the budget {_MAX_POWER_DEGREE}",
                                    kind="degree-cap")
-    binom = [math.comb(n, j) for j in range(n + 1)]
-    weight = [math.factorial(i) * math.factorial(N - i) for i in range(N + 1)]
     full = math.factorial(N + 1)
-    # a panel's integral is gn * S / (den << k (N + 1))
+    a = _power_basis(B)
+    e = [c * (full // (i + 1)) for i, c in enumerate(_convolution_power(a, p))]
+
+    def A(M: int, T: int) -> int:
+        return M * _horner(e, M, T)
+
+    # an integral A / 2^(T (N + 1)) is gn * A / (den << T (N + 1))
     gn = gamma.numerator
     den = gamma.denominator * full * L**p
-
-    def moment(coeffs: List[int]) -> int:
-        """S, from the convolution power c of beta."""
-        c = _convolution_power([b * m for b, m in zip(coeffs, binom)], p)
-        return sum(x * w for x, w in zip(c, weight))
-
     if p % 2 == 0:
-        return BoundInterval.exact(Fraction(gn * moment(B), den))
+        return BoundInterval.exact(Fraction(gn * sum(e), den))
     settled = pending = Fraction(0)
     heap: List[tuple] = []
     panels = 0
     census = _census
-    roots = None  # _bracket_root's polynomials, built on the first bracket
 
-    def classify(coeffs: List[int], k: int, j: int, S: int):
+    def classify(coeffs: List[int], k: int, j: int, ends: Tuple[int, int]):
         nonlocal settled, pending, panels
         panels += 1
         unit = den << (k * (N + 1))
-        lower = Fraction(abs(S) * gn, unit)
+        S = abs(ends[1] - ends[0])
+        lower = Fraction(S * gn, unit)
         if min(coeffs) >= 0 or max(coeffs) <= 0:
             settled += lower
             return
-        slack = Fraction((max(map(abs, coeffs)) ** p * full - abs(S)) * gn, unit)
+        slack = Fraction((max(map(abs, coeffs)) ** p * full - S) * gn, unit)
         pending += slack
-        heapq.heappush(heap, (-slack, panels, coeffs, k, j, S, lower, False))
+        heapq.heappush(heap, (-slack, panels, coeffs, k, j, ends, lower, False))
 
-    classify(B, 0, 0, moment(B))
+    def bracket(coeffs: List[int], k: int, j: int, ends: Tuple[int, int]) -> Optional[Tuple[int, int]]:
+        """(E, x_hi - x_lo) with E over 2^((_GUESS_BITS + k)(N + 1)), or
+        None when no bracket is found."""
+        T = _GUESS_BITS + k
+        base = j << _GUESS_BITS
+        first = next(b for b in coeffs if b) > 0
+        lo, hi = 0, 1 << _GUESS_BITS
+
+        def probe(x: int):
+            nonlocal lo, hi
+            if lo < x < hi:
+                v = _horner(a, base + x, T)
+                if not v:
+                    lo = hi = x
+                elif (v > 0) == first:
+                    lo = x
+                else:
+                    hi = x
+
+        m = _root_guess(coeffs)
+        probe(m)
+        for step in _BRACKET_STEPS:
+            probe(m + step if lo >= m else m - step)
+            if hi - lo <= step:
+                break
+        else:
+            return None
+        start, end = (x << (_GUESS_BITS * (N + 1)) for x in ends)
+        at_lo = A(base + lo, T)
+        at_hi = at_lo if hi == lo else A(base + hi, T)
+        return abs(at_lo - start) + abs(end - at_hi), hi - lo
+
+    classify(B, 0, 0, (0, sum(e)))
     while heap and pending >= tol:
-        neg_slack, key, coeffs, k, j, S, _, bracketed = heapq.heappop(heap)
+        neg_slack, key, coeffs, k, j, ends, _, bracketed = heapq.heappop(heap)
         pending += neg_slack
         if not bracketed and _sign_changes(coeffs) == 1:
-            if roots is None:
-                roots = _root_polynomials(B, p, full)
-            got = _bracket_root(roots, coeffs, k, j, S, N)
+            got = bracket(coeffs, k, j, ends)
             if got is not None:
                 exact, width = got
                 if census is not None:
@@ -640,14 +612,15 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
                 slack = Fraction(width * max(map(abs, coeffs)) ** p * full * gn,
                                  den << (_GUESS_BITS + k * (N + 1)))
                 pending += slack
-                heapq.heappush(heap, (-slack, key, coeffs, k, j, S, lower, True))
+                heapq.heappush(heap, (-slack, key, coeffs, k, j, ends, lower, True))
                 continue
         if census is not None:
             census["int-split"] += 1
         left, right = _split(coeffs)
-        S_left = moment(left)
-        classify(left, k + 1, 2 * j, S_left)
-        classify(right, k + 1, 2 * j + 1, (S << (N + 1)) - S_left)
+        M = 2 * j + 1
+        mid = A(M, k + 1)
+        classify(left, k + 1, 2 * j, (ends[0] << (N + 1), mid))
+        classify(right, k + 1, M, (mid, ends[1] << (N + 1)))
         if panels > _MAX_PANELS:
             raise ToleranceUnreachable(f"sign partition exceeded {_MAX_PANELS} panels", kind="panel-cap")
     lo = settled + sum(item[6] for item in heap)
@@ -813,8 +786,9 @@ def count_splits() -> Iterator[Counter]:
     "crude" (a sign-definite panel on the crude bound), "root-taylor" (a
     monotone root panel after its Taylor model), "root-crude" (a monotone
     root panel whose model's remainder alone was too wide) and
-    "nonmonotone" (any other root panel).  The odd-p sign partition counts "int-split" for a halved root panel
-    and "int-bracket" for one settled around its bracketed root.
+    "nonmonotone" (any other root panel).  The odd-p sign partition
+    counts "int-split" for a halved root panel and "int-bracket" for one
+    settled around its bracketed root.
 
         with metrics.count_splits() as splits:
             rho_p(f, g, LpSpec(Fraction(3, 2), 1))

@@ -388,15 +388,19 @@ def _module(relpath: str):
 
 def test_verify_all_output_is_pinned():
     # refactors must leave this output byte for byte as it is, and every
-    # rho_p enclosure the suites make rational for rational
+    # rho_p enclosure and rho_1_lower_bound value the suites make rational
+    # for rational
     digest = _module("scripts/enclosure_digest.py")
-    enclosures, out, code = digest.verify_records(cli, metrics, _module("perfbench/tracing.py"))
+    enclosures, lower, out, code = digest.verify_records(cli, metrics, _module("perfbench/tracing.py"))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "9bf7e5eb35d3e5587543a6f9584e08e183a4d4b9ddb118e00db860ff33d26f0f")
     assert len(enclosures) == 2397
     assert digest._sha256(enclosures) == (
         "427e29d9f6f5ffad684084f774b50099f51c6b755e33cd4dd5169a18612ab244")
+    assert len(lower) == 1092
+    assert digest._sha256(lower) == (
+        "c324b5e2b2df8e45ea9329ca8a28c5248de41677777e7c0722e18fc1e75859ff")
 
 
 def test_prefix_digests_are_pinned():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab.coeffspace import (
@@ -703,6 +703,27 @@ def _schoolbook_power(beta, p):
 @example([0, 0, 0], 3)
 def test_convolution_power_matches_the_schoolbook_product(beta, p):
     assert metrics._convolution_power(beta, p) == _schoolbook_power(beta, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=7),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+    st.integers(1, 6),
+)
+@example([1, 1, 1, 1, 1, 1, 1], Fraction(2), 6)
+@example([0], Fraction(1), 3)  # the zero polynomial
+@example([2, -1], Fraction(2), 5)  # a line with its root at the window's end
+def test_exact_integer_power_is_the_schoolbook_antiderivative(c, gamma, p):
+    # P = sum c_k t^k.  Where p is even, or P's Bernstein coefficients on
+    # the window share a sign, the kernel's enclosure has width 0 and is
+    # |int_0^gamma P^p|, from P^p's Fraction antiderivative term by term
+    mono = [Fraction(x) for x in c]
+    B, L = metrics._bernstein(tuple(x * math.factorial(k) for k, x in enumerate(mono)), gamma)
+    assume(p % 2 == 0 or min(B) >= 0 or max(B) <= 0)
+    value = sum(x * gamma ** (k + 1) / (k + 1) for k, x in enumerate(_schoolbook_power(mono, p)))
+    box = metrics._integral_abs_pow_int(B, L, gamma, p, Fraction(1, 10**30))
+    assert box.lo == box.hi == abs(value)
 
 
 def test_chain_rule_gives_the_derivatives_of_a_power():
