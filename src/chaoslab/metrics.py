@@ -416,13 +416,14 @@ def _convolution_power(a: List[int], p: int) -> List[int]:
 
 def _power_basis(b: List[int]) -> List[int]:
     """c with sum_j c_j u^j = sum_j b_j C(n, j) u^j (1 - u)^(n - j): C(n, j)
-    times the j-th difference of b at 0."""
+    times the j-th difference of b at 0, differenced in place (the inverse
+    of _bernstein's Pascal loop)."""
     n = len(b) - 1
-    c, row = [], b
-    for j in range(n + 1):
-        c.append(math.comb(n, j) * row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
-    return c
+    d = list(b)
+    for r in range(n):
+        for j in range(n, r, -1):
+            d[j] -= d[j - 1]
+    return [math.comb(n, j) * x for j, x in enumerate(d)]
 
 
 # A fractional root panel's Taylor point, and the ends of an odd-p
