@@ -32,9 +32,9 @@ the same verify report, bit for bit.
 also records PARENT_TREE's enclosures (in a second process, run with
 `--records`, which prints them as JSON) and adds to the line PARENT_TREE's
 digests and, for each of the lp_grid, prefix d_E, verify_rho_p and
-verify_rho_1_lower sections, how many calls both trees made, how many raised on either side,
-how many enclosures moved, and of those how many are narrower, wider,
-inside the parent's, or disjoint from it:
+verify_rho_1_lower sections, how many calls both trees made, how many
+raised on either side, how many enclosures moved, and of those how many
+are narrower, wider, inside the parent's, or disjoint from it:
 
     "against": {"parent": {"lp_grid": .., "prefix": .., ...},
                 "lp_grid": {"calls": [P, C], "moved": M, "narrower": ..,
