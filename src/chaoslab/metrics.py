@@ -56,10 +56,11 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   root it writes D = a_0 + (t - t~) Q about a point t~ near the root,
   and |t - t~|^p is integrated against the degree-5 Taylor polynomial of
   |Q|^p in closed-form moments (product integration carried to order
-  6).  One chain-rule recursion (_chain_rule) turns the exact integer
-  Taylor coefficients of D into those of the power, one integer quotient
-  each, and bounds its sixth derivative on the panel for a remainder
-  that shrinks as h^7 (h^(p+7) across a root).  Every model is
+  6).  Miller's recurrence for the powers of a power series
+  (_power_taylor) turns the exact integer Taylor coefficients of D into
+  those of the power, one integer quotient each, and Faa di Bruno's
+  formula (_f6_coefficients) bounds its sixth derivative on the panel for
+  a remainder that shrinks as h^7 (h^(p+7) across a root).  Every model is
   intersected with the crude range-times-width bound, which is all any
   other root panel takes.  The derivative bounds are read off a panel's
   coefficients and their differences in outward-rounded doubles, and
@@ -85,7 +86,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import tailmath
 from .coeffspace import (
@@ -700,13 +701,14 @@ def _fi_sq(a) -> Tuple[float, float]:
 
 
 # The sixth-order rule's derivatives.  Where Q > 0 on a panel of width h,
-# with R_j = h^j Q^(j) / Q, h^k (Q^p)^(k) = Q^p F_k(R_1, ..., R_k), and
-# since h R_j' = R_(j+1) - R_1 R_j,
+# with R_j = h^j Q^(j) / Q, h^k (Q^p)^(k) = Q^p F_k(R_1, ..., R_k), and by
+# Faa di Bruno's formula (Comtet 1974), with (p)_m = p (p - 1) ... (p - m + 1),
 #
-#     F_0 = 1,  F_(k+1) = p R_1 F_k + sum_j dF_k/dR_j (R_(j+1) - R_1 R_j).
+#     F_k / k! = sum over e_1 + 2 e_2 + ... + k e_k = k of
+#                (p)_m prod_j R_j^(e_j) / ((j!)^(e_j) e_j!),  m = sum_j e_j,
 #
-# F_k is a sum of monomials of weight k, one per partition of k; these
-# are F_6's, as exponents of R_1 ... R_6.
+# one monomial per partition of k; these are F_6's, as exponents of
+# R_1 ... R_6.
 _F6_MONOMIALS = (
     (6, 0, 0, 0, 0, 0), (4, 1, 0, 0, 0, 0), (3, 0, 1, 0, 0, 0), (2, 2, 0, 0, 0, 0),
     (2, 0, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0), (0, 3, 0, 0, 0, 0),
@@ -714,28 +716,35 @@ _F6_MONOMIALS = (
 )
 
 
-@lru_cache(maxsize=64)
-def _chain_rule(p: Fraction) -> Tuple[Dict[Tuple[int, ...], Fraction], ...]:
-    """(F_0, ..., F_6) for the exponent p, each {exponents of R_1..R_k:
-    coefficient}, built on first use."""
-    F = [{(): Fraction(1)}]
-    for k in range(6):
-        nxt: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in F[-1].items():
-            e = e + (0,)
-            # p R_1 F - R_1 sum_j R_j dF/dR_j takes a monomial of degree m
-            # to (p - m) R_1 times it
-            up = (e[0] + 1,) + e[1:]
-            nxt[up] = nxt.get(up, 0) + (p - sum(e)) * c
-            for j in range(k):  # R_(j+2) dF/dR_(j+1)
-                if e[j]:
-                    moved = list(e)
-                    moved[j] -= 1
-                    moved[j + 1] += 1
-                    moved = tuple(moved)
-                    nxt[moved] = nxt.get(moved, 0) + e[j] * c
-        F.append({e: c for e, c in nxt.items() if c})
-    return tuple(F)
+def _f6_coefficients(p: Fraction) -> List[Fraction]:
+    """F_6's coefficients over 6!, exact, in the order of _F6_MONOMIALS."""
+    falling = [Fraction(1)]
+    for m in range(6):
+        falling.append(falling[-1] * (p - m))
+    return [falling[sum(e)] / math.prod(math.factorial(j) ** x * math.factorial(x) for j, x in enumerate(e, 1))
+            for e in _F6_MONOMIALS]
+
+
+def _power_taylor(T: Sequence[int], p: Fraction, K: int) -> List[int]:
+    """N_0..N_K, integers: for Q with the integer Taylor coefficients T
+    about x~, T_0 != 0, and p = a/c, F_k(R) / k! = N_k / (c^k k! T_0^k) is
+    the k-th Taylor coefficient of (Q / T_0)^p.  J. C. P. Miller's
+    recurrence for the powers of a power series (Knuth, TAOCP Vol. 2,
+    4.7), cleared of its denominators: N_0 = 1 and
+
+        N_k = sum_(j=1..k) ((a + c) j - c k) T_j N_(k-j) c^(j-1) T_0^(j-1) (k-1)!/(k-j)!,
+
+    T_j = 0 past the end of T."""
+    a, c = p.numerator, p.denominator
+    T = list(T[:K + 1]) + [0] * (K + 1 - len(T))
+    N = [1]
+    for k in range(1, K + 1):
+        total, w = 0, 1  # w = c^(j-1) T_0^(j-1) (k-1)!/(k-j)!
+        for j in range(1, k + 1):
+            total += ((a + c) * j - c * k) * T[j] * N[k - j] * w
+            w *= c * T[0] * (k - j)
+        N.append(total)
+    return N
 
 
 def _f6_at(k: Sequence[tuple], r1, r2, r3, r4, r5, r6) -> Tuple[float, float]:
@@ -821,13 +830,14 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
 
         g(x~) sum_(k < 6) F_k(R) / k! M_k + range(g) F_6(R') / 6! M_6,
 
-    M_k = int_0^1 w(x) (x - x~)^k dx.  _chain_rule gives g^(k) = g F_k(R_1,
-    ..., R_k) with R_j = Q^(j) / Q.  At x~, R_j = j! T_j / T_0 for Q's
-    Taylor coefficients T_j there, integers over one denominator, and c^k
-    F_k has integer coefficients for p = a/c, so each F_k(R) / k! is one
-    integer quotient, rounded once.  In the remainder R' holds enclosures
-    of the R_j over the panel, and g^(6) / 6! times (x - x~)^6 >= 0
-    integrates to within range(g) F_6(R') / 6! M_6.  The two kinds of panel
+    M_k = int_0^1 w(x) (x - x~)^k dx, where g^(k) = g F_k(R_1, ..., R_k)
+    with R_j = Q^(j) / Q.  At x~, F_k(R) / k! is the k-th Taylor
+    coefficient of (Q / T_0)^p for Q's Taylor coefficients T_j there,
+    integers over one denominator; for p = a/c _power_taylor gives it as
+    N_k / (c^k k! T_0^k), one integer quotient, rounded once.  In the
+    remainder R' holds enclosures of the R_j over the panel, and g^(6) / 6!
+    times (x - x~)^6 >= 0 integrates to within range(g) F_6(R') / 6! M_6,
+    F_6 / 6! from _f6_coefficients, evaluated by _f6_at.  The two kinds of panel
     differ only in Q, x~, w and R':
 
     * sign-definite: Q = |P| (the b negated when P < 0), x~ = 1/2 and
@@ -885,16 +895,10 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
     pw, pw1, pw_less = PowerFn(p), PowerFn(p + 1), PowerFn(p - 1)
-    F = _chain_rule(p)
     c = p.denominator
     falling = [math.perm(n, j) for j in range(8)]
-    # F_0..F_5 as (c^k times the coefficient, the j of each factor j! T_j,
-    # the power of T_0 that brings the monomial to degree k), and c^k k!
-    terms = [[((q * c**k).numerator, [j for j, ej in enumerate(e, 1) for _ in range(ej)], k - sum(e))
-              for e, q in F[k].items()] for k in range(6)]
-    factorials = [math.factorial(k) for k in range(6)]
-    kden = [c**k * f for k, f in enumerate(factorials)]
-    f6 = [_fc(F[6].get(e, 0) / 720) for e in _F6_MONOMIALS]
+    kden = [c**k * math.factorial(k) for k in range(6)]  # c^k k!
+    f6 = [_fc(x) for x in _f6_coefficients(p)]
     # the sign-definite panels' moments about 1/2, and the weights of Q's
     # Taylor coefficients there: C(n, j) 2^j C(n - j, i)
     half_moments = [(1.0, 1.0), None, _fc(Fraction(1, 12)), None, _fc(Fraction(1, 80)), None,
@@ -916,22 +920,13 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         """g(x~) sum_k F_k(R) / k! M_k + rem M_6, over the k < 6 whose M_k
         in moments is not None, for Q's Taylor coefficients T / den
         about x~, T_0 > 0."""
-        S = [f * t for f, t in zip(factorials, T)] + [0] * (6 - len(T))
-        t0 = [1]
-        for _ in range(5):
-            t0.append(t0[-1] * T[0])
+        N = _power_taylor(T, p, 4 if moments[5] is None else 5)
         total = moments[0]
-        for k in range(1, 6):
+        for k in range(1, len(N)):
             if moments[k] is None:
                 continue
-            num = 0
-            for q, js, d in terms[k]:
-                x = q * t0[d]
-                for j in js:
-                    x *= S[j]
-                num += x
             try:
-                fk = _fi(num, num, kden[k] * t0[k])
+                fk = _fi(N[k], N[k], kden[k] * T[0] ** k)
             except ToleranceUnreachable:  # past the double range
                 return (-math.inf, math.inf)
             total = _fi_add(total, _fi_mul(fk, moments[k]))

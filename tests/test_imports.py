@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chaoslab"
@@ -100,3 +103,29 @@ def test_only_intervals_imports_mpmath():
     importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if "mpmath" in _imported_modules(path)]
     assert importers == ["intervals.py"]
+
+
+def _caches(module):
+    """{name: maxsize} for the module's lru_cache functions."""
+    return {name: f.cache_parameters()["maxsize"] for name, f in vars(module).items()
+            if hasattr(f, "cache_parameters")}
+
+
+def test_cache_scan_sees_an_unbounded_cache():
+    module = types.ModuleType("m")
+    module.kept = functools.lru_cache(maxsize=8)(abs)
+    module.grows = functools.lru_cache(maxsize=None)(abs)
+    module.also_grows = functools.cache(abs)
+    assert _caches(module) == {"kept": 8, "grows": None, "also_grows": None}
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # a long-running caller (a sweep, a server) must not grow memory
+    # without bound through a module-level cache
+    caches = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "chaoslab" if path.stem == "__init__" else f"chaoslab.{path.stem}"
+        caches.update({f"{path.stem}:{f}": size for f, size in _caches(importlib.import_module(name)).items()})
+    assert {"tailmath:_tail_sum", "tailmath:_separation_scan", "metrics:_gamma_pow", "metrics:_d_E_cut",
+            "metrics:_rho_p_cut"} <= set(caches)
+    assert [name for name, size in caches.items() if size is None] == []

@@ -726,21 +726,29 @@ def test_exact_integer_power_is_the_schoolbook_antiderivative(c, gamma, p):
     assert box.lo == box.hi == abs(value)
 
 
-def test_chain_rule_gives_the_derivatives_of_a_power():
+def _monomial_sum(coefficients, R):
+    """sum c prod_j R_j^(e_j) over {exponents of R_1, R_2, ...: c}."""
+    return sum(c * math.prod(r**e for r, e in zip(R, exps)) for exps, c in coefficients.items())
+
+
+def test_power_taylor_gives_the_derivatives_of_a_power():
+    # the corrected trapezoid's hand-written third- and fourth-derivative
+    # coefficients at p = 3/2, against Miller's recurrence on a few Q
     p = Fraction(3, 2)
-    F = metrics._chain_rule(p)
-    assert F[0] == {(): 1}
-    assert F[1] == {(1,): p}
-    assert F[3] == {(3, 0, 0): p * (p - 1) * (p - 2), (1, 1, 0): 3 * p * (p - 1), (0, 0, 1): p}
-    # the corrected trapezoid's hand-written fourth-derivative coefficients
-    assert F[4] == {(4, 0, 0, 0): p * (p - 1) * (p - 2) * (p - 3),
-                    (2, 1, 0, 0): 6 * p * (p - 1) * (p - 2),
-                    (0, 2, 0, 0): 3 * p * (p - 1), (1, 0, 1, 0): 4 * p * (p - 1),
-                    (0, 0, 0, 1): p}
-    # one monomial per partition of 6, in the order the panels evaluate
-    assert len(F[6]) == 11 and set(F[6]) == set(metrics._F6_MONOMIALS)
-    assert F[6][(6, 0, 0, 0, 0, 0)] == Fraction(315, 64)
-    assert metrics._chain_rule(p) is F  # cached per p
+    F3 = {(3, 0, 0): p * (p - 1) * (p - 2), (1, 1, 0): 3 * p * (p - 1), (0, 0, 1): p}
+    F4 = {(4, 0, 0, 0): p * (p - 1) * (p - 2) * (p - 3), (2, 1, 0, 0): 6 * p * (p - 1) * (p - 2),
+          (0, 2, 0, 0): 3 * p * (p - 1), (1, 0, 1, 0): 4 * p * (p - 1), (0, 0, 0, 1): p}
+    for T in ([1], [2, 1], [3, -1, 4], [5, 2, -7, 1], [7, -3, 0, 2, 9], [1, 10, -10, 10, -10]):
+        N = metrics._power_taylor(T, p, 4)
+        assert N[0] == 1 and N[1] == p.numerator * (T + [0])[1]
+        R = [math.factorial(j) * Fraction(t, T[0]) for j, t in enumerate(T)][1:] + [Fraction(0)] * 4
+        for k, F in ((3, F3), (4, F4)):
+            assert Fraction(N[k], p.denominator**k * T[0] ** k) == _monomial_sum(F, R)
+    # F_6 / 6!, one coefficient per partition of 6 in the order the panels
+    # evaluate: (p)_6 R_1^6 first, p R_6 last
+    f6 = metrics._f6_coefficients(p)
+    assert len(f6) == len(set(metrics._F6_MONOMIALS)) == 11
+    assert f6[0] == Fraction(315, 64) / 720 and f6[-1] == p / 720
 
 
 def _power_derivative_ratio(taylor, p, k):
@@ -756,17 +764,44 @@ def _power_derivative_ratio(taylor, p, k):
     return math.factorial(k) * total[k]
 
 
+_EXPONENTS = [Fraction(3, 2), Fraction(4, 3), Fraction(11, 2), Fraction(101, 100), Fraction(200, 3),
+              Fraction(1.1)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([Fraction(3, 2), Fraction(4, 3), Fraction(11, 2), Fraction(101, 100)]),
-       st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(lambda c: c[0] != 0),
-       st.integers(0, 6))
-def test_chain_rule_matches_the_binomial_series(p, taylor, k):
-    # with h = 1, R_j = j! a_j / a_0 for Q's Taylor coefficients a_j
+@given(st.sampled_from(_EXPONENTS),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(lambda c: c[0] != 0))
+def test_power_taylor_matches_the_binomial_series(p, taylor):
+    # with h = 1, F_k(R) with R_j = j! a_j / a_0 for Q's Taylor
+    # coefficients a_j is (Q^p)^(k) / Q^p: k! N_k / (c^k k! a_0^k) for
+    # k <= 5, and 6! times the closed-form F_6 / 6! at k = 6
+    c = p.denominator
+    N = metrics._power_taylor(taylor, p, 5)
+    for k in range(6):
+        assert Fraction(N[k], c**k * taylor[0] ** k) == _power_derivative_ratio([Fraction(a) for a in taylor], p, k)
     R = [math.factorial(j) * Fraction(a, taylor[0]) for j, a in enumerate(taylor)][1:]
     R += [Fraction(0)] * (6 - len(R))
-    value = sum(c * math.prod(r**e for r, e in zip(R, exps))
-                for exps, c in metrics._chain_rule(p)[k].items())
-    assert value == _power_derivative_ratio([Fraction(a) for a in taylor], p, k)
+    F6 = dict(zip(metrics._F6_MONOMIALS, metrics._f6_coefficients(p)))
+    assert 720 * _monomial_sum(F6, R) == _power_derivative_ratio([Fraction(a) for a in taylor], p, 6)
+
+
+_SMALL_FRACTIONS = st.fractions(-4, 4, max_denominator=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_EXPONENTS),
+       st.lists(st.tuples(_SMALL_FRACTIONS, st.sampled_from([Fraction(0), Fraction(1, 64), Fraction(1, 2)]),
+                          st.sampled_from([Fraction(0), Fraction(1, 64), Fraction(1, 2)])),
+                min_size=6, max_size=6))
+@example(Fraction(3, 2), [(Fraction(j + 1, 3), Fraction(0), Fraction(0)) for j in range(6)])
+def test_f6_at_encloses_the_closed_form(p, boxes):
+    # the hand-written Horner over boxes [R_j - l_j, R_j + u_j] holds the
+    # exact sum of F_6 / 6!'s coefficients times the monomials at R
+    f6 = metrics._f6_coefficients(p)
+    R = [r for r, _, _ in boxes]
+    r = [(metrics._fc(x - lo)[0], metrics._fc(x + hi)[1]) for x, lo, hi in boxes]
+    lo, hi = metrics._f6_at([metrics._fc(x) for x in f6], *r)
+    assert Fraction(lo) <= _monomial_sum(dict(zip(metrics._F6_MONOMIALS, f6)), R) <= Fraction(hi)
 
 
 def test_fractional_rho_p_at_tiny_coefficient_scales():
