@@ -58,8 +58,8 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   |Q|^p in closed-form moments (product integration carried to order
   6).  Miller's recurrence for the powers of a power series
   (_power_taylor) turns the exact integer Taylor coefficients of D into
-  those of the power, one integer quotient each, and Faa di Bruno's
-  formula (_f6_coefficients) bounds its sixth derivative on the panel for
+  those of the power, one integer quotient each.  Faa di Bruno's formula
+  (_f6_coefficients) gives its sixth derivative, bounded on the panel for
   a remainder that shrinks as h^7 (h^(p+7) across a root).  Every model is
   intersected with the crude range-times-width bound, which is all any
   other root panel takes.  The derivative bounds are read off a panel's
@@ -721,7 +721,8 @@ def _f6_coefficients(p: Fraction) -> List[Fraction]:
     falling = [Fraction(1)]
     for m in range(6):
         falling.append(falling[-1] * (p - m))
-    return [falling[sum(e)] / math.prod(math.factorial(j) ** x * math.factorial(x) for j, x in enumerate(e, 1))
+    return [falling[sum(e)] / math.prod(math.factorial(j) ** x * math.factorial(x)
+                                        for j, x in enumerate(e, 1))
             for e in _F6_MONOMIALS]
 
 

@@ -125,7 +125,8 @@ def test_every_cache_in_the_package_is_bounded():
     caches = {}
     for path in sorted(PACKAGE.glob("*.py")):
         name = "chaoslab" if path.stem == "__init__" else f"chaoslab.{path.stem}"
-        caches.update({f"{path.stem}:{f}": size for f, size in _caches(importlib.import_module(name)).items()})
+        module = importlib.import_module(name)
+        caches.update({f"{path.stem}:{f}": size for f, size in _caches(module).items()})
     assert {"tailmath:_tail_sum", "tailmath:_separation_scan", "metrics:_gamma_pow", "metrics:_d_E_cut",
             "metrics:_rho_p_cut"} <= set(caches)
     assert [name for name, size in caches.items() if size is None] == []

@@ -775,14 +775,14 @@ def test_power_taylor_matches_the_binomial_series(p, taylor):
     # with h = 1, F_k(R) with R_j = j! a_j / a_0 for Q's Taylor
     # coefficients a_j is (Q^p)^(k) / Q^p: k! N_k / (c^k k! a_0^k) for
     # k <= 5, and 6! times the closed-form F_6 / 6! at k = 6
-    c = p.denominator
+    c, exact = p.denominator, [Fraction(a) for a in taylor]
     N = metrics._power_taylor(taylor, p, 5)
     for k in range(6):
-        assert Fraction(N[k], c**k * taylor[0] ** k) == _power_derivative_ratio([Fraction(a) for a in taylor], p, k)
-    R = [math.factorial(j) * Fraction(a, taylor[0]) for j, a in enumerate(taylor)][1:]
+        assert Fraction(N[k], c**k * taylor[0] ** k) == _power_derivative_ratio(exact, p, k)
+    R = [math.factorial(j) * a / exact[0] for j, a in enumerate(exact)][1:]
     R += [Fraction(0)] * (6 - len(R))
     F6 = dict(zip(metrics._F6_MONOMIALS, metrics._f6_coefficients(p)))
-    assert 720 * _monomial_sum(F6, R) == _power_derivative_ratio([Fraction(a) for a in taylor], p, 6)
+    assert 720 * _monomial_sum(F6, R) == _power_derivative_ratio(exact, p, 6)
 
 
 _SMALL_FRACTIONS = st.fractions(-4, 4, max_denominator=16)
