@@ -7,10 +7,12 @@ perfbench/, runs pass 0 of the workload once under
 `chaoslab.metrics.count_splits()`, and prints one JSON line: the
 fractional-p splits of every kind (taylor, crude, root-taylor, root-crude,
 nonmonotone) and their total; the odd-p sign partition's halved root
-panels (int-split) and bracketed ones (int-bracket); and `roots`, the
-`intervals._root` calls the pass made.  Those are
-counted by wrapping the module attribute, which `power()` and `PowerFn`
-look up at call time.  Nothing is timed, and perfbench is only imported.
+panels (int-split) and bracketed ones (int-bracket); `roots`, the
+`intervals._root` calls the pass made; and `models`, the Taylor models
+the fractional-p kernel built (its `metrics._power_taylor` calls).  Those
+two are counted by wrapping the module attributes, which `power()`,
+`PowerFn` and the kernel look up at call time.  Nothing is timed, and
+perfbench is only imported.
 """
 
 from __future__ import annotations
@@ -31,20 +33,25 @@ def census(workload: str, seed: int) -> dict:
     import workloads
 
     root, roots = intervals._root, []
+    power_taylor, models = metrics._power_taylor, []
 
-    def counted(*args):
-        roots.append(None)
-        return root(*args)
+    def counted(calls, f):
+        def call(*args):
+            calls.append(None)
+            return f(*args)
+        return call
 
-    intervals._root = counted
+    intervals._root = counted(roots, root)
+    metrics._power_taylor = counted(models, power_taylor)
     try:
         with metrics.count_splits() as splits:
             workloads.WORKLOADS[workload](seed, 1).run_pass(0, workloads.Tally())
     finally:
         intervals._root = root
+        metrics._power_taylor = power_taylor
     return {"workload": workload, "seed": seed, **{k: splits[k] for k in KINDS},
             "total": sum(splits[k] for k in KINDS), **{k: splits[k] for k in INT_KINDS},
-            "roots": len(roots)}
+            "roots": len(roots), "models": len(models)}
 
 
 def main(argv=None) -> int:

@@ -202,9 +202,15 @@ class EventuallyPeriodic(CoeffSeq):
         return tuple(_unrolled(pre, self.period, n))
 
     def shift(self) -> "EventuallyPeriodic":
-        if self.preamble:
-            return EventuallyPeriodic(self.preamble[1:], self.period)
-        return EventuallyPeriodic((), self.period[1:] + self.period[:1])
+        # a normal form stays one: a shorter preamble keeps its last entry,
+        # and a rotated minimal period is minimal; so skip the build's
+        # normalization
+        pre, per = self.preamble, self.period
+        pre, per = (pre[1:], per) if pre else ((), per[1:] + per[:1])
+        out = object.__new__(EventuallyPeriodic)
+        object.__setattr__(out, "preamble", pre)
+        object.__setattr__(out, "period", per)
+        return out
 
     def sup_abs(self) -> Fraction:
         # |p|/q against the best so far by cross-multiplying: int work only

@@ -62,11 +62,13 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   (_f6_coefficients) gives its sixth derivative, bounded on the panel for
   a remainder that shrinks as h^7 (h^(p+7) across a root).  Every model is
   intersected with the crude range-times-width bound, which is all any
-  other root panel takes.  The derivative bounds are read off a panel's
-  coefficients and their differences in outward-rounded doubles, and
-  each pointwise power comes from intervals.PowerFn as the tightest
-  doubles around one integer root of the exact ratio of integers it
-  stands for (mpmath only for exponent terms past 32), so no
+  other root panel takes, and which a panel whose remainder alone misses
+  its budget takes without building the model.  The derivative bounds
+  are read off a panel's coefficients and their differences in
+  outward-rounded doubles, and each pointwise power comes from
+  intervals.PowerFn as the tightest doubles around one integer root of
+  the exact ratio of integers it stands for (mpmath only for exponent
+  terms past 32), so no
   uncertified rounding enters.  The double bookkeeping floors the
   reachable tolerance near 1e-14 of the integral.
 
@@ -311,7 +313,13 @@ def weighted_product_metric(
 
     kept, tail = truncate(d, tail_at, tolq / 2,
                           "the weighted tail", 8, 8)
-    partial = sum(weights.factor(i) * abs(c) / 2**i for i, c in enumerate(kept))
+    # the kept terms w_i |c_i| / 2^i as integer numerators over one lcm
+    terms = []
+    for i, c in enumerate(kept):
+        w, v = as_fraction(weights.factor(i)), c.as_integer_ratio()
+        terms.append((w.numerator * abs(v[0]), w.denominator * v[1] << i))
+    m = math.lcm(*[q for _, q in terms])
+    partial = Fraction(sum([t * (m // q) for t, q in terms]), m)
     return BoundInterval(partial, partial + tail)
 
 
@@ -794,10 +802,12 @@ def count_splits() -> Iterator[Counter]:
     """Count the L^p kernels' work inside the block, by kind.  The
     fractional-p quadrature's splits go by the bound that left the split
     panel too wide: "taylor" (the Taylor model on a sign-definite panel),
-    "crude" (a sign-definite panel on the crude bound), "root-taylor" (a
-    monotone root panel after its Taylor model), "root-crude" (a monotone
-    root panel whose model's remainder alone was too wide) and
-    "nonmonotone" (any other root panel).  The odd-p sign partition
+    "crude" (a sign-definite panel whose model's remainder alone was too
+    wide, or whose model the crude bound beat), "root-taylor" (a monotone
+    root panel after its Taylor model), "root-crude" (a monotone root
+    panel whose model's remainder alone was too wide) and "nonmonotone"
+    (any other root panel).  A panel split on its remainder alone builds
+    no Taylor model.  The odd-p sign partition
     counts "int-split" for a halved root panel and "int-bracket" for one
     settled around its bracketed root.
 
@@ -813,6 +823,33 @@ def count_splits() -> Iterator[Counter]:
         yield _census
     finally:
         _census = outer
+
+
+# The sign-definite panels' moments M_0..M_6 about 1/2: the odd ones vanish.
+_HALF_MOMENTS = ((1.0, 1.0), None, _fc(Fraction(1, 12)), None, _fc(Fraction(1, 80)), None,
+                 _fc(Fraction(1, 448)))
+
+
+@lru_cache(maxsize=128)
+def _frac_tables(p: Fraction, n: int) -> tuple:
+    """What _integral_abs_pow_frac needs of p and the degree n alone:
+    PowerFn of p, p + 1 and p - 1; n!/(n-j)! for j < 8; c^k k! for k < 6,
+    p = a/c; F_6 / 6!'s coefficients, outward in doubles; the weights of
+    Q's Taylor coefficients about 1/2, C(n, j) 2^j C(n - j, i); the root
+    panels' 1 / (p + k + 1) for k <= 6, p's upper double, and their least
+    M_6 (at x~ = 1/2) times 1 - 2^-20, a margin for the rounding of the
+    test that uses it."""
+    c = p.denominator
+    pw1 = PowerFn(p + 1)
+    inv_moment = tuple(_fc(1 / (p + k + 1)) for k in range(7))
+    return (PowerFn(p), pw1, PowerFn(p - 1),
+            tuple(math.perm(n, j) for j in range(8)),
+            tuple(c**k * math.factorial(k) for k in range(6)),
+            tuple(_fc(x) for x in _f6_coefficients(p)),
+            tuple(tuple(math.comb(n, j) * math.comb(n - j, i) << j for i in range(n - j + 1))
+                  for j in range(min(n, 4) + 1)),
+            inv_moment, _fc(p)[1],
+            math.ldexp(pw1.of_ratio(1, 2)[0], -5) * inv_moment[6][0] * (1 - 2**-20))
 
 
 def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
@@ -858,15 +895,22 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
       is that of |P'|^p, all from the difference rows 1-7; and |P|^p -
       |P - a_0|^p is within p (sup|P| + |a_0|)^(p-1) |a_0|.  The
       remainder shrinks as h^(p+7); its order-0 case is product
-      integration, |P| = |P'(xi)| |x - r|.  It needs no root, so it is
-      worked out first, and a panel whose remainder alone cannot meet its
-      budget keeps the crude bound without the root search.
+      integration, |P| = |P'(xi)| |x - r|.
 
     Every panel also has the crude bound h * range(|P|^p), which shrinks
     superlinearly at a root since |P|^p is tiny there; it is all that any
     other root panel takes, and a model is intersected with it.  A root
     panel's model counts as all remainder, like the crude bound.  A panel
     holds a root unless its b share one strict sign, an integer test.
+
+    Both kinds work out the remainder first: it needs no Taylor
+    coefficients, no g(x~) and no root search, and a panel whose
+    remainder times its least M_6 and h alone exceeds its budget has no
+    model that meets it, so it takes the crude bound at once ("crude" or
+    "root-crude" for count_splits) and splits unless that bound meets the
+    budget.  What depends only on p and n (the PowerFns, the tables of
+    factorials, binomial weights and moments, and F_6 / 6!'s
+    coefficients) comes from _frac_tables, built once per (p, n).
 
     Every power is of an exact ratio of integers, rooted once by PowerFn
     into the tightest doubles: T_0 / den for g(x~), the least and largest
@@ -895,23 +939,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
-    pw, pw1, pw_less = PowerFn(p), PowerFn(p + 1), PowerFn(p - 1)
-    c = p.denominator
-    falling = [math.perm(n, j) for j in range(8)]
-    kden = [c**k * math.factorial(k) for k in range(6)]  # c^k k!
-    f6 = [_fc(x) for x in _f6_coefficients(p)]
-    # the sign-definite panels' moments about 1/2, and the weights of Q's
-    # Taylor coefficients there: C(n, j) 2^j C(n - j, i)
-    half_moments = [(1.0, 1.0), None, _fc(Fraction(1, 12)), None, _fc(Fraction(1, 80)), None,
-                    _fc(Fraction(1, 448))]
-    mid = [[math.comb(n, j) * math.comb(n - j, i) << j for i in range(n - j + 1)]
-           for j in range(min(n, 4) + 1)]
-    # the root panels' 1 / (p + k + 1), p, and their least M_6 (at x~ =
-    # 1/2) times 1 - 2^-20, a margin for the rounding of the test that
-    # uses it
-    inv_moment = [_fc(1 / (p + k + 1)) for k in range(7)]
-    p_hi = _fc(p)[1]
-    m6_least = math.ldexp(pw1.of_ratio(1, 2)[0], -5) * inv_moment[6][0] * (1 - 2**-20)
+    pw, pw1, pw_less, falling, kden, f6, mid, inv_moment, p_hi, m6_least = _frac_tables(p, n)
 
     def remainder(g_range: tuple, r: List[tuple]) -> Tuple[float, float]:
         """range(g) F_6(R') / 6!, R'_j in r[j - 1]."""
@@ -1011,14 +1039,17 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             rows.append([y - x for x, y in zip(rows[-1], rows[-1][1:])])
         spans = [(min(row, default=0), max(row, default=0)) for row in rows[1:]]
         sap = (pw.of_ratio(bmin, den)[0], pw.of_ratio(bmax, den)[1])
+        crude = _fi_mul(sap, h)
         # R'_j: n!/(n-j)! times the j-th differences over the coefficients
         # themselves, free of scale; past the degree it is 0
         rem = remainder(sap, [_fi(f * lo, f * hi, bmin, bmax) for f, (lo, hi) in zip(falling[1:], spans)])
+        if (rem[1] - rem[0]) * _HALF_MOMENTS[6][0] * h[0] > budget:
+            return (max(0.0, crude[0]), crude[1], math.inf, "crude")
         T = [sum(map(operator.mul, ws, row)) for ws, row in zip(mid, rows)]
-        lo, hi, modelled = clip(model(T, den << n, half_moments, rem), h, _fi_mul(sap, h))
+        lo, hi, modelled = clip(model(T, den << n, _HALF_MOMENTS, rem), h, crude)
         if not modelled:  # the crude bound binds
             return (lo, hi, math.inf, "crude")
-        return (lo, hi, (rem[1] - rem[0]) * half_moments[6][1] * h[1], "taylor")
+        return (lo, hi, (rem[1] - rem[0]) * _HALF_MOMENTS[6][1] * h[1], "taylor")
 
     stack = [(B, 0)]
     # a tolerance past the double range asks for nothing a double can miss;

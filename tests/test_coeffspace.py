@@ -138,6 +138,23 @@ def test_pure_periodic_shift_cycle():
     assert s.shifted(1) != s
 
 
+_SYMBOLS = st.sampled_from([0, 1, Fraction(-1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SYMBOLS, max_size=6), st.lists(_SYMBOLS, min_size=1, max_size=6))
+def test_shift_keeps_the_normal_form(pre, per):
+    # shift skips normalization: its fields must be those a build from the
+    # raw shifted fields normalizes to
+    s = EventuallyPeriodic(tuple(pre), tuple(per))
+    raw = (tuple(pre[1:]), tuple(per)) if pre else ((), tuple(per[1:] + per[:1]))
+    built = EventuallyPeriodic(*raw)
+    shifted = s.shift()
+    assert (shifted.preamble, shifted.period) == (built.preamble, built.period)
+    assert all(type(v) is Fraction for v in shifted.preamble + shifted.period)
+    assert shifted == built and hash(shifted) == hash(built)
+
+
 def test_word_enumeration_prefix_examples():
     binary = WordEnumeration(Alphabet((0, 1)))
     assert binary.prefix(10) == (0, 1, 0, 0, 0, 1, 1, 0, 1, 1)

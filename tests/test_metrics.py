@@ -410,6 +410,25 @@ def test_fractional_rule_splits_few_panels(coeffs, gamma, before, most):
     assert splits.total() <= most
 
 
+@pytest.mark.parametrize("gamma, width", [(1, 1.8520662542375615e-07), (2, 1.7014924702975195e-07)])
+def test_sign_definite_panels_work_out_their_remainder_first(monkeypatch, gamma, width):
+    # e^t at p = 3/2, tol 1e-6: every panel that splits fails on its h^7
+    # remainder alone, so it builds no Taylor model; each kept panel builds
+    # one, and the widths are those of the rule that modelled every panel
+    models, power_taylor = [], metrics._power_taylor
+
+    def counted(*args):
+        models.append(None)
+        return power_taylor(*args)
+    monkeypatch.setattr(metrics, "_power_taylor", counted)
+    with metrics.count_splits() as splits:
+        box = rho_p(series(ONES, gamma), series(ZEROS, gamma), LpSpec(Fraction(3, 2), gamma),
+                    Fraction(1, 10**6))
+    assert splits.total() > 0
+    assert len(models) == splits.total() + 1
+    assert float(box.width) == width
+
+
 def test_split_census_counts_by_kind_and_only_inside_its_block():
     assert metrics._census is None
     spec = LpSpec(Fraction(3, 2), 2)
