@@ -150,20 +150,29 @@ def _minimal_period(block: tuple) -> tuple:
     return block
 
 
-def normal_form(pre: tuple, per: tuple) -> Tuple[tuple, tuple]:
-    """The normalized (preamble, period) of pre, per, per, ...
-
-    First the block becomes its minimal period, then any preamble suffix
-    that merely repeats the block's last symbol is absorbed by rotating
-    the block (a rotation of a minimal period is minimal).  It compares
-    entries with == only, so it works on any symbols, for instance
-    integer codes of the values.
-    """
-    per = _minimal_period(per)
+def _absorbed(pre: tuple, per: tuple) -> Tuple[tuple, tuple]:
+    # a preamble suffix that merely repeats the block's last symbol is
+    # absorbed by rotating the block; per must be a minimal period
     while pre and pre[-1] == per[-1]:
         pre = pre[:-1]
         per = per[-1:] + per[:-1]
     return pre, per
+
+
+def normal_form(pre: tuple, per: tuple) -> Tuple[tuple, tuple]:
+    """The normalized (preamble, period) of pre, per, per, ...
+
+    First the block becomes its minimal period (_minimal_period), then
+    any preamble suffix that merely repeats the block's last symbol is
+    absorbed by rotating the block (_absorbed; a rotation of a minimal
+    period is minimal).  It compares entries with == only, so it works
+    on any symbols, for instance integer codes of the values.
+
+    Fields already in this form, as tuples of Fractions, are wrapped
+    without a second pass by _normalized; its two callers are
+    EventuallyPeriodic.shift and sampling.difference_streams.
+    """
+    return _absorbed(pre, _minimal_period(per))
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,11 @@ class EventuallyPeriodic(CoeffSeq):
     then the preamble suffix that merely repeats the block's last symbol
     absorbed by rotating the block.  Two constructions describe the same
     sequence iff the normalized fields are equal.
+
+    The one other way in is the private _normalized(pre, per), which
+    skips the normalization: pre and per must be tuples of Fractions
+    already in normal form.  EventuallyPeriodic.shift and
+    sampling.difference_streams use it.
     """
 
     preamble: Tuple[Fraction, ...]
@@ -203,14 +217,11 @@ class EventuallyPeriodic(CoeffSeq):
 
     def shift(self) -> "EventuallyPeriodic":
         # a normal form stays one: a shorter preamble keeps its last entry,
-        # and a rotated minimal period is minimal; so skip the build's
-        # normalization
+        # and a rotated minimal period is minimal
         pre, per = self.preamble, self.period
-        pre, per = (pre[1:], per) if pre else ((), per[1:] + per[:1])
-        out = object.__new__(EventuallyPeriodic)
-        object.__setattr__(out, "preamble", pre)
-        object.__setattr__(out, "period", per)
-        return out
+        if pre:
+            return _normalized(pre[1:], per)
+        return _normalized((), per[1:] + per[:1])
 
     def sup_abs(self) -> Fraction:
         # |p|/q against the best so far by cross-multiplying: int work only
@@ -227,6 +238,15 @@ class EventuallyPeriodic(CoeffSeq):
     @property
     def is_pure_periodic(self) -> bool:
         return not self.preamble
+
+
+def _normalized(pre: Tuple[Fraction, ...], per: Tuple[Fraction, ...]) -> EventuallyPeriodic:
+    # the stream with these fields, built without __post_init__: they must
+    # be tuples of Fractions already in normal form (see normal_form)
+    out = object.__new__(EventuallyPeriodic)
+    object.__setattr__(out, "preamble", pre)
+    object.__setattr__(out, "period", per)
+    return out
 
 
 def FiniteSupport(coeffs: Iterable = ()) -> EventuallyPeriodic:

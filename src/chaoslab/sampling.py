@@ -14,7 +14,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .coeffspace import Alphabet, BINARY, EventuallyPeriodic, FiniteSupport, normal_form
+from .coeffspace import (
+    Alphabet,
+    BINARY,
+    EventuallyPeriodic,
+    FiniteSupport,
+    _absorbed,
+    _minimal_period,
+    _normalized,
+)
 
 __all__ = [
     "make_rng",
@@ -112,6 +120,13 @@ def difference_streams(
     compares run per candidate; one stream is built per distinct tuple,
     in the order of its first candidate, from one shared tuple of values
     per distinct code block.
+
+    A period that is not its own minimal period is skipped: (pre, w^k)
+    normalizes like (pre, w), a candidate met earlier since periods run
+    by ascending length.  Every other period is minimal, so normal_form
+    reduces to its absorption step.  The keys are then normal forms, so
+    each stream is built by the private coeffspace._normalized (whose
+    other caller is EventuallyPeriodic.shift) without normalizing again.
     """
     # codes index `symbols`: the distinct values, then the negations missing from them
     symbols = list(dict.fromkeys(Fraction(v) for v in values))
@@ -129,13 +144,16 @@ def difference_streams(
             for pre in product(codes, repeat=pre_len)]
     seen = {}
     for per_len in range(1, per_max + 1):
-        for per, per_lead, per_mirror in map(signed, product(codes, repeat=per_len)):
+        for per in product(codes, repeat=per_len):
+            if _minimal_period(per) != per:
+                continue  # (pre, w^k) normalizes like (pre, w), met at a shorter length
+            per, per_lead, per_mirror = signed(per)
             for pre, lead, mirror in pres:
                 lead = lead or per_lead
                 if lead > 0:
-                    seen.setdefault(normal_form(pre, per), None)
+                    seen.setdefault(_absorbed(pre, per), None)
                 elif lead < 0:
-                    seen.setdefault(normal_form(mirror, per_mirror), None)
+                    seen.setdefault(_absorbed(mirror, per_mirror), None)
     blocks = {}  # code block -> its values, one tuple shared by every stream that uses it
 
     def values_of(block):
@@ -143,4 +161,4 @@ def difference_streams(
             blocks[block] = tuple([symbols[c] for c in block])
         return blocks[block]
 
-    return tuple([EventuallyPeriodic(values_of(pre), values_of(per)) for pre, per in seen])
+    return tuple([_normalized(values_of(pre), values_of(per)) for pre, per in seen])

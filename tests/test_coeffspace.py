@@ -13,11 +13,14 @@ from chaoslab.coeffspace import (
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
+    _absorbed,
+    _minimal_period,
     as_preamble_period,
     derivative_sup_bound,
     evaluate,
     from_json,
     from_payload,
+    normal_form,
     same_stream,
     shift,
     to_json,
@@ -153,6 +156,19 @@ def test_shift_keeps_the_normal_form(pre, per):
     assert (shifted.preamble, shifted.period) == (built.preamble, built.period)
     assert all(type(v) is Fraction for v in shifted.preamble + shifted.period)
     assert shifted == built and hash(shifted) == hash(built)
+
+
+_CODES = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CODES, _CODES.filter(len), st.integers(2, 4))
+def test_normal_form_splits_and_ignores_period_powers(pre, per, k):
+    # normal_form is _minimal_period, then _absorbed; a power w^k of a
+    # period normalizes like w, which difference_streams relies on when it
+    # skips every period that is not its own minimal period
+    assert normal_form(pre, per) == _absorbed(pre, _minimal_period(per))
+    assert normal_form(pre, per * k) == normal_form(pre, per)
 
 
 def test_word_enumeration_prefix_examples():

@@ -52,6 +52,7 @@ def reference_difference_streams(values, pre_max, per_max):
 
 @pytest.mark.parametrize("values, pre_max, per_max", [
     ((-1, 0, 1), 4, 3),
+    ((-1, 0, 1), 2, 4),  # skips non-primitive periods such as (1, 0, 1, 0)
     ((-2, -1, 0, 1, 2), 3, 2),
     ((0, 1, 2), 4, 3),  # not closed under negation
     ((1, 2), 4, 3),  # no zero
@@ -60,6 +61,27 @@ def reference_difference_streams(values, pre_max, per_max):
 def test_difference_family_is_the_reference_in_order(values, pre_max, per_max):
     fam = difference_streams(values, pre_max, per_max)
     assert list(fam) == list(reference_difference_streams(values, pre_max, per_max))
+    # the streams skip normalization: their fields must be Fractions in the
+    # normal form a build from them keeps
+    for s in fam:
+        assert all(type(v) is Fraction for v in s.preamble + s.period)
+        built = EventuallyPeriodic(s.preamble, s.period)
+        assert (built.preamble, built.period) == (s.preamble, s.period)
+        assert hash(built) == hash(s)
+
+
+def test_difference_family_and_shift_build_without_normalizing(monkeypatch):
+    builds = []
+    post_init = EventuallyPeriodic.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+    monkeypatch.setattr(EventuallyPeriodic, "__post_init__", counted)
+    fam = difference_streams((-1, 0, 1), 4, 3)
+    shifted = [s.shift() for s in fam]
+    assert len(fam) == len(shifted) == 1336
+    assert builds == []
 
 
 def test_first_nonzero_index():
