@@ -169,8 +169,9 @@ def normal_form(pre: tuple, per: tuple) -> Tuple[tuple, tuple]:
     on any symbols, for instance integer codes of the values.
 
     Fields already in this form, as tuples of Fractions, are wrapped
-    without a second pass by _normalized; its two callers are
-    EventuallyPeriodic.shift and sampling.difference_streams.
+    without a second pass by _normalized; its three callers are
+    EventuallyPeriodic.shift, difference (which normalizes integer
+    numerators) and sampling.difference_streams.
     """
     return _absorbed(pre, _minimal_period(per))
 
@@ -186,7 +187,7 @@ class EventuallyPeriodic(CoeffSeq):
 
     The one other way in is the private _normalized(pre, per), which
     skips the normalization: pre and per must be tuples of Fractions
-    already in normal form.  EventuallyPeriodic.shift and
+    already in normal form.  EventuallyPeriodic.shift, difference and
     sampling.difference_streams use it.
     """
 
@@ -371,10 +372,14 @@ def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 
     When both tails are eventually periodic the two layouts are aligned
     once: past the longer preamble, a - b repeats with the lcm of the two
-    periods, and the result is one normalized EventuallyPeriodic.  When
-    either stream is a WordEnumeration over two or more symbols, a - b is
-    read index by index and its sup_abs() is sup|a_n| + sup|b_n| (0 when
-    a == b).  An EventuallyPeriodic minus the zero stream is itself.
+    periods.  The n entries of each layout are read as integer numerators
+    over m, the lcm of their denominators, and subtracted as integers; the
+    differences go through normal_form as they are, and only the
+    normalized ones become Fractions (d / m), wrapped by _normalized into
+    one EventuallyPeriodic.  When either stream is a WordEnumeration over
+    two or more symbols, a - b is read index by index and its sup_abs() is
+    sup|a_n| + sup|b_n| (0 when a == b).  An EventuallyPeriodic minus the
+    zero stream is itself.
     """
     pa, pb = as_preamble_period(a), as_preamble_period(b)
     if pa is None or pb is None:
@@ -383,8 +388,12 @@ def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
         return a
     s = max(len(pa[0]), len(pb[0]))
     n = s + math.lcm(len(pa[1]), len(pb[1]))
-    diffs = [x - y for x, y in zip(_unrolled(*pa, n), _unrolled(*pb, n))]
-    return EventuallyPeriodic(diffs[:s], diffs[s:])
+    ratios = [c.as_integer_ratio() for c in _unrolled(*pa, n) + _unrolled(*pb, n)]
+    m = math.lcm(*[q for _, q in ratios])
+    nums = [x * (m // q) for x, q in ratios]
+    diffs = [x - y for x, y in zip(nums, nums[n:])]
+    pre, per = normal_form(tuple(diffs[:s]), tuple(diffs[s:]))
+    return _normalized(tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))
 
 
 def finite_support(s: CoeffSeq) -> Optional[Tuple[Fraction, ...]]:
@@ -436,7 +445,7 @@ class SeriesFn:
     def __post_init__(self):
         object.__setattr__(self, "gamma", as_fraction(self.gamma))
         object.__setattr__(self, "origin", as_fraction(self.origin))
-        if self.gamma <= 0:
+        if self.gamma.numerator <= 0:
             raise DomainError("gamma must be positive")
 
     @property

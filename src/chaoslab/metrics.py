@@ -36,10 +36,14 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   Bernstein kernel: a panel's largest |coefficient| bounds |D| there,
   its end coefficients are exact values of D, and halving it is integer
   de Casteljau (Garloff 1986; Rouillier & Zimmermann 2004).
-* integer p: every integral of D^p is read off one exact integer
+* integer p: at p = 1 on a window whose Bernstein coefficients share a
+  sign, int |D| is gamma times their mean, exact from their sum.
+  Otherwise every integral of D^p is read off one exact integer
   antiderivative of D^p over the whole window, built once per call from
-  the convolution power of D's power-basis coefficients.  Even p takes
-  its value at the window's end, with no sign analysis at all.  For odd
+  the convolution power of D's power-basis coefficients, which the
+  Bernstein build hands on (the integers before its binomial
+  transform).  Even p takes its value at the window's end, with no sign
+  analysis at all.  For odd
   p, the same panels carry the antiderivative's exact values at their
   ends: panels whose Bernstein coefficients share a sign integrate
   exactly; the others, which hold the roots, contribute [|int D^p|, h *
@@ -74,7 +78,9 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
 
 Both integrals run on D / 2^e, e = floor(log2 of D's largest Bernstein
 coefficient), so their doubles never leave the range at any scale of the
-coefficients, and the root's tolerance is met in at most two passes
+coefficients; the tolerance and the enclosure are rescaled by shifting
+a numerator or a denominator.  At p = 1 the norm is the integral; at any
+other finite p the root's tolerance is met in at most two passes
 (_norm_of_poly).
 """
 
@@ -118,31 +124,38 @@ _MAX_POWER_DEGREE = 2048
 
 @dataclass(frozen=True)
 class LpSpec:
-    """Which L^p norm, on a window of which length."""
+    """Which L^p norm, on a window of which length.
+
+    is_sup and inv_p are worked out once, on construction; equality and
+    the hash read (p, gamma) only."""
 
     p: Union[Fraction, float]
     gamma: Fraction
 
     def __post_init__(self):
         if isinstance(self.p, float) and math.isinf(self.p) and self.p > 0:
-            object.__setattr__(self, "p", math.inf)
+            p, inv_p = math.inf, Fraction(0)
         else:
             p = as_fraction(self.p)
-            if p < 1:
+            if p.numerator < p.denominator:
                 raise DomainError(f"p must be at least 1, got {p}")
-            object.__setattr__(self, "p", p)
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        if self.gamma <= 0:
+            inv_p = Fraction(p.denominator, p.numerator)
+        gamma = as_fraction(self.gamma)
+        if gamma.numerator <= 0:
             raise DomainError("gamma must be positive")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "_is_sup", p is math.inf)
+        object.__setattr__(self, "_inv_p", inv_p)
 
     @property
     def is_sup(self) -> bool:
-        return self.p == math.inf
+        return self._is_sup
 
     @property
     def inv_p(self) -> Fraction:
         """1/p, with 1/inf = 0."""
-        return Fraction(0) if self.is_sup else 1 / self.p
+        return self._inv_p
 
     def gamma_pow_inv_p(self) -> BoundInterval:
         """Certified gamma**(1/p); exact when 1/p is an integer."""
@@ -328,7 +341,8 @@ def weighted_product_metric(
 #
 # _bernstein takes kept, the scaled Taylor coefficients of the polynomial
 # P (a kept tuple may end in zeros; () is the zero polynomial), and the
-# kernels take the (B, L) it returns.
+# kernels take the (B, L) it returns; the integer-p kernel takes its delta
+# too.
 #
 # The exact integer Bernstein kernel.  With t = gamma * u, a panel of
 # [0, 1] at depth k holds integers B whose B_j / (L * 2^(k n)) are P's
@@ -336,21 +350,26 @@ def weighted_product_metric(
 # hull property), and the end ones are P's values at the panel's ends.
 
 
-def _bernstein(kept: Tuple[Fraction, ...], gamma: Fraction) -> Tuple[List[int], int]:
-    """(B, L) for P on [0, gamma]: n! b_j = sum_i C(j, i) (n - i)! a_i gamma^i,
-    n the degree of P (0 for zero), so trailing zeros of kept are dropped."""
+def _bernstein(kept: Tuple[Fraction, ...], gamma: Fraction) -> Tuple[List[int], int, List[int]]:
+    """(B, L, delta) for P on [0, gamma]: n! b_j = sum_i C(j, i) (n - i)! a_i
+    gamma^i, n the degree of P (0 for zero), so trailing zeros of kept are
+    dropped.  delta holds the integers before the binomial transform, the
+    differences of B at 0 (B_j = sum_i C(j, i) delta_i), and P(gamma u) =
+    sum_i C(n, i) delta_i u^i / L: C(n, i) delta_i is the power basis that
+    _power_basis(B) would rebuild."""
     n = max(len(kept) - 1, 0)
     while n and kept[n] == 0:
         n -= 1
     cs = kept[:n + 1] or (Fraction(0),)
     m = math.lcm(*[c.denominator for c in cs])
     g, h = gamma.numerator, gamma.denominator
-    B = [c.numerator * (m // c.denominator) * math.factorial(n - i) * g**i * h ** (n - i)
-         for i, c in enumerate(cs)]
+    delta = [c.numerator * (m // c.denominator) * math.factorial(n - i) * g**i * h ** (n - i)
+             for i, c in enumerate(cs)]
+    B = list(delta)
     for r in range(1, n + 1):  # the binomial transform, by Pascal's rule
         for j in range(n, r - 1, -1):
             B[j] += B[j - 1]
-    return B, m * math.factorial(n) * h**n
+    return B, m * math.factorial(n) * h**n, delta
 
 
 def _split(B: List[int]) -> Tuple[List[int], List[int]]:
@@ -409,7 +428,9 @@ def _convolution_power(a: List[int], p: int) -> List[int]:
     of p entries, so |c_i| is below 2^(s - 2) for s = p bitlen(max|a|) +
     (p - 1) bitlen(n) + 2.  Adding 2^(s-1) to every slot makes them all
     nonnegative, and the bytes of the sum read them off in one pass (s
-    rounded up to whole bytes)."""
+    rounded up to whole bytes).  The first power is a itself."""
+    if p == 1:
+        return a
     n = len(a) - 1
     size = (p * max(map(abs, a)).bit_length() + (p - 1) * n.bit_length() + 9) // 8
     s = 8 * size
@@ -426,7 +447,8 @@ def _convolution_power(a: List[int], p: int) -> List[int]:
 def _power_basis(b: List[int]) -> List[int]:
     """c with sum_j c_j u^j = sum_j b_j C(n, j) u^j (1 - u)^(n - j): C(n, j)
     times the j-th difference of b at 0, differenced in place (the inverse
-    of _bernstein's Pascal loop)."""
+    of _bernstein's Pascal loop).  Only _root_guess needs it, on a panel;
+    the whole window's comes with _bernstein's delta."""
     n = len(b) - 1
     d = list(b)
     for r in range(n):
@@ -497,12 +519,18 @@ def _sign_changes(coeffs: List[int]) -> int:
 _BRACKET_STEPS = (1 << 9, 1 << 33)
 
 
-def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fraction) -> BoundInterval:
+def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fraction, p: int,
+                          tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
-    < tol, on the Bernstein panels of (B, L) = _bernstein(kept, gamma).
+    < tol, on the Bernstein panels of (B, L, delta) = _bernstein(kept,
+    gamma).
 
-    In the window's variable u = t / gamma, P = sum_i a_i u^i / L with a =
-    _power_basis(B), and with N = p n, (N + 1)! L^p int_0^u P^p =
+    At p = 1 on a window whose b share a sign, int_0^gamma |P| dt is
+    gamma |sum_j b_j| / ((n + 1) L) exactly (the mean of the Bernstein
+    coefficients), and nothing else is built.  Otherwise, in the window's
+    variable u = t / gamma, P = sum_i a_i u^i / L with a_i = C(n, i)
+    delta_i, the power basis from _bernstein's own build, and with N = p
+    n, (N + 1)! L^p int_0^u P^p =
     sum_i e_i u^(i+1), e_i = (N + 1)! / (i + 1) times the i-th entry of
     the p-th convolution power of a.  Every integral is read off this one
     exact antiderivative, built once per call: at u = M / 2^T it is A(M,
@@ -542,15 +570,17 @@ def _integral_abs_pow_int(B: List[int], L: int, gamma: Fraction, p: int, tol: Fr
     if max(N, p) > _MAX_POWER_DEGREE:
         raise ToleranceUnreachable(f"|P|^{p} has degree {N}, past the budget {_MAX_POWER_DEGREE}",
                                    kind="degree-cap")
+    gn = gamma.numerator
+    if p == 1 and (min(B) >= 0 or max(B) <= 0):
+        return BoundInterval.exact(Fraction(gn * abs(sum(B)), gamma.denominator * (n + 1) * L))
     full = math.factorial(N + 1)
-    a = _power_basis(B)
+    a = [math.comb(n, i) * d for i, d in enumerate(delta)]
     e = [c * (full // (i + 1)) for i, c in enumerate(_convolution_power(a, p))]
 
     def A(M: int, T: int) -> int:
         return M * _horner(e, M, T)
 
     # an integral A / 2^(T (N + 1)) is gn * A / (den << T (N + 1))
-    gn = gamma.numerator
     den = gamma.denominator * full * L**p
     if p % 2 == 0:
         return BoundInterval.exact(Fraction(gn * sum(e), den))
@@ -1095,17 +1125,26 @@ def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
     integer root that intervals.power takes when 1/p has terms up to
     _MAX_CHECKED_TERM needs no guard; mpmath still roots the others.  At
     least the 128 bits of every other power; past _MAX_ROOT_BITS a root
-    takes seconds, so the tolerance is unreachable.
+    takes seconds, so the tolerance is unreachable.  For p > 1 only:
+    _norm_of_poly takes no root at p = 1.
     """
-    if p == 1 or hi == 0:  # an exact root
+    if hi == 0:  # an exact root
         return DEFAULT_PRECISION_BITS
     # log2 of a positive rational lies within 1 of these integers
     e = hi.numerator.bit_length() - hi.denominator.bit_length()
     t = tol.numerator.bit_length() - tol.denominator.bit_length()
-    bits = math.ceil((e + 1) / p) + 1 - t + abs(e).bit_length() + 8
+    # ceil((e + 1) / p), p = a / c
+    bits = -(-(e + 1) * p.denominator // p.numerator) + 1 - t + abs(e).bit_length() + 8
     if bits > _MAX_ROOT_BITS:
         raise ToleranceUnreachable(f"the L^{p} root needs {bits} bits, past {_MAX_ROOT_BITS}", kind="root-bits")
     return max(DEFAULT_PRECISION_BITS, bits)
+
+
+def _times_pow2(q: Fraction, e: int) -> Fraction:
+    """q * 2^e, by shifting q's numerator (e > 0) or denominator (e < 0)."""
+    if e > 0:
+        return Fraction(q.numerator << e, q.denominator)
+    return Fraction(q.numerator, q.denominator << -e)
 
 
 def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> BoundInterval:
@@ -1114,14 +1153,16 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
     The sup kernel is exact and free of scale, so it takes P's (B, L) as
     they are.  The integral of |P|^p runs at unit scale: with e =
     floor(log2(max|B| / L)), exact from the bit lengths and one integer
-    compare, the kernel integrates |P / 2^e|^p (L or B shifted, no
-    Fraction divided) for the norm of P / 2^e at tol / 2^e, and the
-    enclosure is scaled back by 2^e.  2^k P then feeds the kernels the
-    same rationals as P, so its enclosure is 2^k times P's, bit for bit.
+    compare, the kernel integrates |P / 2^e|^p (L, or B and delta, shifted)
+    for the norm of P / 2^e at tol / 2^e, and the enclosure is scaled back
+    by 2^e; both rescalings shift a numerator or a denominator, so no
+    Fraction is divided.  2^k P then feeds the kernels the same rationals
+    as P, so its enclosure is 2^k times P's, bit for bit.
 
-    The norm is the root I^(1/p) of an integral enclosure I.  The first
-    pass integrates to tol.  When its root out is not narrower than tol,
-    a second pass integrates to
+    At p = 1 the norm is the integral enclosure itself.  Otherwise it is
+    the root I^(1/p) of an integral enclosure I.  The first pass
+    integrates to tol.  When its root out is not narrower than tol, a
+    second pass integrates to
 
         max(p I.lo t / out.hi, min(t^floor(p), t^ceil(p))),   t = tol / 2,
 
@@ -1133,7 +1174,7 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
     * by concavity hi^(1/p) - lo^(1/p) <= (hi - lo)^(1/p), and
       min(t^floor(p), t^ceil(p)) <= t^p, which covers I.lo = 0.
     """
-    B, L = _bernstein(kept, spec.gamma)
+    B, L, delta = _bernstein(kept, spec.gamma)
     if spec.is_sup:
         return _sup_abs_on(B, L, tol)
     top = max(map(abs, B))
@@ -1146,26 +1187,29 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
         L <<= e
     elif e < 0:
         B = [b << -e for b in B]
-    scale = Fraction(2) ** e
-    if e:  # scaling by 1 would still cost microseconds of Fraction arithmetic
-        tol = tol / scale
+        delta = [d << -e for d in delta]
+    if e:  # scaling by 1 would still cost a Fraction build
+        tol = _times_pow2(tol, -e)
     p = spec.p
 
     def integral_to(int_tol: Fraction) -> BoundInterval:
         if p.denominator == 1:
-            return _integral_abs_pow_int(B, L, spec.gamma, int(p), int_tol)
+            return _integral_abs_pow_int(B, L, delta, spec.gamma, p.numerator, int_tol)
         return _integral_abs_pow_frac(B, L, spec.gamma, p, int_tol)
 
     integral = integral_to(tol)
-    out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
-    if out.width >= tol:
-        t = tol / 2
-        integral = integral.intersect(integral_to(
-            max(p * integral.lo * t / out.hi, min(t ** math.floor(p), t ** math.ceil(p)))))
-        out = power(integral, 1 / p, _root_bits(integral.hi, p, tol))
+    if p == 1:
+        out = integral
+    else:
+        out = power(integral, spec.inv_p, _root_bits(integral.hi, p, tol))
         if out.width >= tol:
-            raise ToleranceUnreachable(f"the L^{p} root stays wider than its tolerance", kind="root-width")
-    return BoundInterval(out.lo * scale, out.hi * scale) if e else out
+            t = tol / 2
+            integral = integral.intersect(integral_to(
+                max(p * integral.lo * t / out.hi, min(t ** math.floor(p), t ** math.ceil(p)))))
+            out = power(integral, spec.inv_p, _root_bits(integral.hi, p, tol))
+            if out.width >= tol:
+                raise ToleranceUnreachable(f"the L^{p} root stays wider than its tolerance", kind="root-width")
+    return BoundInterval(_times_pow2(out.lo, e), _times_pow2(out.hi, e)) if e else out
 
 
 @lru_cache(maxsize=1024)
@@ -1197,7 +1241,8 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     (exactly 0 when the difference has finite support); the polynomial
     part's norm comes from _norm_of_poly at tol/2, exact or by certified
     quadrature at unit scale in at most two passes, and the tail widens
-    the enclosure by that share on both sides.  The cut and the kernels
+    the enclosure by that share on both sides (a tail of exactly 0 leaves
+    the norm as it is).  The cut and the kernels
     see the same rationals for 2^k (f - g) at 2^k tol as for f - g at tol,
     so that call's enclosure is exactly 2^k times this one's, for every p.
     """
@@ -1206,21 +1251,22 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     if f.gamma != spec.gamma:
         raise DomainError(f"LpSpec gamma {spec.gamma} != function gamma {f.gamma}")
     tolq = as_fraction(tol)
-    if tolq <= 0:
+    if tolq.numerator <= 0:
         raise DomainError("tolerance must be positive")
     d = difference(f.coeffs, g.coeffs)
-    kept, tail_slack = finite_support(d), Fraction(0)
+    kept, tail_slack = finite_support(d), 0
     if kept is None:  # coeffspace.truncate's rule, its cut cached
         n, tail_slack = _rho_p_cut(*d.sup_abs().as_integer_ratio(), *spec.gamma.as_integer_ratio(),
                                    *spec.inv_p.as_integer_ratio(), *tolq.as_integer_ratio())
         kept = d.prefix(n)
     try:
-        norm = _norm_of_poly(kept, spec, tolq / 2)
+        norm = _norm_of_poly(kept, spec, _times_pow2(tolq, -1))
     except ToleranceUnreachable as exc:
         # the kernels see a tolerance scaled with P; name the caller's
         raise ToleranceUnreachable(f"rho_p cannot reach tol={brief(tolq)}: {exc}", kind=exc.kind) from exc
-    lo = norm.lo - tail_slack
-    return BoundInterval(max(Fraction(0), lo), norm.hi + tail_slack)
+    if not tail_slack:  # the tail is exactly 0, and every norm's lo is at least 0
+        return norm
+    return BoundInterval(max(Fraction(0), norm.lo - tail_slack), norm.hi + tail_slack)
 
 
 _RHO1_TERMS = 13

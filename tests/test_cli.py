@@ -414,6 +414,19 @@ def test_prefix_digests_are_pinned():
     }
 
 
+def test_lp_grid_digest_is_pinned(monkeypatch):
+    # every rho_p enclosure of one seed-2 lp-grid pass, rational for
+    # rational: the only pin over its 1e-8, 1e8 and 1e400 scale slices
+    digest = _module("scripts/enclosure_digest.py")
+    monkeypatch.setitem(sys.modules, "tracing", _module("perfbench/tracing.py"))
+    lines = digest.lp_grid_records(metrics, _module("perfbench/workloads.py"))
+    assert digest._summary(lines) == {
+        "enclosures": 840,
+        "failed": 0,
+        "sha256": "21fbe693511a00ac385f5d7467f27569b2b2c8192b24736c117c52aee484e70c",
+    }
+
+
 def test_unknown_suite_is_config_error(capsys):
     code, _, err = _run(capsys, ["verify", "--suite", "nope"])
     assert code == 2

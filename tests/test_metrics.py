@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -130,6 +134,52 @@ def test_lp_spec_validation():
         LpSpec(Fraction(1, 2), 1)
     with pytest.raises(DomainError):
         LpSpec(2, 0)
+
+
+@pytest.mark.parametrize("p, is_sup, inv_p", [
+    (1, False, Fraction(1)), (2, False, Fraction(1, 2)), (Fraction(3, 2), False, Fraction(2, 3)),
+    ("4/3", False, Fraction(3, 4)), (2.5, False, Fraction(2, 5)), (math.inf, True, Fraction(0)),
+    (float("inf"), True, Fraction(0)),
+])
+def test_lp_spec_works_out_is_sup_and_inv_p_once(p, is_sup, inv_p):
+    spec = LpSpec(p, Fraction(3, 2))
+    copies = (spec, pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec),
+              dataclasses.replace(spec))
+    for other in copies:
+        assert other.is_sup is is_sup
+        assert type(other.inv_p) is Fraction and other.inv_p == inv_p
+        assert other == spec and hash(other) == hash(spec)
+    regamma = dataclasses.replace(spec, gamma=2)
+    assert (regamma.is_sup, regamma.inv_p, regamma.gamma) == (is_sup, inv_p, 2)
+    assert regamma != spec
+    cubic = dataclasses.replace(spec, p=3)
+    assert (cubic.is_sup, cubic.inv_p) == (False, Fraction(1, 3))
+    # equality and the hash read (p, gamma) only
+    assert [f.name for f in dataclasses.fields(LpSpec)] == ["p", "gamma"]
+    assert hash(spec) == hash((spec.p, spec.gamma))
+    assert repr(spec) == f"LpSpec(p={spec.p!r}, gamma={spec.gamma!r})"
+
+
+def test_integer_p_reads_the_handed_on_power_basis_and_takes_no_root_at_p1(monkeypatch):
+    # e^t against 0 on [0, 1]: at p = 1 the window's Bernstein coefficients
+    # are positive, so the integral is their mean, and the norm is the
+    # integral itself; at p = 2 the power basis comes from _bernstein.  A
+    # first call at another tol leaves gamma^(1/p) cached, as any call on
+    # the same (gamma, p) does; the cut search itself runs again.
+    for p in (1, 2):
+        rho_p(series(ONES), series(ZEROS), LpSpec(p, 1), Fraction(1, 10**6))
+    calls = Counter()
+    for name in ("_power_basis", "_convolution_power", "power"):
+        fn = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name,
+                            lambda *args, fn=fn, name=name, **kw: calls.update([name]) or fn(*args, **kw))
+    tol = Fraction(1, 10**9)
+    box = rho_p(series(ONES), series(ZEROS), LpSpec(1, 1), tol)
+    assert box.lo <= E_MINUS_1 <= box.hi and box.width < tol
+    assert not calls
+    box = rho_p(series(ONES), series(ZEROS), LpSpec(2, 1), tol)
+    assert box.lo <= RHO2_EXP <= box.hi and box.width < tol
+    assert calls == Counter({"_convolution_power": 1, "power": 1})
 
 
 def test_gamma_pow_inv_p_is_cached_and_bounded():
@@ -529,7 +579,7 @@ def _unit_kernel(mono, gamma):
     """(B, L, s): the kernels' integers for P / s on [0, gamma], P with
     monomial coefficients mono and s the power of 2 that puts max|B| / L
     in [1, 2), the scale _norm_of_poly integrates at."""
-    B, L = metrics._bernstein(tuple(c * math.factorial(k) for k, c in enumerate(mono)), gamma)
+    B, L, _ = metrics._bernstein(tuple(c * math.factorial(k) for k, c in enumerate(mono)), gamma)
     top, s = Fraction(max(map(abs, B)), L), Fraction(1)
     while top >= 2 * s:
         s *= 2
@@ -669,10 +719,10 @@ def test_odd_power_integral_contains_the_piecewise_oracle(c, pair, gamma, p):
             mono = [(2**30 * mono[k - 1] if k else 0) - (r * mono[k] if k < len(mono) else 0)
                     for k in range(len(mono) + 1)]
     kept = tuple(x * math.factorial(k) for k, x in enumerate(mono))
-    B, L = metrics._bernstein(kept, gamma)
+    B, L, delta = metrics._bernstein(kept, gamma)
     scale = gamma * Fraction(max(map(abs, B)), L) ** p
     tol = scale / 10**12 if scale else Fraction(1)
-    box = metrics._integral_abs_pow_int(B, L, gamma, p, tol)
+    box = metrics._integral_abs_pow_int(B, L, delta, gamma, p, tol)
     assert box.width < tol
     value = _odd_power_oracle(mono, gamma, p)
     with mpmath.workdps(50):
@@ -738,10 +788,10 @@ def test_exact_integer_power_is_the_schoolbook_antiderivative(c, gamma, p):
     # the window share a sign, the kernel's enclosure has width 0 and is
     # |int_0^gamma P^p|, from P^p's Fraction antiderivative term by term
     mono = [Fraction(x) for x in c]
-    B, L = metrics._bernstein(tuple(x * math.factorial(k) for k, x in enumerate(mono)), gamma)
+    B, L, delta = metrics._bernstein(tuple(x * math.factorial(k) for k, x in enumerate(mono)), gamma)
     assume(p % 2 == 0 or min(B) >= 0 or max(B) <= 0)
     value = sum(x * gamma ** (k + 1) / (k + 1) for k, x in enumerate(_schoolbook_power(mono, p)))
-    box = metrics._integral_abs_pow_int(B, L, gamma, p, Fraction(1, 10**30))
+    box = metrics._integral_abs_pow_int(B, L, delta, gamma, p, Fraction(1, 10**30))
     assert box.lo == box.hi == abs(value)
 
 

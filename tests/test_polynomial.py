@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.coeffspace import FiniteSupport, SeriesFn, evaluate
-from chaoslab.metrics import _bernstein, _integral_abs_pow_int, _split, _sup_abs_on
+from chaoslab.metrics import _bernstein, _integral_abs_pow_int, _power_basis, _split, _sup_abs_on
 
 small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 polys = st.lists(small, min_size=0, max_size=7).map(FiniteSupport)
@@ -45,8 +45,8 @@ def test_evaluate_is_the_exact_term_sum(P, gamma, s):
 def test_bernstein_drops_trailing_zeros_and_reads_the_empty_tuple_as_zero():
     # a kept prefix can end in zeros; the degree, and so B, must not see them
     assert _bernstein((1, 2, 0, 0), Fraction(1, 2)) == _bernstein((1, 2), Fraction(1, 2))
-    assert _bernstein((), Fraction(3)) == _bernstein((0,), Fraction(3)) == ([0], 1)
-    assert _sup_abs_on(*_bernstein((), Fraction(1)), Fraction(1, 10**6)).hi == 0
+    assert _bernstein((), Fraction(3)) == _bernstein((0,), Fraction(3)) == ([0], 1, [0])
+    assert _sup_abs_on(*_bernstein((), Fraction(1))[:2], Fraction(1, 10**6)).hi == 0
     assert _integral_abs_pow_int(*_bernstein((), Fraction(2)), Fraction(2), 3, Fraction(1, 10**6)).hi == 0
 
 
@@ -54,7 +54,7 @@ def test_bernstein_drops_trailing_zeros_and_reads_the_empty_tuple_as_zero():
 @given(polys, gammas, st.lists(st.booleans(), max_size=6), st.lists(unit, min_size=1, max_size=5))
 def test_bernstein_panel_reproduces_and_encloses_the_polynomial(P, gamma, path, ss):
     # follow a path of de Casteljau halvings; the panel is [lo, hi] in u = t/gamma
-    B, L = _bernstein(P.preamble, gamma)
+    B, L, _ = _bernstein(P.preamble, gamma)
     n = len(B) - 1
     lo, hi, e = Fraction(0), Fraction(1), 0
     for go_right in path:
@@ -91,7 +91,7 @@ def test_packed_split_is_the_row_by_row_halving(B):
 @PROPERTY
 @given(polys, gammas, st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9))))
 def test_sup_abs_on_is_narrow_and_bounds_a_grid(P, gamma, tol):
-    sup = _sup_abs_on(*_bernstein(P.preamble, gamma), tol)
+    sup = _sup_abs_on(*_bernstein(P.preamble, gamma)[:2], tol)
     assert sup.width < tol
     assert all(abs(value_at(P, gamma * Fraction(k, 32))) <= sup.hi for k in range(33))
 
@@ -111,3 +111,28 @@ def test_even_power_integral_is_exact(P, gamma, p):
     exact = sum(c * gamma ** (k + 1) / (k + 1) for k, c in enumerate(power))
     box = _integral_abs_pow_int(*_bernstein(P.preamble, gamma), gamma, p, Fraction(1))
     assert box.lo == box.hi == exact
+
+
+@PROPERTY
+@given(polys, gammas)
+def test_bernstein_hands_on_the_power_basis_and_p1_settles_from_the_sum(P, gamma):
+    # C(n, i) delta_i is the power basis that _power_basis rebuilds from B.
+    # At p = 1 on a window whose Bernstein coefficients share a sign, the
+    # kernel's enclosure is the exact |int_0^gamma P| = |sum kept_i
+    # gamma^(i+1) / (i+1)!|.  Adding K > max|B| / L to kept_0 adds K to
+    # every Bernstein coefficient, so P + K and -(P + K) are such windows
+    # on every draw, and P itself where it already is one.
+    B, L, delta = _bernstein(P.preamble, gamma)
+    n = len(B) - 1
+    assert [math.comb(n, i) * d for i, d in enumerate(delta)] == _power_basis(B)
+    K = Fraction(max(map(abs, B)), L) + 1
+    lifted = P.preamble or (Fraction(0),)
+    lifted = (lifted[0] + K,) + lifted[1:]
+    for kept in (P.preamble, lifted, tuple([-c for c in lifted])):
+        B, L, delta = _bernstein(kept, gamma)
+        if min(B) < 0 < max(B):
+            continue
+        exact = abs(sum([c * gamma ** (i + 1) / math.factorial(i + 1) for i, c in enumerate(kept)],
+                        Fraction(0)))
+        box = _integral_abs_pow_int(B, L, delta, gamma, 1, Fraction(1, 10**9))
+        assert box.lo == box.hi == exact
