@@ -26,6 +26,7 @@ from .coeffspace import (
     Alphabet,
     CoeffSeq,
     SeriesFn,
+    _frac_list,
     finite_support,
     from_json,
     to_payload,
@@ -134,10 +135,6 @@ def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), default=str)
 
 
-def _iv(interval: BoundInterval) -> dict:
-    return {"lo": str(interval.lo), "hi": str(interval.hi)}
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -224,7 +221,7 @@ def _cmd_metric(args) -> int:
     g = _as_series(_load_seq(args.g), gamma, args.g)
     spec = LpSpec(p, f.gamma)
     rho = rho_p(f, g, spec, tol)
-    _emit(_dumps({"lo": str(rho.lo), "hi": str(rho.hi), "tol_requested": str(tol)}), args.out)
+    _emit(_dumps({**verify._ivp(rho), "tol_requested": str(tol)}), args.out)
     return 0
 
 
@@ -250,7 +247,7 @@ def _cmd_approx_periodic(args) -> int:
     payload = {
         "approximant": to_payload(approx),
         "eps": str(eps),
-        "rho": _iv(rho),
+        "rho": verify._ivp(rho),
     }
     _emit(_dumps(payload), args.out)
     return 0
@@ -294,8 +291,8 @@ def _cmd_transitivity(args) -> int:
         "n": n,
         "eps_u": str(eps_u),
         "eps_v": str(eps_v),
-        "rho_u": _iv(rho_u),
-        "rho_v": _iv(rho_v),
+        "rho_u": verify._ivp(rho_u),
+        "rho_v": verify._ivp(rho_v),
     }
     _emit(_dumps(payload), args.out)
     return 0
@@ -309,10 +306,10 @@ def _cmd_ef_approx(args) -> int:
     alphabet, member = ef_approximation(poly, gamma, spec, eps)
     rho = rho_p(SeriesFn(member, gamma), SeriesFn(poly, gamma), spec, eps / 16)
     payload = {
-        "alphabet": [str(v) for v in alphabet.values],
+        "alphabet": _frac_list(alphabet.values),
         "member": to_payload(member),
         "eps": str(eps),
-        "rho": _iv(rho),
+        "rho": verify._ivp(rho),
     }
     _emit(_dumps(payload), args.out)
     return 0
@@ -333,7 +330,7 @@ def _cmd_filtration(args) -> int:
                 {
                     "step": step.index,
                     "eps": str(Fraction(1, step.index)),
-                    "alphabet": [str(v) for v in step.alphabet.values],
+                    "alphabet": _frac_list(step.alphabet.values),
                     "member": to_payload(step.member),
                 }
             )
@@ -354,8 +351,8 @@ def _cmd_sensitivity(args) -> int:
         "n": witness.n,
         "beta": str(witness.beta),
         "eps": str(witness.eps),
-        "close": _iv(close),
-        "far": _iv(far),
+        "close": verify._ivp(close),
+        "far": verify._ivp(far),
     }
     _emit(_dumps(payload), args.out)
     return 0

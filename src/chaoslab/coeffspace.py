@@ -494,12 +494,8 @@ def derivative_sup_bound(f: SeriesFn) -> Fraction:
 # JSON wire format
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _frac_list(values: Iterable[Fraction]) -> list:
-    return [_frac_str(v) for v in values]
+    return [str(v) for v in values]
 
 
 def _parse_frac(text) -> Fraction:
@@ -556,8 +552,8 @@ def seq_from_payload(payload: dict) -> CoeffSeq:
 def to_payload(obj: Union[CoeffSeq, SeriesFn]) -> dict:
     if isinstance(obj, SeriesFn):
         payload = seq_to_payload(obj.coeffs)
-        payload["gamma"] = _frac_str(obj.gamma)
-        payload["origin"] = _frac_str(obj.origin)
+        payload["gamma"] = str(obj.gamma)
+        payload["origin"] = str(obj.origin)
         return payload
     return seq_to_payload(obj)
 

@@ -42,7 +42,7 @@ from .coeffspace import (
 )
 from .errors import CertificationFailure, DomainError
 from .intervals import BoundInterval, as_fraction, power
-from .metrics import LpSpec, rho_p
+from .metrics import LpSpec, _differences, _taylor, rho_p
 
 
 def _kept(P: CoeffSeq) -> Tuple[Fraction, ...]:
@@ -234,11 +234,13 @@ def bernstein_approx(
     while degree <= max_degree:
         nodes = [gq * k / degree for k in range(degree + 1)]
         values = [sampled(x).mid for x in nodes]
-        lip_p = max(
-            (abs(values[k + 1] - values[k]) * degree / gq for k in range(degree)),
-            default=Fraction(0),
-        )
-        cand = _bernstein_polynomial(values, gq)
+        den = math.lcm(*[v.denominator for v in values])
+        rows = _differences([v.numerator * (den // v.denominator) for v in values], degree)
+        lip_p = Fraction(max(map(abs, rows[1])) * degree, den) / gq
+        # sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma, whose power basis
+        # in t is the table's first column times C(n, j), as its stream
+        cand = FiniteSupport([Fraction(c * math.factorial(j), den) / gq**j
+                              for j, c in enumerate(_taylor(rows, 0, 0))])
         wiggle = lq + lip_p
         if wiggle == 0:
             m = 1
@@ -273,19 +275,6 @@ def _coarse_to_fine(m: int) -> Iterator[int]:
     while half:
         yield from range(half, m, 2 * half)
         half //= 2
-
-
-def _bernstein_polynomial(values: Sequence[Fraction], gq: Fraction) -> EventuallyPeriodic:
-    """Exact sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma, as its stream."""
-    n = len(values) - 1
-    out = []
-    for j in range(n + 1):
-        acc = Fraction(0)
-        for k in range(j + 1):
-            term = values[k] * math.comb(n, k) * math.comb(n - k, j - k)
-            acc += -term if (j - k) % 2 else term
-        out.append(acc * math.factorial(j) / gq**j)
-    return FiniteSupport(out)
 
 
 # ---------------------------------------------------------------------------

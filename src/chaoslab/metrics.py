@@ -62,9 +62,13 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
   |Q|^p in closed-form moments (product integration carried to order
   6).  Miller's recurrence for the powers of a power series
   (_power_taylor) turns the exact integer Taylor coefficients of D into
-  those of the power, one integer quotient each.  Faa di Bruno's formula
-  (_f6_coefficients) gives its sixth derivative, bounded on the panel for
-  a remainder that shrinks as h^7 (h^(p+7) across a root).  Every model is
+  those of the power, one integer quotient each.  Every Taylor
+  coefficient, at the midpoint or at t~, is a sum over one row of the
+  panel's forward-difference table in Bernstein form (Farouki & Rajan
+  1988; _taylor), the table whose rows also bound the derivatives.
+  Faa di Bruno's formula (_f6_coefficients) gives its sixth derivative,
+  bounded on the panel for a remainder that shrinks as h^7 (h^(p+7)
+  across a root).  Every model is
   intersected with the crude range-times-width bound, which is all any
   other root panel takes, and which a panel whose remainder alone misses
   its budget takes without building the model.  The derivative bounds
@@ -126,8 +130,9 @@ _MAX_POWER_DEGREE = 2048
 class LpSpec:
     """Which L^p norm, on a window of which length.
 
-    is_sup and inv_p are worked out once, on construction; equality and
-    the hash read (p, gamma) only."""
+    is_sup (p = inf) and inv_p (1/p, with 1/inf = 0) are worked out once,
+    on construction, as plain attributes rather than fields, so equality,
+    the hash and the repr read (p, gamma) only."""
 
     p: Union[Fraction, float]
     gamma: Fraction
@@ -145,17 +150,8 @@ class LpSpec:
             raise DomainError("gamma must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_is_sup", p is math.inf)
-        object.__setattr__(self, "_inv_p", inv_p)
-
-    @property
-    def is_sup(self) -> bool:
-        return self._is_sup
-
-    @property
-    def inv_p(self) -> Fraction:
-        """1/p, with 1/inf = 0."""
-        return self._inv_p
+        object.__setattr__(self, "is_sup", p is math.inf)
+        object.__setattr__(self, "inv_p", inv_p)
 
     def gamma_pow_inv_p(self) -> BoundInterval:
         """Certified gamma**(1/p); exact when 1/p is an integer."""
@@ -356,7 +352,7 @@ def _bernstein(kept: Tuple[Fraction, ...], gamma: Fraction) -> Tuple[List[int], 
     dropped.  delta holds the integers before the binomial transform, the
     differences of B at 0 (B_j = sum_i C(j, i) delta_i), and P(gamma u) =
     sum_i C(n, i) delta_i u^i / L: C(n, i) delta_i is the power basis that
-    _power_basis(B) would rebuild."""
+    _taylor(_differences(B, n), 0, 0) would rebuild."""
     n = max(len(kept) - 1, 0)
     while n and kept[n] == 0:
         n -= 1
@@ -444,17 +440,36 @@ def _convolution_power(a: List[int], p: int) -> List[int]:
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, slots * size, size)]
 
 
-def _power_basis(b: List[int]) -> List[int]:
-    """c with sum_j c_j u^j = sum_j b_j C(n, j) u^j (1 - u)^(n - j): C(n, j)
-    times the j-th difference of b at 0, differenced in place (the inverse
-    of _bernstein's Pascal loop).  Only _root_guess needs it, on a panel;
-    the whole window's comes with _bernstein's delta."""
-    n = len(b) - 1
-    d = list(b)
-    for r in range(n):
-        for j in range(n, r, -1):
-            d[j] -= d[j - 1]
-    return [math.comb(n, j) * x for j, x in enumerate(d)]
+def _differences(b: List[int], depth: int) -> List[List[int]]:
+    """The forward-difference table [b, Delta b, ..., Delta^depth b] of the
+    integers b; rows past len(b) - 1 are empty."""
+    rows = [b]
+    for _ in range(depth):
+        rows.append(list(map(operator.sub, rows[-1][1:], rows[-1])))
+    return rows
+
+
+def _taylor(rows: List[List[int]], m: int, s: int) -> List[int]:
+    """A_0..A_J, J = min(len(rows) - 1, n), for rows = _differences(b, .)
+    with b of length n + 1: the polynomial P with Bernstein coefficients b /
+    den on [0, 1] has Taylor coefficients A_j / (den 2^(s n)) about x~ = m
+    / 2^s, 0 <= m <= 2^s.  P^(j)(x~) / j! = C(n, j) sum_i Delta^j b_i
+    B_(i, n-j)(x~) (Farouki & Rajan 1988), each row summed in Bernstein
+    form by Horner's rule over the integers m and 2^s - m.  At x~ = 0 it
+    is the first column times C(n, j), the power basis (the inverse of
+    _bernstein's Pascal loop)."""
+    n = len(rows[0]) - 1
+    w = (1 << s) - m
+    comb = math.comb
+    A = []
+    for j, row in enumerate(rows[:n + 1]):
+        k = n - j
+        acc, t = row[k], 1  # sum_i C(k, i) m^i w^(k - i) row_i, from the top
+        for i in range(k - 1, -1, -1):
+            t *= w
+            acc = acc * m + comb(k, i) * t * row[i]
+        A.append(comb(n, j) * acc << (s * j))
+    return A
 
 
 # A fractional root panel's Taylor point, and the ends of an odd-p
@@ -463,19 +478,23 @@ def _power_basis(b: List[int]) -> List[int]:
 _GUESS_BITS = 53
 
 
-def _root_guess(coeffs: List[int]) -> int:
+def _root_guess(rows: List[List[int]]) -> int:
     """m such that m / 2^_GUESS_BITS in [0, 1] is near the root of the
-    polynomial with Bernstein coefficients coeffs on [0, 1], which has one
-    simple root there (it is monotone, or its nonzero coefficients change
-    sign once): Newton's method in doubles, from the chord's root (the
-    middle when both end values are 0), on the power basis about the
-    panel end nearer to it, clamped to [0, 1].  No result rests on its
+    polynomial with Bernstein coefficients b = rows[0] on [0, 1], rows =
+    _differences(b, n) or deeper, which has one simple root there (it is
+    monotone, or its nonzero coefficients change sign once): Newton's
+    method in doubles, from the chord's root (the middle when both end
+    values are 0), on the Taylor coefficients about the panel end nearer
+    to it (_taylor at 0 or 1), clamped to [0, 1].  No result rests on its
     accuracy: it sets the width of a fractional root panel's enclosure
     (through a_0), and where an odd-p bracket starts its search."""
-    n = len(coeffs) - 1
-    flip = 2 * abs(coeffs[0]) > abs(coeffs[n] - coeffs[0])  # nearer the right end
-    b = coeffs[::-1] if flip else coeffs
-    c = _power_basis(b)
+    b = rows[0]
+    n = len(b) - 1
+    flip = 2 * abs(b[0]) > abs(b[n] - b[0])  # nearer the right end: work in 1 - x
+    c = _taylor(rows, int(flip), 0)
+    if flip:
+        c = [-a if j % 2 else a for j, a in enumerate(c)]
+        b = b[::-1]
     top = max(map(abs, c))
     c = [a / top for a in reversed(c)]
     x = b[0] / (b[0] - b[n]) if b[0] != b[n] else 0.5
@@ -621,7 +640,7 @@ def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fractio
                 else:
                     hi = x
 
-        m = _root_guess(coeffs)
+        m = _root_guess(_differences(coeffs, n))
         probe(m)
         for step in _BRACKET_STEPS:
             probe(m + step if lo >= m else m - step)
@@ -801,28 +820,6 @@ def _f6_at(k: Sequence[tuple], r1, r2, r3, r4, r5, r6) -> Tuple[float, float]:
                            _fi_mul(r6, ck)))
 
 
-def _taylor_at(B: List[int], m: int, s: int) -> List[int]:
-    """A_0..A_J, J = min(n, 6): the polynomial with Bernstein coefficients
-    B / den on [0, 1] has Taylor coefficients A_j / (den 2^(s n)) about
-    x~ = m / 2^s, from one integer de Casteljau split at x~: row r of the
-    split, scaled by 2^(s r), holds n - r + 1 points, and C(n, j) times
-    the j-th difference of row n - j is the j-th coefficient."""
-    n = len(B) - 1
-    w = (1 << s) - m
-    A = [0] * (min(n, 6) + 1)
-    row = B
-    for r in range(n + 1):
-        if r:
-            row = [w * x + m * y for x, y in zip(row, row[1:])]
-        j = n - r
-        if j <= 6:
-            d = row
-            for _ in range(j):
-                d = [y - x for x, y in zip(d, d[1:])]
-            A[j] = math.comb(n, j) * d[0] << (s * j)
-    return A
-
-
 # The split census: None, or the Counter that count_splits yields.
 _census: Optional[Counter] = None
 
@@ -864,11 +861,11 @@ _HALF_MOMENTS = ((1.0, 1.0), None, _fc(Fraction(1, 12)), None, _fc(Fraction(1, 8
 def _frac_tables(p: Fraction, n: int) -> tuple:
     """What _integral_abs_pow_frac needs of p and the degree n alone:
     PowerFn of p, p + 1 and p - 1; n!/(n-j)! for j < 8; c^k k! for k < 6,
-    p = a/c; F_6 / 6!'s coefficients, outward in doubles; the weights of
-    Q's Taylor coefficients about 1/2, C(n, j) 2^j C(n - j, i); the root
-    panels' 1 / (p + k + 1) for k <= 6, p's upper double, and their least
-    M_6 (at x~ = 1/2) times 1 - 2^-20, a margin for the rounding of the
-    test that uses it."""
+    p = a/c; F_6 / 6!'s coefficients, outward in doubles; the root panels'
+    1 / (p + k + 1) for k <= 6, p's upper double, and their least M_6 (at
+    x~ = 1/2) times 1 - 2^-20, a margin for the rounding of the test that
+    uses it.  Q's Taylor coefficients need no table: _taylor sums them off
+    each panel's difference rows."""
     c = p.denominator
     pw1 = PowerFn(p + 1)
     inv_moment = tuple(_fc(1 / (p + k + 1)) for k in range(7))
@@ -876,8 +873,6 @@ def _frac_tables(p: Fraction, n: int) -> tuple:
             tuple(math.perm(n, j) for j in range(8)),
             tuple(c**k * math.factorial(k) for k in range(6)),
             tuple(_fc(x) for x in _f6_coefficients(p)),
-            tuple(tuple(math.comb(n, j) * math.comb(n - j, i) << j for i in range(n - j + 1))
-                  for j in range(min(n, 4) + 1)),
             inv_moment, _fc(p)[1],
             math.ldexp(pw1.of_ratio(1, 2)[0], -5) * inv_moment[6][0] * (1 - 2**-20))
 
@@ -890,7 +885,9 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     A panel of width h at depth k, in its variable x in [0, 1], holds
     integers b over den = L * 2^(kn): they bound P, n!/(n-j)! times their
     j-th differences bound the j-th derivative in x (h^j P^(j)), and b_0
-    and b_n are P's exact values at the ends.  Every panel where P is
+    and b_n are P's exact values at the ends.  A panel builds its
+    difference rows once (_differences), and reads both the bounds and
+    its exact Taylor coefficients off them (_taylor).  Every panel where P is
     sign-definite, or monotone across one simple root, takes one
     sixth-order Taylor model (Davis & Rabinowitz 1984).  About a point x~,
     with a weight w >= 0 and g = |Q|^p for a Q without a root on the
@@ -911,15 +908,15 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     * sign-definite: Q = |P| (the b negated when P < 0), x~ = 1/2 and
       w = 1, so the odd moments vanish and M_0, M_2, M_4, M_6 are 1, 1/12,
       1/80 and 1/448.  T_j = C(n, j) 2^j sum_i C(n - j, i) Delta^j b_i over
-      den 2^n, from the difference rows; R'_j is n!/(n-j)! times the j-th
+      den 2^n, _taylor at 1/2 on rows 0-4; R'_j is n!/(n-j)! times the j-th
       differences over the b themselves, free of scale; and range(g) comes
       from the least and largest b.
     * a root panel whose first differences share one strict sign, so that
       P is monotone with exactly one simple root: about a dyadic x~ near
       the root (_root_guess, Newton in doubles, needing no certificate),
-      P(x) = a_0 + (x - x~) Q(x), with a_0..a_6 read exactly off one
-      integer de Casteljau split at x~ (_taylor_at), so Q = P[x~, x] has
-      T_j = a_(j+1) and no root on the panel.  w = |x - x~|^p, whose
+      P(x) = a_0 + (x - x~) Q(x), with a_0..a_6 read exactly off rows 0-6
+      (_taylor at x~), so Q = P[x~, x] has T_j = a_(j+1) and no root on
+      the panel.  w = |x - x~|^p, whose
       moments are ((1 - x~)^(p+k+1) + (-1)^k x~^(p+k+1)) / (p+k+1); R'_j
       lies in the range of P^(j+1) / (j + 1) over that of P', and range(g)
       is that of |P'|^p, all from the difference rows 1-7; and |P|^p -
@@ -939,8 +936,8 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     model that meets it, so it takes the crude bound at once ("crude" or
     "root-crude" for count_splits) and splits unless that bound meets the
     budget.  What depends only on p and n (the PowerFns, the tables of
-    factorials, binomial weights and moments, and F_6 / 6!'s
-    coefficients) comes from _frac_tables, built once per (p, n).
+    factorials and moments, and F_6 / 6!'s coefficients) comes from
+    _frac_tables, built once per (p, n).
 
     Every power is of an exact ratio of integers, rooted once by PowerFn
     into the tightest doubles: T_0 / den for g(x~), the least and largest
@@ -969,7 +966,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
-    pw, pw1, pw_less, falling, kden, f6, mid, inv_moment, p_hi, m6_least = _frac_tables(p, n)
+    pw, pw1, pw_less, falling, kden, f6, inv_moment, p_hi, m6_least = _frac_tables(p, n)
 
     def remainder(g_range: tuple, r: List[tuple]) -> Tuple[float, float]:
         """range(g) F_6(R') / 6!, R'_j in r[j - 1]."""
@@ -1001,18 +998,17 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             return max(0.0, crude[0]), crude[1], False
         return lo, hi, (lo, hi) == body
 
-    def root_taylor(coeffs: List[int], den: int, h: tuple, budget: float,
+    def root_taylor(rows: List[List[int]], den: int, h: tuple, budget: float,
                     crude: tuple) -> Tuple[tuple, str]:
-        """(enclosure, kind) on a panel whose first differences share one
-        strict sign, by the Taylor model across its one root; kind
-        "root-crude" when the model's remainder alone is wider than the
-        panel's budget, and the crude bound stands."""
-        if coeffs[n] < coeffs[0]:  # |P|^p = |-P|^p: take P increasing
-            coeffs = [-b for b in coeffs]
-        spans, row = [], coeffs
-        for _ in range(7):
-            row = [y - x for x, y in zip(row, row[1:])]
-            spans.append((min(row, default=0), max(row, default=0)))
+        """(enclosure, kind) on a panel whose difference table rows
+        (max(n, 7) deep) has a first row of one strict sign, by the Taylor
+        model across its one root; kind "root-crude" when the model's
+        remainder alone is wider than the panel's budget, and the crude
+        bound stands."""
+        if rows[1][0] < 0:  # |P|^p = |-P|^p: take P increasing
+            rows = [[-b for b in row] for row in rows]
+        coeffs = rows[0]
+        spans = [(min(row, default=0), max(row, default=0)) for row in rows[1:8]]
         d_lo, d_hi = n * spans[0][0], n * spans[0][1]  # h P' over den
         try:
             # R'_j: the range of P^(j+1) / (j + 1) over that of P'
@@ -1023,8 +1019,8 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         rem = remainder((pw.of_ratio(d_lo, den)[0], pw.of_ratio(d_hi, den)[1]), r)
         if (rem[1] - rem[0]) * m6_least * h[0] > budget:
             return crude, "root-crude"
-        m = _root_guess(coeffs)
-        A = _taylor_at(coeffs, m, _GUESS_BITS)
+        m = _root_guess(rows)
+        A = _taylor(rows[:7], m, _GUESS_BITS)
         D = den << (_GUESS_BITS * n)
         # the moments M_0..M_6 about x~
         one = 1 << _GUESS_BITS
@@ -1055,18 +1051,16 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             # straddles a root: width * range of |P|^p, and where P is
             # monotone the Taylor model across the root
             crude = _fi_mul((0.0, pw.of_ratio(max(-bmin, bmax), den)[1]), h)
-            row = [y - x for x, y in zip(coeffs, coeffs[1:])]
-            dmin, dmax = min(row), max(row)
+            rows = _differences(coeffs, max(n, 7))
+            dmin, dmax = min(rows[1]), max(rows[1])
             if not (dmin > 0 or dmax < 0):
                 return crude + (math.inf, "nonmonotone")
-            crude, kind = root_taylor(coeffs, den, h, budget, crude)
+            crude, kind = root_taylor(rows, den, h, budget, crude)
             return crude + (math.inf, kind)
         if bmax < 0:  # Q's coefficients
             coeffs = [-b for b in coeffs]
             bmin, bmax = -bmax, -bmin
-        rows = [coeffs]
-        for _ in range(6):
-            rows.append([y - x for x, y in zip(rows[-1], rows[-1][1:])])
+        rows = _differences(coeffs, 6)
         spans = [(min(row, default=0), max(row, default=0)) for row in rows[1:]]
         sap = (pw.of_ratio(bmin, den)[0], pw.of_ratio(bmax, den)[1])
         crude = _fi_mul(sap, h)
@@ -1075,7 +1069,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
         rem = remainder(sap, [_fi(f * lo, f * hi, bmin, bmax) for f, (lo, hi) in zip(falling[1:], spans)])
         if (rem[1] - rem[0]) * _HALF_MOMENTS[6][0] * h[0] > budget:
             return (max(0.0, crude[0]), crude[1], math.inf, "crude")
-        T = [sum(map(operator.mul, ws, row)) for ws, row in zip(mid, rows)]
+        T = _taylor(rows[:5], 1, 1)  # about the midpoint, over den 2^n
         lo, hi, modelled = clip(model(T, den << n, _HALF_MOMENTS, rem), h, crude)
         if not modelled:  # the crude bound binds
             return (lo, hi, math.inf, "crude")

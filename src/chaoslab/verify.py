@@ -29,6 +29,7 @@ from .coeffspace import (
     EventuallyPeriodic,
     FiniteSupport,
     SeriesFn,
+    _frac_list,
     derivative_sup_bound,
     evaluate,
     same_stream,
@@ -138,10 +139,6 @@ def _ivp(iv: BoundInterval) -> Dict[str, str]:
     return {"lo": str(iv.lo), "hi": str(iv.hi)}
 
 
-def _gs(gammas) -> List[str]:
-    return [str(g) for g in gammas]
-
-
 # ---------------------------------------------------------------------------
 # tail suite
 
@@ -167,7 +164,7 @@ def check_tail_monotonicity(gammas=_TAIL_GAMMAS, k_max: int = 60) -> CheckResult
                     {"kind": "zeta", "k": k, "gamma": _fr(g), "enclosure": _ivp(diffz)}
                 )
     return _result("tailmath", "tail-monotonicity", trials, failures,
-                   k_max=k_max, gammas=_gs(gammas))
+                   k_max=k_max, gammas=_frac_list(gammas))
 
 
 def check_tail_vanishing(gammas=_TAIL_GAMMAS, k_max: int = 60) -> CheckResult:
@@ -186,7 +183,7 @@ def check_tail_vanishing(gammas=_TAIL_GAMMAS, k_max: int = 60) -> CheckResult:
             if not (z.hi < _VANISH_BOUND and mag < _VANISH_BOUND):
                 failures.append({"kind": "zeta-or-xi", "k": k, "gamma": _fr(g)})
     return _result("tailmath", "tail-vanishing", trials, failures,
-                   bound=str(_VANISH_BOUND), gammas=_gs(small))
+                   bound=str(_VANISH_BOUND), gammas=_frac_list(small))
 
 
 def check_xi_positivity(gammas=_TAIL_GAMMAS, window: int = 100) -> CheckResult:
@@ -287,7 +284,7 @@ def check_shift_derivative_coherence(
                 "gap": str(mag), "bound": str(bound),
             })
     return _result("coeffspace", "shift-derivative-coherence", done, failures,
-                   step="1/1000000", gammas=_gs(gammas))
+                   step="1/1000000", gammas=_frac_list(gammas))
 
 
 def check_periodic_shift_fixed_point(seed: int = 0, trials: int = 100) -> CheckResult:
@@ -329,8 +326,8 @@ def check_word_enumeration_complete() -> CheckResult:
                         break
                 if not exact or first is None:
                     failures.append({
-                        "alphabet": _gs(alphabet.values),
-                        "word": _gs(word), "start_index": l0,
+                        "alphabet": _frac_list(alphabet.values),
+                        "word": _frac_list(word), "start_index": l0,
                     })
                 else:
                     max_first_hit = max(max_first_hit, first)
@@ -348,7 +345,7 @@ def check_shift_preserves_alphabet(seed: int = 0, trials: int = 100) -> CheckRes
             s = dense_orbit_point(alphabet)
         if not (s.in_EF(alphabet) and s.shift().in_EF(alphabet)
                 and s.shifted(7).in_EF(alphabet)):
-            failures.append({"stream": to_payload(s), "alphabet": _gs(alphabet.values)})
+            failures.append({"stream": to_payload(s), "alphabet": _frac_list(alphabet.values)})
     return _result("coeffspace", "shift-preserves-alphabet", trials, failures)
 
 
@@ -410,7 +407,7 @@ def check_metric_axioms(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 60) ->
                 failures.append({"kind": "rho-triangle", "p": str(p), "gamma": _fr(g),
                                  "x": to_payload(x), "y": to_payload(y),
                                  "z": to_payload(z)})
-    return _result("metrics", "metric-axioms", done, failures, gammas=_gs(gammas))
+    return _result("metrics", "metric-axioms", done, failures, gammas=_frac_list(gammas))
 
 
 def check_lp_norm_comparison(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 200) -> CheckResult:
@@ -434,7 +431,7 @@ def check_lp_norm_comparison(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 2
                 "lhs": _ivp(lhs), "rhs": _ivp(rhs),
             })
     return _result("metrics", "lp-norm-comparison", trials, failures,
-                   exponents=[str(p) for p in exponents], gammas=_gs(gammas))
+                   exponents=_frac_list(exponents), gammas=_frac_list(gammas))
 
 
 @dataclass
@@ -534,8 +531,8 @@ def check_sup_prefix_upper(alphabet_values: Sequence[Fraction], gammas=_CORE_GAM
     sweep = prefix_implications(_alphabet_differences(alphabet_values), pre_max, per_max,
                                 rho_ks=range(k_max + 1), gammas=gammas)
     return _result("metrics", "sup-prefix-upper", sweep.sup_upper.trials,
-                   sweep.sup_upper.failures, alphabet=_gs(alphabet_values),
-                   family_size=sweep.family_size, gammas=_gs(gammas), k_max=k_max)
+                   sweep.sup_upper.failures, alphabet=_frac_list(alphabet_values),
+                   family_size=sweep.family_size, gammas=_frac_list(gammas), k_max=k_max)
 
 
 def check_sup_prefix_upper_general(
@@ -549,7 +546,7 @@ def check_sup_prefix_upper_general(
     runs = [sweeps[d] for d in diffs]
     return _result("metrics", "sup-prefix-upper-general", sum(r.sup_upper.trials for r in runs),
                    [f for r in runs for f in r.sup_upper.failures],
-                   alphabets=[_gs(values) for values in alphabets],
+                   alphabets=[_frac_list(values) for values in alphabets],
                    family_sizes=[r.family_size for r in runs])
 
 
@@ -623,7 +620,7 @@ def check_rho1_to_dE_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
         else:
             misses += 1
     return _result("metrics", "rho1-to-dE-continuity", trials, failures,
-                   hypothesis_hits=hits, hypothesis_misses=misses, gammas=_gs(gammas))
+                   hypothesis_hits=hits, hypothesis_misses=misses, gammas=_frac_list(gammas))
 
 
 def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100) -> CheckResult:
@@ -653,7 +650,7 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
         else:
             misses += 1
     return _result("metrics", "dE-to-sup-continuity", trials, failures,
-                   hypothesis_hits=hits, hypothesis_misses=misses, gammas=_gs(gammas))
+                   hypothesis_hits=hits, hypothesis_misses=misses, gammas=_frac_list(gammas))
 
 
 def run_metrics(cfg: VerifyConfig) -> List[CheckResult]:
@@ -698,7 +695,7 @@ def check_commuting_squares(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 50
                 "tail_matches": rep.tail_matches,
             })
     return _result("conjugacy", "shift-square-commutes", trials, failures,
-                   window=window, gammas=_gs(gammas))
+                   window=window, gammas=_frac_list(gammas))
 
 
 def check_shift_metric_isometry(seed: int = 0, trials: int = 200) -> CheckResult:
@@ -747,7 +744,7 @@ def check_translation_isometry_suite(gammas=_CORE_GAMMAS, seed: int = 0,
                 "round_trip": round_trip,
             })
     return _result("conjugacy", "translation-isometry", trials, failures,
-                   gammas=_gs(gammas))
+                   gammas=_frac_list(gammas))
 
 
 def check_no_isolated_points(gammas=_CORE_GAMMAS, seed: int = 0,
@@ -771,7 +768,7 @@ def check_no_isolated_points(gammas=_CORE_GAMMAS, seed: int = 0,
                 "delta": str(delta), "index": rep.index, "rho": _ivp(rep.rho),
             })
     return _result("conjugacy", "no-isolated-points", trials, failures,
-                   deltas=[str(d) for d in deltas], gammas=_gs(gammas))
+                   deltas=_frac_list(deltas), gammas=_frac_list(gammas))
 
 
 def run_conjugacy(cfg: VerifyConfig) -> List[CheckResult]:
@@ -811,12 +808,12 @@ def check_periodic_density(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100
               and rho.hi < eps)
         if not ok:
             failures.append({
-                "f": to_payload(f), "alphabet": _gs(alphabet.values),
+                "f": to_payload(f), "alphabet": _frac_list(alphabet.values),
                 "gamma": _fr(g), "p": str(spec.p), "eps": str(eps),
                 "approx": to_payload(approx), "rho": _ivp(rho),
             })
     return _result("constructions", "periodic-density", trials, failures,
-                   gammas=_gs(gammas))
+                   gammas=_frac_list(gammas))
 
 
 def check_transitivity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100,
@@ -838,13 +835,13 @@ def check_transitivity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100,
         if not (rho_u.hi < eps_u and rho_v.hi < eps_v):
             failures.append({
                 "u": to_payload(u), "v": to_payload(v),
-                "alphabet": _gs(alphabet.values), "gamma": _fr(g),
+                "alphabet": _frac_list(alphabet.values), "gamma": _fr(g),
                 "p": str(spec.p), "eps_u": str(eps_u), "eps_v": str(eps_v),
                 "h": to_payload(h), "n": n,
                 "rho_u": _ivp(rho_u), "rho_v": _ivp(rho_v),
             })
     return _result("constructions", "transitivity-witness", trials, failures,
-                   gammas=_gs(gammas))
+                   gammas=_frac_list(gammas))
 
 
 def check_orbit_index(gammas=(Fraction(1, 2), Fraction(1)), seed: int = 0,
@@ -865,11 +862,11 @@ def check_orbit_index(gammas=(Fraction(1, 2), Fraction(1)), seed: int = 0,
         rho = rho_p(SeriesFn(b.shifted(l), g), SeriesFn(target, g), spec, tol=eps / 16)
         if not (prefix_ok and rho.hi < eps):
             failures.append({
-                "target": to_payload(target), "alphabet": _gs(alphabet.values),
+                "target": to_payload(target), "alphabet": _frac_list(alphabet.values),
                 "gamma": _fr(g), "p": str(spec.p), "eps": str(eps),
                 "index": l, "rho": _ivp(rho),
             })
-    return _result("constructions", "orbit-index", trials, failures, gammas=_gs(gammas))
+    return _result("constructions", "orbit-index", trials, failures, gammas=_frac_list(gammas))
 
 
 def check_two_value_augment(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 100) -> CheckResult:
@@ -888,8 +885,8 @@ def check_two_value_augment(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 10
             rho = rho_p(SeriesFn(poly, g), SeriesFn(fixed, g), spec, tol=eps / 16)
             dist_ok = rho.hi < eps
         if not (len(coefficient_alphabet(fixed)) >= 2 and dist_ok):
-            failures.append({"poly": _gs(poly.preamble), "eps": str(eps),
-                             "fixed": _gs(fixed.preamble)})
+            failures.append({"poly": _frac_list(poly.preamble), "eps": str(eps),
+                             "fixed": _frac_list(fixed.preamble)})
     return _result("constructions", "two-value-augment", trials, failures)
 
 
@@ -915,13 +912,13 @@ def check_polynomial_membership(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
                 close = rho.hi < eps
             if not (in_family and close and len(alphabet) >= 2):
                 failures.append({
-                    "poly": _gs(poly.preamble), "gamma": _fr(g),
+                    "poly": _frac_list(poly.preamble), "gamma": _fr(g),
                     "p": str(spec.p), "eps": str(eps),
-                    "alphabet": _gs(alphabet.values),
+                    "alphabet": _frac_list(alphabet.values),
                     "rho": None if rho is None else _ivp(rho),
                 })
     return _result("constructions", "polynomial-membership", done, failures,
-                   gammas=_gs(gammas))
+                   gammas=_frac_list(gammas))
 
 
 def check_filtration_nesting(gammas=_CORE_GAMMAS, seed: int = 0, steps: int = 10) -> CheckResult:
@@ -948,8 +945,8 @@ def check_filtration_nesting(gammas=_CORE_GAMMAS, seed: int = 0, steps: int = 10
         in_family = step.member.in_EF(step.alphabet)
         if not (nested and close and in_family and len(step.alphabet) >= 2):
             failures.append({
-                "step": step.index, "alphabet": _gs(step.alphabet.values),
-                "poly": _gs(poly.preamble),
+                "step": step.index, "alphabet": _frac_list(step.alphabet.values),
+                "poly": _frac_list(poly.preamble),
             })
     return _result("constructions", "filtration-nesting", trials, failures,
                    steps=steps, gamma=_fr(g))
@@ -974,12 +971,12 @@ def check_periodic_point_smooth(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
                   and rho.hi < eps / 2)
             if not ok:
                 failures.append({
-                    "poly": _gs(poly.preamble), "gamma": _fr(g),
+                    "poly": _frac_list(poly.preamble), "gamma": _fr(g),
                     "p": str(spec.p), "eps": str(eps),
                     "point": to_payload(point), "rho": _ivp(rho),
                 })
     return _result("constructions", "periodic-point-smooth", done, failures,
-                   gammas=_gs(gammas))
+                   gammas=_frac_list(gammas))
 
 
 _BETAS = (Fraction(1), Fraction(10), Fraction(10**4))
@@ -1017,8 +1014,8 @@ def check_sensitivity(gammas=_SENS_GAMMAS, seed: int = 0, random_targets: int = 
     except DomainError:
         pass
     return _result("constructions", "sensitivity-witness", trials, failures,
-                   betas=[str(b) for b in _BETAS],
-                   epss=[str(e) for e in _SENS_EPSS], gammas=_gs(gammas))
+                   betas=_frac_list(_BETAS),
+                   epss=_frac_list(_SENS_EPSS), gammas=_frac_list(gammas))
 
 
 def run_constructions(cfg: VerifyConfig) -> List[CheckResult]:

@@ -169,7 +169,7 @@ def test_integer_p_reads_the_handed_on_power_basis_and_takes_no_root_at_p1(monke
     for p in (1, 2):
         rho_p(series(ONES), series(ZEROS), LpSpec(p, 1), Fraction(1, 10**6))
     calls = Counter()
-    for name in ("_power_basis", "_convolution_power", "power"):
+    for name in ("_taylor", "_convolution_power", "power"):
         fn = getattr(metrics, name)
         monkeypatch.setattr(metrics, name,
                             lambda *args, fn=fn, name=name, **kw: calls.update([name]) or fn(*args, **kw))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.coeffspace import FiniteSupport, SeriesFn, evaluate
-from chaoslab.metrics import _bernstein, _integral_abs_pow_int, _power_basis, _split, _sup_abs_on
+from chaoslab.metrics import _bernstein, _differences, _integral_abs_pow_int, _split, _sup_abs_on, _taylor
 
 small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 polys = st.lists(small, min_size=0, max_size=7).map(FiniteSupport)
@@ -113,10 +113,35 @@ def test_even_power_integral_is_exact(P, gamma, p):
     assert box.lo == box.hi == exact
 
 
+ints = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@PROPERTY
+@given(st.lists(ints, min_size=1, max_size=13), st.integers(min_value=0, max_value=2**53),
+       st.integers(min_value=0, max_value=9), st.data())
+def test_taylor_is_the_exact_taylor_shift_of_the_power_basis(delta, m, depth, data):
+    # B_j = sum_i C(j, i) delta_i is the Bernstein form of the power basis
+    # c_i = C(n, i) delta_i, so _taylor at 0 reads delta back (the inverse
+    # of _bernstein's Pascal loop); about x~ = m / 2^s its A_j / 2^(s n)
+    # are the Taylor coefficients sum_k C(k, j) c_k x~^(k - j), in exact
+    # Fractions, up to J = min(depth, n).
+    n = len(delta) - 1
+    B = [sum(math.comb(j, i) * d for i, d in enumerate(delta[:j + 1])) for j in range(n + 1)]
+    c = [math.comb(n, i) * d for i, d in enumerate(delta)]
+    assert _taylor(_differences(B, n), 0, 0) == c
+    rows = _differences(B, depth)
+    for num, s in ((0, 0), (1, 1), (m, 53), (data.draw(st.integers(0, 1 << 5)), 5)):
+        x = Fraction(num, 1 << s)
+        want = [sum((math.comb(k, j) * c[k] * x ** (k - j) for k in range(j, n + 1)), Fraction(0))
+                for j in range(min(depth, n) + 1)]
+        A = _taylor(rows, num, s)
+        assert [Fraction(a, 1 << (s * n)) for a in A] == want
+
+
 @PROPERTY
 @given(polys, gammas)
 def test_bernstein_hands_on_the_power_basis_and_p1_settles_from_the_sum(P, gamma):
-    # C(n, i) delta_i is the power basis that _power_basis rebuilds from B.
+    # C(n, i) delta_i is the power basis that _taylor reads off B's differences at 0.
     # At p = 1 on a window whose Bernstein coefficients share a sign, the
     # kernel's enclosure is the exact |int_0^gamma P| = |sum kept_i
     # gamma^(i+1) / (i+1)!|.  Adding K > max|B| / L to kept_0 adds K to
@@ -124,7 +149,7 @@ def test_bernstein_hands_on_the_power_basis_and_p1_settles_from_the_sum(P, gamma
     # on every draw, and P itself where it already is one.
     B, L, delta = _bernstein(P.preamble, gamma)
     n = len(B) - 1
-    assert [math.comb(n, i) * d for i, d in enumerate(delta)] == _power_basis(B)
+    assert [math.comb(n, i) * d for i, d in enumerate(delta)] == _taylor(_differences(B, n), 0, 0)
     K = Fraction(max(map(abs, B)), L) + 1
     lifted = P.preamble or (Fraction(0),)
     lifted = (lifted[0] + K,) + lifted[1:]

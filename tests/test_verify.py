@@ -1,9 +1,16 @@
+import dataclasses
+import itertools
+import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from chaoslab import verify
+from chaoslab import cli, tailmath, verify
+from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport
 from chaoslab.errors import ConfigError
+from chaoslab.intervals import BoundInterval
+from chaoslab.sampling import first_nonzero_index
 from chaoslab.verify import SUITES, CheckResult, VerifyConfig, prefix_implications, run_suites
 
 # small knobs so the whole registry stays quick under pytest
@@ -119,3 +126,171 @@ def test_construction_checks_pass_at_fractional_p():
         result = check(trials=30, ps=ps)
         assert result.passed, (result.name, result.failures[:2])
         assert result.trials >= 30
+
+
+# ---------------------------------------------------------------------------
+# every failure record, forced: each check reads its metric from verify's
+# namespace, so patching that name with one that returns a far-off
+# enclosure makes the check record failures, which must reach the CLI's
+# output as a "pass": false line with failure_count (exit code 1), not as
+# a raw exception.
+
+FAR = BoundInterval.exact(Fraction(10**6))
+ZERO_BOX = BoundInterval.exact(Fraction(0))
+
+
+def _returning(value):
+    return lambda *args, **kwargs: value
+
+
+def _cycling(*values):
+    # the axiom checks call a metric four times per trial, xy, yx, xz, yz:
+    # (0, 1, 10**6, 0) breaks both symmetry and the triangle inequality
+    box = itertools.cycle([BoundInterval.exact(Fraction(v)) for v in values])
+    return lambda *args, **kwargs: next(box)
+
+
+class _Tailmath:
+    """tailmath, with some functions replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(tailmath, name)
+
+
+def _with_report(name, **fields):
+    real = getattr(verify, name)
+    return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **fields)
+
+
+class _Drifting(EventuallyPeriodic):
+    """A periodic stream that no shift brings back."""
+
+    def shifted(self, times):
+        return FiniteSupport((Fraction(10**6),))
+
+
+def _de_by_first_index(d, _zero):
+    # far above every eta bound where d starts with zeros, 0 where it does not
+    return FAR if first_nonzero_index(d) > 0 else ZERO_BOX
+
+
+ONE = (Fraction(1),)
+FORCED = [
+    ("tail-monotonicity", lambda: verify.check_tail_monotonicity(ONE, k_max=2),
+     {"tailmath": _Tailmath(eta=_returning(FAR), zeta=_returning(FAR))}, {"eta", "zeta"}),
+    ("tail-vanishing", lambda: verify.check_tail_vanishing(ONE, k_max=40),
+     {"tailmath": _Tailmath(eta=_returning(FAR), zeta=_returning(FAR), xi=_returning(FAR))},
+     {"eta", "zeta-or-xi"}),
+    ("xi-positivity-threshold", lambda: verify.check_xi_positivity(ONE, window=0),
+     {"tailmath": _Tailmath(xi=_returning(-FAR), xi_decrement=_returning(Fraction(-1)))},
+     {"xi-sign", "xi-decrement"}),
+    ("alpha-positivity", lambda: verify.check_alpha_positivity(k_max=1),
+     {"tailmath": _Tailmath(alpha=_returning(-FAR))}, {None}),
+    ("tail-enclosure-contract", lambda: verify.check_enclosure_contract(ONE, k_max=1),
+     # the enclosure at tol is exactly tol, so the tight one is not inside the loose one
+     {"tailmath": _Tailmath(**{name: lambda *args: BoundInterval.exact(args[-1])
+                               for name in ("eta", "zeta", "xi")})},
+     {"eta", "zeta:1", "xi:1"}),
+    ("shift-derivative-coherence", lambda: verify.check_shift_derivative_coherence(ONE, trials=1),
+     # f' far from the flat difference quotient
+     {"evaluate": _returning(FAR)}, {None}),
+    ("periodic-shift-fixed-point", lambda: verify.check_periodic_shift_fixed_point(trials=1),
+     {"EventuallyPeriodic": _Drifting}, {None}),
+    ("word-enumeration-complete", verify.check_word_enumeration_complete,
+     {"word_start_index": _returning(10**6)}, {None}),
+    ("shift-preserves-alphabet", lambda: verify.check_shift_preserves_alphabet(trials=2),
+     {"random_stream": _returning(EventuallyPeriodic((), (Fraction(10**6),)))}, {None}),
+    ("metric-axioms", lambda: verify.check_metric_axioms(ONE, trials=2),
+     {"d_lambda": _cycling(0, 1, 10**6, 0), "d_E": _cycling(0, 1, 10**6, 0),
+      "rho_p": _cycling(0, 1, 10**6, 0)},
+     {f"{kind}-{law}" for kind in ("d_lambda", "d_E", "rho") for law in ("symmetry", "triangle")}),
+    ("lp-norm-comparison", lambda: verify.check_lp_norm_comparison(ONE, trials=1),
+     {"holder_compare": _returning((FAR, ZERO_BOX))}, {None}),
+    ("dE-prefix-upper", lambda: verify.check_de_prefix_upper(
+        verify.prefix_implications((-1, 0, 1), 2, 1, de_upper_ks=range(3))),
+     {"d_E": _de_by_first_index}, {None}),
+    ("dE-prefix-lower", lambda: verify.check_de_prefix_lower(
+        verify.prefix_implications((-1, 0, 1), 2, 1, de_lower_ks=range(3))),
+     {"d_E": _de_by_first_index}, {None}),
+    ("sup-prefix-upper", lambda: verify.check_sup_prefix_upper((0, 1), ONE, 2, 1, k_max=2),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("sup-prefix-upper-general", lambda: verify.check_sup_prefix_upper_general(
+        ((0, 1),), ONE, 2, 1, k_max=2),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("l1-prefix-separation", lambda: verify.check_l1_prefix_separation(ONE, 2, 1, k_span=0),
+     {"rho_1_lower_bound": _returning(Fraction(0)), "rho_p": _returning(ZERO_BOX)}, {None}),
+    ("rho1-to-dE-continuity", lambda: verify.check_rho1_to_dE_continuity(ONE, trials=1),
+     {"rho_p": _returning(ZERO_BOX), "d_E": _returning(FAR)}, {None}),
+    ("dE-to-sup-continuity", lambda: verify.check_dE_to_sup_continuity(ONE, trials=1),
+     {"d_E": _returning(ZERO_BOX), "rho_p": _returning(FAR)}, {None}),
+    ("shift-square-commutes", lambda: verify.check_commuting_squares(ONE, trials=1),
+     {"check_commuting_square": _with_report("check_commuting_square", isometry_d_E=FAR)}, {None}),
+    ("shift-metric-isometry", lambda: verify.check_shift_metric_isometry(trials=1),
+     {"d_E": _returning(FAR)}, {None}),
+    ("translation-isometry", lambda: verify.check_translation_isometry_suite(ONE, trials=1),
+     {"check_translation_isometry": _with_report("check_translation_isometry", rho_after=FAR)},
+     {None}),
+    ("no-isolated-points", lambda: verify.check_no_isolated_points(ONE, trials=1),
+     {"nearby_distinct_point": _with_report("nearby_distinct_point", rho=FAR)}, {None}),
+    ("periodic-density", lambda: verify.check_periodic_density(ONE, trials=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("transitivity-witness", lambda: verify.check_transitivity(ONE, trials=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("orbit-index", lambda: verify.check_orbit_index(ONE, trials=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("two-value-augment", lambda: verify.check_two_value_augment(ONE, trials=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("polynomial-membership", lambda: verify.check_polynomial_membership(ONE, trials=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("filtration-nesting", lambda: verify.check_filtration_nesting(ONE, steps=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("periodic-point-smooth", lambda: verify.check_periodic_point_smooth(ONE, trials=1),
+     {"rho_p": _returning(FAR)}, {None}),
+    ("sensitivity-witness", lambda: verify.check_sensitivity(ONE, random_targets=0),
+     # a witness whose certificates are far off, and that the unbounded
+     # branch does not refuse
+     {"sensitivity_witness": _returning(SimpleNamespace(n=0, certificates=(FAR, ZERO_BOX)))},
+     {None, "unbounded-branch-accepted"}),
+]
+
+
+@pytest.mark.parametrize("name, run, patches, kinds", FORCED, ids=[case[0] for case in FORCED])
+def test_every_failure_record_reaches_the_output(name, run, patches, kinds, monkeypatch, capsys):
+    for attr, value in patches.items():
+        monkeypatch.setattr(verify, attr, value)
+    result = run()
+    assert result.name == name and not result.passed
+    count = result.detail["failure_count"]
+    assert count >= len(result.failures) >= 1
+    assert count == len(result.failures) or len(result.failures) == verify._MAX_STORED_FAILURES
+    assert {failure.get("kind") for failure in result.failures} == kinds
+    # the record goes out through the CLI's verify line, exit code 1
+    monkeypatch.setattr(verify, "SUITES", {"forced": lambda cfg: [result]})
+    assert cli.main(["verify", "--suite", "forced"]) == 1
+    line = json.loads(capsys.readouterr().out)
+    assert line["property"] == name and line["pass"] is False
+    assert line["detail"]["failure_count"] == count
+    assert line["failures"] == json.loads(cli._dumps(list(result.failures)))
+
+
+def test_every_check_has_a_forced_failure():
+    names = {case[0] for case in FORCED}
+    checks = [attr for attr, fn in vars(verify).items()
+              if attr.startswith("check_") and fn.__module__ == verify.__name__]
+    assert len(names) == len(FORCED) == len(checks)
+
+
+def test_verify_gamma_flags_reach_the_details(capsys):
+    argv = ["verify", "--suite", "tailmath", "--k-max", "2", "--gamma", "1/2,1", "--gamma", "2"]
+    assert cli.main(argv) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(line["pass"] for line in lines)
+    by_name = {line["property"]: line["detail"] for line in lines}
+    assert by_name["tail-monotonicity"]["gammas"] == ["1/2", "1", "2"]
+    assert sorted(by_name["xi-positivity-threshold"]["n_gamma"]) == ["1", "1/2", "2"]
+    for bad in ("abc", "1/0", "0", "1,-2"):
+        assert cli.main(["verify", "--suite", "tailmath", "--gamma", bad]) == 2
+        assert "chaos-lab:" in capsys.readouterr().err
