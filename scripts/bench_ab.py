@@ -4,7 +4,11 @@
         --out BENCH_8.json --note "what the change does"
 
 DIR is a fresh copy of each side's committed tree (for instance
-`git archive <commit> | tar -x -C DIR`).  For every workload in the
+`git archive <commit> | tar -x -C DIR`).  A tree whose __pycache__ holds a
+.pyc older than its source is refused: Python recompiles such a module on
+every launch, and under PYTHONDONTWRITEBYTECODE it never writes the new
+bytecode back, so that side's setup_s and peak_rss_mb carry a compile
+the other side does not pay.  For every workload in the
 change's BENCHMARK.json, pair i runs `perfbench/run.py --trace 0` once per
 side, the parent first on even i and the change first on odd i, each in
 its own tree with BENCHMARK.json's run_seconds.  Then TRACED_RUNS
@@ -59,6 +63,17 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
+def stale_bytecode(tree: Path) -> list:
+    """Every .pyc under tree's __pycache__ directories that is older than
+    its source file."""
+    stale = []
+    for pyc in sorted(tree.rglob("__pycache__/*.pyc")):
+        source = pyc.parent.parent / (pyc.name.split(".")[0] + ".py")
+        if source.exists() and pyc.stat().st_mtime < source.stat().st_mtime:
+            stale.append(pyc)
+    return stale
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One fresh perfbench process in tree: its last stdout line, parsed,
     with the details line before it under "details"."""
@@ -106,6 +121,15 @@ def workload_entry(results: dict, traced: dict, declared: list, per_layer: set) 
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        stale = stale_bytecode(tree)
+        if stale:
+            sys.exit(f"bench_ab: the --{side} tree {tree} holds bytecode older than its source "
+                     f"({stale[0]}, {len(stale)} file(s) in all).  Python recompiles such a module "
+                     f"on every launch and, with PYTHONDONTWRITEBYTECODE set, never writes it back, "
+                     f"so that side's setup_s and peak_rss_mb would carry a compile the other side "
+                     f"does not.  Benchmark fresh trees (git archive <commit> | tar -x -C DIR) or "
+                     f"delete the tree's __pycache__ directories.")
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     out = {

@@ -24,7 +24,11 @@ Every series cut follows coeffspace.truncate: when a - b has finite
 support it keeps that support and the tail is exactly 0; otherwise it
 keeps the first n terms, n the least searched index whose tail bound
 clears the caller's budget (d_E caches that index per (sup, tol), rho_p
-per (sup, gamma, p, tol)).  The bounds on everything from index n on are
+per (sup, gamma, p, tol)).  d_E sums its kept terms on integers alone
+(_d_E_parts): the difference's numerators over one lcm, dotted with a
+row of factorial weights cached per (preamble length, period length, n),
+in which each period slot carries the weights of every kept index that
+repeats it.  The bounds on everything from index n on are
 sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
 (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 
@@ -107,7 +111,6 @@ from .coeffspace import (
     EventuallyPeriodic,
     FiniteSupport,
     SeriesFn,
-    _unrolled,
     difference,
     finite_support,
     truncate,
@@ -210,6 +213,9 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
     return BoundInterval(partial, partial + tail)
 
 
+_D_E_TOL = Fraction(1, 10**12)  # d_E's default tolerance
+
+
 @lru_cache(maxsize=1024)
 def _d_E_cut(sup_num: int, sup_den: int, tol_num: int, tol_den: int) -> Tuple[int, int, int]:
     """(n, tail numerator, tail denominator): d_E's cut of a difference
@@ -228,6 +234,20 @@ def _d_E_cut(sup_num: int, sup_den: int, tol_num: int, tol_den: int) -> Tuple[in
     return n, tail.numerator, tail.denominator
 
 
+@lru_cache(maxsize=1024)
+def _d_E_weights(s: int, r: int, n: int) -> Tuple[int, ...]:
+    """The weight row of d_E's cut at n of a stream with a preamble of s
+    entries and a period of r: n!/(i+1)! for preamble entry i (0 from i =
+    n on), then, for each period slot, the sum of n!/(i+1)! over the
+    indices i < n that repeat it.  r = 0 reads a prefix of length s = n."""
+    w = [0] * (s + r)
+    f = 1  # n!/(i+1)!, from i = n - 1 down
+    for i in range(n - 1, -1, -1):
+        w[i if i < s else s + (i - s) % r] += f
+        f *= i + 1
+    return tuple(w)
+
+
 def _abs_numerators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     """([|v| * m for v in values], m): |values| as integer numerators over
     m, the lcm of their denominators."""
@@ -236,41 +256,52 @@ def _abs_numerators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [abs(p) * (m // q) for p, q in ratios], m
 
 
-def d_E(a: CoeffSeq, b: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
+def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
+    """(num, den, tail_num, tail_den): d_E(d, 0) lies in num/den + [0,
+    tail_num/tail_den], none of them reduced.
+
+    The kept terms follow coeffspace.truncate: an eventually-zero d keeps
+    its support with a tail of 0, any other keeps its first n, n the cut
+    _d_E_cut works out once per (sup, tol).  An eventually periodic d is
+    read once, as integer numerators of |preamble| and |period| over one
+    lcm m (their largest is m times the sup), and the kept sum is one
+    C-level dot product of them with _d_E_weights' row, over m * n!."""
+    if isinstance(d, EventuallyPeriodic):
+        nums, m = _abs_numerators(d.preamble + d.period)
+        s = len(d.preamble)
+        if d.period == (0,):  # eventually zero: keep the support
+            n, tail_num, tail_den = s, 0, 1
+        else:
+            n, tail_num, tail_den = _d_E_cut(max(nums), m, tol.numerator, tol.denominator)
+        w = _d_E_weights(s, len(d.period), n)
+    else:
+        n, tail_num, tail_den = _d_E_cut(*d.sup_abs().as_integer_ratio(),
+                                         tol.numerator, tol.denominator)
+        nums, m = _abs_numerators(d.prefix(n))
+        w = _d_E_weights(n, 0, n)
+    return sum(map(operator.mul, nums, w)), m * math.factorial(n), tail_num, tail_den
+
+
+def _d_E_interval(num: int, den: int, tail_num: int, tail_den: int) -> BoundInterval:
+    """The enclosure [num/den, num/den + tail_num/tail_den] of _d_E_parts."""
+    return BoundInterval(Fraction(num, den), Fraction(num * tail_den + tail_num * den, den * tail_den))
+
+
+def d_E(a: CoeffSeq, b: CoeffSeq, tol=_D_E_TOL) -> BoundInterval:
     """Certified d_E(a, b) = sum |a_n - b_n| / (n+1)!.
 
     Keeps the difference's finite support, with a tail of exactly 0, or
-    else its first n terms, n the cut _d_E_cut works out once per
-    (sup, tol), with a tail of at most sup|a_n - b_n| * eta_{n+1}.  An
-    eventually periodic difference is read once, as integer numerators
-    of its preamble and period over one lcm m: their largest is m times
-    the sup, and the kept terms are them unrolled.  The N kept terms sum
-    by Horner as one integer numerator over m * N!, and the tail joins
-    it as one more integer fraction, so a call builds two Fractions.
+    else its first n terms, n the cut _d_E_cut caches per (sup, tol),
+    with a tail of at most sup|a_n - b_n| * eta_{n+1}.  The kept sum is
+    one integer numerator over m * n! (_d_E_parts: the coefficients as
+    integer numerators over their lcm m, dotted with a cached row of
+    factorial weights, the period's folded per slot), so a call builds
+    two Fractions, the enclosure's ends.
     """
     tolq = as_fraction(tol)
     if tolq.numerator <= 0:
         raise DomainError("tolerance must be positive")
-    d = difference(a, b)
-    tail_num, tail_den = 0, 1
-    if isinstance(d, EventuallyPeriodic):
-        nums, m = _abs_numerators(d.preamble + d.period)
-        pre, per = nums[:len(d.preamble)], nums[len(d.preamble):]
-        if per == [0]:  # eventually zero: keep the support (coeffspace.truncate's rule)
-            terms = pre
-        else:
-            n, tail_num, tail_den = _d_E_cut(max(nums), m, tolq.numerator, tolq.denominator)
-            terms = _unrolled(pre, per, n)
-    else:
-        n, tail_num, tail_den = _d_E_cut(*d.sup_abs().as_integer_ratio(),
-                                         tolq.numerator, tolq.denominator)
-        terms, m = _abs_numerators(d.prefix(n))
-    # Horner: after k terms, num = m * k! * sum_{i < k} |c_i| / (i + 1)!
-    num = 0
-    for k, c in enumerate(terms, 1):
-        num = num * k + c
-    den = m * math.factorial(len(terms))
-    return BoundInterval(Fraction(num, den), Fraction(num * tail_den + tail_num * den, den * tail_den))
+    return _d_E_interval(*_d_E_parts(difference(a, b), tolq))
 
 
 @dataclass(frozen=True)
@@ -449,20 +480,39 @@ def _differences(b: List[int], depth: int) -> List[List[int]]:
     return rows
 
 
+@lru_cache(maxsize=256)
+def _binomial_row(n: int, j: int) -> Tuple[int, ...]:
+    """C(n, j) C(n - j, i) for i = 0..n - j: the weights of row j in
+    _taylor's sum at x~ = 1/2."""
+    c = math.comb(n, j)
+    return tuple(c * math.comb(n - j, i) for i in range(n - j + 1))
+
+
 def _taylor(rows: List[List[int]], m: int, s: int) -> List[int]:
     """A_0..A_J, J = min(len(rows) - 1, n), for rows = _differences(b, .)
     with b of length n + 1: the polynomial P with Bernstein coefficients b /
     den on [0, 1] has Taylor coefficients A_j / (den 2^(s n)) about x~ = m
     / 2^s, 0 <= m <= 2^s.  P^(j)(x~) / j! = C(n, j) sum_i Delta^j b_i
     B_(i, n-j)(x~) (Farouki & Rajan 1988), each row summed in Bernstein
-    form by Horner's rule over the integers m and 2^s - m.  At x~ = 0 it
-    is the first column times C(n, j), the power basis (the inverse of
-    _bernstein's Pascal loop)."""
+    form over the integers m and w = 2^s - m: by Horner's rule, or where
+    one term or one weight is left, at an end or the midpoint, directly.
+    At x~ = 0 it is the first column times C(n, j), the power basis (the
+    inverse of _bernstein's Pascal loop), at x~ = 1 the last column; at
+    x~ = 1/2 every m^i w^(k - i) is m^k, and the row's sum is one dot
+    product with the cached binomial weights C(n, j) C(k, i), k = n - j."""
     n = len(rows[0]) - 1
     w = (1 << s) - m
+    rows = rows[:n + 1]
+    if not m or not w:  # x~ = 0 or 1: the row's first or last entry, times w^k or m^k
+        end = -1 if m else 0
+        return [math.comb(n, j) * row[end] * (w or m) ** (n - j) << (s * j)
+                for j, row in enumerate(rows)]
+    if m == w:
+        return [sum(map(operator.mul, _binomial_row(n, j), row)) << ((s - 1) * (n - j) + s * j)
+                for j, row in enumerate(rows)]
     comb = math.comb
     A = []
-    for j, row in enumerate(rows[:n + 1]):
+    for j, row in enumerate(rows):
         k = n - j
         acc, t = row[k], 1  # sum_i C(k, i) m^i w^(k - i) row_i, from the top
         for i in range(k - 1, -1, -1):
@@ -928,7 +978,9 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     superlinearly at a root since |P|^p is tiny there; it is all that any
     other root panel takes, and a model is intersected with it.  A root
     panel's model counts as all remainder, like the crude bound.  A panel
-    holds a root unless its b share one strict sign, an integer test.
+    holds a root unless its b share one strict sign, an integer test, and
+    is monotone when its first differences do; only then does it build the
+    rest of its table.
 
     Both kinds work out the remainder first: it needs no Taylor
     coefficients, no g(x~) and no root search, and a panel whose
@@ -1051,10 +1103,10 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
             # straddles a root: width * range of |P|^p, and where P is
             # monotone the Taylor model across the root
             crude = _fi_mul((0.0, pw.of_ratio(max(-bmin, bmax), den)[1]), h)
-            rows = _differences(coeffs, max(n, 7))
-            dmin, dmax = min(rows[1]), max(rows[1])
-            if not (dmin > 0 or dmax < 0):
+            first = list(map(operator.sub, coeffs[1:], coeffs))
+            if not (min(first) > 0 or max(first) < 0):
                 return crude + (math.inf, "nonmonotone")
+            rows = [coeffs, *_differences(first, max(n, 7) - 1)]
             crude, kind = root_taylor(rows, den, h, budget, crude)
             return crude + (math.inf, kind)
         if bmax < 0:  # Q's coefficients

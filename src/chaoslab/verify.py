@@ -61,6 +61,9 @@ from .intervals import BoundInterval, as_fraction
 from .metrics import (
     FACTORIAL_WEIGHTS,
     LpSpec,
+    _D_E_TOL,
+    _d_E_interval,
+    _d_E_parts,
     continuity_delta_dE,
     continuity_delta_l1,
     d_E,
@@ -463,45 +466,58 @@ def prefix_implications(values: Sequence[Fraction], pre_max: int, per_max: int,
     sup-upper, k in rho_ks below j0: rho_inf(d, 0) <= D zeta_{k+1}(gamma) at `tol`, with
     gamma cycling over the streams that have such a k.  A stream's d_E and rho_inf are
     computed once, and only when one of its implications has a trial.
+
+    Each test is the enclosure's compare, widened by both widths, worked
+    out as one compare on a bound fixed per k (and gamma): d_E.hi <= D
+    eta.hi + D width(eta) + width(d_E) is d_E.lo <= D (eta.hi +
+    width(eta)), and rho.hi <= D zeta.hi + width(rho) + D width(zeta) is
+    rho.lo <= D (zeta.hi + width(zeta)).  d_E is read as the integers of
+    metrics._d_E_parts and compared by cross-multiplying; its enclosure is
+    built only for a failure's payload.
     """
     family = difference_streams(values, pre_max, per_max)
     diam = max(abs(as_fraction(v)) for v in values)
     upper, lower, sup = Implication(), Implication(), Implication()
-    # per k, worked out once: eta_{k+2} with D eta.hi + D width(eta), and (k+1)!
+    # per k (and gamma), worked out once: the tail enclosure and D (its hi + its width)
     etas = {k: tailmath.eta(k + 2) for k in de_upper_ks}
-    bounds = {k: diam * e.hi + diam * e.width for k, e in etas.items()}
+    bounds = {k: (diam * (e.hi + e.width)).as_integer_ratio() for k, e in etas.items()}
     facts = {k: math.factorial(k + 1) for k in de_lower_ks}
+    gs = [as_fraction(g) for g in gammas]
+    zetas = {(g, k): tailmath.zeta(g, k + 1) for g in gs for k in rho_ks}
+    rho_bounds = {key: diam * (z.hi + z.width) for key, z in zetas.items()}
     idx = 0
     for d in family:
         j0 = first_nonzero_index(d)
         upper_ks = [k for k in de_upper_ks if k < j0]
         if upper_ks or facts:
-            de = d_E(d, _ZERO)
-            num, den = de.hi.numerator, de.hi.denominator
+            num, den, tail_num, tail_den = parts = _d_E_parts(d, _D_E_TOL)
+            hi_num, hi_den = num * tail_den + tail_num * den, den * tail_den
         for k in upper_ks:
             upper.trials += 1
-            if not de.hi <= bounds[k] + de.width:
-                upper.failures.append({"difference": to_payload(d), "k": k, "d_E": _ivp(de),
+            b_num, b_den = bounds[k]
+            if not num * b_den <= b_num * den:
+                upper.failures.append({"difference": to_payload(d), "k": k,
+                                       "d_E": _ivp(_d_E_interval(*parts)),
                                        "eta": _ivp(etas[k]), "diam": str(diam)})
         for k, fact in facts.items():
             lower.trials += 1
-            if num * fact < den:  # d_E.hi < 1/(k+1)!
+            if hi_num * fact < hi_den:  # d_E.hi < 1/(k+1)!
                 lower.hits += 1
                 if j0 <= k:
                     lower.failures.append({"difference": to_payload(d), "k": k,
-                                           "d_E": _ivp(de), "first_nonzero": j0})
+                                           "d_E": _ivp(_d_E_interval(*parts)), "first_nonzero": j0})
         sup_ks = [k for k in rho_ks if k < j0]
         if not sup_ks:
             continue
-        g = as_fraction(gammas[idx % len(gammas)])
+        g = gs[idx % len(gs)]
         idx += 1
         rho = rho_p(SeriesFn(d, g), SeriesFn(_ZERO, g), LpSpec(math.inf, g), tol=tol)
         for k in sup_ks:
-            z = tailmath.zeta(g, k + 1)
             sup.trials += 1
-            if not rho.hi <= diam * z.hi + rho.width + diam * z.width:
+            if not rho.lo <= rho_bounds[g, k]:
                 sup.failures.append({"difference": to_payload(d), "k": k, "gamma": _fr(g),
-                                     "rho_inf": _ivp(rho), "zeta": _ivp(z), "diam": str(diam)})
+                                     "rho_inf": _ivp(rho), "zeta": _ivp(zetas[g, k]),
+                                     "diam": str(diam)})
     return PrefixSweep(len(family), upper, lower, sup)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -425,6 +426,29 @@ def test_lp_grid_digest_is_pinned(monkeypatch):
         "failed": 0,
         "sha256": "21fbe693511a00ac385f5d7467f27569b2b2c8192b24736c117c52aee484e70c",
     }
+
+
+def test_bench_ab_refuses_a_tree_with_stale_bytecode(tmp_path):
+    # a .pyc older than its source is recompiled on every launch, which
+    # would charge one side alone for the compile
+    bench_ab = _module("scripts/bench_ab.py")
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    for tree in (fresh, stale):
+        (tree / "pkg" / "__pycache__").mkdir(parents=True)
+        (tree / "pkg" / "mod.py").write_text("x = 1\n")
+        (tree / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
+    os.utime(fresh / "pkg" / "mod.py", (1_000, 1_000))
+    os.utime(stale / "pkg" / "__pycache__" / "mod.cpython-311.pyc", (1_000, 1_000))
+    assert bench_ab.stale_bytecode(fresh) == []
+    assert bench_ab.stale_bytecode(stale) == [stale / "pkg" / "__pycache__" / "mod.cpython-311.pyc"]
+    for side, parent, change in (("parent", stale, fresh), ("change", fresh, stale)):
+        with pytest.raises(SystemExit) as refused:
+            bench_ab.main(["--parent", str(parent), "--change", str(change), "--pairs", "1",
+                           "--seed", "0", "--out", str(tmp_path / "out.json")])
+        message = str(refused.value.code)
+        assert f"--{side} tree" in message and "older than its source" in message
+        assert "recompiles" in message
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_unknown_suite_is_config_error(capsys):

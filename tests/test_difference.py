@@ -23,7 +23,7 @@ from chaoslab.coeffspace import (
     truncate,
 )
 from chaoslab.intervals import BoundInterval
-from chaoslab.metrics import FACTORIAL_WEIGHTS, d_E, d_lambda, weighted_product_metric
+from chaoslab.metrics import FACTORIAL_WEIGHTS, _d_E_parts, d_E, d_lambda, weighted_product_metric
 from chaoslab.sampling import VALUE_POOL
 
 TOL = Fraction(1, 10**6)
@@ -251,3 +251,44 @@ def test_d_E_is_the_definition_term_by_term(pair, tol):
     assert type(got.lo) is Fraction and type(got.hi) is Fraction
     if finite_support(difference(a, b)) is not None:
         assert got.width == 0
+
+
+def core_oracle(d, tol):
+    """(sum_{i < n} |d_i| / (i + 1)!, tail) in Fractions, n and the tail
+    from truncate's rule at tol / 2 with the tail bound sup|d_i| eta_(n+1)."""
+    sup = d.sup_abs()
+    kept, tail = truncate(d, lambda n: sup * tailmath.eta(n + 1).hi, tol / 2, "the d_E tail", 9, 8)
+    return sum((abs(c) / math.factorial(i + 1) for i, c in enumerate(kept)), Fraction(0)), tail
+
+
+# preambles of 10 or more entries outrun the cut at 1e-4 (n = 9 there)
+long_preamble_streams = st.builds(lambda pre, per: EventuallyPeriodic(tuple(pre), tuple(per)),
+                                  st.lists(signed_twelfths, min_size=10, max_size=30), twelfth_blocks)
+core_streams = st.one_of(twelfth_streams, long_preamble_streams,
+                         twelfth_words.map(lambda cs: FiniteSupport(tuple(cs))))
+core_differences = st.one_of(
+    st.builds(difference, core_streams, core_streams),
+    same_tail_pairs.map(lambda pair: difference(*pair)),  # eventually zero
+    st.just(difference(FiniteSupport(()), FiniteSupport(()))),  # the zero stream
+    st.builds(difference, enumerations, enumerations),  # pointwise
+)
+
+
+@PROPERTY
+@given(core_differences, st.sampled_from((Fraction(1, 10**4), Fraction(1, 10**12), Fraction(1, 10**20))))
+@example(difference(EventuallyPeriodic((Fraction(1, 3),), (Fraction(1, 4), Fraction(-1, 6))),
+                    FiniteSupport(())), Fraction(1, 10**4))
+@example(difference(EventuallyPeriodic(tuple(Fraction(i, 7) for i in range(1, 21)), (Fraction(1, 2),)),
+                    EventuallyPeriodic((), (Fraction(-1, 3), 1))), Fraction(1, 10**4))
+@example(difference(WordEnumeration(Alphabet((0, 1))), WordEnumeration(Alphabet((Fraction(-1, 2), 3)), 5)),
+         Fraction(1, 10**20))
+def test_d_E_core_is_the_exact_sum_plus_its_tail(d, tol):
+    # the integers of metrics._d_E_parts, one dot product with the folded
+    # factorial weights, against the sum term by term: the preamble may be
+    # longer than the cut, and the period repeats through it
+    lo, tail = core_oracle(d, tol)
+    num, den, tail_num, tail_den = _d_E_parts(d, tol)
+    assert all(type(x) is int for x in (num, den, tail_num, tail_den))
+    assert (Fraction(num, den), Fraction(tail_num, tail_den)) == (lo, tail)
+    if finite_support(d) is not None:
+        assert tail == 0

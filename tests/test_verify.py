@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -68,6 +69,82 @@ def test_prefix_sweep_reports_failures():
     for sweep in (bad, good):
         assert sweep.de_upper.trials > 0 and sweep.sup_upper.trials > 0
     assert not (good.de_upper.failures or good.de_lower.failures or good.sup_upper.failures)
+
+
+def _fraction_sweep(values, pre_max, per_max, ks, rho_ks, gammas, tol):
+    """prefix_implications' trials, hits and failures, each test the
+    Fraction compare on d_E(d, 0) and rho_inf(d, 0) themselves, as first
+    written, with d_E and rho_p read from verify's namespace."""
+    family = verify.difference_streams(values, pre_max, per_max)
+    diam = max(abs(Fraction(v)) for v in values)
+    upper, lower, sup = verify.Implication(), verify.Implication(), verify.Implication()
+    zero = FiniteSupport(())
+    idx = 0
+    for d in family:
+        j0 = first_nonzero_index(d)
+        de = verify.d_E(d, zero)
+        for k in ks:
+            if k < j0:
+                e = tailmath.eta(k + 2)
+                upper.trials += 1
+                if not de.hi <= diam * e.hi + de.width + diam * e.width:
+                    upper.failures.append({"difference": verify.to_payload(d), "k": k,
+                                           "d_E": verify._ivp(de), "eta": verify._ivp(e),
+                                           "diam": str(diam)})
+        for k in ks:
+            lower.trials += 1
+            if de.hi < Fraction(1, math.factorial(k + 1)):
+                lower.hits += 1
+                if j0 <= k:
+                    lower.failures.append({"difference": verify.to_payload(d), "k": k,
+                                           "d_E": verify._ivp(de), "first_nonzero": j0})
+        sup_ks = [k for k in rho_ks if k < j0]
+        if not sup_ks:
+            continue
+        g = Fraction(gammas[idx % len(gammas)])
+        idx += 1
+        rho = verify.rho_p(verify.SeriesFn(d, g), verify.SeriesFn(zero, g),
+                           verify.LpSpec(math.inf, g), tol=tol)
+        for k in sup_ks:
+            z = tailmath.zeta(g, k + 1)
+            sup.trials += 1
+            if not rho.hi <= diam * z.hi + rho.width + diam * z.width:
+                sup.failures.append({"difference": verify.to_payload(d), "k": k,
+                                     "gamma": verify._fr(g), "rho_inf": verify._ivp(rho),
+                                     "zeta": verify._ivp(z), "diam": str(diam)})
+    return verify.PrefixSweep(len(family), upper, lower, sup)
+
+
+@pytest.mark.parametrize("values", [(-1, 0, 1), (-Fraction(1, 2), 0, Fraction(1, 2))])
+@pytest.mark.parametrize("raised", [Fraction(0), Fraction(1, 40)])
+def test_prefix_sweep_integer_decisions_are_the_fraction_ones(values, raised, monkeypatch):
+    # the sweep compares integers against bounds fixed per k (and gamma);
+    # the first-written Fraction compares on the enclosures must decide
+    # every trial, hit and failure payload alike.  raised > 0 lifts both
+    # d_E and rho_inf by that much, the same rational on both sides, so
+    # the de-upper and sup-upper compares fail for some k and not others
+    real_parts, real_d_E, real_rho = verify._d_E_parts, verify.d_E, verify.rho_p
+
+    def parts(d, tol):
+        num, den, tail_num, tail_den = real_parts(d, tol)
+        return num * raised.denominator + raised.numerator * den, den * raised.denominator, tail_num, tail_den
+
+    monkeypatch.setattr(verify, "_d_E_parts", parts)
+    monkeypatch.setattr(verify, "d_E", lambda *args: real_d_E(*args) + raised)
+    monkeypatch.setattr(verify, "rho_p", lambda *args, **kwargs: real_rho(*args, **kwargs) + raised)
+    ks, rho_ks, gammas, tol = range(9), range(4), (Fraction(1, 2), Fraction(1), Fraction(2)), Fraction(1, 10**4)
+    got = prefix_implications(values, 3, 2, de_upper_ks=ks, de_lower_ks=ks, rho_ks=rho_ks,
+                              gammas=gammas, tol=tol)
+    want = _fraction_sweep(values, 3, 2, ks, rho_ks, gammas, tol)
+    assert got == want
+    assert got.de_upper.trials and got.de_lower.hits and got.sup_upper.trials
+    if raised:
+        for imp in (got.de_upper, got.sup_upper):
+            assert 0 < len(imp.failures) < imp.trials
+    elif values[-1] == 1:
+        assert not (got.de_upper.failures or got.de_lower.failures or got.sup_upper.failures)
+    else:  # nonzero |v| below 1: de-lower fails
+        assert got.de_lower.failures and not (got.de_upper.failures or got.sup_upper.failures)
 
 
 def test_run_suites_preserves_order_and_names():
@@ -172,9 +249,11 @@ class _Drifting(EventuallyPeriodic):
         return FiniteSupport((Fraction(10**6),))
 
 
-def _de_by_first_index(d, _zero):
-    # far above every eta bound where d starts with zeros, 0 where it does not
-    return FAR if first_nonzero_index(d) > 0 else ZERO_BOX
+def _de_parts_by_first_index(d, _tol):
+    # the prefix sweep reads d_E(d, 0) as _d_E_parts' (num, den, tail_num,
+    # tail_den): far above every eta bound where d starts with zeros, 0
+    # where it does not
+    return (10**6, 1, 0, 1) if first_nonzero_index(d) > 0 else (0, 1, 0, 1)
 
 
 ONE = (Fraction(1),)
@@ -211,10 +290,10 @@ FORCED = [
      {"holder_compare": _returning((FAR, ZERO_BOX))}, {None}),
     ("dE-prefix-upper", lambda: verify.check_de_prefix_upper(
         verify.prefix_implications((-1, 0, 1), 2, 1, de_upper_ks=range(3))),
-     {"d_E": _de_by_first_index}, {None}),
+     {"_d_E_parts": _de_parts_by_first_index}, {None}),
     ("dE-prefix-lower", lambda: verify.check_de_prefix_lower(
         verify.prefix_implications((-1, 0, 1), 2, 1, de_lower_ks=range(3))),
-     {"d_E": _de_by_first_index}, {None}),
+     {"_d_E_parts": _de_parts_by_first_index}, {None}),
     ("sup-prefix-upper", lambda: verify.check_sup_prefix_upper((0, 1), ONE, 2, 1, k_max=2),
      {"rho_p": _returning(FAR)}, {None}),
     ("sup-prefix-upper-general", lambda: verify.check_sup_prefix_upper_general(
