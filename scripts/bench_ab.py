@@ -21,7 +21,11 @@ runs once, on the change against the parent.
 The JSON written holds, per workload and end-to-end metric, each side's
 runs with their median and inclusive quartiles, how many pairs the change
 won in the metric's better direction, and the change/parent median ratio;
-the attempted and failed item counts; the correctness gates; on
+under "raw", each run's raw wall-clock figures from its details line
+(RAW: items_per_s, call_p50_ms and call_tail_ms before perfbench rescales
+them to reference-host time) with each side's median and quartiles, so a
+rescaled figure can be cross-checked without a rerun; the attempted and
+failed item counts; the correctness gates; on
 verify-all, each side's output digests and whether they match the seed-0
 baseline; every per-layer metric that BENCHMARK.json's per_layer names
 and the traced runs report (the metrics.*, sampling.*, tailmath.*,
@@ -50,6 +54,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACED_RUNS = 3
+RAW = ("raw_items_per_s", "raw_call_p50_ms", "raw_call_tail_ms")
 
 
 def parse_args(argv):
@@ -105,6 +110,8 @@ def workload_entry(results: dict, traced: dict, declared: list, per_layer: set) 
             "pairs_won_by_change": won,
             "median_ratio": statistics.median(runs["change"]) / parent_median if parent_median else None,
         }
+    end_to_end["raw"] = {name: {side: summary([r["details"][name] for r in results[side]])
+                                for side in SIDES} for name in RAW}
     end_to_end["attempted_failed"] = {
         side: [[r["attempted"], r["failed"]] for r in results[side]] for side in SIDES}
     end_to_end["correct"] = {side: all(r["correct"] for r in results[side]) for side in SIDES}

@@ -202,10 +202,10 @@ def nearby_distinct_point(a: CoeffSeq, delta, spec: LpSpec) -> NearbyPointReport
         raise DomainError("can only flip an eventually periodic stream")
     if not a.in_EF(BINARY):
         raise DomainError("nearby_distinct_point needs {0,1} coefficients")
-    factor = spec.gamma_pow_inv_p()
+    scaled_fits = tailmath.zeta_below(spec.gamma, spec.gamma_pow_inv_p().hi, dq)
+    next_fits = tailmath.zeta_below(spec.gamma, 1, dq, shift=1)
     n = tailmath.least_index(
-        lambda k: (factor * tailmath.zeta(spec.gamma, k)).hi < dq
-        and tailmath.zeta(spec.gamma, k + 1).hi < dq,
+        lambda k: scaled_fits(k) and next_fits(k),
         1,
         "a flip index",
         below=dq,

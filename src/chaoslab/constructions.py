@@ -71,9 +71,8 @@ def agreement_index(spec: LpSpec, diam: Fraction, gamma: Fraction, eps: Fraction
     Streams over an alphabet of diameter diam that agree below index N
     are then within rho_p-distance eps of each other.
     """
-    factor = spec.gamma_pow_inv_p() * diam
     return tailmath.least_index(
-        lambda n: (factor * tailmath.zeta(gamma, n)).hi < eps,
+        tailmath.zeta_below(gamma, spec.gamma_pow_inv_p().hi * diam, eps),
         0,
         "gamma^(1/p)*diam*zeta(N)",
         below=eps,
@@ -370,7 +369,7 @@ def periodic_point_in_cinf(P: CoeffSeq, gamma, spec: LpSpec, eps) -> CoeffSeq:
         raise DomainError("P needs a second coefficient value; augment it first")
     budget = power(gq, -spec.inv_p) * epsq / (2 * F.diameter)
     N = tailmath.least_index(
-        lambda n: tailmath.zeta(gq, n).hi < budget.lo,
+        tailmath.zeta_below(gq, 1, budget.lo),
         1,
         "zeta(N)",
         below=budget.lo,
@@ -441,7 +440,7 @@ def sensitivity_witness(
     # polynomial prefix of f: its support when it has one, else cut
     # where sup|a| * zeta(K) drops under eps/4
     sup = f.coeffs.sup_abs()
-    prefix_coeffs, rho0_hi = truncate(f.coeffs, lambda k: (sup * tailmath.zeta(gq, k)).hi,
+    prefix_coeffs, rho0_hi = truncate(f.coeffs, lambda k: sup * tailmath.zeta(gq, k).hi,
                                       epsq / 4, "sup|a|*zeta(K)")
     P = FiniteSupport(prefix_coeffs)
     if not P.preamble:
@@ -449,12 +448,9 @@ def sensitivity_witness(
 
     c = max(Fraction(0), *P.preamble) + big_m + betaq
     F = coefficient_alphabet(P).union((c,))
-    N_prime = tailmath.least_index(
-        lambda n: tailmath.zeta(gq, n + 1).hi < epsq / (2 * F.diameter),
-        1,
-        "zeta(N'+1)",
-        below=epsq / (2 * F.diameter),
-    )
+    budget = epsq / (2 * F.diameter)
+    N_prime = tailmath.least_index(tailmath.zeta_below(gq, 1, budget, shift=1), 1, "zeta(N'+1)",
+                                   below=budget)
     n = max(len(P.preamble), N_prime + 1)
     head = P.preamble + (Fraction(0),) * (n - len(P.preamble))
     g_coeffs = EventuallyPeriodic(head, (c,))

@@ -50,7 +50,18 @@ class ToleranceUnreachable(ChaosLabError):
 
 class InfeasibleTolerance(ToleranceUnreachable):
     """No index up to the search cap (tailmath.MAX_TAIL_INDEX) satisfies
-    the requested tolerance: kind "index-cap"."""
+    the requested tolerance: kind "index-cap".
+
+    what names the quantity searched, budget is the rational it had to
+    drop below (None when the search names none) and cap is the cap in
+    force, so a caller can branch on them without reading the message.
+    """
+
+    def __init__(self, message: str = "", kind="index-cap", what=None, budget=None, cap=None):
+        super().__init__(message, kind)
+        self.what = what
+        self.budget = budget
+        self.cap = cap
 
 
 class CertificationFailure(ChaosLabError):

@@ -158,14 +158,15 @@ class LpSpec:
 
     def gamma_pow_inv_p(self) -> BoundInterval:
         """Certified gamma**(1/p); exact when 1/p is an integer."""
-        return _gamma_pow(self.gamma, self.inv_p)
+        return _gamma_pow(*self.gamma.as_integer_ratio(), *self.inv_p.as_integer_ratio())
 
 
 @lru_cache(maxsize=256)
-def _gamma_pow(gamma: Fraction, inv_p: Fraction) -> BoundInterval:
-    """power(gamma, inv_p), once per pair: callers build a new LpSpec per
-    call, and BoundInterval is immutable, so the cached value is shared."""
-    return power(gamma, inv_p)
+def _gamma_pow(gamma_num: int, gamma_den: int, inv_p_num: int, inv_p_den: int) -> BoundInterval:
+    """power(gamma, inv_p), once per pair, each given as its numerator and
+    denominator: callers build a new LpSpec per call, and BoundInterval is
+    immutable, so the cached value is shared."""
+    return power(Fraction(gamma_num, gamma_den), Fraction(inv_p_num, inv_p_den))
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +225,10 @@ def _d_E_cut(sup_num: int, sup_den: int, tol_num: int, tol_den: int) -> Tuple[in
     sup * eta_(n+1) below tol/2, and the tail is that bound.  Keyed by
     integers, which hash far faster than Fractions."""
     sup = Fraction(sup_num, sup_den)
-
-    def tail_at(n: int) -> Fraction:
-        return sup * tailmath.eta(n + 1).hi
-
     budget = Fraction(tol_num, 2 * tol_den)
-    n = tailmath.least_index(lambda k: tail_at(k) < budget, 9, "the d_E tail", 8, below=budget)
-    tail = tail_at(n)
+    n = tailmath.least_index(tailmath.zeta_below(1, sup, budget, shift=1), 9, "the d_E tail", 8,
+                             below=budget)
+    tail = sup * tailmath.eta(n + 1).hi
     return n, tail.numerator, tail.denominator
 
 
@@ -908,15 +906,16 @@ _HALF_MOMENTS = ((1.0, 1.0), None, _fc(Fraction(1, 12)), None, _fc(Fraction(1, 8
 
 
 @lru_cache(maxsize=128)
-def _frac_tables(p: Fraction, n: int) -> tuple:
-    """What _integral_abs_pow_frac needs of p and the degree n alone:
+def _frac_tables(p_num: int, p_den: int, n: int) -> tuple:
+    """What _integral_abs_pow_frac needs of p = p_num/p_den and the degree n alone:
     PowerFn of p, p + 1 and p - 1; n!/(n-j)! for j < 8; c^k k! for k < 6,
     p = a/c; F_6 / 6!'s coefficients, outward in doubles; the root panels'
     1 / (p + k + 1) for k <= 6, p's upper double, and their least M_6 (at
     x~ = 1/2) times 1 - 2^-20, a margin for the rounding of the test that
     uses it.  Q's Taylor coefficients need no table: _taylor sums them off
     each panel's difference rows."""
-    c = p.denominator
+    p = Fraction(p_num, p_den)
+    c = p_den
     pw1 = PowerFn(p + 1)
     inv_moment = tuple(_fc(1 / (p + k + 1)) for k in range(7))
     return (PowerFn(p), pw1, PowerFn(p - 1),
@@ -1018,7 +1017,7 @@ def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
     """
     n = len(B) - 1
     gn, gd = gamma.numerator, gamma.denominator
-    pw, pw1, pw_less, falling, kden, f6, inv_moment, p_hi, m6_least = _frac_tables(p, n)
+    pw, pw1, pw_less, falling, kden, f6, inv_moment, p_hi, m6_least = _frac_tables(*p.as_integer_ratio(), n)
 
     def remainder(g_range: tuple, r: List[tuple]) -> Tuple[float, float]:
         """range(g) F_6(R') / 6!, R'_j in r[j - 1]."""
@@ -1269,14 +1268,11 @@ def _rho_p_cut(sup_num: int, sup_den: int, gamma_num: int, gamma_den: int,
     least cutoff, which keeps the slack well under tol/4 and the
     enclosure narrower than the tolerance asks."""
     gamma = Fraction(gamma_num, gamma_den)
-    scale = Fraction(sup_num, sup_den) * _gamma_pow(gamma, Fraction(inv_p_num, inv_p_den)).hi
-
-    def tail_at(n: int) -> Fraction:
-        return scale * tailmath.zeta(gamma, n).hi
-
+    scale = Fraction(sup_num, sup_den) * _gamma_pow(gamma_num, gamma_den, inv_p_num, inv_p_den).hi
     budget = Fraction(tol_num, 4 * tol_den)
-    n = tailmath.least_index(lambda k: tail_at(k) < budget, 9, "the rho_p tail", 8, below=budget)
-    return n, tail_at(n)
+    n = tailmath.least_index(tailmath.zeta_below(gamma, scale, budget), 9, "the rho_p tail", 8,
+                             below=budget)
+    return n, scale * tailmath.zeta(gamma, n).hi
 
 
 def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:
@@ -1383,7 +1379,7 @@ def continuity_delta_l1(gamma, eps) -> Tuple[int, Fraction]:
     if epsq <= 0:
         raise DomainError("eps must be positive")
     n = tailmath.least_index(
-        lambda n: tailmath.eta(n).hi < epsq, tailmath.compute_m_gamma(g), "eta(N)", below=epsq)
+        tailmath.zeta_below(1, 1, epsq), tailmath.compute_m_gamma(g), "eta(N)", below=epsq)
     delta = tailmath.xi(g, n + 1).lo
     if delta <= 0:
         raise ToleranceUnreachable("xi lower bound not positive at the default rel_tol",
@@ -1403,5 +1399,5 @@ def continuity_delta_dE(gamma, eps) -> Tuple[int, Fraction]:
     epsq = as_fraction(eps)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    n = tailmath.least_index(lambda n: tailmath.zeta(g, n).hi < epsq, 1, "zeta(N)", below=epsq)
+    n = tailmath.least_index(tailmath.zeta_below(g, 1, epsq), 1, "zeta(N)", below=epsq)
     return n, Fraction(1, math.factorial(n + 1))

@@ -26,6 +26,13 @@ xi_{k+1} forces coefficient agreement through k.  Both follow the
 constructive recipes of the underlying inequalities and use only
 certified comparisons, so the returned thresholds are always valid, if
 occasionally one step conservative.
+
+Every tail enclosure comes from one cache, _tail_sum, keyed by the
+integers (g, h, k, r, s) of gamma = g/h, the index k and rel_tol = r/s.
+Tail-index searches go through least_index, and every one whose bound
+is a fixed multiple of a zeta or eta tail tests the single predicate
+zeta_below: one cached lookup and one integer cross-multiplication per
+index tried.
 """
 
 from __future__ import annotations
@@ -43,49 +50,47 @@ DEFAULT_REL_TOL = Fraction(1, 10**15)
 MAX_TAIL_INDEX = 10_000
 
 
-def _ceil_strict(q: Fraction) -> int:
-    """Least integer strictly greater than q."""
-    return math.floor(q) + 1
-
-
 def least_index(holds: Callable[[int], bool], start: int, what: str, step: int = 1,
                 below=None) -> int:
     """Least n in start, start + step, ... up to MAX_TAIL_INDEX with holds(n).
 
     Index selection is uniform throughout the library: the smallest
     index whose certified tail bound (.hi of the enclosure) drops
-    strictly below the requested tolerance.  That makes every bound
-    sound at the cost of an occasional extra term.  Raises
-    InfeasibleTolerance, naming `what` and, when given, the rational
-    `below` it had to clear, when no index up to the cap qualifies; the
-    message is built only then.
+    strictly below the requested tolerance, with holds from zeta_below
+    wherever the bound is a multiple of a zeta or eta tail.  That makes
+    every bound sound at the cost of an occasional extra term.  Raises
+    InfeasibleTolerance when no index up to the cap qualifies, carrying
+    `what`, the rational `below` it had to clear (None when not given)
+    and the cap as attributes; the message names the same and is built
+    only then.
     """
     for n in range(start, MAX_TAIL_INDEX + 1, step):
         if holds(n):
             return n
     bound = "" if below is None else f" below {brief(below)}"
-    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}", kind="index-cap")
+    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}",
+                              what=what, budget=below, cap=MAX_TAIL_INDEX)
 
 
 @lru_cache(maxsize=4096)
-def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
-    """Enclosure of sum_{i >= k} gamma^i / i! for gamma > 0, k >= 0."""
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {brief(gamma)}")
+def _tail_sum(g: int, h: int, k: int, r: int, s: int) -> BoundInterval:
+    """Enclosure of sum_{i >= k} gamma^i / i! for gamma = g/h > 0, k >= 0,
+    at rel_tol = r/s; both rationals in lowest terms, h, s > 0.  Keyed by
+    integers, which hash far faster than Fractions."""
+    if g <= 0:
+        raise DomainError(f"gamma must be positive, got {brief(Fraction(g, h))}")
     if k < 0:
         raise DomainError(f"tail index must be nonnegative, got {k}")
-    if rel_tol <= 0:
+    if r <= 0:
         raise DomainError("relative tolerance must be positive")
     # Cutoff floor: at least ten extra terms, and far enough out that the
-    # geometric majorant's ratio gamma/(K+2) is below 1/2; one past the
-    # term cap is refused before anything is summed.
-    if math.ceil(2 * gamma) - k > MAX_TAIL_INDEX:
+    # geometric majorant's ratio gamma/(K+2) is below 1/2 (K > 2 gamma);
+    # one past the term cap is refused before anything is summed.
+    if -(-2 * g // h) - k > MAX_TAIL_INDEX:
         raise ToleranceUnreachable(
-            f"tail sum at gamma={brief(gamma)} needs over {MAX_TAIL_INDEX} terms", kind="term-cap")
-    cutoff = max(k + 10, _ceil_strict(2 * gamma))
-    # with gamma = g/h, the partial sum through index i is num / (h^i i!)
-    g, h = gamma.numerator, gamma.denominator
-    r, s = rel_tol.numerator, rel_tol.denominator
+            f"tail sum at gamma={brief(Fraction(g, h))} needs over {MAX_TAIL_INDEX} terms", kind="term-cap")
+    cutoff = max(k + 10, 2 * g // h + 1)
+    # the partial sum through index i is num / (h^i i!)
     gi = num = g**k
     i = k
     while True:
@@ -103,19 +108,49 @@ def _tail_sum(gamma: Fraction, k: int, rel_tol: Fraction) -> BoundInterval:
                                  Fraction(num * (i + 1) * gap + top, den * (i + 1) * gap))
         if cutoff - k > MAX_TAIL_INDEX:
             raise ToleranceUnreachable(
-                f"tail sum at gamma={brief(gamma)}, k={k} did not reach rel_tol={brief(rel_tol)}",
-                kind="rel-tol")
+                f"tail sum at gamma={brief(Fraction(g, h))}, k={k} did not reach "
+                f"rel_tol={brief(Fraction(r, s))}", kind="rel-tol")
         cutoff += 8
+
+
+def _tail(gamma, k: int, rel_tol) -> BoundInterval:
+    """_tail_sum at rationals given as anything as_fraction reads."""
+    g, t = as_fraction(gamma), as_fraction(rel_tol)
+    return _tail_sum(g.numerator, g.denominator, int(k), t.numerator, t.denominator)
 
 
 def eta(k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     """Certified enclosure of eta_k = sum_{i >= k} 1/i!."""
-    return _tail_sum(Fraction(1), int(k), as_fraction(rel_tol))
+    t = as_fraction(rel_tol)
+    return _tail_sum(1, 1, int(k), t.numerator, t.denominator)
 
 
 def zeta(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     """Certified enclosure of zeta_k(gamma) = sum_{i >= k} gamma^i/i!."""
-    return _tail_sum(as_fraction(gamma), int(k), as_fraction(rel_tol))
+    return _tail(gamma, k, rel_tol)
+
+
+def zeta_below(gamma, scale, budget, shift: int = 0) -> Callable[[int], bool]:
+    """holds(n) for least_index: scale * zeta_(n+shift)(gamma).hi < budget,
+    at the default rel_tol (eta_k is zeta_k(1)).
+
+    gamma, scale and budget are read once, here; each call then looks up
+    one cached tail sum and makes one integer cross-multiplication,
+    scale_num * hi_num * budget_den < budget_num * scale_den * hi_den.
+    For scale >= 0 that is the rational comparison (scale * zeta).hi <
+    budget on the enclosure, so a search over it picks the same index.
+    """
+    gamma, scale, budget = as_fraction(gamma), as_fraction(scale), as_fraction(budget)
+    g, h = gamma.numerator, gamma.denominator
+    r, s = DEFAULT_REL_TOL.numerator, DEFAULT_REL_TOL.denominator
+    left = scale.numerator * budget.denominator
+    right = budget.numerator * scale.denominator
+
+    def holds(n: int) -> bool:
+        hi = _tail_sum(g, h, n + shift, r, s).hi
+        return left * hi.numerator < right * hi.denominator
+
+    return holds
 
 
 def zeta_table(gamma, k_last: int, rel_tol=DEFAULT_REL_TOL) -> List[BoundInterval]:
@@ -126,7 +161,7 @@ def zeta_table(gamma, k_last: int, rel_tol=DEFAULT_REL_TOL) -> List[BoundInterva
     enclosure's absolute width, at most rel_tol of every row.
     """
     g = as_fraction(gamma)
-    rows = [_tail_sum(g, int(k_last), as_fraction(rel_tol))]
+    rows = [_tail(g, k_last, rel_tol)]
     for k in range(int(k_last) - 1, -1, -1):
         term = g**k / math.factorial(k)
         rows.append(BoundInterval(term + rows[-1].lo, term + rows[-1].hi))
@@ -135,7 +170,7 @@ def zeta_table(gamma, k_last: int, rel_tol=DEFAULT_REL_TOL) -> List[BoundInterva
 
 def exp_enclosure(gamma, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     """Certified enclosure of e**gamma (the k = 0 tail)."""
-    return _tail_sum(as_fraction(gamma), 0, as_fraction(rel_tol))
+    return _tail(gamma, 0, rel_tol)
 
 
 def xi(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
@@ -149,7 +184,7 @@ def xi(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     if k < 0:
         raise DomainError("xi index must be nonnegative")
     head = g**k / math.factorial(k)
-    tail = _tail_sum(g, k + 1, as_fraction(rel_tol))
+    tail = _tail(g, k + 1, rel_tol)
     return BoundInterval(head - tail.hi, head - tail.lo)
 
 
@@ -190,7 +225,10 @@ def compute_n_gamma(gamma) -> int:
 
 
 @lru_cache(maxsize=64)
-def _separation_scan(gamma: Fraction, rel_tol: Fraction):
+def _separation_scan(g: int, h: int, r: int, s: int):
+    """(n0, delta_lo, n_gamma) at gamma = g/h and rel_tol = r/s, each in
+    lowest terms: compute_m_gamma's scan, keyed by integers."""
+    gamma, rel_tol = Fraction(g, h), Fraction(r, s)
     n_gamma = _threshold_index(gamma)
     # Certified lower bound for the minimal separation delta: for each
     # prefix length m below the threshold, a disagreement at index m
@@ -218,6 +256,11 @@ def _separation_scan(gamma: Fraction, rel_tol: Fraction):
     return n0, delta_lo, n_gamma
 
 
+def _scan(gamma, rel_tol):
+    g, t = as_fraction(gamma), as_fraction(rel_tol)
+    return _separation_scan(g.numerator, g.denominator, t.numerator, t.denominator)
+
+
 def compute_m_gamma(gamma, rel_tol=DEFAULT_REL_TOL) -> int:
     """Certified index M: L1 distance below xi_{k+1} with k >= M forces
     coefficient agreement through index k.
@@ -226,11 +269,11 @@ def compute_m_gamma(gamma, rel_tol=DEFAULT_REL_TOL) -> int:
     such that xi_{n+1} <= delta for all n > N0, with delta the minimal
     certified separation produced by a disagreement below the threshold.
     """
-    n0, _, n_gamma = _separation_scan(as_fraction(gamma), as_fraction(rel_tol))
+    n0, _, n_gamma = _scan(gamma, rel_tol)
     return max(n0 + 1, n_gamma)
 
 
 def separation_lower_bound(gamma, rel_tol=DEFAULT_REL_TOL) -> Fraction:
     """The certified delta used by compute_m_gamma (exposed for audits)."""
-    _, delta_lo, _ = _separation_scan(as_fraction(gamma), as_fraction(rel_tol))
+    _, delta_lo, _ = _scan(gamma, rel_tol)
     return delta_lo

@@ -620,7 +620,7 @@ def check_rho1_to_dE_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
         n_index, delta = continuity_delta_l1(g, eps)
-        j = tailmath.least_index(lambda k: tailmath.zeta(g, k + 1).hi * g < delta / 2,
+        j = tailmath.least_index(tailmath.zeta_below(g, g, delta / 2, shift=1),
                                  0, f"an agreement index for delta={delta}")
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
@@ -649,7 +649,7 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
         n_index, delta = continuity_delta_dE(g, eps)
-        j = tailmath.least_index(lambda k: tailmath.eta(k + 2).hi < delta / 2,
+        j = tailmath.least_index(tailmath.zeta_below(1, 1, delta / 2, shift=2),
                                  0, f"an agreement index for delta={delta}")
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)

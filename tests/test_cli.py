@@ -451,6 +451,30 @@ def test_bench_ab_refuses_a_tree_with_stale_bytecode(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_bench_ab_copies_the_raw_wall_clock_figures():
+    # each run's details line holds the figures before the reference-host
+    # rescaling; the entry keeps them run by run, with each side's median
+    bench_ab = _module("scripts/bench_ab.py")
+
+    def fake(items, tail):
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"call_tail_ms": {"value": tail / 2}},
+                "details": {"raw_items_per_s": items, "raw_call_p50_ms": 1000 / items,
+                            "raw_call_tail_ms": tail}}
+
+    results = {"parent": [fake(20, 50), fake(18, 56), fake(19, 52)],
+               "change": [fake(22, 40), fake(24, 38), fake(23, 61)]}
+    traced = {side: [{"metrics": {}}] for side in bench_ab.SIDES}
+    declared = [{"name": "call_tail_ms", "unit": "ms", "better": "lower"}]
+    raw = bench_ab.workload_entry(results, traced, declared, set())["end_to_end"]["raw"]
+    assert set(raw) == {"raw_items_per_s", "raw_call_p50_ms", "raw_call_tail_ms"}
+    assert raw["raw_items_per_s"]["parent"]["runs"] == [20, 18, 19]
+    assert raw["raw_items_per_s"]["change"]["median"] == 23
+    assert raw["raw_call_tail_ms"]["parent"]["median"] == 52
+    assert raw["raw_call_tail_ms"]["change"]["runs"] == [40, 38, 61]
+    assert raw["raw_call_p50_ms"]["change"]["median"] == 1000 / 23
+
+
 def test_unknown_suite_is_config_error(capsys):
     code, _, err = _run(capsys, ["verify", "--suite", "nope"])
     assert code == 2

@@ -92,6 +92,49 @@ def test_every_private_name_in_the_package_is_read():
     assert _unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
 
 
+def _cached_functions(tree):
+    """The functions in tree decorated with lru_cache or cache, called or not,
+    bare or through functools."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(name(d) in ("lru_cache", "cache") for d in node.decorator_list)]
+
+
+def _non_int_cache_params(path: Path):
+    """function:parameter for each parameter of a cached function in path
+    not annotated int: a cache keyed by Fractions hashes each one on every
+    lookup, far slower than integers."""
+    found = []
+    for fn in _cached_functions(ast.parse(path.read_text(encoding="utf-8"))):
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        found += [f"{fn.name}:{p.arg}" for p in params
+                  if not (isinstance(p.annotation, ast.Name) and p.annotation.id == "int")]
+    return found
+
+
+def test_cache_key_scan_sees_a_fraction_parameter(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import functools\nfrom functools import cache, lru_cache\n"
+                      "@lru_cache(maxsize=8)\ndef kept(n: int, d: int) -> int:\n    return n\n"
+                      "@functools.lru_cache(maxsize=8)\ndef slow(q: Fraction, k: int):\n    return q\n"
+                      "@cache\ndef bare(x, *rest: int):\n    return x\n"
+                      "def plain(q: Fraction):\n    return q\n")
+    assert _non_int_cache_params(module) == ["slow:q", "bare:x"]
+
+
+def test_every_cache_in_the_package_is_keyed_by_integers():
+    cached = {path.stem: [fn.name for fn in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))]
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"_tail_sum", "_separation_scan"} <= set(cached["tailmath"])
+    assert {"_gamma_pow", "_frac_tables", "_d_E_cut", "_rho_p_cut"} <= set(cached["metrics"])
+    assert {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+            if (names := _non_int_cache_params(path))} == {}
+
+
 def test_import_scan_sees_mpmath(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom mpmath.libmp import finf\nfrom . import errors\n")

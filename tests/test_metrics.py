@@ -21,7 +21,7 @@ from chaoslab.coeffspace import (
     Alphabet,
     truncate,
 )
-from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable
+from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from chaoslab.intervals import BoundInterval, PowerFn, power
 from chaoslab.metrics import (
     FACTORIAL_WEIGHTS,
@@ -99,6 +99,22 @@ def test_d_E_cutoff_past_the_cap_is_infeasible(monkeypatch):
     assert d_E(ONES, ZEROS, tol=Fraction(1, 10**20)).width < Fraction(1, 10**20)
     with pytest.raises(InfeasibleTolerance, match="d_E tail"):
         d_E(ONES, ZEROS, tol=Fraction(1, 10**80))
+
+
+def test_index_cap_failure_names_what_budget_and_cap(monkeypatch):
+    # the fields a caller branches on, and the message built from them
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
+    with pytest.raises(InfeasibleTolerance) as info:
+        d_E(ONES, ZEROS, tol=Fraction(1, 10**80))
+    err = info.value
+    budget = Fraction(1, 2 * 10**80)
+    assert (err.kind, err.what, err.budget, err.cap) == ("index-cap", "the d_E tail", budget, 40)
+    assert str(err) == f"no index up to 40 certifies the d_E tail below {brief(budget)}"
+    # a search that names no budget carries None
+    with pytest.raises(InfeasibleTolerance) as info:
+        tailmath.least_index(lambda n: False, 0, "nothing")
+    assert (info.value.what, info.value.budget, info.value.cap) == ("nothing", None, 40)
+    assert str(info.value) == "no index up to 40 certifies nothing"
 
 
 def test_diff_sup_abs():

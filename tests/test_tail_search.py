@@ -1,0 +1,145 @@
+"""Tail-index searches: tailmath.zeta_below against the enclosure arithmetic
+it replaces, and every search on it against the closure it had before,
+kept here as the oracle."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chaoslab import metrics, tailmath, verify
+from chaoslab.coeffspace import FiniteSupport, SeriesFn, derivative_sup_bound
+from chaoslab.conjugacy import nearby_distinct_point
+from chaoslab.constructions import agreement_index, periodic_point_in_cinf, sensitivity_witness
+from chaoslab.intervals import power
+from chaoslab.metrics import LpSpec, continuity_delta_dE, continuity_delta_l1
+from chaoslab.tailmath import eta, least_index, zeta, zeta_below
+
+GAMMAS = (Fraction(1, 2), Fraction(1), Fraction(2))
+PS = (Fraction(1), Fraction(2), Fraction(3, 2), math.inf)
+EPSS = (Fraction(1, 3), Fraction(1, 10**3), Fraction(7, 10**9), Fraction(1, 10**20))
+ONE = FiniteSupport((1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3), Fraction(5))),
+       scale=st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=10**6)),
+       rel=st.one_of(st.just(Fraction(0)), st.fractions(min_value=-1, max_value=1)),
+       shift=st.integers(0, 2), n=st.integers(0, 40))
+@example(gamma=Fraction(2), scale=Fraction(0), rel=Fraction(0), shift=0, n=0)
+@example(gamma=Fraction(7, 3), scale=Fraction(3, 2), rel=Fraction(0), shift=2, n=5)
+@example(gamma=Fraction(7, 3), scale=Fraction(3, 2), rel=Fraction(1, 10), shift=2, n=5)
+def test_zeta_below_is_the_scaled_tail_comparison(gamma, scale, rel, shift, n):
+    # the budget is scale * zeta.hi moved by the share rel of itself, so
+    # rel = 0 puts it exactly on the bound and tests the strict <
+    bound = scale * zeta(gamma, n + shift).hi
+    budget = bound * (1 + rel)
+    assert zeta_below(gamma, scale, budget, shift)(n) == (bound < budget)
+    assert zeta_below(gamma, scale, budget, shift)(n) == ((scale * zeta(gamma, n + shift)).hi < budget)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("p", PS)
+def test_agreement_index_is_the_interval_search(gamma, p):
+    spec = LpSpec(p, gamma)
+    for diam in (Fraction(1), Fraction(9, 2)):
+        factor = spec.gamma_pow_inv_p() * diam
+        for eps in EPSS:
+            assert agreement_index(spec, diam, gamma, eps) == least_index(
+                lambda n: (factor * zeta(gamma, n)).hi < eps, 0, "oracle")
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("p", PS)
+def test_periodic_point_in_cinf_period_is_the_interval_search(gamma, p):
+    # P = 1 has the alphabet {0, 1} and one kept coefficient, so the
+    # period is N + 1 long
+    spec = LpSpec(p, gamma)
+    for eps in EPSS:
+        budget = power(gamma, -spec.inv_p) * eps / 2
+        n = least_index(lambda n: zeta(gamma, n).hi < budget.lo, 1, "oracle")
+        assert len(periodic_point_in_cinf(ONE, gamma, spec, eps).period) == n + 1
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_sensitivity_witness_index_is_the_interval_search(gamma):
+    # f = 1 is its own prefix, so the alphabet is {0, 1, c}, c = 1 + M + beta
+    f = SeriesFn(ONE, gamma)
+    beta = Fraction(1)
+    diam = 1 + derivative_sup_bound(f) + beta
+    for eps in EPSS[:3]:
+        n_prime = least_index(lambda n: zeta(gamma, n + 1).hi < eps / (2 * diam), 1, "oracle")
+        assert sensitivity_witness(f, beta, eps).n == n_prime + 1
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("p", PS)
+def test_nearby_distinct_point_flip_is_the_interval_search(gamma, p):
+    spec = LpSpec(p, gamma)
+    factor = spec.gamma_pow_inv_p()
+    for delta in (Fraction(1, 3), Fraction(1, 10**3), Fraction(7, 10**9)):
+        n = least_index(lambda k: (factor * zeta(gamma, k)).hi < delta and zeta(gamma, k + 1).hi < delta,
+                        1, "oracle")
+        assert nearby_distinct_point(ONE, delta, spec).index == n
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_continuity_deltas_are_the_interval_searches(gamma):
+    for eps in EPSS:
+        n = least_index(lambda n: eta(n).hi < eps, tailmath.compute_m_gamma(gamma), "oracle")
+        assert continuity_delta_l1(gamma, eps)[0] == n
+        n = least_index(lambda n: zeta(gamma, n).hi < eps, 1, "oracle")
+        assert continuity_delta_dE(gamma, eps) == (n, Fraction(1, math.factorial(n + 1)))
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("p", PS)
+def test_rho_p_cut_is_the_interval_search(gamma, p):
+    spec = LpSpec(p, gamma)
+    for sup in (Fraction(1), Fraction(5, 3)):
+        scale = sup * spec.gamma_pow_inv_p().hi
+        for tol in EPSS:
+            budget = tol / 4
+            n = least_index(lambda k: scale * zeta(gamma, k).hi < budget, 9, "oracle", 8)
+            key = (*sup.as_integer_ratio(), *gamma.as_integer_ratio(),
+                   *spec.inv_p.as_integer_ratio(), *tol.as_integer_ratio())
+            assert metrics._rho_p_cut(*key) == (n, scale * zeta(gamma, n).hi)
+
+
+def test_d_E_cut_is_the_interval_search():
+    for sup in (Fraction(1), Fraction(5, 3), Fraction(4)):
+        for tol in EPSS:
+            budget = tol / 2
+            n = least_index(lambda k: sup * eta(k + 1).hi < budget, 9, "oracle", 8)
+            tail = sup * eta(n + 1).hi
+            key = (*sup.as_integer_ratio(), *tol.as_integer_ratio())
+            assert metrics._d_E_cut(*key) == (n, tail.numerator, tail.denominator)
+
+
+@pytest.mark.parametrize("check, delta_of, oracle", [
+    (verify.check_rho1_to_dE_continuity, continuity_delta_l1,
+     lambda g, delta: lambda k: zeta(g, k + 1).hi * g < delta / 2),
+    (verify.check_dE_to_sup_continuity, continuity_delta_dE,
+     lambda g, delta: lambda k: eta(k + 2).hi < delta / 2),
+])
+def test_verify_agreement_indices_are_the_interval_searches(monkeypatch, check, delta_of, oracle):
+    # each trial t searches at gamma GAMMAS[t % 3] and eps (1/10, 1/1000)[t % 2]
+    found = []
+    real = tailmath.least_index
+
+    def spy(holds, start, what, *args, **kwargs):
+        n = real(holds, start, what, *args, **kwargs)
+        if what.startswith("an agreement index"):
+            found.append(n)
+        return n
+
+    monkeypatch.setattr(tailmath, "least_index", spy)
+    check(GAMMAS, trials=6)
+    monkeypatch.undo()
+    expected = []
+    for t in range(6):
+        g, eps = GAMMAS[t % 3], (Fraction(1, 10), Fraction(1, 1000))[t % 2]
+        expected.append(least_index(oracle(g, delta_of(g, eps)[1]), 0, "oracle"))
+    assert found == expected
