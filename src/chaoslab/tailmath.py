@@ -257,6 +257,7 @@ def _separation_scan(g: int, h: int, r: int, s: int):
 
 
 def _scan(gamma, rel_tol):
+    """_separation_scan at rationals given as anything as_fraction reads."""
     g, t = as_fraction(gamma), as_fraction(rel_tol)
     return _separation_scan(g.numerator, g.denominator, t.numerator, t.denominator)
 
