@@ -37,8 +37,10 @@ verify rho_p enclosures and rho_1_lower_bound values, whether the two
 sides match, and under
 "against" how many of the change's enclosures moved from the parent's in
 each section, and of those how many are narrower, wider, inside the
-parent's or disjoint from it.  Nothing here is a gate: it only records
-numbers.
+parent's or disjoint from it; and, under "census", each side's census of
+L^p kernel work in its lp-grid pass and its verify run (the fractional
+splits by kind, the odd-p splits and brackets, the integer roots and the
+Taylor models).  Nothing here is a gate: it only records numbers.
 """
 
 from __future__ import annotations
@@ -125,6 +127,17 @@ def workload_entry(results: dict, traced: dict, declared: list, per_layer: set) 
         for side in SIDES}}
 
 
+def digest_entries(line: dict) -> dict:
+    """The "enclosures" and "census" entries from enclosure_digest.py's
+    line for the change against the parent: each side's census goes under
+    "census", so "match" compares the digests alone."""
+    against = line.pop("against")
+    sides = {"parent": against.pop("parent"), "change": line}
+    census = {side: sides[side].pop("census") for side in SIDES}
+    return {"enclosures": {**sides, "match": sides["parent"] == sides["change"], "against": against},
+            "census": census}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -166,14 +179,10 @@ def main(argv=None) -> int:
         out["workloads"][workload] = workload_entry(results, traced, bench["end_to_end"],
                                                     {m["name"] for m in bench["per_layer"]})
         args.out.write_text(json.dumps(out, indent=1) + "\n")
-    change = json.loads(subprocess.run(
+    out.update(digest_entries(json.loads(subprocess.run(
         [sys.executable, str(Path(__file__).with_name("enclosure_digest.py")), str(trees["change"]),
          "--against", str(trees["parent"])],
-        capture_output=True, text=True, check=True).stdout)
-    against = change.pop("against")
-    parent = against.pop("parent")
-    out["enclosures"] = {"parent": parent, "change": change, "match": parent == change,
-                         "against": against}
+        capture_output=True, text=True, check=True).stdout)))
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

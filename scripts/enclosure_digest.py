@@ -27,6 +27,22 @@ rational is written as hex numerator/denominator.  Prints one JSON line:
 Two trees whose lines are equal computed the same rationals, and printed
 the same verify report, bit for bit.
 
+The lp-grid pass and the verify run each run once, and each inside
+`counted()`, so the line also holds their census of L^p kernel work:
+
+    "census": {"lp_grid": {"taylor": .., "crude": .., "root-taylor": ..,
+                           "root-crude": .., "nonmonotone": .., "total": ..,
+                           "int-split": .., "int-bracket": .., "roots": ..,
+                           "models": ..}, "verify": {...}}
+
+the fractional-p splits of every kind (`metrics.count_splits()`) and
+their total; the odd-p sign partition's halved root panels (int-split)
+and bracketed ones (int-bracket); `roots`, the `intervals._root` calls
+made; and `models`, the Taylor models the fractional-p kernel built (its
+`metrics._power_taylor` calls).  Those two are counted by wrapping the
+module attributes, which their callers look up at call time.  A count
+whose name the tree lacks reads null.
+
     python3 scripts/enclosure_digest.py TREE --against PARENT_TREE
 
 also records PARENT_TREE's enclosures (in a second process, run with
@@ -60,6 +76,10 @@ from pathlib import Path
 
 LP_GRID_SEED = 2
 PREFIX_FAMILY = ((-2, -1, 0, 1, 2), 5, 2)
+KINDS = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
+INT_KINDS = ("int-split", "int-bracket")
+# (module, attribute, census field): each call of the attribute counts once
+CALLS = (("intervals", "_root", "roots"), ("metrics", "_power_taylor", "models"))
 
 
 def _hex(q) -> str:
@@ -110,10 +130,13 @@ def prefix_records(coeffspace, metrics, sampling) -> tuple:
     return streams, enclosures
 
 
-def prefix_digest(coeffspace, metrics, sampling) -> dict:
-    streams, enclosures = prefix_records(coeffspace, metrics, sampling)
+def _prefix_summary(streams, enclosures) -> dict:
     return {"streams": len(streams), "family_sha256": _sha256(streams),
             "d_E_sha256": _sha256(enclosures)}
+
+
+def prefix_digest(coeffspace, metrics, sampling) -> dict:
+    return _prefix_summary(*prefix_records(coeffspace, metrics, sampling))
 
 
 def verify_records(cli, metrics, tracing) -> tuple:
@@ -140,30 +163,62 @@ def verify_records(cli, metrics, tracing) -> tuple:
     return lines, lower, out.getvalue(), code
 
 
+@contextlib.contextmanager
+def counted(intervals, metrics, tracing):
+    """Yields a dict that holds, once the block exits, the census of the
+    L^p kernel work inside it; a count whose name the tree lacks is None.
+    The package's caches are emptied first, as a fresh process has them,
+    so the census does not depend on what ran before the block."""
+    tracing.clear_caches()
+    modules = {"intervals": intervals, "metrics": metrics}
+    calls = {}
+    census = {}
+    splits = metrics.count_splits() if hasattr(metrics, "count_splits") else contextlib.nullcontext()
+    with tracing.Patches() as patches, splits as kinds:
+        for module, name, field in CALLS:
+            if name in vars(modules[module]):
+                calls[field] = 0
+                patches.set(modules[module], name, _counting(calls, field, getattr(modules[module], name)))
+        yield census
+    if kinds is not None:
+        kinds["total"] = sum(kinds[k] for k in KINDS)
+    census.update({k: None if kinds is None else kinds[k] for k in (*KINDS, "total", *INT_KINDS)})
+    census.update({field: calls.get(field) for _, _, field in CALLS})
+
+
+def _counting(calls: dict, field: str, f):
+    def call(*args):
+        calls[field] += 1
+        return f(*args)
+    return call
+
+
 def records(tree: Path) -> dict:
     """Every section's lines for the tree, imported from it."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    from chaoslab import cli, coeffspace, metrics, sampling
+    from chaoslab import cli, coeffspace, intervals, metrics, sampling
     import tracing
     import workloads
 
     if not Path(metrics.__file__).resolve().is_relative_to(tree):
         sys.exit(f"enclosure_digest: chaoslab was imported from {metrics.__file__}, not {tree}")
-    verify_rho_p, verify_rho_1_lower, stdout, _ = verify_records(cli, metrics, tracing)
+    with counted(intervals, metrics, tracing) as verify_census:
+        verify_rho_p, verify_rho_1_lower, stdout, _ = verify_records(cli, metrics, tracing)
     streams, d_E = prefix_records(coeffspace, metrics, sampling)
-    return {"lp_grid": lp_grid_records(metrics, workloads), "prefix_streams": streams,
+    with counted(intervals, metrics, tracing) as lp_grid_census:
+        lp_grid = lp_grid_records(metrics, workloads)
+    return {"lp_grid": lp_grid, "prefix_streams": streams,
             "prefix": d_E, "verify_rho_p": verify_rho_p, "verify_rho_1_lower": verify_rho_1_lower,
-            "verify_stdout": stdout}
+            "verify_stdout": stdout, "census": {"lp_grid": lp_grid_census, "verify": verify_census}}
 
 
 def digests(rec: dict) -> dict:
     return {"lp_grid": _summary(rec["lp_grid"]),
-            "prefix": {"streams": len(rec["prefix_streams"]),
-                       "family_sha256": _sha256(rec["prefix_streams"]),
-                       "d_E_sha256": _sha256(rec["prefix"])},
+            "prefix": _prefix_summary(rec["prefix_streams"], rec["prefix"]),
             **{section: {"enclosures": len(rec[section]), "sha256": _sha256(rec[section])}
                for section in ("verify_rho_p", "verify_rho_1_lower")},
-            "verify_sha256": hashlib.sha256(rec["verify_stdout"].encode("utf-8")).hexdigest()}
+            "verify_sha256": hashlib.sha256(rec["verify_stdout"].encode("utf-8")).hexdigest(),
+            "census": rec["census"]}
 
 
 def _enclosure(line: str):

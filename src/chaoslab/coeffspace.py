@@ -41,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .intervals import BoundInterval, as_fraction
@@ -343,6 +343,14 @@ def as_preamble_period(s: CoeffSeq) -> Optional[Tuple[Tuple[Fraction, ...], Tupl
     return None
 
 
+def _numerators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(nums, m): values as integer numerators over m, the lcm of their
+    denominators, so that values[i] == Fraction(nums[i], m)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    m = math.lcm(*[q for _, q in ratios])
+    return [p * (m // q) for p, q in ratios], m
+
+
 def _unrolled(pre: Sequence, per: Sequence, n: int) -> list:
     """The first n entries of the stream pre, per, per, ..."""
     reps = -(-(n - len(pre)) // len(per))
@@ -388,9 +396,7 @@ def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
         return a
     s = max(len(pa[0]), len(pb[0]))
     n = s + math.lcm(len(pa[1]), len(pb[1]))
-    ratios = [c.as_integer_ratio() for c in _unrolled(*pa, n) + _unrolled(*pb, n)]
-    m = math.lcm(*[q for _, q in ratios])
-    nums = [x * (m // q) for x, q in ratios]
+    nums, m = _numerators(_unrolled(*pa, n) + _unrolled(*pb, n))
     diffs = [x - y for x, y in zip(nums, nums[n:])]
     pre, per = normal_form(tuple(diffs[:s]), tuple(diffs[s:]))
     return _normalized(tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))

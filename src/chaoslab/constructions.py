@@ -32,6 +32,7 @@ from .coeffspace import (
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
+    _numerators,
     as_preamble_period,
     derivative_sup_bound,
     evaluate,
@@ -232,9 +233,8 @@ def bernstein_approx(
     degree = 1
     while degree <= max_degree:
         nodes = [gq * k / degree for k in range(degree + 1)]
-        values = [sampled(x).mid for x in nodes]
-        den = math.lcm(*[v.denominator for v in values])
-        rows = _differences([v.numerator * (den // v.denominator) for v in values], degree)
+        nums, den = _numerators([sampled(x).mid for x in nodes])
+        rows = _differences(nums, degree)
         lip_p = Fraction(max(map(abs, rows[1])) * degree, den) / gq
         # sum_k v_k C(n,k) t^k (1-t)^(n-k), t = x/gamma, whose power basis
         # in t is the table's first column times C(n, j), as its stream

@@ -111,6 +111,7 @@ from .coeffspace import (
     EventuallyPeriodic,
     FiniteSupport,
     SeriesFn,
+    _numerators,
     difference,
     finite_support,
     truncate,
@@ -246,14 +247,6 @@ def _d_E_weights(s: int, r: int, n: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def _abs_numerators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """([|v| * m for v in values], m): |values| as integer numerators over
-    m, the lcm of their denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
-    m = math.lcm(*[q for _, q in ratios])
-    return [abs(p) * (m // q) for p, q in ratios], m
-
-
 def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
     """(num, den, tail_num, tail_den): d_E(d, 0) lies in num/den + [0,
     tail_num/tail_den], none of them reduced.
@@ -265,7 +258,8 @@ def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
     lcm m (their largest is m times the sup), and the kept sum is one
     C-level dot product of them with _d_E_weights' row, over m * n!."""
     if isinstance(d, EventuallyPeriodic):
-        nums, m = _abs_numerators(d.preamble + d.period)
+        nums, m = _numerators(d.preamble + d.period)
+        nums = list(map(abs, nums))
         s = len(d.preamble)
         if d.period == (0,):  # eventually zero: keep the support
             n, tail_num, tail_den = s, 0, 1
@@ -275,7 +269,8 @@ def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
     else:
         n, tail_num, tail_den = _d_E_cut(*d.sup_abs().as_integer_ratio(),
                                          tol.numerator, tol.denominator)
-        nums, m = _abs_numerators(d.prefix(n))
+        nums, m = _numerators(d.prefix(n))
+        nums = list(map(abs, nums))
         w = _d_E_weights(n, 0, n)
     return sum(map(operator.mul, nums, w)), m * math.factorial(n), tail_num, tail_den
 
@@ -385,11 +380,9 @@ def _bernstein(kept: Tuple[Fraction, ...], gamma: Fraction) -> Tuple[List[int], 
     n = max(len(kept) - 1, 0)
     while n and kept[n] == 0:
         n -= 1
-    cs = kept[:n + 1] or (Fraction(0),)
-    m = math.lcm(*[c.denominator for c in cs])
+    nums, m = _numerators(kept[:n + 1] or (Fraction(0),))
     g, h = gamma.numerator, gamma.denominator
-    delta = [c.numerator * (m // c.denominator) * math.factorial(n - i) * g**i * h ** (n - i)
-             for i, c in enumerate(cs)]
+    delta = [x * math.factorial(n - i) * g**i * h ** (n - i) for i, x in enumerate(nums)]
     B = list(delta)
     for r in range(1, n + 1):  # the binomial transform, by Pascal's rule
         for j in range(n, r - 1, -1):

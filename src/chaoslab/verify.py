@@ -418,14 +418,11 @@ def check_lp_norm_comparison(gammas=_CORE_GAMMAS, seed: int = 0, trials: int = 2
     failures: List[dict] = []
     exponents = (Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2), Fraction(3), math.inf)
 
-    def inv(p):
-        return Fraction(0) if p == math.inf else 1 / p
-
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
         f = SeriesFn(random_polynomial(rng, 6), g)
         p, q = rng.sample(exponents, 2)
-        if inv(p) < inv(q):
+        if LpSpec(p, g).inv_p < LpSpec(q, g).inv_p:
             p, q = q, p
         lhs, rhs = holder_compare(f, p, q, tol=Fraction(1, 10**6))
         if not lhs.lo <= rhs.hi:
@@ -621,7 +618,7 @@ def check_rho1_to_dE_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
         eps = epss[t % 2]
         n_index, delta = continuity_delta_l1(g, eps)
         j = tailmath.least_index(tailmath.zeta_below(g, g, delta / 2, shift=1),
-                                 0, f"an agreement index for delta={delta}")
+                                 0, f"an agreement index for delta={delta}", below=delta / 2)
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
         close = EventuallyPeriodic(base.prefix(j + 1) + tail.preamble, tail.period)
@@ -650,7 +647,7 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
         eps = epss[t % 2]
         n_index, delta = continuity_delta_dE(g, eps)
         j = tailmath.least_index(tailmath.zeta_below(1, 1, delta / 2, shift=2),
-                                 0, f"an agreement index for delta={delta}")
+                                 0, f"an agreement index for delta={delta}", below=delta / 2)
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
         close = EventuallyPeriodic(base.prefix(j + 1) + tail.preamble, tail.period)

@@ -5,13 +5,15 @@ import json
 import os
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from chaoslab import cli, coeffspace, metrics, sampling, tailmath
-from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport, from_json, to_json
+from chaoslab import cli, coeffspace, intervals, metrics, sampling, tailmath
+from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport, SeriesFn, from_json, to_json
+from chaoslab.metrics import LpSpec
 
 E = Fraction(
     "2.7182818284590452353602874713526624977572470936999595749669676"
@@ -426,6 +428,73 @@ def test_lp_grid_digest_is_pinned(monkeypatch):
         "failed": 0,
         "sha256": "21fbe693511a00ac385f5d7467f27569b2b2c8192b24736c117c52aee484e70c",
     }
+
+
+def _rho_p_pair():
+    # e^t against 0 at p = 3/2 splits fractional panels and builds Taylor
+    # models; 1 - 5t + 3t^2/2 at p = 3 brackets its one root
+    metrics.rho_p(SeriesFn(ONES, 1), SeriesFn(ZEROS, 1), LpSpec(Fraction(3, 2), 1),
+                  Fraction(1, 10**6))
+    metrics.rho_p(SeriesFn(FiniteSupport((1, -5, 3)), 1), SeriesFn(ZEROS, 1), LpSpec(3, 1),
+                  Fraction(1, 10**9))
+
+
+def test_digest_census_is_count_splits_and_the_counted_calls(monkeypatch):
+    digest = _module("scripts/enclosure_digest.py")
+    tracing = _module("perfbench/tracing.py")
+    with digest.counted(intervals, metrics, tracing) as census:
+        _rho_p_pair()
+    tracing.clear_caches()
+    calls = {"roots": 0, "models": 0}
+
+    def counting(field, f):
+        def call(*args):
+            calls[field] += 1
+            return f(*args)
+        return call
+    monkeypatch.setattr(intervals, "_root", counting("roots", intervals._root))
+    monkeypatch.setattr(metrics, "_power_taylor", counting("models", metrics._power_taylor))
+    with metrics.count_splits() as splits:
+        _rho_p_pair()
+    fractional = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
+    assert census == {**{k: splits[k] for k in fractional},
+                      "total": sum(splits[k] for k in fractional),
+                      "int-split": splits["int-split"], "int-bracket": splits["int-bracket"],
+                      **calls}
+    assert census["total"] > 0 and census["int-bracket"] == 1
+    assert census["roots"] > 0 and census["models"] > 0
+
+
+def test_digest_census_reads_null_for_a_name_the_tree_lacks():
+    # an older parent tree may lack a counted name; its count reads null
+    digest = _module("scripts/enclosure_digest.py")
+    tracing = _module("perfbench/tracing.py")
+    bare_intervals = types.ModuleType("intervals")
+    with digest.counted(bare_intervals, metrics, tracing) as census:
+        _rho_p_pair()
+    assert census["roots"] is None
+    assert census["models"] > 0 and census["total"] > 0 and census["int-bracket"] == 1
+    with digest.counted(bare_intervals, types.ModuleType("metrics"), tracing) as census:
+        _rho_p_pair()
+    assert census == dict.fromkeys(("taylor", "crude", "root-taylor", "root-crude", "nonmonotone",
+                                    "total", "int-split", "int-bracket", "roots", "models"))
+
+
+def test_bench_ab_copies_both_sides_census():
+    # each side's census reaches the BENCH file, and "match" compares the
+    # enclosure digests alone, so a moved census does not unmatch them
+    bench_ab = _module("scripts/bench_ab.py")
+    digests = {"lp_grid": {"enclosures": 840, "failed": 0, "sha256": "21fb"},
+               "verify_sha256": "9bf7"}
+    parent_census = {"lp_grid": {"total": 798, "roots": 5424}, "verify": {"total": 515, "roots": None}}
+    change_census = {"lp_grid": {"total": 596, "roots": 5400}, "verify": {"total": 376, "roots": 4000}}
+    against = {"lp_grid": {"calls": [840, 840], "moved": 0, "raise_changed": 0}}
+    line = {**digests, "census": change_census,
+            "against": {"parent": {**digests, "census": parent_census}, **against}}
+    entries = bench_ab.digest_entries(json.loads(json.dumps(line)))
+    assert entries["census"] == {"parent": parent_census, "change": change_census}
+    assert entries["enclosures"] == {"parent": digests, "change": digests, "match": True,
+                                     "against": against}
 
 
 def test_bench_ab_refuses_a_tree_with_stale_bytecode(tmp_path):

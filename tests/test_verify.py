@@ -7,9 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from chaoslab import cli, tailmath, verify
+from chaoslab import cli, metrics, tailmath, verify
 from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport
-from chaoslab.errors import ConfigError
+from chaoslab.errors import ConfigError, InfeasibleTolerance
 from chaoslab.intervals import BoundInterval
 from chaoslab.sampling import first_nonzero_index
 from chaoslab.verify import SUITES, CheckResult, VerifyConfig, prefix_implications, run_suites
@@ -373,3 +373,20 @@ def test_verify_gamma_flags_reach_the_details(capsys):
     for bad in ("abc", "1/0", "0", "1,-2"):
         assert cli.main(["verify", "--suite", "tailmath", "--gamma", bad]) == 2
         assert "chaos-lab:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, delta_of", [
+    (verify.check_rho1_to_dE_continuity, "continuity_delta_l1"),
+    (verify.check_dE_to_sup_continuity, "continuity_delta_dE"),
+])
+def test_agreement_search_past_the_cap_carries_its_budget(monkeypatch, check, delta_of):
+    # with its delta fixed and a tail test that never holds, the agreement
+    # search runs past the cap and must name the delta / 2 it had to clear
+    n, delta = getattr(metrics, delta_of)(1, Fraction(1, 10))
+    monkeypatch.setattr(verify, delta_of, lambda gamma, eps: (n, delta))
+    monkeypatch.setattr(tailmath, "zeta_below", lambda *args, **kwargs: lambda n: False)
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
+    with pytest.raises(InfeasibleTolerance) as info:
+        check(gammas=(Fraction(1),), trials=1)
+    assert info.value.what == f"an agreement index for delta={delta}"
+    assert (info.value.budget, info.value.cap) == (delta / 2, 40)
