@@ -139,8 +139,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -284,8 +287,7 @@ def _cmd_transitivity(args) -> int:
                 SeriesFn(h.shifted(j), gamma), SeriesFn(v, gamma), spec, eps_v / 16
             )
             writer.writerow([j, step.lo_float(), step.hi_float()])
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
+        _emit(buffer.getvalue(), args.trace)
     payload = {
         "h": to_payload(h),
         "n": n,

@@ -24,11 +24,11 @@ periodic, one normalized EventuallyPeriodic; otherwise a reader that
 subtracts index by index, whose sup_abs() bounds sup|a_n| + sup|b_n|.
 The pairwise metrics read it; same_stream compares normal forms.
 
-truncate is the rule for every certified series cut: an eventually-zero
-stream keeps its finite_support and its tail is exactly 0; any other
-keeps its first n terms, n the least searched index whose
-caller-supplied tail bound clears the caller's budget.  metrics.d_E
-applies the same rule with its cut index cached per (sup, tol).
+truncate is the rule for every certified zeta cut of a stream: an
+eventually-zero stream keeps its finite_support and its tail is exactly
+0; any other keeps its first n terms, n the least searched index with
+scale * zeta_n(gamma) below the caller's budget, one integer-keyed
+search (tailmath._zeta_cut) that metrics.d_E and rho_p share.
 
 All coefficient values are exact `fractions.Fraction`s.  Sequences with
 coefficients drawn from a finite alphabet F live in the closed set E_F;
@@ -41,9 +41,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleTolerance
 from .intervals import BoundInterval, as_fraction
 from . import tailmath
 
@@ -410,22 +410,27 @@ def finite_support(s: CoeffSeq) -> Optional[Tuple[Fraction, ...]]:
     return None
 
 
-def truncate(s: CoeffSeq, tail_at: Callable[[int], Fraction], budget, what: str,
+def truncate(s: CoeffSeq, gamma, scale, budget, what: str,
              start: int = 1, step: int = 1) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    """(kept, tail): the certified cut of s, the one truncation rule.
+    """(kept, tail): the certified zeta cut of s, for rationals gamma > 0,
+    scale >= 0 and budget > 0, scale * zeta_n(gamma) bounding, in the
+    caller's units, everything s contributes from index n on.
 
-    tail_at(n) bounds, in the caller's units, everything s contributes
-    from index n on.  An eventually-zero stream keeps its finite_support
-    and its tail is exactly 0.  Any other stream keeps s_0 ... s_(n-1)
-    for the least n in start, start + step, ... with tail_at(n) < budget
-    (tailmath.least_index, which raises InfeasibleTolerance naming
-    `what` and the budget past its cap), and its tail is tail_at(n).
+    An eventually-zero stream keeps its finite_support and its tail is
+    exactly 0.  Any other keeps s_0 ... s_(n-1) for the least n in start,
+    start + step, ... with scale * zeta_n(gamma).hi < budget, and its tail
+    is that bound (tailmath._zeta_cut).  Past the cap it raises
+    InfeasibleTolerance naming `what` and the budget.
     """
     support = finite_support(s)
     if support is not None:
         return support, Fraction(0)
-    n = tailmath.least_index(lambda k: tail_at(k) < budget, start, what, step, below=budget)
-    return s.prefix(n), tail_at(n)
+    try:
+        n, tail = tailmath._zeta_cut(*gamma.as_integer_ratio(), *scale.as_integer_ratio(),
+                                     *budget.as_integer_ratio(), start, step, 0)
+    except InfeasibleTolerance as exc:
+        raise tailmath.index_cap(what, exc.budget) from None
+    return s.prefix(n), tail
 
 
 def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
@@ -477,9 +482,7 @@ def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
     lo, hi = f.domain
     if not (lo <= xq <= hi):
         raise DomainError(f"evaluation point {xq} outside domain [{lo}, {hi}]")
-    sup = f.coeffs.sup_abs()
-    kept, tail = truncate(f.coeffs, lambda n: sup * tailmath.zeta(f.gamma, n).hi,
-                          tolq / 2, "the series tail", 9, 8)
+    kept, tail = truncate(f.coeffs, f.gamma, f.coeffs.sup_abs(), tolq / 2, "the series tail", 9, 8)
     t = xq - f.origin
     partial = Fraction(0)
     for n in range(len(kept) - 1, -1, -1):  # Horner on a_n t^n / n!

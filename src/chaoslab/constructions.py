@@ -439,9 +439,7 @@ def sensitivity_witness(
 
     # polynomial prefix of f: its support when it has one, else cut
     # where sup|a| * zeta(K) drops under eps/4
-    sup = f.coeffs.sup_abs()
-    prefix_coeffs, rho0_hi = truncate(f.coeffs, lambda k: sup * tailmath.zeta(gq, k).hi,
-                                      epsq / 4, "sup|a|*zeta(K)")
+    prefix_coeffs, rho0_hi = truncate(f.coeffs, gq, f.coeffs.sup_abs(), epsq / 4, "sup|a|*zeta(K)")
     P = FiniteSupport(prefix_coeffs)
     if not P.preamble:
         P = FiniteSupport((epsq / 2 - rho0_hi,))

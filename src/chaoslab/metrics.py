@@ -23,8 +23,9 @@ sup|a_n| + sup|b_n|; otherwise d.sup_abs() is exact.
 Every series cut follows coeffspace.truncate: when a - b has finite
 support it keeps that support and the tail is exactly 0; otherwise it
 keeps the first n terms, n the least searched index whose tail bound
-clears the caller's budget (d_E caches that index per (sup, tol), rho_p
-per (sup, gamma, p, tol)).  d_E sums its kept terms on integers alone
+clears the caller's budget, found by tailmath._zeta_cut for the eta and
+zeta tails of d_E and rho_p and by least_index for d_lambda and the
+weighted metric.  d_E sums its kept terms on integers alone
 (_d_E_parts): the difference's numerators over one lcm, dotted with a
 row of factorial weights cached per (preamble length, period length, n),
 in which each period slot carries the weights of every kept index that
@@ -114,9 +115,8 @@ from .coeffspace import (
     _numerators,
     difference,
     finite_support,
-    truncate,
 )
-from .errors import DomainError, ToleranceUnreachable, brief
+from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from .intervals import DEFAULT_PRECISION_BITS, BoundInterval, PowerFn, as_fraction, power
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -210,27 +210,12 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
         return BoundInterval.exact(
             _geometric_block_sum([abs(c) for c in d.preamble], [abs(c) for c in d.period])
         )
-    kept, tail = truncate(d, lambda n: Fraction(2, 2**n), tolq, "the d_lambda tail", 4, 4)
-    partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(kept))
-    return BoundInterval(partial, partial + tail)
+    n = tailmath.least_index(lambda k: Fraction(2, 2**k) < tolq, 4, "the d_lambda tail", 4, below=tolq)
+    partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(d.prefix(n)))
+    return BoundInterval(partial, partial + Fraction(2, 2**n))
 
 
 _D_E_TOL = Fraction(1, 10**12)  # d_E's default tolerance
-
-
-@lru_cache(maxsize=1024)
-def _d_E_cut(sup_num: int, sup_den: int, tol_num: int, tol_den: int) -> Tuple[int, int, int]:
-    """(n, tail numerator, tail denominator): d_E's cut of a difference
-    with sup|a_n - b_n| = sup_num/sup_den that is not eventually zero, at
-    tol = tol_num/tol_den.  n is the least of 9, 17, ... with
-    sup * eta_(n+1) below tol/2, and the tail is that bound.  Keyed by
-    integers, which hash far faster than Fractions."""
-    sup = Fraction(sup_num, sup_den)
-    budget = Fraction(tol_num, 2 * tol_den)
-    n = tailmath.least_index(tailmath.zeta_below(1, sup, budget, shift=1), 9, "the d_E tail", 8,
-                             below=budget)
-    tail = sup * tailmath.eta(n + 1).hi
-    return n, tail.numerator, tail.denominator
 
 
 @lru_cache(maxsize=1024)
@@ -252,27 +237,31 @@ def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
     tail_num/tail_den], none of them reduced.
 
     The kept terms follow coeffspace.truncate: an eventually-zero d keeps
-    its support with a tail of 0, any other keeps its first n, n the cut
-    _d_E_cut works out once per (sup, tol).  An eventually periodic d is
-    read once, as integer numerators of |preamble| and |period| over one
-    lcm m (their largest is m times the sup), and the kept sum is one
-    C-level dot product of them with _d_E_weights' row, over m * n!."""
-    if isinstance(d, EventuallyPeriodic):
-        nums, m = _numerators(d.preamble + d.period)
-        nums = list(map(abs, nums))
-        s = len(d.preamble)
-        if d.period == (0,):  # eventually zero: keep the support
-            n, tail_num, tail_den = s, 0, 1
+    its support with a tail of 0, any other keeps its first n, n and the
+    tail sup * eta_(n+1) from tailmath._zeta_cut at tol/2.  An eventually
+    periodic d is read once, as integer numerators of |preamble| and
+    |period| over one lcm m (their largest is m times the sup), and the
+    kept sum is one C-level dot product of them with _d_E_weights' row,
+    over m * n!."""
+    budget = tol.numerator, 2 * tol.denominator
+    try:
+        if isinstance(d, EventuallyPeriodic):
+            nums, m = _numerators(d.preamble + d.period)
+            nums = list(map(abs, nums))
+            s = len(d.preamble)
+            if d.period == (0,):  # eventually zero: keep the support
+                n, tail = s, 0
+            else:
+                n, tail = tailmath._zeta_cut(1, 1, max(nums), m, *budget, 9, 8, 1)
+            w = _d_E_weights(s, len(d.period), n)
         else:
-            n, tail_num, tail_den = _d_E_cut(max(nums), m, tol.numerator, tol.denominator)
-        w = _d_E_weights(s, len(d.period), n)
-    else:
-        n, tail_num, tail_den = _d_E_cut(*d.sup_abs().as_integer_ratio(),
-                                         tol.numerator, tol.denominator)
-        nums, m = _numerators(d.prefix(n))
-        nums = list(map(abs, nums))
-        w = _d_E_weights(n, 0, n)
-    return sum(map(operator.mul, nums, w)), m * math.factorial(n), tail_num, tail_den
+            n, tail = tailmath._zeta_cut(1, 1, *d.sup_abs().as_integer_ratio(), *budget, 9, 8, 1)
+            nums, m = _numerators(d.prefix(n))
+            nums = list(map(abs, nums))
+            w = _d_E_weights(n, 0, n)
+    except InfeasibleTolerance as exc:
+        raise tailmath.index_cap("the d_E tail", exc.budget) from None
+    return sum(map(operator.mul, nums, w)), m * math.factorial(n), *tail.as_integer_ratio()
 
 
 def _d_E_interval(num: int, den: int, tail_num: int, tail_den: int) -> BoundInterval:
@@ -284,8 +273,8 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=_D_E_TOL) -> BoundInterval:
     """Certified d_E(a, b) = sum |a_n - b_n| / (n+1)!.
 
     Keeps the difference's finite support, with a tail of exactly 0, or
-    else its first n terms, n the cut _d_E_cut caches per (sup, tol),
-    with a tail of at most sup|a_n - b_n| * eta_{n+1}.  The kept sum is
+    else its first n terms, n the least of 9, 17, ... whose tail bound
+    sup|a_n - b_n| * eta_{n+1} is below tol/2.  The kept sum is
     one integer numerator over m * n! (_d_E_parts: the coefficients as
     integer numerators over their lcm m, dotted with a cached row of
     factorial weights, the period's folded per slot), so a call builds
@@ -344,8 +333,10 @@ def weighted_product_metric(
             raise DomainError("tail majorant must be nonnegative")
         return tail
 
-    kept, tail = truncate(d, tail_at, tolq / 2,
-                          "the weighted tail", 8, 8)
+    kept, tail = finite_support(d), Fraction(0)
+    if kept is None:
+        n = tailmath.least_index(lambda k: tail_at(k) < tolq / 2, 8, "the weighted tail", 8, below=tolq / 2)
+        kept, tail = d.prefix(n), tail_at(n)
     # the kept terms w_i |c_i| / 2^i as integer numerators over one lcm
     terms = []
     for i, c in enumerate(kept):
@@ -1250,36 +1241,20 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
     return BoundInterval(_times_pow2(out.lo, e), _times_pow2(out.hi, e)) if e else out
 
 
-@lru_cache(maxsize=1024)
-def _rho_p_cut(sup_num: int, sup_den: int, gamma_num: int, gamma_den: int,
-               inv_p_num: int, inv_p_den: int, tol_num: int, tol_den: int) -> Tuple[int, Fraction]:
-    """(n, tail): rho_p's cut of a difference with sup|a_n - b_n| =
-    sup_num/sup_den that is not eventually zero, on a window gamma, at
-    1/p and tol, each given as its numerator and denominator.  n is the
-    least of 9, 17, ... whose tail share gamma^(1/p) * sup * zeta_n(gamma)
-    is below tol/4, and the tail is that share.  Steps of 8 overshoot the
-    least cutoff, which keeps the slack well under tol/4 and the
-    enclosure narrower than the tolerance asks."""
-    gamma = Fraction(gamma_num, gamma_den)
-    scale = Fraction(sup_num, sup_den) * _gamma_pow(gamma_num, gamma_den, inv_p_num, inv_p_den).hi
-    budget = Fraction(tol_num, 4 * tol_den)
-    n = tailmath.least_index(tailmath.zeta_below(gamma, scale, budget), 9, "the rho_p tail", 8,
-                             below=budget)
-    return n, scale * tailmath.zeta(gamma, n).hi
-
-
 def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:
     """Certified L^p distance of two series functions on a shared window.
 
-    truncate cuts the coefficient difference where the tail's L^p
-    share, gamma^(1/p) * sup|a_n - b_n| * zeta_n, falls below tol/4
-    (exactly 0 when the difference has finite support); the polynomial
-    part's norm comes from _norm_of_poly at tol/2, exact or by certified
-    quadrature at unit scale in at most two passes, and the tail widens
-    the enclosure by that share on both sides (a tail of exactly 0 leaves
-    the norm as it is).  The cut and the kernels
-    see the same rationals for 2^k (f - g) at 2^k tol as for f - g at tol,
-    so that call's enclosure is exactly 2^k times this one's, for every p.
+    truncate cuts the coefficient difference at the first of 9, 17, ...
+    where the tail's L^p share, gamma^(1/p) * sup|a_n - b_n| * zeta_n,
+    falls below tol/4 (steps of 8 overshoot the least cutoff, which keeps
+    the slack well under tol/4), exactly 0 when the difference has finite
+    support; the polynomial part's norm comes from _norm_of_poly at
+    tol/2, exact or by certified quadrature at unit scale in at most two
+    passes, and the tail widens the enclosure by that share on both sides
+    (a tail of exactly 0 leaves the norm as it is).  The cut and the
+    kernels see the same rationals for 2^k (f - g) at 2^k tol as for f - g
+    at tol, so that call's enclosure is exactly 2^k times this one's, for
+    every p.
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_p needs a shared domain (gamma and origin)")
@@ -1290,9 +1265,13 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
         raise DomainError("tolerance must be positive")
     d = difference(f.coeffs, g.coeffs)
     kept, tail_slack = finite_support(d), 0
-    if kept is None:  # coeffspace.truncate's rule, its cut cached
-        n, tail_slack = _rho_p_cut(*d.sup_abs().as_integer_ratio(), *spec.gamma.as_integer_ratio(),
-                                   *spec.inv_p.as_integer_ratio(), *tolq.as_integer_ratio())
+    if kept is None:  # coeffspace.truncate's rule on integers, at scale sup * gamma^(1/p).hi
+        (sn, sd), (gn, gd) = d.sup_abs().as_integer_ratio(), spec.gamma_pow_inv_p().hi.as_integer_ratio()
+        try:
+            n, tail_slack = tailmath._zeta_cut(*spec.gamma.as_integer_ratio(), sn * gn, sd * gd,
+                                               tolq.numerator, 4 * tolq.denominator, 9, 8, 0)
+        except InfeasibleTolerance as exc:
+            raise tailmath.index_cap("the rho_p tail", exc.budget) from None
         kept = d.prefix(n)
     try:
         norm = _norm_of_poly(kept, spec, _times_pow2(tolq, -1))
@@ -1322,14 +1301,12 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
     d = difference(f.coeffs, g.coeffs)
-    sup = d.sup_abs()
     gamma = f.gamma
-    slack = gamma * sup * tailmath.zeta(gamma, _RHO1_TERMS).hi
-    # an infinite budget makes the cut the first index searched
-    kept, tail = truncate(d, lambda n: sup * tailmath.zeta(gamma, n).hi,
-                          math.inf, "the rho_1 lower-bound tail", _RHO1_TERMS)
+    slack = gamma * d.sup_abs() * tailmath.zeta(gamma, _RHO1_TERMS).hi
+    support = finite_support(d)
+    kept, tail = (d.prefix(_RHO1_TERMS), slack) if support is None else (support, 0)
     l1 = _integral_abs_pow_int(*_bernstein(kept, gamma), gamma, 1, slack)
-    return max(Fraction(0), l1.lo - gamma * tail)
+    return max(Fraction(0), l1.lo - tail)
 
 
 def series_norm(f: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInterval:

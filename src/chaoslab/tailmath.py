@@ -32,7 +32,8 @@ integers (g, h, k, r, s) of gamma = g/h, the index k and rel_tol = r/s.
 Tail-index searches go through least_index, and every one whose bound
 is a fixed multiple of a zeta or eta tail tests the single predicate
 zeta_below: one cached lookup and one integer cross-multiplication per
-index tried.
+index tried.  The series cuts (coeffspace.truncate, metrics.d_E and
+metrics.rho_p) run that search once per integer key, in _zeta_cut.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from .intervals import BoundInterval, as_fraction
@@ -67,9 +68,14 @@ def least_index(holds: Callable[[int], bool], start: int, what: str, step: int =
     for n in range(start, MAX_TAIL_INDEX + 1, step):
         if holds(n):
             return n
+    raise index_cap(what, below)
+
+
+def index_cap(what: str, below=None) -> InfeasibleTolerance:
+    """least_index's failure for `what` and `below` at the cap in force."""
     bound = "" if below is None else f" below {brief(below)}"
-    raise InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}",
-                              what=what, budget=below, cap=MAX_TAIL_INDEX)
+    return InfeasibleTolerance(f"no index up to {MAX_TAIL_INDEX} certifies {what}{bound}",
+                               what=what, budget=below, cap=MAX_TAIL_INDEX)
 
 
 @lru_cache(maxsize=4096)
@@ -151,6 +157,19 @@ def zeta_below(gamma, scale, budget, shift: int = 0) -> Callable[[int], bool]:
         return left * hi.numerator < right * hi.denominator
 
     return holds
+
+
+@lru_cache(maxsize=1024)
+def _zeta_cut(g: int, h: int, scale_num: int, scale_den: int, budget_num: int, budget_den: int,
+              start: int, step: int, shift: int) -> Tuple[int, Fraction]:
+    """(n, tail): n the least of start, start + step, ... with scale *
+    zeta_(n+shift)(gamma).hi < budget, tail that bound; gamma = g/h in
+    lowest terms, scale >= 0 and budget > 0 need not be.  A search past
+    the cap raises, caching nothing; callers re-raise it by index_cap."""
+    scale, budget = Fraction(scale_num, scale_den), Fraction(budget_num, budget_den)
+    n = least_index(zeta_below(Fraction(g, h), scale, budget, shift), start, "a zeta tail", step,
+                    below=budget)
+    return n, scale * _tail_sum(g, h, n + shift, DEFAULT_REL_TOL.numerator, DEFAULT_REL_TOL.denominator).hi
 
 
 def zeta_table(gamma, k_last: int, rel_tol=DEFAULT_REL_TOL) -> List[BoundInterval]:

@@ -131,6 +131,31 @@ def test_transitivity_with_trace(capsys, tmp_path):
     assert his[-1] == 0.0
 
 
+def test_unwritable_output_path_exits_two(capsys, tmp_path):
+    # a missing directory or a directory as the file is bad configuration,
+    # reported on one stderr line, for --out and transitivity's --trace
+    u = _write(tmp_path, "u.json", ZEROS)
+    v = _write(tmp_path, "v.json", ONES)
+    absent = str(tmp_path / "absent" / "x.csv")
+    for argv in (["tails", "--gamma", "1", "--out", absent],
+                 ["tails", "--gamma", "1", "--out", str(tmp_path)],
+                 ["transitivity", "--gamma", "1", "--alphabet", "0,1", "--trace", absent, u, v]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("chaos-lab: cannot write ") and "Traceback" not in err
+
+
+def test_transitivity_trace_bytes(capsys, tmp_path):
+    u = _write(tmp_path, "u.json", ZEROS)
+    v = _write(tmp_path, "v.json", ONES)
+    trace = tmp_path / "t.csv"
+    code, _, _ = _run(capsys, ["transitivity", "--gamma", "1", "--alphabet", "0,1",
+                               "--trace", str(trace), u, v])
+    assert code == 0
+    assert trace.read_bytes() == (b"n,rho_lo,rho_hi\n0,2.6666666666666665,2.666666666666667\n"
+                                  b"1,2.5,2.5\n2,2.0,2.0\n3,1.0,1.0\n4,0.0,0.0\n")
+
+
 def test_ef_approx_augments_zero_polynomial(capsys, tmp_path):
     f = _write(tmp_path, "zero.json", ZEROS)
     code, out, _ = _run(capsys, ["ef-approx", "--gamma", "1", "--eps", "1/2", f])

@@ -20,7 +20,6 @@ from chaoslab.coeffspace import (
     evaluate,
     finite_support,
     same_stream,
-    truncate,
 )
 from chaoslab.intervals import BoundInterval
 from chaoslab.metrics import FACTORIAL_WEIGHTS, _d_E_parts, d_E, d_lambda, weighted_product_metric
@@ -155,12 +154,23 @@ def reference_difference(a, b):
     return EventuallyPeriodic(diffs[:s], diffs[s:])
 
 
+def eta_cut(d, tol):
+    """(kept, tail) of d_E's cut, searched here on its own: the finite
+    support with a tail of 0, else the first n terms, n the least of 9,
+    17, ... with sup|d_i| * eta_(n+1).hi below tol / 2, and that bound."""
+    support = finite_support(d)
+    if support is not None:
+        return support, Fraction(0)
+    sup = d.sup_abs()
+    n = tailmath.least_index(lambda k: sup * tailmath.eta(k + 1).hi < tol / 2, 9, "oracle", 8)
+    return d.prefix(n), sup * tailmath.eta(n + 1).hi
+
+
 def reference_d_E(a, b, tol):
     """d_E as first written: the cut searched on every call, then one
     Fraction added per kept term."""
     d = reference_difference(a, b)
-    sup = d.sup_abs()
-    kept, tail = truncate(d, lambda n: sup * tailmath.eta(n + 1).hi, tol / 2, "the d_E tail", 9, 8)
+    kept, tail = eta_cut(d, tol)
     fact = 1
     partial = Fraction(0)
     for n, c in enumerate(kept):
@@ -255,9 +265,8 @@ def test_d_E_is_the_definition_term_by_term(pair, tol):
 
 def core_oracle(d, tol):
     """(sum_{i < n} |d_i| / (i + 1)!, tail) in Fractions, n and the tail
-    from truncate's rule at tol / 2 with the tail bound sup|d_i| eta_(n+1)."""
-    sup = d.sup_abs()
-    kept, tail = truncate(d, lambda n: sup * tailmath.eta(n + 1).hi, tol / 2, "the d_E tail", 9, 8)
+    from eta_cut, whose tail bound sup|d_i| eta_(n+1) clears tol / 2."""
+    kept, tail = eta_cut(d, tol)
     return sum((abs(c) / math.factorial(i + 1) for i, c in enumerate(kept)), Fraction(0)), tail
 
 

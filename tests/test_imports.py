@@ -129,8 +129,8 @@ def test_cache_key_scan_sees_a_fraction_parameter(tmp_path):
 def test_every_cache_in_the_package_is_keyed_by_integers():
     cached = {path.stem: [fn.name for fn in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))]
               for path in sorted(PACKAGE.glob("*.py"))}
-    assert {"_tail_sum", "_separation_scan"} <= set(cached["tailmath"])
-    assert {"_gamma_pow", "_frac_tables", "_d_E_cut", "_rho_p_cut"} <= set(cached["metrics"])
+    assert {"_tail_sum", "_separation_scan", "_zeta_cut"} <= set(cached["tailmath"])
+    assert {"_gamma_pow", "_frac_tables"} <= set(cached["metrics"])
     assert {path.name: names for path in sorted(PACKAGE.glob("*.py"))
             if (names := _non_int_cache_params(path))} == {}
 
@@ -170,6 +170,6 @@ def test_every_cache_in_the_package_is_bounded():
         name = "chaoslab" if path.stem == "__init__" else f"chaoslab.{path.stem}"
         module = importlib.import_module(name)
         caches.update({f"{path.stem}:{f}": size for f, size in _caches(module).items()})
-    assert {"tailmath:_tail_sum", "tailmath:_separation_scan", "metrics:_gamma_pow", "metrics:_d_E_cut",
-            "metrics:_rho_p_cut"} <= set(caches)
+    assert {"tailmath:_tail_sum", "tailmath:_separation_scan", "tailmath:_zeta_cut",
+            "metrics:_gamma_pow"} <= set(caches)
     assert [name for name, size in caches.items() if size is None] == []

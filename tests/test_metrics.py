@@ -19,8 +19,10 @@ from chaoslab.coeffspace import (
     SeriesFn,
     WordEnumeration,
     Alphabet,
+    evaluate,
     truncate,
 )
+from chaoslab.constructions import sensitivity_witness
 from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from chaoslab.intervals import BoundInterval, PowerFn, power
 from chaoslab.metrics import (
@@ -115,6 +117,27 @@ def test_index_cap_failure_names_what_budget_and_cap(monkeypatch):
         tailmath.least_index(lambda n: False, 0, "nothing")
     assert (info.value.what, info.value.budget, info.value.cap) == ("nothing", None, 40)
     assert str(info.value) == "no index up to 40 certifies nothing"
+
+
+def test_cut_past_the_cap_names_its_caller_and_leaves_no_cache_entry(monkeypatch):
+    # every zeta cut shares tailmath._zeta_cut; past a cap of 40 each
+    # raises under its own name and budget, and once the cap is back the
+    # same calls succeed, so the failed search cached nothing
+    eps, f, zero = Fraction(1, 10**80), series(ONES), series(ZEROS)
+    calls = [
+        ("the series tail", eps / 2, lambda: evaluate(f, Fraction(1, 2), eps)),
+        ("the rho_p tail", eps / 4, lambda: rho_p(f, zero, LpSpec(2, 1), eps)),
+        ("the d_E tail", eps / 2, lambda: d_E(ONES, ZEROS, eps)),
+        ("sup|a|*zeta(K)", eps / 4, lambda: sensitivity_witness(f, 1, eps)),
+    ]
+    monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
+    for what, budget, call in calls:
+        with pytest.raises(InfeasibleTolerance) as info:
+            call()
+        assert (info.value.what, info.value.budget, info.value.cap) == (what, budget, 40)
+    monkeypatch.undo()
+    for _, _, call in calls:
+        call()
 
 
 def test_diff_sup_abs():
@@ -213,9 +236,9 @@ def test_gamma_pow_inv_p_is_cached_and_bounded():
 
 
 def test_rho_p_cut_is_the_truncate_cut_and_cached():
-    # the integer-keyed cache returns coeffspace.truncate's cut, rational
-    # for rational, and a second call with equal rationals hits it
-    cache = metrics._rho_p_cut
+    # rho_p's unreduced integer key returns coeffspace.truncate's cut,
+    # rational for rational, and a second call with equal rationals hits it
+    cache = tailmath._zeta_cut
     assert cache.cache_info().maxsize is not None
     d = difference(EventuallyPeriodic((Fraction(3, 2),), (1, Fraction(-2, 3))), ZEROS)
     for gamma in (Fraction(1, 2), Fraction(2)):
@@ -223,10 +246,9 @@ def test_rho_p_cut_is_the_truncate_cut_and_cached():
             for tol in (Fraction(1, 10**4), Fraction(1, 10**9)):
                 spec = LpSpec(p, gamma)
                 gp = spec.gamma_pow_inv_p()
-                kept, tail = truncate(d, lambda n: d.sup_abs() * tailmath.zeta(gamma, n).hi * gp.hi,
-                                      tol / 4, "the rho_p tail", 9, 8)
-                key = (*d.sup_abs().as_integer_ratio(), *gamma.as_integer_ratio(),
-                       *spec.inv_p.as_integer_ratio(), *tol.as_integer_ratio())
+                kept, tail = truncate(d, gamma, d.sup_abs() * gp.hi, tol / 4, "the rho_p tail", 9, 8)
+                (sn, sd), (gn, gd) = d.sup_abs().as_integer_ratio(), gp.hi.as_integer_ratio()
+                key = (*gamma.as_integer_ratio(), sn * gn, sd * gd, tol.numerator, 4 * tol.denominator, 9, 8, 0)
                 assert cache(*key) == (len(kept), tail)
                 hits = cache.cache_info().hits
                 rho_p(SeriesFn(d, gamma), SeriesFn(ZEROS, gamma), spec, tol)
@@ -259,7 +281,7 @@ def test_fractional_quadrature_takes_no_mpmath_power(monkeypatch):
     calls = []
     monkeypatch.setattr(ivmpf, "__pow__", lambda x, y: calls.append(y) or real_pow(x, y))
     metrics._gamma_pow.cache_clear()
-    metrics._rho_p_cut.cache_clear()
+    tailmath._zeta_cut.cache_clear()
     box = rho_p(series(ONES), series(ZEROS), LpSpec(Fraction(3, 2), 1), Fraction(1, 10**6))
     assert box.lo <= RHO32_EXP <= box.hi
     assert calls == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaoslab import metrics, tailmath, verify
+from chaoslab import tailmath, verify
 from chaoslab.coeffspace import FiniteSupport, SeriesFn, derivative_sup_bound
 from chaoslab.conjugacy import nearby_distinct_point
 from chaoslab.constructions import agreement_index, periodic_point_in_cinf, sensitivity_witness
@@ -38,6 +38,23 @@ def test_zeta_below_is_the_scaled_tail_comparison(gamma, scale, rel, shift, n):
     budget = bound * (1 + rel)
     assert zeta_below(gamma, scale, budget, shift)(n) == (bound < budget)
     assert zeta_below(gamma, scale, budget, shift)(n) == ((scale * zeta(gamma, n + shift)).hi < budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3), Fraction(5))),
+       scale=st.one_of(st.just((0, 1)), st.tuples(st.integers(0, 10**6), st.integers(1, 10**3))),
+       times=st.integers(1, 6), budget=st.fractions(min_value=Fraction(1, 10**30), max_value=10),
+       start=st.sampled_from((0, 1, 9)), step=st.sampled_from((1, 8)), shift=st.integers(0, 2))
+@example(gamma=Fraction(1), scale=(0, 1), times=3, budget=Fraction(1, 10**12), start=9, step=8, shift=1)
+@example(gamma=Fraction(5), scale=(6, 4), times=1, budget=Fraction(1, 10**20), start=0, step=1, shift=2)
+def test_zeta_cut_is_the_rational_search(gamma, scale, times, budget, start, step, shift):
+    # the one cached cut against least_index on the rational bound; the
+    # scale and budget pairs go in unreduced (times > 1 scales both parts)
+    s = Fraction(*scale)
+    n = least_index(lambda k: s * zeta(gamma, k + shift).hi < budget, start, "oracle", step)
+    key = (*gamma.as_integer_ratio(), scale[0] * times, scale[1] * times,
+           budget.numerator * times, budget.denominator * times, start, step, shift)
+    assert tailmath._zeta_cut(*key) == (n, s * zeta(gamma, n + shift).hi)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -103,9 +120,10 @@ def test_rho_p_cut_is_the_interval_search(gamma, p):
         for tol in EPSS:
             budget = tol / 4
             n = least_index(lambda k: scale * zeta(gamma, k).hi < budget, 9, "oracle", 8)
-            key = (*sup.as_integer_ratio(), *gamma.as_integer_ratio(),
-                   *spec.inv_p.as_integer_ratio(), *tol.as_integer_ratio())
-            assert metrics._rho_p_cut(*key) == (n, scale * zeta(gamma, n).hi)
+            # rho_p's key: sup's and gamma^(1/p).hi's integer ratios multiplied, unreduced
+            (sn, sd), (gn, gd) = sup.as_integer_ratio(), spec.gamma_pow_inv_p().hi.as_integer_ratio()
+            key = (*gamma.as_integer_ratio(), sn * gn, sd * gd, tol.numerator, 4 * tol.denominator, 9, 8, 0)
+            assert tailmath._zeta_cut(*key) == (n, scale * zeta(gamma, n).hi)
 
 
 def test_d_E_cut_is_the_interval_search():
@@ -114,8 +132,8 @@ def test_d_E_cut_is_the_interval_search():
             budget = tol / 2
             n = least_index(lambda k: sup * eta(k + 1).hi < budget, 9, "oracle", 8)
             tail = sup * eta(n + 1).hi
-            key = (*sup.as_integer_ratio(), *tol.as_integer_ratio())
-            assert metrics._d_E_cut(*key) == (n, tail.numerator, tail.denominator)
+            key = (1, 1, *sup.as_integer_ratio(), tol.numerator, 2 * tol.denominator, 9, 8, 1)
+            assert tailmath._zeta_cut(*key) == (n, tail)
 
 
 @pytest.mark.parametrize("check, delta_of, oracle", [
