@@ -243,7 +243,6 @@ def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
     |period| over one lcm m (their largest is m times the sup), and the
     kept sum is one C-level dot product of them with _d_E_weights' row,
     over m * n!."""
-    budget = tol.numerator, 2 * tol.denominator
     try:
         if isinstance(d, EventuallyPeriodic):
             nums, m = _numerators(d.preamble + d.period)
@@ -252,16 +251,17 @@ def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
             if d.period == (0,):  # eventually zero: keep the support
                 n, tail = s, 0
             else:
-                n, tail = tailmath._zeta_cut(1, 1, max(nums), m, *budget, 9, 8, 1)
+                n, tail = tailmath._zeta_cut(1, 1, max(nums), m, tol.numerator, 2 * tol.denominator, 9, 8, 1)
             w = _d_E_weights(s, len(d.period), n)
         else:
-            n, tail = tailmath._zeta_cut(1, 1, *d.sup_abs().as_integer_ratio(), *budget, 9, 8, 1)
+            n, tail = tailmath._zeta_cut(1, 1, *d.sup_abs().as_integer_ratio(), tol.numerator,
+                                         2 * tol.denominator, 9, 8, 1)
             nums, m = _numerators(d.prefix(n))
             nums = list(map(abs, nums))
             w = _d_E_weights(n, 0, n)
     except InfeasibleTolerance as exc:
         raise tailmath.index_cap("the d_E tail", exc.budget) from None
-    return sum(map(operator.mul, nums, w)), m * math.factorial(n), *tail.as_integer_ratio()
+    return sum(map(operator.mul, nums, w)), m * math.factorial(n), tail.numerator, tail.denominator
 
 
 def _d_E_interval(num: int, den: int, tail_num: int, tail_den: int) -> BoundInterval:
@@ -335,7 +335,8 @@ def weighted_product_metric(
 
     kept, tail = finite_support(d), Fraction(0)
     if kept is None:
-        n = tailmath.least_index(lambda k: tail_at(k) < tolq / 2, 8, "the weighted tail", 8, below=tolq / 2)
+        budget = tolq / 2
+        n = tailmath.least_index(lambda k: tail_at(k) < budget, 8, "the weighted tail", 8, below=budget)
         kept, tail = d.prefix(n), tail_at(n)
     # the kept terms w_i |c_i| / 2^i as integer numerators over one lcm
     terms = []

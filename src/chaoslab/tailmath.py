@@ -167,8 +167,7 @@ def _zeta_cut(g: int, h: int, scale_num: int, scale_den: int, budget_num: int, b
     lowest terms, scale >= 0 and budget > 0 need not be.  A search past
     the cap raises, caching nothing; callers re-raise it by index_cap."""
     scale, budget = Fraction(scale_num, scale_den), Fraction(budget_num, budget_den)
-    n = least_index(zeta_below(Fraction(g, h), scale, budget, shift), start, "a zeta tail", step,
-                    below=budget)
+    n = least_index(zeta_below(Fraction(g, h), scale, budget, shift), start, "a zeta tail", step, below=budget)
     return n, scale * _tail_sum(g, h, n + shift, DEFAULT_REL_TOL.numerator, DEFAULT_REL_TOL.denominator).hi
 
 
