@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, InfeasibleTolerance
+from .errors import DomainError
 from .intervals import BoundInterval, as_fraction
 from . import tailmath
 
@@ -419,17 +419,13 @@ def truncate(s: CoeffSeq, gamma, scale, budget, what: str,
     An eventually-zero stream keeps its finite_support and its tail is
     exactly 0.  Any other keeps s_0 ... s_(n-1) for the least n in start,
     start + step, ... with scale * zeta_n(gamma).hi < budget, and its tail
-    is that bound (tailmath._zeta_cut).  Past the cap it raises
+    is that bound (tailmath.zeta_index).  Past the cap it raises
     InfeasibleTolerance naming `what` and the budget.
     """
     support = finite_support(s)
     if support is not None:
         return support, Fraction(0)
-    try:
-        n, tail = tailmath._zeta_cut(*gamma.as_integer_ratio(), *scale.as_integer_ratio(),
-                                     *budget.as_integer_ratio(), start, step, 0)
-    except InfeasibleTolerance as exc:
-        raise tailmath.index_cap(what, exc.budget) from None
+    n, tail = tailmath.zeta_index(gamma, scale, budget, what, start, step)
     return s.prefix(n), tail
 
 

@@ -202,14 +202,10 @@ def nearby_distinct_point(a: CoeffSeq, delta, spec: LpSpec) -> NearbyPointReport
         raise DomainError("can only flip an eventually periodic stream")
     if not a.in_EF(BINARY):
         raise DomainError("nearby_distinct_point needs {0,1} coefficients")
-    scaled_fits = tailmath.zeta_below(spec.gamma, spec.gamma_pow_inv_p().hi, dq)
-    next_fits = tailmath.zeta_below(spec.gamma, 1, dq, shift=1)
-    n = tailmath.least_index(
-        lambda k: scaled_fits(k) and next_fits(k),
-        1,
-        "a flip index",
-        below=dq,
-    )
+    # _tail_sum's .hi never increases with k, so each test keeps holding
+    # once it holds, and the least k passing both is the larger cut
+    n = max(tailmath.zeta_index(spec.gamma, spec.gamma_pow_inv_p().hi, dq, "a flip index", start=1)[0],
+            tailmath.zeta_index(spec.gamma, 1, dq, "a flip index", start=1, shift=1)[0])
     z = tailmath.zeta(spec.gamma, n)
     pre, per = shape
     head = list(a.prefix(max(n + 1, len(pre))))

@@ -72,12 +72,7 @@ def agreement_index(spec: LpSpec, diam: Fraction, gamma: Fraction, eps: Fraction
     Streams over an alphabet of diameter diam that agree below index N
     are then within rho_p-distance eps of each other.
     """
-    return tailmath.least_index(
-        tailmath.zeta_below(gamma, spec.gamma_pow_inv_p().hi * diam, eps),
-        0,
-        "gamma^(1/p)*diam*zeta(N)",
-        below=eps,
-    )
+    return tailmath.zeta_index(gamma, spec.gamma_pow_inv_p().hi * diam, eps, "gamma^(1/p)*diam*zeta(N)")[0]
 
 
 def _check_spec_domain(spec: LpSpec, gamma: Fraction):
@@ -368,12 +363,7 @@ def periodic_point_in_cinf(P: CoeffSeq, gamma, spec: LpSpec, eps) -> CoeffSeq:
     if len(F) < 2:
         raise DomainError("P needs a second coefficient value; augment it first")
     budget = power(gq, -spec.inv_p) * epsq / (2 * F.diameter)
-    N = tailmath.least_index(
-        tailmath.zeta_below(gq, 1, budget.lo),
-        1,
-        "zeta(N)",
-        below=budget.lo,
-    )
+    N, _ = tailmath.zeta_index(gq, 1, budget.lo, "zeta(N)", start=1)
     kept = _kept(P)
     period = kept + (Fraction(0),) * (max(len(kept), N + 1) - len(kept))
     return EventuallyPeriodic((), period)
@@ -447,8 +437,7 @@ def sensitivity_witness(
     c = max(Fraction(0), *P.preamble) + big_m + betaq
     F = coefficient_alphabet(P).union((c,))
     budget = epsq / (2 * F.diameter)
-    N_prime = tailmath.least_index(tailmath.zeta_below(gq, 1, budget, shift=1), 1, "zeta(N'+1)",
-                                   below=budget)
+    N_prime, _ = tailmath.zeta_index(gq, 1, budget, "zeta(N'+1)", start=1, shift=1)
     n = max(len(P.preamble), N_prime + 1)
     head = P.preamble + (Fraction(0),) * (n - len(P.preamble))
     g_coeffs = EventuallyPeriodic(head, (c,))

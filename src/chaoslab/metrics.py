@@ -571,6 +571,18 @@ def _sign_changes(coeffs: List[int]) -> int:
 _BRACKET_STEPS = (1 << 9, 1 << 33)
 
 
+def _degree_cap(kept: Tuple[Fraction, ...], p: int) -> None:
+    """Refuse |P|^p at integer p when N = n p (p for a constant), n the
+    degree of P (kept without trailing zeros; zero passes), is past
+    _MAX_POWER_DEGREE: for ones against zero at the default tol, p > 128
+    at gamma 1 (n = 16; p = 101 takes 1.0-1.5 s, 127 2.2-3.3 s, on a
+    2-core Xeon) and p > 85 at gamma 2 (n = 24)."""
+    n = next((i for i in range(len(kept) - 1, -1, -1) if kept[i]), None)
+    if n is not None and max(n * p, p) > _MAX_POWER_DEGREE:
+        raise ToleranceUnreachable(f"|P|^{p} has degree {n * p}, past the budget {_MAX_POWER_DEGREE}",
+                                   kind="degree-cap")
+
+
 def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fraction, p: int,
                           tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
@@ -612,16 +624,10 @@ def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fractio
     root panel, and one popped again after its bracket, is halved.
 
     The work grows as N^2 times the integers' size, which grows with p,
-    so N (p for a constant) past _MAX_POWER_DEGREE raises at once: for
-    ones against zero at the default tol, p > 128 at gamma 1 (n = 16;
-    p = 101 takes 1.0-1.5 s, 127 2.2-3.3 s, on a 2-core Xeon) and p > 85
-    at gamma 2 (n = 24).
+    so callers read _degree_cap before they build (B, L, delta).
     """
     n = len(B) - 1
     N = n * p
-    if max(N, p) > _MAX_POWER_DEGREE:
-        raise ToleranceUnreachable(f"|P|^{p} has degree {N}, past the budget {_MAX_POWER_DEGREE}",
-                                   kind="degree-cap")
     gn = gamma.numerator
     if p == 1 and (min(B) >= 0 or max(B) <= 0):
         return BoundInterval.exact(Fraction(gn * abs(sum(B)), gamma.denominator * (n + 1) * L))
@@ -1204,6 +1210,9 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
     * by concavity hi^(1/p) - lo^(1/p) <= (hi - lo)^(1/p), and
       min(t^floor(p), t^ceil(p)) <= t^p, which covers I.lo = 0.
     """
+    p = spec.p
+    if not spec.is_sup and p.denominator == 1:
+        _degree_cap(kept, p.numerator)
     B, L, delta = _bernstein(kept, spec.gamma)
     if spec.is_sup:
         return _sup_abs_on(B, L, tol)
@@ -1220,7 +1229,6 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
         delta = [d << -e for d in delta]
     if e:  # scaling by 1 would still cost a Fraction build
         tol = _times_pow2(tol, -e)
-    p = spec.p
 
     def integral_to(int_tol: Fraction) -> BoundInterval:
         if p.denominator == 1:
@@ -1306,6 +1314,7 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     slack = gamma * d.sup_abs() * tailmath.zeta(gamma, _RHO1_TERMS).hi
     support = finite_support(d)
     kept, tail = (d.prefix(_RHO1_TERMS), slack) if support is None else (support, 0)
+    _degree_cap(kept, 1)
     l1 = _integral_abs_pow_int(*_bernstein(kept, gamma), gamma, 1, slack)
     return max(Fraction(0), l1.lo - tail)
 
@@ -1349,8 +1358,7 @@ def continuity_delta_l1(gamma, eps) -> Tuple[int, Fraction]:
     epsq = as_fraction(eps)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    n = tailmath.least_index(
-        tailmath.zeta_below(1, 1, epsq), tailmath.compute_m_gamma(g), "eta(N)", below=epsq)
+    n, _ = tailmath.zeta_index(1, 1, epsq, "eta(N)", start=tailmath.compute_m_gamma(g))
     delta = tailmath.xi(g, n + 1).lo
     if delta <= 0:
         raise ToleranceUnreachable("xi lower bound not positive at the default rel_tol",
@@ -1370,5 +1378,5 @@ def continuity_delta_dE(gamma, eps) -> Tuple[int, Fraction]:
     epsq = as_fraction(eps)
     if epsq <= 0:
         raise DomainError("eps must be positive")
-    n = tailmath.least_index(tailmath.zeta_below(g, 1, epsq), 1, "zeta(N)", below=epsq)
+    n, _ = tailmath.zeta_index(g, 1, epsq, "zeta(N)", start=1)
     return n, Fraction(1, math.factorial(n + 1))

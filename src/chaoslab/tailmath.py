@@ -29,11 +29,11 @@ occasionally one step conservative.
 
 Every tail enclosure comes from one cache, _tail_sum, keyed by the
 integers (g, h, k, r, s) of gamma = g/h, the index k and rel_tol = r/s.
-Tail-index searches go through least_index, and every one whose bound
-is a fixed multiple of a zeta or eta tail tests the single predicate
-zeta_below: one cached lookup and one integer cross-multiplication per
-index tried.  The series cuts (coeffspace.truncate, metrics.d_E and
-metrics.rho_p) run that search once per integer key, in _zeta_cut.
+Every tail-index search whose bound is a multiple of a zeta or eta tail
+is _zeta_cut, cached per integer key (zeta_index at rationals): it skips
+every index whose leading term alone fails, then makes one cached lookup
+and one integer cross-multiplication per index tried.  least_index is
+left to it and to the searches that are not zeta tails.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ def least_index(holds: Callable[[int], bool], start: int, what: str, step: int =
 
     Index selection is uniform throughout the library: the smallest
     index whose certified tail bound (.hi of the enclosure) drops
-    strictly below the requested tolerance, with holds from zeta_below
-    wherever the bound is a multiple of a zeta or eta tail.  That makes
+    strictly below the requested tolerance; every bound that is a
+    multiple of a zeta or eta tail is searched by _zeta_cut, which runs
+    this loop from its first index worth testing.  That makes
     every bound sound at the cost of an occasional extra term.  Raises
     InfeasibleTolerance when no index up to the cap qualifies, carrying
     `what`, the rational `below` it had to clear (None when not given)
@@ -136,27 +137,16 @@ def zeta(gamma, k: int, rel_tol=DEFAULT_REL_TOL) -> BoundInterval:
     return _tail(gamma, k, rel_tol)
 
 
-def zeta_below(gamma, scale, budget, shift: int = 0) -> Callable[[int], bool]:
-    """holds(n) for least_index: scale * zeta_(n+shift)(gamma).hi < budget,
-    at the default rel_tol (eta_k is zeta_k(1)).
-
-    gamma, scale and budget are read once, here; each call then looks up
-    one cached tail sum and makes one integer cross-multiplication,
-    scale_num * hi_num * budget_den < budget_num * scale_den * hi_den.
-    For scale >= 0 that is the rational comparison (scale * zeta).hi <
-    budget on the enclosure, so a search over it picks the same index.
-    """
+def zeta_index(gamma, scale, budget, what: str, start: int = 0, step: int = 1,
+               shift: int = 0) -> Tuple[int, Fraction]:
+    """_zeta_cut at rationals as_fraction reads (eta_k is zeta_k(1)); past
+    the cap it raises InfeasibleTolerance naming `what` and the budget."""
     gamma, scale, budget = as_fraction(gamma), as_fraction(scale), as_fraction(budget)
-    g, h = gamma.numerator, gamma.denominator
-    r, s = DEFAULT_REL_TOL.numerator, DEFAULT_REL_TOL.denominator
-    left = scale.numerator * budget.denominator
-    right = budget.numerator * scale.denominator
-
-    def holds(n: int) -> bool:
-        hi = _tail_sum(g, h, n + shift, r, s).hi
-        return left * hi.numerator < right * hi.denominator
-
-    return holds
+    try:
+        return _zeta_cut(*gamma.as_integer_ratio(), *scale.as_integer_ratio(),
+                         *budget.as_integer_ratio(), start, step, shift)
+    except InfeasibleTolerance:
+        raise index_cap(what, budget) from None
 
 
 @lru_cache(maxsize=1024)
@@ -165,10 +155,32 @@ def _zeta_cut(g: int, h: int, scale_num: int, scale_den: int, budget_num: int, b
     """(n, tail): n the least of start, start + step, ... with scale *
     zeta_(n+shift)(gamma).hi < budget, tail that bound; gamma = g/h in
     lowest terms, scale >= 0 and budget > 0 need not be.  A search past
-    the cap raises, caching nothing; callers re-raise it by index_cap."""
-    scale, budget = Fraction(scale_num, scale_den), Fraction(budget_num, budget_den)
-    n = least_index(zeta_below(Fraction(g, h), scale, budget, shift), start, "a zeta tail", step, below=budget)
-    return n, scale * _tail_sum(g, h, n + shift, DEFAULT_REL_TOL.numerator, DEFAULT_REL_TOL.denominator).hi
+    the cap raises, caching nothing; callers re-raise it by index_cap.
+
+    zeta_m > gamma^m/m! and zeta_m falls with m, so no n with n + shift
+    <= M passes when scale * gamma^M/M! >= budget.  The term falls from
+    floor(gamma) on, so a running term from there finds the last such M
+    and the search starts past it, at the same least index; unless
+    _tail_sum's term cap refuses the first index, which then stands.
+    """
+    left, right = scale_num * budget_den, budget_num * scale_den
+    r, s = DEFAULT_REL_TOL.numerator, DEFAULT_REL_TOL.denominator
+    if -(-2 * g // h) - (start + shift) <= MAX_TAIL_INDEX:
+        m = max(start + shift, g // h)
+        num, den = left * g**m, right * h**m * math.factorial(m)  # the term fails the budget: num >= den
+        if num >= den:
+            while num >= den and m - shift <= MAX_TAIL_INDEX:
+                m += 1
+                num *= g
+                den *= h * m
+            start -= (start + shift - m) // step * step  # the first n with n + shift >= m
+
+    def holds(n: int) -> bool:
+        hi = _tail_sum(g, h, n + shift, r, s).hi
+        return left * hi.numerator < right * hi.denominator
+
+    n = least_index(holds, start, "a zeta tail", step, below=Fraction(budget_num, budget_den))
+    return n, Fraction(scale_num, scale_den) * _tail_sum(g, h, n + shift, r, s).hi
 
 
 def zeta_table(gamma, k_last: int, rel_tol=DEFAULT_REL_TOL) -> List[BoundInterval]:

@@ -617,8 +617,7 @@ def check_rho1_to_dE_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
         n_index, delta = continuity_delta_l1(g, eps)
-        j = tailmath.least_index(tailmath.zeta_below(g, g, delta / 2, shift=1),
-                                 0, f"an agreement index for delta={delta}", below=delta / 2)
+        j, _ = tailmath.zeta_index(g, g, delta / 2, f"an agreement index for delta={delta}", shift=1)
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
         close = EventuallyPeriodic(base.prefix(j + 1) + tail.preamble, tail.period)
@@ -646,8 +645,7 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
         n_index, delta = continuity_delta_dE(g, eps)
-        j = tailmath.least_index(tailmath.zeta_below(1, 1, delta / 2, shift=2),
-                                 0, f"an agreement index for delta={delta}", below=delta / 2)
+        j, _ = tailmath.zeta_index(1, 1, delta / 2, f"an agreement index for delta={delta}", shift=2)
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
         close = EventuallyPeriodic(base.prefix(j + 1) + tail.preamble, tail.period)

@@ -350,6 +350,23 @@ def test_fractional_tolerance_below_the_rounding_floor_raises_at_once():
         assert time.perf_counter() - start < 2
 
 
+def test_degree_cap_is_read_before_the_bernstein_build(monkeypatch):
+    # N = n p is known from the kept tuple, so a refused power builds
+    # nothing; the zero polynomial has no degree and is exactly 0 at any p
+    built = []
+    real = metrics._bernstein
+    monkeypatch.setattr(metrics, "_bernstein", lambda *args: built.append(args) or real(*args))
+    for gamma, p in ((1, 129), (1600, 1)):
+        with pytest.raises(ToleranceUnreachable, match="past the budget") as info:
+            rho_p(series(ONES, gamma), series(ZEROS, gamma), LpSpec(p, gamma))
+        assert info.value.kind == "degree-cap" and not built
+    with pytest.raises(ToleranceUnreachable, match=r"\^4099 has degree 0, past the budget 2048"):
+        metrics._norm_of_poly((3, 0), LpSpec(4099, 1), Fraction(1, 10**9))
+    assert not built
+    assert rho_p(series(ONES), series(ONES), LpSpec(4099, 1)) == BoundInterval.exact(0)
+    assert metrics._norm_of_poly((0, 0), LpSpec(4099, 1), Fraction(1, 10**9)) == BoundInterval.exact(0)
+
+
 def test_tolerance_unreachable_names_the_limit_it_met(monkeypatch):
     # rho_p re-raises a kernel's failure with the kernel's kind
     with pytest.raises(ToleranceUnreachable, match="rounding floor") as floor:

@@ -1,6 +1,6 @@
-"""Tail-index searches: tailmath.zeta_below against the enclosure arithmetic
-it replaces, and every search on it against the closure it had before,
-kept here as the oracle."""
+"""Tail-index searches: tailmath._zeta_cut against least_index on the
+enclosure arithmetic it replaces, and every search on it against the
+closure it had before, kept here as the oracle."""
 
 import math
 from fractions import Fraction
@@ -10,34 +10,81 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import tailmath, verify
-from chaoslab.coeffspace import FiniteSupport, SeriesFn, derivative_sup_bound
+from chaoslab.coeffspace import EventuallyPeriodic, FiniteSupport, SeriesFn, derivative_sup_bound
 from chaoslab.conjugacy import nearby_distinct_point
 from chaoslab.constructions import agreement_index, periodic_point_in_cinf, sensitivity_witness
+from chaoslab.errors import InfeasibleTolerance, ToleranceUnreachable
 from chaoslab.intervals import power
-from chaoslab.metrics import LpSpec, continuity_delta_dE, continuity_delta_l1
-from chaoslab.tailmath import eta, least_index, zeta, zeta_below
+from chaoslab.metrics import LpSpec, continuity_delta_dE, continuity_delta_l1, rho_p
+from chaoslab.tailmath import eta, least_index, zeta
 
 GAMMAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 PS = (Fraction(1), Fraction(2), Fraction(3, 2), math.inf)
 EPSS = (Fraction(1, 3), Fraction(1, 10**3), Fraction(7, 10**9), Fraction(1, 10**20))
 ONE = FiniteSupport((1,))
+ONES = EventuallyPeriodic((), (1,))
 
 
 @settings(max_examples=300, deadline=None)
 @given(gamma=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3), Fraction(5))),
-       scale=st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=10**6)),
-       rel=st.one_of(st.just(Fraction(0)), st.fractions(min_value=-1, max_value=1)),
-       shift=st.integers(0, 2), n=st.integers(0, 40))
-@example(gamma=Fraction(2), scale=Fraction(0), rel=Fraction(0), shift=0, n=0)
-@example(gamma=Fraction(7, 3), scale=Fraction(3, 2), rel=Fraction(0), shift=2, n=5)
-@example(gamma=Fraction(7, 3), scale=Fraction(3, 2), rel=Fraction(1, 10), shift=2, n=5)
-def test_zeta_below_is_the_scaled_tail_comparison(gamma, scale, rel, shift, n):
-    # the budget is scale * zeta.hi moved by the share rel of itself, so
-    # rel = 0 puts it exactly on the bound and tests the strict <
-    bound = scale * zeta(gamma, n + shift).hi
-    budget = bound * (1 + rel)
-    assert zeta_below(gamma, scale, budget, shift)(n) == (bound < budget)
-    assert zeta_below(gamma, scale, budget, shift)(n) == ((scale * zeta(gamma, n + shift)).hi < budget)
+       scale=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+       shift=st.integers(0, 2), k=st.integers(0, 40))
+@example(gamma=Fraction(7, 3), scale=Fraction(3, 2), shift=2, k=5)
+@example(gamma=Fraction(2), scale=Fraction(1), shift=0, k=0)
+def test_zeta_cut_is_strict_on_the_bound(gamma, scale, shift, k):
+    # a budget exactly on scale * zeta_(k+shift).hi does not pass at k
+    budget = scale * zeta(gamma, k + shift).hi
+    key = (*gamma.as_integer_ratio(), *scale.as_integer_ratio(), *budget.as_integer_ratio(), k, 1, shift)
+    n, tail = tailmath._zeta_cut(*key)
+    assert n > k and tail < budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.sampled_from((Fraction(1, 2), Fraction(7, 3), Fraction(5), Fraction(40), Fraction(100),
+                              Fraction(201, 2))),
+       scale=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+       budget=st.fractions(min_value=Fraction(1, 10**30), max_value=10),
+       start=st.sampled_from((0, 1, 9, 150)), step=st.sampled_from((1, 8)), shift=st.integers(0, 2))
+@example(gamma=Fraction(40), scale=Fraction(1), budget=Fraction(1, 10**9), start=0, step=1, shift=0)
+@example(gamma=Fraction(100), scale=Fraction(10), budget=Fraction(1, 4 * 10**9), start=9, step=8, shift=0)
+def test_zeta_cut_skip_is_the_unskipped_search(gamma, scale, budget, start, step, shift):
+    # the cut starts past the indices whose leading term alone fails,
+    # which at gamma 40 and 100 is most of them; least_index from start
+    # tries every index
+    n = least_index(lambda j: scale * zeta(gamma, j + shift).hi < budget, start, "oracle", step)
+    key = (*gamma.as_integer_ratio(), *scale.as_integer_ratio(), *budget.as_integer_ratio(), start, step, shift)
+    tailmath._zeta_cut.cache_clear()
+    assert tailmath._zeta_cut(*key) == (n, scale * zeta(gamma, n + shift).hi)
+
+
+def test_tail_sum_hi_never_increases_with_the_index():
+    # nearby_distinct_point takes the larger of two cuts, which is the
+    # least index passing both only because each test keeps holding
+    r, s = tailmath.DEFAULT_REL_TOL.as_integer_ratio()
+    for gamma in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3), Fraction(5),
+                  Fraction(40), Fraction(200)):
+        his = [tailmath._tail_sum(*gamma.as_integer_ratio(), k, r, s).hi for k in range(121)]
+        assert all(a >= b for a, b in zip(his, his[1:])), gamma
+
+
+@pytest.mark.parametrize("gamma, p, error, kind, misses", [
+    (1600, 1, ToleranceUnreachable, "degree-cap", 1),
+    (3000, 1, ToleranceUnreachable, "degree-cap", 1),
+    (4000, 1, InfeasibleTolerance, "index-cap", 0),
+    (4000, Fraction(3, 2), InfeasibleTolerance, "index-cap", 0),
+    (6000, 1, ToleranceUnreachable, "term-cap", 1),
+])
+def test_hopeless_cut_tries_no_index_that_cannot_pass(gamma, p, error, kind, misses):
+    # ones against zero: the rho_p cut at gamma 1600 (n = 4377) looks up
+    # one tail sum, not one per index from 9; at gamma 4000 no index up
+    # to the cap can pass and none is looked up; at gamma 6000 the first
+    # index's tail sum is past its term cap, which stays the refusal
+    tailmath._tail_sum.cache_clear()
+    tailmath._zeta_cut.cache_clear()
+    with pytest.raises(error) as info:
+        rho_p(SeriesFn(ONES, gamma), SeriesFn(FiniteSupport(()), gamma), LpSpec(p, gamma))
+    assert type(info.value) is error and info.value.kind == kind
+    assert tailmath._tail_sum.cache_info().misses == misses
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,15 +192,15 @@ def test_d_E_cut_is_the_interval_search():
 def test_verify_agreement_indices_are_the_interval_searches(monkeypatch, check, delta_of, oracle):
     # each trial t searches at gamma GAMMAS[t % 3] and eps (1/10, 1/1000)[t % 2]
     found = []
-    real = tailmath.least_index
+    real = tailmath.zeta_index
 
-    def spy(holds, start, what, *args, **kwargs):
-        n = real(holds, start, what, *args, **kwargs)
+    def spy(gamma, scale, budget, what, *args, **kwargs):
+        n, tail = real(gamma, scale, budget, what, *args, **kwargs)
         if what.startswith("an agreement index"):
             found.append(n)
-        return n
+        return n, tail
 
-    monkeypatch.setattr(tailmath, "least_index", spy)
+    monkeypatch.setattr(tailmath, "zeta_index", spy)
     check(GAMMAS, trials=6)
     monkeypatch.undo()
     expected = []

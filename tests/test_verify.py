@@ -384,7 +384,7 @@ def test_agreement_search_past_the_cap_carries_its_budget(monkeypatch, check, de
     # search runs past the cap and must name the delta / 2 it had to clear
     n, delta = getattr(metrics, delta_of)(1, Fraction(1, 10))
     monkeypatch.setattr(verify, delta_of, lambda gamma, eps: (n, delta))
-    monkeypatch.setattr(tailmath, "zeta_below", lambda *args, **kwargs: lambda n: False)
+    monkeypatch.setattr(tailmath, "_zeta_cut", lambda *key: tailmath.least_index(lambda n: False, 0, "a zeta tail"))
     monkeypatch.setattr(tailmath, "MAX_TAIL_INDEX", 40)
     with pytest.raises(InfeasibleTolerance) as info:
         check(gammas=(Fraction(1),), trials=1)
