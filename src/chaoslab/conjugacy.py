@@ -202,8 +202,8 @@ def nearby_distinct_point(a: CoeffSeq, delta, spec: LpSpec) -> NearbyPointReport
         raise DomainError("can only flip an eventually periodic stream")
     if not a.in_EF(BINARY):
         raise DomainError("nearby_distinct_point needs {0,1} coefficients")
-    # _tail_sum's .hi never increases with k, so each test keeps holding
-    # once it holds, and the least k passing both is the larger cut
+    # a zeta tail's .hi never increases with k (a test checks it), so each
+    # test keeps holding once it holds: the least k passing both is the larger cut
     n = max(tailmath.zeta_index(spec.gamma, spec.gamma_pow_inv_p().hi, dq, "a flip index", start=1)[0],
             tailmath.zeta_index(spec.gamma, 1, dq, "a flip index", start=1, shift=1)[0])
     z = tailmath.zeta(spec.gamma, n)
