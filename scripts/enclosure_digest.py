@@ -33,15 +33,20 @@ The lp-grid pass and the verify run each run once, and each inside
     "census": {"lp_grid": {"taylor": .., "crude": .., "root-taylor": ..,
                            "root-crude": .., "nonmonotone": .., "total": ..,
                            "int-split": .., "int-bracket": .., "roots": ..,
-                           "models": ..}, "verify": {...}}
+                           "models": .., "bernstein_hits": ..,
+                           "bernstein_misses": .., "antiderivative_hits": ..,
+                           "antiderivative_misses": ..}, "verify": {...}}
 
 the fractional-p splits of every kind (`metrics.count_splits()`) and
 their total; the odd-p sign partition's halved root panels (int-split)
 and bracketed ones (int-bracket); `roots`, the `intervals._root` calls
-made; and `models`, the Taylor models the fractional-p kernel built (its
-`metrics._power_taylor` calls).  Those two are counted by wrapping the
-module attributes, which their callers look up at call time.  A count
-whose name the tree lacks reads null.
+made; `models`, the Taylor models the fractional-p kernel built (its
+`metrics._power_taylor` calls); and the hits and misses of the exact
+Bernstein builds (`metrics._bernstein`) and integer-p antiderivatives
+(`metrics._antiderivative`).  The calls are counted by wrapping the
+module attributes, which their callers look up at call time; the hits
+and misses are read from the caches' own `cache_info()`.  A count whose
+name the tree lacks, or whose function there is no cache, reads null.
 
     python3 scripts/enclosure_digest.py TREE --against PARENT_TREE
 
@@ -80,6 +85,8 @@ KINDS = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
 INT_KINDS = ("int-split", "int-bracket")
 # (module, attribute, census field): each call of the attribute counts once
 CALLS = (("intervals", "_root", "roots"), ("metrics", "_power_taylor", "models"))
+# (metrics lru_cache, census field): its hits and misses inside the block
+CACHES = (("_bernstein", "bernstein"), ("_antiderivative", "antiderivative"))
 
 
 def _hex(q) -> str:
@@ -184,6 +191,11 @@ def counted(intervals, metrics, tracing):
         kinds["total"] = sum(kinds[k] for k in KINDS)
     census.update({k: None if kinds is None else kinds[k] for k in (*KINDS, "total", *INT_KINDS)})
     census.update({field: calls.get(field) for _, _, field in CALLS})
+    for name, field in CACHES:
+        info = getattr(getattr(metrics, name, None), "cache_info", None)
+        info = None if info is None else info()
+        census[f"{field}_hits"] = None if info is None else info.hits
+        census[f"{field}_misses"] = None if info is None else info.misses
 
 
 def _counting(calls: dict, field: str, f):

@@ -18,11 +18,15 @@ shifting:
   alphabet, ordered by length then lexicographically (in alphabet
   order).  Shifting is O(1) by bumping a start offset.
 
-difference(a, b) is the one place two tail layouts are aligned and
-always returns the stream a - b: when both tails are eventually
-periodic, one normalized EventuallyPeriodic; otherwise a reader that
-subtracts index by index, whose sup_abs() bounds sup|a_n| + sup|b_n|.
-The pairwise metrics read it; same_stream compares normal forms.
+_difference_parts(a, b) is the one place two tail layouts are aligned:
+when both tails are eventually periodic it returns a - b as normalized
+integer numerators over one denominator (the lcm of the reduced ones),
+which rho_p and rho_1_lower_bound cut and hand to the kernels as they
+are.  difference(a, b) wraps those numerators as Fractions, one
+normalized EventuallyPeriodic; for any other pair it returns a reader
+that subtracts index by index, whose sup_abs() bounds sup|a_n| +
+sup|b_n|.  The other pairwise metrics read it; same_stream compares
+normal forms.
 
 truncate is the rule for every certified zeta cut of a stream: an
 eventually-zero stream keeps its finite_support and its tail is exactly
@@ -375,30 +379,53 @@ class _Pointwise(CoeffSeq):
         return self.a.sup_abs() + self.b.sup_abs()
 
 
-def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
-    """The stream a - b.
+def _difference_parts(a: CoeffSeq, b: CoeffSeq) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """(pre, per, m): the stream a - b as integer numerators over m, its
+    normalized preamble and period, Fraction(d, m) for each entry d; or
+    None when either stream is a WordEnumeration over two or more symbols.
 
-    When both tails are eventually periodic the two layouts are aligned
-    once: past the longer preamble, a - b repeats with the lcm of the two
-    periods.  The n entries of each layout are read as integer numerators
-    over m, the lcm of their denominators, and subtracted as integers; the
-    differences go through normal_form as they are, and only the
-    normalized ones become Fractions (d / m), wrapped by _normalized into
-    one EventuallyPeriodic.  When either stream is a WordEnumeration over
-    two or more symbols, a - b is read index by index and its sup_abs() is
-    sup|a_n| + sup|b_n| (0 when a == b).  An EventuallyPeriodic minus the
-    zero stream is itself.
+    Past the longer preamble a - b repeats with the lcm of the two periods.
+    The n entries of each layout are read as integer numerators over the
+    lcm of their denominators and subtracted as integers, and the
+    differences go through normal_form as they are; m is then reduced by
+    the gcd of it and every difference, so it is the lcm of the reduced
+    denominators of a - b (1 for the zero stream).  An EventuallyPeriodic
+    minus the zero stream keeps its own fields, already in normal form.
     """
     pa, pb = as_preamble_period(a), as_preamble_period(b)
     if pa is None or pb is None:
-        return _Pointwise(a, b)
-    if pb == ((), (0,)) and isinstance(a, EventuallyPeriodic):
-        return a
+        return None
+    if pb == ((), (0,)):
+        nums, m = _numerators(pa[0] + pa[1])
+        s = len(pa[0])
+        return tuple(nums[:s]), tuple(nums[s:]), m
     s = max(len(pa[0]), len(pb[0]))
     n = s + math.lcm(len(pa[1]), len(pb[1]))
     nums, m = _numerators(_unrolled(*pa, n) + _unrolled(*pb, n))
     diffs = [x - y for x, y in zip(nums, nums[n:])]
     pre, per = normal_form(tuple(diffs[:s]), tuple(diffs[s:]))
+    g = math.gcd(m, *pre, *per)
+    if g > 1:
+        pre, per, m = tuple([d // g for d in pre]), tuple([d // g for d in per]), m // g
+    return pre, per, m
+
+
+def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
+    """The stream a - b.
+
+    When both tails are eventually periodic it is one normalized
+    EventuallyPeriodic, the entries d / m of _difference_parts wrapped by
+    _normalized; an EventuallyPeriodic minus the zero stream is itself.
+    When either stream is a WordEnumeration over two or more symbols, a - b
+    is read index by index and its sup_abs() is sup|a_n| + sup|b_n| (0
+    when a == b).
+    """
+    if isinstance(a, EventuallyPeriodic) and as_preamble_period(b) == ((), (0,)):
+        return a
+    parts = _difference_parts(a, b)
+    if parts is None:
+        return _Pointwise(a, b)
+    pre, per, m = parts
     return _normalized(tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))
 
 

@@ -15,10 +15,14 @@ Everything returns a BoundInterval that provably contains the true
 value.  Each distance depends on a and b only through the stream
 d = coeffspace.difference(a, b), worked out once per call: its
 coefficients, d.sup_abs() and, when d is eventually periodic, its
-period (d_lambda sums it in closed form).  When a tail is not
-eventually periodic (a WordEnumeration over two or more symbols), d
-subtracts coefficients index by index and d.sup_abs() is the bound
-sup|a_n| + sup|b_n|; otherwise d.sup_abs() is exact.
+period (d_lambda sums it in closed form).  rho_p and
+rho_1_lower_bound read the same stream as integers,
+coeffspace._difference_parts: the normalized numerators over m, the
+lcm of their reduced denominators, whose largest |entry| over m is the
+sup.  When a tail is not eventually periodic (a WordEnumeration over
+two or more symbols), d subtracts coefficients index by index and
+d.sup_abs() is the bound sup|a_n| + sup|b_n|; otherwise d.sup_abs() is
+exact.
 
 Every series cut follows coeffspace.truncate: when a - b has finite
 support it keeps that support and the tail is exactly 0; otherwise it
@@ -34,8 +38,9 @@ sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
 (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
 
 The truncated difference D is the polynomial whose scaled Taylor
-coefficients are the kept differences a_n - b_n, passed as that tuple
-(its derivative is their shift).  For it:
+coefficients are the kept differences a_n - b_n, passed as their
+integer numerators over m (its derivative is their shift), and its
+exact integer kernels are cached per integer key.  For it:
 
 * p = inf: branch-and-bound for sup|D| on panels of an exact integer
   Bernstein kernel: a panel's largest |coefficient| bounds |D| there,
@@ -44,8 +49,8 @@ coefficients are the kept differences a_n - b_n, passed as that tuple
 * integer p: at p = 1 on a window whose Bernstein coefficients share a
   sign, int |D| is gamma times their mean, exact from their sum.
   Otherwise every integral of D^p is read off one exact integer
-  antiderivative of D^p over the whole window, built once per call from
-  the convolution power of D's power-basis coefficients, which the
+  antiderivative of D^p over the whole window, built once per (p, D)
+  from the convolution power of D's power-basis coefficients, which the
   Bernstein build hands on (the integers before its binomial
   transform).  Even p takes its value at the window's end, with no sign
   analysis at all.  For odd
@@ -112,7 +117,9 @@ from .coeffspace import (
     EventuallyPeriodic,
     FiniteSupport,
     SeriesFn,
+    _difference_parts,
     _numerators,
+    _unrolled,
     difference,
     finite_support,
 )
@@ -307,10 +314,18 @@ UNIT_WEIGHTS = Weights(
     tail_majorant=lambda K, dsup: dsup * Fraction(2, 2**K),
 )
 
+
+@lru_cache(maxsize=128)
+def _factorial_weight(i: int) -> Fraction:
+    """2^i/(i+1)!, built once per index: the weighted metric reads one
+    weight per kept index on every call."""
+    return Fraction(2**i, math.factorial(i + 1))
+
+
 # w_i = 2^i/(i+1)! turns the product metric into d_E term by term.
 FACTORIAL_WEIGHTS = Weights(
     name="factorial",
-    factor=lambda i: Fraction(2**i, math.factorial(i + 1)),
+    factor=_factorial_weight,
     tail_majorant=lambda K, dsup: dsup * tailmath.eta(K + 1).hi,
 )
 
@@ -351,10 +366,15 @@ def weighted_product_metric(
 # ---------------------------------------------------------------------------
 # L^p norms of the truncated difference polynomial
 #
-# _bernstein takes kept, the scaled Taylor coefficients of the polynomial
-# P (a kept tuple may end in zeros; () is the zero polynomial), and the
-# kernels take the (B, L) it returns; the integer-p kernel takes its delta
-# too.
+# _bernstein takes P as integers: m, gamma = g/h and the numerators nums
+# of its scaled Taylor coefficients nums_i / m (a kept prefix may end in
+# zeros; () is the zero polynomial), as rho_p and rho_1_lower_bound cut
+# them off coeffspace._difference_parts.  The kernels take the (B, L) it
+# returns; the integer-p kernel takes its delta too.  Each build is
+# cached per integer key: rho_p's cut, on the grid 9, 17, ..., mostly
+# lands on the same n at every p, so the calls on one pair at one gamma
+# and tol mostly share one kernel (109 builds for lp-grid's 840 calls at
+# seed 2).
 #
 # The exact integer Bernstein kernel.  With t = gamma * u, a panel of
 # [0, 1] at depth k holds integers B whose B_j / (L * 2^(k n)) are P's
@@ -362,24 +382,31 @@ def weighted_product_metric(
 # hull property), and the end ones are P's values at the panel's ends.
 
 
-def _bernstein(kept: Tuple[Fraction, ...], gamma: Fraction) -> Tuple[List[int], int, List[int]]:
+@lru_cache(maxsize=16)
+def _bernstein(m: int, g: int, h: int, *nums: int) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
     """(B, L, delta) for P on [0, gamma]: n! b_j = sum_i C(j, i) (n - i)! a_i
-    gamma^i, n the degree of P (0 for zero), so trailing zeros of kept are
-    dropped.  delta holds the integers before the binomial transform, the
-    differences of B at 0 (B_j = sum_i C(j, i) delta_i), and P(gamma u) =
-    sum_i C(n, i) delta_i u^i / L: C(n, i) delta_i is the power basis that
-    _taylor(_differences(B, n), 0, 0) would rebuild."""
-    n = max(len(kept) - 1, 0)
-    while n and kept[n] == 0:
+    gamma^i, n the degree of P (0 for zero), so trailing zeros of nums are
+    dropped, and m is divided by its gcd with the rest, so the a_i are the
+    kept numerators over the lcm of their reduced denominators.  delta
+    holds the integers before the binomial transform, the differences of
+    B at 0 (B_j = sum_i C(j, i) delta_i), and P(gamma u) = sum_i C(n, i)
+    delta_i u^i / L: C(n, i) delta_i is the power basis that
+    _taylor(_differences(B, n), 0, 0) would rebuild.  Tuples, since the
+    cache shares them."""
+    n = max(len(nums) - 1, 0)
+    while n and nums[n] == 0:
         n -= 1
-    nums, m = _numerators(kept[:n + 1] or (Fraction(0),))
-    g, h = gamma.numerator, gamma.denominator
+    nums = nums[:n + 1] or (0,)
+    c = math.gcd(m, *nums)
+    if c > 1:
+        m //= c
+        nums = [x // c for x in nums]
     delta = [x * math.factorial(n - i) * g**i * h ** (n - i) for i, x in enumerate(nums)]
     B = list(delta)
     for r in range(1, n + 1):  # the binomial transform, by Pascal's rule
         for j in range(n, r - 1, -1):
             B[j] += B[j - 1]
-    return B, m * math.factorial(n) * h**n, delta
+    return tuple(B), m * math.factorial(n) * h**n, tuple(delta)
 
 
 def _split(B: List[int]) -> Tuple[List[int], List[int]]:
@@ -409,8 +436,8 @@ def _split(B: List[int]) -> Tuple[List[int], List[int]]:
 
 def _sup_abs_on(B: List[int], L: int, tol: Fraction) -> BoundInterval:
     """Certified enclosure of sup_{[0, gamma]} |P|, width < tol, by
-    branch-and-bound on the Bernstein panels of (B, L) = _bernstein(kept,
-    gamma), with exact bounds in units of 1/L."""
+    branch-and-bound on the Bernstein panels of (B, L) = _bernstein(m, g,
+    h, *nums), with exact bounds in units of 1/L."""
     n = len(B) - 1
     lower = Fraction(max(abs(B[0]), abs(B[n])))
     heap = [(-Fraction(max(map(abs, B))), 0, 0, B)]
@@ -571,23 +598,36 @@ def _sign_changes(coeffs: List[int]) -> int:
 _BRACKET_STEPS = (1 << 9, 1 << 33)
 
 
-def _degree_cap(kept: Tuple[Fraction, ...], p: int) -> None:
+def _degree_cap(nums: Sequence[int], p: int) -> None:
     """Refuse |P|^p at integer p when N = n p (p for a constant), n the
-    degree of P (kept without trailing zeros; zero passes), is past
+    degree of P (nums without trailing zeros; zero passes), is past
     _MAX_POWER_DEGREE: for ones against zero at the default tol, p > 128
     at gamma 1 (n = 16; p = 101 takes 1.0-1.5 s, 127 2.2-3.3 s, on a
     2-core Xeon) and p > 85 at gamma 2 (n = 24)."""
-    n = next((i for i in range(len(kept) - 1, -1, -1) if kept[i]), None)
+    n = next((i for i in range(len(nums) - 1, -1, -1) if nums[i]), None)
     if n is not None and max(n * p, p) > _MAX_POWER_DEGREE:
         raise ToleranceUnreachable(f"|P|^{p} has degree {n * p}, past the budget {_MAX_POWER_DEGREE}",
                                    kind="degree-cap")
 
 
-def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fraction, p: int,
+@lru_cache(maxsize=16)
+def _antiderivative(p: int, *delta: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(a, e) of _integral_abs_pow_int for P^p, P handed on as _bernstein's
+    delta: the power basis a_i = C(n, i) delta_i and, with N = n p, e_i =
+    (N + 1)! / (i + 1) times the i-th entry of the p-th convolution power
+    of a.  Built once per integer key: the calls at two tolerances on one
+    kernel share it."""
+    n = len(delta) - 1
+    full = math.factorial(n * p + 1)
+    a = [math.comb(n, i) * d for i, d in enumerate(delta)]
+    return tuple(a), tuple([c * (full // (i + 1)) for i, c in enumerate(_convolution_power(a, p))])
+
+
+def _integral_abs_pow_int(B: Sequence[int], L: int, delta: Sequence[int], gamma: Fraction, p: int,
                           tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for integer p >= 1, width
-    < tol, on the Bernstein panels of (B, L, delta) = _bernstein(kept,
-    gamma).
+    < tol, on the Bernstein panels of (B, L, delta) = _bernstein(m, g, h,
+    *nums).
 
     At p = 1 on a window whose b share a sign, int_0^gamma |P| dt is
     gamma |sum_j b_j| / ((n + 1) L) exactly (the mean of the Bernstein
@@ -597,8 +637,9 @@ def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fractio
     n, (N + 1)! L^p int_0^u P^p =
     sum_i e_i u^(i+1), e_i = (N + 1)! / (i + 1) times the i-th entry of
     the p-th convolution power of a.  Every integral is read off this one
-    exact antiderivative, built once per call: at u = M / 2^T it is A(M,
-    T) / 2^(T (N + 1)) with the integer A(M, T) = M _horner(e, M, T).
+    exact antiderivative, built once per (p, delta) (_antiderivative): at
+    u = M / 2^T it is A(M, T) / 2^(T (N + 1)) with the integer A(M, T) =
+    M _horner(e, M, T).
     Even p takes the whole window, A(1, 0) = sum(e), with no sign
     analysis at all.
 
@@ -624,7 +665,8 @@ def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fractio
     root panel, and one popped again after its bracket, is halved.
 
     The work grows as N^2 times the integers' size, which grows with p,
-    so callers read _degree_cap before they build (B, L, delta).
+    so callers read _degree_cap before they build (B, L, delta) or
+    (a, e).
     """
     n = len(B) - 1
     N = n * p
@@ -632,8 +674,7 @@ def _integral_abs_pow_int(B: List[int], L: int, delta: List[int], gamma: Fractio
     if p == 1 and (min(B) >= 0 or max(B) <= 0):
         return BoundInterval.exact(Fraction(gn * abs(sum(B)), gamma.denominator * (n + 1) * L))
     full = math.factorial(N + 1)
-    a = [math.comb(n, i) * d for i, d in enumerate(delta)]
-    e = [c * (full // (i + 1)) for i, c in enumerate(_convolution_power(a, p))]
+    a, e = _antiderivative(p, *delta)
 
     def A(M: int, T: int) -> int:
         return M * _horner(e, M, T)
@@ -920,7 +961,7 @@ def _frac_tables(p_num: int, p_den: int, n: int) -> tuple:
 def _integral_abs_pow_frac(B: List[int], L: int, gamma: Fraction, p: Fraction,
                            tol: Fraction) -> BoundInterval:
     """Certified enclosure of int_0^gamma |P|^p dt for fractional p > 1 on
-    the Bernstein panels of (B, L) = _bernstein(kept, gamma), B not all 0.
+    the Bernstein panels of (B, L) = _bernstein(m, g, h, *nums), B not all 0.
 
     A panel of width h at depth k, in its variable x in [0, 1], holds
     integers b over den = L * 2^(kn): they bound P, n!/(n-j)! times their
@@ -1183,8 +1224,9 @@ def _times_pow2(q: Fraction, e: int) -> Fraction:
     return Fraction(q.numerator, q.denominator << -e)
 
 
-def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> BoundInterval:
-    """Certified L^p norm of P on [0, gamma], width < tol.
+def _norm_of_poly(nums: Sequence[int], m: int, spec: LpSpec, tol: Fraction) -> BoundInterval:
+    """Certified L^p norm of P on [0, gamma], width < tol, P's scaled
+    Taylor coefficients nums_i / m.
 
     The sup kernel is exact and free of scale, so it takes P's (B, L) as
     they are.  The integral of |P|^p runs at unit scale: with e =
@@ -1212,8 +1254,8 @@ def _norm_of_poly(kept: Tuple[Fraction, ...], spec: LpSpec, tol: Fraction) -> Bo
     """
     p = spec.p
     if not spec.is_sup and p.denominator == 1:
-        _degree_cap(kept, p.numerator)
-    B, L, delta = _bernstein(kept, spec.gamma)
+        _degree_cap(nums, p.numerator)
+    B, L, delta = _bernstein(m, *spec.gamma.as_integer_ratio(), *nums)
     if spec.is_sup:
         return _sup_abs_on(B, L, tol)
     top = max(map(abs, B))
@@ -1272,18 +1314,28 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     tolq = as_fraction(tol)
     if tolq.numerator <= 0:
         raise DomainError("tolerance must be positive")
-    d = difference(f.coeffs, g.coeffs)
-    kept, tail_slack = finite_support(d), 0
-    if kept is None:  # coeffspace.truncate's rule on integers, at scale sup * gamma^(1/p).hi
-        (sn, sd), (gn, gd) = d.sup_abs().as_integer_ratio(), spec.gamma_pow_inv_p().hi.as_integer_ratio()
+    parts = _difference_parts(f.coeffs, g.coeffs)
+    tail_slack = 0
+    if parts is not None and parts[1] == (0,):  # finite support: keep it
+        nums, _, m = parts
+    else:  # coeffspace.truncate's rule on integers, at scale sup * gamma^(1/p).hi
+        if parts is None:
+            d = difference(f.coeffs, g.coeffs)
+            sn, sd = d.sup_abs().as_integer_ratio()
+        else:
+            pre, per, m = parts
+            top = max(map(abs, pre + per))
+            c = math.gcd(top, m)  # sup in lowest terms, the cut's cache key
+            sn, sd = top // c, m // c
+        gn, gd = spec.gamma_pow_inv_p().hi.as_integer_ratio()
         try:
             n, tail_slack = tailmath._zeta_cut(*spec.gamma.as_integer_ratio(), sn * gn, sd * gd,
                                                tolq.numerator, 4 * tolq.denominator, 9, 8, 0)
         except InfeasibleTolerance as exc:
             raise tailmath.index_cap("the rho_p tail", exc.budget) from None
-        kept = d.prefix(n)
+        nums, m = _numerators(d.prefix(n)) if parts is None else (_unrolled(pre, per, n), m)
     try:
-        norm = _norm_of_poly(kept, spec, _times_pow2(tolq, -1))
+        norm = _norm_of_poly(nums, m, spec, _times_pow2(tolq, -1))
     except ToleranceUnreachable as exc:
         # the kernels see a tolerance scaled with P; name the caller's
         raise ToleranceUnreachable(f"rho_p cannot reach tol={brief(tolq)}: {exc}", kind=exc.kind) from exc
@@ -1309,13 +1361,20 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
-    d = difference(f.coeffs, g.coeffs)
+    parts = _difference_parts(f.coeffs, g.coeffs)
+    if parts is None:
+        d = difference(f.coeffs, g.coeffs)
+        sup, finite = d.sup_abs(), False
+        nums, m = _numerators(d.prefix(_RHO1_TERMS))
+    else:
+        pre, per, m = parts
+        sup, finite = Fraction(max(map(abs, pre + per)), m), per == (0,)
+        nums = pre if finite else _unrolled(pre, per, _RHO1_TERMS)
     gamma = f.gamma
-    slack = gamma * d.sup_abs() * tailmath.zeta(gamma, _RHO1_TERMS).hi
-    support = finite_support(d)
-    kept, tail = (d.prefix(_RHO1_TERMS), slack) if support is None else (support, 0)
-    _degree_cap(kept, 1)
-    l1 = _integral_abs_pow_int(*_bernstein(kept, gamma), gamma, 1, slack)
+    slack = gamma * sup * tailmath.zeta(gamma, _RHO1_TERMS).hi
+    tail = 0 if finite else slack
+    _degree_cap(nums, 1)
+    l1 = _integral_abs_pow_int(*_bernstein(m, *gamma.as_integer_ratio(), *nums), gamma, 1, slack)
     return max(Fraction(0), l1.lo - tail)
 
 

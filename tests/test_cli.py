@@ -481,13 +481,17 @@ def test_digest_census_is_count_splits_and_the_counted_calls(monkeypatch):
     monkeypatch.setattr(metrics, "_power_taylor", counting("models", metrics._power_taylor))
     with metrics.count_splits() as splits:
         _rho_p_pair()
+    # the caches' own counts, emptied by clear_caches before the same work
+    cached = {f"{field}_{count}": getattr(getattr(metrics, f"_{field}").cache_info(), count)
+              for field in ("bernstein", "antiderivative") for count in ("hits", "misses")}
     fractional = ("taylor", "crude", "root-taylor", "root-crude", "nonmonotone")
     assert census == {**{k: splits[k] for k in fractional},
                       "total": sum(splits[k] for k in fractional),
                       "int-split": splits["int-split"], "int-bracket": splits["int-bracket"],
-                      **calls}
+                      **calls, **cached}
     assert census["total"] > 0 and census["int-bracket"] == 1
     assert census["roots"] > 0 and census["models"] > 0
+    assert census["bernstein_misses"] == 2 and census["antiderivative_misses"] == 1
 
 
 def test_digest_census_reads_null_for_a_name_the_tree_lacks():
@@ -499,10 +503,19 @@ def test_digest_census_reads_null_for_a_name_the_tree_lacks():
         _rho_p_pair()
     assert census["roots"] is None
     assert census["models"] > 0 and census["total"] > 0 and census["int-bracket"] == 1
+    assert census["bernstein_misses"] == 2
     with digest.counted(bare_intervals, types.ModuleType("metrics"), tracing) as census:
         _rho_p_pair()
     assert census == dict.fromkeys(("taylor", "crude", "root-taylor", "root-crude", "nonmonotone",
-                                    "total", "int-split", "int-bracket", "roots", "models"))
+                                    "total", "int-split", "int-bracket", "roots", "models",
+                                    "bernstein_hits", "bernstein_misses", "antiderivative_hits",
+                                    "antiderivative_misses"))
+    # a function that is there but is no cache, as _bernstein was, reads null too
+    plain = types.ModuleType("metrics")
+    plain._bernstein = lambda *args: None
+    with digest.counted(bare_intervals, plain, tracing) as census:
+        pass
+    assert census["bernstein_hits"] is None and census["bernstein_misses"] is None
 
 
 def test_bench_ab_copies_both_sides_census():

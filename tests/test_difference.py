@@ -15,6 +15,8 @@ from chaoslab.coeffspace import (
     SeriesFn,
     WordEnumeration,
     _Pointwise,
+    _difference_parts,
+    _unrolled,
     as_preamble_period,
     difference,
     evaluate,
@@ -140,6 +142,40 @@ def test_two_letter_enumeration_has_no_difference(s):
         assert [d.coeff(i) for i in range(12)] == [
             sign * (word.coeff(i) - s.coeff(i)) for i in range(12)]
         assert d.sup_abs() == 1 + s.sup_abs()
+
+
+ZERO = FiniteSupport(())
+ratios = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+scaled_periodic = st.builds(
+    lambda pre, per, k: EventuallyPeriodic(tuple([c * 2**k for c in pre]), tuple([c * 2**k for c in per])),
+    st.lists(ratios, max_size=5), st.lists(ratios, min_size=1, max_size=4), st.integers(-40, 40))
+periodic_or_zero = st.one_of(scaled_periodic, st.just(ZERO))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(periodic_or_zero, periodic_or_zero), periodic_or_zero.map(lambda s: (s, s))))
+@example((EventuallyPeriodic((Fraction(1, 6),), (Fraction(1, 4),)),
+          EventuallyPeriodic((Fraction(-1, 3),), (Fraction(-1, 4),))))  # (1/2, 1/2, ...): m = 2, not 12
+def test_difference_parts_are_the_normalized_numerators_over_the_lcm(pair):
+    a, b = pair
+    pre, per, m = _difference_parts(a, b)
+    entries = brute_force(a, b)
+    # index by index, Fraction(d, m) is a_n - b_n
+    assert [Fraction(d, m) for d in _unrolled(pre, per, len(entries))] == entries
+    # m is the lcm of the reduced denominators
+    assert m == math.lcm(*[c.denominator for c in entries])
+    # and the stream is the normal form of the Fraction differences
+    (pa, qa), (pb, qb) = as_preamble_period(a), as_preamble_period(b)
+    s, r = max(len(pa), len(pb)), math.lcm(len(qa), len(qb))
+    assert difference(a, b) == EventuallyPeriodic(tuple(entries[:s]), tuple(entries[s:s + r]))
+    assert (difference(a, b).preamble, difference(a, b).period) == (
+        tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))
+
+
+def test_difference_parts_refuse_a_two_letter_enumeration():
+    word = WordEnumeration(Alphabet((0, 1)))
+    assert _difference_parts(word, ZERO) is None and _difference_parts(ZERO, word) is None
+    assert _difference_parts(WordEnumeration(Alphabet((Fraction(3, 2),))), ZERO) == ((), (3,), 2)
 
 
 def reference_difference(a, b):

@@ -130,7 +130,8 @@ def test_every_cache_in_the_package_is_keyed_by_integers():
     cached = {path.stem: [fn.name for fn in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))]
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {"_tail_sum", "_separation_scan", "_zeta_cut"} <= set(cached["tailmath"])
-    assert {"_gamma_pow", "_frac_tables"} <= set(cached["metrics"])
+    assert {"_gamma_pow", "_frac_tables", "_bernstein", "_antiderivative",
+            "_factorial_weight"} <= set(cached["metrics"])
     assert {path.name: names for path in sorted(PACKAGE.glob("*.py"))
             if (names := _non_int_cache_params(path))} == {}
 
@@ -171,5 +172,6 @@ def test_every_cache_in_the_package_is_bounded():
         module = importlib.import_module(name)
         caches.update({f"{path.stem}:{f}": size for f, size in _caches(module).items()})
     assert {"tailmath:_tail_sum", "tailmath:_separation_scan", "tailmath:_zeta_cut",
-            "metrics:_gamma_pow"} <= set(caches)
+            "metrics:_gamma_pow", "metrics:_bernstein", "metrics:_antiderivative",
+            "metrics:_factorial_weight"} <= set(caches)
     assert [name for name, size in caches.items() if size is None] == []

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chaoslab.coeffspace import (
     EventuallyPeriodic,
+    _numerators,
     difference,
     FiniteSupport,
     SeriesFn,
@@ -164,6 +165,13 @@ def test_weighted_metric_recovers_both_metrics():
     assert z.lo == z.hi == 0
 
 
+def test_factorial_weights_are_cached_per_index():
+    for i in range(40):
+        w = FACTORIAL_WEIGHTS.factor(i)
+        assert w == Fraction(2**i, math.factorial(i + 1))
+        assert FACTORIAL_WEIGHTS.factor(i) is w
+
+
 def test_lp_spec_validation():
     assert LpSpec(2, 1).p == 2
     assert LpSpec(math.inf, 1).gamma_pow_inv_p().lo == 1
@@ -204,9 +212,11 @@ def test_integer_p_reads_the_handed_on_power_basis_and_takes_no_root_at_p1(monke
     # are positive, so the integral is their mean, and the norm is the
     # integral itself; at p = 2 the power basis comes from _bernstein.  A
     # first call at another tol leaves gamma^(1/p) cached, as any call on
-    # the same (gamma, p) does; the cut search itself runs again.
+    # the same (gamma, p) does; the cut search itself runs again.  The
+    # antiderivative's cache is emptied, so the p = 2 call builds its own.
     for p in (1, 2):
         rho_p(series(ONES), series(ZEROS), LpSpec(p, 1), Fraction(1, 10**6))
+    metrics._antiderivative.cache_clear()
     calls = Counter()
     for name in ("_taylor", "_convolution_power", "power"):
         fn = getattr(metrics, name)
@@ -253,6 +263,32 @@ def test_rho_p_cut_is_the_truncate_cut_and_cached():
                 hits = cache.cache_info().hits
                 rho_p(SeriesFn(d, gamma), SeriesFn(ZEROS, gamma), spec, tol)
                 assert cache.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("p", [math.inf, 1, 2, 3, Fraction(3, 2)])
+def test_rho_p_on_a_cache_hit_is_the_cold_build(p):
+    # lp-grid's first pair, a scaled pair and a finite difference: with
+    # the Bernstein and antiderivative caches emptied, and again from them,
+    # rho_p returns the same rationals, and the second call builds nothing
+    pairs = (PAIR0, (EventuallyPeriodic((), (Fraction(3, 2**30), 1)), FiniteSupport((1, -2, 3))),
+             (FiniteSupport((Fraction(1, 3), -5, 7)), ZEROS))
+    caches = (metrics._bernstein, metrics._antiderivative)
+    for a, b in pairs:
+        for gamma in (Fraction(1, 2), Fraction(2)):
+            for tol in (Fraction(1, 10**4), Fraction(1, 10**6)):
+                f, g, spec = series(a, gamma), series(b, gamma), LpSpec(p, gamma)
+                for cache in caches:
+                    cache.cache_clear()
+                cold = rho_p(f, g, spec, tol)
+                misses = [cache.cache_info().misses for cache in caches]
+                hits = metrics._bernstein.cache_info().hits
+                warm = rho_p(f, g, spec, tol)
+                assert (warm.lo, warm.hi) == (cold.lo, cold.hi)
+                assert [cache.cache_info().misses for cache in caches] == misses
+                assert metrics._bernstein.cache_info().hits == hits + 1
+    B, L, delta = metrics._bernstein(1, 1, 1, 1, -5, 3)
+    a, e = metrics._antiderivative(3, *delta)
+    assert all(type(x) is tuple for x in (B, delta, a, e))
 
 
 def test_rho_p_exp_reference_values():
@@ -361,10 +397,10 @@ def test_degree_cap_is_read_before_the_bernstein_build(monkeypatch):
             rho_p(series(ONES, gamma), series(ZEROS, gamma), LpSpec(p, gamma))
         assert info.value.kind == "degree-cap" and not built
     with pytest.raises(ToleranceUnreachable, match=r"\^4099 has degree 0, past the budget 2048"):
-        metrics._norm_of_poly((3, 0), LpSpec(4099, 1), Fraction(1, 10**9))
+        metrics._norm_of_poly((3, 0), 1, LpSpec(4099, 1), Fraction(1, 10**9))
     assert not built
     assert rho_p(series(ONES), series(ONES), LpSpec(4099, 1)) == BoundInterval.exact(0)
-    assert metrics._norm_of_poly((0, 0), LpSpec(4099, 1), Fraction(1, 10**9)) == BoundInterval.exact(0)
+    assert metrics._norm_of_poly((0, 0), 1, LpSpec(4099, 1), Fraction(1, 10**9)) == BoundInterval.exact(0)
 
 
 def test_tolerance_unreachable_names_the_limit_it_met(monkeypatch):
@@ -630,11 +666,18 @@ def test_root_panels_hold_at_any_taylor_point(monkeypatch, offset, s, r):
     _assert_contains(box, _split_norm_oracle(mono, r, Fraction(1), p))
 
 
+def _kernel(mono, gamma):
+    """_bernstein's (B, L, delta) for P on [0, gamma], P with monomial
+    coefficients mono, read as integer numerators over one lcm."""
+    nums, m = _numerators([c * math.factorial(k) for k, c in enumerate(mono)])
+    return metrics._bernstein(m, *gamma.as_integer_ratio(), *nums)
+
+
 def _unit_kernel(mono, gamma):
     """(B, L, s): the kernels' integers for P / s on [0, gamma], P with
     monomial coefficients mono and s the power of 2 that puts max|B| / L
     in [1, 2), the scale _norm_of_poly integrates at."""
-    B, L, _ = metrics._bernstein(tuple(c * math.factorial(k) for k, c in enumerate(mono)), gamma)
+    B, L, _ = _kernel(mono, gamma)
     top, s = Fraction(max(map(abs, B)), L), Fraction(1)
     while top >= 2 * s:
         s *= 2
@@ -704,8 +747,8 @@ def test_odd_power_across_a_dyadic_root_is_exact(a, b, p):
     # slack, to (|a|^(p+1) + |a + b|^(p+1)) / (|b| (p + 1))
     exact = Fraction(abs(a) ** (p + 1) + abs(a + b) ** (p + 1), abs(b) * (p + 1))
     with metrics.count_splits() as splits:
-        box = metrics._integral_abs_pow_int(*metrics._bernstein((Fraction(a), Fraction(b)), Fraction(1)),
-                                            Fraction(1), p, Fraction(1, 10**30))
+        box = metrics._integral_abs_pow_int(*metrics._bernstein(1, 1, 1, a, b), Fraction(1), p,
+                                            Fraction(1, 10**30))
     assert box.lo == box.hi == exact
     assert dict(splits) == {"int-bracket": 1}
 
@@ -720,7 +763,7 @@ def test_odd_power_holds_when_the_guess_is_a_panel_end(monkeypatch, end, p):
     mono = [Fraction(1), Fraction(-5), Fraction(3, 2)]  # a root near 0.213
     tol = Fraction(1, 10**12)
     with metrics.count_splits() as splits:
-        box = metrics._integral_abs_pow_int(*metrics._bernstein((1, -5, 3), Fraction(1)), Fraction(1), p, tol)
+        box = metrics._integral_abs_pow_int(*metrics._bernstein(1, 1, 1, 1, -5, 3), Fraction(1), p, tol)
     assert box.width < tol
     assert splits["int-split"] > 0
     _assert_contains(box, _odd_power_oracle(mono, Fraction(1), p))
@@ -773,8 +816,7 @@ def test_odd_power_integral_contains_the_piecewise_oracle(c, pair, gamma, p):
         for r in (pair, pair + 1):  # times 2^30 t - r
             mono = [(2**30 * mono[k - 1] if k else 0) - (r * mono[k] if k < len(mono) else 0)
                     for k in range(len(mono) + 1)]
-    kept = tuple(x * math.factorial(k) for k, x in enumerate(mono))
-    B, L, delta = metrics._bernstein(kept, gamma)
+    B, L, delta = _kernel(mono, gamma)
     scale = gamma * Fraction(max(map(abs, B)), L) ** p
     tol = scale / 10**12 if scale else Fraction(1)
     box = metrics._integral_abs_pow_int(B, L, delta, gamma, p, tol)
@@ -843,7 +885,7 @@ def test_exact_integer_power_is_the_schoolbook_antiderivative(c, gamma, p):
     # the window share a sign, the kernel's enclosure has width 0 and is
     # |int_0^gamma P^p|, from P^p's Fraction antiderivative term by term
     mono = [Fraction(x) for x in c]
-    B, L, delta = metrics._bernstein(tuple(x * math.factorial(k) for k, x in enumerate(mono)), gamma)
+    B, L, delta = _kernel(mono, gamma)
     assume(p % 2 == 0 or min(B) >= 0 or max(B) <= 0)
     value = sum(x * gamma ** (k + 1) / (k + 1) for k, x in enumerate(_schoolbook_power(mono, p)))
     box = metrics._integral_abs_pow_int(B, L, delta, gamma, p, Fraction(1, 10**30))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.coeffspace import FiniteSupport, SeriesFn, evaluate
+from chaoslab.coeffspace import FiniteSupport, SeriesFn, _numerators, evaluate
 from chaoslab.metrics import _bernstein, _differences, _integral_abs_pow_int, _split, _sup_abs_on, _taylor
 
 small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -18,6 +18,13 @@ gammas = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def bernstein(kept, gamma):
+    """_bernstein on kept, P's scaled Taylor coefficients, as integer
+    numerators over one lcm, and on gamma's numerator and denominator."""
+    nums, m = _numerators(kept)
+    return _bernstein(m, *gamma.as_integer_ratio(), *nums)
 
 
 def value_at(P, x):
@@ -43,18 +50,20 @@ def test_evaluate_is_the_exact_term_sum(P, gamma, s):
 
 
 def test_bernstein_drops_trailing_zeros_and_reads_the_empty_tuple_as_zero():
-    # a kept prefix can end in zeros; the degree, and so B, must not see them
-    assert _bernstein((1, 2, 0, 0), Fraction(1, 2)) == _bernstein((1, 2), Fraction(1, 2))
-    assert _bernstein((), Fraction(3)) == _bernstein((0,), Fraction(3)) == ([0], 1, [0])
-    assert _sup_abs_on(*_bernstein((), Fraction(1))[:2], Fraction(1, 10**6)).hi == 0
-    assert _integral_abs_pow_int(*_bernstein((), Fraction(2)), Fraction(2), 3, Fraction(1, 10**6)).hi == 0
+    # a kept prefix can end in zeros; the degree, and so B, must not see
+    # them, nor a common factor of m and the kept numerators
+    assert _bernstein(1, 1, 2, 1, 2, 0, 0) == _bernstein(1, 1, 2, 1, 2) == bernstein((1, 2), Fraction(1, 2))
+    assert _bernstein(6, 1, 2, 3, 6, 0) == _bernstein(2, 1, 2, 1, 2) == bernstein((Fraction(1, 2), 1), Fraction(1, 2))
+    assert _bernstein(1, 3, 1) == _bernstein(5, 3, 1, 0) == ((0,), 1, (0,))
+    assert _sup_abs_on(*_bernstein(1, 1, 1)[:2], Fraction(1, 10**6)).hi == 0
+    assert _integral_abs_pow_int(*_bernstein(1, 2, 1), Fraction(2), 3, Fraction(1, 10**6)).hi == 0
 
 
 @PROPERTY
 @given(polys, gammas, st.lists(st.booleans(), max_size=6), st.lists(unit, min_size=1, max_size=5))
 def test_bernstein_panel_reproduces_and_encloses_the_polynomial(P, gamma, path, ss):
     # follow a path of de Casteljau halvings; the panel is [lo, hi] in u = t/gamma
-    B, L, _ = _bernstein(P.preamble, gamma)
+    B, L, _ = bernstein(P.preamble, gamma)
     n = len(B) - 1
     lo, hi, e = Fraction(0), Fraction(1), 0
     for go_right in path:
@@ -91,7 +100,7 @@ def test_packed_split_is_the_row_by_row_halving(B):
 @PROPERTY
 @given(polys, gammas, st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9))))
 def test_sup_abs_on_is_narrow_and_bounds_a_grid(P, gamma, tol):
-    sup = _sup_abs_on(*_bernstein(P.preamble, gamma)[:2], tol)
+    sup = _sup_abs_on(*bernstein(P.preamble, gamma)[:2], tol)
     assert sup.width < tol
     assert all(abs(value_at(P, gamma * Fraction(k, 32))) <= sup.hi for k in range(33))
 
@@ -109,7 +118,7 @@ def test_even_power_integral_is_exact(P, gamma, p):
                 out[i + j] += x * y
         power = out
     exact = sum(c * gamma ** (k + 1) / (k + 1) for k, c in enumerate(power))
-    box = _integral_abs_pow_int(*_bernstein(P.preamble, gamma), gamma, p, Fraction(1))
+    box = _integral_abs_pow_int(*bernstein(P.preamble, gamma), gamma, p, Fraction(1))
     assert box.lo == box.hi == exact
 
 
@@ -147,14 +156,14 @@ def test_bernstein_hands_on_the_power_basis_and_p1_settles_from_the_sum(P, gamma
     # gamma^(i+1) / (i+1)!|.  Adding K > max|B| / L to kept_0 adds K to
     # every Bernstein coefficient, so P + K and -(P + K) are such windows
     # on every draw, and P itself where it already is one.
-    B, L, delta = _bernstein(P.preamble, gamma)
+    B, L, delta = bernstein(P.preamble, gamma)
     n = len(B) - 1
     assert [math.comb(n, i) * d for i, d in enumerate(delta)] == _taylor(_differences(B, n), 0, 0)
     K = Fraction(max(map(abs, B)), L) + 1
     lifted = P.preamble or (Fraction(0),)
     lifted = (lifted[0] + K,) + lifted[1:]
     for kept in (P.preamble, lifted, tuple([-c for c in lifted])):
-        B, L, delta = _bernstein(kept, gamma)
+        B, L, delta = bernstein(kept, gamma)
         if min(B) < 0 < max(B):
             continue
         exact = abs(sum([c * gamma ** (i + 1) / math.factorial(i + 1) for i, c in enumerate(kept)],
