@@ -21,12 +21,11 @@ shifting:
 _difference_parts(a, b) is the one place two tail layouts are aligned:
 when both tails are eventually periodic it returns a - b as normalized
 integer numerators over one denominator (the lcm of the reduced ones),
-which rho_p and rho_1_lower_bound cut and hand to the kernels as they
-are.  difference(a, b) wraps those numerators as Fractions, one
-normalized EventuallyPeriodic; for any other pair it returns a reader
-that subtracts index by index, whose sup_abs() bounds sup|a_n| +
-sup|b_n|.  The other pairwise metrics read it; same_stream compares
-normal forms.
+which every pairwise metric (d_E, d_lambda, the weighted product metric,
+rho_p and rho_1_lower_bound) reads as it is.  For any other pair (a
+WordEnumeration over two or more symbols) they read _Pointwise(a, b),
+which subtracts index by index and whose sup_abs() bounds sup|a_n| +
+sup|b_n|.  same_stream compares normal forms.
 
 truncate is the rule for every certified zeta cut of a stream: an
 eventually-zero stream keeps its finite_support and its tail is exactly
@@ -173,9 +172,8 @@ def normal_form(pre: tuple, per: tuple) -> Tuple[tuple, tuple]:
     on any symbols, for instance integer codes of the values.
 
     Fields already in this form, as tuples of Fractions, are wrapped
-    without a second pass by _normalized; its three callers are
-    EventuallyPeriodic.shift, difference (which normalizes integer
-    numerators) and sampling.difference_streams.
+    without a second pass by _normalized; its two callers are
+    EventuallyPeriodic.shift and sampling.difference_streams.
     """
     return _absorbed(pre, _minimal_period(per))
 
@@ -191,7 +189,7 @@ class EventuallyPeriodic(CoeffSeq):
 
     The one other way in is the private _normalized(pre, per), which
     skips the normalization: pre and per must be tuples of Fractions
-    already in normal form.  EventuallyPeriodic.shift, difference and
+    already in normal form.  EventuallyPeriodic.shift and
     sampling.difference_streams use it.
     """
 
@@ -408,25 +406,6 @@ def _difference_parts(a: CoeffSeq, b: CoeffSeq) -> Optional[Tuple[Tuple[int, ...
     if g > 1:
         pre, per, m = tuple([d // g for d in pre]), tuple([d // g for d in per]), m // g
     return pre, per, m
-
-
-def difference(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
-    """The stream a - b.
-
-    When both tails are eventually periodic it is one normalized
-    EventuallyPeriodic, the entries d / m of _difference_parts wrapped by
-    _normalized; an EventuallyPeriodic minus the zero stream is itself.
-    When either stream is a WordEnumeration over two or more symbols, a - b
-    is read index by index and its sup_abs() is sup|a_n| + sup|b_n| (0
-    when a == b).
-    """
-    if isinstance(a, EventuallyPeriodic) and as_preamble_period(b) == ((), (0,)):
-        return a
-    parts = _difference_parts(a, b)
-    if parts is None:
-        return _Pointwise(a, b)
-    pre, per, m = parts
-    return _normalized(tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))
 
 
 def finite_support(s: CoeffSeq) -> Optional[Tuple[Fraction, ...]]:

@@ -12,17 +12,14 @@ Four distances appear throughout:
   origin + gamma], p in [1, inf].
 
 Everything returns a BoundInterval that provably contains the true
-value.  Each distance depends on a and b only through the stream
-d = coeffspace.difference(a, b), worked out once per call: its
-coefficients, d.sup_abs() and, when d is eventually periodic, its
-period (d_lambda sums it in closed form).  rho_p and
-rho_1_lower_bound read the same stream as integers,
-coeffspace._difference_parts: the normalized numerators over m, the
-lcm of their reduced denominators, whose largest |entry| over m is the
-sup.  When a tail is not eventually periodic (a WordEnumeration over
-two or more symbols), d subtracts coefficients index by index and
-d.sup_abs() is the bound sup|a_n| + sup|b_n|; otherwise d.sup_abs() is
-exact.
+value.  Each distance depends on a and b only through a - b, read once
+per call as coeffspace._difference_parts(a, b): the normalized integer
+numerators of its preamble and period over m, the lcm of their reduced
+denominators, whose largest |entry| over m is the exact sup (d_lambda
+sums the period in closed form).  When a tail is not eventually
+periodic (a WordEnumeration over two or more symbols), the metric reads
+coeffspace._Pointwise(a, b) instead, which subtracts coefficients index
+by index and whose sup_abs() is the bound sup|a_n| + sup|b_n|.
 
 Every series cut follows coeffspace.truncate: when a - b has finite
 support it keeps that support and the tail is exactly 0; otherwise it
@@ -114,14 +111,12 @@ from . import tailmath
 from .coeffspace import (
     BINARY,
     CoeffSeq,
-    EventuallyPeriodic,
     FiniteSupport,
     SeriesFn,
+    _Pointwise,
     _difference_parts,
     _numerators,
     _unrolled,
-    difference,
-    finite_support,
 )
 from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from .intervals import DEFAULT_PRECISION_BITS, BoundInterval, PowerFn, as_fraction, power
@@ -186,40 +181,36 @@ def _require_binary(s: CoeffSeq, name: str) -> None:
         raise DomainError(f"{name} must have coefficients in {{0, 1}}")
 
 
-def _geometric_block_sum(
-    pre: Sequence[Fraction], per: Sequence[Fraction]
-) -> Fraction:
-    """Exact sum of c_i / 2^i for an eventually periodic sequence c."""
-    total = Fraction(0)
-    for i, c in enumerate(pre):
-        total += Fraction(c, 2**i)
-    s = len(pre)
-    q = len(per)
-    block = sum(Fraction(c, 2**r) for r, c in enumerate(per))
-    total += Fraction(block, 2**s) / (1 - Fraction(1, 2**q))
-    return total
-
-
 def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval:
     """Certified d_lambda(x, y) = sum |x_i - y_i| / 2^i on binary sequences.
 
     Exact (width zero) whenever both arguments have eventually periodic
-    tails; otherwise an exact partial sum plus the geometric tail bound
-    2^(1-K).
+    tails: a - b as numerators d_i over m with preamble length s and
+    period length q sums in closed form to one integer over m 2^s (2^q -
+    1).  Otherwise an exact partial sum of the first n terms, one integer
+    over 2^(n-1), plus the geometric tail bound 2^(1-n).
     """
     _require_binary(x, "x")
     _require_binary(y, "y")
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    d = difference(x, y)
-    if isinstance(d, EventuallyPeriodic):
-        return BoundInterval.exact(
-            _geometric_block_sum([abs(c) for c in d.preamble], [abs(c) for c in d.period])
-        )
-    n = tailmath.least_index(lambda k: Fraction(2, 2**k) < tolq, 4, "the d_lambda tail", 4, below=tolq)
-    partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(d.prefix(n)))
-    return BoundInterval(partial, partial + Fraction(2, 2**n))
+    parts = _difference_parts(x, y)
+    if parts is not None:
+        pre, per, m = parts
+        head = block = 0  # sum |d_i| 2^(s-i) over the preamble, sum |d_r| 2^(q-r) over the period
+        for c in pre:
+            head = (head + abs(c)) << 1
+        for c in per:
+            block = (block + abs(c)) << 1
+        cycle = (1 << len(per)) - 1  # 2^q - 1
+        return BoundInterval.exact(Fraction(cycle * head + block, (m * cycle) << len(pre)))
+    tn, td = tolq.as_integer_ratio()
+    n = tailmath.least_index(lambda k: 2 * td < tn << k, 4, "the d_lambda tail", 4, below=tolq)
+    partial = 0  # sum |c_i| 2^(n-1-i); binary, so each c_i is -1, 0 or 1
+    for c in _Pointwise(x, y).prefix(n):
+        partial = (partial << 1) + abs(c.numerator)
+    return BoundInterval(Fraction(partial, 1 << (n - 1)), Fraction(partial + 1, 1 << (n - 1)))
 
 
 _D_E_TOL = Fraction(1, 10**12)  # d_E's default tolerance
@@ -239,28 +230,30 @@ def _d_E_weights(s: int, r: int, n: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def _d_E_parts(d: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
-    """(num, den, tail_num, tail_den): d_E(d, 0) lies in num/den + [0,
+def _d_E_parts(a: CoeffSeq, b: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, int]:
+    """(num, den, tail_num, tail_den): d_E(a, b) lies in num/den + [0,
     tail_num/tail_den], none of them reduced.
 
-    The kept terms follow coeffspace.truncate: an eventually-zero d keeps
-    its support with a tail of 0, any other keeps its first n, n and the
-    tail sup * eta_(n+1) from tailmath._zeta_cut at tol/2.  An eventually
-    periodic d is read once, as integer numerators of |preamble| and
-    |period| over one lcm m (their largest is m times the sup), and the
-    kept sum is one C-level dot product of them with _d_E_weights' row,
-    over m * n!."""
+    The kept terms follow coeffspace.truncate: an eventually-zero a - b
+    keeps its support with a tail of 0, any other keeps its first n, n
+    and the tail sup * eta_(n+1) from tailmath._zeta_cut at tol/2.  An
+    eventually periodic a - b is read once, as _difference_parts'
+    numerators over m (the largest |numerator| is m times the sup), and
+    the kept sum is one C-level dot product of their absolute values with
+    _d_E_weights' row, over m * n!."""
     try:
-        if isinstance(d, EventuallyPeriodic):
-            nums, m = _numerators(d.preamble + d.period)
-            nums = list(map(abs, nums))
-            s = len(d.preamble)
-            if d.period == (0,):  # eventually zero: keep the support
+        parts = _difference_parts(a, b)
+        if parts is not None:
+            pre, per, m = parts
+            nums = list(map(abs, pre + per))
+            s = len(pre)
+            if per == (0,):  # eventually zero: keep the support
                 n, tail = s, 0
             else:
                 n, tail = tailmath._zeta_cut(1, 1, max(nums), m, tol.numerator, 2 * tol.denominator, 9, 8, 1)
-            w = _d_E_weights(s, len(d.period), n)
+            w = _d_E_weights(s, len(per), n)
         else:
+            d = _Pointwise(a, b)
             n, tail = tailmath._zeta_cut(1, 1, *d.sup_abs().as_integer_ratio(), tol.numerator,
                                          2 * tol.denominator, 9, 8, 1)
             nums, m = _numerators(d.prefix(n))
@@ -290,7 +283,7 @@ def d_E(a: CoeffSeq, b: CoeffSeq, tol=_D_E_TOL) -> BoundInterval:
     tolq = as_fraction(tol)
     if tolq.numerator <= 0:
         raise DomainError("tolerance must be positive")
-    return _d_E_interval(*_d_E_parts(difference(a, b), tolq))
+    return _d_E_interval(*_d_E_parts(a, b, tolq))
 
 
 @dataclass(frozen=True)
@@ -339,8 +332,13 @@ def weighted_product_metric(
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    d = difference(x, y)
-    sup = d.sup_abs()
+    parts = _difference_parts(x, y)
+    if parts is None:
+        d = _Pointwise(x, y)
+        sup = d.sup_abs()
+    else:
+        pre, per, m = parts
+        sup = Fraction(max(map(abs, pre + per)), m)
 
     def tail_at(n: int) -> Fraction:
         tail = weights.tail_majorant(n, sup)
@@ -348,18 +346,21 @@ def weighted_product_metric(
             raise DomainError("tail majorant must be nonnegative")
         return tail
 
-    kept, tail = finite_support(d), Fraction(0)
-    if kept is None:
+    tail = Fraction(0)
+    if parts is not None and per == (0,):  # finite support: keep it
+        kept = pre
+    else:
         budget = tolq / 2
         n = tailmath.least_index(lambda k: tail_at(k) < budget, 8, "the weighted tail", 8, below=budget)
-        kept, tail = d.prefix(n), tail_at(n)
-    # the kept terms w_i |c_i| / 2^i as integer numerators over one lcm
+        kept, m = _numerators(d.prefix(n)) if parts is None else (_unrolled(pre, per, n), m)
+        tail = tail_at(n)
+    # the kept terms w_i |c_i| / (m 2^i) as integer numerators over one lcm
     terms = []
     for i, c in enumerate(kept):
-        w, v = as_fraction(weights.factor(i)), c.as_integer_ratio()
-        terms.append((w.numerator * abs(v[0]), w.denominator * v[1] << i))
-    m = math.lcm(*[q for _, q in terms])
-    partial = Fraction(sum([t * (m // q) for t, q in terms]), m)
+        w = as_fraction(weights.factor(i))
+        terms.append((w.numerator * abs(c), w.denominator << i))
+    lcm = math.lcm(*[q for _, q in terms])
+    partial = Fraction(sum([t * (lcm // q) for t, q in terms]), lcm * m)
     return BoundInterval(partial, partial + tail)
 
 
@@ -1320,7 +1321,7 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
         nums, _, m = parts
     else:  # coeffspace.truncate's rule on integers, at scale sup * gamma^(1/p).hi
         if parts is None:
-            d = difference(f.coeffs, g.coeffs)
+            d = _Pointwise(f.coeffs, g.coeffs)
             sn, sd = d.sup_abs().as_integer_ratio()
         else:
             pre, per, m = parts
@@ -1363,7 +1364,7 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
         raise DomainError("rho_1_lower_bound needs a shared domain")
     parts = _difference_parts(f.coeffs, g.coeffs)
     if parts is None:
-        d = difference(f.coeffs, g.coeffs)
+        d = _Pointwise(f.coeffs, g.coeffs)
         sup, finite = d.sup_abs(), False
         nums, m = _numerators(d.prefix(_RHO1_TERMS))
     else:

@@ -487,7 +487,7 @@ def prefix_implications(values: Sequence[Fraction], pre_max: int, per_max: int,
         j0 = first_nonzero_index(d)
         upper_ks = [k for k in de_upper_ks if k < j0]
         if upper_ks or facts:
-            num, den, tail_num, tail_den = parts = _d_E_parts(d, _D_E_TOL)
+            num, den, tail_num, tail_den = parts = _d_E_parts(d, _ZERO, _D_E_TOL)
             hi_num, hi_den = num * tail_den + tail_num * den, den * tail_den
         for k in upper_ks:
             upper.trials += 1
@@ -616,7 +616,7 @@ def check_rho1_to_dE_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int 
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
-        n_index, delta = continuity_delta_l1(g, eps)
+        _, delta = continuity_delta_l1(g, eps)
         j, _ = tailmath.zeta_index(g, g, delta / 2, f"an agreement index for delta={delta}", shift=1)
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)
@@ -644,7 +644,7 @@ def check_dE_to_sup_continuity(gammas=_CORE_GAMMAS, seed: int = 0, trials: int =
     for t in range(trials):
         g = as_fraction(gammas[t % len(gammas)])
         eps = epss[t % 2]
-        n_index, delta = continuity_delta_dE(g, eps)
+        _, delta = continuity_delta_dE(g, eps)
         j, _ = tailmath.zeta_index(1, 1, delta / 2, f"an agreement index for delta={delta}", shift=2)
         base = random_binary_stream(rng)
         tail = random_binary_stream(rng)

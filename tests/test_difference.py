@@ -1,5 +1,7 @@
-"""Property tests for coeffspace.difference: a - b aligned once, and the
-pairwise metrics that read it agree with index-by-index brute force."""
+"""Property tests for coeffspace._difference_parts: a - b aligned once
+as integers (or read index by index by coeffspace._Pointwise), and the
+pairwise metrics that read it agree with index-by-index brute force and
+with the Fraction path they were first written on."""
 
 import math
 from fractions import Fraction
@@ -18,13 +20,19 @@ from chaoslab.coeffspace import (
     _difference_parts,
     _unrolled,
     as_preamble_period,
-    difference,
     evaluate,
     finite_support,
     same_stream,
 )
 from chaoslab.intervals import BoundInterval
-from chaoslab.metrics import FACTORIAL_WEIGHTS, _d_E_parts, d_E, d_lambda, weighted_product_metric
+from chaoslab.metrics import (
+    FACTORIAL_WEIGHTS,
+    UNIT_WEIGHTS,
+    _d_E_parts,
+    d_E,
+    d_lambda,
+    weighted_product_metric,
+)
 from chaoslab.sampling import VALUE_POOL
 
 TOL = Fraction(1, 10**6)
@@ -61,11 +69,11 @@ def brute_force(a, b):
 @given(pairs)
 def test_difference_reads_a_minus_b(pair):
     a, b = pair
-    d = difference(a, b)
+    pre, per, m = _difference_parts(a, b)
     entries = brute_force(a, b)
-    assert [d.coeff(i) for i in range(len(entries))] == entries
+    assert [Fraction(x, m) for x in _unrolled(pre, per, len(entries))] == entries
     assert same_stream(a, b) == (not any(entries))
-    assert d.sup_abs() == max(abs(c) for c in entries)
+    assert Fraction(max(map(abs, pre + per)), m) == max(abs(c) for c in entries)
 
 
 symbols = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2)))
@@ -89,7 +97,9 @@ def rebuilt(s):
 @example((WordEnumeration(Alphabet((0, 1)), 2), WordEnumeration(Alphabet((0, 1)), 3)))
 def test_same_stream_agrees_with_the_sup_of_the_difference(pair):
     a, b = pair
-    assert same_stream(a, b) == (difference(a, b).sup_abs() == 0)
+    parts = _difference_parts(a, b)
+    sup = _Pointwise(a, b).sup_abs() if parts is None else max(map(abs, parts[0] + parts[1]))
+    assert same_stream(a, b) == (sup == 0)
 
 
 @PROPERTY
@@ -123,13 +133,13 @@ def test_d_lambda_contains_the_brute_force_sum(pair):
 @given(pairs)
 def test_finite_support_difference_sums_exactly(pair):
     a, b = pair
-    d = difference(a, b)
-    if d.period != (0,):
+    pre, per, m = _difference_parts(a, b)
+    if per != (0,):
         return
     weighted = weighted_product_metric(a, b, FACTORIAL_WEIGHTS)
     assert weighted.width == 0
     assert weighted == d_E(a, b)
-    assert evaluate(SeriesFn(d, 1), Fraction(1, 2)).width == 0
+    assert evaluate(SeriesFn(FiniteSupport([Fraction(x, m) for x in pre]), 1), Fraction(1, 2)).width == 0
 
 
 @PROPERTY
@@ -137,8 +147,8 @@ def test_finite_support_difference_sums_exactly(pair):
 def test_two_letter_enumeration_has_no_difference(s):
     word = WordEnumeration(Alphabet((0, 1)))
     # no eventually periodic difference: read index by index, sup bounded
-    for d, sign in ((difference(word, s), 1), (difference(s, word), -1)):
-        assert not isinstance(d, EventuallyPeriodic)
+    assert _difference_parts(word, s) is None and _difference_parts(s, word) is None
+    for d, sign in ((_Pointwise(word, s), 1), (_Pointwise(s, word), -1)):
         assert [d.coeff(i) for i in range(12)] == [
             sign * (word.coeff(i) - s.coeff(i)) for i in range(12)]
         assert d.sup_abs() == 1 + s.sup_abs()
@@ -167,8 +177,8 @@ def test_difference_parts_are_the_normalized_numerators_over_the_lcm(pair):
     # and the stream is the normal form of the Fraction differences
     (pa, qa), (pb, qb) = as_preamble_period(a), as_preamble_period(b)
     s, r = max(len(pa), len(pb)), math.lcm(len(qa), len(qb))
-    assert difference(a, b) == EventuallyPeriodic(tuple(entries[:s]), tuple(entries[s:s + r]))
-    assert (difference(a, b).preamble, difference(a, b).period) == (
+    stream = EventuallyPeriodic(tuple(entries[:s]), tuple(entries[s:s + r]))
+    assert (stream.preamble, stream.period) == (
         tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))
 
 
@@ -179,8 +189,9 @@ def test_difference_parts_refuse_a_two_letter_enumeration():
 
 
 def reference_difference(a, b):
-    """difference as first written: every pair of eventually periodic
-    layouts is unrolled and a new stream is built, a - 0 included."""
+    """The stream a - b as first written: every pair of eventually
+    periodic layouts is unrolled and a new stream is built, a - 0
+    included; any other pair is read index by index."""
     pa, pb = as_preamble_period(a), as_preamble_period(b)
     if pa is None or pb is None:
         return _Pointwise(a, b)
@@ -241,9 +252,13 @@ def test_d_E_is_the_reference_sum(pair, tol):
 @given(st.one_of(pool_streams, enumerations, pool.map(lambda v: WordEnumeration(Alphabet((v,))))))
 def test_difference_from_zero_is_the_reference(a):
     zero = FiniteSupport(())
-    assert difference(a, zero) == reference_difference(a, zero)
-    if isinstance(a, EventuallyPeriodic):
-        assert difference(a, zero) is a
+    parts, want = _difference_parts(a, zero), reference_difference(a, zero)
+    if parts is None:
+        assert want == _Pointwise(a, zero)
+    else:
+        pre, per, m = parts
+        assert (want.preamble, want.period) == (
+            tuple([Fraction(d, m) for d in pre]), tuple([Fraction(d, m) for d in per]))
 
 
 signed_twelfths = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
@@ -295,7 +310,7 @@ def test_d_E_is_the_definition_term_by_term(pair, tol):
     got = d_E(a, b, tol)
     assert (got.lo, got.hi) == (lo, hi)
     assert type(got.lo) is Fraction and type(got.hi) is Fraction
-    if finite_support(difference(a, b)) is not None:
+    if finite_support(reference_difference(a, b)) is not None:
         assert got.width == 0
 
 
@@ -311,29 +326,110 @@ long_preamble_streams = st.builds(lambda pre, per: EventuallyPeriodic(tuple(pre)
                                   st.lists(signed_twelfths, min_size=10, max_size=30), twelfth_blocks)
 core_streams = st.one_of(twelfth_streams, long_preamble_streams,
                          twelfth_words.map(lambda cs: FiniteSupport(tuple(cs))))
-core_differences = st.one_of(
-    st.builds(difference, core_streams, core_streams),
-    same_tail_pairs.map(lambda pair: difference(*pair)),  # eventually zero
-    st.just(difference(FiniteSupport(()), FiniteSupport(()))),  # the zero stream
-    st.builds(difference, enumerations, enumerations),  # pointwise
+core_pairs = st.one_of(
+    st.tuples(core_streams, core_streams),
+    same_tail_pairs,  # eventually zero
+    st.just((FiniteSupport(()), FiniteSupport(()))),  # the zero stream
+    st.tuples(enumerations, enumerations),  # pointwise
 )
 
 
 @PROPERTY
-@given(core_differences, st.sampled_from((Fraction(1, 10**4), Fraction(1, 10**12), Fraction(1, 10**20))))
-@example(difference(EventuallyPeriodic((Fraction(1, 3),), (Fraction(1, 4), Fraction(-1, 6))),
-                    FiniteSupport(())), Fraction(1, 10**4))
-@example(difference(EventuallyPeriodic(tuple(Fraction(i, 7) for i in range(1, 21)), (Fraction(1, 2),)),
-                    EventuallyPeriodic((), (Fraction(-1, 3), 1))), Fraction(1, 10**4))
-@example(difference(WordEnumeration(Alphabet((0, 1))), WordEnumeration(Alphabet((Fraction(-1, 2), 3)), 5)),
+@given(core_pairs, st.sampled_from((Fraction(1, 10**4), Fraction(1, 10**12), Fraction(1, 10**20))))
+@example((EventuallyPeriodic((Fraction(1, 3),), (Fraction(1, 4), Fraction(-1, 6))),
+          FiniteSupport(())), Fraction(1, 10**4))
+@example((EventuallyPeriodic(tuple(Fraction(i, 7) for i in range(1, 21)), (Fraction(1, 2),)),
+          EventuallyPeriodic((), (Fraction(-1, 3), 1))), Fraction(1, 10**4))
+@example((WordEnumeration(Alphabet((0, 1))), WordEnumeration(Alphabet((Fraction(-1, 2), 3)), 5)),
          Fraction(1, 10**20))
-def test_d_E_core_is_the_exact_sum_plus_its_tail(d, tol):
+def test_d_E_core_is_the_exact_sum_plus_its_tail(pair, tol):
     # the integers of metrics._d_E_parts, one dot product with the folded
     # factorial weights, against the sum term by term: the preamble may be
     # longer than the cut, and the period repeats through it
+    a, b = pair
+    d = reference_difference(a, b)
     lo, tail = core_oracle(d, tol)
-    num, den, tail_num, tail_den = _d_E_parts(d, tol)
+    num, den, tail_num, tail_den = _d_E_parts(a, b, tol)
     assert all(type(x) is int for x in (num, den, tail_num, tail_den))
     assert (Fraction(num, den), Fraction(tail_num, tail_den)) == (lo, tail)
     if finite_support(d) is not None:
         assert tail == 0
+
+
+def geometric_block_sum(pre, per):
+    """Exact sum of c_i / 2^i for the eventually periodic stream pre, per,
+    per, ..., in Fractions, as d_lambda first summed it."""
+    total = Fraction(0)
+    for i, c in enumerate(pre):
+        total += Fraction(c, 2**i)
+    s = len(pre)
+    q = len(per)
+    block = sum(Fraction(c, 2**r) for r, c in enumerate(per))
+    total += Fraction(block, 2**s) / (1 - Fraction(1, 2**q))
+    return total
+
+
+def fraction_d_lambda(a, b, tol):
+    """d_lambda on the Fraction stream of reference_difference: the closed
+    form when it is eventually periodic, else the first n terms, n the
+    least of 4, 8, ... with 2/2^n below tol, and the tail 2/2^n."""
+    d = reference_difference(a, b)
+    if isinstance(d, EventuallyPeriodic):
+        return BoundInterval.exact(geometric_block_sum([abs(c) for c in d.preamble],
+                                                       [abs(c) for c in d.period]))
+    n = tailmath.least_index(lambda k: Fraction(2, 2**k) < tol, 4, "oracle", 4)
+    partial = sum(Fraction(abs(c), 2**i) for i, c in enumerate(d.prefix(n)))
+    return BoundInterval(partial, partial + Fraction(2, 2**n))
+
+
+def fraction_weighted(a, b, weights, tol):
+    """sum_i w_i |a_i - b_i| / 2^i on the Fraction stream of
+    reference_difference: its support, or its first n terms, n the least
+    of 8, 16, ... whose majorant is below tol/2, one Fraction per term."""
+    d = reference_difference(a, b)
+    sup = d.sup_abs()
+    kept, tail = finite_support(d), Fraction(0)
+    if kept is None:
+        n = tailmath.least_index(lambda k: weights.tail_majorant(k, sup) < tol / 2, 8, "oracle", 8)
+        kept, tail = d.prefix(n), weights.tail_majorant(n, sup)
+    partial = sum((weights.factor(i) * abs(c) / 2**i for i, c in enumerate(kept)), Fraction(0))
+    return BoundInterval(partial, partial + tail)
+
+
+def endpoints(box):
+    assert type(box.lo) is Fraction and type(box.hi) is Fraction
+    return box.lo, box.hi
+
+
+def with_zero(streams):
+    """Pairs of streams, the zero stream on either side of some of them."""
+    return st.one_of(st.tuples(streams, streams), streams.map(lambda s: (s, ZERO)),
+                     streams.map(lambda s: (ZERO, s)))
+
+
+metric_streams = st.one_of(pool_streams, pool.map(lambda v: WordEnumeration(Alphabet((v,)))), enumerations)
+binary_streams = st.one_of(bits, st.builds(lambda values, k: WordEnumeration(Alphabet(values), k),
+                                           st.permutations((0, 1)), st.integers(0, 40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_zero(metric_streams), tols)
+@example((FiniteSupport((1, Fraction(-1, 3))), EventuallyPeriodic((), (Fraction(1, 2), 2))), Fraction(1, 10**9))
+@example((WordEnumeration(Alphabet((0, 1))), ZERO), Fraction(1, 10**9))
+def test_d_E_and_the_weighted_metric_are_the_fraction_path(pair, tol):
+    # endpoint for endpoint, the integer difference against the Fraction
+    # stream summed one term at a time
+    a, b = pair
+    assert endpoints(d_E(a, b, tol)) == endpoints(reference_d_E(a, b, tol))
+    for weights in (FACTORIAL_WEIGHTS, UNIT_WEIGHTS):
+        assert endpoints(weighted_product_metric(a, b, weights, tol)) == endpoints(
+            fraction_weighted(a, b, weights, tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_zero(binary_streams), tols)
+@example((EventuallyPeriodic((1,), (0, 1, 1)), EventuallyPeriodic((), (1, 0))), Fraction(1, 10**9))
+@example((WordEnumeration(Alphabet((1, 0)), 3), EventuallyPeriodic((), (1, 0))), Fraction(1, 10**9))
+def test_d_lambda_is_the_fraction_path(pair, tol):
+    a, b = pair
+    assert endpoints(d_lambda(a, b, tol)) == endpoints(fraction_d_lambda(a, b, tol))

@@ -92,6 +92,65 @@ def test_every_private_name_in_the_package_is_read():
     assert _unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(func):
+    """The nodes of func's body outside every function, lambda and class
+    nested in it (each of those nodes is yielded, not entered)."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(path: Path):
+    """module.function:name for each local name a function binds (by an
+    assignment, a loop, with, except, an import or a nested def or class)
+    and never reads, in its own body or in a scope nested in it.  Names
+    declared global or nonlocal, and _-prefixed names, are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, declared = set(), set()
+        for node in _own_scope(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.stem}.{func.name}:{name}" for name in sorted(bound - read - declared)
+                   if not name.startswith("_")]
+    return unread
+
+
+def test_scan_sees_an_unread_local(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(xs):\n    count = 0\n    lost, kept = xs\n    _, also = xs\n"
+                      "    for x in xs:\n        count += x\n    try:\n        pass\n"
+                      "    except ValueError as exc:\n        pass\n"
+                      "    def inner():\n        return kept\n    return inner\n"
+                      "def g():\n    global G\n    G = 1\n    total = 0\n"
+                      "    return [total + y for y in range(3)]\n")
+    assert _unread_locals(module) == ["m.f:also", "m.f:count", "m.f:exc", "m.f:lost"]
+
+
+def test_no_unread_locals_in_the_package():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [name for path in modules for name in _unread_locals(path)] == []
+
+
 def _cached_functions(tree):
     """The functions in tree decorated with lru_cache or cache, called or not,
     bare or through functools."""

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from chaoslab.coeffspace import (
     EventuallyPeriodic,
+    _Pointwise,
+    _difference_parts,
     _numerators,
-    difference,
     FiniteSupport,
     SeriesFn,
     WordEnumeration,
@@ -141,14 +142,21 @@ def test_cut_past_the_cap_names_its_caller_and_leaves_no_cache_entry(monkeypatch
         call()
 
 
+def _difference_stream(a, b):
+    """a - b as one stream: the entries Fraction(x, m) of _difference_parts."""
+    pre, per, m = _difference_parts(a, b)
+    return EventuallyPeriodic(tuple([Fraction(x, m) for x in pre]), tuple([Fraction(x, m) for x in per]))
+
+
 def test_diff_sup_abs():
-    assert difference(ONES, ZEROS).sup_abs() == 1
-    assert difference(FiniteSupport((1, -5)), FiniteSupport((1, 2))).sup_abs() == 7
-    assert difference(ONES, ONES).sup_abs() == 0
+    assert _difference_stream(ONES, ZEROS).sup_abs() == 1
+    assert _difference_stream(FiniteSupport((1, -5)), FiniteSupport((1, 2))).sup_abs() == 7
+    assert _difference_stream(ONES, ONES).sup_abs() == 0
     # no eventually periodic difference: sup|a_n| + sup|b_n|, or 0 for a == b
     word = WordEnumeration(Alphabet((-1, 2)))
-    assert difference(word, ONES).sup_abs() == 3
-    assert difference(word, word).sup_abs() == 0
+    assert _difference_parts(word, ONES) is None
+    assert _Pointwise(word, ONES).sup_abs() == 3
+    assert _Pointwise(word, word).sup_abs() == 0
 
 
 def test_weighted_metric_recovers_both_metrics():
@@ -250,7 +258,7 @@ def test_rho_p_cut_is_the_truncate_cut_and_cached():
     # rational for rational, and a second call with equal rationals hits it
     cache = tailmath._zeta_cut
     assert cache.cache_info().maxsize is not None
-    d = difference(EventuallyPeriodic((Fraction(3, 2),), (1, Fraction(-2, 3))), ZEROS)
+    d = _difference_stream(EventuallyPeriodic((Fraction(3, 2),), (1, Fraction(-2, 3))), ZEROS)
     for gamma in (Fraction(1, 2), Fraction(2)):
         for p in (Fraction(3, 2), Fraction(2), math.inf):
             for tol in (Fraction(1, 10**4), Fraction(1, 10**9)):

@@ -125,8 +125,8 @@ def test_prefix_sweep_integer_decisions_are_the_fraction_ones(values, raised, mo
     # the de-upper and sup-upper compares fail for some k and not others
     real_parts, real_d_E, real_rho = verify._d_E_parts, verify.d_E, verify.rho_p
 
-    def parts(d, tol):
-        num, den, tail_num, tail_den = real_parts(d, tol)
+    def parts(a, b, tol):
+        num, den, tail_num, tail_den = real_parts(a, b, tol)
         return num * raised.denominator + raised.numerator * den, den * raised.denominator, tail_num, tail_den
 
     monkeypatch.setattr(verify, "_d_E_parts", parts)
@@ -249,9 +249,9 @@ class _Drifting(EventuallyPeriodic):
         return FiniteSupport((Fraction(10**6),))
 
 
-def _de_parts_by_first_index(d, _tol):
-    # the prefix sweep reads d_E(d, 0) as _d_E_parts' (num, den, tail_num,
-    # tail_den): far above every eta bound where d starts with zeros, 0
+def _de_parts_by_first_index(d, _zero, _tol):
+    # the prefix sweep reads d_E(d, 0) as _d_E_parts(d, 0)'s (num, den,
+    # tail_num, tail_den): far above every eta bound where d starts with zeros, 0
     # where it does not
     return (10**6, 1, 0, 1) if first_nonzero_index(d) > 0 else (0, 1, 0, 1)
 
