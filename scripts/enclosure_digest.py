@@ -60,11 +60,15 @@ are narrower, wider, inside the parent's, or disjoint from it:
     "against": {"parent": {"lp_grid": .., "prefix": .., ...},
                 "lp_grid": {"calls": [P, C], "moved": M, "narrower": ..,
                             "wider": .., "inside": .., "disjoint": ..,
-                            "raise_changed": R}, ...}
+                            "raise_changed": R}, ...,
+                "census_changed": {"lp_grid": {field: [P, C], ...},
+                                   "verify": {...}}}
 
 Calls are compared in order; when the two trees made different numbers
 of calls, the shorter run's calls are compared with the first ones of
-the longer.
+the longer.  census_changed lists, per workload, only the census fields
+whose counts differ (a field one tree lacks reads null there), so a
+census that is level reads {"lp_grid": {}, "verify": {}}.
 """
 
 from __future__ import annotations
@@ -259,6 +263,17 @@ def compare(parent: list, change: list) -> dict:
     return out
 
 
+def census_changed(parent: dict, change: dict) -> dict:
+    """{workload: {field: [parent count, change count]}} for the census
+    fields whose counts differ; a field or workload one side lacks is null."""
+    out = {}
+    for workload in sorted(set(parent) | set(change)):
+        old, new = parent.get(workload) or {}, change.get(workload) or {}
+        out[workload] = {field: [old.get(field), new.get(field)] for field in sorted(set(old) | set(new))
+                         if old.get(field) != new.get(field)}
+    return out
+
+
 def main(argv) -> int:
     ap = argparse.ArgumentParser(usage=__doc__.split("\n\n")[1].strip())
     ap.add_argument("tree", type=Path)
@@ -277,7 +292,8 @@ def main(argv) -> int:
         line["against"] = {"parent": digests(parent),
                            **{section: compare(parent[section], rec[section])
                               for section in ("lp_grid", "prefix", "verify_rho_p",
-                                              "verify_rho_1_lower")}}
+                                              "verify_rho_1_lower")},
+                           "census_changed": census_changed(parent.get("census", {}), rec["census"])}
     print(json.dumps(line, sort_keys=True))
     return 0
 

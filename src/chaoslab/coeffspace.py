@@ -20,18 +20,19 @@ shifting:
 
 _difference_parts(a, b) is the one place two tail layouts are aligned:
 when both tails are eventually periodic it returns a - b as normalized
-integer numerators over one denominator (the lcm of the reduced ones),
-which every pairwise metric (d_E, d_lambda, the weighted product metric,
-rho_p and rho_1_lower_bound) reads as it is.  For any other pair (a
-WordEnumeration over two or more symbols) they read _Pointwise(a, b),
-which subtracts index by index and whose sup_abs() bounds sup|a_n| +
-sup|b_n|.  same_stream compares normal forms.
+integer numerators over one denominator (the lcm of the reduced ones).
+For any other pair (a WordEnumeration over two or more symbols) a - b is
+_Pointwise(a, b), which subtracts index by index and whose sup_abs()
+bounds sup|a_n| + sup|b_n|.  same_stream compares normal forms.
 
-truncate is the rule for every certified zeta cut of a stream: an
-eventually-zero stream keeps its finite_support and its tail is exactly
-0; any other keeps its first n terms, n the least searched index with
-scale * zeta_n(gamma) below the caller's budget, one integer-keyed
-search (tailmath._zeta_cut) that metrics.d_E and rho_p share.
+truncate(a, b, cut, what) is the one reader of a - b into kept terms,
+for every certified distance and series cut (evaluate, the metrics,
+constructions.sensitivity_witness): an eventually-zero difference keeps
+its support and its tail is exactly 0; any other keeps its first n
+entries, (n, tail) = cut(sup_num, sup_den) at its sup, as integer
+numerators over one m.  Each caller passes only its own tail rule, most
+of them a zeta or eta cut through tailmath._zeta_cut.  Only this module
+reads _Pointwise and the unrolled layout.
 
 All coefficient values are exact `fractions.Fraction`s.  Sequences with
 coefficients drawn from a finite alphabet F live in the closed set E_F;
@@ -44,9 +45,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleTolerance, brief
 from .intervals import BoundInterval, as_fraction
 from . import tailmath
 
@@ -66,7 +67,7 @@ class Alphabet:
         if not vals:
             raise DomainError("alphabet must be nonempty")
         if len(set(vals)) != len(vals):
-            raise DomainError(f"alphabet has duplicate values: {vals}")
+            raise DomainError(f"alphabet has duplicate values: {', '.join(map(brief, vals))}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -416,23 +417,39 @@ def finite_support(s: CoeffSeq) -> Optional[Tuple[Fraction, ...]]:
     return None
 
 
-def truncate(s: CoeffSeq, gamma, scale, budget, what: str,
-             start: int = 1, step: int = 1) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    """(kept, tail): the certified zeta cut of s, for rationals gamma > 0,
-    scale >= 0 and budget > 0, scale * zeta_n(gamma) bounding, in the
-    caller's units, everything s contributes from index n on.
+def truncate(a: CoeffSeq, b: CoeffSeq, cut: Callable[[int, int], Tuple[int, Fraction]],
+             what: str) -> Tuple[Sequence[int], int, Fraction]:
+    """(nums, m, tail): the kept terms of a - b as integer numerators over
+    m, Fraction(nums[i], m) for its entry i, and a bound tail, in the
+    caller's units, on everything a - b contributes past them.
 
-    An eventually-zero stream keeps its finite_support and its tail is
-    exactly 0.  Any other keeps s_0 ... s_(n-1) for the least n in start,
-    start + step, ... with scale * zeta_n(gamma).hi < budget, and its tail
-    is that bound (tailmath.zeta_index).  Past the cap it raises
-    InfeasibleTolerance naming `what` and the budget.
+    An eventually-zero difference keeps its support, the tail is exactly
+    0, and cut is never called.  Any other takes (n, tail) = cut(sup_num,
+    sup_den), sup|a_n - b_n| = sup_num/sup_den in lowest terms (for a
+    WordEnumeration over two or more symbols the bound sup|a_n| + sup|b_n|
+    of _Pointwise, read index by index), and keeps its first n entries.
+    A cut past the index cap is re-raised as InfeasibleTolerance naming
+    `what` and the budget the cut had to clear.
     """
-    support = finite_support(s)
-    if support is not None:
-        return support, Fraction(0)
-    n, tail = tailmath.zeta_index(gamma, scale, budget, what, start, step)
-    return s.prefix(n), tail
+    parts = _difference_parts(a, b)
+    if parts is not None:
+        pre, per, m = parts
+        if per == (0,):
+            return pre, m, 0
+        top = max(map(abs, pre + per))
+        c = math.gcd(top, m)
+        sup_num, sup_den = top // c, m // c
+    else:
+        d = _Pointwise(a, b)
+        sup_num, sup_den = d.sup_abs().as_integer_ratio()
+    try:
+        n, tail = cut(sup_num, sup_den)
+    except InfeasibleTolerance as exc:
+        raise tailmath.index_cap(what, exc.budget) from None
+    if parts is None:
+        nums, m = _numerators(d.prefix(n))
+        return nums, m, tail
+    return _unrolled(pre, per, n), m, tail
 
 
 def same_stream(a: CoeffSeq, b: CoeffSeq) -> bool:
@@ -469,13 +486,19 @@ class SeriesFn:
         return SeriesFn(self.coeffs.shift(), self.gamma, self.origin)
 
 
+_ZERO = FiniteSupport()
+
+
 def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
     """Certified enclosure of f(x), width at most tol.
 
-    truncate cuts the series where sup|a_n| * zeta_n, which bounds every
-    term from index n on, falls below tol/2; the kept terms sum to an
-    exact rational, so the enclosure is that partial sum widened by the
-    tail bound on both sides, and exact for an eventually-zero stream.
+    truncate cuts the coefficients where sup|a_n| * zeta_n, which bounds
+    every term from index n on, first falls below tol/2 at n = 9, 17, ...
+    (an eventually-zero stream keeps its support, with a tail of 0).  At t
+    = x - origin = u/v the K kept terms nums_i/m sum to one integer over m
+    v^K K!, sum_i nums_i u^i v^(K-i) K!/i!, by Horner's rule on integers,
+    so the enclosure is that exact partial sum widened by the tail bound
+    on both sides.
     """
     xq = as_fraction(x)
     tolq = as_fraction(tol)
@@ -483,12 +506,16 @@ def evaluate(f: SeriesFn, x, tol=Fraction(1, 10**12)) -> BoundInterval:
         raise DomainError("tolerance must be positive")
     lo, hi = f.domain
     if not (lo <= xq <= hi):
-        raise DomainError(f"evaluation point {xq} outside domain [{lo}, {hi}]")
-    kept, tail = truncate(f.coeffs, f.gamma, f.coeffs.sup_abs(), tolq / 2, "the series tail", 9, 8)
-    t = xq - f.origin
-    partial = Fraction(0)
-    for n in range(len(kept) - 1, -1, -1):  # Horner on a_n t^n / n!
-        partial = kept[n] + partial * t / (n + 1)
+        raise DomainError(f"evaluation point {brief(xq)} outside domain [{brief(lo)}, {brief(hi)}]")
+    g, h = f.gamma.as_integer_ratio()
+    nums, m, tail = truncate(f.coeffs, _ZERO, lambda sn, sd: tailmath._zeta_cut(
+        g, h, sn, sd, tolq.numerator, 2 * tolq.denominator, 9, 8, 0), "the series tail")
+    u, v = (xq - f.origin).as_integer_ratio()
+    acc, w = 0, 1  # w = v^(K-i) K!/i! at term i
+    for i in range(len(nums) - 1, -1, -1):
+        w *= v * (i + 1)
+        acc = acc * u + nums[i] * w
+    partial = Fraction(acc, m * w)
     return BoundInterval(partial - tail, partial + tail)
 
 

@@ -41,7 +41,7 @@ from .coeffspace import (
     truncate,
     word_start_index,
 )
-from .errors import CertificationFailure, DomainError
+from .errors import CertificationFailure, DomainError, brief
 from .intervals import BoundInterval, as_fraction, power
 from .metrics import LpSpec, _differences, _taylor, rho_p
 
@@ -77,7 +77,7 @@ def agreement_index(spec: LpSpec, diam: Fraction, gamma: Fraction, eps: Fraction
 
 def _check_spec_domain(spec: LpSpec, gamma: Fraction):
     if spec.gamma != gamma:
-        raise DomainError(f"spec gamma {spec.gamma} != gamma argument {gamma}")
+        raise DomainError(f"spec gamma {brief(spec.gamma)} != gamma argument {brief(gamma)}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def bernstein_approx(
             return cand
         degree *= 2
     raise CertificationFailure(
-        f"no Bernstein candidate up to degree {max_degree} certifies below {epsq}"
+        f"no Bernstein candidate up to degree {max_degree} certifies below {brief(epsq)}"
     )
 
 
@@ -429,8 +429,10 @@ def sensitivity_witness(
 
     # polynomial prefix of f: its support when it has one, else cut
     # where sup|a| * zeta(K) drops under eps/4
-    prefix_coeffs, rho0_hi = truncate(f.coeffs, gq, f.coeffs.sup_abs(), epsq / 4, "sup|a|*zeta(K)")
-    P = FiniteSupport(prefix_coeffs)
+    g, h = gq.as_integer_ratio()
+    nums, m, rho0_hi = truncate(f.coeffs, FiniteSupport(), lambda sn, sd: tailmath._zeta_cut(
+        g, h, sn, sd, epsq.numerator, 4 * epsq.denominator, 1, 1, 0), "sup|a|*zeta(K)")
+    P = FiniteSupport([Fraction(c, m) for c in nums])
     if not P.preamble:
         P = FiniteSupport((epsq / 2 - rho0_hi,))
 

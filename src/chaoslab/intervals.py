@@ -37,7 +37,7 @@ from typing import Union
 
 import mpmath
 
-from .errors import DomainError
+from .errors import DomainError, brief
 
 RationalLike = Union[int, Fraction]
 
@@ -114,7 +114,7 @@ class BoundInterval:
             object.__setattr__(self, "hi", hi)
         # lo <= hi as one integer cross-multiplication (denominators are positive)
         if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
-            raise DomainError(f"inverted interval [{lo}, {hi}]")
+            raise DomainError(f"inverted interval [{brief(lo)}, {brief(hi)}]")
 
     # -- constructors ------------------------------------------------
 
@@ -188,7 +188,7 @@ class BoundInterval:
     def __truediv__(self, other) -> "BoundInterval":
         o = self._coerce(other)
         if o.lo <= 0 <= o.hi:
-            raise DomainError(f"division by an interval containing zero: {o}")
+            raise DomainError(f"division by an interval containing zero: [{brief(o.lo)}, {brief(o.hi)}]")
         inverses = (1 / o.lo, 1 / o.hi)
         return self * BoundInterval(min(inverses), max(inverses))
 
@@ -221,7 +221,8 @@ class BoundInterval:
 
     def intersect(self, other: "BoundInterval") -> "BoundInterval":
         if not self.intersects(other):
-            raise DomainError(f"empty intersection of {self} and {other}")
+            raise DomainError(f"empty intersection of [{brief(self.lo)}, {brief(self.hi)}] and "
+                              f"[{brief(other.lo)}, {brief(other.hi)}]")
         return BoundInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     # -- export --------------------------------------------------------

@@ -12,27 +12,26 @@ Four distances appear throughout:
   origin + gamma], p in [1, inf].
 
 Everything returns a BoundInterval that provably contains the true
-value.  Each distance depends on a and b only through a - b, read once
-per call as coeffspace._difference_parts(a, b): the normalized integer
-numerators of its preamble and period over m, the lcm of their reduced
-denominators, whose largest |entry| over m is the exact sup (d_lambda
-sums the period in closed form).  When a tail is not eventually
-periodic (a WordEnumeration over two or more symbols), the metric reads
-coeffspace._Pointwise(a, b) instead, which subtracts coefficients index
-by index and whose sup_abs() is the bound sup|a_n| + sup|b_n|.
+value.  Each distance depends on a and b only through a - b, and reads
+its kept terms from coeffspace.truncate(a, b, cut, what): when a - b has
+finite support they are that support and the tail is exactly 0;
+otherwise they are the first n entries, as integer numerators over m,
+n and the tail bound from the caller's cut at sup|a_n - b_n| (for a
+WordEnumeration over two or more symbols, the bound sup|a_n| + sup|b_n|).
+The cuts are tailmath._zeta_cut for the eta and zeta tails of d_E and
+rho_p, least_index for d_lambda and the weighted metric, and a fixed 13
+terms for rho_1_lower_bound.  The bounds on everything from index n on
+are sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant,
+2^(1-n) (d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| *
+zeta_n(gamma).
 
-Every series cut follows coeffspace.truncate: when a - b has finite
-support it keeps that support and the tail is exactly 0; otherwise it
-keeps the first n terms, n the least searched index whose tail bound
-clears the caller's budget, found by tailmath._zeta_cut for the eta and
-zeta tails of d_E and rho_p and by least_index for d_lambda and the
-weighted metric.  d_E sums its kept terms on integers alone
-(_d_E_parts): the difference's numerators over one lcm, dotted with a
-row of factorial weights cached per (preamble length, period length, n),
-in which each period slot carries the weights of every kept index that
-repeats it.  The bounds on everything from index n on are
-sup|a_n - b_n| * eta_{n+1} (d_E), the weight family's majorant, 2^(1-n)
-(d_lambda) and, for rho_p, gamma^(1/p) * sup|a_n - b_n| * zeta_n(gamma).
+Two metrics read an eventually periodic a - b without unrolling it,
+from coeffspace._difference_parts' numerators of its preamble and period
+over m, the lcm of their reduced denominators: d_lambda sums the period
+in closed form, exactly; d_E sums its kept terms on integers alone
+(_d_E_parts), the numerators dotted with a row of factorial weights
+cached per (preamble length, period length, n), in which each period
+slot carries the weights of every kept index that repeats it.
 
 The truncated difference D is the polynomial whose scaled Taylor
 coefficients are the kept differences a_n - b_n, passed as their
@@ -113,10 +112,8 @@ from .coeffspace import (
     CoeffSeq,
     FiniteSupport,
     SeriesFn,
-    _Pointwise,
     _difference_parts,
-    _numerators,
-    _unrolled,
+    truncate,
 )
 from .errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from .intervals import DEFAULT_PRECISION_BITS, BoundInterval, PowerFn, as_fraction, power
@@ -149,7 +146,7 @@ class LpSpec:
         else:
             p = as_fraction(self.p)
             if p.numerator < p.denominator:
-                raise DomainError(f"p must be at least 1, got {p}")
+                raise DomainError(f"p must be at least 1, got {brief(p)}")
             inv_p = Fraction(p.denominator, p.numerator)
         gamma = as_fraction(self.gamma)
         if gamma.numerator <= 0:
@@ -206,11 +203,17 @@ def d_lambda(x: CoeffSeq, y: CoeffSeq, tol=Fraction(1, 10**12)) -> BoundInterval
         cycle = (1 << len(per)) - 1  # 2^q - 1
         return BoundInterval.exact(Fraction(cycle * head + block, (m * cycle) << len(pre)))
     tn, td = tolq.as_integer_ratio()
-    n = tailmath.least_index(lambda k: 2 * td < tn << k, 4, "the d_lambda tail", 4, below=tolq)
-    partial = 0  # sum |c_i| 2^(n-1-i); binary, so each c_i is -1, 0 or 1
-    for c in _Pointwise(x, y).prefix(n):
-        partial = (partial << 1) + abs(c.numerator)
-    return BoundInterval(Fraction(partial, 1 << (n - 1)), Fraction(partial + 1, 1 << (n - 1)))
+
+    def cut(*_sup: int) -> Tuple[int, Fraction]:  # binary: 2^(1-n) bounds the tail at any sup
+        n = tailmath.least_index(lambda k: 2 * td < tn << k, 4, "the d_lambda tail", 4, below=tolq)
+        return n, Fraction(1, 1 << (n - 1))
+
+    nums, _, tail = truncate(x, y, cut, "the d_lambda tail")
+    partial = 0  # sum |c_i| 2^(n-1-i); binary, so each c_i is -1, 0 or 1 over m = 1
+    for c in nums:
+        partial = (partial << 1) + abs(c)
+    lo = partial * tail
+    return BoundInterval(lo, lo + tail)
 
 
 _D_E_TOL = Fraction(1, 10**12)  # d_E's default tolerance
@@ -236,31 +239,32 @@ def _d_E_parts(a: CoeffSeq, b: CoeffSeq, tol: Fraction) -> Tuple[int, int, int, 
 
     The kept terms follow coeffspace.truncate: an eventually-zero a - b
     keeps its support with a tail of 0, any other keeps its first n, n
-    and the tail sup * eta_(n+1) from tailmath._zeta_cut at tol/2.  An
-    eventually periodic a - b is read once, as _difference_parts'
-    numerators over m (the largest |numerator| is m times the sup), and
-    the kept sum is one C-level dot product of their absolute values with
-    _d_E_weights' row, over m * n!."""
-    try:
-        parts = _difference_parts(a, b)
-        if parts is not None:
-            pre, per, m = parts
-            nums = list(map(abs, pre + per))
-            s = len(pre)
-            if per == (0,):  # eventually zero: keep the support
-                n, tail = s, 0
-            else:
-                n, tail = tailmath._zeta_cut(1, 1, max(nums), m, tol.numerator, 2 * tol.denominator, 9, 8, 1)
-            w = _d_E_weights(s, len(per), n)
+    and the tail sup * eta_(n+1) from tailmath._zeta_cut at tol/2.  A
+    pair with no eventually periodic difference is cut by truncate
+    itself.  An eventually periodic a - b, prefix-sweep's hot call, is
+    not unrolled: it is read once, as _difference_parts' numerators over
+    m (the largest |numerator| is m times the sup), and the kept sum is
+    one C-level dot product of their absolute values with _d_E_weights'
+    row, in which each period slot carries every kept index that repeats
+    it, over m * n!."""
+    parts = _difference_parts(a, b)
+    if parts is None:
+        nums, m, tail = truncate(a, b, lambda sn, sd: tailmath._zeta_cut(
+            1, 1, sn, sd, tol.numerator, 2 * tol.denominator, 9, 8, 1), "the d_E tail")
+        n = len(nums)
+        nums, w = list(map(abs, nums)), _d_E_weights(n, 0, n)
+    else:
+        pre, per, m = parts
+        nums = list(map(abs, pre + per))
+        s = len(pre)
+        if per == (0,):  # eventually zero: keep the support
+            n, tail = s, 0
         else:
-            d = _Pointwise(a, b)
-            n, tail = tailmath._zeta_cut(1, 1, *d.sup_abs().as_integer_ratio(), tol.numerator,
-                                         2 * tol.denominator, 9, 8, 1)
-            nums, m = _numerators(d.prefix(n))
-            nums = list(map(abs, nums))
-            w = _d_E_weights(n, 0, n)
-    except InfeasibleTolerance as exc:
-        raise tailmath.index_cap("the d_E tail", exc.budget) from None
+            try:
+                n, tail = tailmath._zeta_cut(1, 1, max(nums), m, tol.numerator, 2 * tol.denominator, 9, 8, 1)
+            except InfeasibleTolerance as exc:
+                raise tailmath.index_cap("the d_E tail", exc.budget) from None
+        w = _d_E_weights(s, len(per), n)
     return sum(map(operator.mul, nums, w)), m * math.factorial(n), tail.numerator, tail.denominator
 
 
@@ -332,28 +336,20 @@ def weighted_product_metric(
     tolq = as_fraction(tol)
     if tolq <= 0:
         raise DomainError("tolerance must be positive")
-    parts = _difference_parts(x, y)
-    if parts is None:
-        d = _Pointwise(x, y)
-        sup = d.sup_abs()
-    else:
-        pre, per, m = parts
-        sup = Fraction(max(map(abs, pre + per)), m)
 
-    def tail_at(n: int) -> Fraction:
-        tail = weights.tail_majorant(n, sup)
-        if tail < 0:
-            raise DomainError("tail majorant must be nonnegative")
-        return tail
+    def cut(sup_num: int, sup_den: int) -> Tuple[int, Fraction]:
+        sup, budget = Fraction(sup_num, sup_den), tolq / 2
 
-    tail = Fraction(0)
-    if parts is not None and per == (0,):  # finite support: keep it
-        kept = pre
-    else:
-        budget = tolq / 2
+        def tail_at(n: int) -> Fraction:
+            tail = weights.tail_majorant(n, sup)
+            if tail < 0:
+                raise DomainError("tail majorant must be nonnegative")
+            return tail
+
         n = tailmath.least_index(lambda k: tail_at(k) < budget, 8, "the weighted tail", 8, below=budget)
-        kept, m = _numerators(d.prefix(n)) if parts is None else (_unrolled(pre, per, n), m)
-        tail = tail_at(n)
+        return n, tail_at(n)
+
+    kept, m, tail = truncate(x, y, cut, "the weighted tail")
     # the kept terms w_i |c_i| / (m 2^i) as integer numerators over one lcm
     terms = []
     for i, c in enumerate(kept):
@@ -369,8 +365,8 @@ def weighted_product_metric(
 #
 # _bernstein takes P as integers: m, gamma = g/h and the numerators nums
 # of its scaled Taylor coefficients nums_i / m (a kept prefix may end in
-# zeros; () is the zero polynomial), as rho_p and rho_1_lower_bound cut
-# them off coeffspace._difference_parts.  The kernels take the (B, L) it
+# zeros; () is the zero polynomial), as rho_p and rho_1_lower_bound read
+# them from coeffspace.truncate.  The kernels take the (B, L) it
 # returns; the integer-p kernel takes its delta too.  Each build is
 # cached per integer key: rho_p's cut, on the grid 9, 17, ..., mostly
 # lands on the same n at every p, so the calls on one pair at one gamma
@@ -607,7 +603,8 @@ def _degree_cap(nums: Sequence[int], p: int) -> None:
     2-core Xeon) and p > 85 at gamma 2 (n = 24)."""
     n = next((i for i in range(len(nums) - 1, -1, -1) if nums[i]), None)
     if n is not None and max(n * p, p) > _MAX_POWER_DEGREE:
-        raise ToleranceUnreachable(f"|P|^{p} has degree {n * p}, past the budget {_MAX_POWER_DEGREE}",
+        raise ToleranceUnreachable(f"|P|^{brief(p)} has degree {brief(n * p)}, "
+                                   f"past the budget {_MAX_POWER_DEGREE}",
                                    kind="degree-cap")
 
 
@@ -1214,7 +1211,8 @@ def _root_bits(hi: Fraction, p: Fraction, tol: Fraction) -> int:
     # ceil((e + 1) / p), p = a / c
     bits = -(-(e + 1) * p.denominator // p.numerator) + 1 - t + abs(e).bit_length() + 8
     if bits > _MAX_ROOT_BITS:
-        raise ToleranceUnreachable(f"the L^{p} root needs {bits} bits, past {_MAX_ROOT_BITS}", kind="root-bits")
+        raise ToleranceUnreachable(f"the L^{brief(p)} root needs {brief(bits)} bits, past {_MAX_ROOT_BITS}",
+                                   kind="root-bits")
     return max(DEFAULT_PRECISION_BITS, bits)
 
 
@@ -1289,7 +1287,8 @@ def _norm_of_poly(nums: Sequence[int], m: int, spec: LpSpec, tol: Fraction) -> B
                 max(p * integral.lo * t / out.hi, min(t ** math.floor(p), t ** math.ceil(p)))))
             out = power(integral, spec.inv_p, _root_bits(integral.hi, p, tol))
             if out.width >= tol:
-                raise ToleranceUnreachable(f"the L^{p} root stays wider than its tolerance", kind="root-width")
+                raise ToleranceUnreachable(f"the L^{brief(p)} root stays wider than its tolerance",
+                                           kind="root-width")
     return BoundInterval(_times_pow2(out.lo, e), _times_pow2(out.hi, e)) if e else out
 
 
@@ -1311,30 +1310,18 @@ def rho_p(f: SeriesFn, g: SeriesFn, spec: LpSpec, tol=DEFAULT_TOL) -> BoundInter
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_p needs a shared domain (gamma and origin)")
     if f.gamma != spec.gamma:
-        raise DomainError(f"LpSpec gamma {spec.gamma} != function gamma {f.gamma}")
+        raise DomainError(f"LpSpec gamma {brief(spec.gamma)} != function gamma {brief(f.gamma)}")
     tolq = as_fraction(tol)
     if tolq.numerator <= 0:
         raise DomainError("tolerance must be positive")
-    parts = _difference_parts(f.coeffs, g.coeffs)
-    tail_slack = 0
-    if parts is not None and parts[1] == (0,):  # finite support: keep it
-        nums, _, m = parts
-    else:  # coeffspace.truncate's rule on integers, at scale sup * gamma^(1/p).hi
-        if parts is None:
-            d = _Pointwise(f.coeffs, g.coeffs)
-            sn, sd = d.sup_abs().as_integer_ratio()
-        else:
-            pre, per, m = parts
-            top = max(map(abs, pre + per))
-            c = math.gcd(top, m)  # sup in lowest terms, the cut's cache key
-            sn, sd = top // c, m // c
+
+    def cut(sup_num: int, sup_den: int) -> Tuple[int, Fraction]:
+        # gamma^(1/p) only here: a finite difference takes no root
         gn, gd = spec.gamma_pow_inv_p().hi.as_integer_ratio()
-        try:
-            n, tail_slack = tailmath._zeta_cut(*spec.gamma.as_integer_ratio(), sn * gn, sd * gd,
-                                               tolq.numerator, 4 * tolq.denominator, 9, 8, 0)
-        except InfeasibleTolerance as exc:
-            raise tailmath.index_cap("the rho_p tail", exc.budget) from None
-        nums, m = _numerators(d.prefix(n)) if parts is None else (_unrolled(pre, per, n), m)
+        return tailmath._zeta_cut(*spec.gamma.as_integer_ratio(), sup_num * gn, sup_den * gd,
+                                  tolq.numerator, 4 * tolq.denominator, 9, 8, 0)
+
+    nums, m, tail_slack = truncate(f.coeffs, g.coeffs, cut, "the rho_p tail")
     try:
         norm = _norm_of_poly(nums, m, spec, _times_pow2(tolq, -1))
     except ToleranceUnreachable as exc:
@@ -1362,18 +1349,12 @@ def rho_1_lower_bound(f: SeriesFn, g: SeriesFn) -> Fraction:
     """
     if f.gamma != g.gamma or f.origin != g.origin:
         raise DomainError("rho_1_lower_bound needs a shared domain")
-    parts = _difference_parts(f.coeffs, g.coeffs)
-    if parts is None:
-        d = _Pointwise(f.coeffs, g.coeffs)
-        sup, finite = d.sup_abs(), False
-        nums, m = _numerators(d.prefix(_RHO1_TERMS))
-    else:
-        pre, per, m = parts
-        sup, finite = Fraction(max(map(abs, pre + per)), m), per == (0,)
-        nums = pre if finite else _unrolled(pre, per, _RHO1_TERMS)
     gamma = f.gamma
-    slack = gamma * sup * tailmath.zeta(gamma, _RHO1_TERMS).hi
-    tail = 0 if finite else slack
+    term = gamma * tailmath.zeta(gamma, _RHO1_TERMS).hi  # the slack per unit of sup
+    nums, m, tail = truncate(f.coeffs, g.coeffs, lambda sn, sd: (_RHO1_TERMS, term * Fraction(sn, sd)),
+                             "the rho_1 lower bound")
+    # a finite difference has no tail, but its sup still sets the slack
+    slack = tail or term * Fraction(max(map(abs, nums), default=0), m)
     _degree_cap(nums, 1)
     l1 = _integral_abs_pow_int(*_bernstein(m, *gamma.as_integer_ratio(), *nums), gamma, 1, slack)
     return max(Fraction(0), l1.lo - tail)
@@ -1395,7 +1376,7 @@ def holder_compare(
     """
     spec_p, spec_q = LpSpec(p, f.gamma), LpSpec(q, f.gamma)
     if spec_p.inv_p < spec_q.inv_p:
-        raise DomainError(f"need p <= q, got p={p}, q={q}")
+        raise DomainError(f"need p <= q, got p={brief(spec_p.p)}, q={brief(spec_q.p)}")
     lhs = series_norm(f, spec_p, tol)
     rhs = series_norm(f, spec_q, tol) * power(f.gamma, spec_p.inv_p - spec_q.inv_p)
     return lhs, rhs

@@ -245,7 +245,7 @@ def _threshold_index(gamma: Fraction) -> int:
     below 2g - 1, so n2 + 1 <= max(1, floor(2g)).
     """
     if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+        raise DomainError(f"gamma must be positive, got {brief(gamma)}")
     return max(1, math.floor(2 * gamma))
 
 
@@ -268,7 +268,7 @@ def _separation_scan(g: int, h: int, r: int, s: int):
                    for m in range(n_gamma))
     if delta_lo <= 0:
         raise ToleranceUnreachable(
-            f"certified separation bound at gamma={gamma} is not positive; "
+            f"certified separation bound at gamma={brief(gamma)} is not positive; "
             "tighten rel_tol", kind="sign-unresolved")
 
     def acceptable(j: int) -> bool:
@@ -277,7 +277,7 @@ def _separation_scan(g: int, h: int, r: int, s: int):
     # Least j >= n_gamma whose xi enclosure sits below delta; past the
     # threshold xi is exactly nonincreasing, so acceptance propagates to
     # every larger index.
-    j = least_index(acceptable, max(1, n_gamma), f"xi below delta at gamma={gamma}")
+    j = least_index(acceptable, max(1, n_gamma), f"xi below delta at gamma={brief(gamma)}")
     # Indices below the threshold are not monotone, so extend downward
     # only through certified-contiguous acceptances.
     while j - 1 >= 1 and acceptable(j - 1):

@@ -518,6 +518,20 @@ def test_digest_census_reads_null_for_a_name_the_tree_lacks():
     assert census["bernstein_hits"] is None and census["bernstein_misses"] is None
 
 
+def test_digest_against_lists_only_the_census_fields_that_moved():
+    # census_changed holds [parent, change] for each differing field, a
+    # field or workload one side lacks reading null, and {} where level
+    digest = _module("scripts/enclosure_digest.py")
+    parent = {"lp_grid": {"total": 798, "roots": 5424, "models": 975}, "verify": {"total": 515}}
+    change = {"lp_grid": {"total": 798, "roots": 5434, "models": 975, "int-split": 8},
+              "verify": {"total": 515}, "prefix": {"total": 0}}
+    assert digest.census_changed(parent, change) == {
+        "lp_grid": {"roots": [5424, 5434], "int-split": [None, 8]},
+        "prefix": {"total": [None, 0]},
+        "verify": {}}
+    assert digest.census_changed(parent, parent) == {"lp_grid": {}, "verify": {}}
+
+
 def test_bench_ab_copies_both_sides_census():
     # each side's census reaches the BENCH file, and "match" compares the
     # enclosure digests alone, so a moved census does not unmatch them

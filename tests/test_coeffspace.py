@@ -18,6 +18,7 @@ from chaoslab.coeffspace import (
     as_preamble_period,
     derivative_sup_bound,
     evaluate,
+    finite_support,
     from_json,
     from_payload,
     normal_form,
@@ -27,6 +28,7 @@ from chaoslab.coeffspace import (
     to_payload,
     word_start_index,
 )
+from chaoslab import tailmath
 from chaoslab.errors import DomainError
 
 # mpmath oracle values, 80 decimal digits
@@ -242,6 +244,48 @@ def test_evaluate_domain_checks():
         evaluate(f, Fraction(1, 2), tol=0)
     shifted_domain = SeriesFn(ONES, 1, origin=Fraction(1, 2))
     assert evaluate(shifted_domain, Fraction(3, 2)).lo <= E
+
+
+def _horner_evaluate(f, x, tol):
+    """evaluate on Fractions: the support of an eventually-zero stream, or
+    the first n terms at the zeta cut, summed by Horner's rule on a_n t^n
+    / n! and widened by the tail bound."""
+    kept = finite_support(f.coeffs)
+    if kept is None:
+        n, tail = tailmath.zeta_index(f.gamma, f.coeffs.sup_abs(), tol / 2, "the series tail", 9, 8)
+        kept = f.coeffs.prefix(n)
+    else:
+        tail = Fraction(0)
+    t = x - f.origin
+    partial = Fraction(0)
+    for n in range(len(kept) - 1, -1, -1):
+        partial = kept[n] + partial * t / (n + 1)
+    return partial - tail, partial + tail
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+eval_streams = st.one_of(
+    st.builds(EventuallyPeriodic, st.lists(small, max_size=4).map(tuple),
+              st.lists(small, min_size=1, max_size=3).map(tuple)),
+    st.lists(small, max_size=6).map(FiniteSupport),
+    st.just(ZEROS),
+    st.builds(WordEnumeration, st.lists(small, min_size=1, max_size=2, unique=True).map(
+        lambda vals: Alphabet(tuple(vals))), st.integers(0, 40)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(eval_streams, st.sampled_from((Fraction(1, 3), Fraction(1), Fraction(5, 2))),
+       st.sampled_from((Fraction(0), Fraction(-7, 4), Fraction(3))),
+       st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(0, 1, max_denominator=40)),
+       st.sampled_from((Fraction(1, 10**3), Fraction(1, 10**12))))
+def test_evaluate_is_the_fraction_horner(s, gamma, origin, where, tol):
+    # the integer sum over m v^K K! returns the exact rationals of Horner
+    # on Fractions, at both ends of the window and inside it
+    f = SeriesFn(s, gamma, origin)
+    x = origin + where * gamma
+    got = evaluate(f, x, tol)
+    assert (got.lo, got.hi) == _horner_evaluate(f, x, tol)
 
 
 def test_series_fn_derivative_and_domain():

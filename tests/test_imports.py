@@ -92,6 +92,40 @@ def test_every_private_name_in_the_package_is_read():
     assert _unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
 
 
+def _readers(paths, names):
+    """{module: sorted names} for each module in paths that reads any of
+    names: as a loaded name, an attribute or a from-import."""
+    found = {}
+    for path in paths:
+        read = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+        if read & set(names):
+            found[path.stem] = sorted(read & set(names))
+    return found
+
+
+def test_reader_scan_sees_each_way_of_reading(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .coeffspace import _Pointwise\nimport coeffspace\n"
+                      "def f(a):\n    _unrolled = 1\n    return coeffspace._unrolled(a)\n")
+    other = tmp_path / "n.py"
+    other.write_text("_Pointwise = None\n")
+    assert _readers([module, other], ("_Pointwise", "_unrolled")) == {"m": ["_Pointwise", "_unrolled"]}
+
+
+def test_only_coeffspace_reads_the_difference_layout():
+    # a - b is read into kept terms by coeffspace.truncate alone, so the
+    # index-by-index difference and the unrolled layout stay behind it
+    readers = _readers(sorted(PACKAGE.glob("*.py")), ("_Pointwise", "_unrolled"))
+    assert readers == {"coeffspace": ["_Pointwise", "_unrolled"]}
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,7 @@ from chaoslab.coeffspace import (
     evaluate,
     truncate,
 )
-from chaoslab.constructions import sensitivity_witness
+from chaoslab.constructions import periodic_approx_in_EF, sensitivity_witness
 from chaoslab.errors import DomainError, InfeasibleTolerance, ToleranceUnreachable, brief
 from chaoslab.intervals import BoundInterval, PowerFn, power
 from chaoslab.metrics import (
@@ -121,10 +122,38 @@ def test_index_cap_failure_names_what_budget_and_cap(monkeypatch):
     assert str(info.value) == "no index up to 40 certifies nothing"
 
 
+BIG = 10**5000  # str() of it raises ValueError under the default int-to-str limit
+TINY = Fraction(1, BIG)
+
+
+@pytest.mark.parametrize("call, error, kind", [
+    (lambda: rho_p(series(FiniteSupport((0, 1))), series(ZEROS), LpSpec(BIG, 1)),
+     ToleranceUnreachable, "degree-cap"),
+    (lambda: rho_p(series(ONES), series(ZEROS), LpSpec(2, BIG)), DomainError, None),
+    (lambda: LpSpec(TINY, 1), DomainError, None),
+    (lambda: holder_compare(series(ONES), BIG, 2), DomainError, None),
+    (lambda: evaluate(series(ONES), BIG), DomainError, None),
+    (lambda: Alphabet((BIG, BIG)), DomainError, None),
+    (lambda: BoundInterval(BIG, 0), DomainError, None),
+    (lambda: tailmath.compute_n_gamma(-BIG), DomainError, None),
+    (lambda: periodic_approx_in_EF(ONES, Alphabet((0, 1)), 1, LpSpec(2, TINY), Fraction(1, 10)),
+     DomainError, None),
+], ids=["rho_p-p", "rho_p-gamma", "LpSpec", "holder_compare", "evaluate", "Alphabet", "BoundInterval",
+        "compute_n_gamma", "spec-gamma"])
+def test_a_message_with_a_long_rational_raises_the_documented_error(call, error, kind):
+    # each message prints the caller's rational through errors.brief, so
+    # the documented class arrives in place of str()'s ValueError
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and getattr(info.value, "kind", None) == kind
+    assert re.search(r"~-?1\.000e-?5000", str(info.value))
+
+
 def test_cut_past_the_cap_names_its_caller_and_leaves_no_cache_entry(monkeypatch):
     # every zeta cut shares tailmath._zeta_cut; past a cap of 40 each
-    # raises under its own name and budget, and once the cap is back the
-    # same calls succeed, so the failed search cached nothing
+    # raises under its own name and budget, and its message names it;
+    # once the cap is back the same calls succeed, so the failed search
+    # cached nothing
     eps, f, zero = Fraction(1, 10**80), series(ONES), series(ZEROS)
     calls = [
         ("the series tail", eps / 2, lambda: evaluate(f, Fraction(1, 2), eps)),
@@ -137,6 +166,7 @@ def test_cut_past_the_cap_names_its_caller_and_leaves_no_cache_entry(monkeypatch
         with pytest.raises(InfeasibleTolerance) as info:
             call()
         assert (info.value.what, info.value.budget, info.value.cap) == (what, budget, 40)
+        assert what in str(info.value)
     monkeypatch.undo()
     for _, _, call in calls:
         call()
@@ -253,24 +283,79 @@ def test_gamma_pow_inv_p_is_cached_and_bounded():
         assert LpSpec(math.inf, gamma).gamma_pow_inv_p() == BoundInterval.exact(1)
 
 
-def test_rho_p_cut_is_the_truncate_cut_and_cached():
-    # rho_p's unreduced integer key returns coeffspace.truncate's cut,
-    # rational for rational, and a second call with equal rationals hits it
+def _reference_cut(gamma, scale, budget, start, step, shift):
+    """The least n of start, start + step, ... with scale * zeta_(n+shift)
+    (gamma).hi < budget, and that bound: the rule of every zeta cut, on
+    Fractions."""
+    n = start
+    while not scale * tailmath.zeta(gamma, n + shift).hi < budget:
+        n += step
+    return n, scale * tailmath.zeta(gamma, n + shift).hi
+
+
+def _reference_kept(a, b, gamma, scale, budget, start, step, shift):
+    """(kept entries of a - b, tail) under _reference_cut at scale * sup:
+    the support of an eventually-zero difference with a tail of 0, else
+    the first n entries, sup|a_n| + sup|b_n| bounding a pair with no
+    eventually periodic difference."""
+    parts = _difference_parts(a, b)
+    if parts is not None and parts[1] == (0,):
+        return [Fraction(x, parts[2]) for x in parts[0]], 0
+    sup = _difference_stream(a, b).sup_abs() if parts is not None else a.sup_abs() + b.sup_abs()
+    n, tail = _reference_cut(gamma, scale * sup, budget, start, step, shift)
+    return [a.coeff(i) - b.coeff(i) for i in range(n)], tail
+
+
+CUT_PAIRS = (
+    (FiniteSupport((Fraction(3, 2), -1, Fraction(2, 3))), FiniteSupport((0, 0, 1))),  # finite
+    (EventuallyPeriodic((Fraction(3, 2),), (1, Fraction(-2, 3))), ZEROS),  # periodic
+    (EventuallyPeriodic((), (2, Fraction(1, 3))), FiniteSupport((1, 1))),  # periodic, b not 0
+    (WordEnumeration(Alphabet((-1, 2)), 3), ONES),  # two-letter enumeration
+)
+
+
+@pytest.mark.parametrize("a, b", CUT_PAIRS, ids=["finite", "periodic", "periodic-minus-finite", "enum"])
+def test_every_zeta_cut_is_the_reference_cut_and_cached(monkeypatch, a, b):
+    # rho_p, d_E, evaluate and sensitivity_witness each keep what the
+    # Fraction reference cut keeps at their own parameters, and a second
+    # rho_p call with equal rationals hits the integer cut's cache
+    from chaoslab import coeffspace, constructions
+
     cache = tailmath._zeta_cut
     assert cache.cache_info().maxsize is not None
-    d = _difference_stream(EventuallyPeriodic((Fraction(3, 2),), (1, Fraction(-2, 3))), ZEROS)
+    kept = []
+
+    def spy(*args):
+        nums, m, tail = out = truncate(*args)
+        kept.append(([Fraction(x, m) for x in nums], tail))
+        return out
+
+    for module in (coeffspace, metrics, constructions):
+        monkeypatch.setattr(module, "truncate", spy)
+    finite = _difference_parts(a, b) is not None and _difference_parts(a, b)[1] == (0,)
     for gamma in (Fraction(1, 2), Fraction(2)):
-        for p in (Fraction(3, 2), Fraction(2), math.inf):
-            for tol in (Fraction(1, 10**4), Fraction(1, 10**9)):
+        for tol in (Fraction(1, 10**4), Fraction(1, 10**9)):
+            for p in (Fraction(3, 2), Fraction(2), math.inf):
                 spec = LpSpec(p, gamma)
-                gp = spec.gamma_pow_inv_p()
-                kept, tail = truncate(d, gamma, d.sup_abs() * gp.hi, tol / 4, "the rho_p tail", 9, 8)
-                (sn, sd), (gn, gd) = d.sup_abs().as_integer_ratio(), gp.hi.as_integer_ratio()
-                key = (*gamma.as_integer_ratio(), sn * gn, sd * gd, tol.numerator, 4 * tol.denominator, 9, 8, 0)
-                assert cache(*key) == (len(kept), tail)
+                kept.clear()
+                rho_p(SeriesFn(a, gamma), SeriesFn(b, gamma), spec, tol)
+                assert kept == [_reference_kept(a, b, gamma, spec.gamma_pow_inv_p().hi, tol / 4, 9, 8, 0)]
                 hits = cache.cache_info().hits
-                rho_p(SeriesFn(d, gamma), SeriesFn(ZEROS, gamma), spec, tol)
-                assert cache.cache_info().hits == hits + 1
+                rho_p(SeriesFn(a, gamma), SeriesFn(b, gamma), spec, tol)
+                assert cache.cache_info().hits == hits + (not finite)
+            # d_E cuts eventually periodic pairs on its folded weights, so
+            # its enclosure is checked: the kept sum, widened by the tail
+            entries, tail = _reference_kept(a, b, 1, 1, tol / 2, 9, 8, 1)
+            de = d_E(a, b, tol)
+            assert de.lo == sum(abs(c) / math.factorial(i + 1) for i, c in enumerate(entries))
+            assert de.hi - de.lo == tail
+            f = SeriesFn(a, gamma)
+            kept.clear()
+            evaluate(f, gamma / 2, tol)
+            assert kept == [_reference_kept(a, ZEROS, gamma, 1, tol / 2, 9, 8, 0)]
+            kept.clear()
+            sensitivity_witness(f, 1, tol)
+            assert kept[0] == _reference_kept(a, ZEROS, gamma, 1, tol / 4, 1, 1, 0)
 
 
 @pytest.mark.parametrize("p", [math.inf, 1, 2, 3, Fraction(3, 2)])
